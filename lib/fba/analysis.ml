@@ -6,7 +6,7 @@ let spec_of ~t ~obj =
   let n = Network.n_reactions t in
   let m = Network.n_metabolites t in
   let s = Network.stoichiometric_matrix t in
-  let cols = Array.init n (fun j -> Sparse.column s j) in
+  let cols = Array.init n (fun j -> Sparse.csc_column s j) in
   let lo = Array.make n 0. and up = Array.make n 0. in
   Array.iteri
     (fun j (l, u) ->

@@ -1,36 +1,16 @@
 type mode = Penalty | Projected
 
-(* Cached least-squares projector onto the null space of S:
-   v' = v − Sᵀ (S Sᵀ + λI)⁻¹ S v  with a small Tikhonov term because the
-   decoy loops make some rows of S linearly dependent. *)
-let projector (g : Geobacter.model) =
-  let s = Network.stoichiometric_matrix g.net in
-  let m = Sparse.rows s in
-  let dense = Sparse.to_dense s in
-  let gram = Numerics.Matrix.matmul dense (Numerics.Matrix.transpose dense) in
-  for i = 0 to m - 1 do
-    Numerics.Matrix.set gram i i (Numerics.Matrix.get gram i i +. 1e-9)
-  done;
-  let lu = Numerics.Lu.factor gram in
-  fun v ->
-    let sv = Sparse.mv s v in
-    let y = Numerics.Lu.solve lu sv in
-    let correction = Sparse.tmv s y in
-    Array.mapi (fun j vj -> vj -. correction.(j)) v
+(* Bounds are read once, when the closure is built, like [problem]'s
+   box: the hot path then allocates nothing but the clipped copy. *)
+let clip_bounds (g : Geobacter.model) =
+  let bounds = Network.bounds g.net in
+  let lower = Array.map fst bounds and upper = Array.map snd bounds in
+  fun v -> Array.mapi (fun j vj -> Float.min upper.(j) (Float.max lower.(j) vj)) v
 
-let clip_bounds (g : Geobacter.model) v =
-  let b = Network.bounds g.net in
-  Array.mapi
-    (fun j vj ->
-      let lo, hi = b.(j) in
-      Float.min hi (Float.max lo vj))
-    v
-
-let repair_fn (g : Geobacter.model) =
-  let project = projector g in
-  fun v -> clip_bounds g (project v)
-
-let repair g = repair_fn g
+let repair (g : Geobacter.model) =
+  let project = Network.projector g.net in
+  let clip = clip_bounds g in
+  fun v -> clip (project v)
 
 let relaxed_violation (g : Geobacter.model) ~eps v =
   Float.max 0. (Network.violation g.net v -. eps)
@@ -49,7 +29,7 @@ let problem ?(mode = Penalty) ?(eps = 0.005) (g : Geobacter.model) =
       ~violation:(relaxed_violation g ~eps)
       (fun v -> [| -.v.(g.ep); -.v.(g.bp) |])
   | Projected ->
-    let rep = repair_fn g in
+    let rep = repair g in
     Moo.Problem.make ~name ~n_obj:2 ~lower ~upper
       ~violation:(fun v -> relaxed_violation g ~eps (rep v))
       (fun v ->
@@ -57,7 +37,8 @@ let problem ?(mode = Penalty) ?(eps = 0.005) (g : Geobacter.model) =
         [| -.v'.(g.ep); -.v'.(g.bp) |])
 
 let flux_variation (g : Geobacter.model) ?(sigma = 0.01) () =
-  let project = projector g in
+  let project = Network.projector g.net in
+  let clip = clip_bounds g in
   let bounds = Network.bounds g.net in
   let n = Array.length bounds in
   let scale =
@@ -83,7 +64,7 @@ let flux_variation (g : Geobacter.model) ?(sigma = 0.01) () =
          enough for the epsilon-feasibility band. *)
       let c = ref c in
       for _ = 1 to 3 do
-        c := clip_bounds g (project !c)
+        c := clip (project !c)
       done;
       !c
     in

@@ -20,7 +20,10 @@ val problem : ?mode:mode -> ?eps:float -> Geobacter.model -> Moo.Problem.t
     the ε-band cannot materially distort the small biomass flux). *)
 
 val repair : Geobacter.model -> float array -> float array
-(** Null-space projection followed by bound clipping. *)
+(** Null-space projection ({!Network.projector}) followed by bound
+    clipping.  [repair g] factors the projector and reads the network's
+    bounds once; later {!Network.set_bounds} calls do not reach the
+    returned function. *)
 
 val flux_variation :
   Geobacter.model ->
@@ -34,7 +37,11 @@ val flux_variation :
     [Ea.Nsga2.config.variation]: whole-arithmetic blend of the parents
     (steady-state flux sets are convex, so blends preserve feasibility),
     Gaussian perturbation of a few fluxes (relative scale [sigma],
-    default 0.01), then one null-space projection and bound clip. *)
+    default 0.01), then three rounds of null-space projection
+    ({!Network.projector}) and bound clipping, which keep the residual
+    [‖S·v‖] inside the ε-band.  The projector is factored and the bounds
+    are read once, when [flux_variation g ()] is applied; later
+    {!Network.set_bounds} calls do not reach the operator. *)
 
 val seeds : ?mode:mode -> ?eps:float -> Geobacter.model -> levels:float list -> Moo.Solution.t list
 (** FBA-derived seed solutions: for each biomass level, the LP solution

@@ -10,7 +10,7 @@ type t = {
   mutable reactions : reaction array;
   mutable n : int; (* used slots in [reactions] *)
   index : (string, int) Hashtbl.t;
-  mutable cache : Sparse.t option;
+  mutable cache : Sparse.csc option; (* compressed S, dropped by [add_reaction] *)
 }
 
 let create ~metabolites () =
@@ -68,9 +68,36 @@ let stoichiometric_matrix net =
     for j = 0 to net.n - 1 do
       List.iter (fun (i, v) -> Sparse.set s i j v) net.reactions.(j).stoich
     done;
+    let s = Sparse.compress s in
     net.cache <- Some s;
     s
 
-let violation net v = Sparse.residual_norm2 (stoichiometric_matrix net) v
+let violation net v = Numerics.Vec.norm2 (Sparse.csc_mv (stoichiometric_matrix net) v)
 
-let mass_balance_residual net v = Sparse.mv (stoichiometric_matrix net) v
+let mass_balance_residual net v = Sparse.csc_mv (stoichiometric_matrix net) v
+
+(* Least-squares projection onto null([S; E]), E the unit rows of the
+   pinned fluxes: v' = v − Aᵀ (A Aᵀ + λI)⁻¹ A v.  The small Tikhonov term
+   λ keeps A Aᵀ invertible, because the decoy loops make some rows of S
+   linearly dependent.  A Aᵀ is built sparse and factored once. *)
+let ridge = 1e-9
+
+let projector ?(pinned = []) net =
+  let s = stoichiometric_matrix net in
+  let a =
+    match pinned with
+    | [] -> s
+    | _ ->
+      let m = n_metabolites net in
+      let aug = Sparse.create ~rows:(m + List.length pinned) ~cols:net.n in
+      for j = 0 to net.n - 1 do
+        Sparse.csc_iter_col s j (fun i v -> Sparse.set aug i j v)
+      done;
+      List.iteri (fun k j -> Sparse.set aug (m + k) j 1.) pinned;
+      Sparse.compress aug
+  in
+  let lu = Numerics.Sparse_lu.factor (Sparse.csc_gram ~ridge a) in
+  fun v ->
+    let y = Numerics.Sparse_lu.solve lu (Sparse.csc_mv a v) in
+    let correction = Sparse.csc_tmv a y in
+    Array.mapi (fun j vj -> vj -. correction.(j)) v

@@ -28,12 +28,24 @@ val reaction_index : t -> string -> int
 val bounds : t -> (float * float) array
 val set_bounds : t -> int -> float -> float -> unit
 
-val stoichiometric_matrix : t -> Sparse.t
-(** Built once and cached; [S.(i).(j)] = coefficient of metabolite [i] in
-    reaction [j]. Invalidated by [add_reaction]. *)
+val stoichiometric_matrix : t -> Sparse.csc
+(** S in compressed columns, built once and cached; entry [(i, j)] is the
+    coefficient of metabolite [i] in reaction [j].  Invalidated by
+    [add_reaction]; bounds are not part of it. *)
 
 val violation : t -> float array -> float
-(** [‖S·v‖₂] of a flux vector. *)
+(** [‖S·v‖₂] of a flux vector, from the cached S. *)
 
 val mass_balance_residual : t -> float array -> float array
 (** Per-metabolite residual [S·v]. *)
+
+val projector : ?pinned:int list -> t -> float array -> float array
+(** [projector ?pinned net] is the least-squares projection onto the
+    null space of S, with each flux in [pinned] (distinct indices) held
+    at zero as an extra unit row:
+    [v ↦ v − Aᵀ(A·Aᵀ + 1e-9·I)⁻¹·A·v] for [A = S] stacked on those unit
+    rows.  The ridge keeps [A·Aᵀ] invertible when rows of S are
+    dependent.  [A·Aᵀ] is built sparse and factored once with
+    {!Numerics.Sparse_lu} when the projector is built; each call is then
+    one sparse solve.  The projector keeps the S it was built from, so a
+    later [add_reaction] does not reach it. *)

@@ -11,28 +11,8 @@ type t = {
    fixed fluxes (equal bounds, like ATPM), and the bound constraints
    active at the chain's start: LP-derived starts sit on a face of the
    polytope, and hit-and-run within that face needs directions tangent to
-   it.  Each pinned coordinate becomes a unit equality row. *)
-let projector (g : Geobacter.model) ~pinned =
-  let s = Network.stoichiometric_matrix g.net in
-  let n = Sparse.cols s in
-  let fixed = pinned in
-  let m = Sparse.rows s + List.length fixed in
-  let aug = Sparse.create ~rows:m ~cols:n in
-  for j = 0 to n - 1 do
-    List.iter (fun (i, v) -> Sparse.set aug i j v) (Sparse.column s j)
-  done;
-  List.iteri (fun k j -> Sparse.set aug (Sparse.rows s + k) j 1.) fixed;
-  let dense = Sparse.to_dense aug in
-  let gram = Numerics.Matrix.matmul dense (Numerics.Matrix.transpose dense) in
-  for i = 0 to m - 1 do
-    Numerics.Matrix.set gram i i (Numerics.Matrix.get gram i i +. 1e-9)
-  done;
-  let lu = Numerics.Lu.factor gram in
-  fun v ->
-    let sv = Sparse.mv aug v in
-    let y = Numerics.Lu.solve lu sv in
-    let correction = Sparse.tmv aug y in
-    Array.mapi (fun j vj -> vj -. correction.(j)) v
+   it.  Each pinned coordinate becomes a unit equality row of
+   [Network.projector]. *)
 
 let create ?(seed = 7) (g : Geobacter.model) ~start =
   let bounds = Network.bounds g.net in
@@ -50,7 +30,7 @@ let create ?(seed = 7) (g : Geobacter.model) ~start =
         || (hi < infinity && hi -. v.(j) < 1e-9))
       (List.init (Array.length v) Fun.id)
   in
-  let project_dir = projector g ~pinned in
+  let project_dir = Network.projector ~pinned g.net in
   Array.iteri
     (fun j vj ->
       let lo, hi = bounds.(j) in

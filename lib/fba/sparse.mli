@@ -1,6 +1,5 @@
 (** Alias of {!Numerics.Sparse}, kept so existing [Fba.Sparse] call
-    sites (and the [Network] stoichiometric-matrix API) are unaffected
-    by the kernel move.  The types are equal: an [Fba.Sparse.t] {e is} a
+    sites are unaffected by the kernel move.  The types are equal: an [Fba.Sparse.t] {e is} a
     [Numerics.Sparse.t]. *)
 
 include module type of struct

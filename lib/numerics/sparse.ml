@@ -29,26 +29,6 @@ let column m j =
   Hashtbl.fold (fun i v acc -> (i, v) :: acc) m.cols.(j) []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let iter_col m j f = List.iter (fun (i, v) -> f i v) (column m j)
-
-let mv m x =
-  if Array.length x <> m.c then invalid_arg "Numerics.Sparse.mv: vector length mismatch";
-  let out = Array.make m.r 0. in
-  for j = 0 to m.c - 1 do
-    let xj = x.(j) in
-    (* robustlint: allow R1 — exact-zero sparsity skip *)
-    if xj <> 0. then
-      (* robustlint: allow R7 — each binding updates a distinct out.(i), so order is immaterial *)
-      Hashtbl.iter (fun i v -> out.(i) <- out.(i) +. (v *. xj)) m.cols.(j)
-  done;
-  out
-
-let tmv m x =
-  if Array.length x <> m.r then invalid_arg "Numerics.Sparse.tmv: vector length mismatch";
-  (* Sum in sorted row order so the result is reproducible across runs. *)
-  Array.init m.c (fun j ->
-      List.fold_left (fun acc (i, v) -> acc +. (v *. x.(i))) 0. (column m j))
-
 let to_dense m =
   let d = Matrix.zeros m.r m.c in
   for j = 0 to m.c - 1 do
@@ -58,7 +38,12 @@ let to_dense m =
   d
 
 let residual_norm2 m x =
-  let r = mv m x in
+  if Array.length x <> m.c then
+    invalid_arg "Numerics.Sparse.residual_norm2: vector length mismatch";
+  let r = Array.make m.r 0. in
+  for j = 0 to m.c - 1 do
+    List.iter (fun (i, v) -> r.(i) <- r.(i) +. (v *. x.(j))) (column m j)
+  done;
   let acc = ref 0. in
   Array.iter (fun v -> acc := !acc +. (v *. v)) r;
   sqrt !acc
@@ -124,11 +109,32 @@ let csc_mv c x =
 
 let csc_tmv c x =
   if Array.length x <> c.cs_rows then invalid_arg "Numerics.Sparse.csc_tmv: vector length mismatch";
-  (* Entries are stored row-sorted within each column, so this fold is
-     the same sorted-order accumulation [tmv] promises. *)
+  (* Entries are stored row-sorted within each column, so each sum runs
+     in ascending row order and is reproducible across runs. *)
   Array.init c.cs_cols (fun j ->
       let acc = ref 0. in
       for k = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
         acc := !acc +. (c.values.(k) *. x.(c.row_idx.(k)))
       done;
       !acc)
+
+let csc_gram ~ridge c =
+  let m = c.cs_rows in
+  let g = create ~rows:m ~cols:m in
+  (* Add the outer products C(:, j)·C(:, j)ᵀ in ascending j, so every
+     entry is summed in the same fixed order a dense row-by-row product
+     uses; [set] drops an entry that cancels exactly. *)
+  for j = 0 to c.cs_cols - 1 do
+    for p = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
+      let i = c.row_idx.(p) and cij = c.values.(p) in
+      for q = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
+        let k = c.row_idx.(q) in
+        set g i k (get g i k +. (cij *. c.values.(q)))
+      done
+    done
+  done;
+  for i = 0 to m - 1 do
+    set g i i (get g i i +. ridge)
+  done;
+  let cg = compress g in
+  Array.init m (csc_column cg)

@@ -22,14 +22,6 @@ val nnz : t -> int
 val column : t -> int -> (int * float) list
 (** Non-zero entries of a column as [(row, value)] pairs, sorted by row. *)
 
-val iter_col : t -> int -> (int -> float -> unit) -> unit
-
-val mv : t -> float array -> float array
-(** [m · x]. *)
-
-val tmv : t -> float array -> float array
-(** [mᵀ · x], accumulated in sorted row order (deterministic). *)
-
 val to_dense : t -> Matrix.t
 
 val residual_norm2 : t -> float array -> float
@@ -51,3 +43,10 @@ val csc_column : csc -> int -> (int * float) list
 val csc_iter_col : csc -> int -> (int -> float -> unit) -> unit
 val csc_mv : csc -> float array -> float array
 val csc_tmv : csc -> float array -> float array
+
+val csc_gram : ridge:float -> csc -> (int * float) list array
+(** [csc_gram ~ridge c] is [c·cᵀ + ridge·I] as sparse columns sorted
+    by row, the input {!Sparse_lu.factor} takes.
+    Each entry is summed over the columns of [c] in ascending order, so
+    it equals the dense row-by-row product bit for bit; exactly cancelled
+    entries are dropped. *)

@@ -20,7 +20,7 @@ let test_sparse_mv () =
   Fba.Sparse.set m 0 0 1.;
   Fba.Sparse.set m 0 2 2.;
   Fba.Sparse.set m 1 1 (-1.);
-  let y = Fba.Sparse.mv m [| 1.; 2.; 3. |] in
+  let y = Fba.Sparse.csc_mv (Fba.Sparse.compress m) [| 1.; 2.; 3. |] in
   Alcotest.(check bool) "mv" true (Numerics.Vec.approx_equal y [| 7.; -2. |])
 
 let test_sparse_tmv_matches_dense () =
@@ -33,7 +33,9 @@ let test_sparse_tmv_matches_dense () =
   let x = Array.init 6 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
   let dense = Fba.Sparse.to_dense m in
   Alcotest.(check bool) "tmv = dense tmv" true
-    (Numerics.Vec.approx_equal ~tol:1e-10 (Fba.Sparse.tmv m x) (Numerics.Matrix.tmv dense x))
+    (Numerics.Vec.approx_equal ~tol:1e-10
+       (Fba.Sparse.csc_tmv (Fba.Sparse.compress m) x)
+       (Numerics.Matrix.tmv dense x))
 
 let test_sparse_column () =
   let m = Fba.Sparse.create ~rows:4 ~cols:2 in
@@ -228,6 +230,92 @@ let test_flux_variation_keeps_near_feasible () =
     done
   | _ -> Alcotest.fail "seeds missing"
 
+(* {1 Null-space projector} *)
+
+(* S as a Hashtbl-backed [Sparse.t], straight from the reaction list:
+   the reference the compressed S in [Network] must reproduce. *)
+let hashtbl_s net =
+  let s =
+    Fba.Sparse.create ~rows:(Fba.Network.n_metabolites net) ~cols:(Fba.Network.n_reactions net)
+  in
+  for j = 0 to Fba.Network.n_reactions net - 1 do
+    List.iter (fun (i, v) -> Fba.Sparse.set s i j v) (Fba.Network.reaction net j).Fba.Network.stoich
+  done;
+  s
+
+(* Dense reference: A = [S; unit rows of pinned], v − Aᵀ(A·Aᵀ + 1e-9·I)⁻¹·A·v
+   with a dense Gram product and a partial-pivoting dense LU. *)
+let dense_projector ?(pinned = []) net =
+  let s = hashtbl_s net in
+  let m = Fba.Network.n_metabolites net and n = Fba.Network.n_reactions net in
+  let a = Numerics.Matrix.zeros (m + List.length pinned) n in
+  let ds = Fba.Sparse.to_dense s in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      Numerics.Matrix.set a i j (Numerics.Matrix.get ds i j)
+    done
+  done;
+  List.iteri (fun k j -> Numerics.Matrix.set a (m + k) j 1.) pinned;
+  let gram = Numerics.Matrix.matmul a (Numerics.Matrix.transpose a) in
+  for i = 0 to Numerics.Matrix.rows gram - 1 do
+    Numerics.Matrix.set gram i i (Numerics.Matrix.get gram i i +. 1e-9)
+  done;
+  let lu = Numerics.Lu.factor gram in
+  fun v ->
+    let y = Numerics.Lu.solve lu (Numerics.Matrix.mv a v) in
+    let correction = Numerics.Matrix.tmv a y in
+    Array.mapi (fun j vj -> vj -. correction.(j)) v
+
+let random_flux net rng =
+  Array.map
+    (fun (lo, hi) -> Numerics.Rng.uniform rng (Float.max lo (-1000.)) (Float.min hi 1000.))
+    (Fba.Network.bounds net)
+
+let check_projector_matches_dense ?pinned seed =
+  let g = Lazy.force model in
+  let net = g.Fba.Geobacter.net in
+  let sparse = Fba.Network.projector ?pinned net in
+  let dense = dense_projector ?pinned net in
+  let rng = Numerics.Rng.create seed in
+  for k = 1 to 20 do
+    let v = random_flux net rng in
+    let ps = sparse v and pd = dense v in
+    let scale = Float.max 1. (Numerics.Vec.norm_inf pd) in
+    let err = Numerics.Vec.norm_inf (Numerics.Vec.sub ps pd) /. scale in
+    if err > 1e-9 then Alcotest.failf "vector %d: sparse vs dense relative error %g" k err;
+    let vs = Fba.Network.violation net ps and vd = Fba.Network.violation net pd in
+    (* ‖S·v‖ after projection sits at the ridge floor, ~1e-8·‖v‖, so the
+       ~1e-13 relative difference between the two solves moves it by up
+       to ~1e-6 of itself: "no larger" is judged past that rounding. *)
+    if vs > vd *. (1. +. 1e-5) then
+      Alcotest.failf "vector %d: ||S v|| %g after sparse > %g after dense" k vs vd;
+    List.iter
+      (fun j ->
+        if Float.abs ps.(j) > 1e-6 *. scale then
+          Alcotest.failf "vector %d: pinned flux %d left at %g" k j ps.(j))
+      (Option.value pinned ~default:[])
+  done
+
+let test_projector_matches_dense () = check_projector_matches_dense 101
+
+let test_projector_pinned_matches_dense () =
+  let g = Lazy.force model in
+  let rng = Numerics.Rng.create 5 in
+  let extra = List.init 12 (fun _ -> Numerics.Rng.int rng (Fba.Network.n_reactions g.Fba.Geobacter.net)) in
+  let pinned = List.sort_uniq compare (g.Fba.Geobacter.atpm :: g.Fba.Geobacter.bp :: extra) in
+  check_projector_matches_dense ~pinned 202
+
+let test_violation_matches_hashtbl () =
+  let g = Lazy.force model in
+  let net = g.Fba.Geobacter.net in
+  let s = hashtbl_s net in
+  let rng = Numerics.Rng.create 303 in
+  for k = 1 to 20 do
+    let v = random_flux net rng in
+    let old = Fba.Sparse.residual_norm2 s v and now = Fba.Network.violation net v in
+    if not (Float.equal old now) then Alcotest.failf "vector %d: violation %h vs Hashtbl %h" k now old
+  done
+
 let test_initial_guess_violation_large () =
   let g = Lazy.force model in
   Alcotest.(check bool) "initial guess far from steady state" true
@@ -274,5 +362,12 @@ let () =
           Alcotest.test_case "repair reduces violation" `Quick test_repair_reduces_violation;
           Alcotest.test_case "variation near-feasible" `Slow test_flux_variation_keeps_near_feasible;
           Alcotest.test_case "initial guess violation" `Quick test_initial_guess_violation_large;
+        ] );
+      ( "projector",
+        [
+          Alcotest.test_case "sparse = dense reference" `Quick test_projector_matches_dense;
+          Alcotest.test_case "pinned rows = dense reference" `Quick
+            test_projector_pinned_matches_dense;
+          Alcotest.test_case "violation = Hashtbl residual" `Quick test_violation_matches_hashtbl;
         ] );
     ]

@@ -478,6 +478,41 @@ let dense_of_cols n cols =
   Array.iteri (fun j col -> List.iter (fun (i, v) -> Numerics.Matrix.set d i j v) col) cols;
   d
 
+(* {1 Sparse Gram} *)
+
+(* C·Cᵀ + ridge·I from compressed columns equals the dense product bit
+   for bit: both sum each entry over the columns of C in ascending order. *)
+let test_csc_gram_matches_dense () =
+  let rng = Numerics.Rng.create 2024 in
+  for _ = 1 to 10 do
+    let m = 2 + Numerics.Rng.int rng 8 and n = 3 + Numerics.Rng.int rng 12 in
+    let s = Numerics.Sparse.create ~rows:m ~cols:n in
+    for _ = 1 to (m * n) / 3 do
+      Numerics.Sparse.set s (Numerics.Rng.int rng m) (Numerics.Rng.int rng n)
+        (Numerics.Rng.uniform rng (-2.) 2.)
+    done;
+    let ridge = Numerics.Rng.uniform rng 0. 1. in
+    let gram = Numerics.Sparse.csc_gram ~ridge (Numerics.Sparse.compress s) in
+    Alcotest.(check int) "square" m (Array.length gram);
+    let dense = Numerics.Sparse.to_dense s in
+    let expected = Numerics.Matrix.matmul dense (Numerics.Matrix.transpose dense) in
+    for i = 0 to m - 1 do
+      Numerics.Matrix.set expected i i (Numerics.Matrix.get expected i i +. ridge)
+    done;
+    let got = dense_of_cols m gram in
+    Array.iter
+      (fun col ->
+        let rows = List.map fst col in
+        if rows <> List.sort_uniq compare rows then Alcotest.fail "gram column not row-sorted")
+      gram;
+    for i = 0 to m - 1 do
+      for k = 0 to m - 1 do
+        let e = Numerics.Matrix.get expected i k and g = Numerics.Matrix.get got i k in
+        if not (Float.equal e g) then Alcotest.failf "gram (%d,%d): dense %h, csc %h" i k e g
+      done
+    done
+  done
+
 let test_sparse_lu_solve () =
   let rng = Numerics.Rng.create 4242 in
   for _ = 1 to 25 do
@@ -718,6 +753,7 @@ let () =
           Alcotest.test_case "btran random systems" `Quick test_sparse_lu_solve_t;
           Alcotest.test_case "deterministic" `Quick test_sparse_lu_deterministic;
           Alcotest.test_case "singular raises" `Quick test_sparse_lu_singular;
+          Alcotest.test_case "csc gram = dense matmul" `Quick test_csc_gram_matches_dense;
         ] );
       ( "banded",
         [
