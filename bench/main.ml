@@ -831,31 +831,23 @@ let run_shard_benchmarks () =
 
 (* {1 LP & ODE kernels}
 
-   [bench-simplex] pits the two interchangeable simplex kernels against
-   each other on the Geobacter model (608 reactions) and the two Jacobian
-   strategies against each other on a stiff tridiagonal system, and
-   writes BENCH_simplex.json:
+   [bench-simplex] times the simplex on the Geobacter model (608
+   reactions) and the two Jacobian strategies on a stiff tridiagonal
+   system, and writes BENCH_simplex.json:
 
-   - simplex/sparse-vs-dense: the same FBA spec solved with the default
-     sparse factorized basis (eta file over sparse LU) and with the dense
-     basis-matrix oracle — objectives must agree to 1e-6, and in full
-     mode the sparse kernel must win on wall-clock (quick CI boxes are
-     too noisy to gate on time);
-   - simplex/warm-start: the sparse kernel re-solving from its own
-     returned basis must spend strictly fewer pivots than the cold solve;
-   - simplex/warm-sweep: the Geobacter FVA + knockout-screen workload
-     under every {eta | Forrest–Tomlin} × {dantzig | steepest-edge |
-     partial} × {primal | dual} combination — objective checksums must
-     agree to 1e-5, [ft/steepest-edge/dual] must beat the PR 9 baseline
-     [eta/dantzig/primal] on pivots (≥2× fewer, and faster wall-clock,
-     in full mode);
+   - simplex/cold-vs-warm: an FBA spec solved cold, then re-solved from
+     the basis it returned — the same objective to 1e-6, and strictly
+     fewer pivots warm;
+   - simplex/warm-sweep: the Geobacter FVA + knockout-screen workload,
+     every LP warm from the wild-type basis — pivots, wall-clock and
+     the objective checksum;
    - ode/banded-jacobian: the stiff implicit tier integrating the same
      tridiagonal system with dense finite-difference Jacobians vs the
      declared [Band {ml = 1; mu = 1}] structure — identical trajectories
      to 1e-6, strictly fewer rhs evaluations banded.
 
-   In --quick mode the ODE system shrinks, the wall-clock gate is
-   skipped, every other gate still applies, and no JSON is written. *)
+   In --quick mode the sweep and the ODE system shrink, every gate
+   still applies, and no JSON is written. *)
 
 let simplex_fail fmt =
   Printf.ksprintf (fun m -> Printf.eprintf "bench-simplex: %s\n" m; exit 1) fmt
@@ -870,7 +862,7 @@ let counters_delta names f =
   Obs.Metrics.set_enabled false;
   (r, deltas)
 
-let bench_simplex_kernels ~quick =
+let bench_simplex_cold_warm ~quick =
   let g = Lazy.force geobacter in
   let t = g.Fba.Geobacter.net in
   let obj = Array.make (Fba.Network.n_reactions t) 0. in
@@ -882,58 +874,40 @@ let bench_simplex_kernels ~quick =
     | Lp.Simplex.Infeasible -> simplex_fail "Geobacter FBA reported infeasible"
     | Lp.Simplex.Unbounded -> simplex_fail "Geobacter FBA reported unbounded"
   in
-  (* Pivot/refactor accounting for the cold sparse solve, then a warm
-     re-solve from the basis it returned. *)
+  (* Pivot/refactor accounting for the cold solve, then a warm re-solve
+     from the basis it returned. *)
   let (cold_out, basis), counts =
-    counters_delta [ "simplex.pivots"; "simplex.refactors" ] (fun () ->
-        Lp.Simplex.solve_basis spec)
+    counters_delta [ "simplex.pivots"; "simplex.refactors" ] (fun () -> Lp.Simplex.solve spec)
   in
   let cold_pivots, cold_refactors =
     match counts with [ p; r ] -> (p, r) | _ -> assert false
   in
-  let warm_out, warm_pivots =
+  let (warm_out, _), warm_pivots =
     counter_delta "simplex.pivots" (fun () -> Lp.Simplex.solve ?basis spec)
   in
-  let sparse_obj = objective_of cold_out in
-  if Float.abs (sparse_obj -. objective_of warm_out) > 1e-6 *. (1. +. Float.abs sparse_obj)
-  then simplex_fail "warm sparse solve diverges from cold";
+  let cold_obj = objective_of cold_out in
+  if Float.abs (cold_obj -. objective_of warm_out) > 1e-6 *. (1. +. Float.abs cold_obj) then
+    simplex_fail "warm solve diverges from cold";
   if warm_pivots >= cold_pivots then
     simplex_fail "warm start did not save pivots (%d warm >= %d cold)" warm_pivots
       cold_pivots;
-  (* Dense oracle: same spec, same answer, and (full mode) slower. *)
-  let dense_out = Lp.Simplex.solve ~kernel:`Dense spec in
-  let dense_obj = objective_of dense_out in
-  if Float.abs (sparse_obj -. dense_obj) > 1e-6 *. (1. +. Float.abs sparse_obj) then
-    simplex_fail "sparse and dense kernels disagree (%.9g vs %.9g)" sparse_obj dense_obj;
   let reps = if quick then 1 else 3 in
-  let best kernel =
-    let ns = ref infinity in
-    for _ = 1 to reps do
-      let _, dt = wall_ns (fun () -> Lp.Simplex.solve ~kernel spec) in
-      if dt < !ns then ns := dt
-    done;
-    !ns
-  in
-  let sparse_ns = best `Sparse in
-  let dense_ns = best `Dense in
-  let speedup = dense_ns /. sparse_ns in
-  if (not quick) && sparse_ns >= dense_ns then
-    simplex_fail "sparse kernel not faster than dense on Geobacter (%.1f ms vs %.1f ms)"
-      (sparse_ns /. 1e6) (dense_ns /. 1e6);
+  let cold_ns = ref infinity in
+  for _ = 1 to reps do
+    let _, dt = wall_ns (fun () -> Lp.Simplex.solve spec) in
+    if dt < !cold_ns then cold_ns := dt
+  done;
   Printf.printf
-    "   simplex/sparse-vs-dense  obj %.6f  %d pivots (%d refactors) cold -> %d warm; %5.2fx vs dense%s\n%!"
-    sparse_obj cold_pivots cold_refactors warm_pivots speedup
-    (if quick then " (wall-clock gate skipped in --quick)" else "");
+    "   simplex/cold-vs-warm     obj %.6f  %d pivots (%d refactors) cold -> %d warm; cold %.1f ms\n%!"
+    cold_obj cold_pivots cold_refactors warm_pivots (!cold_ns /. 1e6);
   Obs.Json.Obj
     [
-      ("name", Obs.Json.String "simplex/sparse-vs-dense");
-      ("objective", Obs.Json.Float sparse_obj);
+      ("name", Obs.Json.String "simplex/cold-vs-warm");
+      ("objective", Obs.Json.Float cold_obj);
       ("pivots_cold", Obs.Json.Float (float_of_int cold_pivots));
       ("pivots_warm", Obs.Json.Float (float_of_int warm_pivots));
       ("refactors", Obs.Json.Float (float_of_int cold_refactors));
-      ("sparse_ms", Obs.Json.Float (sparse_ns /. 1e6));
-      ("dense_ms", Obs.Json.Float (dense_ns /. 1e6));
-      ("speedup_vs_dense", Obs.Json.Float speedup);
+      ("cold_ms", Obs.Json.Float (!cold_ns /. 1e6));
     ]
 
 let bench_simplex_jacobian ~quick =
@@ -984,13 +958,9 @@ let bench_simplex_jacobian ~quick =
       ("jacobian_cols_banded", Obs.Json.Float (float_of_int band_cols));
     ]
 
-(* Warm sweep: the FVA + knockout-screen workload that PR 9's eta-file
-   primal warm path served, re-run under every {basis update, pricing,
-   primal/dual} combination.  The first row reproduces the PR 9
-   configuration and is the baseline the dual+steepest-edge row must
-   beat: every combo must land on the same objective checksum, and
-   [ft/steepest-edge/dual] must spend at most half the baseline's total
-   pivots (and less wall-clock, full mode only). *)
+(* Warm sweep: the FVA + knockout-screen workload with every LP warm
+   from the wild-type basis — objective flips for FVA (warm phase 2),
+   pinned bounds for the knockouts (dual repair). *)
 let bench_simplex_warm_sweep ~quick =
   let g = Lazy.force geobacter in
   let t = g.Fba.Geobacter.net in
@@ -1010,123 +980,61 @@ let bench_simplex_warm_sweep ~quick =
     |> List.filter (fun j -> j <> g.Fba.Geobacter.ep && j <> g.Fba.Geobacter.bp)
     |> take (if quick then 12 else 200)
   in
-  let combos =
-    [
-      ("eta/dantzig/primal", `Eta, `Dantzig, false);
-      ("ft/dantzig/primal", `ForrestTomlin, `Dantzig, false);
-      ("ft/steepest-edge/primal", `ForrestTomlin, `SteepestEdge, false);
-      ("ft/dantzig/dual", `ForrestTomlin, `Dantzig, true);
-      ("ft/steepest-edge/dual", `ForrestTomlin, `SteepestEdge, true);
-      ("ft/partial/dual", `ForrestTomlin, `Partial, true);
-    ]
+  let checksum = ref 0. in
+  let work () =
+    (* Wild-type FBA seeds both halves of the sweep. *)
+    let out0, b0 = Lp.Simplex.solve spec in
+    (match out0 with
+    | Lp.Simplex.Optimal { objective; _ } -> checksum := !checksum +. objective
+    | _ -> simplex_fail "warm sweep: wild-type FBA must be optimal");
+    List.iter
+      (fun r ->
+        List.iter
+          (fun sense ->
+            let o = Array.make n_total 0. in
+            o.(r) <- sense;
+            match fst (Lp.Simplex.solve ?basis:b0 { spec with Lp.Simplex.obj = o }) with
+            | Lp.Simplex.Optimal { objective; _ } ->
+              checksum := !checksum +. (sense *. objective)
+            | Lp.Simplex.Unbounded -> ()
+            | Lp.Simplex.Infeasible -> simplex_fail "warm sweep: FVA direction infeasible")
+          [ 1.; -1. ])
+      fva_reactions;
+    List.iter
+      (fun j ->
+        let lo = Array.copy spec.Lp.Simplex.lo in
+        let up = Array.copy spec.Lp.Simplex.up in
+        lo.(j) <- 0.;
+        up.(j) <- 0.;
+        match fst (Lp.Simplex.solve ?basis:b0 { spec with Lp.Simplex.lo = lo; up }) with
+        | Lp.Simplex.Optimal { objective; _ } -> checksum := !checksum +. objective
+        | Lp.Simplex.Infeasible -> ()
+        | Lp.Simplex.Unbounded -> simplex_fail "warm sweep: knockout LP unbounded")
+      ko_candidates
   in
-  let run_combo (label, update, pricing, dual) =
-    let warm basis spec =
-      if dual then Lp.Simplex.solve_dual_basis ?basis ~update ~pricing spec
-      else Lp.Simplex.solve_basis ?basis ~update ~pricing spec
-    in
-    let checksum = ref 0. in
-    let work () =
-      (* Wild-type FBA seeds both halves of the sweep. *)
-      let out0, b0 = Lp.Simplex.solve_basis ~update ~pricing spec in
-      (match out0 with
-      | Lp.Simplex.Optimal { objective; _ } -> checksum := !checksum +. objective
-      | _ -> simplex_fail "%s: wild-type FBA must be optimal" label);
-      (* FVA over the swept reactions: objective flips, every direction
-         warm from the wild-type parent basis (objective changes keep
-         the vertex primal feasible, so even the dual entry point lands
-         on warm phase 2). *)
-      List.iter
-        (fun r ->
-          List.iter
-            (fun sense ->
-              let o = Array.make n_total 0. in
-              o.(r) <- sense;
-              let out, _ = warm b0 { spec with Lp.Simplex.obj = o } in
-              match out with
-              | Lp.Simplex.Optimal { objective; _ } ->
-                checksum := !checksum +. (sense *. objective)
-              | Lp.Simplex.Unbounded -> ()
-              | Lp.Simplex.Infeasible -> simplex_fail "%s: FVA direction infeasible" label)
-            [ 1.; -1. ])
-        fva_reactions;
-      (* Knockout screen: bounds-only changes from the wild-type basis —
-         the dual simplex's home turf. *)
-      List.iter
-        (fun j ->
-          let lo = Array.copy spec.Lp.Simplex.lo in
-          let up = Array.copy spec.Lp.Simplex.up in
-          lo.(j) <- 0.;
-          up.(j) <- 0.;
-          let out, _ = warm b0 { spec with Lp.Simplex.lo = lo; up } in
-          match out with
-          | Lp.Simplex.Optimal { objective; _ } -> checksum := !checksum +. objective
-          | Lp.Simplex.Infeasible -> ()
-          | Lp.Simplex.Unbounded -> simplex_fail "%s: knockout LP unbounded" label)
-        ko_candidates
-    in
-    let wall = ref 0. in
-    let (), deltas =
-      counters_delta [ "simplex.pivots" ] (fun () ->
-          let (), dt = wall_ns work in
-          wall := dt)
-    in
-    let pivots = match deltas with [ p ] -> p | _ -> assert false in
-    Printf.printf "   warm-sweep %-24s %7d pivots  %8.1f ms  checksum %.6f\n%!" label
-      pivots (!wall /. 1e6) !checksum;
-    (label, pivots, !wall, !checksum)
+  let wall = ref 0. in
+  let (), deltas =
+    counters_delta [ "simplex.pivots" ] (fun () ->
+        let (), dt = wall_ns work in
+        wall := dt)
   in
-  let results = List.map run_combo combos in
-  let find l =
-    match List.find_opt (fun (lab, _, _, _) -> lab = l) results with
-    | Some r -> r
-    | None -> assert false
-  in
-  let _, base_pivots, base_wall, base_sum = find "eta/dantzig/primal" in
-  List.iter
-    (fun (label, _, _, sum) ->
-      if Float.abs (sum -. base_sum) > 1e-5 *. (1. +. Float.abs base_sum) then
-        simplex_fail "%s checksum diverges from baseline (%.9g vs %.9g)" label sum base_sum)
-    results;
-  let _, best_pivots, best_wall, _ = find "ft/steepest-edge/dual" in
-  if best_pivots >= base_pivots then
-    simplex_fail "dual+steepest-edge did not save pivots (%d vs %d baseline)" best_pivots
-      base_pivots;
-  if not quick then begin
-    if 2 * best_pivots > base_pivots then
-      simplex_fail "dual+steepest-edge pivot saving under 2x (%d vs %d baseline)" best_pivots
-        base_pivots;
-    if best_wall >= base_wall then
-      simplex_fail "dual+steepest-edge not faster than eta baseline (%.1f ms vs %.1f ms)"
-        (best_wall /. 1e6) (base_wall /. 1e6)
-  end;
+  let pivots = match deltas with [ p ] -> p | _ -> assert false in
+  Printf.printf "   simplex/warm-sweep       %7d pivots  %8.1f ms  checksum %.6f\n%!" pivots
+    (!wall /. 1e6) !checksum;
   Obs.Json.Obj
     [
       ("name", Obs.Json.String "simplex/warm-sweep");
       ("fva_reactions", Obs.Json.Float (float_of_int (List.length fva_reactions)));
       ("knockouts", Obs.Json.Float (float_of_int (List.length ko_candidates)));
-      ( "combos",
-        Obs.Json.List
-          (List.map
-             (fun (label, pivots, wall, sum) ->
-               Obs.Json.Obj
-                 [
-                   ("combo", Obs.Json.String label);
-                   ("pivots", Obs.Json.Float (float_of_int pivots));
-                   ("wall_ms", Obs.Json.Float (wall /. 1e6));
-                   ("checksum", Obs.Json.Float sum);
-                 ])
-             results) );
-      ( "pivot_saving_vs_eta",
-        Obs.Json.Float (float_of_int base_pivots /. float_of_int (max 1 best_pivots)) );
+      ("pivots", Obs.Json.Float (float_of_int pivots));
+      ("wall_ms", Obs.Json.Float (!wall /. 1e6));
+      ("checksum", Obs.Json.Float !checksum);
     ]
 
 let run_simplex_benchmarks () =
   let quick = !quick_mode in
-  Printf.printf
-    "== LP & ODE kernels (gates: kernels agree to 1e-6, warm/banded strictly cheaper%s) ==\n%!"
-    (if quick then "" else ", sparse faster than dense");
-  let lp = bench_simplex_kernels ~quick in
+  Printf.printf "== LP & ODE kernels (gates: warm = cold to 1e-6, warm/banded strictly cheaper) ==\n%!";
+  let lp = bench_simplex_cold_warm ~quick in
   let sweep = bench_simplex_warm_sweep ~quick in
   let jac = bench_simplex_jacobian ~quick in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_simplex.json not written\n%!"
@@ -1136,7 +1044,7 @@ let run_simplex_benchmarks () =
         [
           ( "benchmark",
             Obs.Json.String
-              "simplex kernel comparison (sparse factorized basis vs dense), FT/pricing/dual warm sweep + banded Jacobian" );
+              "simplex cold-vs-warm and FVA/knockout warm sweep + banded Jacobian" );
           ("kernels", Obs.Json.List [ lp; sweep; jac ]);
           ("pass", Obs.Json.Bool true);
         ]

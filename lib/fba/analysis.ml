@@ -6,7 +6,7 @@ let spec_of ~t ~obj =
   let n = Network.n_reactions t in
   let m = Network.n_metabolites t in
   let s = Network.stoichiometric_matrix t in
-  let cols = Array.init n (fun j -> Sparse.csc_column s j) in
+  let cols = Array.init n (fun j -> Numerics.Sparse.csc_column s j) in
   let lo = Array.make n 0. and up = Array.make n 0. in
   Array.iteri
     (fun j (l, u) ->
@@ -16,17 +16,12 @@ let spec_of ~t ~obj =
   { Lp.Simplex.n_rows = m; cols; rhs = Array.make m 0.; obj; lo; up }
 
 let solve_spec_basis ?basis spec =
-  (* With a parent basis in hand, route through the dual simplex entry:
-     it subsumes the primal warm start (a dual-feasible vertex runs dual
-     iterations, a merely primal-feasible one runs warm phase 2, and
-     anything else rejects to the cold path), and the FBA warm-start
-     pattern — same network, perturbed bounds or objective — is exactly
-     the bounds-only regime the dual repair was built for. *)
-  let result =
-    match basis with
-    | None -> Lp.Simplex.solve_basis spec
-    | Some _ -> Lp.Simplex.solve_dual_basis ?basis spec
-  in
+  (* With a parent basis in hand the solver runs its dual decision tree:
+     the FBA warm-start pattern — same network, perturbed bounds or
+     objective — is exactly the bounds-only regime the dual repair was
+     built for, and anything it cannot repair falls back inside the
+     solver. *)
+  let result = Lp.Simplex.solve ?basis spec in
   match result with
   | Lp.Simplex.Optimal { x; objective }, carry -> ({ objective; fluxes = x }, carry)
   | Lp.Simplex.Infeasible, _ -> raise (Infeasible_model "LP infeasible")

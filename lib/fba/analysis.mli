@@ -8,8 +8,8 @@ exception Infeasible_model of string
 val spec_of : t:Network.t -> obj:float array -> Lp.Simplex.spec
 (** The raw LP behind {!fba}: steady state [S·v = 0] with the network's
     bounds and a dense objective vector over reactions.  Exposed so
-    harnesses (the [bench-simplex] kernel comparison in particular) can
-    drive {!Lp.Simplex.solve} directly with an explicit [~kernel]. *)
+    harnesses (the [bench-simplex] legs in particular) can drive
+    {!Lp.Simplex.solve} directly on the same LP. *)
 
 val fba : t:Network.t -> objective:int -> solution
 (** Maximize the flux through reaction [objective] subject to [S·v = 0]
@@ -27,9 +27,9 @@ val fba_with_basis :
 (** {!fba} with simplex warm-start plumbing: pass the basis returned by
     a previous structurally-identical solve (same network dimensions —
     bounds and objective may differ) to skip phase 1; receive this
-    solve's optimal basis for the next one.  Warm solves route through
-    {!Lp.Simplex.solve_dual_basis}: when only bounds changed since the
-    parent basis was optimal (knockouts, ε-constraint levels,
+    solve's optimal basis for the next one.  Warm solves take
+    {!Lp.Simplex.solve}'s dual decision tree: when only bounds changed
+    since the parent basis was optimal (knockouts, ε-constraint levels,
     dynamic-FBA steps) the still-dual-feasible vertex is repaired by
     dual iterations instead of a primal phase 2.  The solution is
     identical to the cold {!fba} — only the work to reach it changes.

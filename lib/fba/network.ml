@@ -10,7 +10,7 @@ type t = {
   mutable reactions : reaction array;
   mutable n : int; (* used slots in [reactions] *)
   index : (string, int) Hashtbl.t;
-  mutable cache : Sparse.csc option; (* compressed S, dropped by [add_reaction] *)
+  mutable cache : Numerics.Sparse.csc option; (* compressed S, dropped by [add_reaction] *)
 }
 
 let create ~metabolites () =
@@ -64,17 +64,18 @@ let stoichiometric_matrix net =
   match net.cache with
   | Some s -> s
   | None ->
-    let s = Sparse.create ~rows:(n_metabolites net) ~cols:net.n in
+    let s = Numerics.Sparse.create ~rows:(n_metabolites net) ~cols:net.n in
     for j = 0 to net.n - 1 do
-      List.iter (fun (i, v) -> Sparse.set s i j v) net.reactions.(j).stoich
+      List.iter (fun (i, v) -> Numerics.Sparse.set s i j v) net.reactions.(j).stoich
     done;
-    let s = Sparse.compress s in
+    let s = Numerics.Sparse.compress s in
     net.cache <- Some s;
     s
 
-let violation net v = Numerics.Vec.norm2 (Sparse.csc_mv (stoichiometric_matrix net) v)
+let violation net v =
+  Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (stoichiometric_matrix net) v)
 
-let mass_balance_residual net v = Sparse.csc_mv (stoichiometric_matrix net) v
+let mass_balance_residual net v = Numerics.Sparse.csc_mv (stoichiometric_matrix net) v
 
 (* Least-squares projection onto null([S; E]), E the unit rows of the
    pinned fluxes: v' = v − Aᵀ (A Aᵀ + λI)⁻¹ A v.  The small Tikhonov term
@@ -89,15 +90,15 @@ let projector ?(pinned = []) net =
     | [] -> s
     | _ ->
       let m = n_metabolites net in
-      let aug = Sparse.create ~rows:(m + List.length pinned) ~cols:net.n in
+      let aug = Numerics.Sparse.create ~rows:(m + List.length pinned) ~cols:net.n in
       for j = 0 to net.n - 1 do
-        Sparse.csc_iter_col s j (fun i v -> Sparse.set aug i j v)
+        Numerics.Sparse.csc_iter_col s j (fun i v -> Numerics.Sparse.set aug i j v)
       done;
-      List.iteri (fun k j -> Sparse.set aug (m + k) j 1.) pinned;
-      Sparse.compress aug
+      List.iteri (fun k j -> Numerics.Sparse.set aug (m + k) j 1.) pinned;
+      Numerics.Sparse.compress aug
   in
-  let lu = Numerics.Sparse_lu.factor (Sparse.csc_gram ~ridge a) in
+  let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge a) in
   fun v ->
-    let y = Numerics.Sparse_lu.solve lu (Sparse.csc_mv a v) in
-    let correction = Sparse.csc_tmv a y in
+    let y = Numerics.Sparse_lu.solve lu (Numerics.Sparse.csc_mv a v) in
+    let correction = Numerics.Sparse.csc_tmv a y in
     Array.mapi (fun j vj -> vj -. correction.(j)) v

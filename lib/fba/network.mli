@@ -28,7 +28,7 @@ val reaction_index : t -> string -> int
 val bounds : t -> (float * float) array
 val set_bounds : t -> int -> float -> float -> unit
 
-val stoichiometric_matrix : t -> Sparse.csc
+val stoichiometric_matrix : t -> Numerics.Sparse.csc
 (** S in compressed columns, built once and cached; entry [(i, j)] is the
     coefficient of metabolite [i] in reaction [j].  Invalidated by
     [add_reaction]; bounds are not part of it. *)

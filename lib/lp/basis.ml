@@ -1,45 +1,22 @@
 (* Factorized simplex basis: a sparse LU (Markowitz pivoting, see
-   [Numerics.Sparse_lu]) maintained across pivots by one of two update
-   schemes, chosen at {!factor} time:
+   [Numerics.Sparse_lu]) maintained across pivots by a product-form eta
+   file.
 
-   {b Product-form eta file} ([`Eta]).  After a pivot that makes column
-   [a] basic in row position [r], the new basis is B' = B·E with E the
-   identity whose column [r] is w = B⁻¹a — exactly the vector the
-   simplex iteration already computed for its ratio test, so an update
-   costs only the copy of w's nonzeros.  Solves apply the eta file
-   around the base factorization:
+   After a pivot that makes column [a] basic in row position [r], the
+   new basis is B' = B·E with E the identity whose column [r] is
+   w = B⁻¹a — exactly the vector the simplex iteration already computed
+   for its ratio test, so an update costs only the copy of w's nonzeros.
+   Solves apply the eta file around the base factorization:
      ftran:  x = Eₖ⁻¹ … E₁⁻¹ (LU)⁻¹ b      (oldest eta first)
      btran:  y = (LU)⁻ᵀ E₁⁻ᵀ … Eₖ⁻ᵀ c      (newest eta first)
    Every eta adds O(nnz(w)) work to {e both} triangular legs of every
-   subsequent solve.
+   subsequent solve, and every leg walks fixed entry arrays in fixed
+   order, so each solve is a bit-for-bit deterministic function of the
+   basis history.
 
-   {b Forrest–Tomlin} ([`ForrestTomlin], the default).  L and its row
-   permutation stay fixed; U is kept explicitly (in "slot" space: slot =
-   basis position) and updated in place.  Replacing basic position [q]
-   first swaps column q of U for the spike s = R L⁻¹ a (R the row etas
-   so far), then moves q to the end of the elimination order, which
-   leaves U upper triangular except for the old row-q entries now below
-   the diagonal.  One pass of row elimination clears them: walking the
-   displaced columns c in ascending new order,
-
-     f_c = (rq₀(c) − Σ_{(r,u) ∈ ucol c} f_r·u) / u_cc
-
-   and the new diagonal is d = s_q − Σ_{(r,u) ∈ ucol q} f_r·u.  The
-   multipliers are recorded as one {e row eta} R_new = I − Σ f_c e_q e_cᵀ
-   that future ftrans apply between L and U (and btrans apply
-   transposed, newest first).  Per update the solve cost grows only by
-   the row eta's nonzeros — U itself usually gets {e sparser} — which is
-   why FT sustains far longer update sequences than the eta file.
-
-   Both schemes walk fixed entry arrays in fixed order, so every solve
-   is a bit-for-bit deterministic function of the basis history.
-
-   Updates trade pivot cost against solve cost and stability;
-   [should_refactor] says when the accumulated work (or an FT stability
-   monitor) calls for refactorizing; the caller — who owns the basis
-   columns — answers with {!refactor}. *)
-
-type update = [ `Eta | `ForrestTomlin ]
+   Updates trade pivot cost against solve cost; [should_refactor] says
+   when the accumulated eta work calls for refactorizing; the caller —
+   who owns the basis columns — answers with {!refactor}. *)
 
 type eta = {
   e_row : int;               (* pivot position r *)
@@ -47,271 +24,51 @@ type eta = {
   e_off : (int * float) array;  (* off-pivot nonzeros of w, ascending position *)
 }
 
-(* One Forrest–Tomlin row eta: row [r_target] of U had its entries at
-   slots [fst r_coefs] eliminated with the stored multipliers; the same
-   row operation applies to every ftran right-hand side. *)
-type reta = { r_target : int; r_coefs : (int * float) array }
-
-type ft = {
-  (* Updated U in slot space.  [ucols.(s)] holds the off-diagonal
-     entries (row slot, value) of column s; [order] is the current
-     elimination order (the solve order), [ord_of] its inverse. *)
-  ucols : (int * float) array array;
-  udiag : float array;
-  order : int array;
-  ord_of : int array;
-  slot_of_pos : int array;   (* Sparse_lu elimination position -> slot *)
-  mutable retas : reta list; (* newest first *)
-  mutable reta_nnz : int;
-  mutable n_updates : int;
-  mutable u_extra : int;     (* nnz(U now) - nnz(U fresh), may be negative *)
-  mutable growth : float;    (* worst elimination-multiplier magnitude seen *)
-  mutable force : bool;      (* stability bail-out: refactor before next solve *)
-}
-
-type eta_file = {
+type t = {
+  m : int;
+  mutable lu : Numerics.Sparse_lu.t;
   mutable etas : eta list;   (* newest first *)
   mutable n_etas : int;
   mutable eta_nnz : int;     (* total stored off-diagonal eta entries *)
 }
 
-type repr =
-  | Eta_file of eta_file
-  | Ft of ft
-
-type t = { m : int; mutable lu : Numerics.Sparse_lu.t; mutable repr : repr }
-
 let g_eta_len = Obs.Metrics.gauge "simplex.eta_len"
-let g_spike_growth = Obs.Metrics.gauge "simplex.spike_growth"
-let m_ft_updates = Obs.Metrics.counter "simplex.ft_updates"
 
-(* FT updates whose elimination multipliers exceed this magnitude (or
-   whose new diagonal nearly vanishes) flag the factorization for
-   refactorization before the next solve. *)
-let ft_growth_limit = 1e7
-let ft_diag_tolerance = 1e-11
-
-let build_ft lu =
-  let m = Numerics.Sparse_lu.dim lu in
-  let slot_of_pos = Numerics.Sparse_lu.col_order lu in
-  let ucols = Array.make m [||] in
-  let udiag = Array.make m 0. in
-  let order = Array.copy slot_of_pos in
-  let ord_of = Array.make m 0 in
-  Array.iteri (fun idx s -> ord_of.(s) <- idx) order;
-  for k = 0 to m - 1 do
-    let s = slot_of_pos.(k) in
-    udiag.(s) <- Numerics.Sparse_lu.udiag lu k;
-    let entries =
-      Array.map (fun (p, v) -> (slot_of_pos.(p), v)) (Numerics.Sparse_lu.ucol lu k)
-    in
-    Array.sort (fun (a, _) (b, _) -> compare (a : int) b) entries;
-    ucols.(s) <- entries
-  done;
-  {
-    ucols; udiag; order; ord_of; slot_of_pos;
-    retas = []; reta_nnz = 0; n_updates = 0; u_extra = 0;
-    growth = 1.; force = false;
-  }
-
-let fresh_repr mode lu =
-  match mode with
-  | `Eta -> Eta_file { etas = []; n_etas = 0; eta_nnz = 0 }
-  | `ForrestTomlin -> Ft (build_ft lu)
-
-let reset_gauges () =
-  Obs.Metrics.set_gauge g_eta_len 0.;
-  Obs.Metrics.set_gauge g_spike_growth 1.
-
-let factor ?(update = `ForrestTomlin) cols =
+let factor cols =
   let m = Array.length cols in
-  let lu = Numerics.Sparse_lu.factor cols in
-  { m; lu; repr = fresh_repr update lu }
-
-let mode b = match b.repr with Eta_file _ -> `Eta | Ft _ -> `ForrestTomlin
+  { m; lu = Numerics.Sparse_lu.factor cols; etas = []; n_etas = 0; eta_nnz = 0 }
 
 let refactor b cols =
   if Array.length cols <> b.m then invalid_arg "Lp.Basis.refactor: dimension changed";
-  let mode = mode b in
   b.lu <- Numerics.Sparse_lu.factor cols;
-  b.repr <- fresh_repr mode b.lu;
-  reset_gauges ()
+  b.etas <- [];
+  b.n_etas <- 0;
+  b.eta_nnz <- 0;
+  Obs.Metrics.set_gauge g_eta_len 0.
 
-let eta_len b =
-  match b.repr with Eta_file e -> e.n_etas | Ft ft -> ft.n_updates
-
-(* Refactorize once the update file holds about as many nonzeros as the
+(* Refactorize once the eta file holds about as many nonzeros as the
    base factors themselves (cheap updates postpone it, dense ones hasten
    it), or unconditionally past 2·√m updates — the point where the
    per-solve overhead starts to rival a fresh Markowitz factorization of
-   a typical stoichiometric basis.  FT additionally forces a
-   refactorization when its stability monitor trips. *)
+   a typical stoichiometric basis. *)
 let should_refactor b =
   let cap = max 16 (2 * int_of_float (Float.sqrt (float_of_int b.m))) in
-  match b.repr with
-  | Eta_file e -> e.n_etas >= cap || e.eta_nnz > Numerics.Sparse_lu.nnz b.lu + (4 * b.m)
-  | Ft ft ->
-    ft.force || ft.n_updates >= cap
-    || ft.reta_nnz + max 0 ft.u_extra > Numerics.Sparse_lu.nnz b.lu + (4 * b.m)
+  b.n_etas >= cap || b.eta_nnz > Numerics.Sparse_lu.nnz b.lu + (4 * b.m)
 
-(* {1 Row-eta application} *)
-
-(* ftran leg, oldest first: y_q ← y_q − Σ f_c y_c. *)
-let apply_retas_fwd ft v =
-  List.iter
-    (fun { r_target; r_coefs } ->
-      let acc = ref v.(r_target) in
-      Array.iter (fun (c, f) -> acc := !acc -. (f *. v.(c))) r_coefs;
-      v.(r_target) <- !acc)
-    (List.rev ft.retas)
-
-(* btran leg, newest first (transposed): v_c ← v_c − f_c v_q. *)
-let apply_retas_t ft v =
-  List.iter
-    (fun { r_target; r_coefs } ->
-      let t = v.(r_target) in
-      (* robustlint: allow R1 — exact-zero sparsity skip *)
-      if t <> 0. then Array.iter (fun (c, f) -> v.(c) <- v.(c) -. (f *. t)) r_coefs)
-    ft.retas
-
-(* R L⁻¹ rhs in slot space: the shared first leg of the FT ftran and
-   the spike of an FT update. *)
-let ft_half_ftran b ft rhs =
-  let y = Numerics.Sparse_lu.lsolve b.lu rhs in
-  let ys = Array.make b.m 0. in
-  for k = 0 to b.m - 1 do
-    ys.(ft.slot_of_pos.(k)) <- y.(k)
-  done;
-  apply_retas_fwd ft ys;
-  ys
-
-(* {1 Updates} *)
-
-let eta_update e ~row w =
-  let diag = w.(row) in
+let update b ~row w =
+  if not (0 <= row && row < b.m) then invalid_arg "Lp.Basis.update: row out of range";
+  (* robustlint: allow R1 — guard against a structurally impossible exactly-zero pivot *)
+  if w.(row) = 0. then invalid_arg "Lp.Basis.update: zero pivot";
   let off = ref [] in
-  let m = Array.length w in
-  for i = m - 1 downto 0 do
+  for i = b.m - 1 downto 0 do
     (* robustlint: allow R1 — exact-zero sparsity skip over the computed column *)
     if i <> row && w.(i) <> 0. then off := (i, w.(i)) :: !off
   done;
   let e_off = Array.of_list !off in
-  e.etas <- { e_row = row; e_diag = diag; e_off } :: e.etas;
-  e.n_etas <- e.n_etas + 1;
-  e.eta_nnz <- e.eta_nnz + Array.length e_off;
-  Obs.Metrics.set_gauge g_eta_len (float_of_int e.n_etas)
-
-let ft_update b ft ~row:q col =
-  let m = b.m in
-  let rhs = Array.make m 0. in
-  List.iter
-    (fun (i, v) ->
-      if not (0 <= i && i < m) then invalid_arg "Lp.Basis.update: row out of range";
-      rhs.(i) <- rhs.(i) +. v)
-    col;
-  let spike = ft_half_ftran b ft rhs in
-  let t = ft.ord_of.(q) in
-  (* Collect and remove the old row-q entries from the columns ordered
-     after q — the only place upper-triangular U can hold row q. *)
-  let rq0 = Array.make m 0. in
-  for idx = t + 1 to m - 1 do
-    let c = ft.order.(idx) in
-    let colc = ft.ucols.(c) in
-    let cnt = ref 0 in
-    Array.iter (fun (r, _) -> if r = q then incr cnt) colc;
-    if !cnt > 0 then begin
-      let keep = Array.make (Array.length colc - !cnt) (0, 0.) in
-      let j = ref 0 in
-      Array.iter
-        (fun ((r, u) as entry) ->
-          if r = q then rq0.(c) <- u
-          else begin
-            keep.(!j) <- entry;
-            incr j
-          end)
-        colc;
-      ft.ucols.(c) <- keep;
-      ft.u_extra <- ft.u_extra - !cnt
-    end
-  done;
-  (* Replace column q with the spike. *)
-  ft.u_extra <- ft.u_extra - Array.length ft.ucols.(q);
-  let spike_max = ref (Float.abs spike.(q)) in
-  let entries = ref [] in
-  for i = m - 1 downto 0 do
-    let a = Float.abs spike.(i) in
-    if a > !spike_max then spike_max := a;
-    (* robustlint: allow R1 — exact-zero sparsity skip *)
-    if i <> q && spike.(i) <> 0. then entries := (i, spike.(i)) :: !entries
-  done;
-  let newcol = Array.of_list !entries in
-  ft.ucols.(q) <- newcol;
-  ft.u_extra <- ft.u_extra + Array.length newcol;
-  (* Move q to the end of the elimination order. *)
-  for idx = t to m - 2 do
-    let s = ft.order.(idx + 1) in
-    ft.order.(idx) <- s;
-    ft.ord_of.(s) <- idx
-  done;
-  ft.order.(m - 1) <- q;
-  ft.ord_of.(q) <- m - 1;
-  (* Eliminate the displaced row-q entries in ascending new order; the
-     scatter [fscat] holds the multipliers found so far. *)
-  let fscat = Array.make m 0. in
-  let coefs = ref [] in
-  let n_coefs = ref 0 in
-  let fmax = ref 0. in
-  for idx = t to m - 2 do
-    let c = ft.order.(idx) in
-    let acc = ref rq0.(c) in
-    Array.iter
-      (fun (r, u) ->
-        let f = fscat.(r) in
-        (* robustlint: allow R1 — exact-zero sparsity skip *)
-        if f <> 0. then acc := !acc -. (f *. u))
-      ft.ucols.(c);
-    (* robustlint: allow R1 — exact-zero sparsity skip *)
-    if !acc <> 0. then begin
-      let f = !acc /. ft.udiag.(c) in
-      fscat.(c) <- f;
-      if Float.abs f > !fmax then fmax := Float.abs f;
-      coefs := (c, f) :: !coefs;
-      incr n_coefs
-    end
-  done;
-  let d = ref spike.(q) in
-  Array.iter
-    (fun (r, u) ->
-      let f = fscat.(r) in
-      (* robustlint: allow R1 — exact-zero sparsity skip *)
-      if f <> 0. then d := !d -. (f *. u))
-    ft.ucols.(q);
-  ft.udiag.(q) <- !d;
-  if !n_coefs > 0 then begin
-    ft.retas <- { r_target = q; r_coefs = Array.of_list (List.rev !coefs) } :: ft.retas;
-    ft.reta_nnz <- ft.reta_nnz + !n_coefs
-  end;
-  ft.n_updates <- ft.n_updates + 1;
-  (* Stability monitor: huge elimination multipliers or a vanishing new
-     diagonal mean the updated factors are untrustworthy. *)
-  if Float.max 1. !fmax > ft.growth then ft.growth <- Float.max 1. !fmax;
-  if
-    Float.abs !d < ft_diag_tolerance *. (1. +. !spike_max)
-    || !fmax > ft_growth_limit
-  then ft.force <- true;
-  Obs.Metrics.incr m_ft_updates;
-  Obs.Metrics.set_gauge g_spike_growth ft.growth;
-  Obs.Metrics.set_gauge g_eta_len (float_of_int ft.n_updates)
-
-let update b ~row ~col w =
-  if not (0 <= row && row < b.m) then invalid_arg "Lp.Basis.update: row out of range";
-  (* robustlint: allow R1 — guard against a structurally impossible exactly-zero pivot *)
-  if w.(row) = 0. then invalid_arg "Lp.Basis.update: zero pivot";
-  match b.repr with
-  | Eta_file e -> eta_update e ~row w
-  | Ft ft -> ft_update b ft ~row col
-
-(* {1 Solves} *)
+  b.etas <- { e_row = row; e_diag = w.(row); e_off } :: b.etas;
+  b.n_etas <- b.n_etas + 1;
+  b.eta_nnz <- b.eta_nnz + Array.length e_off;
+  Obs.Metrics.set_gauge g_eta_len (float_of_int b.n_etas)
 
 (* E⁻¹ v in place: t = v_r / w_r;  v_i -= w_i t;  v_r = t. *)
 let apply_eta v { e_row; e_diag; e_off } =
@@ -328,24 +85,9 @@ let apply_eta_t c { e_row; e_diag; e_off } =
 
 let ftran b rhs =
   if Array.length rhs <> b.m then invalid_arg "Lp.Basis.ftran: rhs length mismatch";
-  match b.repr with
-  | Eta_file e ->
-    let x = Numerics.Sparse_lu.solve b.lu rhs in
-    List.iter (apply_eta x) (List.rev e.etas);
-    x
-  | Ft ft ->
-    let ys = ft_half_ftran b ft rhs in
-    (* U z = ys, backward in elimination order; the answer is indexed by
-       slot (= basis position) directly. *)
-    let x = Array.make b.m 0. in
-    for idx = b.m - 1 downto 0 do
-      let s = ft.order.(idx) in
-      let z = ys.(s) /. ft.udiag.(s) in
-      x.(s) <- z;
-      (* robustlint: allow R1 — exact-zero sparsity skip *)
-      if z <> 0. then Array.iter (fun (r, u) -> ys.(r) <- ys.(r) -. (u *. z)) ft.ucols.(s)
-    done;
-    x
+  let x = Numerics.Sparse_lu.solve b.lu rhs in
+  List.iter (apply_eta x) (List.rev b.etas);
+  x
 
 let ftran_col b col =
   let rhs = Array.make b.m 0. in
@@ -358,24 +100,6 @@ let ftran_col b col =
 
 let btran b c =
   if Array.length c <> b.m then invalid_arg "Lp.Basis.btran: rhs length mismatch";
-  match b.repr with
-  | Eta_file e ->
-    let v = Array.copy c in
-    List.iter (apply_eta_t v) e.etas;
-    Numerics.Sparse_lu.solve_t b.lu v
-  | Ft ft ->
-    (* Uᵀ v = c, forward in elimination order. *)
-    let v = Array.make b.m 0. in
-    for idx = 0 to b.m - 1 do
-      let s = ft.order.(idx) in
-      let acc = ref c.(s) in
-      Array.iter (fun (r, u) -> acc := !acc -. (u *. v.(r))) ft.ucols.(s);
-      v.(s) <- !acc /. ft.udiag.(s)
-    done;
-    apply_retas_t ft v;
-    (* Back to Sparse_lu position space for the Lᵀ leg. *)
-    let vp = Array.make b.m 0. in
-    for k = 0 to b.m - 1 do
-      vp.(k) <- v.(ft.slot_of_pos.(k))
-    done;
-    Numerics.Sparse_lu.ltsolve b.lu vp
+  let v = Array.copy c in
+  List.iter (apply_eta_t v) b.etas;
+  Numerics.Sparse_lu.solve_t b.lu v

@@ -1,56 +1,36 @@
 (** Factorized simplex basis: sparse Markowitz LU maintained across
-    pivots by a product-form eta file or by Forrest–Tomlin in-place
-    updates.
+    pivots by a product-form eta file.
 
     {!factor} builds the LU of the basis columns; after each pivot the
     caller records the basis change with {!update} instead of
     refactorizing.  {!ftran} and {!btran} then solve [B x = b] and
-    [Bᵀ y = c] through the (updated) factors; both walk fixed,
-    deterministically ordered entry arrays, so the solves are
+    [Bᵀ y = c] through the base factors and the eta file; both walk
+    fixed, deterministically ordered entry arrays, so the solves are
     bit-for-bit deterministic functions of the basis history.
 
-    With [`Eta] each update appends one product-form eta (column
-    [w = B⁻¹a]) that every later solve must apply on both legs.  With
-    [`ForrestTomlin] (the default) L stays fixed and U is updated in
-    place — spike column swap, permutation of the pivot to the end of
-    the elimination order, and one recorded row eta of elimination
-    multipliers — so per-solve overhead grows only by the row etas'
-    nonzeros and long update sequences stay cheap.
-
-    Updates make solves gradually more expensive (and, for FT, can go
-    numerically stale); {!should_refactor} triggers when accumulated
-    nonzeros rival the base factors, after ~2√m updates, or when the FT
-    stability monitor (multiplier growth, vanishing updated diagonal)
-    trips.  The caller — who owns the current basis columns — answers
-    with {!refactor}.  Telemetry: gauge [simplex.eta_len] (updates since
-    refactorization), counter [simplex.ft_updates], gauge
-    [simplex.spike_growth] (worst FT elimination-multiplier magnitude
-    since refactorization). *)
+    Each update appends one eta (the column [w = B⁻¹a] the ratio test
+    already computed) that every later solve applies on both legs, so
+    solves get gradually more expensive; {!should_refactor} triggers
+    when the eta nonzeros rival the base factors or after ~2√m updates.
+    The caller — who owns the current basis columns — answers with
+    {!refactor}.  Telemetry: gauge [simplex.eta_len] (updates since
+    refactorization). *)
 
 type t
 
-type update = [ `Eta | `ForrestTomlin ]
-(** Basis maintenance scheme.  [`Eta] is the product-form oracle;
-    [`ForrestTomlin] the in-place default. *)
-
-val factor : ?update:update -> (int * float) list array -> t
+val factor : (int * float) list array -> t
 (** Factor basis columns (index = basis position, entries = sparse
-    [(row, value)]).  [update] (default [`ForrestTomlin]) fixes the
-    maintenance scheme for this basis.  Raises
-    {!Numerics.Sparse_lu.Singular} on a rank-deficient basis. *)
-
-val mode : t -> update
-(** The maintenance scheme this basis was factored with. *)
+    [(row, value)]).  Raises {!Numerics.Sparse_lu.Singular} on a
+    rank-deficient basis. *)
 
 val refactor : t -> (int * float) list array -> unit
 (** Replace the factorization with a fresh LU of the given columns and
-    clear the update file (the maintenance scheme is kept). *)
+    clear the eta file. *)
 
-val update : t -> row:int -> col:(int * float) list -> float array -> unit
-(** [update b ~row ~col w] records the basis change that made [col]
-    basic at position [row].  [w] must be the full [B⁻¹ col] vector of
-    the {e current} basis (the ratio-test direction); [col] is the raw
-    entering column (the FT spike right-hand side). *)
+val update : t -> row:int -> float array -> unit
+(** [update b ~row w] records the basis change that made a column [a]
+    basic at position [row].  [w] must be the full [B⁻¹ a] vector of the
+    {e current} basis (the ratio-test direction). *)
 
 val ftran : t -> float array -> float array
 (** Solve [B x = rhs] (dense right-hand side, indexed by row); the
@@ -63,10 +43,6 @@ val btran : t -> float array -> float array
 (** Solve [Bᵀ y = c] ([c] indexed by basis position); the result is
     indexed by row — the simplex multipliers. *)
 
-val eta_len : t -> int
-(** Updates recorded since the last (re)factorization. *)
-
 val should_refactor : t -> bool
-(** True once the update file is long, dense or numerically suspect
-    enough that refactorizing is cheaper (or safer) than carrying it
-    further. *)
+(** True once the eta file is long or dense enough that refactorizing
+    is cheaper than carrying it further. *)

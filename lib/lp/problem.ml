@@ -51,7 +51,7 @@ type outcome =
   | Infeasible
   | Unbounded
 
-let solve ?max_iter ?kernel ?update ?pricing p =
+let solve p =
   let rows = Array.of_list (List.rev p.rows) in
   let m = Array.length rows in
   let n_slack = Array.fold_left (fun acc r -> if r.cmp = Eq then acc else acc + 1) 0 rows in
@@ -84,7 +84,7 @@ let solve ?max_iter ?kernel ?update ?pricing p =
     Array.init n_total (fun j -> if j < p.n then sign *. p.obj.(j) else 0.)
   in
   let spec = { Simplex.n_rows = m; cols; rhs; obj; lo; up } in
-  match Simplex.solve ?max_iter ?kernel ?update ?pricing spec with
+  match fst (Simplex.solve spec) with
   | Simplex.Infeasible -> Infeasible
   | Simplex.Unbounded -> Unbounded
   | Simplex.Optimal { x; objective } ->

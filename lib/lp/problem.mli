@@ -30,13 +30,6 @@ type outcome =
   | Infeasible
   | Unbounded
 
-val solve :
-  ?max_iter:int ->
-  ?kernel:Simplex.kernel ->
-  ?update:Simplex.update ->
-  ?pricing:Simplex.pricing ->
-  t ->
-  outcome
-(** Solve; the reported objective is in the problem's own sense.
-    [kernel], [update] and [pricing] select the basis kernel, the basis
-    maintenance scheme and the pricing rule — see {!Simplex}. *)
+val solve : t -> outcome
+(** Solve with {!Simplex.solve}; the reported objective is in the
+    problem's own sense. *)

@@ -16,10 +16,6 @@ type outcome =
 
 type status = Basic | At_lower | At_upper | Free_nb
 
-type kernel = [ `Sparse | `Dense ]
-type update = Basis.update
-type pricing = [ `Dantzig | `SteepestEdge | `Partial ]
-
 (* Numerical tolerances: [tol_d] for reduced costs, [tol_p] for pivots,
    [tol_f] for feasibility of the phase-1 objective. *)
 let tol_d = 1e-9
@@ -32,6 +28,9 @@ let tol_f = 1e-7
    number of stalled iterations instead of the whole [max_iter] budget. *)
 let tol_degen = 1e-10
 let bland_streak = 40
+
+(* Pivot budget per phase; exceeding it raises [Failure]. *)
+let max_iter = 50_000
 
 (* Observability probes: single-atomic-load no-ops until metrics are
    enabled.  Pivots are counted at both basis changes and bound flips —
@@ -48,7 +47,6 @@ let m_bland = Obs.Metrics.counter "simplex.bland_activations"
 (* Warm-start rejects, by reason — the cache-efficacy signal. *)
 let m_wr_shape = Obs.Metrics.counter "simplex.warm_rejects_shape"
 let m_wr_singular = Obs.Metrics.counter "simplex.warm_rejects_singular"
-let m_wr_primal = Obs.Metrics.counter "simplex.warm_rejects_primal_infeasible"
 let m_wr_dual = Obs.Metrics.counter "simplex.warm_rejects_dual_infeasible"
 let m_wr_limit = Obs.Metrics.counter "simplex.warm_rejects_limit"
 
@@ -60,44 +58,13 @@ let m_dual_pivots = Obs.Metrics.counter "simplex.dual_pivots"
 let m_dual_fallbacks = Obs.Metrics.counter "simplex.dual_fallbacks"
 let m_dual_ns = Obs.Metrics.counter "simplex.dual_ns"
 
-(* Per-pricing-rule pivot and pricing-time accounting. *)
-let m_pivots_dantzig = Obs.Metrics.counter "simplex.pivots_dantzig"
-let m_pivots_se = Obs.Metrics.counter "simplex.pivots_steepest_edge"
-let m_pivots_partial = Obs.Metrics.counter "simplex.pivots_partial"
-let m_price_dantzig_ns = Obs.Metrics.counter "simplex.price_dantzig_ns"
-let m_price_se_ns = Obs.Metrics.counter "simplex.price_steepest_edge_ns"
-let m_price_partial_ns = Obs.Metrics.counter "simplex.price_partial_ns"
-
-let pivot_buckets = [| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000. |]
-let h_pivots = Obs.Metrics.histogram "simplex.pivots_per_solve" ~buckets:pivot_buckets
-
-let h_pivots_dantzig =
-  Obs.Metrics.histogram "simplex.pivots_per_solve_dantzig" ~buckets:pivot_buckets
-
-let h_pivots_se =
-  Obs.Metrics.histogram "simplex.pivots_per_solve_steepest_edge" ~buckets:pivot_buckets
-
-let h_pivots_partial =
-  Obs.Metrics.histogram "simplex.pivots_per_solve_partial" ~buckets:pivot_buckets
+let h_pivots =
+  Obs.Metrics.histogram "simplex.pivots_per_solve"
+    ~buckets:[| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000. |]
 
 let h_refactor_ns =
   Obs.Metrics.histogram "simplex.refactor_ns"
     ~buckets:[| 1e3; 3e3; 1e4; 3e4; 1e5; 3e5; 1e6; 3e6; 1e7; 1e8 |]
-
-let rule_pivot_counter = function
-  | `Dantzig -> m_pivots_dantzig
-  | `SteepestEdge -> m_pivots_se
-  | `Partial -> m_pivots_partial
-
-let rule_price_ns = function
-  | `Dantzig -> m_price_dantzig_ns
-  | `SteepestEdge -> m_price_se_ns
-  | `Partial -> m_price_partial_ns
-
-let rule_hist = function
-  | `Dantzig -> h_pivots_dantzig
-  | `SteepestEdge -> h_pivots_se
-  | `Partial -> h_pivots_partial
 
 (* Run [f] and charge its wall time to counter [c] (whole nanoseconds).
    The clock is only read when metrics are on. *)
@@ -119,16 +86,6 @@ let timed_hist h f =
   end
   else f ()
 
-(* The factorized representation of the basis matrix.  [F_sparse] is the
-   default revised-simplex kernel: a Markowitz LU maintained by
-   Forrest–Tomlin updates or a product-form eta file ({!Basis}).
-   [F_dense] keeps the explicit dense inverse updated by eta row
-   operations — O(m²) per pivot — as the oracle and bench baseline the
-   sparse kernel is measured against. *)
-type factor =
-  | F_sparse of Basis.t
-  | F_dense of Numerics.Matrix.t
-
 type state = {
   m : int;                    (* rows *)
   n_total : int;              (* structural + artificial variables *)
@@ -138,56 +95,21 @@ type state = {
   up : float array;
   status : status array;
   basis : int array;          (* basis.(i) = variable basic in row i *)
-  fac : factor;
+  fac : Basis.t;
   x : float array;            (* current values of all variables *)
 }
 
 let basis_columns st = Array.init st.m (fun r -> st.cols.(st.basis.(r)))
 
-(* w = B⁻¹ a for a sparse column [a] (the ftran of the entering column). *)
-let ftran_col st col =
-  match st.fac with
-  | F_sparse b -> Basis.ftran_col b col
-  | F_dense binv ->
-    let w = Array.make st.m 0. in
-    List.iter
-      (fun (i, v) ->
-        (* robustlint: allow R1 — exact-zero sparsity skip over stored coefficients *)
-        if v <> 0. then
-          for r = 0 to st.m - 1 do
-            w.(r) <- w.(r) +. (Numerics.Matrix.get binv r i *. v)
-          done)
-      col;
-    w
-
-(* x_B = B⁻¹ rhs for a dense right-hand side. *)
-let ftran_dense st rhs =
-  match st.fac with
-  | F_sparse b -> Basis.ftran b rhs
-  | F_dense binv ->
-    Array.init st.m (fun r ->
-        let acc = ref 0. in
-        for i = 0 to st.m - 1 do
-          acc := !acc +. (Numerics.Matrix.get binv r i *. rhs.(i))
-        done;
-        !acc)
-
 (* Simplex multipliers y = B⁻ᵀ c_B. *)
-let multipliers st c =
-  let cb = Array.init st.m (fun r -> c.(st.basis.(r))) in
-  match st.fac with
-  | F_sparse b -> Basis.btran b cb
-  | F_dense binv -> Numerics.Matrix.tmv binv cb
+let multipliers st c = Basis.btran st.fac (Array.init st.m (fun r -> c.(st.basis.(r))))
 
 (* ρ = B⁻ᵀ e_r — row r of the basis inverse; the dual-simplex pricing
-   row and the devex projection vector. *)
+   row. *)
 let btran_unit st r =
-  match st.fac with
-  | F_sparse b ->
-    let c = Array.make st.m 0. in
-    c.(r) <- 1.;
-    Basis.btran b c
-  | F_dense binv -> Array.init st.m (fun i -> Numerics.Matrix.get binv r i)
+  let c = Array.make st.m 0. in
+  c.(r) <- 1.;
+  Basis.btran st.fac c
 
 (* Recompute the values of the basic variables from the nonbasic ones:
    x_B = B⁻¹ (b − N x_N).  Pivots update x incrementally; this exact
@@ -202,56 +124,16 @@ let recompute_basics st =
       (* robustlint: allow R1 — exact-zero sparsity skip *)
       if xj <> 0. then List.iter (fun (i, v) -> resid.(i) <- resid.(i) -. (v *. xj)) st.cols.(j)
   done;
-  let xb = ftran_dense st resid in
+  let xb = Basis.ftran st.fac resid in
   for r = 0 to st.m - 1 do
     st.x.(st.basis.(r)) <- xb.(r)
   done
 
-(* Rebuild the factorization from scratch (numerical refresh; for the
-   sparse kernel also the answer to a full update file). *)
+(* Rebuild the factorization from scratch: the numerical refresh, and
+   the answer to a full eta file. *)
 let refactor st =
   Obs.Metrics.incr m_refactors;
-  timed_hist h_refactor_ns @@ fun () ->
-  match st.fac with
-  | F_sparse b -> Basis.refactor b (basis_columns st)
-  | F_dense binv ->
-    let b = Numerics.Matrix.zeros st.m st.m in
-    Array.iteri
-      (fun r j -> List.iter (fun (i, v) -> Numerics.Matrix.set b i r v) st.cols.(j))
-      st.basis;
-    let inv = Numerics.Lu.inverse (Numerics.Lu.factor b) in
-    for i = 0 to st.m - 1 do
-      for j = 0 to st.m - 1 do
-        Numerics.Matrix.set binv i j (Numerics.Matrix.get inv i j)
-      done
-    done
-
-let needs_refactor st iter =
-  match st.fac with
-  | F_sparse b -> Basis.should_refactor b
-  | F_dense _ -> iter mod 128 = 0
-
-(* Record the basis change at row position [r]: entering variable [j]
-   with ftran image [w]. *)
-let update_factor st r j w =
-  match st.fac with
-  | F_sparse b -> Basis.update b ~row:r ~col:st.cols.(j) w
-  | F_dense binv ->
-    let wr = w.(r) in
-    for i = 0 to st.m - 1 do
-      (* robustlint: allow R1 — exact-zero sparsity skip in the pivot update *)
-      if i <> r && w.(i) <> 0. then begin
-        let factor = w.(i) /. wr in
-        for cidx = 0 to st.m - 1 do
-          Numerics.Matrix.set binv i cidx
-            (Numerics.Matrix.get binv i cidx
-            -. (factor *. Numerics.Matrix.get binv r cidx))
-        done
-      end
-    done;
-    for cidx = 0 to st.m - 1 do
-      Numerics.Matrix.set binv r cidx (Numerics.Matrix.get binv r cidx /. wr)
-    done
+  timed_hist h_refactor_ns @@ fun () -> Basis.refactor st.fac (basis_columns st)
 
 (* Reduced cost of variable [j] given simplex multipliers [y]. *)
 let reduced_cost st c y j =
@@ -262,43 +144,22 @@ let reduced_cost st c y j =
 (* One phase of the primal simplex loop with objective [c]
    (maximization).  Returns [`Optimal] or [`Unbounded].
 
-   Pricing rules: [`Dantzig] scans every nonbasic column for the worst
-   reduced cost; [`SteepestEdge] is projected steepest edge with devex
-   reference weights (γ_j, reset to the reference framework on every
-   refactorization) scoring d_j²/γ_j; [`Partial] scans ~n/8-sized
-   sections cyclically, sticking with a section while it yields
-   candidates.  All rules fall back to Bland's rule (first eligible
-   index) during a degenerate streak. *)
-let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
+   Dantzig pricing: every nonbasic column is scanned for the worst
+   reduced cost, falling back to Bland's rule (first eligible index)
+   during a degenerate streak. *)
+let optimize ~pivots st c =
   let iter = ref 0 in
   let degen = ref 0 in
   let bland_on = ref false in
   let last_obj = ref neg_infinity in
   let result = ref None in
   let n_total = st.n_total in
-  let m_rule = rule_pivot_counter pricing in
-  let price_ns = rule_price_ns pricing in
-  (* Devex reference weights (steepest edge only). *)
-  let gamma =
-    match pricing with
-    | `SteepestEdge -> Array.make n_total 1.
-    | `Dantzig | `Partial -> [||]
-  in
-  let n_sections =
-    match pricing with
-    | `Partial -> max 1 (min 8 (n_total / 64))
-    | `Dantzig | `SteepestEdge -> 1
-  in
-  let section_len = (n_total + n_sections - 1) / n_sections in
-  let cursor = ref 0 in
   while !result = None do
     incr iter;
     if !iter > max_iter then failwith "Simplex.optimize: iteration limit exceeded";
-    if needs_refactor st !iter then begin
+    if Basis.should_refactor st.fac then begin
       refactor st;
-      recompute_basics st;
-      (* Reference framework reset: fresh factors, fresh weights. *)
-      if Array.length gamma > 0 then Array.fill gamma 0 n_total 1.
+      recompute_basics st
     end;
     let y = multipliers st c in
     (* Eligible reduced-cost magnitude of column [j]; fixed variables
@@ -320,57 +181,26 @@ let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
           let a = Float.abs d in
           if a > tol_d then a else 0.
     in
-    let bland = !bland_on in
     let entering = ref (-1) in
-    timed price_ns (fun () ->
-        if bland then (
-          try
-            for j = 0 to n_total - 1 do
-              if viol_of j > 0. then begin
-                entering := j;
-                raise Exit
-              end
-            done
-          with Exit -> ())
-        else
-          match pricing with
-          | `Dantzig ->
-            let best = ref tol_d in
-            for j = 0 to n_total - 1 do
-              let v = viol_of j in
-              if v > !best then begin
-                best := v;
-                entering := j
-              end
-            done
-          | `SteepestEdge ->
-            let best = ref 0. in
-            for j = 0 to n_total - 1 do
-              let v = viol_of j in
-              if v > 0. then begin
-                let score = v *. v /. gamma.(j) in
-                if score > !best then begin
-                  best := score;
-                  entering := j
-                end
-              end
-            done
-          | `Partial ->
-            let tried = ref 0 in
-            while !entering < 0 && !tried < n_sections do
-              let s = (!cursor + !tried) mod n_sections in
-              let j1 = min n_total ((s + 1) * section_len) - 1 in
-              let best = ref tol_d in
-              for j = s * section_len to j1 do
-                let v = viol_of j in
-                if v > !best then begin
-                  best := v;
-                  entering := j
-                end
-              done;
-              if !entering >= 0 then cursor := s;
-              incr tried
-            done);
+    if !bland_on then (
+      try
+        for j = 0 to n_total - 1 do
+          if viol_of j > 0. then begin
+            entering := j;
+            raise Exit
+          end
+        done
+      with Exit -> ())
+    else begin
+      let best = ref tol_d in
+      for j = 0 to n_total - 1 do
+        let v = viol_of j in
+        if v > !best then begin
+          best := v;
+          entering := j
+        end
+      done
+    end;
     if !entering < 0 then result := Some `Optimal
     else begin
       let j = !entering in
@@ -382,7 +212,7 @@ let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
         | Free_nb -> if dj > 0. then 1. else -1.
         | Basic -> assert false
       in
-      let w = ftran_col st st.cols.(j) in
+      let w = Basis.ftran_col st.fac st.cols.(j) in
       (* Ratio test: the entering variable moves by [dir * t], t >= 0. *)
       let t_flip =
         if st.lo.(j) > neg_infinity && st.up.(j) < infinity then st.up.(j) -. st.lo.(j)
@@ -422,7 +252,6 @@ let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
         let t = !t_best in
         incr pivots;
         Obs.Metrics.incr m_pivots;
-        Obs.Metrics.incr m_rule;
         (* Move the basic variables along the direction, then place the
            entering/leaving variables exactly. *)
         let step = dir *. t in
@@ -433,37 +262,15 @@ let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
             st.x.(k) <- st.x.(k) -. (step *. w.(r))
           done;
         if !leave_row < 0 then begin
-          (* Bound flip: the entering variable runs to its opposite bound.
-             The basis is unchanged, so devex weights stay put. *)
+          (* Bound flip: the entering variable runs to its opposite bound;
+             the basis is unchanged. *)
           st.x.(j) <- (if dir > 0. then st.up.(j) else st.lo.(j));
           st.status.(j) <- (if dir > 0. then At_upper else At_lower)
         end
         else begin
           let r = !leave_row in
           let k = st.basis.(r) in
-          if Array.length gamma > 0 then begin
-            (* Devex weight update against the {e old} basis (ρ must be
-               computed before the factor update): with α_q = ρ·a_q,
-               γ_q ← max(γ_q, (α_q/α_r)²·γ_e) for nonbasic q, and the
-               leaving variable re-enters the frame with
-               γ_k ← max(γ_e/α_r², 1). *)
-            let rho = btran_unit st r in
-            let alpha_r = w.(r) in
-            let ge = gamma.(j) in
-            for q = 0 to n_total - 1 do
-              (* robustlint: allow R1 — fixed variables are pinned by exactly equal bounds *)
-              if q <> j && st.status.(q) <> Basic && st.lo.(q) <> st.up.(q) then begin
-                let a = ref 0. in
-                List.iter (fun (i, v) -> a := !a +. (rho.(i) *. v)) st.cols.(q);
-                let ratio = !a /. alpha_r in
-                let cand = ratio *. ratio *. ge in
-                if cand > gamma.(q) then gamma.(q) <- cand
-              end
-            done;
-            gamma.(k) <- Float.max (ge /. (alpha_r *. alpha_r)) 1.;
-            gamma.(j) <- 1.
-          end;
-          update_factor st r j w;
+          Basis.update st.fac ~row:r w;
           st.basis.(r) <- j;
           st.status.(j) <- Basic;
           st.x.(j) <- st.x.(j) +. step;
@@ -505,7 +312,7 @@ let optimize ?(max_iter = 50_000) ?(pivots = ref 0) ?(pricing = `Dantzig) st c =
    ray is a trusted certificate of primal infeasibility; or
    [`Dual_unbounded] when the certificate is within tolerance noise and
    needs the cold primal to adjudicate. *)
-let optimize_dual ?(max_iter = 50_000) ?(pivots = ref 0) st c =
+let optimize_dual ~pivots st c =
   let iter = ref 0 in
   let degen = ref 0 in
   let bland_on = ref false in
@@ -517,7 +324,7 @@ let optimize_dual ?(max_iter = 50_000) ?(pivots = ref 0) st c =
   while !result = None do
     incr iter;
     if !iter > max_iter then failwith "Simplex.optimize_dual: iteration limit exceeded";
-    if needs_refactor st !iter then begin
+    if Basis.should_refactor st.fac then begin
       refactor st;
       recompute_basics st;
       fresh := true
@@ -608,7 +415,7 @@ let optimize_dual ?(max_iter = 50_000) ?(pivots = ref 0) st c =
       end
       else begin
         let j = !entering in
-        let w = ftran_col st st.cols.(j) in
+        let w = Basis.ftran_col st.fac st.cols.(j) in
         if Float.abs w.(r) <= tol_p then begin
           (* The pricing row and the ftran column disagree about the
              pivot magnitude — stale factors; refresh and retry. *)
@@ -629,7 +436,7 @@ let optimize_dual ?(max_iter = 50_000) ?(pivots = ref 0) st c =
               st.x.(kb) <- st.x.(kb) -. (t *. w.(i))
             done;
           st.x.(j) <- st.x.(j) +. t;
-          update_factor st r j w;
+          Basis.update st.fac ~row:r w;
           fresh := false;
           st.basis.(r) <- j;
           st.status.(j) <- Basic;
@@ -656,34 +463,25 @@ let optimize_dual ?(max_iter = 50_000) ?(pivots = ref 0) st c =
 
 type basis = { b_status : status array; b_rows : int array }
 
-(* Build the factorization of the m columns basic in rows 0..m-1.
-   [None] on a singular basis matrix. *)
-let factor_basis ~kernel ~update ~m cols_of =
-  match kernel with
-  | `Sparse -> (
-    match Basis.factor ~update (Array.init m cols_of) with
-    | exception Numerics.Sparse_lu.Singular -> None
-    | b -> Some (F_sparse b))
-  | `Dense -> (
-    let b = Numerics.Matrix.zeros m m in
-    Array.iteri (fun r col -> List.iter (fun (i, v) -> Numerics.Matrix.set b i r v) col)
-      (Array.init m cols_of);
-    match Numerics.Lu.factor b with
-    | exception Numerics.Lu.Singular -> None
-    | lu -> Some (F_dense (Numerics.Lu.inverse lu)))
+(* Factor the m columns basic in rows 0..m-1; [None] on a singular
+   basis matrix. *)
+let factor_basis ~m cols_of =
+  match Basis.factor (Array.init m cols_of) with
+  | exception Numerics.Sparse_lu.Singular -> None
+  | b -> Some b
 
 (* Reconstruct a full simplex state from a previously optimal basis:
    statuses for the structural variables plus the basic variable of each
    row.  Artificials are re-created pinned at zero (lo = up = 0,
-   nonbasic), the basis matrix is refactorized from scratch through the
-   selected kernel, and the basic values are recomputed against the
-   {e new} rhs/bounds — so a basis carried over from a neighboring LP
-   yields an exact vertex of the new LP, not an approximation.  Returns
+   nonbasic), the basis matrix is refactorized from scratch, and the
+   basic values are recomputed against the {e new} rhs/bounds — so a
+   basis carried over from a neighboring LP yields an exact vertex of
+   the new LP, not an approximation.  Returns
    [Error `Shape] when the basis is structurally inconsistent with the
    spec and [Error `Singular] on a singular basis matrix; feasibility of
    the vertex is the caller's decision ({!primal_feasible},
    {!dual_feasible}). *)
-let warm_state ~kernel ~update spec basis =
+let warm_state spec basis =
   let m = spec.n_rows in
   let n = Array.length spec.cols in
   if Array.length basis.b_status <> n || Array.length basis.b_rows <> m then Error `Shape
@@ -724,7 +522,7 @@ let warm_state ~kernel ~update spec basis =
       let cols =
         Array.append (Array.copy spec.cols) (Array.init m (fun i -> [ (i, 1.) ]))
       in
-      match factor_basis ~kernel ~update ~m (fun r -> spec.cols.(basis.b_rows.(r))) with
+      match factor_basis ~m (fun r -> spec.cols.(basis.b_rows.(r))) with
       | None -> Error `Singular
       | Some fac ->
         let st =
@@ -781,23 +579,21 @@ let count_reject reason =
     (match reason with
     | `Shape -> m_wr_shape
     | `Singular -> m_wr_singular
-    | `Primal_infeasible -> m_wr_primal
     | `Dual_infeasible -> m_wr_dual
     | `Limit -> m_wr_limit)
 
 (* Final polish: refactorize from the terminal basis and recompute the
    basic values before extracting the solution, so the reported
    (x, objective) is a pure function of (final basis, statuses, spec) —
-   identical bits whichever update scheme or pricing rule reached that
-   basis.  A (numerically) singular terminal basis keeps the updated
-   factors instead. *)
+   identical bits whichever pivot path (cold, warm primal or dual)
+   reached that basis.  A (numerically) singular terminal basis keeps
+   the updated factors instead. *)
 let polish st =
   match refactor st with
   | () -> recompute_basics st
   | exception Numerics.Sparse_lu.Singular -> ()
-  | exception Numerics.Lu.Singular -> ()
 
-let cold_solve spec ~max_iter ~kernel ~update ~pricing ~pivots ~finish ~phase2 =
+let cold_solve spec ~pivots ~finish ~phase2 =
   let m = spec.n_rows in
   let n = Array.length spec.cols in
   let n_total = n + m in
@@ -842,7 +638,7 @@ let cold_solve spec ~max_iter ~kernel ~update ~pricing ~pivots ~finish ~phase2 =
   in
   let basis = Array.init m (fun i -> n + i) in
   let fac =
-    match factor_basis ~kernel ~update ~m (fun i -> [ (i, art_sign.(i)) ]) with
+    match factor_basis ~m (fun i -> [ (i, art_sign.(i)) ]) with
     | Some f -> f
     | None -> invalid_arg "Simplex.solve: artificial basis cannot be singular"
   in
@@ -853,7 +649,7 @@ let cold_solve spec ~max_iter ~kernel ~update ~pricing ~pivots ~finish ~phase2 =
   let st = { m; n_total; cols; rhs = Array.copy spec.rhs; lo; up; status; basis; fac; x } in
   (* Phase 1: minimize the sum of artificials. *)
   let c1 = Array.init n_total (fun j -> if j >= n then -1. else 0.) in
-  (match timed m_phase1_ns (fun () -> optimize ~max_iter ~pivots ~pricing st c1) with
+  (match timed m_phase1_ns (fun () -> optimize ~pivots st c1) with
   | `Unbounded -> assert false (* phase-1 objective is bounded above by 0 *)
   | `Optimal -> ());
   let infeas = ref 0. in
@@ -880,16 +676,14 @@ let validate spec =
   if not (Array.length spec.obj = n && Array.length spec.lo = n && Array.length spec.up = n)
   then invalid_arg "Simplex.solve: obj/lo/up length mismatch"
 
-let solve_core ~dual ~max_iter ~kernel ~update ~pricing ~basis spec =
+let solve ?basis spec =
   Obs.Metrics.incr m_solves;
-  if dual then Obs.Metrics.incr m_dual_solves;
-  Obs.Span.with_span (if dual then "simplex.solve_dual" else "simplex.solve") @@ fun () ->
+  Obs.Span.with_span "simplex.solve" @@ fun () ->
   validate spec;
   let n = Array.length spec.cols in
   let pivots = ref 0 in
   let finish st outcome =
     Obs.Metrics.observe h_pivots (float_of_int !pivots);
-    Obs.Metrics.observe (rule_hist pricing) (float_of_int !pivots);
     let carry = match outcome with Optimal _ -> basis_of st n | _ -> None in
     (outcome, carry)
   in
@@ -903,13 +697,13 @@ let solve_core ~dual ~max_iter ~kernel ~update ~pricing ~basis spec =
   in
   let full_obj st = Array.init st.n_total (fun j -> if j < n then spec.obj.(j) else 0.) in
   let phase2 st =
-    match timed m_phase2_ns (fun () -> optimize ~max_iter ~pivots ~pricing st (full_obj st)) with
+    match timed m_phase2_ns (fun () -> optimize ~pivots st (full_obj st)) with
     | `Unbounded -> Unbounded
     | `Optimal ->
       polish st;
       extract st
   in
-  let cold () = cold_solve spec ~max_iter ~kernel ~update ~pricing ~pivots ~finish ~phase2 in
+  let cold () = cold_solve spec ~pivots ~finish ~phase2 in
   let warm_primal st =
     Obs.Metrics.incr m_warm_starts;
     match phase2 st with
@@ -923,7 +717,7 @@ let solve_core ~dual ~max_iter ~kernel ~update ~pricing ~basis spec =
   match basis with
   | None -> cold ()
   | Some b -> (
-    match warm_state ~kernel ~update spec b with
+    match warm_state spec b with
     | Error `Shape ->
       count_reject `Shape;
       cold ()
@@ -932,9 +726,10 @@ let solve_core ~dual ~max_iter ~kernel ~update ~pricing ~basis spec =
       cold ()
     | Ok st ->
       let c2 = full_obj st in
-      if dual && dual_feasible st c2 then begin
+      if dual_feasible st c2 then begin
         Obs.Metrics.incr m_warm_starts;
-        match timed m_dual_ns (fun () -> optimize_dual ~max_iter ~pivots st c2) with
+        Obs.Metrics.incr m_dual_solves;
+        match timed m_dual_ns (fun () -> optimize_dual ~pivots st c2) with
         | `Optimal ->
           polish st;
           finish st (extract st)
@@ -954,20 +749,6 @@ let solve_core ~dual ~max_iter ~kernel ~update ~pricing ~basis spec =
       end
       else if primal_feasible st then warm_primal st
       else begin
-        count_reject (if dual then `Dual_infeasible else `Primal_infeasible);
+        count_reject `Dual_infeasible;
         cold ()
       end)
-
-let solve_basis ?(max_iter = 50_000) ?(kernel = `Sparse) ?(update = `ForrestTomlin)
-    ?(pricing = `Dantzig) ?basis spec =
-  solve_core ~dual:false ~max_iter ~kernel ~update ~pricing ~basis spec
-
-let solve_dual_basis ?(max_iter = 50_000) ?(kernel = `Sparse) ?(update = `ForrestTomlin)
-    ?(pricing = `Dantzig) ?basis spec =
-  solve_core ~dual:true ~max_iter ~kernel ~update ~pricing ~basis spec
-
-let solve ?max_iter ?kernel ?update ?pricing ?basis spec =
-  fst (solve_basis ?max_iter ?kernel ?update ?pricing ?basis spec)
-
-let solve_dual ?max_iter ?kernel ?update ?pricing ?basis spec =
-  fst (solve_dual_basis ?max_iter ?kernel ?update ?pricing ?basis spec)

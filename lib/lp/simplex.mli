@@ -2,11 +2,11 @@
 
     Solves:  maximize c·x  subject to  A x = b,  lo ≤ x ≤ up
     where bounds may be infinite.  The implementation is a revised
-    simplex over a pluggable basis factorization (see {!kernel}) with
-    selectable pricing (see {!pricing}), a degenerate-streak
+    simplex over a sparse LU of the basis maintained by a product-form
+    eta file ({!Basis}), with Dantzig pricing, a degenerate-streak
     Bland's-rule fallback against cycling, a two-phase start with
-    artificial variables, and a bounded-variable dual simplex
-    ({!solve_dual}) for warm starts where only the bounds changed. *)
+    artificial variables, and a bounded-variable dual simplex for warm
+    starts where only the bounds changed. *)
 
 type column = (int * float) list
 (** Sparse column: [(row index, coefficient)] pairs. *)
@@ -28,112 +28,39 @@ type outcome =
 type status = Basic | At_lower | At_upper | Free_nb
 (** Simplex status of a structural variable at a vertex. *)
 
-type kernel = [ `Sparse | `Dense ]
-(** Basis-factorization kernel.  [`Sparse] (the default) keeps a sparse
-    Markowitz LU of the basis maintained across pivots in place
-    ({!Basis}, see {!update}) — pivot cost scales with the nonzeros
-    touched, not with [m²].  [`Dense] keeps the explicit dense basis
-    inverse updated by eta row operations; it is retained as the oracle
-    and benchmark baseline.  Both kernels are bit-for-bit deterministic
-    functions of the spec (and warm basis), but they are {e different}
-    functions — compare results across kernels with tolerances, within a
-    kernel exactly. *)
-
-type update = Basis.update
-(** Sparse-kernel basis maintenance: [`ForrestTomlin] (the default)
-    updates the LU factors in place; [`Eta] is the product-form eta-file
-    oracle it is verified against.  Ignored by the [`Dense] kernel.
-    Thanks to the terminal re-factorization polish, solves that reach
-    the same final basis report bit-identical (x, objective) whichever
-    update scheme ran. *)
-
-type pricing = [ `Dantzig | `SteepestEdge | `Partial ]
-(** Entering-variable pricing rule.  [`Dantzig] (the default) takes the
-    worst reduced cost over a full scan.  [`SteepestEdge] is projected
-    steepest edge with devex reference weights, reset to the reference
-    framework at every refactorization — more work per pivot, usually
-    far fewer pivots.  [`Partial] scans cyclic sections of the columns
-    and prices within the first section that yields a candidate —
-    cheapest per pivot, more pivots.  Per-rule pivot counters
-    ([simplex.pivots_dantzig] / [_steepest_edge] / [_partial]), pricing
-    timers ([simplex.price_*_ns]) and pivots-per-solve histograms
-    record the trade. *)
-
 type basis = { b_status : status array; b_rows : int array }
 (** A restartable optimal basis: per-structural-variable statuses plus
     the structural variable basic in each row.  Purely structural — no
     numerical state — so a basis from one LP can warm-start any other LP
     with the same shape (same columns, possibly different rhs, bounds or
     objective), which is exactly the situation in FVA sweeps,
-    ε-constraint scans and knockout screens.  Structural also means
-    kernel-independent: a basis obtained under one kernel can warm-start
-    a solve under the other. *)
+    ε-constraint scans and knockout screens. *)
 
-val solve :
-  ?max_iter:int ->
-  ?kernel:kernel ->
-  ?update:update ->
-  ?pricing:pricing ->
-  ?basis:basis ->
-  spec ->
-  outcome
-(** Solve the LP. [max_iter] bounds total pivots per phase (default
-    [50_000]); exceeding it raises [Failure].
+val solve : ?basis:basis -> spec -> outcome * basis option
+(** Solve the LP, returning the optimal basis for reuse in a later warm
+    start: [None] unless the outcome is [Optimal] with an all-structural
+    basis (a vertex whose basis still contains an artificial variable is
+    not transferable).  Each phase is bounded at 50 000 pivots;
+    exceeding it on the cold path raises [Failure].
 
-    [basis] warm-starts the solve from a previously returned basis: the
-    basis matrix is refactored against the new spec (through the
-    selected kernel), basic values are recomputed, and — when the
-    implied vertex is primal-feasible — phase 1 is skipped entirely.  A
-    basis that does not fit (wrong shape, singular, infeasible vertex,
-    or the warm phase 2 exhausts [max_iter]) is rejected and the solver
-    silently falls back to the cold two-phase path, so the result is the
-    same [outcome] either way — only the pivot count changes.
-    [simplex.warm_starts] / [simplex.warm_rejects] record which path
-    ran, with per-reason reject counters
-    ([simplex.warm_rejects_shape] / [_singular] / [_primal_infeasible] /
+    Without [basis] the solve is the cold two-phase primal simplex.
+    With [basis], the basis matrix is refactored against the new spec,
+    the basic values are recomputed, and the vertex takes one of three
+    routes:
+    - dual-feasible under the new objective — the invariant case when
+      only {e bounds} changed since the basis was optimal (knockouts,
+      FVA direction flips, ε-constraint levels) — bounded-variable dual
+      simplex iterations restore primal feasibility;
+    - primal-feasible (but not dual) — warm phase 2, phase 1 skipped;
+    - neither — the basis is rejected and the solve runs cold.
+
+    A basis of the wrong shape or with a singular matrix is rejected
+    too, as is a warm run that exhausts the pivot budget; every reject
+    falls back to the cold path, so the outcome is the same either way
+    and only the pivot count changes.  A dual ray re-derived on fresh
+    factors with a clear bound violation certifies [Infeasible]
+    directly; one inside tolerance noise is confirmed on the cold path
+    ([simplex.dual_fallbacks]).  [simplex.warm_starts] /
+    [simplex.warm_rejects] record which path ran, with per-reason reject
+    counters ([simplex.warm_rejects_shape] / [_singular] /
     [_dual_infeasible] / [_limit]) for cache-efficacy diagnosis. *)
-
-val solve_basis :
-  ?max_iter:int ->
-  ?kernel:kernel ->
-  ?update:update ->
-  ?pricing:pricing ->
-  ?basis:basis ->
-  spec ->
-  outcome * basis option
-(** Like {!solve}, additionally returning the optimal basis for reuse in
-    a subsequent warm start.  [None] unless the outcome is [Optimal]
-    with an all-structural basis (a vertex whose basis still contains an
-    artificial variable is not transferable). *)
-
-val solve_dual :
-  ?max_iter:int ->
-  ?kernel:kernel ->
-  ?update:update ->
-  ?pricing:pricing ->
-  ?basis:basis ->
-  spec ->
-  outcome
-(** Like {!solve}, but a warm basis whose vertex prices dual-feasible
-    under the new objective — the invariant case when only {e bounds}
-    changed since the basis was optimal (knockouts, FVA direction flips,
-    dynamic-FBA time steps) — is repaired by the bounded-variable dual
-    simplex instead of being rejected to a cold phase 1.  The decision
-    tree per warm basis: dual-feasible → dual iterations;
-    primal-feasible (but not dual) → warm phase 2; neither → reject
-    ([simplex.warm_rejects_dual_infeasible]) and cold-solve.  Dual
-    unboundedness — the dual certificate of primal infeasibility — falls
-    back to the cold primal path for confirmation
-    ([simplex.dual_fallbacks]), so the returned outcome is always the
-    same as {!solve}'s.  Without a basis this {e is} the cold primal
-    solve. *)
-
-val solve_dual_basis :
-  ?max_iter:int ->
-  ?kernel:kernel ->
-  ?update:update ->
-  ?pricing:pricing ->
-  ?basis:basis ->
-  spec ->
-  outcome * basis option
-(** {!solve_dual} returning the optimal basis like {!solve_basis}. *)

@@ -164,47 +164,6 @@ let nnz f =
   let tally = Array.fold_left (fun acc c -> acc + Array.length c) in
   tally (tally f.n f.l_cols) f.u_cols
 
-let dim f = f.n
-
-let col_order f = Array.copy f.cord
-
-let ucol f k =
-  if k < 0 || k >= f.n then invalid_arg "Sparse_lu.ucol: position out of range";
-  Array.copy f.u_cols.(k)
-
-let udiag f k =
-  if k < 0 || k >= f.n then invalid_arg "Sparse_lu.udiag: position out of range";
-  f.u_diag.(k)
-
-(* L y = P b: the forward half of {!solve}, exposed so a caller that
-   maintains its own updated U (Forrest–Tomlin) can reuse the fixed L
-   factors.  The result is indexed by elimination position. *)
-let lsolve f b =
-  if Array.length b <> f.n then invalid_arg "Sparse_lu.lsolve: rhs length mismatch";
-  let w = Array.copy b in
-  for k = 0 to f.n - 1 do
-    let t = w.(f.prow.(k)) in
-    (* robustlint: allow R1 — exact-zero sparsity skip *)
-    if t <> 0. then Array.iter (fun (i, l) -> w.(i) <- w.(i) -. (l *. t)) f.l_cols.(k)
-  done;
-  Array.init f.n (fun k -> w.(f.prow.(k)))
-
-(* Pᵀ L⁻ᵀ v for [v] indexed by elimination position: the backward half
-   of {!solve_t}.  The result is indexed by original row. *)
-let ltsolve f v0 =
-  if Array.length v0 <> f.n then invalid_arg "Sparse_lu.ltsolve: rhs length mismatch";
-  let v = Array.copy v0 in
-  for k = f.n - 1 downto 0 do
-    let acc = ref v.(k) in
-    Array.iter (fun (i, l) -> acc := !acc -. (l *. v.(f.pinv.(i)))) f.l_cols.(k);
-    v.(k) <- !acc
-  done;
-  let y = Array.make f.n 0. in
-  for k = 0 to f.n - 1 do
-    y.(f.prow.(k)) <- v.(k)
-  done;
-  y
-
 (* Solve A x = b.  [b] is indexed by original row; the result is indexed
    by original column (for a basis matrix: by basis position). *)
 let solve f b =

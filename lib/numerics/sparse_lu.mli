@@ -35,33 +35,3 @@ val solve_t : t -> float array -> float array
 val nnz : t -> int
 (** Stored nonzeros of [L] and [U] (diagonals excluded) — the fill-in
     measure the eta-file refactorization trigger compares against. *)
-
-val dim : t -> int
-(** Dimension of the factored matrix. *)
-
-(** {1 Factor access for in-place update schemes}
-
-    A Forrest–Tomlin updater keeps [L] (and its permutation) fixed and
-    maintains its own evolving copy of [U].  These accessors expose the
-    pieces it needs; all of them speak {e elimination position} space —
-    position [k] is the [k]-th pivot chosen during factorization. *)
-
-val col_order : t -> int array
-(** [col_order f] maps elimination position to the original column index
-    eliminated there (a fresh copy). *)
-
-val ucol : t -> int -> (int * float) array
-(** [ucol f k] is the off-diagonal part of column [k] of [U]: entries
-    [(position, value)] with position [< k], sorted (a fresh copy). *)
-
-val udiag : t -> int -> float
-(** [udiag f k] is the diagonal [u_kk]. *)
-
-val lsolve : t -> float array -> float array
-(** [lsolve f b] solves [L y = P b] — the forward half of {!solve}.
-    [b] is indexed by original row; the result by elimination position. *)
-
-val ltsolve : t -> float array -> float array
-(** [ltsolve f v] computes [Pᵀ L⁻ᵀ v] — the backward half of
-    {!solve_t}.  [v] is indexed by elimination position; the result by
-    original row. *)

@@ -147,9 +147,9 @@ let pp_ode ppf last =
         (c "ode.jacobians") (c "ode.jacobian_reuses") (c "ode.jacobian_cols")
   end
 
-(* Health of the factorized-basis simplex: pivot/refactorization volume,
-   per-pricing-rule pivot economy, FT update pressure, warm-start and
-   dual-repair economy, anti-cycling activations and refactorization
+(* Health of the factorized-basis simplex: pivot/refactorization volume
+   with per-solve pivot quantiles, warm-start and dual-repair economy,
+   anti-cycling activations, eta-file pressure and refactorization
    latency. *)
 let pp_lp ppf last =
   let c name = Option.value ~default:0 (counter_of last name) in
@@ -159,29 +159,12 @@ let pp_lp ppf last =
       "%d solve(s): %d pivot(s), %d refactorization(s), %d Bland activation(s)@\n"
       (c "simplex.solves") (c "simplex.pivots") (c "simplex.refactors")
       (c "simplex.bland_activations");
-    (* Pivots and pricing time by rule, with per-rule per-solve pivot
-       quantiles where a rule actually ran. *)
-    List.iter
-      (fun (label, pivots, price_ns, hist) ->
-        if c pivots > 0 then begin
-          Format.fprintf ppf "%-14s %8d pivot(s)  %10.2f ms pricing" label (c pivots)
-            (float_of_int (c price_ns) /. 1e6);
-          (match hist_of last hist with
-          | Some (le, counts, _) when Array.fold_left ( + ) 0 counts > 0 ->
-            Format.fprintf ppf "  per-solve p50 %.0f p90 %.0f"
-              (Metrics.quantile_of ~le ~counts 0.50)
-              (Metrics.quantile_of ~le ~counts 0.90)
-          | _ -> ());
-          Format.fprintf ppf "@\n"
-        end)
-      [
-        ("dantzig:", "simplex.pivots_dantzig", "simplex.price_dantzig_ns",
-         "simplex.pivots_per_solve_dantzig");
-        ("steepest-edge:", "simplex.pivots_steepest_edge", "simplex.price_steepest_edge_ns",
-         "simplex.pivots_per_solve_steepest_edge");
-        ("partial:", "simplex.pivots_partial", "simplex.price_partial_ns",
-         "simplex.pivots_per_solve_partial");
-      ];
+    (match hist_of last "simplex.pivots_per_solve" with
+    | Some (le, counts, _) when Array.fold_left ( + ) 0 counts > 0 ->
+      Format.fprintf ppf "pivots per solve: p50 %.0f  p90 %.0f@\n"
+        (Metrics.quantile_of ~le ~counts 0.50)
+        (Metrics.quantile_of ~le ~counts 0.90)
+    | _ -> ());
     if c "simplex.dual_solves" > 0 then
       Format.fprintf ppf
         "dual: %d solve(s), %d pivot(s), %d primal fallback(s), %.2f ms in dual iterations@\n"
@@ -193,18 +176,12 @@ let pp_lp ppf last =
         (rate (c "simplex.warm_starts") (c "simplex.warm_rejects"));
       if c "simplex.warm_rejects" > 0 then
         Format.fprintf ppf
-          "  reject reasons: %d shape, %d singular, %d primal-infeasible, %d dual-infeasible, %d iteration-limit@\n"
+          "  reject reasons: %d shape, %d singular, %d dual-infeasible, %d iteration-limit@\n"
           (c "simplex.warm_rejects_shape")
           (c "simplex.warm_rejects_singular")
-          (c "simplex.warm_rejects_primal_infeasible")
           (c "simplex.warm_rejects_dual_infeasible")
           (c "simplex.warm_rejects_limit")
     end;
-    if c "simplex.ft_updates" > 0 then
-      Format.fprintf ppf "FT updates: %d%s@\n" (c "simplex.ft_updates")
-        (match gauge_of last "simplex.spike_growth" with
-        | Some g -> Format.asprintf " (worst multiplier growth %.3g)" g
-        | None -> "");
     (match gauge_of last "simplex.eta_len" with
     | Some eta -> Format.fprintf ppf "basis updates since refactorization: %.0f@\n" eta
     | None -> ());

@@ -194,18 +194,20 @@ let check_optimal what expected = function
     Alcotest.(check (float 1e-9)) what expected objective
   | _ -> Alcotest.failf "%s: expected Optimal" what
 
+let warm_outcome basis spec = fst (Lp.Simplex.solve ~basis spec)
+
 let test_simplex_basis_round_trip () =
-  let outcome, basis = Lp.Simplex.solve_basis (tiny_lp 1.) in
+  let outcome, basis = Lp.Simplex.solve (tiny_lp 1.) in
   check_optimal "cold solve" 2. outcome;
   let basis = Option.get basis in
   Obs.Metrics.set_enabled true;
   let warm_c = Obs.Metrics.counter "simplex.warm_starts" in
   let before = Obs.Metrics.counter_value warm_c in
   (* Same LP, warm start: identical outcome. *)
-  check_optimal "warm re-solve" 2. (Lp.Simplex.solve ~basis (tiny_lp 1.));
+  check_optimal "warm re-solve" 2. (warm_outcome basis (tiny_lp 1.));
   (* Perturbed rhs: the parent basis is still a feasible vertex; the
      warm solve lands on the scaled optimum. *)
-  check_optimal "warm neighbor solve" 4. (Lp.Simplex.solve ~basis (tiny_lp 2.));
+  check_optimal "warm neighbor solve" 4. (warm_outcome basis (tiny_lp 2.));
   let after = Obs.Metrics.counter_value warm_c in
   Obs.Metrics.set_enabled false;
   Alcotest.(check int) "both solves warm-started" 2 (after - before)
@@ -213,7 +215,7 @@ let test_simplex_basis_round_trip () =
 let test_simplex_bad_basis_falls_back () =
   (* A basis of the wrong shape is rejected, and the solver silently
      falls back to the cold path with the same answer. *)
-  let _, basis = Lp.Simplex.solve_basis (tiny_lp 1.) in
+  let _, basis = Lp.Simplex.solve (tiny_lp 1.) in
   let basis = Option.get basis in
   let bigger =
     {
@@ -225,7 +227,7 @@ let test_simplex_bad_basis_falls_back () =
       up = [| infinity; infinity; infinity |];
     }
   in
-  check_optimal "fallback solve" 2. (Lp.Simplex.solve ~basis bigger)
+  check_optimal "fallback solve" 2. (warm_outcome basis bigger)
 
 let test_fba_with_basis_matches_cold () =
   let g = Fba.Geobacter.build () in

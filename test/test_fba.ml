@@ -8,51 +8,51 @@ let check_float ?(tol = 1e-7) msg expected actual =
 (* {1 Sparse} *)
 
 let test_sparse_set_get () =
-  let m = Fba.Sparse.create ~rows:3 ~cols:3 in
-  Fba.Sparse.set m 0 1 2.5;
-  check_float "set/get" 2.5 (Fba.Sparse.get m 0 1);
-  check_float "default zero" 0. (Fba.Sparse.get m 2 2);
-  Fba.Sparse.set m 0 1 0.;
-  Alcotest.(check int) "zero removes" 0 (Fba.Sparse.nnz m)
+  let m = Numerics.Sparse.create ~rows:3 ~cols:3 in
+  Numerics.Sparse.set m 0 1 2.5;
+  check_float "set/get" 2.5 (Numerics.Sparse.get m 0 1);
+  check_float "default zero" 0. (Numerics.Sparse.get m 2 2);
+  Numerics.Sparse.set m 0 1 0.;
+  Alcotest.(check int) "zero removes" 0 (Numerics.Sparse.nnz m)
 
 let test_sparse_mv () =
-  let m = Fba.Sparse.create ~rows:2 ~cols:3 in
-  Fba.Sparse.set m 0 0 1.;
-  Fba.Sparse.set m 0 2 2.;
-  Fba.Sparse.set m 1 1 (-1.);
-  let y = Fba.Sparse.csc_mv (Fba.Sparse.compress m) [| 1.; 2.; 3. |] in
+  let m = Numerics.Sparse.create ~rows:2 ~cols:3 in
+  Numerics.Sparse.set m 0 0 1.;
+  Numerics.Sparse.set m 0 2 2.;
+  Numerics.Sparse.set m 1 1 (-1.);
+  let y = Numerics.Sparse.csc_mv (Numerics.Sparse.compress m) [| 1.; 2.; 3. |] in
   Alcotest.(check bool) "mv" true (Numerics.Vec.approx_equal y [| 7.; -2. |])
 
 let test_sparse_tmv_matches_dense () =
   let rng = Numerics.Rng.create 31 in
-  let m = Fba.Sparse.create ~rows:6 ~cols:9 in
+  let m = Numerics.Sparse.create ~rows:6 ~cols:9 in
   for _ = 1 to 20 do
-    Fba.Sparse.set m (Numerics.Rng.int rng 6) (Numerics.Rng.int rng 9)
+    Numerics.Sparse.set m (Numerics.Rng.int rng 6) (Numerics.Rng.int rng 9)
       (Numerics.Rng.uniform rng (-2.) 2.)
   done;
   let x = Array.init 6 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  let dense = Fba.Sparse.to_dense m in
+  let dense = Numerics.Sparse.to_dense m in
   Alcotest.(check bool) "tmv = dense tmv" true
     (Numerics.Vec.approx_equal ~tol:1e-10
-       (Fba.Sparse.csc_tmv (Fba.Sparse.compress m) x)
+       (Numerics.Sparse.csc_tmv (Numerics.Sparse.compress m) x)
        (Numerics.Matrix.tmv dense x))
 
 let test_sparse_column () =
-  let m = Fba.Sparse.create ~rows:4 ~cols:2 in
-  Fba.Sparse.set m 3 0 1.;
-  Fba.Sparse.set m 1 0 (-1.);
-  (match Fba.Sparse.column m 0 with
+  let m = Numerics.Sparse.create ~rows:4 ~cols:2 in
+  Numerics.Sparse.set m 3 0 1.;
+  Numerics.Sparse.set m 1 0 (-1.);
+  (match Numerics.Sparse.column m 0 with
    | [ (1, a); (3, b) ] ->
      check_float "sorted col a" (-1.) a;
      check_float "sorted col b" 1. b
    | _ -> Alcotest.fail "column structure");
-  Alcotest.(check (list (pair int (float 0.)))) "empty col" [] (Fba.Sparse.column m 1)
+  Alcotest.(check (list (pair int (float 0.)))) "empty col" [] (Numerics.Sparse.column m 1)
 
 let test_sparse_residual () =
-  let m = Fba.Sparse.create ~rows:2 ~cols:2 in
-  Fba.Sparse.set m 0 0 1.;
-  Fba.Sparse.set m 1 1 1.;
-  check_float "norm" 5. (Fba.Sparse.residual_norm2 m [| 3.; 4. |])
+  let m = Numerics.Sparse.create ~rows:2 ~cols:2 in
+  Numerics.Sparse.set m 0 0 1.;
+  Numerics.Sparse.set m 1 1 1.;
+  check_float "norm" 5. (Numerics.Sparse.residual_norm2 m [| 3.; 4. |])
 
 (* {1 Network} *)
 
@@ -236,10 +236,10 @@ let test_flux_variation_keeps_near_feasible () =
    the reference the compressed S in [Network] must reproduce. *)
 let hashtbl_s net =
   let s =
-    Fba.Sparse.create ~rows:(Fba.Network.n_metabolites net) ~cols:(Fba.Network.n_reactions net)
+    Numerics.Sparse.create ~rows:(Fba.Network.n_metabolites net) ~cols:(Fba.Network.n_reactions net)
   in
   for j = 0 to Fba.Network.n_reactions net - 1 do
-    List.iter (fun (i, v) -> Fba.Sparse.set s i j v) (Fba.Network.reaction net j).Fba.Network.stoich
+    List.iter (fun (i, v) -> Numerics.Sparse.set s i j v) (Fba.Network.reaction net j).Fba.Network.stoich
   done;
   s
 
@@ -249,7 +249,7 @@ let dense_projector ?(pinned = []) net =
   let s = hashtbl_s net in
   let m = Fba.Network.n_metabolites net and n = Fba.Network.n_reactions net in
   let a = Numerics.Matrix.zeros (m + List.length pinned) n in
-  let ds = Fba.Sparse.to_dense s in
+  let ds = Numerics.Sparse.to_dense s in
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
       Numerics.Matrix.set a i j (Numerics.Matrix.get ds i j)
@@ -312,7 +312,7 @@ let test_violation_matches_hashtbl () =
   let rng = Numerics.Rng.create 303 in
   for k = 1 to 20 do
     let v = random_flux net rng in
-    let old = Fba.Sparse.residual_norm2 s v and now = Fba.Network.violation net v in
+    let old = Numerics.Sparse.residual_norm2 s v and now = Fba.Network.violation net v in
     if not (Float.equal old now) then Alcotest.failf "vector %d: violation %h vs Hashtbl %h" k now old
   done
 

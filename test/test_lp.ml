@@ -186,7 +186,7 @@ let prop_simplex_weak_duality =
       | Lp.Problem.Optimal { objective; _ } -> objective >= -1e-9
       | _ -> false)
 
-(* {1 Kernel oracle: sparse factorized basis vs dense inverse} *)
+(* {1 Optimality certificates} *)
 
 (* Random bounded LP in raw spec form: n structural variables with
    random sparse columns plus one slack per row, so x = 0, s = rhs is
@@ -213,59 +213,129 @@ let random_spec rng =
   in
   { Lp.Simplex.n_rows = m; cols; rhs; obj; lo; up }
 
+(* Dense KKT certificate of a returned optimum, computed with
+   [Numerics.Lu] — no code shared with [Lp.Basis]: the basis matrix B is
+   rebuilt densely and Bᵀy = c_B solved for the multipliers.  Returns
+   the worst primal error (row residual ‖Ax − b‖∞, bound violation, or
+   a nonbasic variable off the bound its status names) and the worst
+   wrong-signed reduced cost d_j = c_j − yᵀa_j (maximization: d ≤ 0 at
+   a lower bound, d ≥ 0 at an upper bound, d = 0 when basic or free;
+   fixed variables are exempt). *)
+let kkt_errors (spec : Lp.Simplex.spec) x (b : Lp.Simplex.basis) =
+  let m = spec.n_rows in
+  let ax = Array.make m 0. in
+  Array.iteri
+    (fun j col -> List.iter (fun (i, v) -> ax.(i) <- ax.(i) +. (v *. x.(j))) col)
+    spec.cols;
+  let primal = ref 0. in
+  let worse e = primal := Float.max !primal e in
+  Array.iteri (fun i r -> worse (Float.abs (ax.(i) -. r))) spec.rhs;
+  Array.iteri
+    (fun j xj ->
+      worse (spec.lo.(j) -. xj);
+      worse (xj -. spec.up.(j));
+      match b.Lp.Simplex.b_status.(j) with
+      | Lp.Simplex.At_lower -> worse (Float.abs (xj -. spec.lo.(j)))
+      | Lp.Simplex.At_upper -> worse (Float.abs (xj -. spec.up.(j)))
+      | Lp.Simplex.Basic | Lp.Simplex.Free_nb -> ())
+    x;
+  let bt = Numerics.Matrix.zeros m m in
+  Array.iteri
+    (fun r j ->
+      List.iter
+        (fun (i, v) -> Numerics.Matrix.set bt r i (Numerics.Matrix.get bt r i +. v))
+        spec.cols.(j))
+    b.Lp.Simplex.b_rows;
+  let y =
+    Numerics.Lu.solve (Numerics.Lu.factor bt)
+      (Array.map (fun j -> spec.obj.(j)) b.Lp.Simplex.b_rows)
+  in
+  let dual = ref 0. in
+  Array.iteri
+    (fun j col ->
+      let d = List.fold_left (fun acc (i, v) -> acc -. (y.(i) *. v)) spec.obj.(j) col in
+      let wrong =
+        if Float.equal spec.lo.(j) spec.up.(j) then 0.
+        else
+          match b.Lp.Simplex.b_status.(j) with
+          | Lp.Simplex.At_lower -> Float.max 0. d
+          | Lp.Simplex.At_upper -> Float.max 0. (-.d)
+          | Lp.Simplex.Basic | Lp.Simplex.Free_nb -> Float.abs d
+      in
+      dual := Float.max !dual wrong)
+    spec.cols;
+  (!primal, !dual)
+
 let test_sparse_vs_dense_oracle () =
+  (* Every optimum of the sparse solver comes with a structural basis
+     whose dense KKT certificate holds to 1e-9. *)
   let rng = Numerics.Rng.create 2024 in
   for _ = 1 to 40 do
     let spec = random_spec rng in
-    match
-      ( Lp.Simplex.solve ~kernel:`Sparse spec,
-        Lp.Simplex.solve ~kernel:`Dense spec )
-    with
-    | Lp.Simplex.Optimal s, Lp.Simplex.Optimal d ->
-      check_float ~tol:1e-6 "kernels agree on the optimum" d.objective s.objective
-    | s, d ->
-      Alcotest.failf "outcome mismatch: sparse %s, dense %s"
-        (match s with
-        | Lp.Simplex.Optimal _ -> "optimal"
-        | Lp.Simplex.Infeasible -> "infeasible"
-        | Lp.Simplex.Unbounded -> "unbounded")
-        (match d with
-        | Lp.Simplex.Optimal _ -> "optimal"
-        | Lp.Simplex.Infeasible -> "infeasible"
-        | Lp.Simplex.Unbounded -> "unbounded")
+    match Lp.Simplex.solve spec with
+    | Lp.Simplex.Optimal { x; _ }, Some b ->
+      let primal, dual = kkt_errors spec x b in
+      if primal > 1e-9 then Alcotest.failf "primal KKT error %.3g" primal;
+      if dual > 1e-9 then Alcotest.failf "dual KKT error %.3g" dual
+    | Lp.Simplex.Optimal _, None -> Alcotest.fail "expected a structural optimal basis"
+    | (Lp.Simplex.Infeasible | Lp.Simplex.Unbounded), _ ->
+      Alcotest.fail "random_spec LPs are feasible and bounded"
   done
 
 let test_cross_kernel_warm_start () =
-  (* A basis is purely structural, so one kernel's optimal basis must
-     warm-start the other kernel to the same optimum. *)
+  (* A basis is purely structural, so it crosses between the cold
+     primal path and the warm paths.  The optimal basis warm-starts the
+     same LP to the same vertex bit for bit (the terminal polish makes
+     the solution a function of the final basis alone); the optimal
+     basis of a sibling LP with another objective (primal-feasible:
+     warm phase 2) or tighter upper bounds (dual-feasible: dual loop)
+     warm-starts it to the cold optimum. *)
   let rng = Numerics.Rng.create 555 in
-  for _ = 1 to 10 do
+  let optimal what = function
+    | Lp.Simplex.Optimal { x; objective }, b -> (x, objective, b)
+    | _ -> Alcotest.failf "%s: expected optimal" what
+  in
+  for _ = 1 to 20 do
     let spec = random_spec rng in
-    let obj_of = function
-      | Lp.Simplex.Optimal { objective; _ } -> objective
-      | _ -> Alcotest.fail "expected optimal"
+    let x, objective, b = optimal "cold" (Lp.Simplex.solve spec) in
+    (match b with
+    | Some b ->
+      let wx, wobj, _ = optimal "warm from own basis" (Lp.Simplex.solve ~basis:b spec) in
+      if wx <> x || not (Float.equal wobj objective) then
+        Alcotest.fail "warm start from the optimal basis must return identical bits"
+    | None -> Alcotest.fail "expected a structural optimal basis");
+    let n = Array.length spec.Lp.Simplex.cols - spec.Lp.Simplex.n_rows in
+    let siblings =
+      [
+        ( "other objective",
+          {
+            spec with
+            obj =
+              Array.mapi
+                (fun j c -> if j < n then Numerics.Rng.uniform rng (-1.) 2. else c)
+                spec.obj;
+          } );
+        ( "tighter bounds",
+          { spec with up = Array.mapi (fun j u -> if j < n then 3. else u) spec.up } );
+      ]
     in
-    let od, bd = Lp.Simplex.solve_basis ~kernel:`Dense spec in
-    let os, bs = Lp.Simplex.solve_basis ~kernel:`Sparse spec in
-    (match bd with
-    | Some b ->
-      let warm = Lp.Simplex.solve ~kernel:`Sparse ~basis:b spec in
-      check_float ~tol:1e-6 "dense basis warms sparse solve" (obj_of od) (obj_of warm)
-    | None -> ());
-    match bs with
-    | Some b ->
-      let warm = Lp.Simplex.solve ~kernel:`Dense ~basis:b spec in
-      check_float ~tol:1e-6 "sparse basis warms dense solve" (obj_of os) (obj_of warm)
-    | None -> ()
+    List.iter
+      (fun (what, sibling) ->
+        match optimal what (Lp.Simplex.solve sibling) with
+        | _, _, Some b' ->
+          let _, wobj, _ = optimal what (Lp.Simplex.solve ~basis:b' spec) in
+          check_float ~tol:1e-6 (what ^ " basis warms the solve") objective wobj
+        | _, _, None -> Alcotest.failf "%s: expected a structural optimal basis" what)
+      siblings
   done
 
 let test_sparse_deterministic () =
-  (* The sparse kernel must be a bit-for-bit deterministic function of
-     the spec: identical runs give identical solution vectors. *)
+  (* The solver must be a bit-for-bit deterministic function of the
+     spec: identical runs give identical solution vectors. *)
   let rng = Numerics.Rng.create 909 in
   for _ = 1 to 10 do
     let spec = random_spec rng in
-    match Lp.Simplex.solve ~kernel:`Sparse spec, Lp.Simplex.solve ~kernel:`Sparse spec with
+    match fst (Lp.Simplex.solve spec), fst (Lp.Simplex.solve spec) with
     | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b ->
       if a.x <> b.x then Alcotest.fail "identical solves must return identical bits";
       if not (Float.equal a.objective b.objective) then
@@ -289,7 +359,7 @@ let test_empty_column () =
       up = [| 3.; infinity; infinity |];
     }
   in
-  match Lp.Simplex.solve spec with
+  match fst (Lp.Simplex.solve spec) with
   | Lp.Simplex.Optimal { x; objective } ->
     check_float "empty column at its upper bound" 3. x.(0);
     check_float "objective" 10. objective
@@ -310,9 +380,11 @@ let test_duplicate_rows () =
   check_float "objective with duplicate rows" 12. robj
 
 let test_infeasible_after_warm_reject () =
-  (* A basis from a neighboring LP whose vertex is infeasible under the
-     new data must be rejected (counted), and the cold fallback must
-     still prove infeasibility. *)
+  (* A basis from a neighboring LP whose vertex is neither dual- nor
+     primal-feasible under the new data must be rejected (counted), and
+     the cold fallback must still prove infeasibility: the new objective
+     prices the nonbasic x1 favorably, and x0 + x1 = 20 is out of reach
+     with both capped at 5. *)
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   Fun.protect
@@ -320,30 +392,30 @@ let test_infeasible_after_warm_reject () =
       Obs.Metrics.set_enabled false;
       Obs.Metrics.reset ())
     (fun () ->
-      let spec rhs =
+      let spec rhs obj =
         {
           Lp.Simplex.n_rows = 1;
-          cols = [| [ (0, 1.) ] |];
+          cols = [| [ (0, 1.) ]; [ (0, 1.) ] |];
           rhs = [| rhs |];
-          obj = [| 1. |];
-          lo = [| 0. |];
-          up = [| 5. |];
+          obj;
+          lo = [| 0.; 0. |];
+          up = [| 5.; 5. |];
         }
       in
       let basis =
-        match Lp.Simplex.solve_basis (spec 1.) with
+        match Lp.Simplex.solve (spec 1. [| 1.; 0. |]) with
         | Lp.Simplex.Optimal _, Some b -> b
         | _ -> Alcotest.fail "seed solve must be optimal with a basis"
       in
       let rejects = Obs.Metrics.counter "simplex.warm_rejects" in
       let before = Obs.Metrics.counter_value rejects in
-      (match Lp.Simplex.solve ~basis (spec 10.) with
-      | Lp.Simplex.Infeasible -> ()
-      | _ -> Alcotest.fail "x = 10 with up = 5 must be infeasible");
+      (match Lp.Simplex.solve ~basis (spec 20. [| 1.; 2. |]) with
+      | Lp.Simplex.Infeasible, None -> ()
+      | _ -> Alcotest.fail "x0 + x1 = 20 with both <= 5 must be infeasible");
       Alcotest.(check int) "warm start rejected" (before + 1)
         (Obs.Metrics.counter_value rejects))
 
-(* {1 Forrest–Tomlin update oracle} *)
+(* {1 Eta-file update oracle} *)
 
 (* Random nonsingular square sparse columns: a dominant diagonal entry
    plus a few off-diagonal ones. *)
@@ -372,78 +444,36 @@ let random_replacement_col rng m q =
   in
   (q, d) :: off
 
-let test_ft_vs_refactor_property () =
-  (* Long pivot sequences: after every FT update, ftran and btran must
-     agree with a fresh factorization of the current columns (and with
-     the product-form eta file maintained in parallel). *)
+let test_eta_vs_refactor_property () =
+  (* Long pivot sequences: after every eta update, ftran and btran must
+     agree with a fresh sparse LU of the current columns. *)
   let rng = Numerics.Rng.create 4242 in
   for _ = 1 to 6 do
     let m = 5 + Numerics.Rng.int rng 8 in
     let cols = random_square_cols rng m in
-    let ft = Lp.Basis.factor ~update:`ForrestTomlin (Array.copy cols) in
-    let eta = Lp.Basis.factor ~update:`Eta (Array.copy cols) in
+    let eta = Lp.Basis.factor (Array.copy cols) in
     for _ = 1 to 30 do
       let q = Numerics.Rng.int rng m in
       let newcol = random_replacement_col rng m q in
-      let w_ft = Lp.Basis.ftran_col ft newcol in
-      if Float.abs w_ft.(q) > 1e-6 then begin
-        let w_eta = Lp.Basis.ftran_col eta newcol in
-        Lp.Basis.update ft ~row:q ~col:newcol w_ft;
-        Lp.Basis.update eta ~row:q ~col:newcol w_eta;
+      let w = Lp.Basis.ftran_col eta newcol in
+      if Float.abs w.(q) > 1e-6 then begin
+        Lp.Basis.update eta ~row:q w;
         cols.(q) <- newcol;
-        let fresh = Lp.Basis.factor (Array.copy cols) in
+        let fresh = Numerics.Sparse_lu.factor (Array.copy cols) in
         let rhs = Array.init m (fun _ -> Numerics.Rng.uniform rng (-2.) 2.) in
-        let xf = Lp.Basis.ftran ft rhs in
-        let xr = Lp.Basis.ftran fresh rhs in
         let xe = Lp.Basis.ftran eta rhs in
-        Array.iteri (fun i v -> check_float ~tol:1e-6 "ftran FT vs fresh" v xf.(i)) xr;
-        Array.iteri (fun i v -> check_float ~tol:1e-6 "ftran FT vs eta" v xf.(i)) xe;
+        let xr = Numerics.Sparse_lu.solve fresh rhs in
+        Array.iteri (fun i v -> check_float ~tol:1e-6 "ftran eta vs fresh" v xe.(i)) xr;
         let cb = Array.init m (fun _ -> Numerics.Rng.uniform rng (-2.) 2.) in
-        let yf = Lp.Basis.btran ft cb in
-        let yr = Lp.Basis.btran fresh cb in
-        Array.iteri (fun i v -> check_float ~tol:1e-6 "btran FT vs fresh" v yf.(i)) yr
+        let ye = Lp.Basis.btran eta cb in
+        let yr = Numerics.Sparse_lu.solve_t fresh cb in
+        Array.iteri (fun i v -> check_float ~tol:1e-6 "btran eta vs fresh" v ye.(i)) yr
       end
     done;
     (* The 30-update sequence blows through the 2√m cap, so the advisory
        trigger must have fired along the way. *)
     Alcotest.(check bool) "refactor advised after a long sequence" true
-      (Lp.Basis.should_refactor ft)
-  done
-
-let test_ft_vs_eta_objective_bits () =
-  (* The terminal polish refactorizes from the final basis before
-     extracting the solution, so FT and eta solves that walk the same
-     pivot path return bit-identical objectives — the FT-vs-refactorize
-     oracle at the solve level. *)
-  let rng = Numerics.Rng.create 808 in
-  for _ = 1 to 30 do
-    let spec = random_spec rng in
-    match
-      (Lp.Simplex.solve ~update:`ForrestTomlin spec, Lp.Simplex.solve ~update:`Eta spec)
-    with
-    | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b ->
-      if not (Float.equal a.objective b.objective) then
-        Alcotest.failf "FT %.17g <> eta %.17g" a.objective b.objective
-    | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible
-    | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> ()
-    | _ -> Alcotest.fail "FT and eta disagree on the outcome"
-  done
-
-let test_pricing_rules_agree () =
-  let rng = Numerics.Rng.create 606 in
-  for _ = 1 to 20 do
-    let spec = random_spec rng in
-    match
-      ( Lp.Simplex.solve ~pricing:`Dantzig spec,
-        Lp.Simplex.solve ~pricing:`SteepestEdge spec,
-        Lp.Simplex.solve ~pricing:`Partial spec )
-    with
-    | Lp.Simplex.Optimal a, Lp.Simplex.Optimal b, Lp.Simplex.Optimal c ->
-      check_float ~tol:1e-6 "steepest-edge = dantzig" a.objective b.objective;
-      check_float ~tol:1e-6 "partial = dantzig" a.objective c.objective
-    | Lp.Simplex.Infeasible, Lp.Simplex.Infeasible, Lp.Simplex.Infeasible
-    | Lp.Simplex.Unbounded, Lp.Simplex.Unbounded, Lp.Simplex.Unbounded -> ()
-    | _ -> Alcotest.fail "pricing rules disagree on the outcome"
+      (Lp.Basis.should_refactor eta)
   done
 
 (* {1 Dual simplex: bound-flip warm starts} *)
@@ -464,7 +494,7 @@ let test_dual_bound_flip_roundtrip () =
       let dual_pivots = Obs.Metrics.counter "simplex.dual_pivots" in
       for _ = 1 to 25 do
         let spec = random_spec rng in
-        match Lp.Simplex.solve_basis spec with
+        match Lp.Simplex.solve spec with
         | Lp.Simplex.Optimal { x; objective = obj0 }, Some b ->
           let up' = Array.copy spec.up in
           let changed = ref false in
@@ -477,8 +507,8 @@ let test_dual_bound_flip_roundtrip () =
             x;
           if !changed then begin
             let spec' = { spec with Lp.Simplex.up = up' } in
-            let cold = Lp.Simplex.solve spec' in
-            let warm, b' = Lp.Simplex.solve_dual_basis ~basis:b spec' in
+            let cold = fst (Lp.Simplex.solve spec') in
+            let warm, b' = Lp.Simplex.solve ~basis:b spec' in
             (match (cold, warm) with
             | Lp.Simplex.Optimal c, Lp.Simplex.Optimal w ->
               check_float ~tol:1e-6 "dual tighten = cold" c.objective w.objective
@@ -486,7 +516,7 @@ let test_dual_bound_flip_roundtrip () =
             | _ -> Alcotest.fail "tightened outcome mismatch");
             match b' with
             | Some b2 -> (
-              match Lp.Simplex.solve_dual ~basis:b2 spec with
+              match fst (Lp.Simplex.solve ~basis:b2 spec) with
               | Lp.Simplex.Optimal r ->
                 check_float ~tol:1e-6 "dual relax = original" obj0 r.objective
               | _ -> Alcotest.fail "relaxing bounds cannot lose feasibility")
@@ -510,11 +540,11 @@ let test_dual_empty_and_degenerate () =
       up = [| 3.; infinity; infinity |];
     }
   in
-  (match Lp.Simplex.solve_basis spec with
+  (match Lp.Simplex.solve spec with
   | Lp.Simplex.Optimal { objective; _ }, Some b ->
     check_float "empty-column optimum" 10. objective;
     let spec' = { spec with Lp.Simplex.up = [| 1.; infinity; infinity |] } in
-    (match Lp.Simplex.solve_dual ~basis:b spec' with
+    (match fst (Lp.Simplex.solve ~basis:b spec') with
     | Lp.Simplex.Optimal o -> check_float "empty-column dual tighten" 6. o.objective
     | _ -> Alcotest.fail "expected optimal")
   | _ -> Alcotest.fail "expected optimal with a basis");
@@ -530,11 +560,11 @@ let test_dual_empty_and_degenerate () =
       up = [| 6.; infinity; infinity |];
     }
   in
-  match Lp.Simplex.solve_basis spec2 with
+  match Lp.Simplex.solve spec2 with
   | Lp.Simplex.Optimal { objective; _ }, Some b2 ->
     check_float "degenerate optimum" 4. objective;
     let spec2' = { spec2 with Lp.Simplex.up = [| 2.; infinity; infinity |] } in
-    (match Lp.Simplex.solve_dual ~basis:b2 spec2' with
+    (match fst (Lp.Simplex.solve ~basis:b2 spec2') with
     | Lp.Simplex.Optimal o -> check_float "degenerate dual tighten" 2. o.objective
     | _ -> Alcotest.fail "expected optimal")
   | _ -> Alcotest.fail "expected optimal with a basis"
@@ -562,7 +592,7 @@ let test_dual_infeasible_fallback () =
         }
       in
       let b =
-        match Lp.Simplex.solve_basis (spec 5.) with
+        match Lp.Simplex.solve (spec 5.) with
         | Lp.Simplex.Optimal _, Some b -> b
         | _ -> Alcotest.fail "seed solve must be optimal with a basis"
       in
@@ -570,7 +600,7 @@ let test_dual_infeasible_fallback () =
       let dual_solves = Obs.Metrics.counter "simplex.dual_solves" in
       let before_fb = Obs.Metrics.counter_value fallbacks in
       let before_ds = Obs.Metrics.counter_value dual_solves in
-      (match Lp.Simplex.solve_dual ~basis:b (spec 0.5) with
+      (match fst (Lp.Simplex.solve ~basis:b (spec 0.5)) with
       | Lp.Simplex.Infeasible -> ()
       | _ -> Alcotest.fail "x = 1 with up = 0.5 must be infeasible");
       Alcotest.(check int) "the dual path ran" (before_ds + 1)
@@ -599,7 +629,7 @@ let test_warm_reject_reasons () =
         }
       in
       let b1 =
-        match Lp.Simplex.solve_basis (spec1 1.) with
+        match Lp.Simplex.solve (spec1 1.) with
         | Lp.Simplex.Optimal _, Some b -> b
         | _ -> Alcotest.fail "seed solve must be optimal with a basis"
       in
@@ -614,18 +644,30 @@ let test_warm_reject_reasons () =
           up = [| 5.; 5. |];
         }
       in
-      (match Lp.Simplex.solve ~basis:b1 spec2 with
+      (match fst (Lp.Simplex.solve ~basis:b1 spec2) with
       | Lp.Simplex.Optimal _ -> ()
       | _ -> Alcotest.fail "cold fallback must still solve");
       Alcotest.(check int) "shape reject reason" 1 (c "simplex.warm_rejects_shape");
-      (* Primal-infeasible vertex on the primal warm path. *)
-      (match Lp.Simplex.solve ~basis:b1 (spec1 10.) with
+      (* Singular: the same shape, but the basic column is empty. *)
+      let b2 =
+        match Lp.Simplex.solve spec2 with
+        | Lp.Simplex.Optimal _, Some b -> b
+        | _ -> Alcotest.fail "seed solve must be optimal with a basis"
+      in
+      let empty0 = { spec2 with Lp.Simplex.cols = [| []; [ (0, 1.) ] |] } in
+      (match fst (Lp.Simplex.solve ~basis:b2 empty0) with
+      | Lp.Simplex.Optimal { objective; _ } ->
+        check_float ~tol:1e-6 "cold fallback optimum" 5. objective
+      | _ -> Alcotest.fail "x0 = 5, x1 = 1 solves the fallback LP");
+      Alcotest.(check int) "singular reject reason" 1 (c "simplex.warm_rejects_singular");
+      (* An infeasible vertex that is still dual-feasible is no reject:
+         the dual ray certifies infeasibility. *)
+      (match fst (Lp.Simplex.solve ~basis:b1 (spec1 10.)) with
       | Lp.Simplex.Infeasible -> ()
       | _ -> Alcotest.fail "rhs = 10 must be infeasible");
-      Alcotest.(check int) "primal-infeasible reject reason" 1
-        (c "simplex.warm_rejects_primal_infeasible");
-      (* Dual-infeasible (and primal-infeasible) vertex on the dual path:
-         new objective makes a nonbasic price favorably, new rhs pushes
+      Alcotest.(check int) "dual ray is not a reject" 2 (c "simplex.warm_rejects");
+      (* Dual-infeasible (and primal-infeasible) vertex: the new
+         objective makes a nonbasic price favorably, the new rhs pushes
          the basic out of its bounds. *)
       let spec3 =
         {
@@ -638,12 +680,12 @@ let test_warm_reject_reasons () =
         }
       in
       let b3 =
-        match Lp.Simplex.solve_basis spec3 with
+        match Lp.Simplex.solve spec3 with
         | Lp.Simplex.Optimal _, Some b -> b
         | _ -> Alcotest.fail "seed solve must be optimal with a basis"
       in
       let spec3' = { spec3 with Lp.Simplex.rhs = [| 10. |]; obj = [| 1.; 2. |] } in
-      (match Lp.Simplex.solve_dual ~basis:b3 spec3' with
+      (match fst (Lp.Simplex.solve ~basis:b3 spec3') with
       | Lp.Simplex.Optimal { objective; _ } ->
         check_float ~tol:1e-6 "cold fallback optimum" 15. objective
       | _ -> Alcotest.fail "x0 = x1 = 5 solves the fallback LP");
@@ -667,15 +709,9 @@ let test_beale_cycling () =
   Lp.Problem.add_row p [ (0, 0.25); (1, -60.); (2, -0.04); (3, 9.) ] Lp.Problem.Le 0.;
   Lp.Problem.add_row p [ (0, 0.5); (1, -90.); (2, -0.02); (3, 3.) ] Lp.Problem.Le 0.;
   Lp.Problem.add_row p [ (2, 1.) ] Lp.Problem.Le 1.;
-  (* All three pricing rules must terminate at the true optimum — the
-     degenerate-streak Bland fallback backstops each of them. *)
-  List.iter
-    (fun pricing ->
-      match Lp.Problem.solve ~pricing p with
-      | Lp.Problem.Optimal { objective; _ } ->
-        check_float ~tol:1e-9 "Beale optimum" 0.05 objective
-      | _ -> Alcotest.fail "Beale must be optimal")
-    [ `Dantzig; `SteepestEdge; `Partial ]
+  match Lp.Problem.solve p with
+  | Lp.Problem.Optimal { objective; _ } -> check_float ~tol:1e-9 "Beale optimum" 0.05 objective
+  | _ -> Alcotest.fail "Beale must be optimal"
 
 let test_solve_telemetry () =
   (* With metrics on, a solve shows up in the simplex.* series: solve and
@@ -736,11 +772,8 @@ let () =
           Alcotest.test_case "infeasible after warm reject" `Quick
             test_infeasible_after_warm_reject;
           Alcotest.test_case "Beale anti-cycling, all pricings" `Quick test_beale_cycling;
-          Alcotest.test_case "FT updates vs fresh refactorization" `Quick
-            test_ft_vs_refactor_property;
-          Alcotest.test_case "FT vs eta bit-identical objectives" `Quick
-            test_ft_vs_eta_objective_bits;
-          Alcotest.test_case "pricing rules agree" `Quick test_pricing_rules_agree;
+          Alcotest.test_case "eta updates vs fresh refactorization" `Quick
+            test_eta_vs_refactor_property;
         ] );
       ( "dual",
         [

@@ -601,21 +601,25 @@ let test_report_sections () =
 
 let test_report_lp_section () =
   (* Simplex kernel counters render the LP kernel health section with
-     eta-file pressure and refactorization latency quantiles. *)
+     per-solve pivot quantiles, eta-file pressure and refactorization
+     latency quantiles. *)
   with_metrics @@ fun () ->
   Obs.Metrics.add (Obs.Metrics.counter "simplex.solves") 2;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.pivots") 31;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.refactors") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.bland_activations") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.warm_starts") 1;
-  Obs.Metrics.add (Obs.Metrics.counter "simplex.pivots_steepest_edge") 20;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.dual_solves") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.dual_pivots") 4;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.warm_rejects") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.warm_rejects_shape") 1;
-  Obs.Metrics.add (Obs.Metrics.counter "simplex.ft_updates") 9;
-  Obs.Metrics.set_gauge (Obs.Metrics.gauge "simplex.spike_growth") 3.5;
   Obs.Metrics.set_gauge (Obs.Metrics.gauge "simplex.eta_len") 7.;
+  let per_solve =
+    Obs.Metrics.histogram ~buckets:[| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000. |]
+      "simplex.pivots_per_solve"
+  in
+  Obs.Metrics.observe per_solve 4.;
+  Obs.Metrics.observe per_solve 27.;
   Obs.Metrics.observe
     (Obs.Metrics.histogram ~buckets:[| 1e3; 1e4; 1e5; 1e6 |] "simplex.refactor_ns")
     42_000.;
@@ -634,14 +638,12 @@ let test_report_lp_section () =
         (contains_substring ~sub:"1 Bland activation(s)" s);
       Alcotest.(check bool) "update count surfaced" true
         (contains_substring ~sub:"basis updates since refactorization: 7" s);
-      Alcotest.(check bool) "per-rule pivots surfaced" true
-        (contains_substring ~sub:"steepest-edge:" s);
+      Alcotest.(check bool) "per-solve pivot quantiles surfaced" true
+        (contains_substring ~sub:"pivots per solve: p50" s);
       Alcotest.(check bool) "dual line surfaced" true
         (contains_substring ~sub:"dual: 1 solve(s), 4 pivot(s)" s);
       Alcotest.(check bool) "reject reasons surfaced" true
         (contains_substring ~sub:"1 shape" s);
-      Alcotest.(check bool) "FT updates surfaced" true
-        (contains_substring ~sub:"FT updates: 9 (worst multiplier growth 3.5)" s);
       Alcotest.(check bool) "refactor latency quantiles" true
         (contains_substring ~sub:"refactor time" s))
 
