@@ -476,22 +476,18 @@ let run_parallel_benchmarks () =
 
 (* {1 Evaluation cache + warm starts}
 
-   [bench-cache] measures the three reuse layers of the cache subsystem
+   [bench-cache] measures the two reuse layers of the cache subsystem
    and writes BENCH_cache.json:
 
    - memo/archipelago: the same seeded run with per-island memoization
      on vs off — the fronts must be bit-identical, the memo must score
      hits (clone offspring replay instead of re-evaluating), and the
      end-to-end speedup is recorded;
-   - ode/warm-start: a sweep of neighboring leaf designs evaluated cold
-     ({!Photo.Steady_state.evaluate}) vs through the warm store
-     ({!Photo.Cached}) — the warm sweep must spend strictly fewer
-     [ode.rhs_evals];
    - simplex/warm-start: a weighted-objective scan on the Geobacter
      model solved cold per level vs threading the previous optimal basis
      — the warm scan must spend strictly fewer [simplex.pivots].
 
-   In --quick mode the kernels shrink (zdt1 archipelago, short sweeps),
+   In --quick mode the kernels shrink (zdt1 archipelago, short scan),
    the gates still apply, and no JSON is written. *)
 
 let counter_delta name f =
@@ -564,42 +560,6 @@ let bench_cache_memo ~quick =
       ("bit_identical", Obs.Json.Bool true);
     ]
 
-(* Kernel: ODE warm starts over a sweep of neighboring leaf designs. *)
-let bench_cache_ode ~quick =
-  let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
-  let n = if quick then 4 else 24 in
-  let rng = Numerics.Rng.create 91 in
-  (* Designs inside one warm-store lattice cell around the natural leaf,
-     so every evaluation after the first has a usable neighbor. *)
-  let designs =
-    Array.init n (fun _ ->
-        Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng 0.96 1.04))
-  in
-  let (), cold_evals =
-    counter_delta "ode.rhs_evals" (fun () ->
-        Array.iter (fun ratios -> ignore (Photo.Steady_state.evaluate ~env ~ratios ())) designs)
-  in
-  let ctx = Photo.Cached.create ~env () in
-  let (), warm_evals =
-    counter_delta "ode.rhs_evals" (fun () ->
-        Array.iter (fun ratios -> ignore (Photo.Cached.evaluate ctx ~ratios)) designs)
-  in
-  if warm_evals >= cold_evals then
-    cache_fail "warm ODE sweep did not save rhs evaluations (%d warm >= %d cold)" warm_evals
-      cold_evals;
-  let store = Photo.Cached.stats ctx in
-  Printf.printf
-    "   ode/warm-start     %6d rhs evals cold -> %6d warm over %d designs (%d store hits)\n%!"
-    cold_evals warm_evals n store.Cache.Warm.hits;
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.String "ode/warm-start");
-      ("designs", Obs.Json.Float (float_of_int n));
-      ("rhs_evals_cold", Obs.Json.Float (float_of_int cold_evals));
-      ("rhs_evals_warm", Obs.Json.Float (float_of_int warm_evals));
-      ("store_hits", Obs.Json.Float (float_of_int store.Cache.Warm.hits));
-    ]
-
 (* Kernel: simplex basis reuse across a weighted-objective scan. *)
 let bench_cache_simplex ~quick =
   let g = Lazy.force geobacter in
@@ -644,18 +604,17 @@ let bench_cache_simplex ~quick =
 let run_cache_benchmarks () =
   let quick = !quick_mode in
   Printf.printf
-    "== Evaluation cache + warm starts (gates: bit-identical, hits > 0, strictly fewer pivots/rhs evals) ==\n%!";
+    "== Evaluation cache + warm starts (gates: bit-identical, hits > 0, strictly fewer pivots) ==\n%!";
   let memo = bench_cache_memo ~quick in
-  let ode = bench_cache_ode ~quick in
   let simplex = bench_cache_simplex ~quick in
-  let kernels = [ memo; ode; simplex ] in
+  let kernels = [ memo; simplex ] in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_cache.json not written\n%!"
   else begin
     let doc =
       Obs.Json.Obj
         [
           ( "benchmark",
-            Obs.Json.String "evaluation cache + warm starts (memo, ODE state, simplex basis)" );
+            Obs.Json.String "evaluation cache + warm starts (memo, simplex basis)" );
           ("kernels", Obs.Json.List kernels);
           ("pass", Obs.Json.Bool true);
         ]
@@ -829,25 +788,20 @@ let run_shard_benchmarks () =
     Printf.printf "   wrote BENCH_shard.json (pass: true)\n"
   end
 
-(* {1 LP & ODE kernels}
+(* {1 LP kernels}
 
    [bench-simplex] times the simplex on the Geobacter model (608
-   reactions) and the two Jacobian strategies on a stiff tridiagonal
-   system, and writes BENCH_simplex.json:
+   reactions) and writes BENCH_simplex.json:
 
    - simplex/cold-vs-warm: an FBA spec solved cold, then re-solved from
      the basis it returned — the same objective to 1e-6, and strictly
      fewer pivots warm;
    - simplex/warm-sweep: the Geobacter FVA + knockout-screen workload,
      every LP warm from the wild-type basis — pivots, wall-clock and
-     the objective checksum;
-   - ode/banded-jacobian: the stiff implicit tier integrating the same
-     tridiagonal system with dense finite-difference Jacobians vs the
-     declared [Band {ml = 1; mu = 1}] structure — identical trajectories
-     to 1e-6, strictly fewer rhs evaluations banded.
+     the objective checksum.
 
-   In --quick mode the sweep and the ODE system shrink, every gate
-   still applies, and no JSON is written. *)
+   In --quick mode the sweep shrinks, every gate still applies, and no
+   JSON is written. *)
 
 let simplex_fail fmt =
   Printf.ksprintf (fun m -> Printf.eprintf "bench-simplex: %s\n" m; exit 1) fmt
@@ -908,54 +862,6 @@ let bench_simplex_cold_warm ~quick =
       ("pivots_warm", Obs.Json.Float (float_of_int warm_pivots));
       ("refactors", Obs.Json.Float (float_of_int cold_refactors));
       ("cold_ms", Obs.Json.Float (!cold_ns /. 1e6));
-    ]
-
-let bench_simplex_jacobian ~quick =
-  let n = if quick then 24 else 240 in
-  (* Stiff tridiagonal reaction-diffusion chain: component [i] couples
-     only to its neighbors, so the Jacobian is exactly Band {1, 1}. *)
-  let f _t y =
-    Array.init n (fun i ->
-        let left = if i > 0 then y.(i - 1) else 0. in
-        let right = if i < n - 1 then y.(i + 1) else 0. in
-        (-40. *. y.(i)) +. (18. *. (left +. right)) +. (0.1 *. sin y.(i)))
-  in
-  let y0 = Array.init n (fun i -> 1. +. (0.01 *. float_of_int (i mod 7))) in
-  let run jac () = Numerics.Ode.implicit_euler ~jac ~f ~t0:0. ~t1:0.5 ~y0 () in
-  let dense_r, dense_counts =
-    counters_delta [ "ode.rhs_evals"; "ode.jacobian_cols" ] (run Numerics.Ode.Dense)
-  in
-  let band_r, band_counts =
-    counters_delta [ "ode.rhs_evals"; "ode.jacobian_cols" ]
-      (run (Numerics.Ode.Band { ml = 1; mu = 1 }))
-  in
-  let dense_evals, dense_cols =
-    match dense_counts with [ e; c ] -> (e, c) | _ -> assert false
-  in
-  let band_evals, band_cols =
-    match band_counts with [ e; c ] -> (e, c) | _ -> assert false
-  in
-  let dist =
-    sqrt
-      (Array.fold_left ( +. ) 0.
-         (Array.mapi (fun i yi -> (yi -. band_r.Numerics.Ode.y.(i)) ** 2.) dense_r.Numerics.Ode.y))
-  in
-  if dist > 1e-6 then
-    simplex_fail "banded-Jacobian trajectory diverges from dense (dist %.3g)" dist;
-  if band_evals >= dense_evals then
-    simplex_fail "banded Jacobian did not save rhs evaluations (%d banded >= %d dense)"
-      band_evals dense_evals;
-  Printf.printf
-    "   ode/banded-jacobian      n=%-4d %6d rhs evals dense -> %6d banded (%d -> %d Jacobian cols)\n%!"
-    n dense_evals band_evals dense_cols band_cols;
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.String "ode/banded-jacobian");
-      ("n", Obs.Json.Float (float_of_int n));
-      ("rhs_evals_dense", Obs.Json.Float (float_of_int dense_evals));
-      ("rhs_evals_banded", Obs.Json.Float (float_of_int band_evals));
-      ("jacobian_cols_dense", Obs.Json.Float (float_of_int dense_cols));
-      ("jacobian_cols_banded", Obs.Json.Float (float_of_int band_cols));
     ]
 
 (* Warm sweep: the FVA + knockout-screen workload with every LP warm
@@ -1033,19 +939,17 @@ let bench_simplex_warm_sweep ~quick =
 
 let run_simplex_benchmarks () =
   let quick = !quick_mode in
-  Printf.printf "== LP & ODE kernels (gates: warm = cold to 1e-6, warm/banded strictly cheaper) ==\n%!";
+  Printf.printf "== LP kernels (gates: warm = cold to 1e-6, warm strictly cheaper) ==\n%!";
   let lp = bench_simplex_cold_warm ~quick in
   let sweep = bench_simplex_warm_sweep ~quick in
-  let jac = bench_simplex_jacobian ~quick in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_simplex.json not written\n%!"
   else begin
     let doc =
       Obs.Json.Obj
         [
           ( "benchmark",
-            Obs.Json.String
-              "simplex cold-vs-warm and FVA/knockout warm sweep + banded Jacobian" );
-          ("kernels", Obs.Json.List [ lp; sweep; jac ]);
+            Obs.Json.String "simplex cold-vs-warm and FVA/knockout warm sweep" );
+          ("kernels", Obs.Json.List [ lp; sweep ]);
           ("pass", Obs.Json.Bool true);
         ]
     in

@@ -77,28 +77,16 @@ let violation net v =
 
 let mass_balance_residual net v = Numerics.Sparse.csc_mv (stoichiometric_matrix net) v
 
-(* Least-squares projection onto null([S; E]), E the unit rows of the
-   pinned fluxes: v' = v − Aᵀ (A Aᵀ + λI)⁻¹ A v.  The small Tikhonov term
-   λ keeps A Aᵀ invertible, because the decoy loops make some rows of S
-   linearly dependent.  A Aᵀ is built sparse and factored once. *)
+(* Least-squares projection onto null(S): v' = v − Sᵀ (S Sᵀ + λI)⁻¹ S v.
+   The small Tikhonov term λ keeps S Sᵀ invertible, because the decoy
+   loops make some rows of S linearly dependent.  S Sᵀ is built sparse
+   and factored once. *)
 let ridge = 1e-9
 
-let projector ?(pinned = []) net =
+let projector net =
   let s = stoichiometric_matrix net in
-  let a =
-    match pinned with
-    | [] -> s
-    | _ ->
-      let m = n_metabolites net in
-      let aug = Numerics.Sparse.create ~rows:(m + List.length pinned) ~cols:net.n in
-      for j = 0 to net.n - 1 do
-        Numerics.Sparse.csc_iter_col s j (fun i v -> Numerics.Sparse.set aug i j v)
-      done;
-      List.iteri (fun k j -> Numerics.Sparse.set aug (m + k) j 1.) pinned;
-      Numerics.Sparse.compress aug
-  in
-  let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge a) in
+  let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge s) in
   fun v ->
-    let y = Numerics.Sparse_lu.solve lu (Numerics.Sparse.csc_mv a v) in
-    let correction = Numerics.Sparse.csc_tmv a y in
+    let y = Numerics.Sparse_lu.solve lu (Numerics.Sparse.csc_mv s v) in
+    let correction = Numerics.Sparse.csc_tmv s y in
     Array.mapi (fun j vj -> vj -. correction.(j)) v

@@ -39,13 +39,10 @@ val violation : t -> float array -> float
 val mass_balance_residual : t -> float array -> float array
 (** Per-metabolite residual [S·v]. *)
 
-val projector : ?pinned:int list -> t -> float array -> float array
-(** [projector ?pinned net] is the least-squares projection onto the
-    null space of S, with each flux in [pinned] (distinct indices) held
-    at zero as an extra unit row:
-    [v ↦ v − Aᵀ(A·Aᵀ + 1e-9·I)⁻¹·A·v] for [A = S] stacked on those unit
-    rows.  The ridge keeps [A·Aᵀ] invertible when rows of S are
-    dependent.  [A·Aᵀ] is built sparse and factored once with
-    {!Numerics.Sparse_lu} when the projector is built; each call is then
-    one sparse solve.  The projector keeps the S it was built from, so a
-    later [add_reaction] does not reach it. *)
+val projector : t -> float array -> float array
+(** [projector net] is the least-squares projection onto the null space
+    of S: [v ↦ v − Sᵀ(S·Sᵀ + 1e-9·I)⁻¹·S·v].  The ridge keeps [S·Sᵀ]
+    invertible when rows of S are dependent.  [S·Sᵀ] is built sparse and
+    factored once with {!Numerics.Sparse_lu} when the projector is built;
+    each call is then one sparse solve.  The projector keeps the S it was
+    built from, so a later [add_reaction] does not reach it. *)

@@ -2,7 +2,7 @@ type rhs = float -> Vec.t -> Vec.t
 
 type stats = { steps : int; rejected : int; evals : int }
 
-type result = { t : float; y : Vec.t; stats : stats; h_last : float }
+type result = { t : float; y : Vec.t; stats : stats }
 
 exception Step_underflow of float
 
@@ -19,9 +19,6 @@ let m_jacobians = Obs.Metrics.counter "ode.jacobians"
 let m_underflows = Obs.Metrics.counter "ode.underflows"
 let m_deadlines = Obs.Metrics.counter "ode.deadlines"
 let m_jacobian_reuses = Obs.Metrics.counter "ode.jacobian_reuses"
-let m_jacobian_cols = Obs.Metrics.counter "ode.jacobian_cols"
-let m_warm_starts = Obs.Metrics.counter "ode.warm_starts"
-let m_warm_fallbacks = Obs.Metrics.counter "ode.warm_fallbacks"
 let m_integrations = Obs.Metrics.counter "ode.integrations"
 let m_tier_adaptive = Obs.Metrics.counter "ode.tier.adaptive"
 let m_tier_tight = Obs.Metrics.counter "ode.tier.adaptive_tight"
@@ -43,24 +40,6 @@ let check_deadline deadline t =
     Obs.Metrics.incr m_deadlines;
     raise (Deadline t)
   | _ -> ()
-
-let rk4 ~f ~t0 ~y0 ~dt ~steps =
-  let n = Array.length y0 in
-  let y = Array.copy y0 in
-  let t = ref t0 in
-  for _ = 1 to steps do
-    let k1 = f !t y in
-    let k2 = f (!t +. (dt /. 2.)) (Array.init n (fun i -> y.(i) +. (dt /. 2. *. k1.(i)))) in
-    let k3 = f (!t +. (dt /. 2.)) (Array.init n (fun i -> y.(i) +. (dt /. 2. *. k2.(i)))) in
-    let k4 = f (!t +. dt) (Array.init n (fun i -> y.(i) +. (dt *. k3.(i)))) in
-    for i = 0 to n - 1 do
-      y.(i) <- y.(i) +. (dt /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
-    done;
-    t := !t +. dt
-  done;
-  Obs.Metrics.add m_steps steps;
-  Obs.Metrics.add m_rhs_evals (4 * steps);
-  { t = !t; y; stats = { steps; rejected = 0; evals = 4 * steps }; h_last = dt }
 
 (* Dormand–Prince 5(4) Butcher tableau. *)
 let dp_c = [| 0.; 0.2; 0.3; 0.8; 8. /. 9.; 1.; 1. |]
@@ -149,15 +128,13 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
     in
     h := Float.min h_max (Float.max h_min (h_cur *. fac))
   done;
-  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals };
-    h_last = !h }
+  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
 
 let fd_step yj = 1e-7 *. Float.max 1. (Float.abs yj)
 
 let numeric_jacobian f t y =
   Obs.Metrics.incr m_jacobians;
   let n = Array.length y in
-  Obs.Metrics.add m_jacobian_cols n;
   let f0 = f t y in
   let jac = Matrix.zeros n n in
   let yp = Array.copy y in
@@ -172,50 +149,6 @@ let numeric_jacobian f t y =
   done;
   jac
 
-(* Structural sparsity of the rhs: [Dense] evaluates one perturbed rhs
-   per state (n + 1 evaluations); [Band] declares that component [i] of
-   the rhs depends only on states [i - ml .. i + mu] — i.e. the Jacobian
-   has [ml] sub- and [mu] superdiagonals. *)
-type jac = Dense | Band of { ml : int; mu : int }
-
-(* Curtis–Powell–Reid column grouping for a banded Jacobian: columns
-   j ≡ p (mod g) with g = ml + mu + 1 touch disjoint row ranges, so one
-   rhs evaluation recovers a whole group of columns.  The total cost is
-   g + 1 evaluations — bandwidth-, not dimension-, bound.  Each entry is
-   the same forward difference the dense path computes (the other
-   perturbed columns of the group cannot reach row [i] when the rhs
-   really is banded), so on an exactly banded system the result is
-   bit-for-bit identical to {!numeric_jacobian}. *)
-let numeric_jacobian_banded f t y ~ml ~mu =
-  Obs.Metrics.incr m_jacobians;
-  let n = Array.length y in
-  if ml < 0 || mu < 0 || ml >= n || mu >= n then
-    invalid_arg "Ode.numeric_jacobian_banded: bandwidths out of range";
-  let g = min n (ml + mu + 1) in
-  Obs.Metrics.add m_jacobian_cols g;
-  let f0 = f t y in
-  let jac = Banded.create ~n ~ml ~mu in
-  let yp = Array.copy y in
-  for p = 0 to g - 1 do
-    let j = ref p in
-    while !j < n do
-      yp.(!j) <- y.(!j) +. fd_step y.(!j);
-      j := !j + g
-    done;
-    let fp = f t yp in
-    let j = ref p in
-    while !j < n do
-      let jj = !j in
-      yp.(jj) <- y.(jj);
-      let h = fd_step y.(jj) in
-      for i = max 0 (jj - mu) to min (n - 1) (jj + ml) do
-        Banded.set jac i jj ((fp.(i) -. f0.(i)) /. h)
-      done;
-      j := jj + g
-    done
-  done;
-  jac
-
 (* One backward-Euler step via a modified (frozen-Jacobian) Newton:
    solve y' = y + h f(t+h, y').  The Newton matrix M = I - h J is
    factored once and the LU reused across iterations while the residual
@@ -225,44 +158,16 @@ let numeric_jacobian_banded f t y ~ml ~mu =
    dominates the step cost, so freezing it is the single biggest saving
    of the stiff tier — at the price of extra (cheap) iterations, never
    of accuracy: convergence is still declared on the true residual. *)
-let backward_euler_step ?(jac = Dense) f t y h =
+let backward_euler_step f t y h =
   let n = Array.length y in
   let ynext = Array.copy y in
   let max_newton = 12 in
   let frozen = ref None in
-  (* rhs evaluations a Jacobian refresh costs under the declared
-     structure: n + 1 dense, bandwidth + 1 banded. *)
-  let jac_evals =
-    match jac with
-    | Dense -> n + 1
-    | Band { ml; mu } -> min n (ml + mu + 1) + 1
-  in
   let refresh () =
-    let fac =
-      match jac with
-      | Dense -> (
-        let j = numeric_jacobian f (t +. h) ynext in
-        let m =
-          Matrix.init n n (fun i k -> (if i = k then 1. else 0.) -. (h *. Matrix.get j i k))
-        in
-        match Lu.factor m with
-        | exception Lu.Singular -> None
-        | lu -> Some (`Lu lu))
-      | Band { ml; mu } -> (
-        let j = numeric_jacobian_banded f (t +. h) ynext ~ml ~mu in
-        let m = Banded.create ~n ~ml ~mu in
-        for col = 0 to n - 1 do
-          for row = max 0 (col - mu) to min (n - 1) (col + ml) do
-            Banded.set m row col
-              ((if row = col then 1. else 0.) -. (h *. Banded.get j row col))
-          done
-        done;
-        match Banded.factor m with
-        | exception Banded.Singular -> None
-        | f -> Some (`Band f))
-    in
-    frozen := fac;
-    Option.is_some fac
+    let j = numeric_jacobian f (t +. h) ynext in
+    let m = Matrix.init n n (fun i k -> (if i = k then 1. else 0.) -. (h *. Matrix.get j i k)) in
+    frozen := (match Lu.factor m with exception Lu.Singular -> None | lu -> Some lu);
+    Option.is_some !frozen
   in
   let rec iterate it evals rprev =
     let fy = f (t +. h) ynext in
@@ -276,7 +181,7 @@ let backward_euler_step ?(jac = Dense) f t y h =
         match !frozen with None -> true | Some _ -> not (rnorm <= 0.5 *. rprev)
       in
       let extra_evals =
-        if need_refresh then jac_evals
+        if need_refresh then n + 1
         else begin
           Obs.Metrics.incr m_jacobian_reuses;
           0
@@ -286,12 +191,8 @@ let backward_euler_step ?(jac = Dense) f t y h =
       else
         match !frozen with
         | None -> None
-        | Some fac ->
-          let dy =
-            match fac with
-            | `Lu lu -> Lu.solve lu residual
-            | `Band f -> Banded.solve f residual
-          in
+        | Some lu ->
+          let dy = Lu.solve lu residual in
           for i = 0 to n - 1 do
             ynext.(i) <- ynext.(i) -. dy.(i)
           done;
@@ -300,11 +201,12 @@ let backward_euler_step ?(jac = Dense) f t y h =
   in
   iterate 0 0 infinity
 
-let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?h0 ?(h_min = 1e-14)
-    ?(max_steps = 200_000) ?(jac = Dense) ?deadline ~f ~t0 ~t1 ~y0 () =
+let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~t0 ~t1
+    ~y0 () =
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.implicit_euler: need t1 >= t0";
-  let h = ref (match h0 with Some h -> h | None -> (t1 -. t0) /. 100.) in
+  let max_steps = 200_000 in
+  let h = ref ((t1 -. t0) /. 100.) in
   let t = ref t0 in
   let y = ref (Array.copy y0) in
   let accepted = ref 0 and rejected = ref 0 and evals = ref 0 in
@@ -314,12 +216,12 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?h0 ?(h_min = 1e-14)
     let h_cur = Float.min !h (t1 -. !t) in
     if h_cur < h_min then underflow !t;
     (* Error estimation by step doubling: one full step vs two half steps. *)
-    let full = backward_euler_step ~jac f !t !y h_cur in
+    let full = backward_euler_step f !t !y h_cur in
     let halves =
-      match backward_euler_step ~jac f !t !y (h_cur /. 2.) with
+      match backward_euler_step f !t !y (h_cur /. 2.) with
       | None -> None
       | Some (ymid, e1) -> (
-        match backward_euler_step ~jac f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
+        match backward_euler_step f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
         | None -> None
         | Some (yend, e2) -> Some (yend, e1 + e2))
     in
@@ -353,8 +255,7 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?h0 ?(h_min = 1e-14)
       Obs.Metrics.incr m_rejected;
       h := h_cur *. 0.25
   done;
-  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals };
-    h_last = !h }
+  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
 
 (* {1 Fallback chain} *)
 
@@ -370,11 +271,12 @@ let tier_counter = function
   | Adaptive_tight -> m_tier_tight
   | Stiff -> m_tier_stiff
 
-let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
-    ?(max_steps = 1_000_000) ?(jac = Dense) ?deadline ~f ~t0 ~t1 ~y0 () =
+let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?(max_steps = 1_000_000) ?deadline ~f
+    ~t0 ~t1 ~y0 () =
   Obs.Metrics.incr m_integrations;
   Obs.Span.with_span "ode.integrate" @@ fun () ->
   let span = t1 -. t0 in
+  let h_min = 1e-14 in
   let finite r = Array.for_all Float.is_finite r.y in
   let attempt tier run =
     Obs.Metrics.incr (tier_counter tier);
@@ -388,7 +290,7 @@ let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       (* Tier 1: the workhorse, exactly as requested. *)
       (fun () ->
         attempt Adaptive (fun () ->
-            dopri5 ~rtol ~atol ?h0 ~h_min ?h_max ~max_steps ?deadline ~f ~t0 ~t1 ~y0 ()));
+            dopri5 ~rtol ~atol ~h_min ~max_steps ?deadline ~f ~t0 ~t1 ~y0 ()));
       (* Tier 2: same integrator with tightened step bounds — a small
          forced initial step, a capped maximum step, a lower step floor and
          a doubled step budget rescue marginally stiff transients. *)
@@ -397,13 +299,11 @@ let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
             dopri5 ~rtol ~atol ~h0:(span *. 1e-6) ~h_min:(h_min *. 1e-3)
               ~h_max:(span /. 10.) ~max_steps:(2 * max_steps) ?deadline ~f ~t0 ~t1
               ~y0 ()));
-      (* Tier 3: semi-implicit integrator for genuinely stiff regimes;
-         [jac] lets a caller with a banded rhs make its Newton matrices
-         bandwidth-priced. *)
+      (* Tier 3: semi-implicit integrator for genuinely stiff regimes. *)
       (fun () ->
         attempt Stiff (fun () ->
             implicit_euler ~rtol:(Float.max rtol 1e-6) ~atol ~h_min:(h_min *. 1e-3)
-              ~jac ?deadline ~f ~t0 ~t1 ~y0 ()));
+              ?deadline ~f ~t0 ~t1 ~y0 ()));
     ]
   in
   let rec try_tiers = function
@@ -411,45 +311,3 @@ let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
     | tier :: rest -> ( match tier () with Some out -> out | None -> try_tiers rest)
   in
   try_tiers tiers
-
-let steady_state ?(rtol = 1e-6) ?(atol = 1e-9) ?(window = 50.) ?(tol = 1e-7)
-    ?(t_max = 5000.) ?init ?h0 ?(jac = Dense) ?deadline ~f ~y0 () =
-  Obs.Span.with_span "ode.steady_state" @@ fun () ->
-  (match init with
-  | Some g when Array.length g <> Array.length y0 ->
-    invalid_arg "Ode.steady_state: init must match y0 length"
-  | _ -> ());
-  (* Relax from [start]; [h0] only seeds the very first window — later
-     windows restart step-size control from the integrator default, as
-     before, so a warm step hint cannot change the long-run trajectory
-     shape beyond the initial transient. *)
-  let relax start =
-    let rec advance first t y =
-      let rate =
-        let dy = f t y in
-        Vec.norm_inf dy /. (Vec.norm_inf y +. 1.)
-      in
-      if rate <= tol then Ok y
-      else if t >= t_max then Error y
-      else
-        match
-          integrate_fallback ~rtol ~atol
-            ?h0:(if first then h0 else None)
-            ~jac ?deadline ~f ~t0:t ~t1:(t +. window) ~y0:y ()
-        with
-        | res, _tier -> advance false res.t res.y
-        | exception Step_underflow _ -> Error y
-    in
-    advance true 0. (Array.copy start)
-  in
-  match init with
-  | None -> relax y0
-  | Some guess -> (
-    Obs.Metrics.incr m_warm_starts;
-    match relax guess with
-    | Ok y -> Ok y
-    | Error _ ->
-      (* A bad seed must never make an answer worse than the cold path:
-         rerun from the caller's y0. *)
-      Obs.Metrics.incr m_warm_fallbacks;
-      relax y0)

@@ -1,7 +1,6 @@
 (** Initial-value problem integrators.
 
-    Three integrators are provided:
-    - {!rk4}: classic fixed-step 4th-order Runge–Kutta;
+    Two integrators are provided, and {!integrate_fallback} chains them:
     - {!dopri5}: adaptive embedded Dormand–Prince 5(4) with PI-free step
       control — the workhorse for the kinetic model;
     - {!implicit_euler}: adaptive semi-implicit method (backward Euler with a
@@ -18,12 +17,7 @@ type stats = {
   evals : int;       (** rhs evaluations *)
 }
 
-type result = {
-  t : float;
-  y : Vec.t;
-  stats : stats;
-  h_last : float;  (** last attempted step size — seeds warm restarts *)
-}
+type result = { t : float; y : Vec.t; stats : stats }
 
 exception Step_underflow of float
 (** Raised when the adaptive controllers drive the step below the minimum
@@ -36,9 +30,6 @@ exception Deadline of float
     integration is abandoned promptly but never mid-step.  Only raised
     when a deadline was requested — deadline-free integrations remain
     wall-clock independent and therefore deterministic. *)
-
-val rk4 : f:rhs -> t0:float -> y0:Vec.t -> dt:float -> steps:int -> result
-(** Fixed-step RK4 for [steps] steps of size [dt]. *)
 
 val dopri5 :
   ?rtol:float ->
@@ -61,25 +52,10 @@ val dopri5 :
     absolute {!Obs.Clock.now_ns} timestamp past which {!Deadline} is
     raised. *)
 
-type jac =
-  | Dense                             (** no structure assumed: n + 1 rhs evaluations *)
-  | Band of { ml : int; mu : int }
-      (** rhs component [i] depends only on states [i-ml .. i+mu]; the
-          Jacobian is banded, costs [ml + mu + 2] rhs evaluations, and the
-          Newton matrix gets a banded LU ({!Banded}). *)
-(** Declared structural sparsity of a rhs Jacobian, used by the stiff
-    integrator tier.  The default everywhere is [Dense], which keeps the
-    historical (bit-for-bit) behavior; [Band] is an optimization a
-    caller opts into, priced by the [ode.jacobian_cols] counter (columns
-    ≍ rhs evaluations spent on Jacobians). *)
-
 val implicit_euler :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
   ?h_min:float ->
-  ?max_steps:int ->
-  ?jac:jac ->
   ?deadline:int ->
   f:rhs ->
   t0:float ->
@@ -89,29 +65,17 @@ val implicit_euler :
   result
 (** Adaptive backward Euler with step-doubling error estimation; intended
     for stiff systems where {!dopri5} needs prohibitively small steps.
-    The Newton iteration freezes its Jacobian factorization while the
-    residual keeps contracting and refactors only on stall (counted by
-    the [ode.jacobian_reuses] metric), which never loosens the
+    Defaults: [rtol = 1e-5], [atol = 1e-8], [h_min = 1e-14]; the first
+    step is 1/100 of the span and the budget 200 000 attempted steps.
+    The Newton iteration freezes its dense Jacobian factorization while
+    the residual keeps contracting and refactors only on stall (counted
+    by the [ode.jacobian_reuses] metric), which never loosens the
     convergence test — it is always the true residual that must fall
-    below tolerance.  [jac] (default [Dense]) declares the rhs Jacobian
-    structure: [Band] prices each refresh at bandwidth-many rhs
-    evaluations and a banded factorization instead of n-many and a dense
-    one. *)
+    below tolerance. *)
 
 val numeric_jacobian : rhs -> float -> Vec.t -> Matrix.t
 (** Forward-difference Jacobian of the rhs at [(t, y)];
     n + 1 rhs evaluations. *)
-
-val numeric_jacobian_banded : rhs -> float -> Vec.t -> ml:int -> mu:int -> Banded.mat
-(** Forward-difference Jacobian of a rhs whose Jacobian is banded with
-    [ml] sub- and [mu] superdiagonals, via Curtis–Powell–Reid column
-    grouping: columns [j ≡ p (mod ml+mu+1)] are perturbed together, so
-    the cost is [ml + mu + 2] rhs evaluations regardless of dimension.
-    On a rhs that truly has the declared band structure the entries are
-    bit-for-bit identical to the dense {!numeric_jacobian}; dependencies
-    outside the declared band are silently misattributed — the caller
-    owns the structure claim.  Raises [Invalid_argument] unless
-    [0 <= ml, mu < n]. *)
 
 type tier =
   | Adaptive        (** {!dopri5} with the caller's settings *)
@@ -124,11 +88,7 @@ val tier_name : tier -> string
 val integrate_fallback :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
   ?max_steps:int ->
-  ?jac:jac ->
   ?deadline:int ->
   f:rhs ->
   t0:float ->
@@ -142,35 +102,8 @@ val integrate_fallback :
     then {!implicit_euler}.  A tier that raises {!Step_underflow} or
     returns a non-finite state hands over to the next; the returned
     {!tier} reports which one succeeded.  Raises {!Step_underflow} only
-    when every tier fails.  [jac] reaches the stiff tier (the explicit
-    tiers never form a Jacobian).  {!Deadline} (from [?deadline]) is
-    {e not} absorbed by the chain — an expired budget aborts all
-    tiers. *)
-
-val steady_state :
-  ?rtol:float ->
-  ?atol:float ->
-  ?window:float ->
-  ?tol:float ->
-  ?t_max:float ->
-  ?init:Vec.t ->
-  ?h0:float ->
-  ?jac:jac ->
-  ?deadline:int ->
-  f:rhs ->
-  y0:Vec.t ->
-  unit ->
-  (Vec.t, Vec.t) Stdlib.result
-(** Integrate in windows of duration [window] until the relative rate of
-    change [‖f‖ / (‖y‖ + 1)] falls below [tol] (default 1e-7) or [t_max]
-    is exceeded. Returns [Ok y_ss] on convergence, [Error y_last]
-    otherwise.
-
-    Warm starts: [init] relaxes from that state instead of [y0] (e.g. the
-    converged steady state of a neighboring genotype) and [h0] seeds the
-    first window's step size; both are advisory — if the warm relaxation
-    fails to converge the solver silently reruns cold from [y0], so a
-    stale seed can cost time but never change whether (or to what) the
-    system converges.  Raises [Invalid_argument] if [init] has a
-    different length than [y0].  [deadline] propagates to the
-    integrators ({!Deadline} escapes). *)
+    when every tier fails.  Defaults: [rtol = 1e-6], [atol = 1e-9],
+    [max_steps = 1_000_000] (doubled for the tightened tier); the step
+    floor is 1e-14 (1e-17 past the first tier).  {!Deadline} (from
+    [?deadline]) is {e not} absorbed by the chain — an expired budget
+    aborts all tiers. *)

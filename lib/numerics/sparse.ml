@@ -88,12 +88,6 @@ let csc_column c j =
   done;
   !acc
 
-let csc_iter_col c j f =
-  if not (0 <= j && j < c.cs_cols) then invalid_arg "Numerics.Sparse.csc_iter_col: out of range";
-  for k = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
-    f c.row_idx.(k) c.values.(k)
-  done
-
 let csc_mv c x =
   if Array.length x <> c.cs_cols then invalid_arg "Numerics.Sparse.csc_mv: vector length mismatch";
   let out = Array.make c.cs_rows 0. in

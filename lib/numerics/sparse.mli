@@ -40,7 +40,6 @@ val csc_cols : csc -> int
 val csc_nnz : csc -> int
 
 val csc_column : csc -> int -> (int * float) list
-val csc_iter_col : csc -> int -> (int -> float -> unit) -> unit
 val csc_mv : csc -> float array -> float array
 val csc_tmv : csc -> float array -> float array
 

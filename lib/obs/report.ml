@@ -139,12 +139,11 @@ let pp_ode ppf last =
     tier "ode.tier.adaptive" "adaptive";
     tier "ode.tier.adaptive_tight" "adaptive tight";
     tier "ode.tier.stiff" "stiff";
-    Format.fprintf ppf "rhs evals %d, steps %d (%d rejected), warm starts %d (%d fallbacks)@\n"
-      (c "ode.rhs_evals") (c "ode.steps") (c "ode.rejected") (c "ode.warm_starts")
-      (c "ode.warm_fallbacks");
+    Format.fprintf ppf "rhs evals %d, steps %d (%d rejected)@\n" (c "ode.rhs_evals")
+      (c "ode.steps") (c "ode.rejected");
     if c "ode.jacobians" > 0 then
-      Format.fprintf ppf "jacobians %d (%d frozen reuses, %d FD columns priced)@\n"
-        (c "ode.jacobians") (c "ode.jacobian_reuses") (c "ode.jacobian_cols")
+      Format.fprintf ppf "jacobians %d (%d frozen reuses)@\n" (c "ode.jacobians")
+        (c "ode.jacobian_reuses")
   end
 
 (* Health of the factorized-basis simplex: pivot/refactorization volume

@@ -5,7 +5,6 @@ type report = {
   uptake : float;
   nitrogen : float;
   solver_tier : Numerics.Ode.tier;
-  h_last : float;
 }
 
 let nitrogen_of ~kinetics ratios =
@@ -19,14 +18,13 @@ let tier_rank = function
 
 let deeper a b = if tier_rank b > tier_rank a then b else a
 
-let evaluate ?(kinetics = Params.default) ?y0 ?(t_max = 400.) ?warm ?deadline ~env
-    ~ratios () =
+let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
   if Array.length ratios <> Enzyme.count then
     invalid_arg "Steady_state.evaluate: ratios length";
   let vmax = Enzyme.vmax_of_ratios ratios in
   let f = Model.rhs kinetics env ~vmax in
   let y0 = match y0 with Some y -> Array.copy y | None -> State.initial () in
-  let finish converged tier h y =
+  let finish converged tier y =
     let fl = Model.fluxes kinetics env ~vmax y in
     {
       converged;
@@ -35,16 +33,16 @@ let evaluate ?(kinetics = Params.default) ?y0 ?(t_max = 400.) ?warm ?deadline ~e
       uptake = Model.assimilation kinetics fl;
       nitrogen = nitrogen_of ~kinetics ratios;
       solver_tier = tier;
-      h_last = h;
     }
   in
   (* Converged when the net assimilation is stable across two successive
      integration windows (small persistent ATP/Pi oscillations are
      physiological and irrelevant to the reported uptake) and the state
-     rate is modest. *)
-  let window = 20. in
+     rate is modest.  A design still drifting at [t_max] is reported
+     unconverged. *)
+  let window = 20. and t_max = 400. in
   let assim y = Model.assimilation kinetics (Model.fluxes kinetics env ~vmax y) in
-  let rec advance h0 t y prev_a stable tier h_prev =
+  let rec advance t y prev_a stable tier =
     let a = assim y in
     let tol_a = 2e-4 *. (Float.abs a +. 1.) in
     let state_rate =
@@ -52,32 +50,20 @@ let evaluate ?(kinetics = Params.default) ?y0 ?(t_max = 400.) ?warm ?deadline ~e
       Numerics.Vec.norm_inf dy /. (Numerics.Vec.norm_inf y +. 1.)
     in
     let stable = if Float.abs (a -. prev_a) <= tol_a && state_rate < 2e-3 then stable + 1 else 0 in
-    if stable >= 2 then finish true tier h_prev y
-    else if t >= t_max then finish false tier h_prev y
+    if stable >= 2 then finish true tier y
+    else if t >= t_max then finish false tier y
     else
       (* On [Step_underflow] the chain has already tried tightened dopri5
          and implicit Euler; the design is pathological and is reported
          unconverged at the last reachable state. *)
       match
-        Numerics.Ode.integrate_fallback ~rtol:2e-4 ~atol:1e-7 ?h0 ?deadline ~f ~t0:t
+        Numerics.Ode.integrate_fallback ~rtol:2e-4 ~atol:1e-7 ?deadline ~f ~t0:t
           ~t1:(t +. window) ~y0:y ()
       with
-      | r, t' ->
-        advance None r.Numerics.Ode.t r.Numerics.Ode.y a stable (deeper tier t')
-          r.Numerics.Ode.h_last
-      | exception Numerics.Ode.Step_underflow _ -> finish false tier h_prev y
+      | r, t' -> advance r.Numerics.Ode.t r.Numerics.Ode.y a stable (deeper tier t')
+      | exception Numerics.Ode.Step_underflow _ -> finish false tier y
   in
-  let run start h0 = advance h0 0. start infinity 0 Numerics.Ode.Adaptive 0. in
-  (* A warm start relaxes from a neighboring design's steady state with
-     its final step size; it converges in fewer windows when the designs
-     are genuinely close.  Reports are only accepted from the warm run
-     when it converges — otherwise the cold run decides, so a misleading
-     seed can never flip a design's converged/unconverged verdict. *)
-  match warm with
-  | Some (wy, wh) when Array.length wy = Array.length y0 && wh > 0. ->
-    let r = run (Array.copy wy) (Some wh) in
-    if r.converged then r else run y0 None
-  | _ -> run y0 None
+  advance 0. y0 infinity 0 Numerics.Ode.Adaptive
 
 let natural ?kinetics ~env () =
   evaluate ?kinetics ~env ~ratios:(Array.make Enzyme.count 1.) ()

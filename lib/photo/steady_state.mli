@@ -9,17 +9,11 @@ type report = {
   solver_tier : Numerics.Ode.tier;
       (** deepest fallback tier the integration needed ({!Numerics.Ode.Adaptive}
           when plain dopri5 sufficed throughout) *)
-  h_last : float;
-      (** last attempted step size of the final integration window — pair
-          it with [y] to [?warm]-start the evaluation of a nearby design
-          (0 when no window ran) *)
 }
 
 val evaluate :
   ?kinetics:Params.kinetics ->
   ?y0:float array ->
-  ?t_max:float ->
-  ?warm:float array * float ->
   ?deadline:int ->
   env:Params.env ->
   ratios:float array ->
@@ -27,14 +21,13 @@ val evaluate :
   report
 (** Integrate the kinetic model to steady state for the enzyme-activity
     ratio vector [ratios] (1.0 = natural) and report uptake and nitrogen.
-    Designs whose integration fails (pathological enzyme vectors) are
-    reported with [converged = false] and the last reachable state.
+    The relaxation runs 20-unit {!Numerics.Ode.integrate_fallback}
+    windows from [y0] (default {!State.initial}) until uptake is stable
+    across two windows, for at most 400 time units.  Designs that reach
+    that limit, or whose integration fails (pathological enzyme vectors),
+    are reported with [converged = false] and the last reachable state.
 
-    [warm] is a [(y, h_last)] pair from a neighboring design's report:
-    the relaxation starts there instead of at the canonical initial
-    state.  A warm result is only accepted when it converges; otherwise
-    the evaluation silently reruns cold, so [warm] affects time, never
-    the verdict.  [deadline] (an {!Obs.Clock.now_ns} timestamp) makes the
+    [deadline] (an {!Obs.Clock.now_ns} timestamp) makes the
     integrators raise {!Numerics.Ode.Deadline} once expired — use it
     under a {!Runtime.Guard} to turn runaway designs into penalty
     objectives instead of hung islands. *)

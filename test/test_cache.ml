@@ -1,8 +1,8 @@
 (* Tests for the evaluation cache + warm-start layer: canonical genotype
    hashing, the LRU memo, deduplicated batch evaluation, cache-enabled
    archipelagos (bit-identical fronts at any domain count, resumable),
-   simplex basis round-trips, ODE warm starts and cooperative
-   deadlines. *)
+   simplex basis round-trips and cooperative ODE deadlines on the leaf
+   relaxation. *)
 
 (* {1 Fnv} *)
 
@@ -244,100 +244,42 @@ let test_fba_with_basis_matches_cold () =
     Alcotest.(check (float 1e-9)) "warm = cold" cold.Fba.Analysis.objective
       sol2.Fba.Analysis.objective
 
-(* {1 ODE warm starts and deadlines} *)
-
-(* y' = -(y - 1): relaxes to the fixed point 1 from anywhere. *)
-let relax_f _t y = [| 1. -. y.(0) |]
-
-let test_steady_state_warm_matches_cold () =
-  let cold =
-    match Numerics.Ode.steady_state ~f:relax_f ~y0:[| 0. |] () with
-    | Ok y -> y
-    | Error _ -> Alcotest.fail "cold relaxation failed"
-  in
-  Alcotest.(check (float 1e-5)) "cold finds fixed point" 1. cold.(0);
-  let warm =
-    match
-      Numerics.Ode.steady_state ~init:[| 0.9999 |] ~h0:0.5 ~f:relax_f ~y0:[| 0. |] ()
-    with
-    | Ok y -> y
-    | Error _ -> Alcotest.fail "warm relaxation failed"
-  in
-  Alcotest.(check (float 1e-5)) "warm finds the same fixed point" cold.(0) warm.(0);
-  Alcotest.check_raises "init length checked"
-    (Invalid_argument "Ode.steady_state: init must match y0 length") (fun () ->
-      ignore (Numerics.Ode.steady_state ~init:[| 1.; 2. |] ~f:relax_f ~y0:[| 0. |] ()))
-
-let test_warm_fallback_recovers_from_bad_seed () =
-  (* A wildly wrong warm seed must not change the answer: the relaxation
-     either converges from it or silently reruns cold. *)
-  match
-    Numerics.Ode.steady_state ~init:[| 1e6 |] ~f:relax_f ~y0:[| 0. |] ()
-  with
-  | Ok y -> Alcotest.(check (float 1e-4)) "fixed point despite bad seed" 1. y.(0)
-  | Error _ -> Alcotest.fail "bad warm seed broke the relaxation"
+(* {1 ODE deadlines} *)
 
 let test_deadline_raises_and_guard_absorbs () =
+  let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
+  let natural = Array.make Photo.Enzyme.count 1. in
   let expired = Obs.Clock.now_ns () - 1 in
-  (* The deadline propagates through the whole fallback chain... *)
-  (match
-     Numerics.Ode.integrate_fallback ~deadline:expired ~f:relax_f ~t0:0. ~t1:10.
-       ~y0:[| 0. |] ()
-   with
-  | _ -> Alcotest.fail "expired deadline did not abort"
-  | exception Numerics.Ode.Deadline _ -> ());
-  (match Numerics.Ode.steady_state ~deadline:expired ~f:relax_f ~y0:[| 0. |] () with
-  | _ -> Alcotest.fail "expired deadline did not abort steady_state"
+  (* The fallback chain does not absorb an expired deadline: it aborts
+     the leaf relaxation... *)
+  (match Photo.Steady_state.evaluate ~deadline:expired ~env ~ratios:natural () with
+  | _ -> Alcotest.fail "expired deadline did not abort the leaf evaluation"
   | exception Numerics.Ode.Deadline _ -> ());
   (* ...and a guard turns it into a finite penalty, the watchdog story. *)
   let guard = Runtime.Guard.create ~penalty:1e9 () in
   let out =
-    Runtime.Guard.wrap guard ~n_obj:1
-      (fun y0 ->
-        match Numerics.Ode.steady_state ~deadline:expired ~f:relax_f ~y0 () with
-        | Ok y | Error y -> y)
-      [| 0. |]
+    Runtime.Guard.wrap guard ~n_obj:2
+      (fun ratios ->
+        let r = Photo.Steady_state.evaluate ~deadline:expired ~env ~ratios () in
+        [| -.r.Photo.Steady_state.uptake; r.Photo.Steady_state.nitrogen |])
+      natural
   in
-  Alcotest.(check (float 0.)) "penalized" 1e9 out.(0);
+  Alcotest.(check (array (float 0.))) "penalized" [| 1e9; 1e9 |] out;
   Alcotest.(check int) "guard counted the abort" 1 (Runtime.Guard.stats guard).Runtime.Guard.exceptions;
   (* A generous deadline changes nothing. *)
   let generous = Obs.Clock.now_ns () + 60_000_000_000 in
-  match Numerics.Ode.steady_state ~deadline:generous ~f:relax_f ~y0:[| 0. |] () with
-  | Ok y -> Alcotest.(check (float 1e-5)) "generous deadline converges" 1. y.(0)
-  | Error _ -> Alcotest.fail "generous deadline should not fail"
+  let timed = Photo.Steady_state.evaluate ~deadline:generous ~env ~ratios:natural () in
+  let free = Photo.Steady_state.evaluate ~env ~ratios:natural () in
+  Alcotest.(check bool) "generous deadline converges" true timed.Photo.Steady_state.converged;
+  Alcotest.(check bool) "same uptake as without a deadline" true
+    (Float.equal free.Photo.Steady_state.uptake timed.Photo.Steady_state.uptake)
 
 let test_implicit_euler_frozen_jacobian () =
   (* Fast linear decay: the frozen-LU Newton must still hit the same
      accuracy contract as before on a genuinely stiff-ish problem. *)
   let f _t y = [| -50. *. y.(0) |] in
   let r = Numerics.Ode.implicit_euler ~f ~t0:0. ~t1:0.2 ~y0:[| 1. |] () in
-  Alcotest.(check (float 1e-3)) "decay endpoint" (exp (-10.)) r.Numerics.Ode.y.(0);
-  Alcotest.(check bool) "h_last recorded" true (r.Numerics.Ode.h_last > 0.)
-
-(* {1 Photo warm evaluation} *)
-
-let test_photo_cached_warm_hits () =
-  let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
-  let ctx = Photo.Cached.create ~env () in
-  let natural = Array.make Photo.Enzyme.count 1. in
-  let cold = Photo.Cached.evaluate ctx ~ratios:natural in
-  Alcotest.(check bool) "natural leaf converges" true cold.Photo.Steady_state.converged;
-  (* A nearby design (one enzyme nudged within the lattice cell) should
-     find the stored state and agree with its own cold evaluation. *)
-  let nearby = Array.copy natural in
-  nearby.(0) <- 1.02;
-  let warm = Photo.Cached.evaluate ctx ~ratios:nearby in
-  let reference = Photo.Steady_state.evaluate ~env ~ratios:nearby () in
-  Alcotest.(check bool) "warm run converges" true warm.Photo.Steady_state.converged;
-  (* Warm and cold settle within the steady-state window tolerance of
-     each other — qualitatively identical verdicts and fluxes, not
-     bit-identical trajectories (which is why the EA memoizes on exact
-     genotypes and only the ODE layer uses approximate neighbors). *)
-  Alcotest.(check (float 0.05)) "warm uptake ~ cold uptake"
-    reference.Photo.Steady_state.uptake warm.Photo.Steady_state.uptake;
-  let s = Photo.Cached.stats ctx in
-  Alcotest.(check bool) "warm store was consulted" true (s.Cache.Warm.hits >= 1);
-  Alcotest.(check bool) "converged states stored" true (s.Cache.Warm.stores >= 2)
+  Alcotest.(check (float 1e-3)) "decay endpoint" (exp (-10.)) r.Numerics.Ode.y.(0)
 
 let () =
   Alcotest.run "cache"
@@ -373,11 +315,8 @@ let () =
         ] );
       ( "ode",
         [
-          Alcotest.test_case "steady_state warm = cold" `Quick test_steady_state_warm_matches_cold;
-          Alcotest.test_case "bad warm seed recovers" `Quick test_warm_fallback_recovers_from_bad_seed;
           Alcotest.test_case "deadline + guard" `Quick test_deadline_raises_and_guard_absorbs;
           Alcotest.test_case "frozen-jacobian implicit euler" `Quick
             test_implicit_euler_frozen_jacobian;
         ] );
-      ("photo", [ Alcotest.test_case "warm evaluation" `Slow test_photo_cached_warm_hits ]);
     ]

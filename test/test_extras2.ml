@@ -1,6 +1,5 @@
 (* Tests for the second extension batch: quality indicators, quasi-random
-   sampling, QMC yields, flux-polytope sampling and time-course
-   simulation. *)
+   sampling, QMC yields and time-course simulation. *)
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -134,70 +133,6 @@ let test_qmc_vs_pseudo_agree () =
     true
     (Float.abs (qmc.Robustness.Yield.yield_pct -. mc.Robustness.Yield.yield_pct) < 3.)
 
-(* {1 Flux sampler} *)
-
-let model = lazy (Fba.Geobacter.build ())
-
-let start_point () =
-  let g = Lazy.force model in
-  let net = g.Fba.Geobacter.net in
-  let a = Fba.Analysis.fba ~t:net ~objective:g.Fba.Geobacter.ep in
-  let b = Fba.Analysis.fba ~t:net ~objective:g.Fba.Geobacter.bp in
-  (* Midpoint of two vertices, with the objective-neutral decoy loops
-     zeroed (LP vertices park them at arbitrary bounds): this point is
-     interior in every loop dimension, so the chain has room to move. *)
-  let mid = Numerics.Vec.lerp a.Fba.Analysis.fluxes b.Fba.Analysis.fluxes 0.5 in
-  Array.iteri
-    (fun j _ ->
-      let r = Fba.Network.reaction net j in
-      if String.length r.Fba.Network.name >= 4 && String.sub r.Fba.Network.name 0 4 = "LOOP"
-      then mid.(j) <- 0.)
-    mid;
-  (g, mid)
-
-let test_sampler_stays_feasible () =
-  let g, start = start_point () in
-  let s = Fba.Sampler.create g ~start in
-  let samples = Fba.Sampler.sample s ~n:20 ~thin:3 () in
-  let bounds = Fba.Network.bounds g.Fba.Geobacter.net in
-  List.iter
-    (fun v ->
-      (* steady state preserved *)
-      let viol = Fba.Network.violation g.Fba.Geobacter.net v in
-      if viol > 0.05 then Alcotest.failf "drifted off steady state: %g" viol;
-      Array.iteri
-        (fun j vj ->
-          let lo, hi = bounds.(j) in
-          if vj < lo -. 1e-6 || vj > hi +. 1e-6 then
-            Alcotest.failf "bound violated at %d: %g" j vj)
-        v)
-    samples
-
-let test_sampler_respects_atpm () =
-  let g, start = start_point () in
-  let s = Fba.Sampler.create g ~start in
-  let samples = Fba.Sampler.sample s ~n:15 ~thin:2 () in
-  List.iter
-    (fun v -> check_float ~tol:1e-6 "ATPM pinned" 0.45 v.(g.Fba.Geobacter.atpm))
-    samples
-
-let test_sampler_moves () =
-  let g, start = start_point () in
-  let s = Fba.Sampler.create g ~start in
-  let samples = Fba.Sampler.sample s ~n:10 ~thin:5 () in
-  let distinct =
-    List.exists (fun v -> Numerics.Vec.dist2 v start > 1e-3) samples
-  in
-  Alcotest.(check bool) "chain explores" true distinct
-
-let test_sampler_mean () =
-  let g, start = start_point () in
-  let s = Fba.Sampler.create g ~start in
-  let samples = Fba.Sampler.sample s ~n:10 ~thin:2 () in
-  let mean = Fba.Sampler.mean_flux samples in
-  Alcotest.(check int) "dimension" 608 (Array.length mean);
-  check_float ~tol:1e-6 "mean keeps pinned flux" 0.45 mean.(g.Fba.Geobacter.atpm)
-
 (* {1 Simulation} *)
 
 let env = Photo.Params.present ~tp_export:Photo.Params.low_export
@@ -260,13 +195,6 @@ let () =
         [
           Alcotest.test_case "linear case" `Quick test_qmc_yield_linear;
           Alcotest.test_case "qmc vs pseudo" `Quick test_qmc_vs_pseudo_agree;
-        ] );
-      ( "flux-sampler",
-        [
-          Alcotest.test_case "stays feasible" `Slow test_sampler_stays_feasible;
-          Alcotest.test_case "respects ATPM" `Slow test_sampler_respects_atpm;
-          Alcotest.test_case "explores" `Slow test_sampler_moves;
-          Alcotest.test_case "mean flux" `Slow test_sampler_mean;
         ] );
       ( "simulate",
         [

@@ -243,27 +243,18 @@ let hashtbl_s net =
   done;
   s
 
-(* Dense reference: A = [S; unit rows of pinned], v − Aᵀ(A·Aᵀ + 1e-9·I)⁻¹·A·v
-   with a dense Gram product and a partial-pivoting dense LU. *)
-let dense_projector ?(pinned = []) net =
-  let s = hashtbl_s net in
-  let m = Fba.Network.n_metabolites net and n = Fba.Network.n_reactions net in
-  let a = Numerics.Matrix.zeros (m + List.length pinned) n in
-  let ds = Numerics.Sparse.to_dense s in
-  for i = 0 to m - 1 do
-    for j = 0 to n - 1 do
-      Numerics.Matrix.set a i j (Numerics.Matrix.get ds i j)
-    done
-  done;
-  List.iteri (fun k j -> Numerics.Matrix.set a (m + k) j 1.) pinned;
-  let gram = Numerics.Matrix.matmul a (Numerics.Matrix.transpose a) in
+(* Dense reference: v − Sᵀ(S·Sᵀ + 1e-9·I)⁻¹·S·v with a dense Gram
+   product and a partial-pivoting dense LU. *)
+let dense_projector net =
+  let s = Numerics.Sparse.to_dense (hashtbl_s net) in
+  let gram = Numerics.Matrix.matmul s (Numerics.Matrix.transpose s) in
   for i = 0 to Numerics.Matrix.rows gram - 1 do
     Numerics.Matrix.set gram i i (Numerics.Matrix.get gram i i +. 1e-9)
   done;
   let lu = Numerics.Lu.factor gram in
   fun v ->
-    let y = Numerics.Lu.solve lu (Numerics.Matrix.mv a v) in
-    let correction = Numerics.Matrix.tmv a y in
+    let y = Numerics.Lu.solve lu (Numerics.Matrix.mv s v) in
+    let correction = Numerics.Matrix.tmv s y in
     Array.mapi (fun j vj -> vj -. correction.(j)) v
 
 let random_flux net rng =
@@ -271,12 +262,12 @@ let random_flux net rng =
     (fun (lo, hi) -> Numerics.Rng.uniform rng (Float.max lo (-1000.)) (Float.min hi 1000.))
     (Fba.Network.bounds net)
 
-let check_projector_matches_dense ?pinned seed =
+let test_projector_matches_dense () =
   let g = Lazy.force model in
   let net = g.Fba.Geobacter.net in
-  let sparse = Fba.Network.projector ?pinned net in
-  let dense = dense_projector ?pinned net in
-  let rng = Numerics.Rng.create seed in
+  let sparse = Fba.Network.projector net in
+  let dense = dense_projector net in
+  let rng = Numerics.Rng.create 101 in
   for k = 1 to 20 do
     let v = random_flux net rng in
     let ps = sparse v and pd = dense v in
@@ -288,22 +279,8 @@ let check_projector_matches_dense ?pinned seed =
        ~1e-13 relative difference between the two solves moves it by up
        to ~1e-6 of itself: "no larger" is judged past that rounding. *)
     if vs > vd *. (1. +. 1e-5) then
-      Alcotest.failf "vector %d: ||S v|| %g after sparse > %g after dense" k vs vd;
-    List.iter
-      (fun j ->
-        if Float.abs ps.(j) > 1e-6 *. scale then
-          Alcotest.failf "vector %d: pinned flux %d left at %g" k j ps.(j))
-      (Option.value pinned ~default:[])
+      Alcotest.failf "vector %d: ||S v|| %g after sparse > %g after dense" k vs vd
   done
-
-let test_projector_matches_dense () = check_projector_matches_dense 101
-
-let test_projector_pinned_matches_dense () =
-  let g = Lazy.force model in
-  let rng = Numerics.Rng.create 5 in
-  let extra = List.init 12 (fun _ -> Numerics.Rng.int rng (Fba.Network.n_reactions g.Fba.Geobacter.net)) in
-  let pinned = List.sort_uniq compare (g.Fba.Geobacter.atpm :: g.Fba.Geobacter.bp :: extra) in
-  check_projector_matches_dense ~pinned 202
 
 let test_violation_matches_hashtbl () =
   let g = Lazy.force model in
@@ -366,8 +343,6 @@ let () =
       ( "projector",
         [
           Alcotest.test_case "sparse = dense reference" `Quick test_projector_matches_dense;
-          Alcotest.test_case "pinned rows = dense reference" `Quick
-            test_projector_pinned_matches_dense;
           Alcotest.test_case "violation = Hashtbl residual" `Quick test_violation_matches_hashtbl;
         ] );
     ]

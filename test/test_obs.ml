@@ -647,6 +647,44 @@ let test_report_lp_section () =
       Alcotest.(check bool) "refactor latency quantiles" true
         (contains_substring ~sub:"refactor time" s))
 
+let test_report_ode_section () =
+  (* ODE counters render the solver-tier section: one line per tier of
+     the fallback chain with its share of integrations, then the step
+     and Jacobian economy. *)
+  with_metrics @@ fun () ->
+  let add name n = Obs.Metrics.add (Obs.Metrics.counter name) n in
+  add "ode.integrations" 8;
+  add "ode.tier.adaptive" 8;
+  add "ode.tier.adaptive_tight" 2;
+  add "ode.tier.stiff" 1;
+  add "ode.rhs_evals" 1234;
+  add "ode.steps" 150;
+  add "ode.rejected" 7;
+  add "ode.jacobians" 3;
+  add "ode.jacobian_reuses" 11;
+  let path = Filename.temp_file "obs_report" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      Obs.Metrics.write_snapshot ~label:"epoch 1" oc;
+      close_out oc;
+      let mf = Obs.Report.read_metrics ~path in
+      let s = Format.asprintf "%a" (fun ppf () -> Obs.Report.pp ~metrics:mf ppf ()) () in
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (Printf.sprintf "line %S" line) true
+            (contains_substring ~sub:line s))
+        [
+          "ODE solver tiers";
+          "integrations            8\n";
+          "adaptive                8 (100.0%)";
+          "adaptive tight          2 (25.0%)";
+          "stiff                   1 (12.5%)";
+          "rhs evals 1234, steps 150 (7 rejected)\n";
+          "jacobians 3 (11 frozen reuses)\n";
+        ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -706,5 +744,6 @@ let () =
           Alcotest.test_case "torn jsonl tolerated" `Quick test_report_torn_jsonl;
           Alcotest.test_case "shard timeline section" `Quick test_report_sections;
           Alcotest.test_case "LP kernel health section" `Quick test_report_lp_section;
+          Alcotest.test_case "ODE solver tiers section" `Quick test_report_ode_section;
         ] );
     ]

@@ -120,20 +120,6 @@ let test_dopri5_error_scales_with_tolerance () =
     true
     (e6 < e3 && e9 <= e6 +. 1e-12 && e9 < 1e-7)
 
-let test_rk4_fourth_order () =
-  (* Halving the step of RK4 must cut the error by ~16x. *)
-  let f _t y = [| -.y.(0) |] in
-  let err steps =
-    let r = Numerics.Ode.rk4 ~f ~t0:0. ~y0:[| 1. |] ~dt:(1. /. float_of_int steps) ~steps in
-    Float.abs (r.Numerics.Ode.y.(0) -. exp (-1.))
-  in
-  let e1 = err 20 and e2 = err 40 in
-  let ratio = e1 /. e2 in
-  Alcotest.(check bool)
-    (Printf.sprintf "order ~4 (ratio %.1f in [10, 25])" ratio)
-    true
-    (ratio > 10. && ratio < 25.)
-
 (* {1 FBA vs analytic yield} *)
 
 let test_fba_matches_hand_computed_yield () =
@@ -181,7 +167,6 @@ let () =
         [
           Alcotest.test_case "dopri5 tolerance scaling" `Quick
             test_dopri5_error_scales_with_tolerance;
-          Alcotest.test_case "rk4 fourth order" `Quick test_rk4_fourth_order;
         ] );
       ( "fba",
         [
