@@ -45,11 +45,12 @@ let bench_table1_metrics =
          ignore (Moo.Coverage.union_front [ front ])))
 
 let bench_table2_yield =
-  let rng = Numerics.Rng.create 7 in
   let f x = (x.(0) *. x.(1)) +. x.(2) in
   Test.make ~name:"table2/yield-gamma-200"
     (Staged.stage (fun () ->
-         ignore (Robustness.Yield.gamma ~rng ~f ~trials:200 [| 1.; 2.; 3. |])))
+         ignore
+           (Robustness.Yield.gamma_pool ~sequential:true ~seed:7 ~f ~trials:200
+              [| 1.; 2.; 3. |])))
 
 let bench_fig3_sweep =
   let front = synthetic_front 500 in
@@ -991,9 +992,10 @@ let experiments =
 let run_one name =
   match List.assoc_opt name experiments with
   | Some f ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_ns () in
     f ();
-    Printf.printf "   [%s done in %.1f s]\n\n%!" name (Unix.gettimeofday () -. t0)
+    Printf.printf "   [%s done in %.1f s]\n\n%!" name
+      (float_of_int (Obs.Clock.now_ns () - t0) *. 1e-9)
   | None ->
     Printf.eprintf "unknown experiment %S; available: %s\n" name
       (String.concat ", " (List.map fst experiments));

@@ -558,16 +558,12 @@ let report_cmd =
 let robust_cmd =
   let run ci export trials =
     let env = env_of ~ci ~export in
-    let warm = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
-    let uptake ratios =
-      (Photo.Steady_state.evaluate ~y0:warm ~env ~ratios ()).Photo.Steady_state.uptake
-    in
-    let rng = Numerics.Rng.create 42 in
+    let uptake = Experiments.Runs.uptake_property ~env in
     let natural = Array.make Photo.Enzyme.count 1. in
-    let g = Robustness.Yield.gamma ~rng ~f:uptake ~trials natural in
+    let g = Robustness.Yield.gamma_pool ~seed:42 ~f:uptake ~trials natural in
     Printf.printf "natural leaf under %s: nominal %.3f, global yield %.1f%% (%d trials)\n"
       env.Photo.Params.label g.Robustness.Yield.nominal g.Robustness.Yield.yield_pct trials;
-    let profile = Robustness.Screen.local_analysis ~rng ~f:uptake ~trials:200 natural in
+    let profile = Robustness.Screen.local_analysis ~seed:42 ~f:uptake ~trials:200 natural in
     List.iter
       (fun p ->
         if p.Robustness.Screen.yield_pct < 100. then

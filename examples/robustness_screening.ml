@@ -13,12 +13,12 @@ let () =
   let uptake ratios =
     (Photo.Steady_state.evaluate ~y0:warm ~env ~ratios ()).Photo.Steady_state.uptake
   in
-  let rng = Numerics.Rng.create 42 in
+  let seed = 42 in
 
   (* Global analysis of the natural leaf (reduced ensemble for the demo;
      pass trials:5000 for the paper's budget). *)
   let natural = Array.make Photo.Enzyme.count 1. in
-  let global = Robustness.Yield.gamma ~rng ~f:uptake ~trials:600 natural in
+  let global = Robustness.Yield.gamma_pool ~seed ~f:uptake ~trials:600 natural in
   Printf.printf
     "natural leaf: nominal uptake %.3f, global yield %.1f%% (%d/%d trials within 5%%)\n\n"
     global.Robustness.Yield.nominal global.Robustness.Yield.yield_pct
@@ -26,7 +26,7 @@ let () =
 
   (* Local analysis: which enzymes is the uptake most sensitive to? *)
   Printf.printf "local (one-enzyme-at-a-time) yields, 120 trials each:\n";
-  let profile = Robustness.Screen.local_analysis ~rng ~f:uptake ~trials:120 natural in
+  let profile = Robustness.Screen.local_analysis ~seed ~f:uptake ~trials:120 natural in
   let sorted =
     List.sort
       (fun a b -> compare a.Robustness.Screen.yield_pct b.Robustness.Screen.yield_pct)
@@ -42,6 +42,6 @@ let () =
 
   (* A deliberately fragile design: everything at the minimum ratio. *)
   let starved = Array.make Photo.Enzyme.count 0.3 in
-  let fragile = Robustness.Yield.gamma ~rng ~f:uptake ~trials:300 starved in
+  let fragile = Robustness.Yield.gamma_pool ~seed ~f:uptake ~trials:300 starved in
   Printf.printf "\nstarved design: nominal %.3f, yield %.1f%% — compare with the natural leaf\n"
     fragile.Robustness.Yield.nominal fragile.Robustness.Yield.yield_pct

@@ -24,16 +24,3 @@ let equal a b =
     i >= n || (Int64.equal (Int64.bits_of_float a.(i)) (Int64.bits_of_float b.(i)) && go (i + 1))
   in
   go 0
-
-let hash_quantized ~grid x =
-  if not (grid > 0.) then invalid_arg "Cache.Fnv.hash_quantized: grid must be > 0";
-  let h = ref offset_basis in
-  Array.iter
-    (fun v ->
-      let cell =
-        if Float.is_finite v then Int64.of_float (Float.round (v /. grid))
-        else Int64.min_int
-      in
-      h := fold_bits !h cell)
-    x;
-  !h

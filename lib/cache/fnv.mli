@@ -21,11 +21,3 @@ val equal : float array -> float array -> bool
 (** Bit-exact equality: same length and same [Int64.bits_of_float] at
     every index.  Unlike [=] this is total on NaNs and distinguishes
     signed zeros, matching {!hash}. *)
-
-val hash_quantized : grid:float -> float array -> int64
-(** Hash of the vector snapped to a [grid]-spaced lattice
-    ([Float.round (x /. grid)] per coordinate).  Vectors within the same
-    lattice cell collide, which is what the warm-start store uses to
-    bucket approximate neighbors.  Non-finite coordinates map to a
-    dedicated sentinel cell.  Raises [Invalid_argument] when
-    [grid <= 0]. *)

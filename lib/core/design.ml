@@ -44,9 +44,9 @@ let run ?property ?initial problem config =
       problem config.pmo2
   in
   let front = result.Pmo2.Archipelago.front in
-  let rng = Numerics.Rng.create (config.seed + 1) in
+  let seed = config.seed + 1 in
   let yield_of s =
-    (Robustness.Yield.gamma ~rng ~f:property ~delta:config.robustness_delta
+    (Robustness.Yield.gamma_pool ~seed ~f:property ~delta:config.robustness_delta
        ~eps_frac:config.robustness_eps ~trials:config.robustness_trials
        s.Moo.Solution.x)
       .Robustness.Yield.yield_pct
@@ -68,7 +68,7 @@ let run ?property ?initial problem config =
       :: shadow_entries
   in
   let sweep =
-    Robustness.Screen.front_sweep ~rng ~f:property ~delta:config.robustness_delta
+    Robustness.Screen.front_sweep ~seed ~f:property ~delta:config.robustness_delta
       ~eps_frac:config.robustness_eps
       ~trials:(Stdlib.max 200 (config.robustness_trials / 10))
       ~k:config.sweep_points front

@@ -43,3 +43,8 @@ val run :
   Moo.Problem.t ->
   config ->
   outcome
+(** Optimize, mine and screen.  The robustness screens run
+    {!Robustness.Yield.gamma_pool} on the default domain pool under seed
+    [config.seed + 1], so [property] may be called from several domains
+    at once — the requirement {!Pmo2.Archipelago.config}[.parallel]
+    already places on the problem's [eval]. *)

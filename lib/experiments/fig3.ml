@@ -9,9 +9,8 @@ let compute () =
   let b = Scale.budgets (Scale.current ()) in
   let front = Runs.leaf_front ~env in
   let property = Runs.uptake_property ~env in
-  let rng = Numerics.Rng.create 99 in
   let entries =
-    Robustness.Screen.front_sweep ~rng ~f:property ~trials:b.Scale.sweep_trials
+    Robustness.Screen.front_sweep ~seed:99 ~f:property ~trials:b.Scale.sweep_trials
       ~k:b.Scale.sweep_points front
   in
   List.map

@@ -3,10 +3,9 @@ type row = { enzyme : string; yield_pct : float }
 let compute () =
   let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
   let property = Runs.uptake_property ~env in
-  let rng = Numerics.Rng.create 17 in
   let natural = Array.make Photo.Enzyme.count 1. in
   let profile =
-    Robustness.Screen.local_analysis ~rng ~f:property ~trials:200 natural
+    Robustness.Screen.local_analysis ~seed:17 ~f:property ~trials:200 natural
   in
   List.sort compare
     (List.map

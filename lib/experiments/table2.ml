@@ -10,9 +10,9 @@ let compute () =
   let b = Scale.budgets (Scale.current ()) in
   let front = Runs.leaf_front ~env in
   let property = Runs.uptake_property ~env in
-  let rng = Numerics.Rng.create 77 in
+  let seed = 77 in
   let yield_of s =
-    (Robustness.Yield.gamma ~rng ~f:property ~trials:b.Scale.yield_trials
+    (Robustness.Yield.gamma_pool ~seed ~f:property ~trials:b.Scale.yield_trials
        s.Moo.Solution.x)
       .Robustness.Yield.yield_pct
   in
@@ -41,7 +41,7 @@ let compute () =
   (* Max-yield: screen an equally spaced sample of the front (50 points in
      the paper) and keep the most robust. *)
   let sweep =
-    Robustness.Screen.front_sweep ~rng ~f:property
+    Robustness.Screen.front_sweep ~seed ~f:property
       ~trials:(Stdlib.max 100 (b.Scale.yield_trials / 4))
       ~k:b.Scale.sweep_points front
   in

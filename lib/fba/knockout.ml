@@ -21,15 +21,12 @@ let solve_with_removed ?basis ~t ~target ~biomass ~min_biomass removed =
   let saved = List.map (fun j -> (j, (Network.bounds t).(j))) removed in
   List.iter (fun j -> Network.set_bounds t j 0. 0.) removed;
   let restore () = List.iter (fun (j, (lb, ub)) -> Network.set_bounds t j lb ub) saved in
-  let result =
-    with_biomass_floor ~t ~biomass ~min_biomass (fun () ->
-        match Analysis.fba_with_basis ?basis ~t ~objective:target () with
-        | sol, _ -> Some { removed; target_flux = sol.Analysis.objective;
-                           biomass_flux = sol.Analysis.fluxes.(biomass) }
-        | exception Analysis.Infeasible_model _ -> None)
-  in
-  restore ();
-  result
+  Fun.protect ~finally:restore (fun () ->
+      with_biomass_floor ~t ~biomass ~min_biomass (fun () ->
+          match Analysis.fba_with_basis ?basis ~t ~objective:target () with
+          | sol, _ -> Some { removed; target_flux = sol.Analysis.objective;
+                             biomass_flux = sol.Analysis.fluxes.(biomass) }
+          | exception Analysis.Infeasible_model _ -> None))
 
 (* The wild-type optimal basis under the biomass floor: every knockout
    LP is the same problem with one (or two) variables pinned to zero, so
@@ -50,20 +47,6 @@ let baseline ~t ~target ~biomass ~min_biomass =
 let ranked results =
   List.sort (fun a b -> Float.compare b.target_flux a.target_flux) results
 
-(* The network's bounds flattened into one vector — the warm-store key.
-   All knockout LPs of one screen share a single lattice cell (huge
-   grid), so {!Cache.Warm.nearest} degenerates to "the stored screen
-   member with the fewest differing pins" — for a pair knockout {i,k},
-   usually a single knockout {i}, whose basis is one dual bound-flip
-   away instead of the wild type's two.  Infinite bounds are clamped so
-   the L∞ distance stays finite. *)
-let bounds_key t =
-  let b = Network.bounds t in
-  let n = Array.length b in
-  let clamp v = Float.max (-1e9) (Float.min 1e9 v) in
-  Array.init (2 * n) (fun i ->
-      if i < n then clamp (fst b.(i)) else clamp (snd b.(i - n)))
-
 let check_candidates ~target ~biomass candidates =
   List.iter
     (fun j ->
@@ -71,52 +54,9 @@ let check_candidates ~target ~biomass candidates =
         invalid_arg "Fba.Knockout: candidates must exclude the target and biomass reactions")
     candidates
 
-(* Shared driver for the single/pair screens: each knockout set seeds
-   its solve with the nearest previously solved screen member (falling
-   back to the wild-type parent basis) and deposits its own optimal
-   basis in the store for later, deeper knockouts to start from.  Since
-   screen members differ only in pinned bounds, the seeds stay
-   dual-feasible and the warm solves run as dual bound-flip repairs. *)
 let screen ~t ~target ~biomass ~min_biomass sets =
-  let store = Cache.Warm.create ~grid:1e6 ~capacity:512 () in
-  let parent = parent_basis ~t ~target ~biomass ~min_biomass in
-  (match parent with
-  | Some b ->
-    with_biomass_floor ~t ~biomass ~min_biomass (fun () ->
-        Cache.Warm.store store (bounds_key t) b)
-  | None -> ());
-  List.filter_map
-    (fun removed ->
-      let saved = List.map (fun j -> (j, (Network.bounds t).(j))) removed in
-      List.iter (fun j -> Network.set_bounds t j 0. 0.) removed;
-      let restore () =
-        List.iter (fun (j, (lb, ub)) -> Network.set_bounds t j lb ub) saved
-      in
-      let result =
-        match
-          with_biomass_floor ~t ~biomass ~min_biomass (fun () ->
-              let key = bounds_key t in
-              let basis =
-                match Cache.Warm.nearest store key with
-                | Some b -> Some b
-                | None -> parent
-              in
-              match Analysis.fba_with_basis ?basis ~t ~objective:target () with
-              | sol, carry ->
-                (match carry with Some b -> Cache.Warm.store store key b | None -> ());
-                Some
-                  { removed; target_flux = sol.Analysis.objective;
-                    biomass_flux = sol.Analysis.fluxes.(biomass) }
-              | exception Analysis.Infeasible_model _ -> None)
-        with
-        | v -> v
-        | exception e ->
-          restore ();
-          raise e
-      in
-      restore ();
-      result)
-    sets
+  let basis = parent_basis ~t ~target ~biomass ~min_biomass in
+  List.filter_map (solve_with_removed ?basis ~t ~target ~biomass ~min_biomass) sets
 
 let single ~t ~target ~biomass ~min_biomass ~candidates =
   check_candidates ~target ~biomass candidates;
@@ -128,12 +68,7 @@ let pairs ~t ~target ~biomass ~min_biomass ~candidates =
     | [] -> []
     | x :: rest -> List.map (fun y -> [ x; y ]) rest @ all_pairs rest
   in
-  (* Walk the singles through the same screen first (their results are
-     discarded) so every pair {x, y} finds the basis of {x} in the store
-     — one pinned reaction away — rather than the wild type's two. *)
-  let singles = List.map (fun j -> [ j ]) candidates in
-  let results = screen ~t ~target ~biomass ~min_biomass (singles @ all_pairs candidates) in
-  ranked (List.filter (fun k -> match k.removed with [ _; _ ] -> true | _ -> false) results)
+  ranked (screen ~t ~target ~biomass ~min_biomass (all_pairs candidates))
 
 type coupling = {
   removed_reactions : int list;

@@ -27,14 +27,14 @@ val single :
   knockout list
 (** One-at-a-time knockouts of the candidates, sorted by decreasing
     target flux.  Lethal knockouts (biomass constraint infeasible) are
-    dropped.  The network's bounds are restored afterwards.
+    dropped.  The network's bounds are restored afterwards, also when a
+    solve raises.
 
-    Each knockout LP warm-starts from the nearest previously solved
-    screen member (a {!Cache.Warm} store keyed by the bounds vector,
-    seeded with the wild-type optimum); since screen members differ only
-    in pinned bounds the seed stays dual-feasible and the solve runs as
-    a dual-simplex bound repair — the result is identical to solving
-    each LP cold. *)
+    Each knockout LP warm-starts from the wild-type optimal basis under
+    the biomass floor (cold when the wild type is infeasible); since a
+    knockout only pins bounds, that basis stays dual-feasible and the
+    solve runs as a dual-simplex bound repair, reaching the same optimum
+    as a cold solve up to rounding. *)
 
 val pairs :
   t:Network.t ->
@@ -43,10 +43,8 @@ val pairs :
   min_biomass:float ->
   candidates:int list ->
   knockout list
-(** All unordered pairs from the candidates (O(k²) LP solves).  The
-    singles are screened first purely to charge the warm store, so each
-    pair {i, j} starts one pinned reaction away from the stored basis of
-    {i} instead of two away from the wild type. *)
+(** All unordered pairs from the candidates (O(k²) LP solves), each
+    warm-started from the wild-type basis like {!single}. *)
 
 type coupling = {
   removed_reactions : int list;

@@ -111,18 +111,13 @@ let rate hits misses =
 
 let pp_caches ppf last =
   let c name = Option.value ~default:0 (counter_of last name) in
-  if c "cache.hits" + c "cache.misses" + c "cache.warm_hits" + c "cache.warm_misses" > 0
-  then begin
+  if c "cache.hits" + c "cache.misses" > 0 then begin
     section ppf "cache hit rates";
     Format.fprintf ppf "memo:  %d/%d hits (%.1f%%), %d evictions, %d dedup hits@\n"
       (c "cache.hits")
       (c "cache.hits" + c "cache.misses")
       (rate (c "cache.hits") (c "cache.misses"))
-      (c "cache.evictions") (c "cache.dedup_hits");
-    if c "cache.warm_hits" + c "cache.warm_misses" > 0 then
-      Format.fprintf ppf "warm:  %d/%d hits (%.1f%%)@\n" (c "cache.warm_hits")
-        (c "cache.warm_hits" + c "cache.warm_misses")
-        (rate (c "cache.warm_hits") (c "cache.warm_misses"))
+      (c "cache.evictions") (c "cache.dedup_hits")
   end
 
 let pp_ode ppf last =

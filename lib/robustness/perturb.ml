@@ -14,13 +14,6 @@ let local rng ~delta ~index x =
   y.(index) <- y.(index) *. factor rng ~delta;
   y
 
-let ensemble rng ~delta ~trials ?index x =
-  if trials <= 0 then invalid_arg "Robustness.Perturb.ensemble: trials must be positive";
-  List.init trials (fun _ ->
-      match index with
-      | None -> global rng ~delta x
-      | Some index -> local rng ~delta ~index x)
-
 (* Stream ensembles: trial [t] draws from its own generator, derived
    from [(seed, t)] alone — no shared stream, so trials can be computed
    in any order (or on any domain) and still agree bit-for-bit. *)
@@ -29,8 +22,3 @@ let stream_trial ~seed ~delta ?index x t =
   match index with
   | None -> global rng ~delta x
   | Some index -> local rng ~delta ~index x
-
-let ensemble_stream ~seed ~delta ~trials ?index x =
-  if trials <= 0 then
-    invalid_arg "Robustness.Perturb.ensemble_stream: trials must be positive";
-  List.init trials (stream_trial ~seed ~delta ?index x)

@@ -4,9 +4,8 @@
     uniform factors in [\[1 − δ, 1 + δ\]]; the paper fixes δ = 10%.
 
     All functions raise [Invalid_argument] on a malformed request
-    ([delta] outside [\[0, 1)], an out-of-range [index], or a
-    non-positive [trials]), so validation survives [-noassert] release
-    builds. *)
+    ([delta] outside [\[0, 1)] or an out-of-range [index]), so validation
+    survives [-noassert] release builds. *)
 
 val global : Numerics.Rng.t -> delta:float -> float array -> float array
 (** Perturb every component (the paper's global analysis). *)
@@ -15,24 +14,10 @@ val local : Numerics.Rng.t -> delta:float -> index:int -> float array -> float a
 (** Perturb a single component (the paper's local, one-enzyme-at-a-time
     analysis). *)
 
-val ensemble :
-  Numerics.Rng.t ->
-  delta:float ->
-  trials:int ->
-  ?index:int ->
-  float array ->
-  float array list
-(** [trials] perturbed copies; [index] switches from global to local. *)
-
 val stream_trial :
   seed:int -> delta:float -> ?index:int -> float array -> int -> float array
 (** [stream_trial ~seed ~delta x t] — trial [t] of the stream ensemble:
-    the perturbation drawn from {!Numerics.Rng.stream}[ ~seed t].  A pure
-    function of its arguments, so trials may be computed in any order, on
-    any domain, without changing the ensemble. *)
-
-val ensemble_stream :
-  seed:int -> delta:float -> trials:int -> ?index:int -> float array -> float array list
-(** The order-independent counterpart of {!ensemble}: trial [t] equals
-    [stream_trial ~seed ~delta ?index x t].  This is the ensemble the
-    pooled yields ({!Yield.gamma_pool}) evaluate. *)
+    the perturbation drawn from {!Numerics.Rng.stream}[ ~seed t], global
+    or, with [index], local.  A pure function of its arguments, so trials
+    may be computed in any order, on any domain, without changing the
+    ensemble {!Yield.gamma_pool} evaluates. *)

@@ -3,30 +3,24 @@ type entry = {
   yield : Yield.result;
 }
 
-let screen_solutions ~rng ~f ?delta ?eps_frac ?trials sols =
-  List.map
-    (fun s ->
-      { solution = s; yield = Yield.gamma ~rng ~f ?delta ?eps_frac ?trials s.Moo.Solution.x })
+(* Item [i] screens under its own seed [seed + i], so a screen's results
+   depend on neither the pool width nor the other items. *)
+let screen_solutions ~seed ~f ?delta ?eps_frac ?trials sols =
+  List.mapi
+    (fun i s ->
+      let x = s.Moo.Solution.x in
+      { solution = s; yield = Yield.gamma_pool ~seed:(seed + i) ~f ?delta ?eps_frac ?trials x })
     sols
 
-let front_sweep ~rng ~f ?delta ?eps_frac ?trials ~k front =
-  screen_solutions ~rng ~f ?delta ?eps_frac ?trials (Moo.Mine.equally_spaced ~k front)
+let front_sweep ~seed ~f ?delta ?eps_frac ?trials ~k front =
+  screen_solutions ~seed ~f ?delta ?eps_frac ?trials (Moo.Mine.equally_spaced ~k front)
 
 type local_profile = { index : int; yield_pct : float }
 
-let local_analysis ~rng ~f ?delta ?eps_frac ?(trials = 200) x =
-  List.init (Array.length x) (fun index ->
-      let y = Yield.gamma ~rng ~f ?delta ?eps_frac ~trials ~index x in
-      { index; yield_pct = y.Yield.yield_pct })
-
-(* Pooled local analysis: component [index] screens under its own seed
-   [seed + index], so profiles are independent of both pool width and of
-   which components the caller asks about. *)
-let local_analysis_pool ?pool ?sequential ~seed ~f ?delta ?eps_frac ?(trials = 200) x =
+let local_analysis ~seed ~f ?delta ?eps_frac ?(trials = 200) x =
   List.init (Array.length x) (fun index ->
       let y =
-        Yield.gamma_pool ?pool ?sequential ~seed:(seed + index) ~f ?delta ?eps_frac
-          ~trials ~index x
+        Yield.gamma_pool ~seed:(seed + index) ~f ?delta ?eps_frac ~trials ~index x
       in
       { index; yield_pct = y.Yield.yield_pct })
 
@@ -37,40 +31,3 @@ let max_yield = function
       (fun best e ->
         if e.yield.Yield.yield_pct > best.yield.Yield.yield_pct then e else best)
       e rest
-
-type worst_case = {
-  nominal : float;
-  worst : float;
-  drop_pct : float;
-}
-
-let worst_of ~rng ~f ?(delta = 0.10) ?(trials = 1000) x =
-  if trials <= 0 then invalid_arg "Screen.worst_of: trials must be > 0";
-  let nominal = f x in
-  let worst = ref nominal in
-  for _ = 1 to trials do
-    let v = f (Perturb.global rng ~delta x) in
-    if v < !worst then worst := v
-  done;
-  {
-    nominal;
-    worst = !worst;
-    drop_pct = 100. *. (nominal -. !worst) /. Float.max 1e-12 (Float.abs nominal);
-  }
-
-(* Pooled worst case over the stream ensemble; min is order-free, so the
-   fold over the trial array matches the sequential scan exactly. *)
-let worst_of_pool ?pool ?(sequential = false) ~seed ~f ?(delta = 0.10) ?(trials = 1000) x =
-  if trials <= 0 then invalid_arg "Screen.worst_of_pool: trials must be > 0";
-  let nominal = f x in
-  let pool = match pool with Some p -> p | None -> Parallel.Pool.get () in
-  let vals =
-    Parallel.Pool.parallel_map ~sequential pool ~n:trials (fun t ->
-        f (Perturb.stream_trial ~seed ~delta x t))
-  in
-  let worst = Array.fold_left Float.min nominal vals in
-  {
-    nominal;
-    worst;
-    drop_pct = 100. *. (nominal -. worst) /. Float.max 1e-12 (Float.abs nominal);
-  }

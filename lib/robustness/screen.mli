@@ -4,7 +4,11 @@
 
     The property function is supplied by the caller (for the leaf problem
     it is the CO2 uptake of an enzyme-ratio vector), so the screen is
-    generic over problems. *)
+    generic over problems.  Every screen runs {!Yield.gamma_pool} on the
+    default domain pool, so [f] may be called from several domains at
+    once.  Item [i] of a screen (a solution, or a component in the local
+    analysis) uses seed [seed + i]: results are a pure function of
+    [(seed, inputs, parameters)], identical at any pool width. *)
 
 type entry = {
   solution : Moo.Solution.t;
@@ -12,7 +16,7 @@ type entry = {
 }
 
 val screen_solutions :
-  rng:Numerics.Rng.t ->
+  seed:int ->
   f:(float array -> float) ->
   ?delta:float ->
   ?eps_frac:float ->
@@ -22,7 +26,7 @@ val screen_solutions :
 (** Global-analysis yield of each solution's decision vector. *)
 
 val front_sweep :
-  rng:Numerics.Rng.t ->
+  seed:int ->
   f:(float array -> float) ->
   ?delta:float ->
   ?eps_frac:float ->
@@ -35,7 +39,7 @@ val front_sweep :
 type local_profile = { index : int; yield_pct : float }
 
 val local_analysis :
-  rng:Numerics.Rng.t ->
+  seed:int ->
   f:(float array -> float) ->
   ?delta:float ->
   ?eps_frac:float ->
@@ -45,50 +49,5 @@ val local_analysis :
 (** Per-component yields (the paper's local analysis, 200 trials per
     component by default). *)
 
-val local_analysis_pool :
-  ?pool:Parallel.Pool.t ->
-  ?sequential:bool ->
-  seed:int ->
-  f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
-  ?trials:int ->
-  float array ->
-  local_profile list
-(** Pooled {!local_analysis} over the stream ensemble: component [i]
-    screens with {!Yield.gamma_pool} under seed [seed + i].  The profile
-    is a pure function of [(seed, x, parameters)] — identical at any
-    worker count and to [~sequential:true]. *)
-
 val max_yield : entry list -> entry
 (** The entry with the highest yield; raises [Invalid_argument] on []. *)
-
-type worst_case = {
-  nominal : float;
-  worst : float;       (** worst property value seen in the ensemble *)
-  drop_pct : float;    (** 100·(nominal − worst)/|nominal| *)
-}
-
-val worst_of :
-  rng:Numerics.Rng.t ->
-  f:(float array -> float) ->
-  ?delta:float ->
-  ?trials:int ->
-  float array ->
-  worst_case
-(** Worst-case complement to the yield Γ: the largest property loss over
-    a global perturbation ensemble (default 10%, 1000 trials). *)
-
-val worst_of_pool :
-  ?pool:Parallel.Pool.t ->
-  ?sequential:bool ->
-  seed:int ->
-  f:(float array -> float) ->
-  ?delta:float ->
-  ?trials:int ->
-  float array ->
-  worst_case
-(** Pooled {!worst_of} over the stream ensemble
-    ({!Perturb.ensemble_stream}); the minimum is order-free, so the
-    result is identical at any worker count and to [~sequential:true].
-    Default pool: {!Parallel.Pool.get}. *)

@@ -1,58 +1,9 @@
-let rho ~f ~eps x xstar =
-  if eps < 0. then invalid_arg "Robustness.Yield.rho: eps must be non-negative";
-  Float.abs (f x -. f xstar) <= eps
-
-let rho_relative ~f ~eps_frac x xstar =
-  let nominal = f x in
-  Float.abs (nominal -. f xstar) <= eps_frac *. Float.abs nominal
-
 type result = {
   nominal : float;
   yield_pct : float;
   trials : int;
   survivors : int;
 }
-
-let gamma ?(sampler = `Pseudo) ~rng ~f ?(delta = 0.10) ?(eps_frac = 0.05)
-    ?(trials = 5000) ?index x =
-  if trials <= 0 then invalid_arg "Robustness.Yield.gamma: trials must be positive";
-  let nominal = f x in
-  let eps = eps_frac *. Float.abs nominal in
-  let qmc =
-    match sampler with
-    | `Pseudo -> None
-    | `Quasi ->
-      let dim = match index with None -> Array.length x | Some _ -> 1 in
-      let q = Numerics.Quasirandom.create ~dim in
-      Numerics.Quasirandom.skip q 20;
-      Some q
-  in
-  let survivors = ref 0 in
-  for _ = 1 to trials do
-    let xstar =
-      match qmc with
-      | None -> (
-        match index with
-        | None -> Perturb.global rng ~delta x
-        | Some index -> Perturb.local rng ~delta ~index x)
-      | Some q ->
-        let u = Numerics.Quasirandom.next q in
-        let factor ui = 1. +. (delta *. ((2. *. ui) -. 1.)) in
-        (match index with
-         | None -> Array.mapi (fun i xi -> xi *. factor u.(i)) x
-         | Some index ->
-           let y = Array.copy x in
-           y.(index) <- y.(index) *. factor u.(0);
-           y)
-    in
-    if Float.abs (nominal -. f xstar) <= eps then incr survivors
-  done;
-  {
-    nominal;
-    yield_pct = 100. *. float_of_int !survivors /. float_of_int trials;
-    trials;
-    survivors = !survivors;
-  }
 
 (* Pooled Monte-Carlo yield over the stream ensemble.  Each trial is a
    pure function of (seed, trial index): derive the trial's generator,

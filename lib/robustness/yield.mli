@@ -6,38 +6,12 @@
     nominal value.  The yield Γ is the fraction of an ensemble that
     preserves the property. *)
 
-val rho : f:(float array -> float) -> eps:float -> float array -> float array -> bool
-(** [rho ~f ~eps x x'] — the robustness condition with an {e absolute}
-    threshold [eps].  Raises [Invalid_argument] when [eps < 0]. *)
-
-val rho_relative : f:(float array -> float) -> eps_frac:float -> float array -> float array -> bool
-(** Threshold expressed as a fraction of [|f x|] (the paper's "ε = 5% of
-    the nominal uptake rate"). *)
-
 type result = {
   nominal : float;       (** f(x) *)
   yield_pct : float;     (** Γ·100 *)
   trials : int;
   survivors : int;
 }
-
-val gamma :
-  ?sampler:[ `Pseudo | `Quasi ] ->
-  rng:Numerics.Rng.t ->
-  f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
-  ?trials:int ->
-  ?index:int ->
-  float array ->
-  result
-(** Monte-Carlo yield of a design.  Defaults follow the paper: [delta]
-    10% perturbation, [eps_frac] 5%, [trials] 5000 for the global
-    analysis ([index = None]); pass [trials:200] with [index] for the
-    local per-component analysis.  [sampler:`Quasi] draws the
-    perturbation factors from a Halton low-discrepancy sequence instead
-    of the pseudo-random stream — same estimator, lower variance.
-    Raises [Invalid_argument] when [trials <= 0]. *)
 
 val gamma_pool :
   ?pool:Parallel.Pool.t ->
@@ -50,13 +24,13 @@ val gamma_pool :
   ?index:int ->
   float array ->
   result
-(** Monte-Carlo yield over the stream ensemble
-    ({!Perturb.ensemble_stream}), fanned out over a domain pool (default
-    {!Parallel.Pool.get}).  Trial [t] draws from
+(** Monte-Carlo yield over the stream ensemble ({!Perturb.stream_trial}),
+    fanned out over a domain pool (default {!Parallel.Pool.get}), so [f]
+    may be called from several domains at once.  Trial [t] draws from
     {!Numerics.Rng.stream}[ ~seed t], so the result is a pure function of
     [(seed, x, parameters)]: bit-identical at any worker count and equal
-    to [~sequential:true].  Note the ensemble differs from {!gamma}'s
-    (which consumes one shared stream); compare pooled runs against
-    pooled or sequential [gamma_pool] runs, not against [gamma].
-    Defaults match {!gamma}.  Raises [Invalid_argument] when
+    to [~sequential:true].  Defaults follow the paper: [delta] 10%
+    perturbation, [eps_frac] 5% of [|f x|], [trials] 5000 for the global
+    analysis ([index = None]); with [index] only that component is
+    perturbed (the local analysis).  Raises [Invalid_argument] when
     [trials <= 0]. *)

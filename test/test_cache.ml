@@ -20,15 +20,6 @@ let test_fnv_hash_and_equal () =
   Alcotest.(check bool) "nan self-equal" true (Cache.Fnv.equal [| Float.nan |] [| Float.nan |]);
   Alcotest.(check bool) "length mismatch" false (Cache.Fnv.equal [| 1. |] [| 1.; 2. |])
 
-let test_fnv_quantized () =
-  let h = Cache.Fnv.hash_quantized ~grid:0.25 in
-  Alcotest.(check bool) "same cell" true (Int64.equal (h [| 1.0; 2.0 |]) (h [| 1.05; 1.95 |]));
-  Alcotest.(check bool) "different cell" false
-    (Int64.equal (h [| 1.0; 2.0 |]) (h [| 1.4; 2.0 |]));
-  Alcotest.check_raises "grid must be positive"
-    (Invalid_argument "Cache.Fnv.hash_quantized: grid must be > 0") (fun () ->
-      ignore (Cache.Fnv.hash_quantized ~grid:0. [| 1. |]))
-
 (* {1 Memo} *)
 
 let test_memo_lru_eviction () =
@@ -91,22 +82,6 @@ let test_batch_memo_across_batches () =
   Alcotest.(check int) "warm batch replays" 2 !calls;
   Alcotest.(check (array (float 0.))) "identical results" r1 r2;
   Alcotest.(check int) "two memo hits" 2 (Cache.Memo.stats memo).Cache.Memo.hits
-
-(* {1 Warm store} *)
-
-let test_warm_store_nearest () =
-  let w : int Cache.Warm.t = Cache.Warm.create ~grid:0.25 ~capacity:4 () in
-  Alcotest.(check (option int)) "empty store misses" None (Cache.Warm.nearest w [| 1.0 |]);
-  Cache.Warm.store w [| 1.0 |] 10;
-  Cache.Warm.store w [| 1.05 |] 11;
-  (* Both live in the same lattice cell; 1.04 is closer to 1.05. *)
-  Alcotest.(check (option int)) "nearest in cell" (Some 11) (Cache.Warm.nearest w [| 1.04 |]);
-  (* A query snapping to a different cell misses even if numerically close. *)
-  Alcotest.(check (option int)) "other cell misses" None (Cache.Warm.nearest w [| 1.4 |]);
-  Cache.Warm.store w [| 1.0 |] 20;
-  Alcotest.(check (option int)) "in-place replace" (Some 20) (Cache.Warm.nearest w [| 0.99 |]);
-  let s = Cache.Warm.stats w in
-  Alcotest.(check int) "live entries" 2 s.Cache.Warm.size
 
 (* {1 EA + archipelago determinism with the cache} *)
 
@@ -287,7 +262,6 @@ let () =
       ( "fnv",
         [
           Alcotest.test_case "hash and equality" `Quick test_fnv_hash_and_equal;
-          Alcotest.test_case "quantized lattice" `Quick test_fnv_quantized;
         ] );
       ( "memo",
         [
@@ -299,7 +273,6 @@ let () =
           Alcotest.test_case "dedups within batch" `Quick test_batch_dedups_within_batch;
           Alcotest.test_case "memo across batches" `Quick test_batch_memo_across_batches;
         ] );
-      ("warm-store", [ Alcotest.test_case "nearest neighbor" `Quick test_warm_store_nearest ]);
       ( "archipelago",
         [
           Alcotest.test_case "fronts bit-identical, 1/2/4 domains" `Slow

@@ -262,6 +262,71 @@ let test_knockout_restores_bounds () =
       check_float (Printf.sprintf "ub %d" j) ub ub')
     before
 
+(* The real model: every knockout the warm screens report must match a
+   cold FBA under the same pins and biomass floor, the dropped sets must
+   be exactly the cold-infeasible ones, and the network must come back
+   unchanged.  Acetate uptake rides along as a known lethal knockout. *)
+let test_knockout_geobacter_matches_cold () =
+  let g = Fba.Geobacter.build () in
+  let t = g.Fba.Geobacter.net in
+  let target = g.Fba.Geobacter.ep and biomass = g.Fba.Geobacter.bp in
+  let min_biomass = 0.1 in
+  let pool =
+    Array.of_list
+      (List.filter
+         (fun j -> j <> target && j <> biomass && j <> g.Fba.Geobacter.ex_acetate)
+         (List.init (Fba.Network.n_reactions t) Fun.id))
+  in
+  let rng = Numerics.Rng.create 2024 in
+  let drawn =
+    Array.to_list
+      (Array.map (fun i -> pool.(i))
+         (Numerics.Rng.sample_indices rng ~n:(Array.length pool) ~k:19))
+  in
+  let singles = g.Fba.Geobacter.ex_acetate :: drawn in
+  let pair_candidates = List.filteri (fun i _ -> i < 6) singles in
+  let before = Fba.Network.bounds t in
+  let cold removed =
+    let saved = Fba.Network.bounds t in
+    List.iter (fun j -> Fba.Network.set_bounds t j 0. 0.) removed;
+    let lb, ub = saved.(biomass) in
+    Fba.Network.set_bounds t biomass (Float.max lb min_biomass) ub;
+    let r =
+      match Fba.Analysis.fba ~t ~objective:target with
+      | s -> Some s.Fba.Analysis.objective
+      | exception Fba.Analysis.Infeasible_model _ -> None
+    in
+    Array.iteri (fun j (lb, ub) -> Fba.Network.set_bounds t j lb ub) saved;
+    r
+  in
+  let check_screen label sets reported =
+    let expected = List.filter_map (fun s -> Option.map (fun v -> (s, v)) (cold s)) sets in
+    Alcotest.(check bool) (label ^ ": a lethal set is screened") true
+      (List.length expected < List.length sets);
+    Alcotest.(check (list (list int)))
+      (label ^ ": dropped sets = cold-infeasible")
+      (List.sort compare (List.map fst expected))
+      (List.sort compare (List.map (fun k -> k.Fba.Knockout.removed) reported));
+    List.iter
+      (fun k ->
+        let v = List.assoc k.Fba.Knockout.removed expected in
+        let rel = Float.abs (k.Fba.Knockout.target_flux -. v) /. Float.max 1. (Float.abs v) in
+        if rel > 1e-9 then
+          Alcotest.failf "%s: knockout {%s} target %.17g vs cold %.17g" label
+            (String.concat ", " (List.map string_of_int k.Fba.Knockout.removed))
+            k.Fba.Knockout.target_flux v)
+      reported
+  in
+  let single = Fba.Knockout.single ~t ~target ~biomass ~min_biomass ~candidates:singles in
+  let pairs = Fba.Knockout.pairs ~t ~target ~biomass ~min_biomass ~candidates:pair_candidates in
+  Alcotest.(check bool) "bounds restored" true (Fba.Network.bounds t = before);
+  check_screen "singles" (List.map (fun j -> [ j ]) singles) single;
+  let rec all_pairs = function
+    | [] -> []
+    | x :: rest -> List.map (fun y -> [ x; y ]) rest @ all_pairs rest
+  in
+  check_screen "pairs" (all_pairs pair_candidates) pairs
+
 let () =
   Alcotest.run "extras"
     [
@@ -300,5 +365,7 @@ let () =
           Alcotest.test_case "single improves" `Quick test_knockout_single_improves;
           Alcotest.test_case "lethal dropped" `Quick test_knockout_lethal_dropped;
           Alcotest.test_case "bounds restored" `Quick test_knockout_restores_bounds;
+          Alcotest.test_case "geobacter = cold FBA" `Quick
+            test_knockout_geobacter_matches_cold;
         ] );
     ]

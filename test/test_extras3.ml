@@ -1,5 +1,6 @@
 (* Tests for the third extension batch: single-objective GA, the
-   fixed-nitrogen (Zhu-style) optimization, and network text I/O. *)
+   fixed-nitrogen (Zhu-style) optimization and E. coli OptKnock
+   growth coupling. *)
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -142,75 +143,6 @@ let test_ecoli_growth_coupled_restores_bounds () =
       check_float "ub" ub ub')
     before
 
-(* {1 Network I/O} *)
-
-let toy () =
-  let net = Fba.Network.create ~metabolites:[| "A"; "B" |] () in
-  let _ = Fba.Network.add_reaction net ~name:"EX_A" ~stoich:[ (0, 1.) ] ~lb:0. ~ub:10. in
-  let _ =
-    Fba.Network.add_reaction net ~name:"A2B" ~stoich:[ (0, -1.); (1, 1.5) ] ~lb:(-5.) ~ub:infinity
-  in
-  let _ = Fba.Network.add_reaction net ~name:"EX_B" ~stoich:[ (1, -1.) ] ~lb:0. ~ub:100. in
-  net
-
-let test_io_roundtrip_toy () =
-  let net = toy () in
-  let net' = Fba.Io.of_string (Fba.Io.to_string net) in
-  Alcotest.(check int) "metabolites" (Fba.Network.n_metabolites net) (Fba.Network.n_metabolites net');
-  Alcotest.(check int) "reactions" (Fba.Network.n_reactions net) (Fba.Network.n_reactions net');
-  for j = 0 to Fba.Network.n_reactions net - 1 do
-    let a = Fba.Network.reaction net j and b = Fba.Network.reaction net' j in
-    Alcotest.(check string) "name" a.Fba.Network.name b.Fba.Network.name;
-    check_float "lb" a.Fba.Network.lb b.Fba.Network.lb;
-    check_float "ub" a.Fba.Network.ub b.Fba.Network.ub;
-    Alcotest.(check bool) "stoich" true
-      (List.sort compare a.Fba.Network.stoich = List.sort compare b.Fba.Network.stoich)
-  done
-
-let test_io_roundtrip_geobacter () =
-  let g = Fba.Geobacter.build () in
-  let net = g.Fba.Geobacter.net in
-  let net' = Fba.Io.of_string (Fba.Io.to_string net) in
-  Alcotest.(check int) "608 reactions survive" 608 (Fba.Network.n_reactions net');
-  (* The round-tripped network must give the same FBA optimum. *)
-  let ep' = Fba.Network.reaction_index net' "EX_e" in
-  let a = Fba.Analysis.fba ~t:net ~objective:g.Fba.Geobacter.ep in
-  let b = Fba.Analysis.fba ~t:net' ~objective:ep' in
-  check_float ~tol:1e-6 "same optimum" a.Fba.Analysis.objective b.Fba.Analysis.objective
-
-let test_io_save_load () =
-  let net = toy () in
-  let path = Filename.temp_file "robustpath" ".net" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Fba.Io.save ~path net;
-      let net' = Fba.Io.load ~path in
-      Alcotest.(check int) "reactions" 3 (Fba.Network.n_reactions net'))
-
-let test_io_comments_and_blanks () =
-  let text = "# header\n\nmetabolite A\n\n# mid comment\nreaction R 0 1 1*A\n" in
-  let net = Fba.Io.of_string text in
-  Alcotest.(check int) "one reaction" 1 (Fba.Network.n_reactions net)
-
-let test_io_infinite_bounds () =
-  let text = "metabolite A\nreaction R -inf inf 1*A\n" in
-  let net = Fba.Io.of_string text in
-  let r = Fba.Network.reaction net 0 in
-  Alcotest.(check bool) "bounds" true
-    (r.Fba.Network.lb = neg_infinity && r.Fba.Network.ub = infinity)
-
-let test_io_errors () =
-  let expect_error text =
-    match Fba.Io.of_string text with
-    | exception Fba.Io.Parse_error _ -> ()
-    | _ -> Alcotest.failf "expected parse error on %S" text
-  in
-  expect_error "metabolite A\nreaction R 0 1 1*B\n";   (* unknown metabolite *)
-  expect_error "metabolite A\nreaction R x 1 1*A\n";   (* bad bound *)
-  expect_error "metabolite A\nreaction R 0 1 oops\n";  (* bad term *)
-  expect_error "garbage line\n"                        (* unknown record *)
-
 let () =
   Alcotest.run "extras3"
     [
@@ -235,14 +167,5 @@ let () =
           Alcotest.test_case "wild type not coupled" `Quick test_ecoli_wild_type_not_coupled;
           Alcotest.test_case "dPFL dLDH couples" `Quick test_ecoli_pfl_ldh_couples;
           Alcotest.test_case "bounds restored" `Quick test_ecoli_growth_coupled_restores_bounds;
-        ] );
-      ( "network-io",
-        [
-          Alcotest.test_case "toy round-trip" `Quick test_io_roundtrip_toy;
-          Alcotest.test_case "geobacter round-trip" `Slow test_io_roundtrip_geobacter;
-          Alcotest.test_case "save/load" `Quick test_io_save_load;
-          Alcotest.test_case "comments and blanks" `Quick test_io_comments_and_blanks;
-          Alcotest.test_case "infinite bounds" `Quick test_io_infinite_bounds;
-          Alcotest.test_case "parse errors" `Quick test_io_errors;
         ] );
     ]

@@ -615,10 +615,7 @@ let test_invalid_arg_preconditions () =
       Pmo2.Archipelago.paper_config ~generations_hint:0);
   expect_invalid "run: keep_checkpoints < 1" (fun () ->
       Pmo2.Archipelago.run ~checkpoint:"unused.ckpt" ~keep_checkpoints:0 ~generations:10
-        (Moo.Benchmarks.zdt1 ~n:4) small_config);
-  expect_invalid "worst_of: zero trials" (fun () ->
-      let rng = Numerics.Rng.create 1 in
-      Robustness.Screen.worst_of ~rng ~f:(fun x -> x.(0)) ~trials:0 [| 1. |])
+        (Moo.Benchmarks.zdt1 ~n:4) small_config)
 
 let () =
   Alcotest.run "fault"

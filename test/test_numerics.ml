@@ -239,39 +239,6 @@ let test_lu_refine () =
   let r1 = Numerics.Vec.norm2 (Numerics.Vec.sub b (Numerics.Matrix.mv a x1)) in
   Alcotest.(check bool) "refined residual tiny" true (r1 <= 1e-8)
 
-(* {1 Qr} *)
-
-let test_qr_square_solve () =
-  let rng = Numerics.Rng.create 24 in
-  let a, x = random_system rng 5 in
-  let b = Numerics.Matrix.mv a x in
-  let solved = Numerics.Qr.least_squares a b in
-  Alcotest.(check bool) "qr square" true (Numerics.Vec.approx_equal ~tol:1e-8 x solved)
-
-let test_qr_overdetermined () =
-  (* Fit y = 2 + 3 t by least squares on noisy-free samples: exact. *)
-  let ts = [| 0.; 1.; 2.; 3.; 4. |] in
-  let a = Numerics.Matrix.init 5 2 (fun i j -> if j = 0 then 1. else ts.(i)) in
-  let b = Array.map (fun t -> 2. +. (3. *. t)) ts in
-  let coef = Numerics.Qr.least_squares a b in
-  check_float ~tol:1e-10 "intercept" 2. coef.(0);
-  check_float ~tol:1e-10 "slope" 3. coef.(1)
-
-let test_qr_residual_orthogonal () =
-  (* In least squares the residual is orthogonal to the column space. *)
-  let rng = Numerics.Rng.create 25 in
-  let a = Numerics.Matrix.init 8 3 (fun _ _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  let b = Array.init 8 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  let x = Numerics.Qr.least_squares a b in
-  let r = Numerics.Vec.sub b (Numerics.Matrix.mv a x) in
-  let atr = Numerics.Matrix.tmv a r in
-  Alcotest.(check bool) "Aᵀr = 0" true (Numerics.Vec.norm_inf atr <= 1e-8)
-
-let test_qr_rank_deficient () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 1. |]; [| 1.; 1. |]; [| 1.; 1. |] |] in
-  Alcotest.check_raises "rank deficient" Numerics.Qr.Rank_deficient (fun () ->
-      ignore (Numerics.Qr.least_squares a [| 1.; 2.; 3. |]))
-
 (* {1 Ode} *)
 
 let test_dopri5_harmonic () =
@@ -627,13 +594,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_sparse_lu_deterministic;
           Alcotest.test_case "singular raises" `Quick test_sparse_lu_singular;
           Alcotest.test_case "csc gram = dense matmul" `Quick test_csc_gram_matches_dense;
-        ] );
-      ( "qr",
-        [
-          Alcotest.test_case "square solve" `Quick test_qr_square_solve;
-          Alcotest.test_case "line fit" `Quick test_qr_overdetermined;
-          Alcotest.test_case "residual orthogonality" `Quick test_qr_residual_orthogonal;
-          Alcotest.test_case "rank deficient raises" `Quick test_qr_rank_deficient;
         ] );
       ( "ode",
         [

@@ -209,19 +209,48 @@ let test_gamma_pool_deterministic_across_widths () =
                 true
                 (gamma pool ~sequential:false = reference)))
         [ 1; 2; 4 ]);
-  (* The local profile built on top inherits the property. *)
-  with_pool 2 (fun pool ->
-      let profile sequential =
-        Robustness.Screen.local_analysis_pool ~pool ~sequential ~seed:11 ~f ~trials:200 x
-      in
-      Alcotest.(check bool) "local profile pooled = sequential" true
-        (profile false = profile true));
-  with_pool 3 (fun pool ->
-      let worst sequential =
-        Robustness.Screen.worst_of_pool ~pool ~sequential ~seed:13 ~f ~trials:300 x
-      in
-      Alcotest.(check bool) "worst case pooled = sequential" true
-        (worst false = worst true))
+  (* The screens run on the default pool; item i must equal a sequential
+     gamma_pool under seed + i, whatever the pool width. *)
+  let seed = 11 in
+  let item i ?index x =
+    (Robustness.Yield.gamma_pool ~sequential:true ~seed:(seed + i) ~f ~trials:200 ?index x)
+      .Robustness.Yield.yield_pct
+  in
+  let front =
+    List.init 12 (fun i ->
+        let t = float_of_int i /. 11. in
+        let x = [| 0.5 +. t; 1. -. (0.5 *. t); 2. *. t |] in
+        { Moo.Solution.x; f = [| t; 1. -. t |]; v = 0. })
+  in
+  let screens () =
+    let profile = Robustness.Screen.local_analysis ~seed ~f ~trials:200 x in
+    let sweep = Robustness.Screen.front_sweep ~seed ~f ~trials:200 ~k:5 front in
+    ( List.map (fun p -> p.Robustness.Screen.yield_pct) profile,
+      List.map
+        (fun e ->
+          (e.Robustness.Screen.solution.Moo.Solution.x,
+           e.Robustness.Screen.yield.Robustness.Yield.yield_pct))
+        sweep )
+  in
+  let reference_profile = List.init (Array.length x) (fun i -> item i ~index:i x) in
+  Alcotest.(check bool) "profile is not flat" true
+    (List.exists (fun y -> y < 100.) reference_profile);
+  List.iter
+    (fun domains ->
+      Parallel.Pool.set_default_domains domains;
+      let profile, sweep = screens () in
+      Alcotest.(check (list (float 0.)))
+        (Printf.sprintf "local profile = per-item sequential at %d domains" domains)
+        reference_profile profile;
+      Alcotest.(check int) "sweep size" 5 (List.length sweep);
+      List.iteri
+        (fun i (xi, y) ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "sweep item %d = sequential at %d domains" i domains)
+            (item i xi) y)
+        sweep)
+    [ 1; 2 ];
+  Parallel.Pool.set_default_domains 1
 
 let test_front_metrics_pooled_equal_sequential () =
   (* A 3-objective cloud, so the pooled HSO top level actually engages. *)

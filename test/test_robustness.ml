@@ -1,4 +1,4 @@
-(* Tests for the robustness framework: perturbations, ρ, Γ, screening. *)
+(* Tests for the robustness framework: perturbations, the yield Γ, screening. *)
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -37,60 +37,33 @@ let test_zero_delta_identity () =
   let y = Robustness.Perturb.global rng ~delta:0. x in
   Alcotest.(check bool) "identity" true (Numerics.Vec.approx_equal x y)
 
-let test_ensemble_size () =
-  let rng = Numerics.Rng.create 4 in
-  let e = Robustness.Perturb.ensemble rng ~delta:0.1 ~trials:37 [| 1. |] in
-  Alcotest.(check int) "37 trials" 37 (List.length e)
-
-let test_ensemble_local_mode () =
-  let rng = Numerics.Rng.create 5 in
-  let e = Robustness.Perturb.ensemble rng ~delta:0.2 ~trials:50 ~index:0 [| 1.; 9. |] in
-  List.iter (fun y -> check_float "only index 0 moves" 9. y.(1)) e
-
 (* {1 Yield} *)
-
-let test_rho_absolute () =
-  let f x = x.(0) in
-  Alcotest.(check bool) "within eps" true (Robustness.Yield.rho ~f ~eps:0.5 [| 1. |] [| 1.4 |]);
-  Alcotest.(check bool) "outside eps" false (Robustness.Yield.rho ~f ~eps:0.5 [| 1. |] [| 1.6 |])
-
-let test_rho_relative () =
-  let f x = x.(0) in
-  Alcotest.(check bool) "5% of 10" true
-    (Robustness.Yield.rho_relative ~f ~eps_frac:0.05 [| 10. |] [| 10.4 |]);
-  Alcotest.(check bool) "beyond 5%" false
-    (Robustness.Yield.rho_relative ~f ~eps_frac:0.05 [| 10. |] [| 10.6 |])
 
 let test_gamma_linear_function () =
   (* f(x) = x₀: a 10% perturbation changes f by up to 10%, so with ε = 5%
      exactly half the uniform ensemble survives (in expectation). *)
-  let rng = Numerics.Rng.create 6 in
-  let r = Robustness.Yield.gamma ~rng ~f:(fun x -> x.(0)) ~trials:20000 [| 1. |] in
+  let r = Robustness.Yield.gamma_pool ~seed:6 ~f:(fun x -> x.(0)) ~trials:20000 [| 1. |] in
   check_float ~tol:2. "half survive" 50. r.Robustness.Yield.yield_pct
 
 let test_gamma_constant_function () =
-  let rng = Numerics.Rng.create 7 in
-  let r = Robustness.Yield.gamma ~rng ~f:(fun _ -> 42.) ~trials:500 [| 1.; 2. |] in
+  let r = Robustness.Yield.gamma_pool ~seed:7 ~f:(fun _ -> 42.) ~trials:500 [| 1.; 2. |] in
   check_float "fully robust" 100. r.Robustness.Yield.yield_pct;
   Alcotest.(check int) "survivors" 500 r.Robustness.Yield.survivors
 
 let test_gamma_fragile_function () =
   (* A very steep function: almost no perturbation survives ε = 5%. *)
-  let rng = Numerics.Rng.create 8 in
   let f x = exp (20. *. x.(0)) in
-  let r = Robustness.Yield.gamma ~rng ~f ~trials:2000 [| 1. |] in
+  let r = Robustness.Yield.gamma_pool ~seed:8 ~f ~trials:2000 [| 1. |] in
   Alcotest.(check bool) "fragile" true (r.Robustness.Yield.yield_pct < 10.)
 
 let test_gamma_local_index () =
   (* f depends only on x₀: perturbing x₁ locally is always robust. *)
-  let rng = Numerics.Rng.create 9 in
   let f x = x.(0) in
-  let r = Robustness.Yield.gamma ~rng ~f ~trials:300 ~index:1 [| 1.; 5. |] in
+  let r = Robustness.Yield.gamma_pool ~seed:9 ~f ~trials:300 ~index:1 [| 1.; 5. |] in
   check_float "insensitive direction" 100. r.Robustness.Yield.yield_pct
 
 let test_gamma_nominal_recorded () =
-  let rng = Numerics.Rng.create 10 in
-  let r = Robustness.Yield.gamma ~rng ~f:(fun x -> 2. *. x.(0)) ~trials:10 [| 3. |] in
+  let r = Robustness.Yield.gamma_pool ~seed:10 ~f:(fun x -> 2. *. x.(0)) ~trials:10 [| 3. |] in
   check_float "nominal" 6. r.Robustness.Yield.nominal
 
 (* {1 Screen} *)
@@ -98,29 +71,26 @@ let test_gamma_nominal_recorded () =
 let mk_sol x f = { Moo.Solution.x; f; v = 0. }
 
 let test_screen_solutions () =
-  let rng = Numerics.Rng.create 11 in
   let sols = [ mk_sol [| 1. |] [| 1.; 1. |]; mk_sol [| 2. |] [| 2.; 0.5 |] ] in
-  let entries = Robustness.Screen.screen_solutions ~rng ~f:(fun _ -> 1.) ~trials:50 sols in
+  let entries = Robustness.Screen.screen_solutions ~seed:11 ~f:(fun _ -> 1.) ~trials:50 sols in
   Alcotest.(check int) "entry per solution" 2 (List.length entries);
   List.iter
     (fun e -> check_float "constant property robust" 100. e.Robustness.Screen.yield.yield_pct)
     entries
 
 let test_front_sweep_count () =
-  let rng = Numerics.Rng.create 12 in
   let front =
     List.init 40 (fun i ->
         let t = float_of_int i /. 39. in
         mk_sol [| t |] [| t; 1. -. t |])
   in
-  let entries = Robustness.Screen.front_sweep ~rng ~f:(fun _ -> 1.) ~trials:20 ~k:10 front in
+  let entries = Robustness.Screen.front_sweep ~seed:12 ~f:(fun _ -> 1.) ~trials:20 ~k:10 front in
   Alcotest.(check int) "k entries" 10 (List.length entries)
 
 let test_local_analysis_profile () =
-  let rng = Numerics.Rng.create 13 in
   (* f sensitive to x₀ (steep), insensitive to x₁. *)
   let f x = exp (30. *. x.(0)) +. (0.0001 *. x.(1)) in
-  let profile = Robustness.Screen.local_analysis ~rng ~f ~trials:200 [| 1.; 1. |] in
+  let profile = Robustness.Screen.local_analysis ~seed:13 ~f ~trials:200 [| 1.; 1. |] in
   match profile with
   | [ p0; p1 ] ->
     Alcotest.(check bool) "sensitive component low yield" true
@@ -128,28 +98,14 @@ let test_local_analysis_profile () =
     Alcotest.(check int) "indices" 1 p1.Robustness.Screen.index
   | _ -> Alcotest.fail "profile shape"
 
-let test_worst_case () =
-  let rng = Numerics.Rng.create 15 in
-  (* f(x) = x₀: a 10% perturbation makes the worst case ≈ 0.9·nominal. *)
-  let w = Robustness.Screen.worst_of ~rng ~f:(fun x -> x.(0)) ~trials:3000 [| 10. |] in
-  check_float ~tol:0.05 "nominal" 10. w.Robustness.Screen.nominal;
-  check_float ~tol:0.15 "worst near 9" 9. w.Robustness.Screen.worst;
-  check_float ~tol:1.5 "drop ~10%" 10. w.Robustness.Screen.drop_pct
-
-let test_worst_case_constant () =
-  let rng = Numerics.Rng.create 16 in
-  let w = Robustness.Screen.worst_of ~rng ~f:(fun _ -> 7.) ~trials:100 [| 1.; 2. |] in
-  check_float "no drop" 0. w.Robustness.Screen.drop_pct
-
 let test_max_yield () =
-  let rng = Numerics.Rng.create 14 in
   let robust = mk_sol [| 0.0001 |] [| 1.; 1. |] in
   let fragile = mk_sol [| 1. |] [| 0.5; 1.5 |] in
   (* f = exp(10 x): tiny x is robust to relative perturbation... both get
      multiplicative noise; x=0.0001 changes f by ~0.1% → robust;
      x=1 changes f by ~e^±1 → fragile. *)
   let f x = exp (10. *. x.(0)) in
-  let entries = Robustness.Screen.screen_solutions ~rng ~f ~trials:200 [ robust; fragile ] in
+  let entries = Robustness.Screen.screen_solutions ~seed:14 ~f ~trials:200 [ robust; fragile ] in
   let best = Robustness.Screen.max_yield entries in
   Alcotest.(check bool) "robust one wins" true
     (best.Robustness.Screen.solution == robust)
@@ -164,8 +120,7 @@ let prop_yield_in_range =
   QCheck.Test.make ~name:"yield is a percentage" ~count:50
     QCheck.(pair (int_bound 100000) (float_range 0.5 5.))
     (fun (seed, x0) ->
-      let rng = Numerics.Rng.create seed in
-      let r = Robustness.Yield.gamma ~rng ~f:(fun x -> x.(0) ** 2.) ~trials:100 [| x0 |] in
+      let r = Robustness.Yield.gamma_pool ~seed ~f:(fun x -> x.(0) ** 2.) ~trials:100 [| x0 |] in
       r.Robustness.Yield.yield_pct >= 0. && r.Robustness.Yield.yield_pct <= 100.)
 
 let prop_larger_eps_no_worse =
@@ -175,11 +130,11 @@ let prop_larger_eps_no_worse =
       let f x = (2. *. x.(0)) +. x.(1) in
       let x = [| 1.; 3. |] in
       let y1 =
-        (Robustness.Yield.gamma ~rng:(Numerics.Rng.create seed) ~f ~eps_frac:0.02
+        (Robustness.Yield.gamma_pool ~seed ~f ~eps_frac:0.02
            ~trials:300 x).Robustness.Yield.yield_pct
       in
       let y2 =
-        (Robustness.Yield.gamma ~rng:(Numerics.Rng.create seed) ~f ~eps_frac:0.08
+        (Robustness.Yield.gamma_pool ~seed ~f ~eps_frac:0.08
            ~trials:300 x).Robustness.Yield.yield_pct
       in
       y2 >= y1)
@@ -196,17 +151,11 @@ let test_perturb_invalid_arguments () =
   expect_invalid "local: index out of range" (fun () ->
       Robustness.Perturb.local rng ~delta:0.1 ~index:2 x);
   expect_invalid "local: negative index" (fun () ->
-      Robustness.Perturb.local rng ~delta:0.1 ~index:(-1) x);
-  expect_invalid "ensemble: zero trials" (fun () ->
-      Robustness.Perturb.ensemble rng ~delta:0.1 ~trials:0 x)
+      Robustness.Perturb.local rng ~delta:0.1 ~index:(-1) x)
 
 let test_yield_invalid_arguments () =
-  let rng = Numerics.Rng.create 8 in
-  let f x = x.(0) in
-  expect_invalid "rho: negative eps" (fun () ->
-      Robustness.Yield.rho ~f ~eps:(-1.) [| 1. |] [| 1. |]);
   expect_invalid "gamma: zero trials" (fun () ->
-      Robustness.Yield.gamma ~rng ~f ~trials:0 [| 1. |])
+      Robustness.Yield.gamma_pool ~seed:8 ~f:(fun x -> x.(0)) ~trials:0 [| 1. |])
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -217,8 +166,6 @@ let () =
           Alcotest.test_case "global band" `Quick test_global_within_band;
           Alcotest.test_case "local single component" `Quick test_local_changes_one;
           Alcotest.test_case "zero delta identity" `Quick test_zero_delta_identity;
-          Alcotest.test_case "ensemble size" `Quick test_ensemble_size;
-          Alcotest.test_case "ensemble local mode" `Quick test_ensemble_local_mode;
         ] );
       ( "perturb-validation",
         [
@@ -227,8 +174,6 @@ let () =
         ] );
       ( "yield",
         [
-          Alcotest.test_case "rho absolute" `Quick test_rho_absolute;
-          Alcotest.test_case "rho relative" `Quick test_rho_relative;
           Alcotest.test_case "gamma linear = 50%" `Quick test_gamma_linear_function;
           Alcotest.test_case "gamma constant = 100%" `Quick test_gamma_constant_function;
           Alcotest.test_case "gamma fragile" `Quick test_gamma_fragile_function;
@@ -244,8 +189,6 @@ let () =
           Alcotest.test_case "screen solutions" `Quick test_screen_solutions;
           Alcotest.test_case "front sweep count" `Quick test_front_sweep_count;
           Alcotest.test_case "local profile" `Quick test_local_analysis_profile;
-          Alcotest.test_case "worst case" `Quick test_worst_case;
-          Alcotest.test_case "worst case constant" `Quick test_worst_case_constant;
           Alcotest.test_case "max yield" `Quick test_max_yield;
           Alcotest.test_case "max yield empty" `Quick test_max_yield_empty;
         ] );
