@@ -77,28 +77,27 @@ type coupling = {
 }
 
 let growth_coupled ~t ~target ~biomass ~removed =
+  (* Read every bound before pinning anything, and restore them on any
+     exit: a bad index or an LP failure must not leave the caller's
+     network knocked out. *)
+  let bio_lb, bio_ub = (Network.bounds t).(biomass) in
   let saved = List.map (fun j -> (j, (Network.bounds t).(j))) removed in
-  List.iter (fun j -> Network.set_bounds t j 0. 0.) removed;
-  let bio_saved = (Network.bounds t).(biomass) in
   let restore () =
     List.iter (fun (j, (lb, ub)) -> Network.set_bounds t j lb ub) saved;
-    let lb, ub = bio_saved in
-    Network.set_bounds t biomass lb ub
+    Network.set_bounds t biomass bio_lb bio_ub
   in
-  let result =
-    match Analysis.fba ~t ~objective:biomass with
-    | exception Analysis.Infeasible_model _ -> None
-    | growth when growth.Analysis.objective < 1e-9 -> None
-    | growth ->
-      let mu = growth.Analysis.objective in
-      (* Fix growth (with a hair of slack for LP tolerances) and bound the
-         target flux. *)
-      Network.set_bounds t biomass (0.999 *. mu) (snd bio_saved);
-      (match Analysis.fva ~t ~reactions:[ target ] with
-       | [ (_, window) ] ->
-         Some { removed_reactions = removed; biomass_opt = mu; target_at_growth = window }
-       | _ -> None
-       | exception Analysis.Infeasible_model _ -> None)
-  in
-  restore ();
-  result
+  Fun.protect ~finally:restore (fun () ->
+      List.iter (fun j -> Network.set_bounds t j 0. 0.) removed;
+      match Analysis.fba ~t ~objective:biomass with
+      | exception Analysis.Infeasible_model _ -> None
+      | growth when growth.Analysis.objective < 1e-9 -> None
+      | growth ->
+        let mu = growth.Analysis.objective in
+        (* Fix growth (with a hair of slack for LP tolerances) and bound the
+           target flux. *)
+        Network.set_bounds t biomass (0.999 *. mu) bio_ub;
+        (match Analysis.fva ~t ~reactions:[ target ] with
+         | [ (_, window) ] ->
+           Some { removed_reactions = removed; biomass_opt = mu; target_at_growth = window }
+         | _ -> None
+         | exception Analysis.Infeasible_model _ -> None))

@@ -1,4 +1,4 @@
-type rhs = float -> Vec.t -> Vec.t
+type rhs = float -> Vec.t -> Vec.t -> unit
 
 type stats = { steps : int; rejected : int; evals : int }
 
@@ -62,8 +62,29 @@ let dp_b4 =
     5179. /. 57600.; 0.; 7571. /. 16695.; 393. /. 640.; -92097. /. 339200.; 187. /. 2100.; 1. /. 40.;
   |]
 
+(* Add one integration's attempt counts to the shared counters.  Called
+   once on every exit (normal return, [Step_underflow], [Deadline], an
+   exception from the rhs) rather than once per stage: a traced leaf run
+   otherwise makes millions of contended atomic increments from every
+   domain, for the same totals. *)
+let add_counts ~steps ~rejected ~evals =
+  Obs.Metrics.add m_steps steps;
+  Obs.Metrics.add m_rejected rejected;
+  Obs.Metrics.add m_rhs_evals evals
+
+(* Allocation-free Dormand–Prince: the seven stage vectors, the stage
+   state and the two state buffers are allocated once per call, and the
+   step loop writes into them.  First-same-as-last: stage 7 is evaluated
+   at y + h·Σ a₇ⱼkⱼ, and a₇ⱼ = b₅ⱼ with b₅₇ = 0, so its state is the
+   accepted y₅ bit for bit (both sums start from +0. and so never hold
+   −0.).  After an accepted step the old stage 7 therefore {e is} the
+   next step's stage 1, and its buffer is swapped in; after a rejected
+   step stage 1 is still f(t, y).  Each attempt costs six rhs
+   evaluations, plus one per call for the first stage.  Stage 1 is
+   evaluated at [y] itself rather than at y + h·0, which differs only in
+   the sign of a −0. entry. *)
 let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
-    ?(max_steps = 1_000_000) ?observer ?deadline ~f ~t0 ~t1 ~y0 () =
+    ?(max_steps = 1_000_000) ?deadline ~f ~t0 ~t1 ~y0 () =
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.dopri5: need t1 >= t0";
   let span = t1 -. t0 in
@@ -71,77 +92,89 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
   let h = ref (match h0 with Some h -> h | None -> Float.min h_max (span /. 100.)) in
   let t = ref t0 in
   let y = ref (Array.copy y0) in
-  let evals = ref 0 in
-  let accepted = ref 0 in
-  let rejected = ref 0 in
-  let k = Array.make 7 [||] in
+  let y_next = ref (Array.make n 0.) in
+  let k = Array.init 7 (fun _ -> Array.make n 0.) in
   let stage_y = Array.make n 0. in
-  while !t < t1 do
-    check_deadline deadline !t;
-    if !accepted + !rejected > max_steps then underflow !t;
-    let h_cur = Float.min !h (t1 -. !t) in
-    if h_cur < h_min then underflow !t;
-    (* Evaluate the seven stages. *)
-    for s = 0 to 6 do
-      for i = 0 to n - 1 do
-        let acc = ref 0. in
-        for j = 0 to s - 1 do
-          acc := !acc +. (dp_a.(s).(j) *. k.(j).(i))
+  let accepted = ref 0 and rejected = ref 0 and evals = ref 1 in
+  match
+    f t0 !y k.(0);
+    while !t < t1 do
+      check_deadline deadline !t;
+      if !accepted + !rejected > max_steps then underflow !t;
+      let h_cur = Float.min !h (t1 -. !t) in
+      if h_cur < h_min then underflow !t;
+      let yc = !y in
+      (* Stages 2..7; stage 1 is already in k.(0). *)
+      for s = 1 to 6 do
+        let a = Array.unsafe_get dp_a s in
+        for i = 0 to n - 1 do
+          let acc = ref 0. in
+          for j = 0 to s - 1 do
+            acc := !acc +. (Array.unsafe_get a j *. Array.unsafe_get (Array.unsafe_get k j) i)
+          done;
+          Array.unsafe_set stage_y i (Array.unsafe_get yc i +. (h_cur *. !acc))
         done;
-        stage_y.(i) <- !y.(i) +. (h_cur *. !acc)
+        f (!t +. (Array.unsafe_get dp_c s *. h_cur)) stage_y (Array.unsafe_get k s)
       done;
-      k.(s) <- f (!t +. (dp_c.(s) *. h_cur)) (Array.copy stage_y);
-      incr evals;
-      Obs.Metrics.incr m_rhs_evals
-    done;
-    (* 5th-order solution and embedded error estimate. *)
-    let y5 = Array.make n 0. in
-    let err = ref 0. in
-    for i = 0 to n - 1 do
-      let s5 = ref 0. and s4 = ref 0. in
-      for s = 0 to 6 do
-        s5 := !s5 +. (dp_b5.(s) *. k.(s).(i));
-        s4 := !s4 +. (dp_b4.(s) *. k.(s).(i))
+      evals := !evals + 6;
+      (* 5th-order solution and embedded error estimate. *)
+      let y5 = !y_next in
+      let err = ref 0. in
+      for i = 0 to n - 1 do
+        let s5 = ref 0. and s4 = ref 0. in
+        for s = 0 to 6 do
+          let ksi = Array.unsafe_get (Array.unsafe_get k s) i in
+          s5 := !s5 +. (Array.unsafe_get dp_b5 s *. ksi);
+          s4 := !s4 +. (Array.unsafe_get dp_b4 s *. ksi)
+        done;
+        let yi = Array.unsafe_get yc i in
+        let y5i = yi +. (h_cur *. !s5) in
+        Array.unsafe_set y5 i y5i;
+        let e = h_cur *. (!s5 -. !s4) in
+        let sc = atol +. (rtol *. Float.max (Float.abs yi) (Float.abs y5i)) in
+        let r = e /. sc in
+        err := !err +. (r *. r)
       done;
-      y5.(i) <- !y.(i) +. (h_cur *. !s5);
-      let e = h_cur *. (!s5 -. !s4) in
-      let sc = atol +. (rtol *. Float.max (Float.abs !y.(i)) (Float.abs y5.(i))) in
-      let r = e /. sc in
-      err := !err +. (r *. r)
-    done;
-    let err = sqrt (!err /. float_of_int n) in
-    if err <= 1. || h_cur <= h_min *. 2. then begin
-      t := !t +. h_cur;
-      y := y5;
-      incr accepted;
-      Obs.Metrics.incr m_steps;
-      (match observer with Some obs -> obs !t !y | None -> ())
-    end
-    else begin
-      incr rejected;
-      Obs.Metrics.incr m_rejected
-    end;
-    (* Standard controller with safety factor and growth limits. *)
-    let fac =
-      (* robustlint: allow R1 — the controller divides by err^0.2, so guard exact zero *)
-      if err = 0. then 5. else Float.min 5. (Float.max 0.2 (0.9 *. (err ** (-0.2))))
-    in
-    h := Float.min h_max (Float.max h_min (h_cur *. fac))
-  done;
-  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
+      let err = sqrt (!err /. float_of_int n) in
+      if err <= 1. || h_cur <= h_min *. 2. then begin
+        t := !t +. h_cur;
+        y_next := yc;
+        y := y5;
+        (* FSAL: the old stage 7 is f(t, y) at the new (t, y). *)
+        let k1 = k.(0) in
+        k.(0) <- k.(6);
+        k.(6) <- k1;
+        incr accepted
+      end
+      else incr rejected;
+      (* Standard controller with safety factor and growth limits. *)
+      let fac =
+        (* robustlint: allow R1 — the controller divides by err^0.2, so guard exact zero *)
+        if err = 0. then 5. else Float.min 5. (Float.max 0.2 (0.9 *. (err ** (-0.2))))
+      in
+      h := Float.min h_max (Float.max h_min (h_cur *. fac))
+    done
+  with
+  | () ->
+    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
+    { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
+  | exception e ->
+    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
+    raise e
 
 let fd_step yj = 1e-7 *. Float.max 1. (Float.abs yj)
 
 let numeric_jacobian f t y =
   Obs.Metrics.incr m_jacobians;
   let n = Array.length y in
-  let f0 = f t y in
+  let f0 = Array.make n 0. and fj = Array.make n 0. in
+  f t y f0;
   let jac = Matrix.zeros n n in
   let yp = Array.copy y in
   for j = 0 to n - 1 do
     let h = fd_step y.(j) in
     yp.(j) <- y.(j) +. h;
-    let fj = f t yp in
+    f t yp fj;
     yp.(j) <- y.(j);
     for i = 0 to n - 1 do
       Matrix.set jac i j ((fj.(i) -. f0.(i)) /. h)
@@ -161,6 +194,7 @@ let numeric_jacobian f t y =
 let backward_euler_step f t y h =
   let n = Array.length y in
   let ynext = Array.copy y in
+  let fy = Array.make n 0. in
   let max_newton = 12 in
   let frozen = ref None in
   let refresh () =
@@ -170,7 +204,7 @@ let backward_euler_step f t y h =
     Option.is_some !frozen
   in
   let rec iterate it evals rprev =
-    let fy = f (t +. h) ynext in
+    f (t +. h) ynext fy;
     let residual = Array.init n (fun i -> ynext.(i) -. y.(i) -. (h *. fy.(i))) in
     let rnorm = Vec.norm_inf residual in
     let scale = 1. +. Vec.norm_inf ynext in
@@ -210,52 +244,55 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~
   let t = ref t0 in
   let y = ref (Array.copy y0) in
   let accepted = ref 0 and rejected = ref 0 and evals = ref 0 in
-  while !t < t1 do
-    check_deadline deadline !t;
-    if !accepted + !rejected > max_steps then underflow !t;
-    let h_cur = Float.min !h (t1 -. !t) in
-    if h_cur < h_min then underflow !t;
-    (* Error estimation by step doubling: one full step vs two half steps. *)
-    let full = backward_euler_step f !t !y h_cur in
-    let halves =
-      match backward_euler_step f !t !y (h_cur /. 2.) with
-      | None -> None
-      | Some (ymid, e1) -> (
-        match backward_euler_step f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
+  match
+    while !t < t1 do
+      check_deadline deadline !t;
+      if !accepted + !rejected > max_steps then underflow !t;
+      let h_cur = Float.min !h (t1 -. !t) in
+      if h_cur < h_min then underflow !t;
+      (* Error estimation by step doubling: one full step vs two half steps. *)
+      let full = backward_euler_step f !t !y h_cur in
+      let halves =
+        match backward_euler_step f !t !y (h_cur /. 2.) with
         | None -> None
-        | Some (yend, e2) -> Some (yend, e1 + e2))
-    in
-    match full, halves with
-    | Some (y1, e1), Some (y2, e2) ->
-      evals := !evals + e1 + e2;
-      Obs.Metrics.add m_rhs_evals (e1 + e2);
-      let err = ref 0. in
-      for i = 0 to n - 1 do
-        let sc = atol +. (rtol *. Float.max (Float.abs y1.(i)) (Float.abs y2.(i))) in
-        let r = (y2.(i) -. y1.(i)) /. sc in
-        err := !err +. (r *. r)
-      done;
-      let err = sqrt (!err /. float_of_int n) in
-      if err <= 1. then begin
-        t := !t +. h_cur;
-        (* Local extrapolation: the two-half-step solution is more accurate. *)
-        y := y2;
-        incr accepted;
-        Obs.Metrics.incr m_steps;
-        h := h_cur *. Float.min 3. (Float.max 0.3 (0.9 /. Float.max 1e-8 (sqrt err)))
-      end
-      else begin
+        | Some (ymid, e1) -> (
+          match backward_euler_step f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
+          | None -> None
+          | Some (yend, e2) -> Some (yend, e1 + e2))
+      in
+      match full, halves with
+      | Some (y1, e1), Some (y2, e2) ->
+        evals := !evals + e1 + e2;
+        let err = ref 0. in
+        for i = 0 to n - 1 do
+          let sc = atol +. (rtol *. Float.max (Float.abs y1.(i)) (Float.abs y2.(i))) in
+          let r = (y2.(i) -. y1.(i)) /. sc in
+          err := !err +. (r *. r)
+        done;
+        let err = sqrt (!err /. float_of_int n) in
+        if err <= 1. then begin
+          t := !t +. h_cur;
+          (* Local extrapolation: the two-half-step solution is more accurate. *)
+          y := y2;
+          incr accepted;
+          h := h_cur *. Float.min 3. (Float.max 0.3 (0.9 /. Float.max 1e-8 (sqrt err)))
+        end
+        else begin
+          incr rejected;
+          h := h_cur *. 0.5
+        end
+      | _ ->
+        (* Newton failed to converge: retry with a smaller step. *)
         incr rejected;
-        Obs.Metrics.incr m_rejected;
-        h := h_cur *. 0.5
-      end
-    | _ ->
-      (* Newton failed to converge: retry with a smaller step. *)
-      incr rejected;
-      Obs.Metrics.incr m_rejected;
-      h := h_cur *. 0.25
-  done;
-  { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
+        h := h_cur *. 0.25
+    done
+  with
+  | () ->
+    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
+    { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
+  | exception e ->
+    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
+    raise e
 
 (* {1 Fallback chain} *)
 

@@ -6,15 +6,19 @@
     - {!implicit_euler}: adaptive semi-implicit method (backward Euler with a
       damped Newton solve and numeric Jacobian) for stiff regimes.
 
-    A right-hand side is a function [f t y] returning dy/dt as a fresh
-    vector. *)
+    A right-hand side is an in-place function: [f t y dy] reads [y] and
+    writes dy/dt at [(t, y)] into [dy].  It must overwrite every entry
+    of [dy], must not write to [y], and must not keep a reference to
+    either: both are scratch vectors owned by the solver and rewritten
+    by its next stage. *)
 
-type rhs = float -> Vec.t -> Vec.t
+type rhs = float -> Vec.t -> Vec.t -> unit
 
 type stats = {
   steps : int;       (** accepted steps *)
   rejected : int;    (** rejected attempts *)
-  evals : int;       (** rhs evaluations *)
+  evals : int;       (** rhs evaluations; for {!dopri5},
+                         6 · (steps + rejected) + 1 *)
 }
 
 type result = { t : float; y : Vec.t; stats : stats }
@@ -38,7 +42,6 @@ val dopri5 :
   ?h_min:float ->
   ?h_max:float ->
   ?max_steps:int ->
-  ?observer:(float -> Vec.t -> unit) ->
   ?deadline:int ->
   f:rhs ->
   t0:float ->
@@ -48,9 +51,15 @@ val dopri5 :
   result
 (** Adaptive Dormand–Prince 5(4) from [t0] to [t1].
     Defaults: [rtol = 1e-6], [atol = 1e-9], [max_steps = 1_000_000].
-    [observer] is called after every accepted step; [deadline] is an
-    absolute {!Obs.Clock.now_ns} timestamp past which {!Deadline} is
-    raised. *)
+    [deadline] is an absolute {!Obs.Clock.now_ns} timestamp past which
+    {!Deadline} is raised.
+
+    Allocation-free per step: the stage vectors and state buffers are
+    allocated once per call.  First-same-as-last: an accepted step's
+    seventh stage is the next step's first, so each attempted step costs
+    six rhs evaluations, plus one per call.  The returned [y] is a buffer
+    no later step writes.  The [ode.steps], [ode.rejected] and
+    [ode.rhs_evals] counters are added once per call, on every exit. *)
 
 val implicit_euler :
   ?rtol:float ->
@@ -75,7 +84,7 @@ val implicit_euler :
 
 val numeric_jacobian : rhs -> float -> Vec.t -> Matrix.t
 (** Forward-difference Jacobian of the rhs at [(t, y)];
-    n + 1 rhs evaluations. *)
+    n + 1 rhs evaluations into two scratch vectors. *)
 
 type tier =
   | Adaptive        (** {!dopri5} with the caller's settings *)

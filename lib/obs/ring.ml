@@ -12,15 +12,19 @@
    goodbye.
 
    The record path is lock-free and allocation-free: one
-   [Atomic.fetch_and_add] to claim a slot, then four unboxed 64-bit
-   word stores on little-endian machines (byte stores on big-endian;
-   see the [ring-record] bench kernel, bounded at 50 ns).  Names are
+   [Atomic.fetch_and_add] to claim a slot, a coarse clock read, then
+   four unboxed 64-bit word stores on little-endian machines (byte
+   stores on big-endian; see the [ring-record] bench kernel, bounded at
+   50 ns).  The stamp comes from [CLOCK_MONOTONIC_COARSE]
+   ({!Clock.coarse_now_ns}, ~4 ms resolution): a precise
+   [CLOCK_MONOTONIC] read was ~85 % of a record's cost, and the sequence
+   number already orders the events.  Names are
    not written per event; they are interned once by {!probe} into a
    fixed table in the file header and events carry the 1-byte id.
 
    A reader of a crashed process's file must assume nothing: a SIGKILL
    can land mid-entry, so {!read} keeps only entries that pass sanity
-   checks (monotonic clock value present, known kind, valid probe id)
+   checks (clock value present, known kind, valid probe id)
    and orders them by sequence number. *)
 
 type kind = Enter | Leave | Fault | Count | Mark
@@ -127,7 +131,7 @@ let get32 b off =
 let record (p : probe) k v =
   let s = Atomic.fetch_and_add seq 1 in
   let off = entries_off + (s mod capacity * entry_size) in
-  let t = Clock.now_ns () in
+  let t = Clock.coarse_now_ns () in
   (* Probe id in byte 24, kind in byte 25, packed as one LE word. *)
   let tag = p land 0xff lor (kind_code k lsl 8) in
   (* robustlint: allow R10 — lock-free record path by design: [backing] is swapped only by attach/reset (process start); a stale read loses at most the one event being written *)

@@ -4,9 +4,9 @@
     Span/Metrics answer "how did the run perform"; the ring answers "what
     was this process doing when it died".  It records unconditionally —
     there is no enabled flag — into a preallocated buffer, with a
-    lock-free, allocation-free record path (one atomic fetch-and-add and
-    a few byte stores; the [ring-record] bench kernel bounds it at
-    50 ns).
+    lock-free, allocation-free record path (one atomic fetch-and-add, a
+    coarse clock read and a few word stores; the [ring-record] bench
+    kernel bounds it at 50 ns).
 
     {!attach} redirects recording into a memory-mapped sidecar file:
     every event is written straight through the mapping, so the entries
@@ -53,7 +53,10 @@ val reset : unit -> unit
 
 type entry = {
   e_seq : int;    (** global sequence number, monotonic per process *)
-  e_t_ns : int;   (** monotonic clock at record time *)
+  e_t_ns : int;   (** coarse monotonic clock at record time
+                      ({!Clock.coarse_now_ns}: ~4 ms resolution, so
+                      neighbouring events often share a stamp; order
+                      by [e_seq]) *)
   e_value : int;
   e_kind : kind;
   e_name : string;

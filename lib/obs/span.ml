@@ -110,11 +110,11 @@ let leave (name, domain, id, parent, start_rel, rp) args =
         { id; parent; name; domain; pid = 0; start_ns = start_rel; dur_ns = stop_rel - start_rel; args }
         :: !buf)
 
-let with_span ?(args = []) name f =
+let with_span ?args name f =
   if not (Atomic.get on) then f ()
   else begin
     let tok = enter name in
-    Fun.protect ~finally:(fun () -> leave tok args) f
+    Fun.protect ~finally:(fun () -> leave tok (Option.value args ~default:[])) f
   end
 
 let by_pid_id a b =

@@ -36,16 +36,21 @@ type fluxes = {
   pi : float;
 }
 
+(* [Float.max 0. s], bit for bit (a NaN passes through, −0. becomes
+   +0.), but inlined: the stdlib version calls out for the sign bit and
+   boxes its result, dozens of times per rhs call. *)
+let[@inline] pos s = if s > 0. then s else if Float.is_nan s then s else 0.
+
 (* Saturation term, guarded against (numerically) negative pools. *)
-let mm s km = let s = Float.max 0. s in s /. (s +. km)
+let[@inline] mm s km = let s = pos s in s /. (s +. km)
 
 let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
   if Array.length vmax <> Enzyme.count then
     invalid_arg "Photo.Model.fluxes: one vmax per enzyme";
   let v i = vmax.(i) in
   let pi = State.stromal_pi k y in
-  let atp = Float.max 0. y.(State.atp) in
-  let adp = Float.max 0. (k.adenylate_total -. atp) in
+  let atp = pos y.(State.atp) in
+  let adp = pos (k.adenylate_total -. atp) in
   let gap = k.frac_gap *. y.(State.tp) in
   let dhap = k.frac_dhap *. y.(State.tp) in
   let f6p = k.frac_f6p *. y.(State.hp) in
@@ -68,14 +73,14 @@ let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
   let v_fbpald = v Enzyme.idx_fbp_aldolase *. mm gap k.km_gap_ald *. mm dhap k.km_dhap_ald in
   let v_fbpase =
     v Enzyme.idx_fbpase
-    *. (Float.max 0. y.(State.fbp) /. (y.(State.fbp) +. (k.km_fbp *. (1. +. (f6p /. k.ki_f6p_fbpase)))))
+    *. (pos y.(State.fbp) /. (y.(State.fbp) +. (k.km_fbp *. (1. +. (f6p /. k.ki_f6p_fbpase)))))
   in
   let v_tk1 = v Enzyme.idx_transketolase *. mm f6p k.km_f6p_tk *. mm gap k.km_gap_tk in
   let v_tk2 = v Enzyme.idx_transketolase *. mm y.(State.s7p) k.km_s7p_tk *. mm gap k.km_gap_tk in
   let v_sbald = v Enzyme.idx_aldolase *. mm dhap k.km_dhap_sbald *. mm y.(State.e4p) k.km_e4p_sbald in
   let v_sbpase =
     v Enzyme.idx_sbpase
-    *. (Float.max 0. y.(State.sbp)
+    *. (pos y.(State.sbp)
         /. (y.(State.sbp) +. (k.km_sbp *. (1. +. (pi /. k.ki_pi_sbpase)))))
   in
   let v_prk =
@@ -111,30 +116,30 @@ let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
        back-pressure.  This reflects the Pi-exchange coupling of the real
        translocator and keeps the autocatalytic cycle from being drained
        through a linear low-TP leak. *)
-    let t = Float.max 0. y.(State.tp) in
+    let t = pos y.(State.tp) in
     env.tp_export
     *. (t *. t /. ((t *. t) +. (k.km_tp_export *. k.km_tp_export)))
-    *. (k.ki_tpc_export /. (k.ki_tpc_export +. Float.max 0. y.(State.tpc)))
+    *. (k.ki_tpc_export /. (k.ki_tpc_export +. pos y.(State.tpc)))
   in
   let v_cald =
     v Enzyme.idx_cyt_fbp_aldolase *. mm gapc k.km_gap_cald *. mm dhapc k.km_dhap_cald
   in
   let v_cfbpase =
     v Enzyme.idx_cyt_fbpase
-    *. (Float.max 0. y.(State.fbpc)
+    *. (pos y.(State.fbpc)
         /. (y.(State.fbpc) +. (k.km_fbp_cyt *. (1. +. (y.(State.f26bp) /. k.ki_f26bp)))))
   in
   let v_udpgp =
     (* Product inhibition keeps the near-equilibrium UDPGP step from
        accumulating UDP-glucose without bound when SPS lags. *)
     v Enzyme.idx_udpgp *. mm g1pc k.km_g1p_udpgp
-    *. (k.ki_udpg /. (k.ki_udpg +. Float.max 0. y.(State.udpg)))
+    *. (k.ki_udpg /. (k.ki_udpg +. pos y.(State.udpg)))
   in
   let v_sps = v Enzyme.idx_sps *. mm f6pc k.km_f6p_sps *. mm y.(State.udpg) k.km_udpg_sps in
   let v_spp = v Enzyme.idx_spp *. mm y.(State.sucp) k.km_sucp in
   let v_f26bpase = v Enzyme.idx_f26bpase *. mm y.(State.f26bp) k.km_f26bp in
   let v_f2k = k.v_f2k *. mm f6pc k.km_f6p_f2k in
-  let v_serleak = k.ser_leak *. Float.max 0. y.(State.ser) in
+  let v_serleak = k.ser_leak *. pos y.(State.ser) in
   (* Starch remobilization and the oxidative pentose-phosphate shunt:
      small fixed background fluxes that keep the autocatalytic cycle
      re-seedable (the bare cycle has an absorbing extinct state). *)
@@ -146,9 +151,9 @@ let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
      collapses, as vacuolar scavenging does in vivo.  Negligible at
      physiological Pi. *)
   let starvation = k.ki_scavenge /. (k.ki_scavenge +. pi) in
-  let v_scav_hp = k.k_scavenge *. starvation *. Float.max 0. y.(State.hp) in
-  let v_scav_tp = k.k_scavenge *. starvation *. Float.max 0. y.(State.tp) in
-  let v_scav_pp = k.k_scavenge *. starvation *. Float.max 0. y.(State.pp) in
+  let v_scav_hp = k.k_scavenge *. starvation *. pos y.(State.hp) in
+  let v_scav_tp = k.k_scavenge *. starvation *. pos y.(State.tp) in
+  let v_scav_pp = k.k_scavenge *. starvation *. pos y.(State.pp) in
   let v_light = k.v_light *. mm adp k.km_adp_light *. mm pi k.km_pi_light in
   {
     vc; vo; v_pgak; v_gapdh; v_fbpald; v_fbpase; v_tk1; v_tk2; v_sbald; v_sbpase;
@@ -158,9 +163,8 @@ let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
   }
 
 let rhs k env ~vmax =
-  fun _t y ->
+  fun _t y dy ->
     let f = fluxes k env ~vmax y in
-    let dy = Array.make State.n 0. in
     dy.(State.rubp) <- f.v_prk -. f.vc -. f.vo;
     dy.(State.pga) <- (2. *. f.vc) +. f.vo +. f.v_gceak -. f.v_pgak;
     dy.(State.dpga) <- f.v_pgak -. f.v_gapdh;
@@ -187,8 +191,7 @@ let rhs k env ~vmax =
     dy.(State.hpc) <- f.v_cfbpase -. f.v_udpgp -. f.v_sps;
     dy.(State.udpg) <- f.v_udpgp -. f.v_sps;
     dy.(State.sucp) <- f.v_sps -. f.v_spp;
-    dy.(State.f26bp) <- f.v_f2k -. f.v_f26bpase;
-    dy
+    dy.(State.f26bp) <- f.v_f2k -. f.v_f26bpase
 
 let assimilation (k : Params.kinetics) f =
   (f.vc -. f.v_gdc -. k.day_respiration) *. k.flux_to_uptake

@@ -50,7 +50,8 @@ val fluxes :
 (** Reaction rates at a given state. [vmax] has length {!Enzyme.count}. *)
 
 val rhs : Params.kinetics -> Params.env -> vmax:float array -> Numerics.Ode.rhs
-(** Time derivative of the 24-dimensional state. *)
+(** Time derivative of the 24-dimensional state, written in place into
+    the solver's vector ({!Numerics.Ode.rhs}). *)
 
 val assimilation : Params.kinetics -> fluxes -> float
 (** Instantaneous net CO2 assimilation, µmol m⁻² s⁻¹:

@@ -42,11 +42,12 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
      unconverged. *)
   let window = 20. and t_max = 400. in
   let assim y = Model.assimilation kinetics (Model.fluxes kinetics env ~vmax y) in
+  let dy = Array.make State.n 0. in
   let rec advance t y prev_a stable tier =
     let a = assim y in
     let tol_a = 2e-4 *. (Float.abs a +. 1.) in
     let state_rate =
-      let dy = f t y in
+      f t y dy;
       Numerics.Vec.norm_inf dy /. (Numerics.Vec.norm_inf y +. 1.)
     in
     let stable = if Float.abs (a -. prev_a) <= tol_a && state_rate < 2e-3 then stable + 1 else 0 in

@@ -143,6 +143,30 @@ let test_ecoli_growth_coupled_restores_bounds () =
       check_float "ub" ub ub')
     before
 
+let test_ecoli_growth_coupled_restores_on_raise () =
+  (* An out-of-range target fails inside the FVA, after the knockouts and
+     the growth floor are pinned: the pins must still come off. *)
+  let m = Fba.Ecoli_core.build () in
+  let net = m.Fba.Ecoli_core.net in
+  let before = Array.copy (Fba.Network.bounds net) in
+  let raised =
+    match
+      Fba.Knockout.growth_coupled ~t:net ~target:(Fba.Network.n_reactions net)
+        ~biomass:m.Fba.Ecoli_core.biomass
+        ~removed:[ m.Fba.Ecoli_core.pfl; m.Fba.Ecoli_core.ldh ]
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "out-of-range target raises" true raised;
+  let after = Fba.Network.bounds net in
+  Array.iteri
+    (fun j (lb, ub) ->
+      let lb', ub' = after.(j) in
+      check_float ~tol:0. (Printf.sprintf "lb %d" j) lb lb';
+      check_float ~tol:0. (Printf.sprintf "ub %d" j) ub ub')
+    before
+
 let () =
   Alcotest.run "extras3"
     [
@@ -167,5 +191,7 @@ let () =
           Alcotest.test_case "wild type not coupled" `Quick test_ecoli_wild_type_not_coupled;
           Alcotest.test_case "dPFL dLDH couples" `Quick test_ecoli_pfl_ldh_couples;
           Alcotest.test_case "bounds restored" `Quick test_ecoli_growth_coupled_restores_bounds;
+          Alcotest.test_case "bounds restored on raise" `Quick
+            test_ecoli_growth_coupled_restores_on_raise;
         ] );
     ]

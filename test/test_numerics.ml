@@ -243,35 +243,100 @@ let test_lu_refine () =
 
 let test_dopri5_harmonic () =
   (* y'' = -y as a system; energy must be conserved over 10 periods. *)
-  let f _t y = [| y.(1); -.y.(0) |] in
+  let f _t y dy =
+    dy.(0) <- y.(1);
+    dy.(1) <- -.y.(0)
+  in
   let t1 = 20. *. Float.pi in
   let r = Numerics.Ode.dopri5 ~rtol:1e-9 ~atol:1e-12 ~f ~t0:0. ~y0:[| 1.; 0. |] ~t1 () in
   check_float ~tol:1e-5 "cos back to 1" 1. r.Numerics.Ode.y.(0);
   check_float ~tol:1e-5 "sin back to 0" 0. r.Numerics.Ode.y.(1)
 
 let test_dopri5_adapts () =
-  let f _t y = [| -.y.(0) |] in
+  let f _t y dy = dy.(0) <- -.y.(0) in
   let r = Numerics.Ode.dopri5 ~f ~t0:0. ~y0:[| 1. |] ~t1:5. () in
   Alcotest.(check bool) "takes steps" true (r.Numerics.Ode.stats.steps > 5);
   check_float ~tol:1e-4 "value" (exp (-5.)) r.Numerics.Ode.y.(0)
 
-let test_dopri5_observer () =
-  let count = ref 0 in
-  let f _t y = [| -.y.(0) |] in
-  let r =
-    Numerics.Ode.dopri5 ~observer:(fun _ _ -> incr count) ~f ~t0:0. ~y0:[| 1. |] ~t1:1. ()
+(* First-same-as-last: an accepted step's seventh stage is the next
+   step's first, so every attempt costs six rhs calls plus one per
+   integration. *)
+let check_fsal_evals name (r : Numerics.Ode.result) =
+  let s = r.Numerics.Ode.stats in
+  Alcotest.(check bool) (name ^ ": takes steps") true (s.steps > 5);
+  Alcotest.(check int) (name ^ ": evals = 6 attempts + 1")
+    ((6 * (s.steps + s.rejected)) + 1)
+    s.evals
+
+let test_dopri5_fsal_evals () =
+  let decay _t y dy = dy.(0) <- -.y.(0) in
+  check_fsal_evals "decay" (Numerics.Ode.dopri5 ~f:decay ~t0:0. ~y0:[| 1. |] ~t1:5. ());
+  let harmonic _t y dy =
+    dy.(0) <- y.(1);
+    dy.(1) <- -.y.(0)
   in
-  Alcotest.(check int) "observer per accepted step" r.Numerics.Ode.stats.steps !count
+  check_fsal_evals "harmonic"
+    (Numerics.Ode.dopri5 ~rtol:1e-9 ~atol:1e-12 ~f:harmonic ~t0:0. ~y0:[| 1.; 0. |]
+       ~t1:(20. *. Float.pi) ())
+
+(* The step loop writes into buffers allocated once per call: on a
+   24-dimensional linear system the whole integration, per-call buffers
+   included, stays within 32 minor words per attempted step. *)
+let test_dopri5_allocation () =
+  let n = 24 in
+  let rates = Array.init n (fun i -> 0.05 *. float_of_int (i + 1)) in
+  let f _t y dy =
+    for i = 0 to n - 1 do
+      dy.(i) <- (-.rates.(i) *. y.(i)) +. (0.01 *. y.((i + 1) mod n))
+    done
+  in
+  let y0 = Array.make n 1. in
+  let before = Gc.minor_words () in
+  let r = Numerics.Ode.dopri5 ~rtol:1e-9 ~atol:1e-12 ~f ~t0:0. ~y0 ~t1:20. () in
+  let words = Gc.minor_words () -. before in
+  let attempts = r.Numerics.Ode.stats.steps + r.Numerics.Ode.stats.rejected in
+  Alcotest.(check bool) (Printf.sprintf "%d attempts" attempts) true (attempts >= 100);
+  let per_step = words /. float_of_int attempts in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per attempted step <= 32" per_step) true
+    (per_step <= 32.)
+
+(* Counters are added once per integration, on every exit: a run that
+   exhausts its step budget still reports the attempts it made. *)
+let test_dopri5_counts_on_underflow () =
+  let steps = Obs.Metrics.counter "ode.steps" and rejected = Obs.Metrics.counter "ode.rejected"
+  and evals = Obs.Metrics.counter "ode.rhs_evals"
+  and underflows = Obs.Metrics.counter "ode.underflows" in
+  let stiff t y dy = dy.(0) <- 1e6 *. (cos t -. y.(0)) in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Obs.Metrics.set_enabled false)
+      (fun () ->
+        match Numerics.Ode.dopri5 ~max_steps:200 ~f:stiff ~t0:0. ~t1:1. ~y0:[| 0. |] () with
+        | _ -> false
+        | exception Numerics.Ode.Step_underflow _ -> true)
+  in
+  let v = Obs.Metrics.counter_value in
+  let attempts = v steps + v rejected in
+  Alcotest.(check bool) "underflowed" true raised;
+  Alcotest.(check int) "one underflow" 1 (v underflows);
+  Alcotest.(check int) "every attempt counted" 201 attempts;
+  Alcotest.(check int) "evals = 6 attempts + 1" ((6 * attempts) + 1) (v evals);
+  Obs.Metrics.reset ()
 
 let test_implicit_euler_stiff () =
   (* Very stiff linear decay: λ = -1000.  An explicit method at dt=0.01
      would explode; backward Euler must stay stable and accurate. *)
-  let f _t y = [| -1000. *. y.(0) |] in
+  let f _t y dy = dy.(0) <- -1000. *. y.(0) in
   let r = Numerics.Ode.implicit_euler ~f ~t0:0. ~y0:[| 1. |] ~t1:0.1 () in
   check_float ~tol:1e-4 "decayed to ~0" 0. r.Numerics.Ode.y.(0)
 
 let test_implicit_matches_explicit () =
-  let f _t y = [| y.(1); -.y.(0) -. (0.5 *. y.(1)) |] in
+  let f _t y dy =
+    dy.(0) <- y.(1);
+    dy.(1) <- -.y.(0) -. (0.5 *. y.(1))
+  in
   let a = Numerics.Ode.dopri5 ~rtol:1e-8 ~atol:1e-10 ~f ~t0:0. ~y0:[| 1.; 0. |] ~t1:2. () in
   let b = Numerics.Ode.implicit_euler ~rtol:1e-6 ~atol:1e-9 ~f ~t0:0. ~y0:[| 1.; 0. |] ~t1:2. () in
   Alcotest.(check bool) "integrators agree" true
@@ -280,7 +345,7 @@ let test_implicit_matches_explicit () =
 let test_numeric_jacobian () =
   (* f(y) = A y has Jacobian A. *)
   let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| -3.; 0.5 |] |] in
-  let f _t y = Numerics.Matrix.mv a y in
+  let f _t y dy = Array.blit (Numerics.Matrix.mv a y) 0 dy 0 2 in
   let jac = Numerics.Ode.numeric_jacobian f 0. [| 0.3; -0.7 |] in
   Alcotest.(check bool) "jacobian of linear map" true
     (Numerics.Matrix.approx_equal ~tol:1e-5 a jac)
@@ -599,7 +664,9 @@ let () =
         [
           Alcotest.test_case "dopri5 harmonic" `Quick test_dopri5_harmonic;
           Alcotest.test_case "dopri5 adapts" `Quick test_dopri5_adapts;
-          Alcotest.test_case "dopri5 observer" `Quick test_dopri5_observer;
+          Alcotest.test_case "dopri5 fsal evals" `Quick test_dopri5_fsal_evals;
+          Alcotest.test_case "dopri5 allocation" `Quick test_dopri5_allocation;
+          Alcotest.test_case "dopri5 counts on underflow" `Quick test_dopri5_counts_on_underflow;
           Alcotest.test_case "implicit euler stiff" `Quick test_implicit_euler_stiff;
           Alcotest.test_case "integrators agree" `Quick test_implicit_matches_explicit;
           Alcotest.test_case "numeric jacobian" `Quick test_numeric_jacobian;

@@ -77,7 +77,8 @@ let test_phosphate_conservation_in_rhs () =
   let k = Photo.Params.default in
   let vmax = Photo.Enzyme.natural_vmax () in
   let y = Photo.State.initial () in
-  let dy = Photo.Model.rhs k present_low ~vmax 0. y in
+  let dy = Array.make Photo.State.n nan in
+  Photo.Model.rhs k present_low ~vmax 0. y dy;
   let f = Photo.Model.fluxes k present_low ~vmax y in
   let weighted = ref 0. in
   Array.iteri (fun i g -> weighted := !weighted +. (g *. dy.(i))) Photo.State.phosphate_groups;
@@ -204,10 +205,55 @@ let test_steady_state_is_steady () =
      of the model's physiology; everything else must be quiet. *)
   let r = Photo.Steady_state.natural ~env:present_low () in
   let vmax = Photo.Enzyme.natural_vmax () in
-  let dy = Photo.Model.rhs Photo.Params.default present_low ~vmax 0. r.Photo.Steady_state.y in
+  let dy = Array.make Photo.State.n nan in
+  Photo.Model.rhs Photo.Params.default present_low ~vmax 0. r.Photo.Steady_state.y dy;
   Alcotest.(check bool) "small derivatives" true (Numerics.Vec.norm_inf dy < 8e-3);
   dy.(Photo.State.atp) <- 0.;
   Alcotest.(check bool) "non-adenylate states quiet" true (Numerics.Vec.norm_inf dy < 2e-3)
+
+(* Exact results pinned by their bits: a change to the integrator or the
+   rate laws that is meant to be a pure speedup must leave every one of
+   these unchanged.  Hashes are FNV-1a over the IEEE-754 bits of the
+   final state. *)
+let check_bits name ~uptake ~converged ~state (r : Photo.Steady_state.report) =
+  Alcotest.(check string) (name ^ " uptake") uptake (Printf.sprintf "%h" r.Photo.Steady_state.uptake);
+  Alcotest.(check bool) (name ^ " converged") converged r.Photo.Steady_state.converged;
+  Alcotest.(check string) (name ^ " state hash") state
+    (Printf.sprintf "%Lx" (Cache.Fnv.hash r.Photo.Steady_state.y))
+
+let test_natural_bits () =
+  (* The 15.486 anchor at present Ci, low export. *)
+  check_bits "natural" ~uptake:"0x1.ef8abfc94ff4bp+3" ~converged:true
+    ~state:"2472f71cf6ee089f"
+    (Photo.Steady_state.natural ~env:present_low ())
+
+let test_seeded_design_bits () =
+  (* A design drawn over the whole [0.05, 3] box, relaxed from the
+     natural state as the design problem does; it is still drifting at
+     t_max, so this pins all 20 windows. *)
+  let rng = Numerics.Rng.create 7 in
+  let ratios =
+    Array.init Photo.Enzyme.count (fun _ ->
+        Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
+  in
+  let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
+  check_bits "seed 7" ~uptake:"0x1.c1c751692b295p+0" ~converged:false
+    ~state:"6bc75e2adbcc169a"
+    (Photo.Steady_state.evaluate ~y0 ~env:present_low ~ratios ())
+
+(* The rhs writes the 24 derivatives into the solver's vector; what it
+   still allocates is the [fluxes] record (~42 words). *)
+let test_rhs_allocation () =
+  let f = Photo.Model.rhs Photo.Params.default present_low ~vmax:(Photo.Enzyme.natural_vmax ()) in
+  let y = Photo.State.initial () and dy = Array.make Photo.State.n 0. in
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f 0. y dy
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per call <= 64" per_call) true
+    (per_call <= 64.)
 
 (* {1 Leaf problem wrapper} *)
 
@@ -259,6 +305,7 @@ let () =
           Alcotest.test_case "carbon balance at SS" `Slow test_carbon_balance_at_steady_state;
           Alcotest.test_case "fluxes non-negative" `Quick test_fluxes_nonnegative;
           Alcotest.test_case "photorespiration vs Ci" `Quick test_oxygenation_ratio_tracks_ci;
+          Alcotest.test_case "rhs allocation" `Quick test_rhs_allocation;
         ] );
       ( "steady-state",
         [
@@ -270,6 +317,8 @@ let () =
           Alcotest.test_case "candidate-B geometry" `Slow test_b_candidate_geometry;
           Alcotest.test_case "warm-start consistency" `Slow test_warm_start_consistency;
           Alcotest.test_case "steady state is steady" `Slow test_steady_state_is_steady;
+          Alcotest.test_case "natural leaf bits" `Quick test_natural_bits;
+          Alcotest.test_case "seeded design bits" `Quick test_seeded_design_bits;
         ] );
       ( "leaf-problem",
         [

@@ -32,7 +32,7 @@ let ode_problem =
       let k = x.(0) in
       let r, _ =
         Numerics.Ode.integrate_fallback
-          ~f:(fun _ y -> [| -.k *. y.(0) |])
+          ~f:(fun _ y dy -> dy.(0) <- -.k *. y.(0))
           ~t0:0. ~t1:1. ~y0:[| 1. |] ()
       in
       [| r.Numerics.Ode.y.(0); k |])
