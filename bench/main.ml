@@ -12,6 +12,51 @@
 open Bechamel
 open Toolkit
 
+(* {1 Results files} *)
+
+(* Trimmed stdout and exit status of [git ARGS] on the checkout's own
+   .git, or [None] when git cannot be run. *)
+let git args =
+  let argv = Array.of_list ("git" :: "--git-dir=.git" :: "--work-tree=." :: args) in
+  match Unix.open_process_args_full "git" argv (Unix.environment ()) with
+  | exception Unix.Unix_error _ -> None
+  | (out, inp, err) as p ->
+    close_out inp;
+    let text = String.trim (In_channel.input_all out) in
+    ignore (In_channel.input_all err);
+    Some (text, Unix.close_process_full p)
+
+(* HEAD as 12 hex digits, the form bench/e2e stamps; "unknown" outside
+   a checkout.  A committed BENCH file is written before the change that
+   carries it is committed, so tracked files that differ from HEAD add
+   "-dirty" rather than pass the parent's rev off as the measured code. *)
+let git_rev () =
+  match git [ "rev-parse"; "--short=12"; "HEAD" ] with
+  | Some (rev, Unix.WEXITED 0) when rev <> "" -> (
+    match git [ "diff"; "--quiet"; "HEAD" ] with
+    | Some (_, Unix.WEXITED 1) -> rev ^ "-dirty"
+    | _ -> rev)
+  | _ -> "unknown"
+
+(* Write [BENCH_*.json] to the current directory: the benchmark's own
+   fields, its gate verdict, and the stamp bench/e2e puts on its results
+   (git rev, core count, REPRO_SCALE). *)
+let write_results ~file ~pass fields =
+  let stamp =
+    Obs.Json.Obj
+      [
+        ("git_rev", Obs.Json.String (git_rev ()));
+        ("nproc", Obs.Json.Int (Domain.recommended_domain_count ()));
+        ( "repro_scale",
+          Obs.Json.String (Option.value ~default:"quick" (Sys.getenv_opt "REPRO_SCALE")) );
+      ]
+  in
+  let doc = Obs.Json.Obj (fields @ [ ("pass", Obs.Json.Bool pass); ("stamp", stamp) ]) in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Obs.Json.to_string doc);
+      output_char oc '\n');
+  Printf.printf "   wrote %s (pass: %b)\n" file pass
+
 (* {1 Micro-benchmark kernels: one per table/figure} *)
 
 let synthetic_front n =
@@ -298,24 +343,15 @@ let run_obs_benchmarks_full () =
     && List.for_all (fun (_, ns) -> Float.is_finite ns && ns < ring_threshold_ns) ring_rows
   in
   let json_rows rows = Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Float v)) rows) in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("benchmark", Obs.Json.String "observability probe overhead (ns per call)");
-        ("threshold_ns", Obs.Json.Float obs_threshold_ns);
-        ("ring_threshold_ns", Obs.Json.Float ring_threshold_ns);
-        ("disabled", json_rows disabled);
-        ( "enabled",
-          json_rows (enabled @ [ ("obs-enabled/span-recording", span_enabled_ns) ]) );
-        ("ring", json_rows ring_rows);
-        ("pass", Obs.Json.Bool pass);
-      ]
-  in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "   wrote BENCH_obs.json (pass: %b)\n" pass;
+  write_results ~file:"BENCH_obs.json" ~pass
+    [
+      ("benchmark", Obs.Json.String "observability probe overhead (ns per call)");
+      ("threshold_ns", Obs.Json.Float obs_threshold_ns);
+      ("ring_threshold_ns", Obs.Json.Float ring_threshold_ns);
+      ("disabled", json_rows disabled);
+      ("enabled", json_rows (enabled @ [ ("obs-enabled/span-recording", span_enabled_ns) ]));
+      ("ring", json_rows ring_rows);
+    ];
   if not pass then begin
     Printf.eprintf "bench-obs: a probe exceeds its bound (disabled %g ns, ring %g ns)\n"
       obs_threshold_ns ring_threshold_ns;
@@ -430,44 +466,36 @@ let run_parallel_benchmarks () =
     let pass =
       List.for_all (fun (_, _, _, s) -> Float.is_finite s && s >= threshold) results
     in
-    let doc =
-      Obs.Json.Obj
-        [
-          ("benchmark", Obs.Json.String "persistent pool speedup (sequential vs pooled)");
-          ("cores", Obs.Json.Float (float_of_int cores));
-          ("target_domains", Obs.Json.Float (float_of_int target_domains));
-          ("threshold_speedup", Obs.Json.Float threshold);
-          ( "kernels",
-            Obs.Json.List
-              (List.map
-                 (fun (name, seq_ns, curve, s_at) ->
-                   Obs.Json.Obj
-                     [
-                       ("name", Obs.Json.String name);
-                       ("sequential_ms", Obs.Json.Float (seq_ns /. 1e6));
-                       ( "curve",
-                         Obs.Json.List
-                           (List.map
-                              (fun (d, ns, s) ->
-                                Obs.Json.Obj
-                                  [
-                                    ("domains", Obs.Json.Float (float_of_int d));
-                                    ("ms", Obs.Json.Float (ns /. 1e6));
-                                    ("speedup", Obs.Json.Float s);
-                                  ])
-                              curve) );
-                       ("deterministic", Obs.Json.Bool true);
-                       ("speedup_at_target", Obs.Json.Float s_at);
-                     ])
-                 results) );
-          ("pass", Obs.Json.Bool pass);
-        ]
-    in
-    let oc = open_out "BENCH_parallel.json" in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "   wrote BENCH_parallel.json (pass: %b)\n" pass;
+    write_results ~file:"BENCH_parallel.json" ~pass
+      [
+        ("benchmark", Obs.Json.String "persistent pool speedup (sequential vs pooled)");
+        ("cores", Obs.Json.Float (float_of_int cores));
+        ("target_domains", Obs.Json.Float (float_of_int target_domains));
+        ("threshold_speedup", Obs.Json.Float threshold);
+        ( "kernels",
+          Obs.Json.List
+            (List.map
+               (fun (name, seq_ns, curve, s_at) ->
+                 Obs.Json.Obj
+                   [
+                     ("name", Obs.Json.String name);
+                     ("sequential_ms", Obs.Json.Float (seq_ns /. 1e6));
+                     ( "curve",
+                       Obs.Json.List
+                         (List.map
+                            (fun (d, ns, s) ->
+                              Obs.Json.Obj
+                                [
+                                  ("domains", Obs.Json.Float (float_of_int d));
+                                  ("ms", Obs.Json.Float (ns /. 1e6));
+                                  ("speedup", Obs.Json.Float s);
+                                ])
+                            curve) );
+                     ("deterministic", Obs.Json.Bool true);
+                     ("speedup_at_target", Obs.Json.Float s_at);
+                   ])
+               results) );
+      ];
     if not pass then begin
       Printf.eprintf "bench-parallel: speedup at %d domains below %.2fx\n" target_domains
         threshold;
@@ -611,20 +639,11 @@ let run_cache_benchmarks () =
   let kernels = [ memo; simplex ] in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_cache.json not written\n%!"
   else begin
-    let doc =
-      Obs.Json.Obj
-        [
-          ( "benchmark",
-            Obs.Json.String "evaluation cache + warm starts (memo, simplex basis)" );
-          ("kernels", Obs.Json.List kernels);
-          ("pass", Obs.Json.Bool true);
-        ]
-    in
-    let oc = open_out "BENCH_cache.json" in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "   wrote BENCH_cache.json (pass: true)\n"
+    write_results ~file:"BENCH_cache.json" ~pass:true
+      [
+        ("benchmark", Obs.Json.String "evaluation cache + warm starts (memo, simplex basis)");
+        ("kernels", Obs.Json.List kernels);
+      ]
   end
 
 (* {1 Process sharding}
@@ -744,49 +763,41 @@ let run_shard_benchmarks () =
           ("backoff_ms", Obs.Json.Float st.Shard.Supervisor.backoff_ms);
         ]
     in
-    let doc =
-      Obs.Json.Obj
-        [
-          ( "benchmark",
-            Obs.Json.String
-              "multi-process sharded archipelago (determinism under crash + restart latency)" );
-          ("generations", Obs.Json.Float (float_of_int generations));
-          ("islands", Obs.Json.Float (float_of_int cfg.Pmo2.Archipelago.n_islands));
-          ("in_process_ms", Obs.Json.Float (base_ns /. 1e6));
-          ( "crash_free",
-            Obs.Json.Obj
-              [
-                ("ms", Obs.Json.Float (clean_ns /. 1e6));
-                ("stats", stats_json clean_stats);
-                ("bit_identical", Obs.Json.Bool true);
-              ] );
-          ( "one_kill",
-            Obs.Json.Obj
-              [
-                ("ms", Obs.Json.Float (kill_ns /. 1e6));
-                ("stats", stats_json kill_stats);
-                ("bit_identical", Obs.Json.Bool true);
-                ( "restart_ms",
-                  Obs.Json.List (List.map (fun ms -> Obs.Json.Float ms) restart_ms) );
-                ( "restart_latency_histogram",
-                  Obs.Json.List
-                    (List.map
-                       (fun (le, count) ->
-                         Obs.Json.Obj
-                           [
-                             ("le_ms", Obs.Json.Float le);
-                             ("count", Obs.Json.Float (float_of_int count));
-                           ])
-                       (restart_histogram restart_ms)) );
-              ] );
-          ("pass", Obs.Json.Bool true);
-        ]
-    in
-    let oc = open_out "BENCH_shard.json" in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "   wrote BENCH_shard.json (pass: true)\n"
+    write_results ~file:"BENCH_shard.json" ~pass:true
+      [
+        ( "benchmark",
+          Obs.Json.String
+            "multi-process sharded archipelago (determinism under crash + restart latency)" );
+        ("generations", Obs.Json.Float (float_of_int generations));
+        ("islands", Obs.Json.Float (float_of_int cfg.Pmo2.Archipelago.n_islands));
+        ("in_process_ms", Obs.Json.Float (base_ns /. 1e6));
+        ( "crash_free",
+          Obs.Json.Obj
+            [
+              ("ms", Obs.Json.Float (clean_ns /. 1e6));
+              ("stats", stats_json clean_stats);
+              ("bit_identical", Obs.Json.Bool true);
+            ] );
+        ( "one_kill",
+          Obs.Json.Obj
+            [
+              ("ms", Obs.Json.Float (kill_ns /. 1e6));
+              ("stats", stats_json kill_stats);
+              ("bit_identical", Obs.Json.Bool true);
+              ( "restart_ms",
+                Obs.Json.List (List.map (fun ms -> Obs.Json.Float ms) restart_ms) );
+              ( "restart_latency_histogram",
+                Obs.Json.List
+                  (List.map
+                     (fun (le, count) ->
+                       Obs.Json.Obj
+                         [
+                           ("le_ms", Obs.Json.Float le);
+                           ("count", Obs.Json.Float (float_of_int count));
+                         ])
+                     (restart_histogram restart_ms)) );
+            ] );
+      ]
   end
 
 (* {1 LP kernels}
@@ -945,20 +956,11 @@ let run_simplex_benchmarks () =
   let sweep = bench_simplex_warm_sweep ~quick in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_simplex.json not written\n%!"
   else begin
-    let doc =
-      Obs.Json.Obj
-        [
-          ( "benchmark",
-            Obs.Json.String "simplex cold-vs-warm and FVA/knockout warm sweep" );
-          ("kernels", Obs.Json.List [ lp; sweep ]);
-          ("pass", Obs.Json.Bool true);
-        ]
-    in
-    let oc = open_out "BENCH_simplex.json" in
-    output_string oc (Obs.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "   wrote BENCH_simplex.json (pass: true)\n"
+    write_results ~file:"BENCH_simplex.json" ~pass:true
+      [
+        ("benchmark", Obs.Json.String "simplex cold-vs-warm and FVA/knockout warm sweep");
+        ("kernels", Obs.Json.List [ lp; sweep ]);
+      ]
   end
 
 let experiments =

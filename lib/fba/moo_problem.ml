@@ -1,5 +1,3 @@
-type mode = Penalty | Projected
-
 (* Bounds are read once, when the closure is built, like [problem]'s
    box: the hot path then allocates nothing but the clipped copy. *)
 let clip_bounds (g : Geobacter.model) =
@@ -15,26 +13,15 @@ let repair (g : Geobacter.model) =
 let relaxed_violation (g : Geobacter.model) ~eps v =
   Float.max 0. (Network.violation g.net v -. eps)
 
-let problem ?(mode = Penalty) ?(eps = 0.005) (g : Geobacter.model) =
+(* Checkpoints validate the problem name, so it keeps its formulation
+   suffix. *)
+let problem ?(eps = 0.005) (g : Geobacter.model) =
   let bounds = Network.bounds g.net in
   let lower = Array.map fst bounds in
   let upper = Array.map snd bounds in
-  let name =
-    Printf.sprintf "geobacter/%s"
-      (match mode with Penalty -> "penalty" | Projected -> "projected")
-  in
-  match mode with
-  | Penalty ->
-    Moo.Problem.make ~name ~n_obj:2 ~lower ~upper
-      ~violation:(relaxed_violation g ~eps)
-      (fun v -> [| -.v.(g.ep); -.v.(g.bp) |])
-  | Projected ->
-    let rep = repair g in
-    Moo.Problem.make ~name ~n_obj:2 ~lower ~upper
-      ~violation:(fun v -> relaxed_violation g ~eps (rep v))
-      (fun v ->
-        let v' = rep v in
-        [| -.v'.(g.ep); -.v'.(g.bp) |])
+  Moo.Problem.make ~name:"geobacter/penalty" ~n_obj:2 ~lower ~upper
+    ~violation:(relaxed_violation g ~eps)
+    (fun v -> [| -.v.(g.ep); -.v.(g.bp) |])
 
 let flux_variation (g : Geobacter.model) ?(sigma = 0.01) () =
   let project = Network.projector g.net in
@@ -73,8 +60,8 @@ let flux_variation (g : Geobacter.model) ?(sigma = 0.01) () =
 let ep_of (s : Moo.Solution.t) = -.s.Moo.Solution.f.(0)
 let bp_of (s : Moo.Solution.t) = -.s.Moo.Solution.f.(1)
 
-let seeds ?mode ?eps (g : Geobacter.model) ~levels =
-  let p = problem ?mode ?eps g in
+let seeds ?eps (g : Geobacter.model) ~levels =
+  let p = problem ?eps g in
   let saved = Network.bounds g.net in
   (* Seed LPs differ only in the biomass floor: warm-start each level
      from the previous level's optimal basis. *)

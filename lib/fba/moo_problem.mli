@@ -3,21 +3,16 @@
     fluxes, steering the search toward steady state ([‖S·v‖ → 0]) under
     the network's biological bounds (Section 3.2).
 
-    Two evaluation modes:
-    - [Penalty] — the paper's formulation: candidates are raw flux
-      vectors; [‖S·v‖] is the constraint violation and Deb's constrained
-      dominance rewards less-violating solutions.  An [eps] tolerance
-      treats candidates with [‖S·v‖ ≤ eps] as feasible so a trade-off
-      front can form among near-steady solutions.
-    - [Projected] — a repair formulation: each candidate is first
-      projected onto the null space of S (least squares) and clipped back
-      into the flux bounds, so reported solutions are near-steady-state. *)
+    This is the paper's penalty formulation: candidates are raw flux
+    vectors; [‖S·v‖] is the constraint violation and Deb's constrained
+    dominance rewards less-violating solutions.  An [eps] tolerance
+    treats candidates with [‖S·v‖ ≤ eps] as feasible so a trade-off
+    front can form among near-steady solutions. *)
 
-type mode = Penalty | Projected
-
-val problem : ?mode:mode -> ?eps:float -> Geobacter.model -> Moo.Problem.t
-(** [eps] defaults to [0.005] (in [‖S·v‖₂] units — tight enough that
-    the ε-band cannot materially distort the small biomass flux). *)
+val problem : ?eps:float -> Geobacter.model -> Moo.Problem.t
+(** The problem is named ["geobacter/penalty"].  [eps] defaults to
+    [0.005] (in [‖S·v‖₂] units — tight enough that the ε-band cannot
+    materially distort the small biomass flux). *)
 
 val repair : Geobacter.model -> float array -> float array
 (** Null-space projection ({!Network.projector}) followed by bound
@@ -43,7 +38,7 @@ val flux_variation :
     are read once, when [flux_variation g ()] is applied; later
     {!Network.set_bounds} calls do not reach the operator. *)
 
-val seeds : ?mode:mode -> ?eps:float -> Geobacter.model -> levels:float list -> Moo.Solution.t list
+val seeds : ?eps:float -> Geobacter.model -> levels:float list -> Moo.Solution.t list
 (** FBA-derived seed solutions: for each biomass level, the LP solution
     maximizing electron production with that biomass lower bound —
     evaluated against {!problem} so they can seed the optimizer.  The

@@ -20,7 +20,7 @@ let nadir_point front =
       front;
     nadir
 
-let closest_to_ideal ?(normalize = true) front =
+let closest_to_ideal front =
   match front with
   | [] -> invalid_arg "Mine.closest_to_ideal: empty front"
   | _ ->
@@ -30,7 +30,7 @@ let closest_to_ideal ?(normalize = true) front =
     let span =
       Array.init d (fun i ->
           let s = nadir.(i) -. ideal.(i) in
-          if normalize && s > 0. then s else 1.)
+          if s > 0. then s else 1.)
     in
     let dist s =
       let acc = ref 0. in

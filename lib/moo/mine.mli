@@ -11,10 +11,10 @@ val ideal_point : Solution.t list -> float array
 val nadir_point : Solution.t list -> float array
 (** Componentwise maximum of the front's objectives. *)
 
-val closest_to_ideal : ?normalize:bool -> Solution.t list -> Solution.t
-(** The front member minimizing the Euclidean distance to the ideal point;
-    with [normalize] (default [true]) objectives are first rescaled by the
-    front's ranges so incommensurable units weigh equally. *)
+val closest_to_ideal : Solution.t list -> Solution.t
+(** The front member minimizing the Euclidean distance to the ideal point,
+    with objectives first rescaled by the front's ranges so
+    incommensurable units weigh equally. *)
 
 val shadow_minima : Solution.t list -> Solution.t array
 (** [shadow_minima front] returns, per objective [k], the member attaining

@@ -1,9 +1,9 @@
 let reference_celsius = 25.
 
-let vmax_scale ?(q10 = 2.0) ?(t_deact = 38.) t_c =
-  let arrhenius = q10 ** ((t_c -. reference_celsius) /. 10.) in
-  (* Logistic deactivation above [t_deact], normalized to 1 at 25 °C. *)
-  let deact t = 1. /. (1. +. exp (0.45 *. (t -. t_deact))) in
+let vmax_scale t_c =
+  let arrhenius = 2.0 ** ((t_c -. reference_celsius) /. 10.) in
+  (* Logistic deactivation above 38 °C, normalized to 1 at 25 °C. *)
+  let deact t = 1. /. (1. +. exp (0.45 *. (t -. 38.))) in
   arrhenius *. deact t_c /. deact reference_celsius
 
 let kinetics_at ?(base = Params.default) t_c =

@@ -11,10 +11,10 @@
 val reference_celsius : float
 (** 25 °C — the calibration temperature. *)
 
-val vmax_scale : ?q10:float -> ?t_deact:float -> float -> float
+val vmax_scale : float -> float
 (** [vmax_scale t_c] — multiplicative enzyme-capacity factor at leaf
-    temperature [t_c]; equals 1 at 25 °C.  [q10] defaults to 2.0,
-    [t_deact] (deactivation midpoint) to 38 °C. *)
+    temperature [t_c]; equals 1 at 25 °C.  Q10 2.0, damped by a logistic
+    deactivation with its midpoint at 38 °C. *)
 
 val kinetics_at : ?base:Params.kinetics -> float -> Params.kinetics
 (** Kinetic constants adjusted to a leaf temperature: [kc_eff] (Q10 2.1),

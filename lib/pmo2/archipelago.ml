@@ -31,11 +31,6 @@ let default_config =
     cache_size = None;
   }
 
-let paper_config ~generations_hint =
-  if generations_hint < 1 then
-    invalid_arg "Archipelago.paper_config: generations_hint must be >= 1";
-  default_config
-
 let log_src = Logs.Src.create "pmo2.archipelago" ~doc:"Island-model supervisor"
 
 module Log = (val Logs.src_log log_src)
@@ -166,9 +161,11 @@ let supervised_step ?(label = "island") isl ~period =
   let snap = Island.snapshot isl in
   recover ~label isl snap (try_step isl period) ~period
 
-let step_epoch st =
-  Obs.Span.with_span "arch.epoch" @@ fun () ->
-  Obs.Metrics.incr m_epochs;
+(* The in-process island phase: every island steps one period under
+   the supervised policy, then the firing edges deliver, in edge order.
+   Emigrants are selected only after every island stepped, so sources
+   offer their post-step fronts.  Returns the crashes absorbed. *)
+let step_islands st ~epoch:_ ~fire =
   let period = st.config.migration_period in
   (* Pre-epoch snapshots are the supervisor's recovery points: a crashed
      island is rolled back to exactly this state. *)
@@ -189,29 +186,42 @@ let step_epoch st =
         (fun i -> try_step st.islands.(i) period)
     else Array.map (fun isl -> try_step isl period) st.islands
   in
+  let absorbed = ref 0 in
   Array.iteri
     (fun i outcome ->
-      let absorbed =
-        recover ~label:(Printf.sprintf "island %d" i) st.islands.(i) snaps.(i) outcome
-          ~period
-      in
-      st.failures <- st.failures + absorbed)
+      absorbed :=
+        !absorbed
+        + recover ~label:(Printf.sprintf "island %d" i) st.islands.(i) snaps.(i) outcome
+            ~period)
     outcomes;
-  st.gens <- st.gens + period;
-  (* Each directed edge fires with the configured probability; emigrants
-     are non-dominated members of the source island's first front. *)
+  (* Emigrants are non-dominated members of the source island's first
+     front. *)
   let deliveries =
-    List.filter_map
-      (fun (src, dst) ->
-        if Numerics.Rng.bernoulli st.rng st.config.migration_prob then
-          Some (dst, Island.emigrants st.islands.(src) st.config.migrants)
-        else None)
-      st.edges
+    List.map (fun (src, dst) -> (dst, Island.emigrants st.islands.(src) st.config.migrants)) fire
   in
   List.iter (fun (dst, sols) -> Island.inject st.islands.(dst) sols) deliveries;
-  st.epoch_migrations <- List.length deliveries;
+  !absorbed
+
+(* One migration epoch, whoever runs the island phase.  Each directed
+   edge fires with the configured probability, drawn up front from the
+   dedicated migration stream (one Bernoulli per edge, in edge order):
+   nothing else consumes that stream, so drawing before the islands step
+   changes no bit, and a sharded phase can ship the fire list to its
+   workers. *)
+let run_epoch st phase =
+  Obs.Span.with_span "arch.epoch" @@ fun () ->
+  Obs.Metrics.incr m_epochs;
+  let period = st.config.migration_period in
+  let fire =
+    List.filter (fun _ -> Numerics.Rng.bernoulli st.rng st.config.migration_prob) st.edges
+  in
+  st.failures <- st.failures + phase ~epoch:((st.gens / period) + 1) ~fire;
+  st.gens <- st.gens + period;
+  st.epoch_migrations <- List.length fire;
   Obs.Metrics.add m_migrations st.epoch_migrations;
   collect st
+
+let step_epoch st = run_epoch st (step_islands st)
 
 let islands_fronts st = Array.to_list (Array.map Island.front st.islands)
 
@@ -230,34 +240,9 @@ let island_guard_stats st = Array.map Runtime.Guard.stats st.guards
 
 let island_cache_stats st = Array.map Cache.Memo.stats st.memos
 
-(* {1 Sharding support}
-
-   The multi-process runner in [lib/shard] drives epochs itself: its
-   supervisor owns the canonical state (forked workers inherit island
-   copies) and replays exactly [step_epoch]'s sequence — per-edge
-   migration draws from the dedicated migration stream, emigrant
-   selection for firing edges in global edge order, injection, then
-   archive collection in island order.  These accessors expose the state
-   that sequence touches; they are not useful to in-process callers. *)
+(* {1 Sharding support} *)
 
 let islands st = st.islands
-
-let migration_edges st = st.edges
-
-let migration_rng st = st.rng
-
-let advance_generations st period = st.gens <- st.gens + period
-
-let note_failures st n =
-  if n < 0 then invalid_arg "Archipelago.note_failures: count must be >= 0";
-  st.failures <- st.failures + n
-
-let set_epoch_migrations st n =
-  st.epoch_migrations <- n;
-  Obs.Metrics.add m_migrations n;
-  Obs.Metrics.incr m_epochs
-
-let set_hv_ref st r = st.hv_ref <- r
 
 let set_island_guard_stats st updates =
   List.iter
@@ -469,14 +454,13 @@ type result = {
   front : Moo.Solution.t list;
   per_island : Moo.Solution.t list list;
   evaluations : int;
-  explored : int;
   failures : int;
   guard_stats : Runtime.Guard.stats array;
   cache_stats : Cache.Memo.stats array;
 }
 
-let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?resume
-    ?observer ?hv_ref ~generations problem config =
+let run_with ~islands ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints
+    ?resume ?observer ?hv_ref ~generations problem config =
   if checkpoint_every < 1 then invalid_arg "Archipelago.run: checkpoint_every must be >= 1";
   (match keep_checkpoints with
   | Some k when k < 1 -> invalid_arg "Archipelago.run: keep_checkpoints must be >= 1"
@@ -495,6 +479,7 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
       st
   in
   st.hv_ref <- hv_ref;
+  let phase = islands st in
   let save_epoch e =
     match keep_checkpoints, checkpoint with
     | None, Some path -> save st path
@@ -508,7 +493,7 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
   let epochs = (generations + config.migration_period - 1) / config.migration_period in
   let done_epochs = st.gens / config.migration_period in
   for e = done_epochs + 1 to epochs do
-    step_epoch st;
+    run_epoch st phase;
     (* Epoch records cost a hypervolume computation, so build one only
        for an observer or an enabled metrics stream. *)
     if Option.is_some observer || Obs.Metrics.enabled () then begin
@@ -522,11 +507,12 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
     front = Moo.Dominance.non_dominated (Moo.Archive.to_list st.arch);
     per_island = islands_fronts st;
     evaluations = evaluations st;
-    explored = evaluations st;
     failures = st.failures;
     guard_stats = island_guard_stats st;
     cache_stats = island_cache_stats st;
   }
+
+let run = run_with ~islands:step_islands
 
 (* {1 Checkpoint inspection} *)
 

@@ -51,10 +51,6 @@ type config = {
 
 val default_config : config
 
-val paper_config : generations_hint:int -> config
-(** The DAC'11 configuration (2 islands, broadcast, period 200, p = 0.5);
-    [generations_hint] only checks the period makes sense. *)
-
 type state
 
 val init : ?seed:int -> ?initial:Moo.Solution.t list -> Moo.Problem.t -> config -> state
@@ -63,7 +59,8 @@ val init : ?seed:int -> ?initial:Moo.Solution.t list -> Moo.Problem.t -> config 
     [-noassert] release builds). *)
 
 val step_epoch : state -> unit
-(** Run one migration period on every island, then exchange.
+(** Run one migration epoch: draw every edge's migration decision, run
+    {!step_islands}, then merge the island fronts into the archive.
 
     Epochs are supervised: each island is snapshotted before the epoch,
     and an island whose step raises (a crashing objective, a solver
@@ -92,53 +89,28 @@ val island_cache_stats : state -> Cache.Memo.stats array
 
 (** {2 Sharding support}
 
-    Hooks for the multi-process runner ([Shard.Supervisor]), which owns a
-    canonical state, forks workers that inherit island copies, and replays
-    {!step_epoch}'s exact sequence across processes: one migration-stream
-    Bernoulli draw per edge in edge order, emigrant selection only for
-    firing edges in global edge order, injection in delivery order, then
-    {!collect} in island order.  Not useful to in-process callers. *)
+    Hooks for the multi-process runner ([Shard.Supervisor]), which keeps
+    a canonical state, forks workers that inherit island copies, and
+    supplies the island phase of {!run_with}'s epochs.  Not useful to
+    in-process callers. *)
 
 val islands : state -> Island.t array
 (** The live islands, in island order.  Mutating them outside the
     {!step_epoch} discipline forfeits determinism. *)
-
-val migration_edges : state -> (int * int) list
-(** Directed [(src, dst)] migration edges, in the canonical order the
-    migration stream is consumed in. *)
-
-val migration_rng : state -> Numerics.Rng.t
-(** The dedicated migration-decision stream.  One {!Numerics.Rng.bernoulli}
-    draw per edge per epoch, in {!migration_edges} order — nothing else
-    may consume from it. *)
 
 val supervised_step : ?label:string -> Island.t -> period:int -> int
 (** One island's supervised epoch step: snapshot, step [period]
     generations, and on a crash roll back and retry once sequentially —
     a second crash rolls back again and skips the epoch.  Returns the
     number of crashes absorbed (0–2); [label] names the island in log
-    messages.  This is exactly the per-island policy {!step_epoch}
+    messages.  This is exactly the per-island policy {!step_islands}
     applies, exported so worker processes degrade identically. *)
 
-val collect : state -> unit
-(** Merge every island's current front into the archive, in island
-    order — the per-epoch archive update of {!step_epoch}. *)
-
-val advance_generations : state -> int -> unit
-(** Account [period] more generations to the state (the supervisor's
-    bookkeeping after a cross-process epoch). *)
-
-val note_failures : state -> int -> unit
-(** Add worker-reported island crashes to the failure count.  Raises
-    [Invalid_argument] on a negative count. *)
-
-val set_epoch_migrations : state -> int -> unit
-(** Record how many edges delivered this epoch (feeds {!epoch_record} and
-    the [arch.epochs]/[arch.migrations] counters). *)
-
-val set_hv_ref : state -> float array option -> unit
-(** Pin (or clear) the hypervolume reference point, as {!run}'s [?hv_ref]
-    does. *)
+val step_islands : state -> epoch:int -> fire:(int * int) list -> int
+(** The in-process island phase: step every island one period under the
+    supervised policy, then move the emigrants of each firing
+    [(src, dst)] edge into [dst], in [fire] order.  Returns the island
+    crashes absorbed; ignores the 1-based [epoch]. *)
 
 val set_island_guard_stats : state -> (int * Runtime.Guard.stats) list -> unit
 (** Overwrite chosen islands' guard counters with worker-reported values;
@@ -148,7 +120,7 @@ val set_island_guard_stats : state -> (int * Runtime.Guard.stats) list -> unit
 
     The observability hook behind the paper's quality-over-effort curves
     (hypervolume Vp vs. generations, Fig. 1): {!run} builds one
-    {!epoch_record} after every migration epoch and hands it to
+    [epoch_record] after every migration epoch and hands it to
     [?observer].  Records are deterministic for a given seed — the
     hypervolume reference point is either supplied ([?hv_ref]) or fixed
     once from the first observed front (componentwise worst + 10% span
@@ -167,14 +139,6 @@ type epoch_record = {
   er_failures : int;          (** cumulative island crashes absorbed *)
   er_guards : Runtime.Guard.stats array;  (** per-island fault counters *)
 }
-
-val epoch_record : state -> epoch_record
-(** Build a record for the current state (computes the archive-front
-    hypervolume; costs one {!Moo.Hypervolume} call). *)
-
-val publish_record : epoch_record -> unit
-(** Publish the record's values as [arch.*] gauges (what {!run} does each
-    epoch when metrics are enabled) — for external epoch drivers. *)
 
 val jsonl_observer : out_channel -> epoch_record -> unit
 (** An [?observer] for {!run} that publishes the record's [arch.*] gauges
@@ -208,7 +172,6 @@ type result = {
   front : Moo.Solution.t list;        (** merged non-dominated front *)
   per_island : Moo.Solution.t list list;
   evaluations : int;
-  explored : int;  (** total candidate solutions evaluated *)
   failures : int;  (** island crashes absorbed by the supervisor *)
   guard_stats : Runtime.Guard.stats array;
       (** per-island guard telemetry; empty when [guard_penalty = None] *)
@@ -246,9 +209,28 @@ val run :
     newest with {!Runtime.Checkpoint.latest}.  Raises [Invalid_argument]
     when [k < 1].
 
-    [observer] is called with an {!epoch_record} after every epoch;
+    [observer] is called with an [epoch_record] after every epoch;
     [hv_ref] pins the hypervolume reference point (default: fixed from
     the first observed front). *)
+
+val run_with :
+  islands:(state -> epoch:int -> fire:(int * int) list -> int) ->
+  ?seed:int ->
+  ?initial:Moo.Solution.t list ->
+  ?checkpoint:string ->
+  ?checkpoint_every:int ->
+  ?keep_checkpoints:int ->
+  ?resume:string ->
+  ?observer:(epoch_record -> unit) ->
+  ?hv_ref:float array ->
+  generations:int ->
+  Moo.Problem.t ->
+  config ->
+  result
+(** {!run} is [run_with ~islands:step_islands].  [islands] is applied
+    once, to the state after init or resume; every epoch then calls the
+    phase it returns instead of {!step_islands}, which it must match
+    island for island.  The sharded runner forks its workers there. *)
 
 (** {2 Checkpoint inspection} *)
 

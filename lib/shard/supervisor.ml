@@ -1,14 +1,15 @@
 (* Multi-process sharded archipelago supervisor.
 
-   The supervisor owns the canonical archipelago state and drives the
-   same epoch sequence as the in-process driver, with island stepping
-   farmed out to forked worker processes:
+   [Pmo2.Archipelago.run_with] runs the epoch loop — migration draws,
+   bookkeeping, archive collection, observer, checkpoints — on the
+   canonical state the supervisor holds; the supervisor supplies the
+   island phase, farmed out to forked worker processes:
 
-     draw one migration Bernoulli per edge, in edge order
-     Step phase:   workers step their islands, return snapshots+emigrants
-     commit:       restore snapshots into canonical islands (island order)
-     Inject phase: deliveries applied locally and broadcast to workers
-     epilogue:     generations, migration count, archive collection
+     Step:   each worker injects the last commit's deliveries it has not
+             seen, steps its islands, returns snapshots + emigrants
+     commit: restore snapshots into canonical islands (island order),
+             then inject the epoch's deliveries there and keep them as
+             [pending] for the next Step
 
    Worker replies are buffered and committed only when the whole Step
    phase succeeded, so at any failure point the canonical islands still
@@ -16,6 +17,12 @@
    supervisor) replays the identical Step and produces a bit-identical
    reply.  That is the whole determinism argument — crashes change which
    process computes an epoch, never what it computes.
+
+   The one thing a fork can miss is the last commit's injection: the
+   canonical islands got it at commit time, a worker's copies only with
+   its next Step.  [w_synced] records which side of the last commit a
+   worker was forked on — a worker forked after it (any spawn or
+   respawn) inherited the deliveries and must not get them again.
 
    Supervision policy per shard: heartbeat timeout and a per-phase
    wall-clock deadline, both enforced with SIGKILL (hard preemption —
@@ -99,6 +106,7 @@ type worker = {
   mutable w_restarts : int;
   mutable w_last_seen : float;
   mutable w_alive : bool;
+  mutable w_synced : bool; (* forked after the last commit: has its deliveries *)
   mutable w_key : int; (* metric contribution key, fresh per spawn *)
 }
 
@@ -106,9 +114,9 @@ type ctx = {
   scfg : config;
   st : A.state;
   period : int;
-  prob : float;
   migrants : int;
   mutable workers : worker array; (* [||] = fully degraded, step in-process *)
+  mutable pending : (int * Moo.Solution.t list) list; (* the last commit's deliveries *)
   latest_cache : Cache.Memo.stats option array; (* per island, worker-reported *)
   mutable spawn_seq : int; (* next metric contribution key *)
   lane_base : int array; (* per-shard span-id watermark (next safe id) *)
@@ -248,6 +256,7 @@ let spawn_partition ctx ~shards =
              w_restarts = 0;
              w_last_seen = Unix.gettimeofday ();
              w_alive = true;
+             w_synced = true;
              w_key = fresh_key ctx;
            })
          blocks);
@@ -266,7 +275,7 @@ let shutdown_all ctx =
 (* Exponential backoff, then respawn the shard in place (next
    incarnation, same island block).  The fresh fork inherits the
    canonical islands, which hold exactly the state the dead incarnation
-   started its phase from. *)
+   reached after its deliveries — so it gets none. *)
 let respawn ctx w =
   let t0 = Unix.gettimeofday () in
   ctx.c_restarts <- ctx.c_restarts + 1;
@@ -287,6 +296,7 @@ let respawn ctx w =
   w.w_to <- w_to;
   w.w_from <- w_from;
   w.w_alive <- true;
+  w.w_synced <- true;
   w.w_last_seen <- Unix.gettimeofday ();
   w.w_key <- fresh_key ctx;
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -307,33 +317,32 @@ let degrade ctx w =
   if survivors > 0 then spawn_partition ctx ~shards:survivors
   else Obs.Metrics.set_gauge g_shards 0.
 
-(* {1 Epoch phases} *)
+(* {1 The island phase} *)
 
-type phase_result = Committed | Repartitioned
+(* Send [w] its Step: the last commit's deliveries unless it was forked
+   after that commit and so inherited them. *)
+let send_step ctx w ~epoch ~fire =
+  w.w_last_seen <- Unix.gettimeofday ();
+  let deliveries = if w.w_synced then [] else ctx.pending in
+  Wire.send_request w.w_to (Wire.Step { epoch; period = ctx.period; fire; deliveries })
 
-(* Wait for one terminal reply per worker, treating silence past the
-   heartbeat timeout or the phase deadline as a wedged worker.  [on_fail]
-   decides whether a dead worker is retried in place (and its request
-   re-sent) or the whole partition is rebuilt. *)
-let collect_phase ctx ~epoch ~label ~resend ~on_terminal =
+(* Wait for one [Stepped] reply per worker, treating silence past the
+   heartbeat timeout or the phase deadline as a wedged worker.  A dead
+   worker is respawned and re-sent its Step while its retry budget
+   lasts; past the budget the whole partition is rebuilt and [None]
+   tells the caller to replay the phase. *)
+let collect_phase ctx ~epoch ~fire =
   let phase_deadline = Unix.gettimeofday () +. ctx.scfg.epoch_deadline in
   let n = Array.length ctx.workers in
-  let done_ = Array.make n false in
+  let replies = Array.make n None in
   let fail i ~reason =
     let w = ctx.workers.(i) in
     if w.w_restarts < ctx.scfg.retry_budget then begin
       Log.warn (fun m ->
-          m "shard %d failed during %s of epoch %d (%s); restarting" w.w_shard label epoch
-            reason);
+          m "shard %d failed during step of epoch %d (%s); restarting" w.w_shard epoch reason);
       respawn ctx w;
-      (match resend with
-      | Some req -> (
-        try Wire.send_request w.w_to req
-        with Wire.Closed -> () (* instant death; the next pump pass handles it *))
-      | None ->
-        (* Nothing to replay: the canonical state the fresh fork
-           inherited already reflects this phase. *)
-        done_.(i) <- true);
+      (try send_step ctx w ~epoch ~fire
+       with Wire.Closed -> () (* instant death; the next pump pass handles it *));
       true
     end
     else begin
@@ -342,38 +351,36 @@ let collect_phase ctx ~epoch ~label ~resend ~on_terminal =
     end
   in
   let rec pump () =
-    let pending =
-      List.filter (fun i -> not done_.(i)) (List.init n (fun i -> i))
-    in
-    if pending = [] then Committed
+    let waiting = List.filter (fun i -> Option.is_none replies.(i)) (List.init n Fun.id) in
+    if waiting = [] then Some (Array.map Option.get replies)
     else begin
       let now = Unix.gettimeofday () in
       let deadline_of i =
         Float.min phase_deadline (ctx.workers.(i).w_last_seen +. ctx.scfg.heartbeat_timeout)
       in
       (* First preempt anyone already past their deadline. *)
-      let expired = List.filter (fun i -> now >= deadline_of i) pending in
+      let expired = List.filter (fun i -> now >= deadline_of i) waiting in
       match expired with
       | i :: _ ->
-        preempt ctx ctx.workers.(i) ~reason:(Printf.sprintf "no frames during %s" label);
-        if fail i ~reason:"deadline" then pump () else Repartitioned
+        preempt ctx ctx.workers.(i) ~reason:"no frames during step";
+        if fail i ~reason:"deadline" then pump () else None
       | [] -> (
         (* The periodic tick (e.g. --metrics-interval flushing) must run
            even while we sit in select waiting on workers: cap the wait
            and call it every pass. *)
         (match ctx.scfg.tick with Some f -> f () | None -> ());
-        let wake = List.fold_left (fun acc i -> Float.min acc (deadline_of i)) infinity pending in
+        let wake = List.fold_left (fun acc i -> Float.min acc (deadline_of i)) infinity waiting in
         let timeout = Float.max 0. (wake -. now) in
         let timeout =
           match ctx.scfg.tick with Some _ -> Float.min timeout 0.25 | None -> timeout
         in
-        let fds = List.map (fun i -> ctx.workers.(i).w_from) pending in
+        let fds = List.map (fun i -> ctx.workers.(i).w_from) waiting in
         match Unix.select fds [] [] timeout with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
         | [], _, _ -> pump () (* a deadline expired; handled on re-entry *)
         | readable, _, _ -> (
           let i =
-            match List.find_opt (fun i -> List.memq ctx.workers.(i).w_from readable) pending with
+            match List.find_opt (fun i -> List.memq ctx.workers.(i).w_from readable) waiting with
             | Some i -> i
             | None -> invalid_arg "Supervisor: select returned a foreign descriptor"
           in
@@ -383,57 +390,74 @@ let collect_phase ctx ~epoch ~label ~resend ~on_terminal =
             w.w_last_seen <- Unix.gettimeofday ();
             Obs.Metrics.incr m_heartbeats;
             pump ()
-          | reply -> (
+          | Wire.Stepped r when r.Wire.sd_epoch = epoch ->
             w.w_last_seen <- Unix.gettimeofday ();
-            match on_terminal i reply with
-            | Ok () ->
-              done_.(i) <- true;
-              pump ()
-            | Error reason ->
-              preempt ctx w ~reason;
-              if fail i ~reason then pump () else Repartitioned)
+            replies.(i) <- Some r;
+            pump ()
+          | Wire.Stepped r ->
+            let reason =
+              Printf.sprintf "stepped reply for epoch %d during epoch %d" r.Wire.sd_epoch epoch
+            in
+            preempt ctx w ~reason;
+            if fail i ~reason then pump () else None
           | exception Wire.Timeout ->
-            preempt ctx w ~reason:(Printf.sprintf "stalled mid-frame during %s" label);
-            if fail i ~reason:"mid-frame stall" then pump () else Repartitioned
+            preempt ctx w ~reason:"stalled mid-frame during step";
+            if fail i ~reason:"mid-frame stall" then pump () else None
           | exception (Wire.Closed | Runtime.Checkpoint.Corrupt _) ->
             reap w;
-            if fail i ~reason:"died (closed/torn frame)" then pump () else Repartitioned))
+            if fail i ~reason:"died (closed/torn frame)" then pump () else None))
     end
   in
   pump ()
 
-(* The fully-degraded path: run the epoch's island work in-process,
-   with the already-drawn fire list (the migration stream must never be
-   re-consumed for a retried epoch). *)
-let inline_epoch ctx ~fire =
+(* Commit a complete Step phase: restore every reply's snapshots into
+   the canonical islands, inject the epoch's deliveries there (so
+   checkpoints and later forks see the post-inject state), and keep them
+   for the workers, whose copies still lack them.  Returns the crashes
+   the workers absorbed. *)
+let commit ctx ~fire replies =
   let islands = A.islands ctx.st in
   let failures = ref 0 in
+  let emigrant_tbl = Hashtbl.create 16 in
   Array.iteri
-    (fun i isl ->
-      failures := !failures + A.supervised_step ~label:(Printf.sprintf "island %d" i) isl ~period:ctx.period)
-    islands;
+    (fun wi (r : Wire.stepped) ->
+      List.iter (fun (i, snap) -> Pmo2.Island.restore islands.(i) snap) r.Wire.sd_snapshots;
+      failures := !failures + r.Wire.sd_failures;
+      A.set_island_guard_stats ctx.st r.Wire.sd_guards;
+      List.iter
+        (fun (i, cs) -> if i < Array.length ctx.latest_cache then ctx.latest_cache.(i) <- Some cs)
+        r.Wire.sd_caches;
+      List.iter (fun (edge, sols) -> Hashtbl.replace emigrant_tbl edge sols) r.Wire.sd_emigrants;
+      (* Obs flushes are absorbed only here, at commit: flushes in
+         discarded replies (repartitions, kills) never merge, so replayed
+         epochs cannot double-count. *)
+      absorb_obs ctx ctx.workers.(wi) r.Wire.sd_obs)
+    replies;
   let deliveries =
-    List.map (fun (src, dst) -> (dst, Pmo2.Island.emigrants islands.(src) ctx.migrants)) fire
+    List.map
+      (fun (src, dst) ->
+        match Hashtbl.find_opt emigrant_tbl (src, dst) with
+        | Some sols -> (dst, sols)
+        | None ->
+          invalid_arg (Printf.sprintf "Supervisor: no emigrants reported for edge %d->%d" src dst))
+      fire
   in
   List.iter (fun (dst, sols) -> Pmo2.Island.inject islands.(dst) sols) deliveries;
-  A.note_failures ctx.st !failures
+  ctx.pending <- deliveries;
+  Array.iter (fun w -> w.w_synced <- false) ctx.workers;
+  !failures
 
-let step_request ~epoch ~period ~fire = Wire.Step { epoch; period; fire }
-
-(* One supervised epoch: Step phase (retried wholesale on repartition —
-   safe because commits are buffered), commit, local+remote Inject. *)
-let rec run_epoch ctx ~epoch ~fire =
-  if Array.length ctx.workers = 0 then inline_epoch ctx ~fire
+(* One supervised island phase: Step, retried wholesale on repartition
+   (safe because commits are buffered), then commit.  With no workers
+   left the phase runs in-process on the already-drawn fire list. *)
+let rec step_phase ctx ~epoch ~fire =
+  if Array.length ctx.workers = 0 then A.step_islands ctx.st ~epoch ~fire
   else begin
-    let n = Array.length ctx.workers in
-    let replies : Wire.stepped option array = Array.make n None in
-    let req = step_request ~epoch ~period:ctx.period ~fire in
     let send_ok =
       Array.for_all
         (fun w ->
-          w.w_last_seen <- Unix.gettimeofday ();
           try
-            Wire.send_request w.w_to req;
+            send_step ctx w ~epoch ~fire;
             true
           with Wire.Closed -> false)
         ctx.workers
@@ -444,84 +468,23 @@ let rec run_epoch ctx ~epoch ~fire =
       let shards = Array.length ctx.workers in
       shutdown_all ctx;
       spawn_partition ctx ~shards;
-      run_epoch ctx ~epoch ~fire
+      step_phase ctx ~epoch ~fire
     end
-    else begin
-      let on_terminal i = function
-        | Wire.Stepped r when r.Wire.sd_epoch = epoch ->
-          replies.(i) <- Some r;
-          Ok ()
-        | Wire.Stepped r ->
-          Error (Printf.sprintf "stepped reply for epoch %d during epoch %d" r.Wire.sd_epoch epoch)
-        | Wire.Injected _ -> Error "inject ack during step phase"
-        | Wire.Heartbeat _ -> Ok () (* unreachable; heartbeats handled by the pump *)
-      in
-      match collect_phase ctx ~epoch ~label:"step" ~resend:(Some req) ~on_terminal with
-      | Repartitioned ->
+    else
+      match collect_phase ctx ~epoch ~fire with
+      | Some replies -> commit ctx ~fire replies
+      | None ->
         (* Canonical islands still hold epoch-start state: replay the
            epoch on the new partition with the same fire list. *)
-        run_epoch ctx ~epoch ~fire
-      | Committed ->
-        let islands = A.islands ctx.st in
-        let failures = ref 0 in
-        let emigrant_tbl = Hashtbl.create 16 in
-        Array.iteri
-          (fun wi -> function
-            | None -> invalid_arg "Supervisor: step phase committed with a missing reply"
-            | Some (r : Wire.stepped) ->
-              List.iter (fun (i, snap) -> Pmo2.Island.restore islands.(i) snap) r.Wire.sd_snapshots;
-              failures := !failures + r.Wire.sd_failures;
-              A.set_island_guard_stats ctx.st r.Wire.sd_guards;
-              List.iter
-                (fun (i, cs) ->
-                  if i < Array.length ctx.latest_cache then ctx.latest_cache.(i) <- Some cs)
-                r.Wire.sd_caches;
-              List.iter (fun (edge, sols) -> Hashtbl.replace emigrant_tbl edge sols) r.Wire.sd_emigrants;
-              (* Obs flushes are absorbed only here, at commit: flushes
-                 in discarded replies (repartitions, kills) never merge,
-                 so replayed epochs cannot double-count. *)
-              absorb_obs ctx ctx.workers.(wi) r.Wire.sd_obs)
-          replies;
-        A.note_failures ctx.st !failures;
-        let deliveries =
-          List.map
-            (fun (src, dst) ->
-              match Hashtbl.find_opt emigrant_tbl (src, dst) with
-              | Some sols -> (dst, sols)
-              | None ->
-                invalid_arg
-                  (Printf.sprintf "Supervisor: no emigrants reported for edge %d->%d" src dst))
-            fire
-        in
-        (* Mirror the injection on the canonical islands, so checkpoints
-           and respawns always see the post-inject state. *)
-        List.iter (fun (dst, sols) -> Pmo2.Island.inject islands.(dst) sols) deliveries;
-        let inj = Wire.Inject { epoch; deliveries } in
-        Array.iter
-          (fun w ->
-            w.w_last_seen <- Unix.gettimeofday ();
-            try Wire.send_request w.w_to inj with Wire.Closed -> ())
-          ctx.workers;
-        let on_terminal i = function
-          | Wire.Injected { in_epoch; in_obs } when in_epoch = epoch ->
-            (* Safe to absorb immediately: inject applies no evaluations,
-               and a worker that dies after acking is simply respawned
-               from the post-inject canonical state. *)
-            absorb_obs ctx ctx.workers.(i) in_obs;
-            Ok ()
-          | Wire.Injected { in_epoch; _ } ->
-            Error (Printf.sprintf "inject ack for epoch %d during epoch %d" in_epoch epoch)
-          | Wire.Stepped _ -> Error "stepped reply during inject phase"
-          | Wire.Heartbeat _ -> Ok ()
-        in
-        (* No resend: a worker respawned during the inject phase forks
-           the post-inject canonical state, so its epoch is complete. *)
-        (match collect_phase ctx ~epoch ~label:"inject" ~resend:None ~on_terminal with
-        | Committed | Repartitioned -> ())
-    end
+        step_phase ctx ~epoch ~fire
   end
 
-(* {1 The run loop} *)
+let island_phase ctx ~epoch ~fire =
+  Obs.Ring.record rp_epoch Obs.Ring.Mark epoch;
+  (match ctx.scfg.tick with Some f -> f () | None -> ());
+  Obs.Span.with_span "shard.epoch" @@ fun () -> step_phase ctx ~epoch ~fire
+
+(* {1 The run} *)
 
 let stats_of ctx ~requested =
   {
@@ -535,23 +498,9 @@ let stats_of ctx ~requested =
     restart_ms = List.rev ctx.c_restart_ms;
   }
 
-let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?resume
-    ?observer ?hv_ref ?(config = default) ~generations problem (acfg : A.config) =
-  validate config;
-  if checkpoint_every < 1 then invalid_arg "Supervisor.run: checkpoint_every must be >= 1";
-  (match keep_checkpoints with
-  | Some k when k < 1 -> invalid_arg "Supervisor.run: keep_checkpoints must be >= 1"
-  | _ -> ());
-  let acfg = sanitize acfg in
-  let st =
-    match resume with
-    | Some path -> A.load ?seed problem acfg path
-    | None ->
-      let st = A.init ?seed ?initial problem acfg in
-      A.collect st;
-      st
-  in
-  A.set_hv_ref st hv_ref;
+(* Build the supervision context on the state [run_with] initialized or
+   resumed, fork the workers, and hand back the island phase. *)
+let start ~live config (acfg : A.config) st =
   let n_islands = Array.length (A.islands st) in
   (* More shards than islands would leave idle workers; clamp. *)
   let shards = max 1 (min config.shards n_islands) in
@@ -560,9 +509,9 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
       scfg = config;
       st;
       period = acfg.A.migration_period;
-      prob = acfg.A.migration_prob;
       migrants = acfg.A.migrants;
       workers = [||];
+      pending = [];
       latest_cache = Array.make n_islands None;
       spawn_seq = 0;
       lane_base = Array.make shards 0;
@@ -574,22 +523,7 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
       c_restart_ms = [];
     }
   in
-  (* A write to a SIGKILLed worker must surface as EPIPE, not kill us. *)
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-  in
-  let final_stats = ref None in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Record the shard count before draining so stats report the
-         partition the run finished with. *)
-      if Option.is_none !final_stats then
-        final_stats := Some (stats_of ctx ~requested:config.shards);
-      shutdown_all ctx;
-      match old_sigpipe with
-      | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
-      | None -> ())
-  @@ fun () ->
+  live := Some ctx;
   (* One Perfetto process row per logical lane: 0 = supervisor, s+1 =
      shard s.  Logical lanes, not OS pids — pids would break the
      byte-determinism of the merged trace. *)
@@ -601,58 +535,37 @@ let run ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints ?re
   | Some prefix -> Obs.Ring.attach ~path:(prefix ^ ".supervisor.ring") ~lane:0
   | None -> ());
   spawn_partition ctx ~shards;
-  let save_epoch e =
-    match keep_checkpoints, checkpoint with
-    | None, Some path -> A.save st path
-    | Some k, Some path ->
-      A.save st (Runtime.Checkpoint.numbered path e);
-      Runtime.Checkpoint.prune ~keep:k path
-    | _, None -> ()
+  island_phase ctx
+
+let run ?seed ?initial ?checkpoint ?checkpoint_every ?keep_checkpoints ?resume ?observer
+    ?hv_ref ?(config = default) ~generations problem (acfg : A.config) =
+  validate config;
+  let acfg = sanitize acfg in
+  (* A write to a SIGKILLed worker must surface as EPIPE, not kill us. *)
+  let old_sigpipe =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
   in
-  let epochs = (generations + ctx.period - 1) / ctx.period in
-  let done_epochs = A.generations_done st / ctx.period in
-  for e = done_epochs + 1 to epochs do
-    Obs.Ring.record rp_epoch Obs.Ring.Mark e;
-    (match config.tick with Some f -> f () | None -> ());
-    Obs.Span.with_span "shard.epoch" @@ fun () ->
-    (* The migration stream is consumed here and only here: one draw per
-       edge, in edge order, exactly like the in-process driver. *)
-    let fire =
-      List.filter_map
-        (fun (src, dst) ->
-          if Numerics.Rng.bernoulli (A.migration_rng st) ctx.prob then Some (src, dst)
-          else None)
-        (A.migration_edges st)
-    in
-    run_epoch ctx ~epoch:e ~fire;
-    A.advance_generations st ctx.period;
-    A.set_epoch_migrations st (List.length fire);
-    A.collect st;
-    if Option.is_some observer || Obs.Metrics.enabled () then begin
-      let r = A.epoch_record st in
-      A.publish_record r;
-      match observer with Some f -> f r | None -> ()
-    end;
-    if e mod checkpoint_every = 0 || e = epochs then save_epoch e
-  done;
-  final_stats := Some (stats_of ctx ~requested:config.shards);
-  let cache_stats =
-    let own = A.island_cache_stats st in
-    if Array.length own = 0 then [||]
-    else
-      Array.init n_islands (fun i ->
-          match ctx.latest_cache.(i) with Some cs -> cs | None -> own.(i))
-  in
+  let live = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter shutdown_all !live;
+      match old_sigpipe with
+      | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
+      | None -> ())
+  @@ fun () ->
   let result =
-    {
-      A.front = Moo.Dominance.non_dominated (Moo.Archive.to_list (A.archive st));
-      per_island = A.islands_fronts st;
-      evaluations = A.evaluations st;
-      explored = A.evaluations st;
-      failures = A.island_failures st;
-      guard_stats = A.island_guard_stats st;
-      cache_stats;
-    }
+    A.run_with ~islands:(start ~live config acfg) ?seed ?initial ?checkpoint ?checkpoint_every
+      ?keep_checkpoints ?resume ?observer ?hv_ref ~generations problem acfg
   in
-  let stats = match !final_stats with Some s -> s | None -> stats_of ctx ~requested:config.shards in
-  (result, stats)
+  (* [run_with] calls [start] before its first epoch, so the context
+     exists; stats are taken before the drain so they report the
+     partition the run finished with. *)
+  let ctx = Option.get !live in
+  (* Memo counters live where the islands stepped: an island's last
+     worker-reported counters replace the canonical memo's. *)
+  let cache_stats =
+    Array.mapi
+      (fun i own -> Option.value ctx.latest_cache.(i) ~default:own)
+      result.A.cache_stats
+  in
+  ({ result with A.cache_stats }, stats_of ctx ~requested:config.shards)

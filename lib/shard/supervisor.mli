@@ -1,14 +1,14 @@
 (** Multi-process sharded archipelago runner.
 
     Partitions the islands across [shards] forked worker processes and
-    drives the standard epoch sequence across them over the {!Wire}
-    protocol, while the supervisor keeps the canonical
-    {!Pmo2.Archipelago.state}.  Worker replies are buffered and committed
-    only when a whole phase succeeds, so a crashed, killed or wedged
-    worker can always be replaced by a fresh fork of the canonical state
-    that replays the identical work — final fronts are bit-for-bit
-    identical to the in-process archipelago at any shard count, crashes
-    or not.
+    runs {!Pmo2.Archipelago.run_with} with its island phase carried out
+    by the workers over the {!Wire} protocol, while the supervisor keeps
+    the canonical {!Pmo2.Archipelago.state}.  Worker replies are buffered
+    and committed only when every worker answered, so a crashed, killed
+    or wedged worker can always be replaced by a fresh fork of the
+    canonical state that replays the identical work — final fronts are
+    bit-for-bit identical to the in-process archipelago at any shard
+    count, crashes or not.
 
     Supervision per shard: heartbeat timeout and per-phase wall-clock
     deadline enforced by SIGKILL (hard preemption — covers wedged

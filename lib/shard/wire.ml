@@ -11,10 +11,10 @@
 exception Closed
 exception Timeout
 
-(* v2 added the [Obs] flush payload on terminal replies (sd_obs/in_obs).
-   The version bump makes a v1 peer fail loudly on the magic line rather
-   than misparse the marshalled record. *)
-let magic = Runtime.Checkpoint.versioned_magic ~base:"robustpath-shard-wire" ~version:2
+(* Bumped whenever a message changes shape (v2: obs flushes, v3:
+   deliveries in [Step]), so an older peer fails loudly on the magic
+   line rather than misparse the marshalled message. *)
+let magic = Runtime.Checkpoint.versioned_magic ~base:"robustpath-shard-wire" ~version:3
 
 (* Frames larger than this are a protocol error, not a payload. *)
 let max_frame = 1 lsl 30
@@ -23,8 +23,12 @@ let m_frames = Obs.Metrics.counter "shard.frames"
 let m_frame_bytes = Obs.Metrics.counter "shard.frame_bytes"
 
 type request =
-  | Step of { epoch : int; period : int; fire : (int * int) list }
-  | Inject of { epoch : int; deliveries : (int * Moo.Solution.t list) list }
+  | Step of {
+      epoch : int;
+      period : int;
+      fire : (int * int) list;
+      deliveries : (int * Moo.Solution.t list) list;
+    }
   | Shutdown
 
 type stepped = {
@@ -40,7 +44,6 @@ type stepped = {
 type reply =
   | Heartbeat of { hb_epoch : int; hb_island : int }
   | Stepped of stepped
-  | Injected of { in_epoch : int; in_obs : Obs.Merge.flush option }
 
 (* {1 Encoding} *)
 

@@ -7,20 +7,21 @@
     a frame torn by a SIGKILL mid-write — at {e any} byte boundary —
     reads as {!Runtime.Checkpoint.Corrupt}, never as a misparse.
 
-    The protocol has two phases per epoch.  [Step] carries the epoch's
-    firing edges (the supervisor draws every migration decision so the
-    dedicated migration stream is consumed exactly as in-process); the
-    worker steps its islands, heartbeating after each, and answers
-    [Stepped] with post-step snapshots and the emigrants of firing edges
-    whose source it owns, in global edge order.  [Inject] broadcasts the
-    assembled deliveries; workers apply those addressed to their islands
-    and ack with [Injected].
+    The protocol has one request and one terminal reply per worker per
+    epoch.  [Step] carries the epoch's firing edges (the archipelago
+    draws every migration decision, so the dedicated migration stream is
+    consumed exactly as in-process) and the deliveries of the previous
+    epoch's commit when the worker has not seen them; the worker injects
+    those addressed to its islands, steps its islands, heartbeating
+    after each, and answers [Stepped] with post-step snapshots and the
+    emigrants of firing edges whose source it owns, in global edge
+    order.
 
-    Both terminal replies optionally carry an {!Obs.Merge.flush} — the
-    worker's drained trace spans and cumulative metric delta.  Flushes
-    ride only terminal replies (never heartbeats): the supervisor
-    absorbs a flush exactly when it commits the phase it answered, so a
-    killed worker's replayed epoch cannot double-count (DESIGN §14). *)
+    [Stepped] optionally carries an {!Obs.Merge.flush} — the worker's
+    drained trace spans and cumulative metric delta.  Flushes ride only
+    on [Stepped] (never on heartbeats): the supervisor absorbs a flush
+    exactly when it commits the epoch it answered, so a killed worker's
+    replayed epoch cannot double-count (DESIGN §14). *)
 
 exception Closed
 (** Peer closed the pipe at a frame boundary (clean EOF or EPIPE). *)
@@ -30,18 +31,25 @@ exception Timeout
     signal that triggers hard preemption. *)
 
 val magic : string
-(** ["robustpath-shard-wire v2"], built with
+(** ["robustpath-shard-wire v3"], built with
     {!Runtime.Checkpoint.versioned_magic} (v2 added the obs flush
-    payloads). *)
+    payloads, v3 moved deliveries into [Step]). *)
 
 type request =
-  | Step of { epoch : int; period : int; fire : (int * int) list }
-  | Inject of { epoch : int; deliveries : (int * Moo.Solution.t list) list }
+  | Step of {
+      epoch : int;
+      period : int;
+      fire : (int * int) list;  (** firing edges, in global edge order *)
+      deliveries : (int * Moo.Solution.t list) list;
+          (** [(dst, migrants)] of the previous commit, in global edge
+              order; [[]] for a worker forked after that commit *)
+    }
   | Shutdown
 
 type stepped = {
   sd_epoch : int;
-  sd_snapshots : (int * Pmo2.Island.snapshot) list;  (** post-step, pre-inject *)
+  sd_snapshots : (int * Pmo2.Island.snapshot) list;
+      (** post-step, before this epoch's deliveries *)
   sd_emigrants : ((int * int) * Moo.Solution.t list) list;
       (** fired edges with a locally-owned source, in global edge order *)
   sd_failures : int;  (** island crashes absorbed this epoch *)
@@ -56,7 +64,6 @@ type reply =
   | Heartbeat of { hb_epoch : int; hb_island : int }
       (** liveness tick; [hb_island = -1] right after [Step] receipt *)
   | Stepped of stepped
-  | Injected of { in_epoch : int; in_obs : Obs.Merge.flush option }
 
 val send_request : Unix.file_descr -> request -> unit
 val send_reply : Unix.file_descr -> reply -> unit

@@ -6,7 +6,9 @@
    it.  It owns the islands in [local] and must never touch the others
    (its copies of those go stale the moment siblings step them).
 
-   Determinism contract: the worker steps its islands in island order
+   Determinism contract: the worker first injects the deliveries its
+   [Step] carries (the previous commit's, which a worker forked before
+   that commit has not seen), then steps its islands in island order
    with the same supervised policy as the in-process driver, and selects
    emigrants only for firing edges, in global edge order — the only two
    points where island RNG streams advance.
@@ -16,7 +18,7 @@
    spans restart at the supervisor-issued [span_base] watermark for this
    lane (keeping [(pid, id)] unique across incarnations), metrics at
    zero so the worker's delta is cumulative-since-fork — and every
-   terminal reply carries the resulting {!Obs.Merge.flush}.  The flight
+   [Stepped] reply carries the resulting {!Obs.Merge.flush}.  The flight
    recorder is re-attached to a per-incarnation sidecar file so a
    SIGKILL leaves a post-mortem. *)
 
@@ -25,7 +27,6 @@ let log_src = Logs.Src.create "shard.worker" ~doc:"Sharded archipelago worker"
 module Log = (val Logs.src_log log_src)
 
 let rp_step = Obs.Ring.probe "worker.step"
-let rp_inject = Obs.Ring.probe "worker.inject"
 let rp_fault = Obs.Ring.probe "worker.fault"
 
 (* A wedged evaluation: the pipe stays open but no bytes ever arrive.
@@ -54,19 +55,7 @@ let run ~state ~shard ~incarnation ~local ~migrants ~fault ~span_base ~ring_pref
     match Wire.recv_request input with
     | exception Wire.Closed -> ()
     | Wire.Shutdown -> ()
-    | Wire.Inject { epoch; deliveries } ->
-      Obs.Ring.record rp_inject Obs.Ring.Mark epoch;
-      (* Deliveries arrive in global edge order; applying the local
-         subset in that order preserves each island's injection order. *)
-      Obs.Span.with_span ~args:[ ("epoch", string_of_int epoch) ] "worker.inject" (fun () ->
-          List.iter
-            (fun (dst, sols) ->
-              if List.mem dst local then Pmo2.Island.inject islands.(dst) sols)
-            deliveries);
-      Wire.send_reply output
-        (Wire.Injected { in_epoch = epoch; in_obs = Obs.Merge.capture_if_enabled ~pid:lane () });
-      loop ()
-    | Wire.Step { epoch; period; fire } ->
+    | Wire.Step { epoch; period; fire; deliveries } ->
       let mode = Runtime.Fault.should_fault fault ~shard ~epoch ~incarnation in
       Obs.Ring.record rp_step Obs.Ring.Mark epoch;
       Wire.send_reply output (Wire.Heartbeat { hb_epoch = epoch; hb_island = -1 });
@@ -74,6 +63,13 @@ let run ~state ~shard ~incarnation ~local ~migrants ~fault ~span_base ~ring_pref
         (* The whole local phase under one span, closed before the flush
            is captured so it ships inside this epoch's reply. *)
         Obs.Span.with_span ~args:[ ("epoch", string_of_int epoch) ] "worker.step" (fun () ->
+            (* Deliveries arrive in global edge order; applying the local
+               subset in that order preserves each island's injection
+               order. *)
+            List.iter
+              (fun (dst, sols) ->
+                if List.mem dst local then Pmo2.Island.inject islands.(dst) sols)
+              deliveries;
             let failures = ref 0 in
             List.iter
               (fun i ->

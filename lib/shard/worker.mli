@@ -3,10 +3,10 @@
 
     The worker inherits the supervisor's canonical archipelago state via
     [fork] — nothing is shipped at spawn — and serves the {!Wire}
-    protocol over its two pipes: stepping exactly the islands in
-    [local] (heartbeating after each), selecting emigrants for firing
-    edges it owns in global edge order, and applying injected
-    deliveries.  Returns when told to shut down or when the supervisor's
+    protocol over its two pipes: applying the deliveries a [Step]
+    carries to the islands in [local], stepping exactly those islands
+    (heartbeating after each), and selecting emigrants for firing edges
+    it owns in global edge order.  Returns when told to shut down or when the supervisor's
     pipe closes; the caller is expected to [Unix._exit] immediately
     after, never to resume the supervisor's stack. *)
 

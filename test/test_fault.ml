@@ -611,8 +611,6 @@ let test_invalid_arg_preconditions () =
   expect_invalid "init: bad probability" (fun () ->
       Pmo2.Archipelago.init (Moo.Benchmarks.zdt1 ~n:4)
         { small_config with Pmo2.Archipelago.migration_prob = 1.5 });
-  expect_invalid "paper_config: bad hint" (fun () ->
-      Pmo2.Archipelago.paper_config ~generations_hint:0);
   expect_invalid "run: keep_checkpoints < 1" (fun () ->
       Pmo2.Archipelago.run ~checkpoint:"unused.ckpt" ~keep_checkpoints:0 ~generations:10
         (Moo.Benchmarks.zdt1 ~n:4) small_config)

@@ -24,6 +24,13 @@ let with_temp_file f =
   let path = Filename.temp_file "robustpath" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+(* ZDT1 whose objective raises for a tenth of candidates, picked by a
+   pure hash of the decision vector. *)
+let faulty_zdt1 () =
+  Runtime.Fault.wrap_problem
+    { Runtime.Fault.default with Runtime.Fault.fraction = 0.1; modes = [ Runtime.Fault.Raise ] }
+    (zdt1 6)
+
 (* Four islands so 1/2/4-shard partitions are all non-trivial. *)
 let quad_config =
   {
@@ -86,7 +93,19 @@ let test_frame_roundtrip () =
    boundary; every prefix must read back as a clean close (nothing sent)
    or a detected corruption — never a misparse. *)
 let test_wire_torn_at_every_byte () =
-  let reply = Shard.Wire.Injected { in_epoch = 7; in_obs = None } in
+  let migrant = Moo.Solution.evaluate (zdt1 6) (Array.make 6 0.25) in
+  let reply =
+    Shard.Wire.Stepped
+      {
+        sd_epoch = 7;
+        sd_snapshots = [];
+        sd_emigrants = [ ((0, 1), [ migrant ]) ];
+        sd_failures = 0;
+        sd_guards = [];
+        sd_caches = [];
+        sd_obs = None;
+      }
+  in
   let bytes = Shard.Wire.to_bytes reply in
   let n = String.length bytes in
   for cut = 0 to n - 1 do
@@ -236,16 +255,11 @@ let test_retry_budget_exhaustion_degrades () =
 (* {1 Telemetry exactness across processes} *)
 
 let test_guard_stats_exact_across_shards () =
-  let make_problem () =
-    Runtime.Fault.wrap_problem
-      { Runtime.Fault.default with Runtime.Fault.fraction = 0.1; modes = [ Runtime.Fault.Raise ] }
-      (zdt1 6)
-  in
   let cfg = { quad_config with A.guard_penalty = Some 1e9 } in
-  let baseline = A.run ~seed:29 ~generations:15 (make_problem ()) cfg in
+  let baseline = A.run ~seed:29 ~generations:15 (faulty_zdt1 ()) cfg in
   let r, _stats =
     Sup.run ~seed:29 ~config:{ sup_config with Sup.shards = 2 } ~generations:15
-      (make_problem ()) cfg
+      (faulty_zdt1 ()) cfg
   in
   Alcotest.(check bool) "guards saw failures" true
     (Array.exists (fun g -> Runtime.Guard.failures g > 0) baseline.A.guard_stats);
@@ -278,15 +292,10 @@ let counters_sans_shard () =
   | _ -> []
 
 let test_merged_rollups_and_trace () =
-  let make_problem () =
-    Runtime.Fault.wrap_problem
-      { Runtime.Fault.default with Runtime.Fault.fraction = 0.1; modes = [ Runtime.Fault.Raise ] }
-      (zdt1 6)
-  in
   let cfg = { quad_config with A.guard_penalty = Some 1e9 } in
   let baseline =
     with_obs (fun () ->
-        let _ = A.run ~seed:41 ~generations:12 (make_problem ()) cfg in
+        let _ = A.run ~seed:41 ~generations:12 (faulty_zdt1 ()) cfg in
         counters_sans_shard ())
   in
   let sharded, events =
@@ -297,7 +306,7 @@ let test_merged_rollups_and_trace () =
         let _r, stats =
           Sup.run ~seed:41
             ~config:{ sup_config with Sup.shards = 2; fault = Some fault }
-            ~generations:12 (make_problem ()) cfg
+            ~generations:12 (faulty_zdt1 ()) cfg
         in
         Alcotest.(check bool) "kill replayed" true (stats.Sup.restarts >= 1);
         (counters_sans_shard (), Obs.Span.events ()))
@@ -395,6 +404,84 @@ let test_checkpoint_interchange () =
       Alcotest.(check bool) "in-process checkpoint resumes sharded" true
         (front_key resumed = front_key full))
 
+(* {1 One epoch loop: observer stream and numbered checkpoints} *)
+
+(* Every field of an epoch record; floats by their bits. *)
+let record_key (r : A.epoch_record) =
+  let bits = Array.map Int64.bits_of_float in
+  ( (r.A.er_epoch, r.A.er_generations, r.A.er_evaluations, r.A.er_archive_size),
+    (bits r.A.er_hv_ref, Int64.bits_of_float r.A.er_hypervolume),
+    (r.A.er_migrations, r.A.er_failures, r.A.er_guards) )
+
+let test_observer_stream_identical () =
+  let cfg = { quad_config with A.guard_penalty = Some 1e9 } in
+  let observe run =
+    let records = ref [] in
+    run ~observer:(fun r -> records := record_key r :: !records);
+    List.rev !records
+  in
+  let baseline =
+    observe (fun ~observer ->
+        ignore (A.run ~seed:47 ~observer ~generations:20 (faulty_zdt1 ()) cfg))
+  in
+  (* Shard 1 dies mid-reply at epoch 2, so the stream must also survive
+     a replayed epoch. *)
+  let fault = Runtime.Fault.parse_kill_spec "1:2:1:kill" in
+  let sharded =
+    observe (fun ~observer ->
+        let _r, stats =
+          Sup.run ~seed:47 ~observer
+            ~config:{ sup_config with Sup.shards = 2; fault = Some fault }
+            ~generations:20 (faulty_zdt1 ()) cfg
+        in
+        Alcotest.(check bool) "kill replayed" true (stats.Sup.restarts >= 1))
+  in
+  Alcotest.(check int) "one record per epoch" 4 (List.length baseline);
+  Alcotest.(check bool) "migrants delivered" true
+    (List.exists (fun (_, _, (migrations, _, _)) -> migrations > 0) baseline);
+  Alcotest.(check int) "same record count" (List.length baseline) (List.length sharded);
+  List.iteri
+    (fun i (b, s) ->
+      Alcotest.(check bool) (Printf.sprintf "record %d identical" (i + 1)) true (b = s))
+    (List.combine baseline sharded)
+
+(* [f dir path] with [path] a checkpoint base name inside a fresh
+   directory, removed afterwards with everything in it. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "robustpath" ".hist" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir (Filename.concat dir "run.ckpt"))
+
+let history dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let test_numbered_history_matches () =
+  let problem = zdt1 6 in
+  let full = A.run ~seed:53 ~generations:30 problem quad_config in
+  with_temp_dir (fun sdir spath ->
+      with_temp_dir (fun adir apath ->
+          let _r, _ =
+            Sup.run ~seed:53 ~config:sup_config ~checkpoint:spath ~keep_checkpoints:2
+              ~generations:20 problem quad_config
+          in
+          let _ =
+            A.run ~seed:53 ~checkpoint:apath ~keep_checkpoints:2 ~generations:20 problem
+              quad_config
+          in
+          Alcotest.(check (list string)) "two newest epochs kept"
+            [ "run.ckpt.000003"; "run.ckpt.000004" ] (history adir);
+          Alcotest.(check (list string)) "same numbered files" (history adir) (history sdir);
+          match Runtime.Checkpoint.latest spath with
+          | None -> Alcotest.fail "sharded run left no numbered checkpoint"
+          | Some newest ->
+            let resumed = A.run ~seed:53 ~resume:newest ~generations:30 problem quad_config in
+            Alcotest.(check bool) "resumed front bit-identical" true
+              (front_key resumed = front_key full);
+            Alcotest.(check int) "resumed evaluations exact" full.A.evaluations
+              resumed.A.evaluations))
+
 (* {1 Checkpoint version tolerance (info_version round-trip)} *)
 
 (* Marshal-layout mirrors of the archipelago checkpoint payloads, for
@@ -467,7 +554,7 @@ let test_info_version_roundtrip () =
                 10 (A.generations_done st))
             [ (v2path, 2); (v1path, 1) ];
           (* The wire format shares the same versioned-magic grammar. *)
-          Alcotest.(check (option int)) "wire magic dispatches" (Some 2)
+          Alcotest.(check (option int)) "wire magic dispatches" (Some 3)
             (Runtime.Checkpoint.version_of_magic ~base:"robustpath-shard-wire" Shard.Wire.magic)))
 
 let () =
@@ -491,6 +578,8 @@ let () =
           Alcotest.test_case "shards clamped to islands" `Quick test_shards_clamped_to_islands;
           Alcotest.test_case "guard stats exact across shards" `Quick
             test_guard_stats_exact_across_shards;
+          Alcotest.test_case "observer stream identical under a kill" `Quick
+            test_observer_stream_identical;
         ] );
       ( "observability",
         [
@@ -513,5 +602,7 @@ let () =
           Alcotest.test_case "sharded <-> in-process interchange" `Quick
             test_checkpoint_interchange;
           Alcotest.test_case "info_version v1/v2 round-trip" `Quick test_info_version_roundtrip;
+          Alcotest.test_case "numbered history matches in-process" `Quick
+            test_numbered_history_matches;
         ] );
     ]
