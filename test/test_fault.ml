@@ -34,7 +34,9 @@ let test_fallback_rescues_stiff () =
   | Numerics.Ode.Stiff -> ()
   | t -> Alcotest.failf "expected implicit-Euler tier, got %s" (Numerics.Ode.tier_name t));
   Alcotest.(check bool) "finite steady state" true (Float.is_finite r.Numerics.Ode.y.(0));
-  Alcotest.(check (float 1e-2)) "tracks cos t" (cos 1.) r.Numerics.Ode.y.(0)
+  Alcotest.(check (float 1e-2)) "tracks cos t" (cos 1.) r.Numerics.Ode.y.(0);
+  (* Pinned by its bits: the stiff tier must keep its arithmetic. *)
+  Alcotest.(check string) "result bits" "0x1.14a29c703d875p-1" (Printf.sprintf "%h" r.Numerics.Ode.y.(0))
 
 let test_fallback_prefers_first_tier () =
   (* A benign problem must not be kicked down the chain. *)

@@ -330,7 +330,24 @@ let test_implicit_euler_stiff () =
      would explode; backward Euler must stay stable and accurate. *)
   let f _t y dy = dy.(0) <- -1000. *. y.(0) in
   let r = Numerics.Ode.implicit_euler ~f ~t0:0. ~y0:[| 1. |] ~t1:0.1 () in
-  check_float ~tol:1e-4 "decayed to ~0" 0. r.Numerics.Ode.y.(0)
+  check_float ~tol:1e-4 "decayed to ~0" 0. r.Numerics.Ode.y.(0);
+  (* Pinned by its bits: the backward-Euler Newton step must keep its
+     arithmetic however its Jacobian and LU buffers are managed. *)
+  let st = r.Numerics.Ode.stats in
+  Alcotest.(check string) "result bits" "0x1.17a3c7e6a1eap-38" (Printf.sprintf "%h" r.Numerics.Ode.y.(0));
+  Alcotest.(check (list int)) "steps, rejected" [ 1460; 8 ]
+    [ st.Numerics.Ode.steps; st.Numerics.Ode.rejected ];
+  (* A coupled 3-state system, so the pin covers pivoting and the
+     triangular solves too. *)
+  let g _t y dy =
+    dy.(0) <- (-1000. *. y.(0)) +. y.(1);
+    dy.(1) <- (0.5 *. y.(0)) -. (20. *. y.(1)) +. (2. *. y.(2));
+    dy.(2) <- (3. *. y.(1)) -. y.(2)
+  in
+  let r = Numerics.Ode.implicit_euler ~f:g ~t0:0. ~y0:[| 1.; 1.; 1. |] ~t1:0.5 () in
+  Alcotest.(check (list string)) "coupled result bits"
+    [ "0x1.5e71f785be7dcp-14"; "0x1.55fe144828babp-4"; "0x1.9c8c838d96532p-1" ]
+    (Array.to_list (Array.map (Printf.sprintf "%h") r.Numerics.Ode.y))
 
 let test_implicit_matches_explicit () =
   let f _t y dy =
