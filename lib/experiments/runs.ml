@@ -88,5 +88,4 @@ let uptake_property ~env =
           Hashtbl.replace warm_cache k y;
           y)
   in
-  fun ratios ->
-    (Photo.Steady_state.evaluate ~y0:warm ~env ~ratios ()).Photo.Steady_state.uptake
+  fun ratios -> Photo.Steady_state.uptake_score (Photo.Steady_state.evaluate ~y0:warm ~env ~ratios ())

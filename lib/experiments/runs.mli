@@ -27,7 +27,10 @@ val pp_faults : Format.formatter -> summary -> unit
     penalized evaluations ("no faults" when the run was clean). *)
 
 val uptake_property : env:Photo.Params.env -> float array -> float
-(** CO2 uptake of an enzyme-ratio vector (the robustness property). *)
+(** CO2 uptake of an enzyme-ratio vector (the robustness property),
+    relaxed from the natural leaf and scored by
+    {!Photo.Steady_state.uptake_score}: 0 when no steady state was
+    reached. *)
 
 val pmo2_config : Scale.budgets -> Pmo2.Archipelago.config
 (** The paper's archipelago configuration at a given budget, with

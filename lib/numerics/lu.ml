@@ -1,93 +1,86 @@
-type t = { lu : Matrix.t; perm : int array; sign : float }
+type t = { n : int; lu : float array; perm : int array }
 
 exception Singular
 
 let pivot_tolerance = 1e-13
 
-let factor a =
-  let n = Matrix.rows a in
-  if n <> Matrix.cols a then invalid_arg "Lu.factor: matrix must be square";
-  let lu = Matrix.copy a in
-  let perm = Array.init n (fun i -> i) in
-  let sign = ref 1. in
+(* Row-major n×n: entry (i, j) is at i·n + j.  Written with direct
+   array accesses so that no call returns a boxed float. *)
+let factor_in_place ~n a perm =
+  for i = 0 to n - 1 do
+    Array.unsafe_set perm i i
+  done;
   for k = 0 to n - 1 do
+    let rk = k * n in
     (* Partial pivoting: pick the largest magnitude entry in column k. *)
     let piv = ref k in
-    let best = ref (Float.abs (Matrix.get lu k k)) in
+    let best = ref (Float.abs (Array.unsafe_get a (rk + k))) in
     for i = k + 1 to n - 1 do
-      let v = Float.abs (Matrix.get lu i k) in
+      let v = Float.abs (Array.unsafe_get a ((i * n) + k)) in
       if v > !best then begin
         best := v;
         piv := i
       end
     done;
     if !best < pivot_tolerance then raise Singular;
-    if !piv <> k then begin
-      Matrix.swap_rows lu k !piv;
-      let t = perm.(k) in
-      perm.(k) <- perm.(!piv);
-      perm.(!piv) <- t;
-      sign := -. !sign
+    let p = !piv in
+    if p <> k then begin
+      let rp = p * n in
+      for j = 0 to n - 1 do
+        let t = Array.unsafe_get a (rk + j) in
+        Array.unsafe_set a (rk + j) (Array.unsafe_get a (rp + j));
+        Array.unsafe_set a (rp + j) t
+      done;
+      let t = Array.unsafe_get perm k in
+      Array.unsafe_set perm k (Array.unsafe_get perm p);
+      Array.unsafe_set perm p t
     end;
-    let pivval = Matrix.get lu k k in
+    let pivval = Array.unsafe_get a (rk + k) in
     for i = k + 1 to n - 1 do
-      let m = Matrix.get lu i k /. pivval in
-      Matrix.set lu i k m;
+      let ri = i * n in
+      let m = Array.unsafe_get a (ri + k) /. pivval in
+      Array.unsafe_set a (ri + k) m;
       (* robustlint: allow R1 — exact-zero sparsity skip on the multiplier row *)
       if m <> 0. then
         for j = k + 1 to n - 1 do
-          Matrix.set lu i j (Matrix.get lu i j -. (m *. Matrix.get lu k j))
+          Array.unsafe_set a (ri + j) (Array.unsafe_get a (ri + j) -. (m *. Array.unsafe_get a (rk + j)))
         done
     done
-  done;
-  { lu; perm; sign = !sign }
+  done
 
-let solve { lu; perm; _ } b =
-  let n = Matrix.rows lu in
-  if Array.length b <> n then invalid_arg "Lu.solve: rhs length mismatch";
-  let x = Array.init n (fun i -> b.(perm.(i))) in
+let solve_in_place ~n lu perm b x =
+  for i = 0 to n - 1 do
+    Array.unsafe_set x i (Array.unsafe_get b (Array.unsafe_get perm i))
+  done;
   (* Forward substitution with unit lower triangle. *)
   for i = 1 to n - 1 do
-    let acc = ref x.(i) in
+    let ri = i * n in
+    let acc = ref (Array.unsafe_get x i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Matrix.get lu i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get lu (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc
+    Array.unsafe_set x i !acc
   done;
   (* Back substitution. *)
   for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
+    let ri = i * n in
+    let acc = ref (Array.unsafe_get x i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Matrix.get lu i j *. x.(j))
+      acc := !acc -. (Array.unsafe_get lu (ri + j) *. Array.unsafe_get x j)
     done;
-    x.(i) <- !acc /. Matrix.get lu i i
-  done;
+    Array.unsafe_set x i (!acc /. Array.unsafe_get lu (ri + i))
+  done
+
+let factor a =
+  let n = Matrix.rows a in
+  if n <> Matrix.cols a then invalid_arg "Lu.factor: matrix must be square";
+  let lu = Array.init (n * n) (fun k -> Matrix.get a (k / n) (k mod n)) in
+  let perm = Array.make n 0 in
+  factor_in_place ~n lu perm;
+  { n; lu; perm }
+
+let solve { n; lu; perm } b =
+  if Array.length b <> n then invalid_arg "Lu.solve: rhs length mismatch";
+  let x = Array.make n 0. in
+  solve_in_place ~n lu perm b x;
   x
-
-let solve_matrix a b = solve (factor a) b
-
-let det { lu; sign; _ } =
-  let n = Matrix.rows lu in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. Matrix.get lu i i
-  done;
-  !d
-
-let inverse ({ lu; _ } as f) =
-  let n = Matrix.rows lu in
-  let inv = Matrix.zeros n n in
-  for j = 0 to n - 1 do
-    let e = Array.make n 0. in
-    e.(j) <- 1.;
-    let x = solve f e in
-    for i = 0 to n - 1 do
-      Matrix.set inv i j x.(i)
-    done
-  done;
-  inv
-
-let refine a f b x =
-  let r = Vec.sub b (Matrix.mv a x) in
-  let dx = solve f r in
-  Vec.add x dx

@@ -1,4 +1,9 @@
-(** LU factorization with partial pivoting, and derived solvers. *)
+(** LU factorization with partial pivoting.
+
+    One kernel, two entry points: {!factor}/{!solve} allocate their
+    result, while {!factor_in_place}/{!solve_in_place} run the same
+    pivoting and arithmetic on caller-owned buffers without allocating
+    (the dense Newton steps of {!Ode} reuse one buffer per call). *)
 
 type t
 (** A factorization [P·A = L·U] of a square matrix. *)
@@ -12,15 +17,13 @@ val factor : Matrix.t -> t
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] solves [A x = b]. *)
 
-val solve_matrix : Matrix.t -> Vec.t -> Vec.t
-(** One-shot [A x = b]; factors then solves. *)
+val factor_in_place : n:int -> float array -> int array -> unit
+(** [factor_in_place ~n a perm] overwrites the row-major n×n matrix [a]
+    with its unit-lower and upper factors and [perm] with the row
+    permutation.  Raises {!Singular} if a pivot underflows, leaving [a]
+    partly overwritten. *)
 
-val det : t -> float
-(** Determinant from the factorization. *)
-
-val inverse : t -> Matrix.t
-(** Dense inverse (column-by-column solve). *)
-
-val refine : Matrix.t -> t -> Vec.t -> Vec.t -> Vec.t
-(** [refine a lu b x] performs one step of iterative refinement of the
-    solution [x] of [A x = b]. *)
+val solve_in_place : n:int -> float array -> int array -> Vec.t -> Vec.t -> unit
+(** [solve_in_place ~n lu perm b x] writes the solution of [A x = b]
+    into [x], from the output of {!factor_in_place}.  [x] and [b] must
+    be distinct vectors. *)

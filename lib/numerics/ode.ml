@@ -162,84 +162,222 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
     add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
     raise e
 
-let fd_step yj = 1e-7 *. Float.max 1. (Float.abs yj)
+(* [1e-7 *. Float.max 1. |y|] and [Float.max 0. x], bit for bit (a NaN
+   passes through), but inlined: the stdlib's [Float.max] is a call that
+   boxes its result, once per Jacobian column or state component. *)
+let[@inline] fd_step yj =
+  let a = Float.abs yj in
+  1e-7 *. if a > 1. then a else if Float.is_nan a then a else 1.
 
-let numeric_jacobian f t y =
+let[@inline] pos x = if x > 0. then x else if Float.is_nan x then x else 0.
+
+(* {1 Dense Newton kernel}
+
+   The one dense forward-difference Newton machinery of this module,
+   shared by the backward-Euler step and pseudo-transient continuation.
+   Its buffers are allocated once per integration or PTC call and
+   rewritten in place: the n×n Jacobian (then the Newton matrix, then its
+   LU factors), the pivot vector and five scratch vectors.  For n = 24
+   the matrix is 576 floats, above the minor heap's 256-word limit, so
+   allocating it per iteration would churn the major heap. *)
+
+type dense = {
+  n : int;
+  jac : float array;  (** row-major n×n *)
+  perm : int array;
+  f0 : Vec.t;  (** rhs at the current iterate *)
+  fj : Vec.t;  (** rhs at a perturbed state *)
+  yp : Vec.t;  (** perturbed state *)
+  r : Vec.t;  (** Newton residual *)
+  x : Vec.t;  (** Newton correction *)
+}
+
+let dense_create n =
+  let v () = Array.make n 0. in
+  { n; jac = Array.make (n * n) 0.; perm = Array.make n 0; f0 = v (); fj = v (); yp = v (); r = v (); x = v () }
+
+(* Forward-difference Jacobian of [f] at [(t, y)] into [d.jac], given
+   [f0 = f t y]: n rhs evaluations. *)
+let dense_jacobian d f t y f0 =
   Obs.Metrics.incr m_jacobians;
-  let n = Array.length y in
-  let f0 = Array.make n 0. and fj = Array.make n 0. in
-  f t y f0;
-  let jac = Matrix.zeros n n in
-  let yp = Array.copy y in
+  let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac in
+  Array.blit y 0 yp 0 n;
   for j = 0 to n - 1 do
-    let h = fd_step y.(j) in
-    yp.(j) <- y.(j) +. h;
+    let yj = Array.unsafe_get y j in
+    let h = fd_step yj in
+    Array.unsafe_set yp j (yj +. h);
     f t yp fj;
-    yp.(j) <- y.(j);
+    Array.unsafe_set yp j yj;
     for i = 0 to n - 1 do
-      Matrix.set jac i j ((fj.(i) -. f0.(i)) /. h)
+      Array.unsafe_set jac ((i * n) + j) ((Array.unsafe_get fj i -. Array.unsafe_get f0 i) /. h)
+    done
+  done
+
+(* Overwrite the Jacobian with the Newton matrix diag·I − h·J and factor
+   it in place; false when it is singular. *)
+let dense_factor d ~diag ~h =
+  let n = d.n and jac = d.jac in
+  for i = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let at = (i * n) + k in
+      Array.unsafe_set jac at ((if i = k then diag else 0.) -. (h *. Array.unsafe_get jac at))
     done
   done;
-  jac
+  match Lu.factor_in_place ~n jac d.perm with () -> true | exception Lu.Singular -> false
+
+(* d.x <- M⁻¹·b with the factors of the last {!dense_factor}. *)
+let dense_solve d b = Lu.solve_in_place ~n:d.n d.jac d.perm b d.x
+
+let numeric_jacobian f t y =
+  let n = Array.length y in
+  let d = dense_create n in
+  f t y d.f0;
+  dense_jacobian d f t y d.f0;
+  Matrix.init n n (fun i j -> d.jac.((i * n) + j))
 
 (* One backward-Euler step via a modified (frozen-Jacobian) Newton:
    solve y' = y + h f(t+h, y').  The Newton matrix M = I - h J is
    factored once and the LU reused across iterations while the residual
    keeps contracting (‖r_k‖ <= 0.5 ‖r_{k-1}‖); a stalled residual
    triggers a refresh at the current iterate.  For the kinetic models
-   here the Jacobian (n+1 rhs evaluations plus an O(n³) factorization)
+   here the Jacobian (n rhs evaluations plus an O(n³) factorization)
    dominates the step cost, so freezing it is the single biggest saving
    of the stiff tier — at the price of extra (cheap) iterations, never
-   of accuracy: convergence is still declared on the true residual. *)
-let backward_euler_step f t y h =
-  let n = Array.length y in
+   of accuracy: convergence is still declared on the true residual.
+   The Jacobian is taken at the iterate whose rhs [fy] already holds.
+   [d] is the integration's dense workspace; only the returned state is
+   fresh. *)
+let backward_euler_step d f t y h =
+  let n = d.n in
   let ynext = Array.copy y in
-  let fy = Array.make n 0. in
+  let fy = d.f0 and residual = d.r in
   let max_newton = 12 in
-  let frozen = ref None in
+  let frozen = ref false in
   let refresh () =
-    let j = numeric_jacobian f (t +. h) ynext in
-    let m = Matrix.init n n (fun i k -> (if i = k then 1. else 0.) -. (h *. Matrix.get j i k)) in
-    frozen := (match Lu.factor m with exception Lu.Singular -> None | lu -> Some lu);
-    Option.is_some !frozen
+    dense_jacobian d f (t +. h) ynext fy;
+    frozen := dense_factor d ~diag:1. ~h;
+    !frozen
   in
   let rec iterate it evals rprev =
     f (t +. h) ynext fy;
-    let residual = Array.init n (fun i -> ynext.(i) -. y.(i) -. (h *. fy.(i))) in
+    for i = 0 to n - 1 do
+      residual.(i) <- ynext.(i) -. y.(i) -. (h *. fy.(i))
+    done;
     let rnorm = Vec.norm_inf residual in
     let scale = 1. +. Vec.norm_inf ynext in
     if rnorm <= 1e-10 *. scale then Some (ynext, evals + 1)
     else if it >= max_newton then None
     else begin
-      let need_refresh =
-        match !frozen with None -> true | Some _ -> not (rnorm <= 0.5 *. rprev)
-      in
+      let need_refresh = (not !frozen) || not (rnorm <= 0.5 *. rprev) in
       let extra_evals =
-        if need_refresh then n + 1
+        if need_refresh then n
         else begin
           Obs.Metrics.incr m_jacobian_reuses;
           0
         end
       in
       if need_refresh && not (refresh ()) then None
-      else
-        match !frozen with
-        | None -> None
-        | Some lu ->
-          let dy = Lu.solve lu residual in
-          for i = 0 to n - 1 do
-            ynext.(i) <- ynext.(i) -. dy.(i)
-          done;
-          iterate (it + 1) (evals + 1 + extra_evals) rnorm
+      else begin
+        dense_solve d residual;
+        let dy = d.x in
+        for i = 0 to n - 1 do
+          ynext.(i) <- ynext.(i) -. dy.(i)
+        done;
+        iterate (it + 1) (evals + 1 + extra_evals) rnorm
+      end
     end
   in
   iterate 0 0 infinity
+
+(* {1 Pseudo-transient continuation}
+
+   Implicit-Euler steps (I/Δt − J)·δ = f(y) toward f(y) = 0, with the
+   pseudo-time step grown by the residual ratio (switched evolution
+   relaxation).  Small early steps follow the trajectory, so the
+   iteration tends to an attractor rather than to any root; large late
+   steps are Newton steps. *)
+
+let m_ptc_calls = Obs.Metrics.counter "ode.ptc.calls"
+let m_ptc_iterations = Obs.Metrics.counter "ode.ptc.iterations"
+
+type ptc = { root : Vec.t option; iterations : int }
+
+type ptc_state = Iterating | Converged | Gave_up
+
+let ptc_max_iterations = 200
+let ptc_dt0 = 1.
+let ptc_dt_max = 1e8
+let ptc_rtol = 1e-10
+let ptc_atol = 1e-8
+let ptc_to_boundary = 0.99
+
+let pseudo_transient ?deadline ~f ~y0 () =
+  Obs.Metrics.incr m_ptc_calls;
+  Obs.Span.with_span "ode.ptc" @@ fun () ->
+  let n = Array.length y0 in
+  let d = dense_create n in
+  let y = Array.copy y0 in
+  let fy = d.f0 and step = d.x in
+  let dt = ref ptc_dt0 and r_prev = ref 0. and tau = ref 0. in
+  let iterations = ref 0 and evals = ref 0 in
+  let state = ref Iterating in
+  let count () =
+    Obs.Metrics.add m_ptc_iterations !iterations;
+    Obs.Metrics.add m_rhs_evals !evals
+  in
+  match
+    while !state = Iterating do
+      f 0. y fy;
+      incr evals;
+      (* ∞-norms; a NaN entry sticks. *)
+      let fnorm = ref 0. and ynorm = ref 0. in
+      for i = 0 to n - 1 do
+        let a = Float.abs (Array.unsafe_get fy i) and b = Float.abs (Array.unsafe_get y i) in
+        if a > !fnorm || Float.is_nan a then fnorm := a;
+        if b > !ynorm || Float.is_nan b then ynorm := b
+      done;
+      let r = !fnorm /. (!ynorm +. 1.) in
+      if not (Float.is_finite r && Float.is_finite !ynorm) then state := Gave_up
+      else if r < ptc_rtol && !fnorm <= ptc_atol then state := Converged
+      else if !iterations >= ptc_max_iterations then state := Gave_up
+      else begin
+        check_deadline deadline !tau;
+        if !iterations > 0 then dt := Float.min ptc_dt_max (!dt *. !r_prev /. r);
+        r_prev := r;
+        dense_jacobian d f 0. y fy;
+        evals := !evals + n;
+        if not (dense_factor d ~diag:(1. /. !dt) ~h:1.) then state := Gave_up
+        else begin
+          dense_solve d fy;
+          (* Fraction to the boundary: no positive state crosses zero. *)
+          let alpha = ref 1. in
+          for i = 0 to n - 1 do
+            let yi = Array.unsafe_get y i and si = Array.unsafe_get step i in
+            if yi > 0. && yi +. si < 0. then
+              alpha := Float.min !alpha (ptc_to_boundary *. yi /. -.si)
+          done;
+          for i = 0 to n - 1 do
+            Array.unsafe_set y i (pos (Array.unsafe_get y i +. (!alpha *. Array.unsafe_get step i)))
+          done;
+          tau := !tau +. (!alpha *. !dt);
+          incr iterations
+        end
+      end
+    done
+  with
+  | () ->
+    count ();
+    { root = (if !state = Converged then Some y else None); iterations = !iterations }
+  | exception e ->
+    count ();
+    raise e
 
 let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~t0 ~t1
     ~y0 () =
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.implicit_euler: need t1 >= t0";
   let max_steps = 200_000 in
+  let d = dense_create n in
   let h = ref ((t1 -. t0) /. 100.) in
   let t = ref t0 in
   let y = ref (Array.copy y0) in
@@ -251,12 +389,12 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~
       let h_cur = Float.min !h (t1 -. !t) in
       if h_cur < h_min then underflow !t;
       (* Error estimation by step doubling: one full step vs two half steps. *)
-      let full = backward_euler_step f !t !y h_cur in
+      let full = backward_euler_step d f !t !y h_cur in
       let halves =
-        match backward_euler_step f !t !y (h_cur /. 2.) with
+        match backward_euler_step d f !t !y (h_cur /. 2.) with
         | None -> None
         | Some (ymid, e1) -> (
-          match backward_euler_step f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
+          match backward_euler_step d f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
           | None -> None
           | Some (yend, e2) -> Some (yend, e1 + e2))
       in

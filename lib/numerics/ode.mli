@@ -80,11 +80,37 @@ val implicit_euler :
     the residual keeps contracting and refactors only on stall (counted
     by the [ode.jacobian_reuses] metric), which never loosens the
     convergence test — it is always the true residual that must fall
-    below tolerance. *)
+    below tolerance.  A refresh costs n rhs evaluations: the Jacobian is
+    taken at the iterate whose rhs the residual already holds.  The
+    Jacobian and LU buffers are allocated once per call. *)
 
 val numeric_jacobian : rhs -> float -> Vec.t -> Matrix.t
 (** Forward-difference Jacobian of the rhs at [(t, y)];
-    n + 1 rhs evaluations into two scratch vectors. *)
+    n + 1 rhs evaluations.  The same kernel fills the Jacobians of
+    {!implicit_euler} and {!pseudo_transient} in place. *)
+
+type ptc = {
+  root : Vec.t option;  (** the converged state; [None] when PTC gave up *)
+  iterations : int;  (** Newton steps taken *)
+}
+
+val pseudo_transient : ?deadline:int -> f:rhs -> y0:Vec.t -> unit -> ptc
+(** Pseudo-transient continuation toward a steady state f(y) = 0 of an
+    autonomous rhs (called at t = 0) on a non-negative state space.
+    Each iteration solves (I/Δt − J)·δ = f(y) with the forward-difference
+    Jacobian, scales δ so that no positive state crosses zero (0.99 of
+    the way to the boundary), clips at 0, and sets
+    Δt ← min(1e8, Δt·r_prev/r), from Δt = 1, where
+    r = ‖f‖∞/(‖y‖∞+1).  Converged when r < 1e-10 {e and} ‖f‖∞ ≤ 1e-8:
+    the relative test alone also passes on a state that runs away,
+    because ‖y‖∞ grows.  Gives up after 200 iterations, on a singular
+    matrix, or on a non-finite residual or state.
+
+    The Jacobian, LU and scratch buffers are allocated once per call.
+    [deadline] is polled once per iteration ({!Deadline} carries the
+    pseudo-time reached).  One [ode.ptc] span and one [ode.ptc.calls]
+    count per call; the [ode.ptc.iterations] and [ode.rhs_evals]
+    counters are added once per call, on every exit. *)
 
 type tier =
   | Adaptive        (** {!dopri5} with the caller's settings *)

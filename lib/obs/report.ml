@@ -122,9 +122,13 @@ let pp_caches ppf last =
 
 let pp_ode ppf last =
   let c name = Option.value ~default:0 (counter_of last name) in
-  let integrations = c "ode.integrations" in
-  if integrations > 0 then begin
+  let integrations = c "ode.integrations" and ptc = c "ode.ptc.calls" in
+  if integrations > 0 || ptc > 0 then begin
     section ppf "ODE solver tiers";
+    if ptc > 0 then
+      Format.fprintf ppf "ptc calls %d, iterations %d, fallbacks %d (%.1f%%)@\n" ptc
+        (c "ode.ptc.iterations") (c "photo.ptc_fallbacks")
+        (100. *. float_of_int (c "photo.ptc_fallbacks") /. float_of_int ptc);
     let tier name label =
       let n = c name in
       Format.fprintf ppf "%-16s %8d (%.1f%%)@\n" label n

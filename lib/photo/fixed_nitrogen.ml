@@ -27,9 +27,7 @@ let optimize ?(kinetics = Params.default) ?(generations = 80) ?(seed = 2011) ~en
   let n = Enzyme.count in
   let objective w =
     let ratios = ratios_of_weights ~kinetics ~target_nitrogen w in
-    let r = Steady_state.evaluate ~kinetics ~y0:warm ~env ~ratios () in
-    if r.Steady_state.converged then r.Steady_state.uptake
-    else Float.min r.Steady_state.uptake 0.
+    Steady_state.uptake_score (Steady_state.evaluate ~kinetics ~y0:warm ~env ~ratios ())
   in
   let ga =
     Ea.Ga.maximize ~generations ~seed ~lower:(Array.make n 0.05)

@@ -14,10 +14,9 @@ let problem ?(kinetics = Params.default) (env : Params.env) =
     ~upper:(Array.make n ratio_max)
     (fun ratios ->
       let r = Steady_state.evaluate ~kinetics ~y0:warm ~env ~ratios () in
-      (* Non-converged designs are pathological: push them to a corner the
-         optimizer abandons quickly (no uptake at full nitrogen price). *)
-      let uptake = if r.Steady_state.converged then r.Steady_state.uptake else 0. in
-      [| -.uptake; r.Steady_state.nitrogen |])
+      (* An unconverged design scores zero uptake at its nitrogen cost,
+         which the optimizer abandons quickly. *)
+      [| -.Steady_state.uptake_score r; r.Steady_state.nitrogen |])
 
 let uptake_of (s : Moo.Solution.t) = -.s.Moo.Solution.f.(0)
 let nitrogen_of (s : Moo.Solution.t) = s.Moo.Solution.f.(1)

@@ -18,6 +18,8 @@ let tier_rank = function
 
 let deeper a b = if tier_rank b > tier_rank a then b else a
 
+let m_fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks"
+
 let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
   if Array.length ratios <> Enzyme.count then
     invalid_arg "Steady_state.evaluate: ratios length";
@@ -35,11 +37,11 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
       solver_tier = tier;
     }
   in
-  (* Converged when the net assimilation is stable across two successive
-     integration windows (small persistent ATP/Pi oscillations are
-     physiological and irrelevant to the reported uptake) and the state
-     rate is modest.  A design still drifting at [t_max] is reported
-     unconverged. *)
+  (* The fallback: converged when the net assimilation is stable across
+     two successive integration windows (small persistent ATP/Pi
+     oscillations are physiological and irrelevant to the reported
+     uptake) and the state rate is modest.  A design still drifting at
+     [t_max] is reported unconverged. *)
   let window = 20. and t_max = 400. in
   let assim y = Model.assimilation kinetics (Model.fluxes kinetics env ~vmax y) in
   let dy = Array.make State.n 0. in
@@ -64,7 +66,33 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
       | r, t' -> advance r.Numerics.Ode.t r.Numerics.Ode.y a stable (deeper tier t')
       | exception Numerics.Ode.Step_underflow _ -> finish false tier y
   in
-  advance 0. y0 infinity 0 Numerics.Ode.Adaptive
+  (* A PTC root is accepted when one window integrated from it keeps the
+     uptake within 1e-3·(|u|+1).  The band is wider than the loop's 2e-4
+     and there is no state-rate test: on the probe designs of DESIGN §22
+     one window from a PTC root moves the uptake by up to 8.2e-4·(|u|+1)
+     and leaves a state rate of up to 1.7e-2, so the loop's tests would
+     reject 51 of 173 roots. *)
+  let accepted =
+    match (Numerics.Ode.pseudo_transient ?deadline ~f ~y0 ()).Numerics.Ode.root with
+    | None -> None
+    | Some root -> (
+      let u = assim root in
+      match
+        Numerics.Ode.integrate_fallback ~rtol:2e-4 ~atol:1e-7 ?deadline ~f ~t0:0. ~t1:window
+          ~y0:root ()
+      with
+      | r, tier when Float.abs (assim r.Numerics.Ode.y -. u) <= 1e-3 *. (Float.abs u +. 1.) ->
+        Some (finish true tier root)
+      | _ -> None
+      | exception Numerics.Ode.Step_underflow _ -> None)
+  in
+  match accepted with
+  | Some report -> report
+  | None ->
+    Obs.Metrics.incr m_fallbacks;
+    advance 0. y0 infinity 0 Numerics.Ode.Adaptive
+
+let uptake_score r = if r.converged then r.uptake else 0.
 
 let natural ?kinetics ~env () =
   evaluate ?kinetics ~env ~ratios:(Array.make Enzyme.count 1.) ()

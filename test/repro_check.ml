@@ -45,27 +45,28 @@ let gamma_band ~trials pct =
 
 (* {1 Recorded values}
 
-   Quick scale, captured with the windowed relaxation loop. *)
+   Quick scale, captured with the pseudo-transient steady state
+   (DESIGN.md §22); EXPERIMENTS.md lists the values they replaced. *)
 
 let natural_expected =
   [
-    ("ci=165/tp=1", 11.996243561526759);
-    ("ci=165/tp=3", 11.836964798475028);
-    ("ci=270/tp=1", 15.485687153995647);
-    ("ci=270/tp=3", 15.442384246123385);
-    ("ci=490/tp=1", 18.58743276623867);
-    ("ci=490/tp=3", 18.581690147587);
+    ("ci=165/tp=1", 11.994668202941673);
+    ("ci=165/tp=3", 11.840191352834429);
+    ("ci=270/tp=1", 15.487700672044614);
+    ("ci=270/tp=3", 15.441789785895081);
+    ("ci=490/tp=1", 18.589557636084074);
+    ("ci=490/tp=3", 18.582972331991645);
   ]
 
-let fig2_b_uptake = 15.124020325115938
-let fig2_b_nitrogen_pct = 45.070925744686633
+let fig2_b_uptake = 15.115884389648082
+let fig2_b_nitrogen_pct = 45.792575944542037
 
 let table2_expected =
   [
-    ("Closest-to-ideal", (22.662405722068574, 47.5));
-    ("Max CO2 Uptake", (39.494982917970752, 77.0));
-    ("Min Nitrogen", (1.116984941407976, 32.5));
-    ("Max Yield", (39.494982917970752, 81.0));
+    ("Closest-to-ideal", (25.934320780644097, 42.0));
+    ("Max CO2 Uptake", (45.910597742978638, 7.75));
+    ("Min Nitrogen", (1.1332344022106735, 32.5));
+    ("Max Yield", (29.387115011712481, 69.0));
   ]
 
 (* The paper's Table 2 (uptake, Γ %). *)

@@ -648,9 +648,9 @@ let test_report_lp_section () =
         (contains_substring ~sub:"refactor time" s))
 
 let test_report_ode_section () =
-  (* ODE counters render the solver-tier section: one line per tier of
-     the fallback chain with its share of integrations, then the step
-     and Jacobian economy. *)
+  (* ODE counters render the solver-tier section: the PTC line with the
+     fallback share, one line per tier of the fallback chain with its
+     share of integrations, then the step and Jacobian economy. *)
   with_metrics @@ fun () ->
   let add name n = Obs.Metrics.add (Obs.Metrics.counter name) n in
   add "ode.integrations" 8;
@@ -662,6 +662,9 @@ let test_report_ode_section () =
   add "ode.rejected" 7;
   add "ode.jacobians" 3;
   add "ode.jacobian_reuses" 11;
+  add "ode.ptc.calls" 10;
+  add "ode.ptc.iterations" 140;
+  add "photo.ptc_fallbacks" 2;
   let path = Filename.temp_file "obs_report" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -677,6 +680,7 @@ let test_report_ode_section () =
             (contains_substring ~sub:line s))
         [
           "ODE solver tiers";
+          "ptc calls 10, iterations 140, fallbacks 2 (20.0%)\n";
           "integrations            8\n";
           "adaptive                8 (100.0%)";
           "adaptive tight          2 (25.0%)";

@@ -222,24 +222,97 @@ let check_bits name ~uptake ~converged ~state (r : Photo.Steady_state.report) =
     (Printf.sprintf "%Lx" (Cache.Fnv.hash r.Photo.Steady_state.y))
 
 let test_natural_bits () =
-  (* The 15.486 anchor at present Ci, low export. *)
-  check_bits "natural" ~uptake:"0x1.ef8abfc94ff4bp+3" ~converged:true
-    ~state:"2472f71cf6ee089f"
+  (* The 15.486 anchor at present Ci, low export: the PTC root. *)
+  check_bits "natural" ~uptake:"0x1.ef9b3e7095672p+3" ~converged:true
+    ~state:"6ee95279a2fb45f9"
     (Photo.Steady_state.natural ~env:present_low ())
 
 let test_seeded_design_bits () =
   (* A design drawn over the whole [0.05, 3] box, relaxed from the
-     natural state as the design problem does; it is still drifting at
-     t_max, so this pins all 20 windows. *)
-  let rng = Numerics.Rng.create 7 in
+     natural state as the design problem does.  PTC finds no root for
+     it, and the windowed fallback is still drifting at t_max, so this
+     pins all 20 windows. *)
+  let rng = Numerics.Rng.create 19 in
   let ratios =
     Array.init Photo.Enzyme.count (fun _ ->
         Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
   in
   let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
-  check_bits "seed 7" ~uptake:"0x1.c1c751692b295p+0" ~converged:false
-    ~state:"6bc75e2adbcc169a"
+  check_bits "seed 19" ~uptake:"0x1.bdcc63c310433p+2" ~converged:false
+    ~state:"b4cb4f63f23c12b7"
     (Photo.Steady_state.evaluate ~y0 ~env:present_low ~ratios ())
+
+let seeded_designs ~seed ~lo ~hi count =
+  let rng = Numerics.Rng.create seed in
+  Array.init count (fun _ ->
+      Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng lo hi))
+
+let test_unacceptable_root_falls_back () =
+  let fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks" in
+  let counted f =
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    let r = Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f in
+    let n = Obs.Metrics.counter_value fallbacks in
+    Obs.Metrics.reset ();
+    (r, n)
+  in
+  (* Design 91 of a seed-7 draw over [0.05, 3] at past Ci, high export:
+     PTC converges to a root within the pools, but one 20-unit window
+     from it moves the uptake by 1.1e-3·(|u|+1), past the band. *)
+  let env = Photo.Params.past ~tp_export:Photo.Params.high_export in
+  let ratios = (seeded_designs ~seed:7 ~lo:0.05 ~hi:3. 91).(90) in
+  let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let vmax = Photo.Enzyme.vmax_of_ratios ratios in
+  let f = Photo.Model.rhs Photo.Params.default env ~vmax in
+  (match (Numerics.Ode.pseudo_transient ~f ~y0 ()).Numerics.Ode.root with
+  | Some root ->
+    Alcotest.(check bool) "root within the adenylate pool" true
+      (root.(Photo.State.atp) <= Photo.Params.default.Photo.Params.adenylate_total)
+  | None -> Alcotest.fail "PTC found no root");
+  let r, n = counted (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ()) in
+  Alcotest.(check int) "window rejection falls back" 1 n;
+  Alcotest.(check bool) "finite fallback report" true (Float.is_finite r.Photo.Steady_state.uptake);
+  (* A start far outside the pools (ATP ~1e6 mM against a 1.5 mM
+     adenylate total): PTC finds no root, and the fallback is counted. *)
+  let poisoned = Array.copy y0 in
+  poisoned.(Photo.State.atp) <- 1.4e6;
+  poisoned.(Photo.State.s7p) <- 8e5;
+  let _, n =
+    counted (fun () -> Photo.Steady_state.evaluate ~y0:poisoned ~env ~ratios:(ones ()) ())
+  in
+  Alcotest.(check int) "out-of-bounds start falls back" 1 n
+
+let test_ptc_matches_long_relaxation () =
+  (* Designs the windowed loop leaves unconverged at t_max (two within
+     ±50 % of natural, two over [0.05, 3]; Rng seed 7, relaxed from the
+     natural state): PTC's report converges and agrees with a t = 3 000
+     integration within 1e-3·(|u|+1).  The windows' last uptakes were
+     10.12, 13.46, 6.48 and 3.73. *)
+  let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
+  let narrow = seeded_designs ~seed:7 ~lo:0.5 ~hi:1.5 17 in
+  let wide = seeded_designs ~seed:7 ~lo:0.05 ~hi:3. 14 in
+  List.iter
+    (fun (name, ratios) ->
+      let r = Photo.Steady_state.evaluate ~y0 ~env:present_low ~ratios () in
+      let vmax = Photo.Enzyme.vmax_of_ratios ratios in
+      let k = Photo.Params.default in
+      let f = Photo.Model.rhs k present_low ~vmax in
+      let oracle, _ =
+        Numerics.Ode.integrate_fallback ~rtol:1e-6 ~atol:1e-9 ~f ~t0:0. ~t1:3000. ~y0 ()
+      in
+      let u = Photo.Model.assimilation k (Photo.Model.fluxes k present_low ~vmax oracle.Numerics.Ode.y) in
+      Alcotest.(check bool) (name ^ " converged") true r.Photo.Steady_state.converged;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f vs t = 3000 %.4f" name r.Photo.Steady_state.uptake u)
+        true
+        (Float.abs (r.Photo.Steady_state.uptake -. u) <= 1e-3 *. (Float.abs u +. 1.)))
+    [
+      ("±50% #9", narrow.(8));
+      ("±50% #17", narrow.(16));
+      ("[0.05, 3] #2", wide.(1));
+      ("[0.05, 3] #14", wide.(13));
+    ]
 
 (* The rhs writes the 24 derivatives into the solver's vector; what it
    still allocates is the [fluxes] record (~42 words). *)
@@ -319,6 +392,8 @@ let () =
           Alcotest.test_case "steady state is steady" `Slow test_steady_state_is_steady;
           Alcotest.test_case "natural leaf bits" `Quick test_natural_bits;
           Alcotest.test_case "seeded design bits" `Quick test_seeded_design_bits;
+          Alcotest.test_case "unacceptable root falls back" `Quick test_unacceptable_root_falls_back;
+          Alcotest.test_case "ptc matches t = 3000" `Slow test_ptc_matches_long_relaxation;
         ] );
       ( "leaf-problem",
         [
