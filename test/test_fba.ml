@@ -298,6 +298,67 @@ let test_initial_guess_violation_large () =
   Alcotest.(check bool) "initial guess far from steady state" true
     (Fba.Moo_problem.initial_guess_violation g ~seed:1 > 1e3)
 
+(* {1 LP and sparse-LU bits} *)
+
+(* The exact bits of the Geobacter LP campaign (ε-sweep, FVA, single and
+   pair knockout screens, the EP-optimal flux vector) and of one
+   [Sparse_lu] solve each way on the projector's S·Sᵀ + λI.  Every warm
+   path of the simplex runs here, so a kernel change that moves any last
+   bit of any of them fails the matching section by name. *)
+let test_lp_bits () =
+  let g = Fba.Geobacter.build () in
+  let t = g.Fba.Geobacter.net in
+  let ep = g.Fba.Geobacter.ep and bp = g.Fba.Geobacter.bp in
+  let n = Fba.Network.n_reactions t in
+  let every k = List.filter (fun j -> j mod k = 0 && j <> ep && j <> bp) (List.init n Fun.id) in
+  let knockouts ks =
+    List.concat_map
+      (fun k ->
+        List.map float_of_int k.Fba.Knockout.removed
+        @ [ k.Fba.Knockout.target_flux; k.Fba.Knockout.biomass_flux ])
+      ks
+  in
+  let eps =
+    Fba.Analysis.epsilon_constraint ~t ~primary:ep ~secondary:bp
+      ~levels:(List.init 8 (fun i -> 0.28 +. (0.003 *. float_of_int i)))
+  in
+  let fva = Fba.Analysis.fva ~t ~reactions:(every 8) in
+  let min_biomass = 0.1 in
+  let single =
+    Fba.Knockout.single ~t ~target:ep ~biomass:bp ~min_biomass ~candidates:(every 6)
+  in
+  let pairs =
+    Fba.Knockout.pairs ~t ~target:ep ~biomass:bp ~min_biomass ~candidates:(every 40)
+  in
+  let s = Fba.Network.stoichiometric_matrix t in
+  let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge:1e-9 s) in
+  let rng = Numerics.Rng.create 19 in
+  let rhs () = Array.init (Fba.Network.n_metabolites t) (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
+  let sections =
+    [
+      ("eps sweep", List.concat_map (fun (p, l) -> [ p; l ]) eps);
+      ("fva", List.concat_map (fun (j, (lo, hi)) -> [ float_of_int j; lo; hi ]) fva);
+      ("single knockouts", knockouts single);
+      ("pair knockouts", knockouts pairs);
+      ("ep fluxes", Array.to_list (Fba.Analysis.fba ~t ~objective:ep).Fba.Analysis.fluxes);
+      ("sparse_lu solve", Array.to_list (Numerics.Sparse_lu.solve lu (rhs ())));
+      ("sparse_lu solve_t", Array.to_list (Numerics.Sparse_lu.solve_t lu (rhs ())));
+    ]
+  in
+  let fnv values = Printf.sprintf "%Lx" (Cache.Fnv.hash (Array.of_list values)) in
+  Alcotest.(check (list (pair string (pair int string))))
+    "section value counts and FNV-1a of their bits"
+    [
+      ("eps sweep", (16, "b92678b0fded9ee"));
+      ("fva", (225, "fb91a947b75c35ef"));
+      ("single knockouts", (297, "9b443c32d351ed6c"));
+      ("pair knockouts", (420, "4380814a36cef0e1"));
+      ("ep fluxes", (608, "929e497ab68925d3"));
+      ("sparse_lu solve", (438, "f7c2add3fed62c3"));
+      ("sparse_lu solve_t", (438, "967221f71599432b"));
+    ]
+    (List.map (fun (name, values) -> (name, (List.length values, fnv values))) sections)
+
 let () =
   Alcotest.run "fba"
     [
@@ -345,4 +406,5 @@ let () =
           Alcotest.test_case "sparse = dense reference" `Quick test_projector_matches_dense;
           Alcotest.test_case "violation = Hashtbl residual" `Quick test_violation_matches_hashtbl;
         ] );
+      ("lp-bits", [ Alcotest.test_case "geobacter campaign and projector solves" `Quick test_lp_bits ]);
     ]

@@ -476,6 +476,46 @@ let test_eta_vs_refactor_property () =
       (Lp.Basis.should_refactor eta)
   done
 
+let test_stale_factor_refactored () =
+  (* A carried basis whose basic column moved by one ulp must be
+     refactored against the new column: the warm answer equals the cold
+     one bit for bit, and the old column would have given other bits. *)
+  let spec a =
+    {
+      Lp.Simplex.n_rows = 1;
+      cols = [| [ (0, a) ]; [ (0, 1.) ] |];
+      rhs = [| 1. |];
+      obj = [| 1.; 0. |];
+      lo = [| 0.; 0. |];
+      up = [| infinity; infinity |];
+    }
+  in
+  let x0 = function
+    | Lp.Simplex.Optimal { x; _ } -> Printf.sprintf "%h" x.(0)
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      let old_x0, basis =
+        match Lp.Simplex.solve (spec 3.) with
+        | outcome, Some b -> (x0 outcome, b)
+        | _, None -> Alcotest.fail "seed solve must return a basis"
+      in
+      let shifted = spec (Float.succ 3.) in
+      let cold = x0 (fst (Lp.Simplex.solve shifted)) in
+      Alcotest.(check bool) "the ulp moves the answer" true (old_x0 <> cold);
+      let warm_starts = Obs.Metrics.counter "simplex.warm_starts" in
+      let before = Obs.Metrics.counter_value warm_starts in
+      Alcotest.(check string) "warm = cold, bit for bit" cold
+        (x0 (fst (Lp.Simplex.solve ~basis shifted)));
+      Alcotest.(check int) "the warm path ran" (before + 1)
+        (Obs.Metrics.counter_value warm_starts))
+
 (* {1 Dual simplex: bound-flip warm starts} *)
 
 let test_dual_bound_flip_roundtrip () =
@@ -774,6 +814,7 @@ let () =
           Alcotest.test_case "Beale anti-cycling, all pricings" `Quick test_beale_cycling;
           Alcotest.test_case "eta updates vs fresh refactorization" `Quick
             test_eta_vs_refactor_property;
+          Alcotest.test_case "stale factor refactored" `Quick test_stale_factor_refactored;
         ] );
       ( "dual",
         [
