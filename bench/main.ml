@@ -809,8 +809,9 @@ let run_shard_benchmarks () =
      the basis it returned — the same objective to 1e-6, and strictly
      fewer pivots warm;
    - simplex/warm-sweep: the Geobacter FVA + knockout-screen workload,
-     every LP warm from the wild-type basis — pivots, wall-clock and
-     the objective checksum.
+     every LP warm from the wild-type basis — pivots, the median and
+     quartiles of the wall-clock over five samples, and the objective
+     checksum.
 
    In --quick mode the sweep shrinks, every gate still applies, and no
    JSON is written. *)
@@ -898,8 +899,9 @@ let bench_simplex_warm_sweep ~quick =
     |> List.filter (fun j -> j <> g.Fba.Geobacter.ep && j <> g.Fba.Geobacter.bp)
     |> take (if quick then 12 else 200)
   in
-  let checksum = ref 0. in
+  (* One pass: its pivots and the checksum of every objective. *)
   let work () =
+    let checksum = ref 0. in
     (* Wild-type FBA seeds both halves of the sweep. *)
     let out0, b0 = Lp.Simplex.solve spec in
     (match out0 with
@@ -928,25 +930,46 @@ let bench_simplex_warm_sweep ~quick =
         | Lp.Simplex.Optimal { objective; _ } -> checksum := !checksum +. objective
         | Lp.Simplex.Infeasible -> ()
         | Lp.Simplex.Unbounded -> simplex_fail "warm sweep: knockout LP unbounded")
-      ko_candidates
+      ko_candidates;
+    !checksum
   in
-  let wall = ref 0. in
-  let (), deltas =
-    counters_delta [ "simplex.pivots" ] (fun () ->
-        let (), dt = wall_ns work in
-        wall := dt)
+  (* Repeated samples of the whole sweep; the kernel is deterministic,
+     so every sample must spend the same pivots and hit the same
+     checksum bits. *)
+  let samples = 5 in
+  let runs =
+    Array.init samples (fun _ ->
+        let (checksum, wall), deltas =
+          counters_delta [ "simplex.pivots" ] (fun () -> wall_ns work)
+        in
+        let pivots = match deltas with [ p ] -> p | _ -> assert false in
+        (pivots, checksum, wall /. 1e6))
   in
-  let pivots = match deltas with [ p ] -> p | _ -> assert false in
-  Printf.printf "   simplex/warm-sweep       %7d pivots  %8.1f ms  checksum %.6f\n%!" pivots
-    (!wall /. 1e6) !checksum;
+  let pivots, checksum, _ = runs.(0) in
+  Array.iter
+    (fun (p, c, _) ->
+      if p <> pivots || not (Float.equal c checksum) then
+        simplex_fail "warm sweep: samples disagree (%d pivots, checksum %h vs %d, %h)" p c
+          pivots checksum)
+    runs;
+  let wall_ms = Array.map (fun (_, _, ms) -> ms) runs in
+  let q1 = Numerics.Stats.quantile wall_ms 0.25
+  and median = Numerics.Stats.median wall_ms
+  and q3 = Numerics.Stats.quantile wall_ms 0.75 in
+  Printf.printf
+    "   simplex/warm-sweep       %7d pivots  %8.1f ms [%.1f, %.1f] (median [quartiles] of %d)  checksum %.6f\n%!"
+    pivots median q1 q3 samples checksum;
   Obs.Json.Obj
     [
       ("name", Obs.Json.String "simplex/warm-sweep");
       ("fva_reactions", Obs.Json.Float (float_of_int (List.length fva_reactions)));
       ("knockouts", Obs.Json.Float (float_of_int (List.length ko_candidates)));
       ("pivots", Obs.Json.Float (float_of_int pivots));
-      ("wall_ms", Obs.Json.Float (!wall /. 1e6));
-      ("checksum", Obs.Json.Float !checksum);
+      ("samples", Obs.Json.Float (float_of_int samples));
+      ("wall_ms", Obs.Json.Float median);
+      ("wall_ms_q1", Obs.Json.Float q1);
+      ("wall_ms_q3", Obs.Json.Float q3);
+      ("checksum", Obs.Json.Float checksum);
     ]
 
 let run_simplex_benchmarks () =

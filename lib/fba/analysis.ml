@@ -5,8 +5,7 @@ exception Infeasible_model of string
 let spec_of ~t ~obj =
   let n = Network.n_reactions t in
   let m = Network.n_metabolites t in
-  let s = Network.stoichiometric_matrix t in
-  let cols = Array.init n (fun j -> Numerics.Sparse.csc_column s j) in
+  let cols = Network.columns t in
   let lo = Array.make n 0. and up = Array.make n 0. in
   Array.iteri
     (fun j (l, u) ->
@@ -83,24 +82,17 @@ let epsilon_constraint ~t ~primary ~secondary ~levels =
      one level is usually primal-feasible (or near it) for the next, so
      threading it skips phase 1 on most levels of the sweep. *)
   let prev = ref None in
-  let results =
-    List.filter_map
-      (fun level ->
-        let l, u = saved.(secondary) in
-        if level > u then None
-        else begin
-          Network.set_bounds t secondary (Float.max l level) u;
-          let r =
+  Fun.protect ~finally:restore (fun () ->
+      List.filter_map
+        (fun level ->
+          let l, u = saved.(secondary) in
+          if level > u then None
+          else begin
+            Network.set_bounds t secondary (Float.max l level) u;
             match fba_with_basis ?basis:!prev ~t ~objective:primary () with
             | sol, carry ->
               (match carry with Some _ -> prev := carry | None -> ());
               Some (sol.objective, level)
             | exception Infeasible_model _ -> None
-          in
-          Network.set_bounds t secondary l u;
-          r
-        end)
-      levels
-  in
-  restore ();
-  results
+          end)
+        levels)

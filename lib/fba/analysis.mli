@@ -7,9 +7,12 @@ exception Infeasible_model of string
 
 val spec_of : t:Network.t -> obj:float array -> Lp.Simplex.spec
 (** The raw LP behind {!fba}: steady state [S·v = 0] with the network's
-    bounds and a dense objective vector over reactions.  Exposed so
-    harnesses (the [bench-simplex] legs in particular) can drive
-    {!Lp.Simplex.solve} directly on the same LP. *)
+    bounds and a dense objective vector over reactions.  Its [cols] is
+    the network's cached {!Network.columns}, shared by every spec of the
+    same network (so warm starts between them reuse the carried LU);
+    treat it as read-only.  Exposed so harnesses (the [bench-simplex]
+    legs in particular) can drive {!Lp.Simplex.solve} directly on the
+    same LP. *)
 
 val fba : t:Network.t -> objective:int -> solution
 (** Maximize the flux through reaction [objective] subject to [S·v = 0]
@@ -52,4 +55,5 @@ val epsilon_constraint :
   (float * float) list
 (** Exact Pareto front sweep by LP: for each level [b], maximize
     [primary] subject to [secondary ≥ b]; returns
-    [(primary*, level)] pairs for feasible levels. *)
+    [(primary*, level)] pairs for feasible levels.  The network's bounds
+    are restored on return and on any exception. *)

@@ -10,7 +10,10 @@ type t = {
   mutable reactions : reaction array;
   mutable n : int; (* used slots in [reactions] *)
   index : (string, int) Hashtbl.t;
-  mutable cache : Numerics.Sparse.csc option; (* compressed S, dropped by [add_reaction] *)
+  (* Compressed S and its columns as lists, built on first use and
+     dropped by [add_reaction]. *)
+  mutable cache : Numerics.Sparse.csc option;
+  mutable columns : (int * float) list array option;
 }
 
 let create ~metabolites () =
@@ -21,6 +24,7 @@ let create ~metabolites () =
     n = 0;
     index = Hashtbl.create 64;
     cache = None;
+    columns = None;
   }
 
 let n_metabolites net = Array.length net.metabolites
@@ -44,6 +48,7 @@ let add_reaction net ~name ~stoich ~lb ~ub =
   net.reactions.(net.n) <- { name; stoich; lb; ub };
   Hashtbl.add net.index name net.n;
   net.cache <- None;
+  net.columns <- None;
   net.n <- net.n + 1;
   net.n - 1
 
@@ -71,6 +76,15 @@ let stoichiometric_matrix net =
     let s = Numerics.Sparse.compress s in
     net.cache <- Some s;
     s
+
+let columns net =
+  match net.columns with
+  | Some cols -> cols
+  | None ->
+    let s = stoichiometric_matrix net in
+    let cols = Array.init net.n (Numerics.Sparse.csc_column s) in
+    net.columns <- Some cols;
+    cols
 
 let violation net v =
   Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (stoichiometric_matrix net) v)

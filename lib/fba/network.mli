@@ -33,6 +33,13 @@ val stoichiometric_matrix : t -> Numerics.Sparse.csc
     coefficient of metabolite [i] in reaction [j].  Invalidated by
     [add_reaction]; bounds are not part of it. *)
 
+val columns : t -> (int * float) list array
+(** The columns of S as sparse [(metabolite, coefficient)] lists sorted
+    by row, built once from {!stoichiometric_matrix} and cached beside
+    it.  Invalidated by [add_reaction].  The array and its lists are
+    shared by every caller, so LP specs built from them carry physically
+    equal columns; treat them as read-only. *)
+
 val violation : t -> float array -> float
 (** [‖S·v‖₂] of a flux vector, from the cached S. *)
 

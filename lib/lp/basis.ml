@@ -34,9 +34,11 @@ type t = {
 
 let g_eta_len = Obs.Metrics.gauge "simplex.eta_len"
 
-let factor cols =
-  let m = Array.length cols in
-  { m; lu = Numerics.Sparse_lu.factor cols; etas = []; n_etas = 0; eta_nnz = 0 }
+let of_lu lu = { m = Numerics.Sparse_lu.dim lu; lu; etas = []; n_etas = 0; eta_nnz = 0 }
+
+let factor cols = of_lu (Numerics.Sparse_lu.factor cols)
+
+let fresh_lu b = if b.n_etas = 0 then Some b.lu else None
 
 let refactor b cols =
   if Array.length cols <> b.m then invalid_arg "Lp.Basis.refactor: dimension changed";

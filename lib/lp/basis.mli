@@ -23,6 +23,16 @@ val factor : (int * float) list array -> t
     [(row, value)]).  Raises {!Numerics.Sparse_lu.Singular} on a
     rank-deficient basis. *)
 
+val of_lu : Numerics.Sparse_lu.t -> t
+(** A basis around an existing factorization of its columns, with an
+    empty eta file.  The LU is only read, never modified, so it may be
+    shared with other bases. *)
+
+val fresh_lu : t -> Numerics.Sparse_lu.t option
+(** The base factorization while the eta file is empty — then it is
+    exactly the LU of the current basis columns — and [None] once an
+    update has been recorded. *)
+
 val refactor : t -> (int * float) list array -> unit
 (** Replace the factorization with a fresh LU of the given columns and
     clear the eta file. *)

@@ -38,6 +38,7 @@ let max_iter = 50_000
 let m_solves = Obs.Metrics.counter "simplex.solves"
 let m_pivots = Obs.Metrics.counter "simplex.pivots"
 let m_refactors = Obs.Metrics.counter "simplex.refactors"
+let m_factor_reuses = Obs.Metrics.counter "simplex.factor_reuses"
 let m_phase1_ns = Obs.Metrics.counter "simplex.phase1_ns"
 let m_phase2_ns = Obs.Metrics.counter "simplex.phase2_ns"
 let m_warm_starts = Obs.Metrics.counter "simplex.warm_starts"
@@ -461,22 +462,42 @@ let optimize_dual ~pivots st c =
   done;
   match !result with Some r -> r | None -> assert false
 
-type basis = { b_status : status array; b_rows : int array }
+type basis = {
+  b_status : status array;
+  b_rows : int array;
+  b_lu : (column array * Numerics.Sparse_lu.t) option;
+}
 
-(* Factor the m columns basic in rows 0..m-1; [None] on a singular
-   basis matrix. *)
-let factor_basis ~m cols_of =
-  match Basis.factor (Array.init m cols_of) with
+(* Factor the columns basic in rows 0..m-1; [None] on a singular basis
+   matrix. *)
+let factor_basis cols =
+  match Basis.factor cols with
   | exception Numerics.Sparse_lu.Singular -> None
   | b -> Some b
+
+(* Columns with the same entries in the same order, values compared by
+   their bits: [Sparse_lu.factor] is a deterministic function of exactly
+   this, so equal columns have equal factorizations. *)
+let rec same_entries (a : column) (b : column) =
+  match (a, b) with
+  | [], [] -> true
+  | (i, v) :: a', (i', v') :: b' ->
+    Int.equal i i'
+    && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
+    && same_entries a' b'
+  | _ -> false
+
+let same_columns a b = Array.for_all2 (fun x y -> x == y || same_entries x y) a b
 
 (* Reconstruct a full simplex state from a previously optimal basis:
    statuses for the structural variables plus the basic variable of each
    row.  Artificials are re-created pinned at zero (lo = up = 0,
-   nonbasic), the basis matrix is refactorized from scratch, and the
-   basic values are recomputed against the {e new} rhs/bounds — so a
-   basis carried over from a neighboring LP yields an exact vertex of
-   the new LP, not an approximation.  Returns
+   nonbasic), the basis matrix is factored — or its carried LU reused
+   when every basic column of the new spec equals the one it was
+   factored from, which is the same factorization — and the basic
+   values are recomputed against the {e new} rhs/bounds, so a basis
+   carried over from a neighboring LP yields an exact vertex of the new
+   LP, not an approximation.  Returns
    [Error `Shape] when the basis is structurally inconsistent with the
    spec and [Error `Singular] on a singular basis matrix; feasibility of
    the vertex is the caller's decision ({!primal_feasible},
@@ -522,7 +543,15 @@ let warm_state spec basis =
       let cols =
         Array.append (Array.copy spec.cols) (Array.init m (fun i -> [ (i, 1.) ]))
       in
-      match factor_basis ~m (fun r -> spec.cols.(basis.b_rows.(r))) with
+      let basic_cols = Array.map (fun j -> spec.cols.(j)) basis.b_rows in
+      let fac =
+        match basis.b_lu with
+        | Some (cols, lu) when same_columns cols basic_cols ->
+          Obs.Metrics.incr m_factor_reuses;
+          Some (Basis.of_lu lu)
+        | _ -> factor_basis basic_cols
+      in
+      match fac with
       | None -> Error `Singular
       | Some fac ->
         let st =
@@ -568,10 +597,17 @@ let dual_feasible st c =
   !ok
 
 (* Extract the reusable part of a solved state: only structural-variable
-   bases survive (a basic artificial would not transfer). *)
+   bases survive (a basic artificial would not transfer).  The LU rides
+   along while it is the plain factorization of the basic columns. *)
 let basis_of st n =
   if Array.exists (fun j -> j >= n) st.basis then None
-  else Some { b_status = Array.sub st.status 0 n; b_rows = Array.copy st.basis }
+  else
+    Some
+      {
+        b_status = Array.sub st.status 0 n;
+        b_rows = Array.copy st.basis;
+        b_lu = Option.map (fun lu -> (basis_columns st, lu)) (Basis.fresh_lu st.fac);
+      }
 
 let count_reject reason =
   Obs.Metrics.incr m_warm_rejects;
@@ -582,16 +618,22 @@ let count_reject reason =
     | `Dual_infeasible -> m_wr_dual
     | `Limit -> m_wr_limit)
 
-(* Final polish: refactorize from the terminal basis and recompute the
+(* Final polish: factor the terminal basis afresh and recompute the
    basic values before extracting the solution, so the reported
    (x, objective) is a pure function of (final basis, statuses, spec) —
    identical bits whichever pivot path (cold, warm primal or dual)
-   reached that basis.  A (numerically) singular terminal basis keeps
-   the updated factors instead. *)
+   reached that basis.  With an empty eta file the factors already are
+   that fresh LU and are kept.  A (numerically) singular terminal basis
+   keeps the updated factors instead. *)
 let polish st =
-  match refactor st with
-  | () -> recompute_basics st
-  | exception Numerics.Sparse_lu.Singular -> ()
+  match Basis.fresh_lu st.fac with
+  | Some _ ->
+    Obs.Metrics.incr m_factor_reuses;
+    recompute_basics st
+  | None -> (
+    match refactor st with
+    | () -> recompute_basics st
+    | exception Numerics.Sparse_lu.Singular -> ())
 
 let cold_solve spec ~pivots ~finish ~phase2 =
   let m = spec.n_rows in
@@ -638,7 +680,7 @@ let cold_solve spec ~pivots ~finish ~phase2 =
   in
   let basis = Array.init m (fun i -> n + i) in
   let fac =
-    match factor_basis ~m (fun i -> [ (i, art_sign.(i)) ]) with
+    match factor_basis (Array.sub cols n m) with
     | Some f -> f
     | None -> invalid_arg "Simplex.solve: artificial basis cannot be singular"
   in

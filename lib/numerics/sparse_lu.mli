@@ -8,9 +8,15 @@
     are eliminated in increasing-nnz order, which keeps fill-in near
     zero on the basis matrices of stoichiometric LPs.
 
-    This is the factorization behind {!Lp.Basis} (revised simplex); it
-    is generic numerics and usable anywhere a sparse square solve is
-    needed. *)
+    L and U are stored as compressed columns in flat index/value
+    arrays, and a [t] is never modified after {!factor} returns, so one
+    factorization can be shared by any number of solves, bases and
+    domains.  Neither solve allocates beyond its result and one work
+    vector.
+
+    This is the factorization behind {!Lp.Basis} (revised simplex) and
+    the flux projector of [Fba.Network]; it is generic numerics and
+    usable anywhere a sparse square solve is needed. *)
 
 type t
 
@@ -32,6 +38,10 @@ val solve_t : t -> float array -> float array
 (** [solve_t f c] solves [Aᵀ y = c]; [c] is indexed by column, the
     result by row.  For a basis matrix this is the simplex {e btran}. *)
 
+val dim : t -> int
+(** Order of the factored matrix. *)
+
 val nnz : t -> int
-(** Stored nonzeros of [L] and [U] (diagonals excluded) — the fill-in
-    measure the eta-file refactorization trigger compares against. *)
+(** Stored nonzeros of [L] and [U], counting [U]'s diagonal but not
+    [L]'s implied unit one — the fill-in measure the eta-file
+    refactorization trigger compares against. *)

@@ -146,17 +146,18 @@ let pp_ode ppf last =
   end
 
 (* Health of the factorized-basis simplex: pivot/refactorization volume
-   with per-solve pivot quantiles, warm-start and dual-repair economy,
-   anti-cycling activations, eta-file pressure and refactorization
-   latency. *)
+   and the factorizations reused instead of rebuilt, per-solve pivot
+   quantiles, warm-start and dual-repair economy, anti-cycling
+   activations, eta-file pressure and refactorization latency. *)
 let pp_lp ppf last =
   let c name = Option.value ~default:0 (counter_of last name) in
   if c "simplex.solves" > 0 then begin
     section ppf "LP kernel health";
     Format.fprintf ppf
-      "%d solve(s): %d pivot(s), %d refactorization(s), %d Bland activation(s)@\n"
+      "%d solve(s): %d pivot(s), %d refactorization(s), %d factor reuse(s), %d Bland \
+       activation(s)@\n"
       (c "simplex.solves") (c "simplex.pivots") (c "simplex.refactors")
-      (c "simplex.bland_activations");
+      (c "simplex.factor_reuses") (c "simplex.bland_activations");
     (match hist_of last "simplex.pivots_per_solve" with
     | Some (le, counts, _) when Array.fold_left ( + ) 0 counts > 0 ->
       Format.fprintf ppf "pivots per solve: p50 %.0f  p90 %.0f@\n"

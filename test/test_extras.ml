@@ -1,5 +1,5 @@
 (* Tests for the extension modules: SPEA2, heterogeneous islands,
-   metabolic control analysis, response curves, knockout screening. *)
+   metabolic control analysis, response curves. *)
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -201,132 +201,6 @@ let test_export_response_saturates () =
     Alcotest.(check bool) "saturating" true (a_high -. a_mid < a_mid -. a_low +. 2.)
   | _ -> Alcotest.fail "resp shape"
 
-(* {1 Knockout screening} *)
-
-(* A branched toy network where knocking out a byproduct branch
-   redirects flux to the target:
-     EX_A -> A ; A -> B ; A -> C ; B -> target (EX_B) ; C -> waste (EX_C)
-   with biomass drawing on B.  Removing A->C increases EX_B. *)
-let branched () =
-  let net = Fba.Network.create ~metabolites:[| "A"; "B"; "C" |] () in
-  let _ = Fba.Network.add_reaction net ~name:"EX_A" ~stoich:[ (0, 1.) ] ~lb:0. ~ub:10. in
-  let a2b = Fba.Network.add_reaction net ~name:"A2B" ~stoich:[ (0, -1.); (1, 1.) ] ~lb:0. ~ub:4. in
-  let a2c = Fba.Network.add_reaction net ~name:"A2C" ~stoich:[ (0, -1.); (2, 1.) ] ~lb:0. ~ub:100. in
-  (* A second, less direct route to B so the A2B cap is not absolute. *)
-  let c2b = Fba.Network.add_reaction net ~name:"C2B" ~stoich:[ (2, -1.); (1, 1.) ] ~lb:0. ~ub:2. in
-  let ex_b = Fba.Network.add_reaction net ~name:"EX_B" ~stoich:[ (1, -1.) ] ~lb:0. ~ub:100. in
-  let ex_c = Fba.Network.add_reaction net ~name:"EX_C" ~stoich:[ (2, -1.) ] ~lb:0. ~ub:100. in
-  let biomass = Fba.Network.add_reaction net ~name:"BIO" ~stoich:[ (1, -0.5) ] ~lb:0. ~ub:100. in
-  (net, a2b, a2c, c2b, ex_b, ex_c, biomass)
-
-let test_knockout_baseline () =
-  let net, _, _, _, ex_b, _, biomass = branched () in
-  let k = Fba.Knockout.baseline ~t:net ~target:ex_b ~biomass ~min_biomass:1. in
-  Alcotest.(check bool) "biomass floor respected" true (k.Fba.Knockout.biomass_flux >= 1. -. 1e-6);
-  Alcotest.(check bool) "positive target" true (k.Fba.Knockout.target_flux > 0.)
-
-let test_knockout_single_improves () =
-  let net, _, _, _, ex_b, ex_c, biomass = branched () in
-  let base = Fba.Knockout.baseline ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 in
-  let kos =
-    Fba.Knockout.single ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 ~candidates:[ ex_c ]
-  in
-  match kos with
-  | [ k ] ->
-    (* Closing the waste exit forces C through C2B into the target. *)
-    Alcotest.(check bool)
-      (Printf.sprintf "knockout %.3f >= baseline %.3f" k.Fba.Knockout.target_flux
-         base.Fba.Knockout.target_flux)
-      true
-      (k.Fba.Knockout.target_flux >= base.Fba.Knockout.target_flux)
-  | _ -> Alcotest.fail "one knockout expected"
-
-let test_knockout_lethal_dropped () =
-  let net, a2b, _, c2b, ex_b, _, biomass = branched () in
-  (* Removing both routes to B kills the biomass floor → dropped. *)
-  let kos =
-    Fba.Knockout.pairs ~t:net ~target:ex_b ~biomass ~min_biomass:0.5
-      ~candidates:[ a2b; c2b ]
-  in
-  Alcotest.(check int) "lethal pair dropped" 0 (List.length kos)
-
-let test_knockout_restores_bounds () =
-  let net, _, a2c, _, ex_b, _, biomass = branched () in
-  let before = Fba.Network.bounds net in
-  ignore (Fba.Knockout.single ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 ~candidates:[ a2c ]);
-  let after = Fba.Network.bounds net in
-  Array.iteri
-    (fun j (lb, ub) ->
-      let lb', ub' = after.(j) in
-      check_float (Printf.sprintf "lb %d" j) lb lb';
-      check_float (Printf.sprintf "ub %d" j) ub ub')
-    before
-
-(* The real model: every knockout the warm screens report must match a
-   cold FBA under the same pins and biomass floor, the dropped sets must
-   be exactly the cold-infeasible ones, and the network must come back
-   unchanged.  Acetate uptake rides along as a known lethal knockout. *)
-let test_knockout_geobacter_matches_cold () =
-  let g = Fba.Geobacter.build () in
-  let t = g.Fba.Geobacter.net in
-  let target = g.Fba.Geobacter.ep and biomass = g.Fba.Geobacter.bp in
-  let min_biomass = 0.1 in
-  let pool =
-    Array.of_list
-      (List.filter
-         (fun j -> j <> target && j <> biomass && j <> g.Fba.Geobacter.ex_acetate)
-         (List.init (Fba.Network.n_reactions t) Fun.id))
-  in
-  let rng = Numerics.Rng.create 2024 in
-  let drawn =
-    Array.to_list
-      (Array.map (fun i -> pool.(i))
-         (Numerics.Rng.sample_indices rng ~n:(Array.length pool) ~k:19))
-  in
-  let singles = g.Fba.Geobacter.ex_acetate :: drawn in
-  let pair_candidates = List.filteri (fun i _ -> i < 6) singles in
-  let before = Fba.Network.bounds t in
-  let cold removed =
-    let saved = Fba.Network.bounds t in
-    List.iter (fun j -> Fba.Network.set_bounds t j 0. 0.) removed;
-    let lb, ub = saved.(biomass) in
-    Fba.Network.set_bounds t biomass (Float.max lb min_biomass) ub;
-    let r =
-      match Fba.Analysis.fba ~t ~objective:target with
-      | s -> Some s.Fba.Analysis.objective
-      | exception Fba.Analysis.Infeasible_model _ -> None
-    in
-    Array.iteri (fun j (lb, ub) -> Fba.Network.set_bounds t j lb ub) saved;
-    r
-  in
-  let check_screen label sets reported =
-    let expected = List.filter_map (fun s -> Option.map (fun v -> (s, v)) (cold s)) sets in
-    Alcotest.(check bool) (label ^ ": a lethal set is screened") true
-      (List.length expected < List.length sets);
-    Alcotest.(check (list (list int)))
-      (label ^ ": dropped sets = cold-infeasible")
-      (List.sort compare (List.map fst expected))
-      (List.sort compare (List.map (fun k -> k.Fba.Knockout.removed) reported));
-    List.iter
-      (fun k ->
-        let v = List.assoc k.Fba.Knockout.removed expected in
-        let rel = Float.abs (k.Fba.Knockout.target_flux -. v) /. Float.max 1. (Float.abs v) in
-        if rel > 1e-9 then
-          Alcotest.failf "%s: knockout {%s} target %.17g vs cold %.17g" label
-            (String.concat ", " (List.map string_of_int k.Fba.Knockout.removed))
-            k.Fba.Knockout.target_flux v)
-      reported
-  in
-  let single = Fba.Knockout.single ~t ~target ~biomass ~min_biomass ~candidates:singles in
-  let pairs = Fba.Knockout.pairs ~t ~target ~biomass ~min_biomass ~candidates:pair_candidates in
-  Alcotest.(check bool) "bounds restored" true (Fba.Network.bounds t = before);
-  check_screen "singles" (List.map (fun j -> [ j ]) singles) single;
-  let rec all_pairs = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> [ x; y ]) rest @ all_pairs rest
-  in
-  check_screen "pairs" (all_pairs pair_candidates) pairs
-
 let () =
   Alcotest.run "extras"
     [
@@ -358,14 +232,5 @@ let () =
           Alcotest.test_case "A/Ci monotone" `Slow test_a_ci_monotone;
           Alcotest.test_case "matches conditions" `Slow test_a_ci_matches_conditions;
           Alcotest.test_case "export saturation" `Slow test_export_response_saturates;
-        ] );
-      ( "knockout",
-        [
-          Alcotest.test_case "baseline" `Quick test_knockout_baseline;
-          Alcotest.test_case "single improves" `Quick test_knockout_single_improves;
-          Alcotest.test_case "lethal dropped" `Quick test_knockout_lethal_dropped;
-          Alcotest.test_case "bounds restored" `Quick test_knockout_restores_bounds;
-          Alcotest.test_case "geobacter = cold FBA" `Quick
-            test_knockout_geobacter_matches_cold;
         ] );
     ]

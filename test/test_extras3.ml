@@ -1,6 +1,5 @@
-(* Tests for the third extension batch: single-objective GA, the
-   fixed-nitrogen (Zhu-style) optimization and E. coli OptKnock
-   growth coupling. *)
+(* Tests for the third extension batch: single-objective GA and the
+   fixed-nitrogen (Zhu-style) optimization. *)
 
 let check_float ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -85,88 +84,6 @@ let test_fixed_nitrogen_gains () =
   in
   check_float ~tol:1. "constraint held" 208330. n
 
-(* {1 E. coli core + growth coupling} *)
-
-let test_ecoli_builds () =
-  let m = Fba.Ecoli_core.build () in
-  Alcotest.(check bool) "compact" true
-    (Fba.Network.n_reactions m.Fba.Ecoli_core.net < 40);
-  Alcotest.(check int) "four candidates" 4
-    (List.length (Fba.Ecoli_core.succinate_candidates m))
-
-let test_ecoli_wild_type_grows () =
-  let m = Fba.Ecoli_core.build () in
-  let sol = Fba.Analysis.fba ~t:m.Fba.Ecoli_core.net ~objective:m.Fba.Ecoli_core.biomass in
-  Alcotest.(check bool) "grows" true (sol.Fba.Analysis.objective > 1.)
-
-let test_ecoli_wild_type_not_coupled () =
-  let m = Fba.Ecoli_core.build () in
-  match
-    Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
-      ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass ~removed:[]
-  with
-  | None -> Alcotest.fail "wild type must be viable"
-  | Some c ->
-    let lo, _ = c.Fba.Knockout.target_at_growth in
-    Alcotest.(check bool) "no guaranteed succinate" true (lo < 1e-6)
-
-let test_ecoli_pfl_ldh_couples () =
-  (* The classic OptKnock outcome: deleting the PFL and LDH branches
-     forces glycolytic NADH through the reductive branch — succinate is
-     growth-coupled. *)
-  let m = Fba.Ecoli_core.build () in
-  match
-    Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
-      ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass
-      ~removed:[ m.Fba.Ecoli_core.pfl; m.Fba.Ecoli_core.ldh ]
-  with
-  | None -> Alcotest.fail "dPFL dLDH must remain viable"
-  | Some c ->
-    let lo, _ = c.Fba.Knockout.target_at_growth in
-    Alcotest.(check bool)
-      (Printf.sprintf "guaranteed succinate %.2f > 1" lo)
-      true (lo > 1.);
-    Alcotest.(check bool) "growth persists" true (c.Fba.Knockout.biomass_opt > 0.5)
-
-let test_ecoli_growth_coupled_restores_bounds () =
-  let m = Fba.Ecoli_core.build () in
-  let before = Fba.Network.bounds m.Fba.Ecoli_core.net in
-  ignore
-    (Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
-       ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass
-       ~removed:[ m.Fba.Ecoli_core.pfl ]);
-  let after = Fba.Network.bounds m.Fba.Ecoli_core.net in
-  Array.iteri
-    (fun j (lb, ub) ->
-      let lb', ub' = after.(j) in
-      check_float "lb" lb lb';
-      check_float "ub" ub ub')
-    before
-
-let test_ecoli_growth_coupled_restores_on_raise () =
-  (* An out-of-range target fails inside the FVA, after the knockouts and
-     the growth floor are pinned: the pins must still come off. *)
-  let m = Fba.Ecoli_core.build () in
-  let net = m.Fba.Ecoli_core.net in
-  let before = Array.copy (Fba.Network.bounds net) in
-  let raised =
-    match
-      Fba.Knockout.growth_coupled ~t:net ~target:(Fba.Network.n_reactions net)
-        ~biomass:m.Fba.Ecoli_core.biomass
-        ~removed:[ m.Fba.Ecoli_core.pfl; m.Fba.Ecoli_core.ldh ]
-    with
-    | _ -> false
-    | exception Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "out-of-range target raises" true raised;
-  let after = Fba.Network.bounds net in
-  Array.iteri
-    (fun j (lb, ub) ->
-      let lb', ub' = after.(j) in
-      check_float ~tol:0. (Printf.sprintf "lb %d" j) lb lb';
-      check_float ~tol:0. (Printf.sprintf "ub %d" j) ub ub')
-    before
-
 let () =
   Alcotest.run "extras3"
     [
@@ -183,15 +100,5 @@ let () =
           Alcotest.test_case "budget exact" `Quick test_ratios_of_weights_budget;
           Alcotest.test_case "uniform weights = natural" `Quick test_ratios_of_weights_proportional;
           Alcotest.test_case "zhu-style gain" `Slow test_fixed_nitrogen_gains;
-        ] );
-      ( "ecoli-optknock",
-        [
-          Alcotest.test_case "builds" `Quick test_ecoli_builds;
-          Alcotest.test_case "wild type grows" `Quick test_ecoli_wild_type_grows;
-          Alcotest.test_case "wild type not coupled" `Quick test_ecoli_wild_type_not_coupled;
-          Alcotest.test_case "dPFL dLDH couples" `Quick test_ecoli_pfl_ldh_couples;
-          Alcotest.test_case "bounds restored" `Quick test_ecoli_growth_coupled_restores_bounds;
-          Alcotest.test_case "bounds restored on raise" `Quick
-            test_ecoli_growth_coupled_restores_on_raise;
         ] );
     ]

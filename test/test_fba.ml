@@ -1,5 +1,6 @@
-(* Tests for the sparse stoichiometry, FBA toolbox and the synthetic
-   Geobacter model. *)
+(* Tests for the sparse stoichiometry, FBA toolbox, the synthetic
+   Geobacter model, knockout screening and E. coli OptKnock growth
+   coupling. *)
 
 let check_float ?(tol = 1e-7) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -90,6 +91,17 @@ let test_network_duplicate_name_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_network_columns_cache () =
+  let net, _, conv, _ = toy_network () in
+  let cols = Fba.Network.columns net in
+  Alcotest.(check bool) "built once" true (Fba.Network.columns net == cols);
+  Alcotest.(check (list (pair int (float 0.)))) "column of S" [ (0, -1.); (1, 1.) ] cols.(conv);
+  let r = Fba.Network.add_reaction net ~name:"B2A" ~stoich:[ (1, -1.); (0, 1.) ] ~lb:0. ~ub:1. in
+  let cols' = Fba.Network.columns net in
+  Alcotest.(check int) "rebuilt after add_reaction" 4 (Array.length cols');
+  Alcotest.(check (list (pair int (float 0.)))) "new column, sorted by row" [ (0, 1.); (1, -1.) ]
+    cols'.(r)
+
 (* {1 FBA} *)
 
 let test_fba_toy_chain () =
@@ -130,6 +142,23 @@ let test_fba_infeasible_detected () =
        ignore (Fba.Analysis.fba ~t:net ~objective:r);
        false
      with Fba.Analysis.Infeasible_model _ -> true)
+
+let test_eps_sweep_restores_on_raise () =
+  (* An out-of-range primary fails inside the sweep after the secondary
+     is pinned at the level: the pin must still come off. *)
+  let g = Fba.Geobacter.build () in
+  let t = g.Fba.Geobacter.net in
+  let before = Fba.Network.bounds t in
+  let raised =
+    match
+      Fba.Analysis.epsilon_constraint ~t ~primary:100_000 ~secondary:g.Fba.Geobacter.bp
+        ~levels:[ 0.29 ]
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "out-of-range primary raises" true raised;
+  Alcotest.(check bool) "bounds restored" true (Fba.Network.bounds t = before)
 
 (* {1 Geobacter model} *)
 
@@ -298,6 +327,214 @@ let test_initial_guess_violation_large () =
   Alcotest.(check bool) "initial guess far from steady state" true
     (Fba.Moo_problem.initial_guess_violation g ~seed:1 > 1e3)
 
+(* {1 Knockout screening} *)
+
+(* A branched toy network where knocking out a byproduct branch
+   redirects flux to the target:
+     EX_A -> A ; A -> B ; A -> C ; B -> target (EX_B) ; C -> waste (EX_C)
+   with biomass drawing on B.  Removing A->C increases EX_B. *)
+let branched () =
+  let net = Fba.Network.create ~metabolites:[| "A"; "B"; "C" |] () in
+  let _ = Fba.Network.add_reaction net ~name:"EX_A" ~stoich:[ (0, 1.) ] ~lb:0. ~ub:10. in
+  let a2b = Fba.Network.add_reaction net ~name:"A2B" ~stoich:[ (0, -1.); (1, 1.) ] ~lb:0. ~ub:4. in
+  let a2c = Fba.Network.add_reaction net ~name:"A2C" ~stoich:[ (0, -1.); (2, 1.) ] ~lb:0. ~ub:100. in
+  (* A second, less direct route to B so the A2B cap is not absolute. *)
+  let c2b = Fba.Network.add_reaction net ~name:"C2B" ~stoich:[ (2, -1.); (1, 1.) ] ~lb:0. ~ub:2. in
+  let ex_b = Fba.Network.add_reaction net ~name:"EX_B" ~stoich:[ (1, -1.) ] ~lb:0. ~ub:100. in
+  let ex_c = Fba.Network.add_reaction net ~name:"EX_C" ~stoich:[ (2, -1.) ] ~lb:0. ~ub:100. in
+  let biomass = Fba.Network.add_reaction net ~name:"BIO" ~stoich:[ (1, -0.5) ] ~lb:0. ~ub:100. in
+  (net, a2b, a2c, c2b, ex_b, ex_c, biomass)
+
+let test_knockout_baseline () =
+  let net, _, _, _, ex_b, _, biomass = branched () in
+  let k = Fba.Knockout.baseline ~t:net ~target:ex_b ~biomass ~min_biomass:1. in
+  Alcotest.(check bool) "biomass floor respected" true (k.Fba.Knockout.biomass_flux >= 1. -. 1e-6);
+  Alcotest.(check bool) "positive target" true (k.Fba.Knockout.target_flux > 0.)
+
+let test_knockout_single_improves () =
+  let net, _, _, _, ex_b, ex_c, biomass = branched () in
+  let base = Fba.Knockout.baseline ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 in
+  let kos =
+    Fba.Knockout.single ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 ~candidates:[ ex_c ]
+  in
+  match kos with
+  | [ k ] ->
+    (* Closing the waste exit forces C through C2B into the target. *)
+    Alcotest.(check bool)
+      (Printf.sprintf "knockout %.3f >= baseline %.3f" k.Fba.Knockout.target_flux
+         base.Fba.Knockout.target_flux)
+      true
+      (k.Fba.Knockout.target_flux >= base.Fba.Knockout.target_flux)
+  | _ -> Alcotest.fail "one knockout expected"
+
+let test_knockout_lethal_dropped () =
+  let net, a2b, _, c2b, ex_b, _, biomass = branched () in
+  (* Removing both routes to B kills the biomass floor → dropped. *)
+  let kos =
+    Fba.Knockout.pairs ~t:net ~target:ex_b ~biomass ~min_biomass:0.5
+      ~candidates:[ a2b; c2b ]
+  in
+  Alcotest.(check int) "lethal pair dropped" 0 (List.length kos)
+
+let test_knockout_restores_bounds () =
+  let net, _, a2c, _, ex_b, _, biomass = branched () in
+  let before = Fba.Network.bounds net in
+  ignore (Fba.Knockout.single ~t:net ~target:ex_b ~biomass ~min_biomass:0.5 ~candidates:[ a2c ]);
+  let after = Fba.Network.bounds net in
+  Array.iteri
+    (fun j (lb, ub) ->
+      let lb', ub' = after.(j) in
+      check_float ~tol:1e-9 (Printf.sprintf "lb %d" j) lb lb';
+      check_float ~tol:1e-9 (Printf.sprintf "ub %d" j) ub ub')
+    before
+
+(* The real model: every knockout the warm screens report must match a
+   cold FBA under the same pins and biomass floor, the dropped sets must
+   be exactly the cold-infeasible ones, and the network must come back
+   unchanged.  Acetate uptake rides along as a known lethal knockout. *)
+let test_knockout_geobacter_matches_cold () =
+  let g = Fba.Geobacter.build () in
+  let t = g.Fba.Geobacter.net in
+  let target = g.Fba.Geobacter.ep and biomass = g.Fba.Geobacter.bp in
+  let min_biomass = 0.1 in
+  let pool =
+    Array.of_list
+      (List.filter
+         (fun j -> j <> target && j <> biomass && j <> g.Fba.Geobacter.ex_acetate)
+         (List.init (Fba.Network.n_reactions t) Fun.id))
+  in
+  let rng = Numerics.Rng.create 2024 in
+  let drawn =
+    Array.to_list
+      (Array.map (fun i -> pool.(i))
+         (Numerics.Rng.sample_indices rng ~n:(Array.length pool) ~k:19))
+  in
+  let singles = g.Fba.Geobacter.ex_acetate :: drawn in
+  let pair_candidates = List.filteri (fun i _ -> i < 6) singles in
+  let before = Fba.Network.bounds t in
+  let cold removed =
+    let saved = Fba.Network.bounds t in
+    List.iter (fun j -> Fba.Network.set_bounds t j 0. 0.) removed;
+    let lb, ub = saved.(biomass) in
+    Fba.Network.set_bounds t biomass (Float.max lb min_biomass) ub;
+    let r =
+      match Fba.Analysis.fba ~t ~objective:target with
+      | s -> Some s.Fba.Analysis.objective
+      | exception Fba.Analysis.Infeasible_model _ -> None
+    in
+    Array.iteri (fun j (lb, ub) -> Fba.Network.set_bounds t j lb ub) saved;
+    r
+  in
+  let check_screen label sets reported =
+    let expected = List.filter_map (fun s -> Option.map (fun v -> (s, v)) (cold s)) sets in
+    Alcotest.(check bool) (label ^ ": a lethal set is screened") true
+      (List.length expected < List.length sets);
+    Alcotest.(check (list (list int)))
+      (label ^ ": dropped sets = cold-infeasible")
+      (List.sort compare (List.map fst expected))
+      (List.sort compare (List.map (fun k -> k.Fba.Knockout.removed) reported));
+    List.iter
+      (fun k ->
+        let v = List.assoc k.Fba.Knockout.removed expected in
+        let rel = Float.abs (k.Fba.Knockout.target_flux -. v) /. Float.max 1. (Float.abs v) in
+        if rel > 1e-9 then
+          Alcotest.failf "%s: knockout {%s} target %.17g vs cold %.17g" label
+            (String.concat ", " (List.map string_of_int k.Fba.Knockout.removed))
+            k.Fba.Knockout.target_flux v)
+      reported
+  in
+  let single = Fba.Knockout.single ~t ~target ~biomass ~min_biomass ~candidates:singles in
+  let pairs = Fba.Knockout.pairs ~t ~target ~biomass ~min_biomass ~candidates:pair_candidates in
+  Alcotest.(check bool) "bounds restored" true (Fba.Network.bounds t = before);
+  check_screen "singles" (List.map (fun j -> [ j ]) singles) single;
+  let rec all_pairs = function
+    | [] -> []
+    | x :: rest -> List.map (fun y -> [ x; y ]) rest @ all_pairs rest
+  in
+  check_screen "pairs" (all_pairs pair_candidates) pairs
+
+(* {1 E. coli core + growth coupling} *)
+
+let test_ecoli_builds () =
+  let m = Fba.Ecoli_core.build () in
+  Alcotest.(check bool) "compact" true
+    (Fba.Network.n_reactions m.Fba.Ecoli_core.net < 40);
+  Alcotest.(check int) "four candidates" 4
+    (List.length (Fba.Ecoli_core.succinate_candidates m))
+
+let test_ecoli_wild_type_grows () =
+  let m = Fba.Ecoli_core.build () in
+  let sol = Fba.Analysis.fba ~t:m.Fba.Ecoli_core.net ~objective:m.Fba.Ecoli_core.biomass in
+  Alcotest.(check bool) "grows" true (sol.Fba.Analysis.objective > 1.)
+
+let test_ecoli_wild_type_not_coupled () =
+  let m = Fba.Ecoli_core.build () in
+  match
+    Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
+      ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass ~removed:[]
+  with
+  | None -> Alcotest.fail "wild type must be viable"
+  | Some c ->
+    let lo, _ = c.Fba.Knockout.target_at_growth in
+    Alcotest.(check bool) "no guaranteed succinate" true (lo < 1e-6)
+
+let test_ecoli_pfl_ldh_couples () =
+  (* The classic OptKnock outcome: deleting the PFL and LDH branches
+     forces glycolytic NADH through the reductive branch — succinate is
+     growth-coupled. *)
+  let m = Fba.Ecoli_core.build () in
+  match
+    Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
+      ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass
+      ~removed:[ m.Fba.Ecoli_core.pfl; m.Fba.Ecoli_core.ldh ]
+  with
+  | None -> Alcotest.fail "dPFL dLDH must remain viable"
+  | Some c ->
+    let lo, _ = c.Fba.Knockout.target_at_growth in
+    Alcotest.(check bool)
+      (Printf.sprintf "guaranteed succinate %.2f > 1" lo)
+      true (lo > 1.);
+    Alcotest.(check bool) "growth persists" true (c.Fba.Knockout.biomass_opt > 0.5)
+
+let test_ecoli_growth_coupled_restores_bounds () =
+  let m = Fba.Ecoli_core.build () in
+  let before = Fba.Network.bounds m.Fba.Ecoli_core.net in
+  ignore
+    (Fba.Knockout.growth_coupled ~t:m.Fba.Ecoli_core.net
+       ~target:m.Fba.Ecoli_core.ex_succinate ~biomass:m.Fba.Ecoli_core.biomass
+       ~removed:[ m.Fba.Ecoli_core.pfl ]);
+  let after = Fba.Network.bounds m.Fba.Ecoli_core.net in
+  Array.iteri
+    (fun j (lb, ub) ->
+      let lb', ub' = after.(j) in
+      check_float ~tol:1e-9 "lb" lb lb';
+      check_float ~tol:1e-9 "ub" ub ub')
+    before
+
+let test_ecoli_growth_coupled_restores_on_raise () =
+  (* An out-of-range target fails inside the FVA, after the knockouts and
+     the growth floor are pinned: the pins must still come off. *)
+  let m = Fba.Ecoli_core.build () in
+  let net = m.Fba.Ecoli_core.net in
+  let before = Array.copy (Fba.Network.bounds net) in
+  let raised =
+    match
+      Fba.Knockout.growth_coupled ~t:net ~target:(Fba.Network.n_reactions net)
+        ~biomass:m.Fba.Ecoli_core.biomass
+        ~removed:[ m.Fba.Ecoli_core.pfl; m.Fba.Ecoli_core.ldh ]
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "out-of-range target raises" true raised;
+  let after = Fba.Network.bounds net in
+  Array.iteri
+    (fun j (lb, ub) ->
+      let lb', ub' = after.(j) in
+      check_float ~tol:0. (Printf.sprintf "lb %d" j) lb lb';
+      check_float ~tol:0. (Printf.sprintf "ub %d" j) ub ub')
+    before
+
 (* {1 LP and sparse-LU bits} *)
 
 (* The exact bits of the Geobacter LP campaign (ε-sweep, FVA, single and
@@ -376,6 +613,8 @@ let () =
           Alcotest.test_case "violation" `Quick test_network_violation;
           Alcotest.test_case "set bounds" `Quick test_network_set_bounds;
           Alcotest.test_case "duplicate name" `Quick test_network_duplicate_name_rejected;
+          Alcotest.test_case "add_reaction drops the column cache" `Quick
+            test_network_columns_cache;
         ] );
       ( "analysis",
         [
@@ -383,6 +622,8 @@ let () =
           Alcotest.test_case "branch selection" `Quick test_fba_branch_chooses_better;
           Alcotest.test_case "fva" `Quick test_fva_toy;
           Alcotest.test_case "infeasible detected" `Quick test_fba_infeasible_detected;
+          Alcotest.test_case "eps sweep restores bounds on raise" `Quick
+            test_eps_sweep_restores_on_raise;
         ] );
       ( "geobacter",
         [
@@ -405,6 +646,25 @@ let () =
         [
           Alcotest.test_case "sparse = dense reference" `Quick test_projector_matches_dense;
           Alcotest.test_case "violation = Hashtbl residual" `Quick test_violation_matches_hashtbl;
+        ] );
+      ( "knockout",
+        [
+          Alcotest.test_case "baseline" `Quick test_knockout_baseline;
+          Alcotest.test_case "single improves" `Quick test_knockout_single_improves;
+          Alcotest.test_case "lethal dropped" `Quick test_knockout_lethal_dropped;
+          Alcotest.test_case "bounds restored" `Quick test_knockout_restores_bounds;
+          Alcotest.test_case "geobacter = cold FBA" `Quick
+            test_knockout_geobacter_matches_cold;
+        ] );
+      ( "ecoli-optknock",
+        [
+          Alcotest.test_case "builds" `Quick test_ecoli_builds;
+          Alcotest.test_case "wild type grows" `Quick test_ecoli_wild_type_grows;
+          Alcotest.test_case "wild type not coupled" `Quick test_ecoli_wild_type_not_coupled;
+          Alcotest.test_case "dPFL dLDH couples" `Quick test_ecoli_pfl_ldh_couples;
+          Alcotest.test_case "bounds restored" `Quick test_ecoli_growth_coupled_restores_bounds;
+          Alcotest.test_case "bounds restored on raise" `Quick
+            test_ecoli_growth_coupled_restores_on_raise;
         ] );
       ("lp-bits", [ Alcotest.test_case "geobacter campaign and projector solves" `Quick test_lp_bits ]);
     ]

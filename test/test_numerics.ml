@@ -627,6 +627,32 @@ let test_sparse_lu_deterministic () =
   let x2 = Numerics.Sparse_lu.solve (Numerics.Sparse_lu.factor cols) b in
   if x1 <> x2 then Alcotest.fail "same input must factor and solve bit-identically"
 
+(* A solve allocates its result and one work vector and nothing per
+   entry: the budget is two float arrays of [n] words plus headers.  At
+   n = 200 both arrays are small enough for the minor heap, whose word
+   count is exact. *)
+let test_sparse_lu_solve_allocation () =
+  let n = 200 in
+  let rng = Numerics.Rng.create 5150 in
+  let f = Numerics.Sparse_lu.factor (random_sparse_cols rng n) in
+  let b = Array.init n (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
+  let words_per_call solve =
+    ignore (Sys.opaque_identity (solve f b));
+    let calls = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (solve f b))
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let budget = float_of_int (2 * (n + 1)) in
+  List.iter
+    (fun (name, solve) ->
+      let words = words_per_call solve in
+      if words > budget then
+        Alcotest.failf "%s allocates %.1f words per call, budget %.0f" name words budget)
+    [ ("solve", Numerics.Sparse_lu.solve); ("solve_t", Numerics.Sparse_lu.solve_t) ]
+
 let test_sparse_lu_singular () =
   (* A column of zeros is rank deficient. *)
   let cols = [| [ (0, 1.) ]; []; [ (2, 1.) ] |] in
@@ -685,6 +711,7 @@ let () =
           Alcotest.test_case "btran random systems" `Quick test_sparse_lu_solve_t;
           Alcotest.test_case "deterministic" `Quick test_sparse_lu_deterministic;
           Alcotest.test_case "singular raises" `Quick test_sparse_lu_singular;
+          Alcotest.test_case "solve allocation" `Quick test_sparse_lu_solve_allocation;
           Alcotest.test_case "csc gram = dense matmul" `Quick test_csc_gram_matches_dense;
         ] );
       ( "ode",

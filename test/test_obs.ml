@@ -601,12 +601,14 @@ let test_report_sections () =
 
 let test_report_lp_section () =
   (* Simplex kernel counters render the LP kernel health section with
-     per-solve pivot quantiles, eta-file pressure and refactorization
-     latency quantiles. *)
+     factor reuses beside the refactorizations, per-solve pivot
+     quantiles, eta-file pressure and refactorization latency
+     quantiles. *)
   with_metrics @@ fun () ->
   Obs.Metrics.add (Obs.Metrics.counter "simplex.solves") 2;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.pivots") 31;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.refactors") 1;
+  Obs.Metrics.add (Obs.Metrics.counter "simplex.factor_reuses") 3;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.bland_activations") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.warm_starts") 1;
   Obs.Metrics.add (Obs.Metrics.counter "simplex.dual_solves") 1;
@@ -636,6 +638,8 @@ let test_report_lp_section () =
         (contains_substring ~sub:"LP kernel health" s);
       Alcotest.(check bool) "Bland activations surfaced" true
         (contains_substring ~sub:"1 Bland activation(s)" s);
+      Alcotest.(check bool) "factor reuses beside the refactorizations" true
+        (contains_substring ~sub:"1 refactorization(s), 3 factor reuse(s)" s);
       Alcotest.(check bool) "update count surfaced" true
         (contains_substring ~sub:"basis updates since refactorization: 7" s);
       Alcotest.(check bool) "per-solve pivot quantiles surfaced" true
