@@ -899,7 +899,7 @@ let bench_simplex_warm_sweep ~quick =
     |> List.filter (fun j -> j <> g.Fba.Geobacter.ep && j <> g.Fba.Geobacter.bp)
     |> take (if quick then 12 else 200)
   in
-  (* One pass: its pivots and the checksum of every objective. *)
+  (* One pass of the sweep; returns the sum of its objectives. *)
   let work () =
     let checksum = ref 0. in
     (* Wild-type FBA seeds both halves of the sweep. *)
@@ -949,8 +949,8 @@ let bench_simplex_warm_sweep ~quick =
   Array.iter
     (fun (p, c, _) ->
       if p <> pivots || not (Float.equal c checksum) then
-        simplex_fail "warm sweep: samples disagree (%d pivots, checksum %h vs %d, %h)" p c
-          pivots checksum)
+        simplex_fail "warm sweep: a sample took %d pivots to checksum %h, the first %d to %h" p
+          c pivots checksum)
     runs;
   let wall_ms = Array.map (fun (_, _, ms) -> ms) runs in
   let q1 = Numerics.Stats.quantile wall_ms 0.25

@@ -29,9 +29,10 @@ val of_lu : Numerics.Sparse_lu.t -> t
     shared with other bases. *)
 
 val fresh_lu : t -> Numerics.Sparse_lu.t option
-(** The base factorization while the eta file is empty — then it is
-    exactly the LU of the current basis columns — and [None] once an
-    update has been recorded. *)
+(** The base factorization while the eta file is empty — when every
+    basis change goes through {!update}, that is the plain LU of the
+    current basis columns — and [None] once an update has been
+    recorded. *)
 
 val refactor : t -> (int * float) list array -> unit
 (** Replace the factorization with a fresh LU of the given columns and

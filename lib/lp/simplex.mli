@@ -72,10 +72,9 @@ val solve : ?basis:basis -> spec -> outcome * basis option
     rebuilt never changes a bit: [Sparse_lu.factor] is a deterministic
     function of the column bits, and the final polish factors the
     terminal basis afresh unless its factors already are that fresh
-    LU.  A dual ray re-derived on fresh
-    factors with a clear bound violation certifies [Infeasible]
-    directly; one inside tolerance noise is confirmed on the cold path
-    ([simplex.dual_fallbacks]).  [simplex.warm_starts] /
+    LU.  A dual ray re-derived on fresh factors with a clear bound
+    violation certifies [Infeasible] directly; one inside tolerance
+    noise is confirmed on the cold path ([simplex.dual_fallbacks]).  [simplex.warm_starts] /
     [simplex.warm_rejects] record which path ran, with per-reason reject
     counters ([simplex.warm_rejects_shape] / [_singular] /
     [_dual_infeasible] / [_limit]) for cache-efficacy diagnosis;
