@@ -101,6 +101,17 @@ let rec reach ~pinv ~l_ptr ~(l : buf) ~marked ~stamp ~topo row top =
   end
   else top
 
+(* Copy column [col] into [a_row]/[a_val] from slot [q] on, counting
+   its rows into [row_count]. *)
+let rec fill ~n ~row_count ~a_row ~a_val q = function
+  | [] -> ()
+  | (i, v) :: rest ->
+    if i < 0 || i >= n then invalid_arg "Sparse_lu.factor: row out of range";
+    row_count.(i) <- row_count.(i) + 1;
+    a_row.(q) <- i;
+    a_val.(q) <- v;
+    fill ~n ~row_count ~a_row ~a_val (q + 1) rest
+
 (* Mark row [i] touched in round [k]; returns the new touched count. *)
 let touch ~tstamp ~touched ~k count i =
   if tstamp.(i) <> k then begin
@@ -117,19 +128,14 @@ let factor (cols : (int * float) list array) =
      drive the Markowitz tie-break, column lengths the elimination
      order. *)
   let a_ptr = Array.make (n + 1) 0 in
-  Array.iteri (fun k col -> a_ptr.(k + 1) <- a_ptr.(k) + List.length col) cols;
+  for k = 0 to n - 1 do
+    a_ptr.(k + 1) <- a_ptr.(k) + List.length cols.(k)
+  done;
   let a_row = Array.make a_ptr.(n) 0 and a_val = Array.make a_ptr.(n) 0. in
   let row_count = Array.make n 0 in
-  Array.iteri
-    (fun k col ->
-      List.iteri
-        (fun q (i, v) ->
-          if i < 0 || i >= n then invalid_arg "Sparse_lu.factor: row out of range";
-          row_count.(i) <- row_count.(i) + 1;
-          a_row.(a_ptr.(k) + q) <- i;
-          a_val.(a_ptr.(k) + q) <- v)
-        col)
-    cols;
+  for k = 0 to n - 1 do
+    fill ~n ~row_count ~a_row ~a_val a_ptr.(k) cols.(k)
+  done;
   (* Columns by increasing nnz, ties by index: a counting sort. *)
   let cord =
     let len k = a_ptr.(k + 1) - a_ptr.(k) in
