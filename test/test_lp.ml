@@ -516,6 +516,47 @@ let test_stale_factor_refactored () =
       Alcotest.(check int) "the warm path ran" (before + 1)
         (Obs.Metrics.counter_value warm_starts))
 
+let test_carried_factor_reused () =
+  (* A warm start whose basic columns match the carried ones, physically
+     or only by their bits, takes the carried LU, and its polish keeps
+     it: two reuses, no refactorization, and the cold answer's bits. *)
+  let spec () =
+    {
+      Lp.Simplex.n_rows = 2;
+      cols = [| [ (0, 1.); (1, 1.) ]; [ (0, 3.) ]; [ (1, 0.5) ] |];
+      rhs = [| 4.; 7. |];
+      obj = [| 1.; 0.; 0. |];
+      lo = [| 0.; 0.; 0. |];
+      up = [| 3.; infinity; infinity |];
+    }
+  in
+  let bits = function
+    | Lp.Simplex.Optimal { x; _ } -> Array.to_list (Array.map (Printf.sprintf "%h") x)
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      let s = spec () in
+      let cold, basis =
+        match Lp.Simplex.solve s with
+        | outcome, Some b -> (bits outcome, b)
+        | _, None -> Alcotest.fail "seed solve must return a basis"
+      in
+      let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+      List.iter
+        (fun (what, s') ->
+          let reuses = c "simplex.factor_reuses" and refactors = c "simplex.refactors" in
+          Alcotest.(check (list string)) (what ^ ": warm = cold, bit for bit") cold
+            (bits (fst (Lp.Simplex.solve ~basis s')));
+          Alcotest.(check int) (what ^ ": two reuses") (reuses + 2) (c "simplex.factor_reuses");
+          Alcotest.(check int) (what ^ ": no refactorization") refactors (c "simplex.refactors"))
+        [ ("same columns", s); ("bit-equal columns", spec ()) ])
+
 (* {1 Dual simplex: bound-flip warm starts} *)
 
 let test_dual_bound_flip_roundtrip () =
@@ -815,6 +856,7 @@ let () =
           Alcotest.test_case "eta updates vs fresh refactorization" `Quick
             test_eta_vs_refactor_property;
           Alcotest.test_case "stale factor refactored" `Quick test_stale_factor_refactored;
+          Alcotest.test_case "carried factor reused" `Quick test_carried_factor_reused;
         ] );
       ( "dual",
         [
