@@ -247,16 +247,96 @@ let seeded_designs ~seed ~lo ~hi count =
   Array.init count (fun _ ->
       Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng lo hi))
 
-let test_unacceptable_root_falls_back () =
-  let fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks" in
-  let counted f =
-    Obs.Metrics.reset ();
-    Obs.Metrics.set_enabled true;
-    let r = Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f in
-    let n = Obs.Metrics.counter_value fallbacks in
-    Obs.Metrics.reset ();
-    (r, n)
+let fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks"
+
+(* [f ()] with the metrics on from zero, and the values [counters] reached. *)
+let counts counters f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_enabled true;
+  let r = Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled false) f in
+  let n = List.map Obs.Metrics.counter_value counters in
+  Obs.Metrics.reset ();
+  (r, n)
+
+let counted f =
+  match counts [ fallbacks ] f with r, [ n ] -> (r, n) | _ -> assert false
+
+let hex_hash y = Printf.sprintf "%Lx" (Cache.Fnv.hash y)
+
+(* The two 32-bit halves of a state's FNV-1a hash, as exact floats. *)
+let hash_halves y =
+  let h = Cache.Fnv.hash y in
+  [ Int64.to_float (Int64.shift_right_logical h 32); Int64.to_float (Int64.logand h 0xFFFF_FFFFL) ]
+
+let test_sweep_bits () =
+  (* Six designs per condition drawn over [0.05, 3] (Rng seed 2011), each
+     relaxed from its condition's natural state.  The sweep takes every
+     path of [evaluate]: 28 PTC roots accepted by their window, 5
+     fallbacks that converge and 3 still drifting at t_max.  The hash
+     covers each report's uptake bits, [converged] and state hash. *)
+  let rng = Numerics.Rng.create 2011 in
+  let paths = Array.make 3 0 and bits = ref [] in
+  List.iter
+    (fun env ->
+      let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+      for _ = 1 to 6 do
+        let ratios =
+          Array.init Photo.Enzyme.count (fun _ ->
+              Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
+        in
+        let r, fell_back = counted (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ()) in
+        let conv = r.Photo.Steady_state.converged in
+        let path = if fell_back = 0 then 0 else if conv then 1 else 2 in
+        paths.(path) <- paths.(path) + 1;
+        bits :=
+          List.rev_append
+            (r.Photo.Steady_state.uptake :: (if conv then 1. else 0.) :: hash_halves r.y)
+            !bits
+      done)
+    Photo.Params.six_conditions;
+  Alcotest.(check (list int)) "PTC, fallback converged, fallback unconverged" [ 28; 5; 3 ]
+    (Array.to_list paths);
+  Alcotest.(check string) "FNV-1a of the sweep" "f203162b44e356d0"
+    (hex_hash (Array.of_list (List.rev !bits)))
+
+let test_ptc_root_bits () =
+  (* One design per condition within ±10 % of natural (Rng seed 10),
+     from the natural state: PTC's iteration count and the root the
+     report carries. *)
+  let iterations = Obs.Metrics.counter "ode.ptc.iterations" in
+  let designs = seeded_designs ~seed:10 ~lo:0.9 ~hi:1.1 6 in
+  let got =
+    List.mapi
+      (fun i env ->
+        let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+        match
+          counts [ fallbacks; iterations ] (fun () ->
+              Photo.Steady_state.evaluate ~y0 ~env ~ratios:designs.(i) ())
+        with
+        | r, [ 0; its ] -> (its, hex_hash r.Photo.Steady_state.y)
+        | _ -> Alcotest.fail "PTC root not accepted")
+      Photo.Params.six_conditions
   in
+  Alcotest.(check (list (pair int string))) "iterations and root hash"
+    [
+      (9, "8d5965cab8efec28"); (10, "c207bac873cef7da"); (43, "120581a3eef90350");
+      (11, "b39e71b7fe12936c"); (10, "d4fecb5ebaf7000e"); (41, "1f115157213202f6");
+    ]
+    got
+
+let test_dopri5_window_bits () =
+  (* One 20-unit window of the natural leaf from the cold initial state,
+     at the tolerances [evaluate] integrates with. *)
+  let f =
+    Photo.Model.rhs Photo.Params.default present_low ~vmax:(Photo.Enzyme.natural_vmax ())
+  in
+  let y0 = Photo.State.initial () in
+  let r = Numerics.Ode.dopri5 ~rtol:2e-4 ~atol:1e-7 ~f ~t0:0. ~t1:20. ~y0 () in
+  let s = r.Numerics.Ode.stats in
+  Alcotest.(check (list int)) "steps, rejected" [ 110; 8 ] [ s.Numerics.Ode.steps; s.Numerics.Ode.rejected ];
+  Alcotest.(check string) "state hash" "5c16912cd00bedc5" (hex_hash r.Numerics.Ode.y)
+
+let test_unacceptable_root_falls_back () =
   (* Design 91 of a seed-7 draw over [0.05, 3] at past Ci, high export:
      PTC converges to a root within the pools, but one 20-unit window
      from it moves the uptake by 1.1e-3·(|u|+1), past the band. *)
@@ -392,6 +472,9 @@ let () =
           Alcotest.test_case "steady state is steady" `Slow test_steady_state_is_steady;
           Alcotest.test_case "natural leaf bits" `Quick test_natural_bits;
           Alcotest.test_case "seeded design bits" `Quick test_seeded_design_bits;
+          Alcotest.test_case "seeded sweep bits" `Quick test_sweep_bits;
+          Alcotest.test_case "ptc root bits" `Quick test_ptc_root_bits;
+          Alcotest.test_case "dopri5 window bits" `Quick test_dopri5_window_bits;
           Alcotest.test_case "unacceptable root falls back" `Quick test_unacceptable_root_falls_back;
           Alcotest.test_case "ptc matches t = 3000" `Slow test_ptc_matches_long_relaxation;
         ] );
