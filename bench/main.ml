@@ -120,6 +120,37 @@ let bench_fig4_repair =
         let v = Array.init 608 (fun _ -> Numerics.Rng.uniform rng (-10.) 10.) in
         fun () -> ignore (repair v)))
 
+(* The leaf kernel under fig1/leaf-steady-state, natural leaf at present
+   Ci, low export: one rhs call, one 20-unit dopri5 acceptance window
+   from the steady state at [Steady_state.evaluate]'s tolerances, and one
+   PTC solve from the cold initial state. *)
+let leaf_rhs () =
+  Photo.Model.rhs Photo.Params.default
+    (Photo.Params.present ~tp_export:Photo.Params.low_export)
+    ~vmax:(Photo.Enzyme.natural_vmax ())
+
+let bench_photo_rhs =
+  Test.make ~name:"photo/rhs"
+    (Staged.stage
+       (let f = leaf_rhs () and y = Photo.State.initial () and dy = Array.make Photo.State.n 0. in
+        fun () -> f 0. y dy))
+
+let bench_ode_dopri5_window =
+  Test.make ~name:"ode/dopri5-window"
+    (Staged.stage
+       (let f = leaf_rhs () in
+        let y0 =
+          (Photo.Steady_state.natural ~env:(Photo.Params.present ~tp_export:Photo.Params.low_export) ())
+            .Photo.Steady_state.y
+        in
+        fun () -> ignore (Numerics.Ode.dopri5 ~rtol:2e-4 ~atol:1e-7 ~f ~t0:0. ~t1:20. ~y0 ())))
+
+let bench_ode_ptc =
+  Test.make ~name:"ode/ptc"
+    (Staged.stage
+       (let f = leaf_rhs () and y0 = Photo.State.initial () and pattern = Photo.Model.pattern () in
+        fun () -> ignore (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ())))
+
 (* Cost of the fault-tolerance wrapper on the hot kernel: the same
    fig1/leaf-steady-state evaluation routed through Guard, plus the bare
    wrapper on a trivial objective to expose the fixed per-call overhead. *)
@@ -200,6 +231,9 @@ let run_micro_benchmarks () =
        (Test.make_grouped ~name:"kernels"
           [
             bench_fig1_leaf_eval;
+            bench_photo_rhs;
+            bench_ode_dopri5_window;
+            bench_ode_ptc;
             bench_fig2_nitrogen;
             bench_table1_metrics;
             bench_table2_yield;

@@ -72,6 +72,11 @@ let add_counts ~steps ~rejected ~evals =
   Obs.Metrics.add m_rejected rejected;
   Obs.Metrics.add m_rhs_evals evals
 
+(* Unchecked float-vector access for the step loops, whose lengths are
+   all fixed at entry. *)
+let[@inline] get (v : Vec.t) i = Array.unsafe_get v i
+let[@inline] set (v : Vec.t) i x = Array.unsafe_set v i x
+
 (* Allocation-free Dormand–Prince: the seven stage vectors, the stage
    state and the two state buffers are allocated once per call, and the
    step loop writes into them.  First-same-as-last: stage 7 is evaluated
@@ -95,6 +100,21 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
   let y_next = ref (Array.make n 0.) in
   let k = Array.init 7 (fun _ -> Array.make n 0.) in
   let stage_y = Array.make n 0. in
+  let c2 = dp_c.(1) and c3 = dp_c.(2) and c4 = dp_c.(3) and c5 = dp_c.(4) and c6 = dp_c.(5)
+  and c7 = dp_c.(6) in
+  let a21 = dp_a.(1).(0) in
+  let a31 = dp_a.(2).(0) and a32 = dp_a.(2).(1) in
+  let a41 = dp_a.(3).(0) and a42 = dp_a.(3).(1) and a43 = dp_a.(3).(2) in
+  let a51 = dp_a.(4).(0) and a52 = dp_a.(4).(1) and a53 = dp_a.(4).(2)
+  and a54 = dp_a.(4).(3) in
+  let a61 = dp_a.(5).(0) and a62 = dp_a.(5).(1) and a63 = dp_a.(5).(2)
+  and a64 = dp_a.(5).(3) and a65 = dp_a.(5).(4) in
+  let a71 = dp_a.(6).(0) and a72 = dp_a.(6).(1) and a73 = dp_a.(6).(2)
+  and a74 = dp_a.(6).(3) and a75 = dp_a.(6).(4) and a76 = dp_a.(6).(5) in
+  let b51 = dp_b5.(0) and b52 = dp_b5.(1) and b53 = dp_b5.(2) and b54 = dp_b5.(3)
+  and b55 = dp_b5.(4) and b56 = dp_b5.(5) and b57 = dp_b5.(6) in
+  let b41 = dp_b4.(0) and b42 = dp_b4.(1) and b43 = dp_b4.(2) and b44 = dp_b4.(3)
+  and b45 = dp_b4.(4) and b46 = dp_b4.(5) and b47 = dp_b4.(6) in
   let accepted = ref 0 and rejected = ref 0 and evals = ref 1 in
   match
     f t0 !y k.(0);
@@ -104,35 +124,71 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       let h_cur = Float.min !h (t1 -. !t) in
       if h_cur < h_min then underflow !t;
       let yc = !y in
-      (* Stages 2..7; stage 1 is already in k.(0). *)
-      for s = 1 to 6 do
-        let a = Array.unsafe_get dp_a s in
-        for i = 0 to n - 1 do
-          let acc = ref 0. in
-          for j = 0 to s - 1 do
-            acc := !acc +. (Array.unsafe_get a j *. Array.unsafe_get (Array.unsafe_get k j) i)
-          done;
-          Array.unsafe_set stage_y i (Array.unsafe_get yc i +. (h_cur *. !acc))
-        done;
-        f (!t +. (Array.unsafe_get dp_c s *. h_cur)) stage_y (Array.unsafe_get k s)
+      (* Stages 2..7; stage 1 is already in k1.  Each stage sum starts
+         at +0. and adds aₛⱼ·kⱼ in j order, zero coefficients included,
+         as the loop over the tableau rows did. *)
+      let k1 = k.(0) and k2 = k.(1) and k3 = k.(2) and k4 = k.(3) and k5 = k.(4)
+      and k6 = k.(5) and k7 = k.(6) in
+      for i = 0 to n - 1 do
+        set stage_y i (get yc i +. (h_cur *. (0. +. (a21 *. get k1 i))))
       done;
+      f (!t +. (c2 *. h_cur)) stage_y k2;
+      for i = 0 to n - 1 do
+        set stage_y i (get yc i +. (h_cur *. (0. +. (a31 *. get k1 i) +. (a32 *. get k2 i))))
+      done;
+      f (!t +. (c3 *. h_cur)) stage_y k3;
+      for i = 0 to n - 1 do
+        set stage_y i
+          (get yc i +. (h_cur *. (0. +. (a41 *. get k1 i) +. (a42 *. get k2 i) +. (a43 *. get k3 i))))
+      done;
+      f (!t +. (c4 *. h_cur)) stage_y k4;
+      for i = 0 to n - 1 do
+        set stage_y i
+          (get yc i
+          +. h_cur
+             *. (0. +. (a51 *. get k1 i) +. (a52 *. get k2 i) +. (a53 *. get k3 i) +. (a54 *. get k4 i)))
+      done;
+      f (!t +. (c5 *. h_cur)) stage_y k5;
+      for i = 0 to n - 1 do
+        set stage_y i
+          (get yc i
+          +. h_cur
+             *. (0. +. (a61 *. get k1 i) +. (a62 *. get k2 i) +. (a63 *. get k3 i) +. (a64 *. get k4 i)
+               +. (a65 *. get k5 i)))
+      done;
+      f (!t +. (c6 *. h_cur)) stage_y k6;
+      for i = 0 to n - 1 do
+        set stage_y i
+          (get yc i
+          +. h_cur
+             *. (0. +. (a71 *. get k1 i) +. (a72 *. get k2 i) +. (a73 *. get k3 i) +. (a74 *. get k4 i)
+               +. (a75 *. get k5 i) +. (a76 *. get k6 i)))
+      done;
+      f (!t +. (c7 *. h_cur)) stage_y k7;
       evals := !evals + 6;
       (* 5th-order solution and embedded error estimate. *)
       let y5 = !y_next in
       let err = ref 0. in
       for i = 0 to n - 1 do
-        let s5 = ref 0. and s4 = ref 0. in
-        for s = 0 to 6 do
-          let ksi = Array.unsafe_get (Array.unsafe_get k s) i in
-          s5 := !s5 +. (Array.unsafe_get dp_b5 s *. ksi);
-          s4 := !s4 +. (Array.unsafe_get dp_b4 s *. ksi)
-        done;
-        let yi = Array.unsafe_get yc i in
-        let y5i = yi +. (h_cur *. !s5) in
-        Array.unsafe_set y5 i y5i;
-        let e = h_cur *. (!s5 -. !s4) in
-        let sc = atol +. (rtol *. Float.max (Float.abs yi) (Float.abs y5i)) in
-        let r = e /. sc in
+        let k1i = get k1 i and k2i = get k2 i and k3i = get k3 i and k4i = get k4 i and k5i = get k5 i
+        and k6i = get k6 i and k7i = get k7 i in
+        let s5 =
+          0. +. (b51 *. k1i) +. (b52 *. k2i) +. (b53 *. k3i) +. (b54 *. k4i) +. (b55 *. k5i)
+          +. (b56 *. k6i) +. (b57 *. k7i)
+        and s4 =
+          0. +. (b41 *. k1i) +. (b42 *. k2i) +. (b43 *. k3i) +. (b44 *. k4i) +. (b45 *. k5i)
+          +. (b46 *. k6i) +. (b47 *. k7i)
+        in
+        let yi = get yc i in
+        let y5i = yi +. (h_cur *. s5) in
+        set y5 i y5i;
+        let e = h_cur *. (s5 -. s4) in
+        (* [Float.max (Float.abs yi) (Float.abs y5i)], bit for bit: both
+           signs are clear, so the stdlib's signed-zero case never fires
+           and a NaN in either operand is returned. *)
+        let a = Float.abs yi and b = Float.abs y5i in
+        let m = if b > a then b else if Float.is_nan b then b else a in
+        let r = e /. (atol +. (rtol *. m)) in
         err := !err +. (r *. r)
       done;
       let err = sqrt (!err /. float_of_int n) in
@@ -171,13 +227,49 @@ let[@inline] fd_step yj =
 
 let[@inline] pos x = if x > 0. then x else if Float.is_nan x then x else 0.
 
+(* {1 Jacobian sparsity} *)
+
+type pattern = {
+  rows : int array array;  (** rows.(j): the derivatives state j can change *)
+  groups : int array array;  (** column groups, no two columns sharing a row *)
+}
+
+(* Curtis–Powell–Reid grouping, greedy in column order: each column joins
+   the first group none of whose columns shares a row with it. *)
+let pattern rows =
+  let n = Array.length rows in
+  Array.iter
+    (Array.iter (fun i -> if i < 0 || i >= n then invalid_arg "Ode.pattern: row out of range"))
+    rows;
+  let taken = Array.make_matrix n n false and group = Array.make n 0 and count = ref 0 in
+  for j = 0 to n - 1 do
+    let fits g = Array.for_all (fun i -> not taken.(g).(i)) rows.(j) in
+    let g = ref 0 in
+    while !g < !count && not (fits !g) do
+      incr g
+    done;
+    if !g = !count then incr count;
+    Array.iter (fun i -> taken.(!g).(i) <- true) rows.(j);
+    group.(j) <- !g
+  done;
+  let members g = List.filter (fun j -> group.(j) = g) (List.init n Fun.id) in
+  { rows = Array.map Array.copy rows; groups = Array.init !count (fun g -> Array.of_list (members g)) }
+
+let dense_pattern n =
+  let all = Array.init n Fun.id in
+  { rows = Array.make n all; groups = Array.init n (fun j -> [| j |]) }
+
+let pattern_groups p = Array.length p.groups
+
+let nonzero p i j = Array.mem i p.rows.(j)
+
 (* {1 Dense Newton kernel}
 
    The one dense forward-difference Newton machinery of this module,
    shared by the backward-Euler step and pseudo-transient continuation.
    Its buffers are allocated once per integration or PTC call and
    rewritten in place: the n×n Jacobian (then the Newton matrix, then its
-   LU factors), the pivot vector and five scratch vectors.  For n = 24
+   LU factors), the pivot vector and six scratch vectors.  For n = 24
    the matrix is 576 floats, above the minor heap's 256-word limit, so
    allocating it per iteration would churn the major heap. *)
 
@@ -188,28 +280,56 @@ type dense = {
   f0 : Vec.t;  (** rhs at the current iterate *)
   fj : Vec.t;  (** rhs at a perturbed state *)
   yp : Vec.t;  (** perturbed state *)
+  hs : Vec.t;  (** difference step of each column *)
   r : Vec.t;  (** Newton residual *)
   x : Vec.t;  (** Newton correction *)
 }
 
 let dense_create n =
   let v () = Array.make n 0. in
-  { n; jac = Array.make (n * n) 0.; perm = Array.make n 0; f0 = v (); fj = v (); yp = v (); r = v (); x = v () }
+  {
+    n;
+    jac = Array.make (n * n) 0.;
+    perm = Array.make n 0;
+    f0 = v ();
+    fj = v ();
+    yp = v ();
+    hs = v ();
+    r = v ();
+    x = v ();
+  }
 
 (* Forward-difference Jacobian of [f] at [(t, y)] into [d.jac], given
-   [f0 = f t y]: n rhs evaluations. *)
-let dense_jacobian d f t y f0 =
+   [f0 = f t y]: one rhs evaluation per column group of [p], with every
+   column of the group perturbed at once.  Entry (i, j) of the pattern
+   is (fᵢ(y + Σ hₖeₖ) − f0ᵢ)/hⱼ over j's group, which is the dense
+   quotient because fᵢ reads no other column of the group; every other
+   entry is +0., which the dense quotient (fᵢ − fᵢ)/hⱼ also is wherever
+   [f0] is finite.  Under {!dense_pattern} this is the plain n-call
+   forward difference. *)
+let jacobian d p f t y f0 =
   Obs.Metrics.incr m_jacobians;
-  let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac in
+  let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac and hs = d.hs in
   Array.blit y 0 yp 0 n;
-  for j = 0 to n - 1 do
-    let yj = Array.unsafe_get y j in
-    let h = fd_step yj in
-    Array.unsafe_set yp j (yj +. h);
+  Array.fill jac 0 (n * n) 0.;
+  for g = 0 to Array.length p.groups - 1 do
+    let cols = Array.unsafe_get p.groups g in
+    for c = 0 to Array.length cols - 1 do
+      let j = Array.unsafe_get cols c in
+      let yj = get y j in
+      let h = fd_step yj in
+      set hs j h;
+      set yp j (yj +. h)
+    done;
     f t yp fj;
-    Array.unsafe_set yp j yj;
-    for i = 0 to n - 1 do
-      Array.unsafe_set jac ((i * n) + j) ((Array.unsafe_get fj i -. Array.unsafe_get f0 i) /. h)
+    for c = 0 to Array.length cols - 1 do
+      let j = Array.unsafe_get cols c in
+      set yp j (get y j);
+      let h = get hs j and rows = Array.unsafe_get p.rows j in
+      for r = 0 to Array.length rows - 1 do
+        let i = Array.unsafe_get rows r in
+        set jac ((i * n) + j) ((get fj i -. get f0 i) /. h)
+      done
     done
   done
 
@@ -228,11 +348,15 @@ let dense_factor d ~diag ~h =
 (* d.x <- M⁻¹·b with the factors of the last {!dense_factor}. *)
 let dense_solve d b = Lu.solve_in_place ~n:d.n d.jac d.perm b d.x
 
-let numeric_jacobian f t y =
+let check_pattern name p n =
+  if Array.length p.rows <> n then invalid_arg (name ^ ": pattern size differs from the state's")
+
+let numeric_jacobian ~pattern f t y =
   let n = Array.length y in
+  check_pattern "Ode.numeric_jacobian" pattern n;
   let d = dense_create n in
   f t y d.f0;
-  dense_jacobian d f t y d.f0;
+  jacobian d pattern f t y d.f0;
   Matrix.init n n (fun i j -> d.jac.((i * n) + j))
 
 (* One backward-Euler step via a modified (frozen-Jacobian) Newton:
@@ -247,14 +371,14 @@ let numeric_jacobian f t y =
    The Jacobian is taken at the iterate whose rhs [fy] already holds.
    [d] is the integration's dense workspace; only the returned state is
    fresh. *)
-let backward_euler_step d f t y h =
+let backward_euler_step d p f t y h =
   let n = d.n in
   let ynext = Array.copy y in
   let fy = d.f0 and residual = d.r in
   let max_newton = 12 in
   let frozen = ref false in
   let refresh () =
-    dense_jacobian d f (t +. h) ynext fy;
+    jacobian d p f (t +. h) ynext fy;
     frozen := dense_factor d ~diag:1. ~h;
     !frozen
   in
@@ -311,10 +435,11 @@ let ptc_rtol = 1e-10
 let ptc_atol = 1e-8
 let ptc_to_boundary = 0.99
 
-let pseudo_transient ?deadline ~f ~y0 () =
+let pseudo_transient ?deadline ~pattern ~f ~y0 () =
   Obs.Metrics.incr m_ptc_calls;
   Obs.Span.with_span "ode.ptc" @@ fun () ->
   let n = Array.length y0 in
+  check_pattern "Ode.pseudo_transient" pattern n;
   let d = dense_create n in
   let y = Array.copy y0 in
   let fy = d.f0 and step = d.x in
@@ -344,8 +469,8 @@ let pseudo_transient ?deadline ~f ~y0 () =
         check_deadline deadline !tau;
         if !iterations > 0 then dt := Float.min ptc_dt_max (!dt *. !r_prev /. r);
         r_prev := r;
-        dense_jacobian d f 0. y fy;
-        evals := !evals + n;
+        jacobian d pattern f 0. y fy;
+        evals := !evals + pattern_groups pattern;
         if not (dense_factor d ~diag:(1. /. !dt) ~h:1.) then state := Gave_up
         else begin
           dense_solve d fy;
@@ -377,7 +502,7 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.implicit_euler: need t1 >= t0";
   let max_steps = 200_000 in
-  let d = dense_create n in
+  let d = dense_create n and dense = dense_pattern n in
   let h = ref ((t1 -. t0) /. 100.) in
   let t = ref t0 in
   let y = ref (Array.copy y0) in
@@ -389,12 +514,12 @@ let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~
       let h_cur = Float.min !h (t1 -. !t) in
       if h_cur < h_min then underflow !t;
       (* Error estimation by step doubling: one full step vs two half steps. *)
-      let full = backward_euler_step d f !t !y h_cur in
+      let full = backward_euler_step d dense f !t !y h_cur in
       let halves =
-        match backward_euler_step d f !t !y (h_cur /. 2.) with
+        match backward_euler_step d dense f !t !y (h_cur /. 2.) with
         | None -> None
         | Some (ymid, e1) -> (
-          match backward_euler_step d f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
+          match backward_euler_step d dense f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
           | None -> None
           | Some (yend, e2) -> Some (yend, e1 + e2))
       in

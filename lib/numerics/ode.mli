@@ -10,7 +10,10 @@
     writes dy/dt at [(t, y)] into [dy].  It must overwrite every entry
     of [dy], must not write to [y], and must not keep a reference to
     either: both are scratch vectors owned by the solver and rewritten
-    by its next stage. *)
+    by its next stage.  The solvers call [f] one call at a time and never
+    from inside itself, so a closure may own scratch buffers of its own
+    (the leaf model's does); such a closure is not re-entrant and must
+    not be shared between domains. *)
 
 type rhs = float -> Vec.t -> Vec.t -> unit
 
@@ -84,21 +87,52 @@ val implicit_euler :
     taken at the iterate whose rhs the residual already holds.  The
     Jacobian and LU buffers are allocated once per call. *)
 
-val numeric_jacobian : rhs -> float -> Vec.t -> Matrix.t
-(** Forward-difference Jacobian of the rhs at [(t, y)];
-    n + 1 rhs evaluations.  The same kernel fills the Jacobians of
-    {!implicit_euler} and {!pseudo_transient} in place. *)
+type pattern
+(** The structural sparsity of an rhs's Jacobian — which derivatives each
+    state can change — with its columns grouped so that no two columns of
+    a group share a row (Curtis–Powell–Reid).  A forward-difference
+    Jacobian then perturbs a whole group per rhs call. *)
+
+val pattern : int array array -> pattern
+(** [pattern rows]: [rows.(j)] lists the derivatives [i] that state [j]
+    can change.  It must contain every [i] whose fᵢ reads yⱼ; extra rows
+    only cost groups.  Columns are grouped greedily in index order: each
+    joins the first group that shares no row with it.  Raises
+    [Invalid_argument] on a row outside [0, n). *)
+
+val dense_pattern : int -> pattern
+(** Every entry structurally nonzero: one column per group, so the
+    Jacobian is the plain n-call forward difference. *)
+
+val pattern_groups : pattern -> int
+(** Number of column groups: the rhs calls one Jacobian costs. *)
+
+val nonzero : pattern -> int -> int -> bool
+(** [nonzero p i j]: whether entry (i, j) is in the pattern. *)
+
+val numeric_jacobian : pattern:pattern -> rhs -> float -> Vec.t -> Matrix.t
+(** Forward-difference Jacobian of the rhs at [(t, y)]; one rhs
+    evaluation plus one per column group of [pattern].  An entry outside
+    the pattern is +0.; inside, every column's step is 1e-7·max(1, |yⱼ|),
+    and the entry is bit for bit the dense quotient, because fᵢ reads no
+    other column of its group.  The same kernel fills the Jacobians of
+    {!pseudo_transient} (with the caller's pattern) and
+    {!implicit_euler} (with {!dense_pattern}) in place.  Raises
+    [Invalid_argument] when the pattern's size is not [y]'s length. *)
 
 type ptc = {
   root : Vec.t option;  (** the converged state; [None] when PTC gave up *)
   iterations : int;  (** Newton steps taken *)
 }
 
-val pseudo_transient : ?deadline:int -> f:rhs -> y0:Vec.t -> unit -> ptc
+val pseudo_transient :
+  ?deadline:int -> pattern:pattern -> f:rhs -> y0:Vec.t -> unit -> ptc
 (** Pseudo-transient continuation toward a steady state f(y) = 0 of an
     autonomous rhs (called at t = 0) on a non-negative state space.
     Each iteration solves (I/Δt − J)·δ = f(y) with the forward-difference
-    Jacobian, scales δ so that no positive state crosses zero (0.99 of
+    Jacobian over [pattern] ({!numeric_jacobian}; the Jacobian is only
+    taken where f(y) is finite, so it equals the dense one bit for bit),
+    scales δ so that no positive state crosses zero (0.99 of
     the way to the boundary), clips at 0, and sets
     Δt ← min(1e8, Δt·r_prev/r), from Δt = 1, where
     r = ‖f‖∞/(‖y‖∞+1).  Converged when r < 1e-10 {e and} ‖f‖∞ ≤ 1e-8:
@@ -106,7 +140,10 @@ val pseudo_transient : ?deadline:int -> f:rhs -> y0:Vec.t -> unit -> ptc
     because ‖y‖∞ grows.  Gives up after 200 iterations, on a singular
     matrix, or on a non-finite residual or state.
 
+    Each iteration costs one rhs evaluation plus one per column group.
     The Jacobian, LU and scratch buffers are allocated once per call.
+    Raises [Invalid_argument] when the pattern's size is not [y0]'s
+    length.
     [deadline] is polled once per iteration ({!Deadline} carries the
     pseudo-time reached).  One [ode.ptc] span and one [ode.ptc.calls]
     count per call; the [ode.ptc.iterations] and [ode.rhs_evals]

@@ -44,9 +44,51 @@ let[@inline] pos s = if s > 0. then s else if Float.is_nan s then s else 0.
 (* Saturation term, guarded against (numerically) negative pools. *)
 let[@inline] mm s km = let s = pos s in s /. (s +. km)
 
-let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
-  if Array.length vmax <> Enzyme.count then
-    invalid_arg "Photo.Model.fluxes: one vmax per enzyme";
+(* Slots of the rate buffer, in the order of the [fluxes] fields. *)
+module R = struct
+  let vc = 0
+  let vo = 1
+  let v_pgak = 2
+  let v_gapdh = 3
+  let v_fbpald = 4
+  let v_fbpase = 5
+  let v_tk1 = 6
+  let v_tk2 = 7
+  let v_sbald = 8
+  let v_sbpase = 9
+  let v_prk = 10
+  let v_adpgpp = 11
+  let v_pgcapase = 12
+  let v_goaox = 13
+  let v_ggat = 14
+  let v_gsat = 15
+  let v_gdc = 16
+  let v_hprred = 17
+  let v_gceak = 18
+  let v_export = 19
+  let v_cald = 20
+  let v_cfbpase = 21
+  let v_udpgp = 22
+  let v_sps = 23
+  let v_spp = 24
+  let v_f26bpase = 25
+  let v_f2k = 26
+  let v_serleak = 27
+  let v_stdeg = 28
+  let v_g6pdh = 29
+  let v_scav_hp = 30
+  let v_scav_tp = 31
+  let v_scav_pp = 32
+  let v_light = 33
+  let pi = 34
+  let count = 35
+end
+
+let check_vmax name vmax =
+  if Array.length vmax <> Enzyme.count then invalid_arg (name ^ ": one vmax per enzyme")
+
+(* The rate laws: every rate at [y], written into [b] by its {!R} slot. *)
+let rates (k : Params.kinetics) (env : Params.env) ~vmax y (b : float array) =
   let v i = vmax.(i) in
   let pi = State.stromal_pi k y in
   let atp = pos y.(State.atp) in
@@ -155,43 +197,125 @@ let fluxes (k : Params.kinetics) (env : Params.env) ~vmax y =
   let v_scav_tp = k.k_scavenge *. starvation *. pos y.(State.tp) in
   let v_scav_pp = k.k_scavenge *. starvation *. pos y.(State.pp) in
   let v_light = k.v_light *. mm adp k.km_adp_light *. mm pi k.km_pi_light in
+  b.(R.vc) <- vc;
+  b.(R.vo) <- vo;
+  b.(R.v_pgak) <- v_pgak;
+  b.(R.v_gapdh) <- v_gapdh;
+  b.(R.v_fbpald) <- v_fbpald;
+  b.(R.v_fbpase) <- v_fbpase;
+  b.(R.v_tk1) <- v_tk1;
+  b.(R.v_tk2) <- v_tk2;
+  b.(R.v_sbald) <- v_sbald;
+  b.(R.v_sbpase) <- v_sbpase;
+  b.(R.v_prk) <- v_prk;
+  b.(R.v_adpgpp) <- v_adpgpp;
+  b.(R.v_pgcapase) <- v_pgcapase;
+  b.(R.v_goaox) <- v_goaox;
+  b.(R.v_ggat) <- v_ggat;
+  b.(R.v_gsat) <- v_gsat;
+  b.(R.v_gdc) <- v_gdc;
+  b.(R.v_hprred) <- v_hprred;
+  b.(R.v_gceak) <- v_gceak;
+  b.(R.v_export) <- v_export;
+  b.(R.v_cald) <- v_cald;
+  b.(R.v_cfbpase) <- v_cfbpase;
+  b.(R.v_udpgp) <- v_udpgp;
+  b.(R.v_sps) <- v_sps;
+  b.(R.v_spp) <- v_spp;
+  b.(R.v_f26bpase) <- v_f26bpase;
+  b.(R.v_f2k) <- v_f2k;
+  b.(R.v_serleak) <- v_serleak;
+  b.(R.v_stdeg) <- v_stdeg;
+  b.(R.v_g6pdh) <- v_g6pdh;
+  b.(R.v_scav_hp) <- v_scav_hp;
+  b.(R.v_scav_tp) <- v_scav_tp;
+  b.(R.v_scav_pp) <- v_scav_pp;
+  b.(R.v_light) <- v_light;
+  b.(R.pi) <- pi
+
+let fluxes k env ~vmax y =
+  check_vmax "Photo.Model.fluxes" vmax;
+  let b = Array.create_float R.count in
+  rates k env ~vmax y b;
   {
-    vc; vo; v_pgak; v_gapdh; v_fbpald; v_fbpase; v_tk1; v_tk2; v_sbald; v_sbpase;
-    v_prk; v_adpgpp; v_pgcapase; v_goaox; v_ggat; v_gsat; v_gdc; v_hprred; v_gceak;
-    v_export; v_cald; v_cfbpase; v_udpgp; v_sps; v_spp; v_f26bpase; v_f2k; v_serleak;
-    v_stdeg; v_g6pdh; v_scav_hp; v_scav_tp; v_scav_pp; v_light; pi;
+    vc = b.(R.vc); vo = b.(R.vo); v_pgak = b.(R.v_pgak); v_gapdh = b.(R.v_gapdh);
+    v_fbpald = b.(R.v_fbpald); v_fbpase = b.(R.v_fbpase); v_tk1 = b.(R.v_tk1);
+    v_tk2 = b.(R.v_tk2); v_sbald = b.(R.v_sbald); v_sbpase = b.(R.v_sbpase);
+    v_prk = b.(R.v_prk); v_adpgpp = b.(R.v_adpgpp); v_pgcapase = b.(R.v_pgcapase);
+    v_goaox = b.(R.v_goaox); v_ggat = b.(R.v_ggat); v_gsat = b.(R.v_gsat);
+    v_gdc = b.(R.v_gdc); v_hprred = b.(R.v_hprred); v_gceak = b.(R.v_gceak);
+    v_export = b.(R.v_export); v_cald = b.(R.v_cald); v_cfbpase = b.(R.v_cfbpase);
+    v_udpgp = b.(R.v_udpgp); v_sps = b.(R.v_sps); v_spp = b.(R.v_spp);
+    v_f26bpase = b.(R.v_f26bpase); v_f2k = b.(R.v_f2k); v_serleak = b.(R.v_serleak);
+    v_stdeg = b.(R.v_stdeg); v_g6pdh = b.(R.v_g6pdh); v_scav_hp = b.(R.v_scav_hp);
+    v_scav_tp = b.(R.v_scav_tp); v_scav_pp = b.(R.v_scav_pp); v_light = b.(R.v_light);
+    pi = b.(R.pi);
   }
 
+(* The closure owns one rate buffer, so it is not re-entrant: the
+   integrators call it from one domain, one stage at a time. *)
 let rhs k env ~vmax =
+  check_vmax "Photo.Model.rhs" vmax;
+  let b = Array.create_float R.count in
   fun _t y dy ->
-    let f = fluxes k env ~vmax y in
-    dy.(State.rubp) <- f.v_prk -. f.vc -. f.vo;
-    dy.(State.pga) <- (2. *. f.vc) +. f.vo +. f.v_gceak -. f.v_pgak;
-    dy.(State.dpga) <- f.v_pgak -. f.v_gapdh;
+    rates k env ~vmax y b;
+    let open R in
+    dy.(State.rubp) <- b.(v_prk) -. b.(vc) -. b.(vo);
+    dy.(State.pga) <- (2. *. b.(vc)) +. b.(vo) +. b.(v_gceak) -. b.(v_pgak);
+    dy.(State.dpga) <- b.(v_pgak) -. b.(v_gapdh);
     dy.(State.tp) <-
-      f.v_gapdh -. (2. *. f.v_fbpald) -. f.v_tk1 -. f.v_tk2 -. f.v_sbald -. f.v_export
-      -. f.v_scav_tp;
-    dy.(State.fbp) <- f.v_fbpald -. f.v_fbpase;
+      b.(v_gapdh) -. (2. *. b.(v_fbpald)) -. b.(v_tk1) -. b.(v_tk2) -. b.(v_sbald) -. b.(v_export)
+      -. b.(v_scav_tp);
+    dy.(State.fbp) <- b.(v_fbpald) -. b.(v_fbpase);
     dy.(State.hp) <-
-      f.v_fbpase +. f.v_stdeg -. f.v_tk1 -. f.v_adpgpp -. f.v_g6pdh -. f.v_scav_hp;
-    dy.(State.e4p) <- f.v_tk1 -. f.v_sbald;
-    dy.(State.sbp) <- f.v_sbald -. f.v_sbpase;
-    dy.(State.s7p) <- f.v_sbpase -. f.v_tk2;
-    dy.(State.pp) <- f.v_tk1 +. (2. *. f.v_tk2) +. f.v_g6pdh -. f.v_prk -. f.v_scav_pp;
-    dy.(State.atp) <- f.v_light -. f.v_pgak -. f.v_prk -. f.v_adpgpp -. f.v_gceak;
-    dy.(State.pgca) <- f.vo -. f.v_pgcapase;
-    dy.(State.gca) <- f.v_pgcapase -. f.v_goaox;
-    dy.(State.goa) <- f.v_goaox -. f.v_ggat -. f.v_gsat;
-    dy.(State.gly) <- f.v_ggat +. f.v_gsat -. (2. *. f.v_gdc);
-    dy.(State.ser) <- f.v_gdc -. f.v_gsat -. f.v_serleak;
-    dy.(State.hpr) <- f.v_gsat -. f.v_hprred;
-    dy.(State.gcea) <- f.v_hprred -. f.v_gceak;
-    dy.(State.tpc) <- f.v_export -. (2. *. f.v_cald);
-    dy.(State.fbpc) <- f.v_cald -. f.v_cfbpase;
-    dy.(State.hpc) <- f.v_cfbpase -. f.v_udpgp -. f.v_sps;
-    dy.(State.udpg) <- f.v_udpgp -. f.v_sps;
-    dy.(State.sucp) <- f.v_sps -. f.v_spp;
-    dy.(State.f26bp) <- f.v_f2k -. f.v_f26bpase
+      b.(v_fbpase) +. b.(v_stdeg) -. b.(v_tk1) -. b.(v_adpgpp) -. b.(v_g6pdh) -. b.(v_scav_hp);
+    dy.(State.e4p) <- b.(v_tk1) -. b.(v_sbald);
+    dy.(State.sbp) <- b.(v_sbald) -. b.(v_sbpase);
+    dy.(State.s7p) <- b.(v_sbpase) -. b.(v_tk2);
+    dy.(State.pp) <- b.(v_tk1) +. (2. *. b.(v_tk2)) +. b.(v_g6pdh) -. b.(v_prk) -. b.(v_scav_pp);
+    dy.(State.atp) <- b.(v_light) -. b.(v_pgak) -. b.(v_prk) -. b.(v_adpgpp) -. b.(v_gceak);
+    dy.(State.pgca) <- b.(vo) -. b.(v_pgcapase);
+    dy.(State.gca) <- b.(v_pgcapase) -. b.(v_goaox);
+    dy.(State.goa) <- b.(v_goaox) -. b.(v_ggat) -. b.(v_gsat);
+    dy.(State.gly) <- b.(v_ggat) +. b.(v_gsat) -. (2. *. b.(v_gdc));
+    dy.(State.ser) <- b.(v_gdc) -. b.(v_gsat) -. b.(v_serleak);
+    dy.(State.hpr) <- b.(v_gsat) -. b.(v_hprred);
+    dy.(State.gcea) <- b.(v_hprred) -. b.(v_gceak);
+    dy.(State.tpc) <- b.(v_export) -. (2. *. b.(v_cald));
+    dy.(State.fbpc) <- b.(v_cald) -. b.(v_cfbpase);
+    dy.(State.hpc) <- b.(v_cfbpase) -. b.(v_udpgp) -. b.(v_sps);
+    dy.(State.udpg) <- b.(v_udpgp) -. b.(v_sps);
+    dy.(State.sucp) <- b.(v_sps) -. b.(v_spp);
+    dy.(State.f26bp) <- b.(v_f2k) -. b.(v_f26bpase)
+
+(* Every rate law passes a NaN through — [pos], [mm] and the Pi clamp
+   return it, and IEEE arithmetic propagates it — so the derivatives a
+   NaN in state j turns NaN are exactly those whose computation reads
+   state j.  That dataflow does not depend on the parameters, so one
+   probe at the natural leaf serves every kinetics, condition and vmax. *)
+let derive_pattern () =
+  let f = rhs Params.default (Params.present ~tp_export:Params.low_export)
+      ~vmax:(Enzyme.natural_vmax ()) in
+  let y = State.initial () and dy = Array.make State.n 0. in
+  Numerics.Ode.pattern
+    (Array.init State.n (fun j ->
+         let yj = y.(j) in
+         y.(j) <- Float.nan;
+         f 0. y dy;
+         y.(j) <- yj;
+         Array.of_list (List.filter (fun i -> Float.is_nan dy.(i)) (List.init State.n Fun.id))))
+
+(* Derived on first use.  Two domains may both derive it; they get the
+   same pattern, and the last store wins. *)
+let pattern_cache = Atomic.make None
+
+let pattern () =
+  match Atomic.get pattern_cache with
+  | Some p -> p
+  | None ->
+    let p = derive_pattern () in
+    Atomic.set pattern_cache (Some p);
+    p
 
 let assimilation (k : Params.kinetics) f =
   (f.vc -. f.v_gdc -. k.day_respiration) *. k.flux_to_uptake

@@ -9,7 +9,13 @@ let time_course ?(kinetics = Params.default) ?y0 ~env ~ratios ~t_end ~dt_sample 
     invalid_arg "Photo.Simulate.time_course: t_end and dt_sample must be positive";
   let vmax = Enzyme.vmax_of_ratios ratios in
   let f = Model.rhs kinetics env ~vmax in
-  let y0 = match y0 with Some y -> Array.copy y | None -> State.initial () in
+  let y0 =
+    match y0 with
+    | Some y when Array.length y <> State.n ->
+      invalid_arg "Photo.Simulate.time_course: y0 length"
+    | Some y -> Array.copy y
+    | None -> State.initial ()
+  in
   let assim y = Model.assimilation kinetics (Model.fluxes kinetics env ~vmax y) in
   let rec go t y acc =
     let acc = { t; state = Array.copy y; assimilation = assim y } :: acc in

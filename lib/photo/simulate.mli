@@ -17,7 +17,9 @@ val time_course :
   unit ->
   sample list
 (** Integrate and record a sample every [dt_sample] seconds (includes
-    t = 0). *)
+    t = 0), from [y0] (default {!State.initial}).  Raises
+    [Invalid_argument] unless [t_end] and [dt_sample] are positive and
+    [y0] has {!State.n} entries. *)
 
 val dark_adapted : unit -> float array
 (** An initial state mimicking a dark-adapted leaf: depleted RuBP and

@@ -25,7 +25,12 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
     invalid_arg "Steady_state.evaluate: ratios length";
   let vmax = Enzyme.vmax_of_ratios ratios in
   let f = Model.rhs kinetics env ~vmax in
-  let y0 = match y0 with Some y -> Array.copy y | None -> State.initial () in
+  let y0 =
+    match y0 with
+    | Some y when Array.length y <> State.n -> invalid_arg "Steady_state.evaluate: y0 length"
+    | Some y -> Array.copy y
+    | None -> State.initial ()
+  in
   let finish converged tier y =
     let fl = Model.fluxes kinetics env ~vmax y in
     {
@@ -73,7 +78,10 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
      and leaves a state rate of up to 1.7e-2, so the loop's tests would
      reject 51 of 173 roots. *)
   let accepted =
-    match (Numerics.Ode.pseudo_transient ?deadline ~f ~y0 ()).Numerics.Ode.root with
+    match
+      (Numerics.Ode.pseudo_transient ?deadline ~pattern:(Model.pattern ()) ~f ~y0 ())
+        .Numerics.Ode.root
+    with
     | None -> None
     | Some root -> (
       let u = assim root in

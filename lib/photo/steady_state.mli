@@ -22,8 +22,8 @@ val evaluate :
 (** Relax the kinetic model to steady state for the enzyme-activity
     ratio vector [ratios] (1.0 = natural) and report uptake and nitrogen.
 
-    The root comes from {!Numerics.Ode.pseudo_transient} started at [y0]
-    (default {!State.initial}).  It is accepted when one 20-unit
+    The root comes from {!Numerics.Ode.pseudo_transient} over
+    {!Model.pattern}, started at [y0] (default {!State.initial}).  It is accepted when one 20-unit
     {!Numerics.Ode.integrate_fallback} window from it keeps uptake
     within 1e-3·(|u|+1); the report then
     carries the root's state, fluxes and uptake, [converged = true] and
@@ -32,6 +32,9 @@ val evaluate :
     across two windows, for at most 400 time units.  Designs that reach
     that limit, or whose integration fails (pathological enzyme vectors),
     are reported with [converged = false] and the last reachable state.
+
+    Raises [Invalid_argument] unless [ratios] has {!Enzyme.count}
+    entries and [y0] has {!State.n}.
 
     [deadline] (an {!Obs.Clock.now_ns} timestamp) makes PTC and the
     integrators raise {!Numerics.Ode.Deadline} once expired — use it

@@ -270,6 +270,136 @@ let prop_ranks_consistent_with_dominance =
         pop;
       !ok)
 
+(* {1 SPEA2} *)
+
+let test_spea2_fitness_nondominated_below_one () =
+  let sols =
+    [|
+      { Moo.Solution.x = [||]; f = [| 1.; 3. |]; v = 0. };
+      { Moo.Solution.x = [||]; f = [| 3.; 1. |]; v = 0. };
+      { Moo.Solution.x = [||]; f = [| 4.; 4. |]; v = 0. };
+    |]
+  in
+  let fit = Ea.Spea2.fitness sols in
+  Alcotest.(check bool) "nd below 1" true (fit.(0) < 1. && fit.(1) < 1.);
+  Alcotest.(check bool) "dominated above 1" true (fit.(2) >= 1.)
+
+let test_spea2_fitness_strength_accumulates () =
+  (* A chain: the worst is dominated by both others and must have the
+     highest raw fitness. *)
+  let sols =
+    [|
+      { Moo.Solution.x = [||]; f = [| 1.; 1. |]; v = 0. };
+      { Moo.Solution.x = [||]; f = [| 2.; 2. |]; v = 0. };
+      { Moo.Solution.x = [||]; f = [| 3.; 3. |]; v = 0. };
+    |]
+  in
+  let fit = Ea.Spea2.fitness sols in
+  Alcotest.(check bool) "ordering" true (fit.(0) < fit.(1) && fit.(1) < fit.(2))
+
+let test_spea2_converges_schaffer () =
+  let front = Ea.Spea2.run ~generations:60 ~seed:1 schaffer Ea.Spea2.default_config in
+  Alcotest.(check bool) "non-empty" true (front <> []);
+  List.iter
+    (fun s ->
+      let x = s.Moo.Solution.x.(0) in
+      if x < -0.3 || x > 2.3 then Alcotest.failf "off front: x=%g" x)
+    front
+
+let test_spea2_zdt1_quality () =
+  let cfg = { Ea.Spea2.default_config with pop_size = 60; archive_size = 60 } in
+  let front = Ea.Spea2.run ~generations:120 ~seed:1 (zdt1 8) cfg in
+  let hv = Moo.Hypervolume.of_solutions ~ref_point:[| 1.1; 1.1 |] front in
+  Alcotest.(check bool) (Printf.sprintf "hv=%.4f >= 0.82" hv) true (hv >= 0.82)
+
+let test_spea2_archive_bounded () =
+  let cfg = { Ea.Spea2.default_config with pop_size = 20; archive_size = 15 } in
+  let rng = Numerics.Rng.create 2 in
+  let st = Ea.Spea2.init (zdt1 6) cfg rng in
+  Ea.Spea2.step st 10;
+  Alcotest.(check bool) "archive within bound" true
+    (Array.length (Ea.Spea2.archive st) <= 15)
+
+let test_spea2_truncation_keeps_extremes () =
+  (* Feed a dense line front through environmental selection: the two
+     extreme points must survive truncation. *)
+  let cfg = { Ea.Spea2.default_config with pop_size = 40; archive_size = 10 } in
+  let rng = Numerics.Rng.create 3 in
+  let line =
+    List.init 40 (fun i ->
+        let t = float_of_int i /. 39. in
+        { Moo.Solution.x = [| t |]; f = [| t; 1. -. t |]; v = 0. })
+  in
+  let st = Ea.Spea2.init ~initial:line (zdt1 6) cfg rng in
+  ignore st;
+  (* The init path evaluates random solutions for the rest; instead test
+     truncation directly through inject on a fresh state. *)
+  let st2 = Ea.Spea2.init (zdt1 6) cfg rng in
+  Ea.Spea2.inject st2 line;
+  let arch = Ea.Spea2.archive st2 in
+  Alcotest.(check bool) "bounded" true (Array.length arch <= 10);
+  let f0s = Array.map (fun s -> s.Moo.Solution.f.(0)) arch in
+  Alcotest.(check bool) "extremes kept" true
+    (Array.exists (fun f -> f <= 0.026) f0s && Array.exists (fun f -> f >= 0.974) f0s)
+
+let test_spea2_deterministic () =
+  let a = Ea.Spea2.run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
+  let b = Ea.Spea2.run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
+  Alcotest.(check int) "same size" (List.length a) (List.length b)
+
+let test_spea2_seeding () =
+  let opt = Moo.Solution.evaluate schaffer [| 1. |] in
+  let front = Ea.Spea2.run ~initial:[ opt ] ~generations:3 ~seed:6 schaffer Ea.Spea2.default_config in
+  Alcotest.(check bool) "seed region present" true
+    (List.exists (fun s -> Float.abs (s.Moo.Solution.x.(0) -. 1.) < 0.5) front)
+
+let check_float ?(tol = 1e-9) msg expected actual =
+  if Float.abs (expected -. actual) > tol then
+    Alcotest.failf "%s: expected %.10g, got %.10g" msg expected actual
+
+(* {1 GA} *)
+
+let test_ga_sphere () =
+  (* Maximize -(x-1)² - (y+2)²: optimum at (1, -2) with value 0. *)
+  let f x = -.((x.(0) -. 1.) ** 2.) -. ((x.(1) +. 2.) ** 2.) in
+  let r =
+    Ea.Ga.maximize ~generations:80 ~seed:1 ~lower:[| -5.; -5. |] ~upper:[| 5.; 5. |] f
+  in
+  Alcotest.(check bool) (Printf.sprintf "best %.4f near 0" r.Ea.Ga.best_f) true
+    (r.Ea.Ga.best_f > -1e-3);
+  check_float ~tol:0.05 "x*" 1. r.Ea.Ga.best_x.(0);
+  check_float ~tol:0.05 "y*" (-2.) r.Ea.Ga.best_x.(1)
+
+let test_ga_history_monotone () =
+  let f x = -.(x.(0) ** 2.) in
+  let r = Ea.Ga.maximize ~generations:30 ~seed:2 ~lower:[| -3. |] ~upper:[| 3. |] f in
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> a <= b +. 1e-12 && monotone rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "best-so-far never decreases" true (monotone r.Ea.Ga.history);
+  Alcotest.(check int) "history length" 30 (List.length r.Ea.Ga.history)
+
+let test_ga_elitism_preserves_best () =
+  (* A rugged function: with elitism, the final best must equal the
+     maximum of the history. *)
+  let f x = sin (10. *. x.(0)) +. (0.1 *. x.(0)) in
+  let r = Ea.Ga.maximize ~generations:40 ~seed:3 ~lower:[| 0. |] ~upper:[| 5. |] f in
+  let hist_max = List.fold_left Float.max neg_infinity r.Ea.Ga.history in
+  check_float ~tol:1e-9 "no regression" hist_max r.Ea.Ga.best_f
+
+let test_ga_deterministic () =
+  let f x = -.Numerics.Vec.norm2 x in
+  let a = Ea.Ga.maximize ~generations:20 ~seed:5 ~lower:(Array.make 3 (-1.)) ~upper:(Array.make 3 1.) f in
+  let b = Ea.Ga.maximize ~generations:20 ~seed:5 ~lower:(Array.make 3 (-1.)) ~upper:(Array.make 3 1.) f in
+  check_float "same result" a.Ea.Ga.best_f b.Ea.Ga.best_f
+
+let test_ga_evaluation_budget () =
+  let count = ref 0 in
+  let f _ = incr count; 0. in
+  let r = Ea.Ga.maximize ~generations:10 ~seed:6 ~lower:[| 0. |] ~upper:[| 1. |] f in
+  Alcotest.(check int) "count matches" !count r.Ea.Ga.evaluations
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "ea"
@@ -312,4 +442,23 @@ let () =
           Alcotest.test_case "step accounting" `Quick test_moead_step_state;
         ] );
       ("properties", q [ prop_sbx_mean_preserved; prop_ranks_consistent_with_dominance ]);
+      ( "spea2",
+        [
+          Alcotest.test_case "fitness nd < 1" `Quick test_spea2_fitness_nondominated_below_one;
+          Alcotest.test_case "fitness ordering" `Quick test_spea2_fitness_strength_accumulates;
+          Alcotest.test_case "schaffer convergence" `Quick test_spea2_converges_schaffer;
+          Alcotest.test_case "zdt1 quality" `Slow test_spea2_zdt1_quality;
+          Alcotest.test_case "archive bounded" `Quick test_spea2_archive_bounded;
+          Alcotest.test_case "truncation keeps extremes" `Quick test_spea2_truncation_keeps_extremes;
+          Alcotest.test_case "deterministic" `Quick test_spea2_deterministic;
+          Alcotest.test_case "seeding" `Quick test_spea2_seeding;
+        ] );
+      ( "ga",
+        [
+          Alcotest.test_case "sphere optimum" `Quick test_ga_sphere;
+          Alcotest.test_case "history monotone" `Quick test_ga_history_monotone;
+          Alcotest.test_case "elitism" `Quick test_ga_elitism_preserves_best;
+          Alcotest.test_case "deterministic" `Quick test_ga_deterministic;
+          Alcotest.test_case "evaluation accounting" `Quick test_ga_evaluation_budget;
+        ] );
     ]

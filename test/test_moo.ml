@@ -395,6 +395,44 @@ let prop_union_front_covers =
       union = []
       || Moo.Coverage.gp f1 union +. Moo.Coverage.gp f2 union >= 1. -. 1e-9)
 
+(* {1 Knee detection} *)
+
+let test_knee_obvious () =
+  (* An L-shaped front: the corner is the knee. *)
+  let front =
+    [ sol [| 0.; 1. |]; sol [| 0.02; 0.5 |]; sol [| 0.05; 0.05 |]; sol [| 0.5; 0.02 |];
+      sol [| 1.; 0. |] ]
+  in
+  let k = Moo.Mine.knee front in
+  Alcotest.(check bool) "corner found" true
+    (Numerics.Vec.approx_equal k.Moo.Solution.f [| 0.05; 0.05 |])
+
+let test_knee_on_line_returns_member () =
+  (* A straight front has no distinguished knee; any member is fine, but
+     the call must not fail. *)
+  let front = List.init 5 (fun i -> sol [| float_of_int i; float_of_int (4 - i) |]) in
+  let k = Moo.Mine.knee front in
+  Alcotest.(check bool) "is a member" true (List.memq k front)
+
+let test_knee_singleton () =
+  let s = sol [| 1.; 2. |] in
+  Alcotest.(check bool) "singleton returned" true (Moo.Mine.knee [ s ] == s)
+
+let test_knee_empty_raises () =
+  Alcotest.check_raises "empty" (Invalid_argument "Mine.knee: empty front") (fun () ->
+      ignore (Moo.Mine.knee []))
+
+let test_tradeoff_weight_ranks_knee () =
+  let corner = sol [| 0.05; 0.05 |] in
+  let front =
+    [ sol [| 0.; 1. |]; corner; sol [| 1.; 0. |] ]
+  in
+  let w_corner = Moo.Mine.tradeoff_weight front corner in
+  let w_end = Moo.Mine.tradeoff_weight front (List.hd front) in
+  Alcotest.(check bool)
+    (Printf.sprintf "corner %.3f > end %.3f" w_corner w_end)
+    true (w_corner > w_end)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "moo"
@@ -478,4 +516,12 @@ let () =
             prop_non_dominated_mutual;
             prop_union_front_covers;
           ] );
+      ( "knee",
+        [
+          Alcotest.test_case "obvious corner" `Quick test_knee_obvious;
+          Alcotest.test_case "straight front" `Quick test_knee_on_line_returns_member;
+          Alcotest.test_case "singleton" `Quick test_knee_singleton;
+          Alcotest.test_case "empty raises" `Quick test_knee_empty_raises;
+          Alcotest.test_case "tradeoff weight" `Quick test_tradeoff_weight_ranks_knee;
+        ] );
     ]

@@ -339,7 +339,7 @@ let test_numeric_jacobian () =
   (* f(y) = A y has Jacobian A. *)
   let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| -3.; 0.5 |] |] in
   let f _t y dy = Array.blit (Numerics.Matrix.mv a y) 0 dy 0 2 in
-  let jac = Numerics.Ode.numeric_jacobian f 0. [| 0.3; -0.7 |] in
+  let jac = Numerics.Ode.numeric_jacobian ~pattern:(Numerics.Ode.dense_pattern 2) f 0. [| 0.3; -0.7 |] in
   Alcotest.(check bool) "jacobian of linear map" true
     (Numerics.Matrix.approx_equal ~tol:1e-5 a jac)
 
@@ -365,14 +365,15 @@ let test_ptc_bounded_root () =
     dy.(0) <- 1.;
     dy.(1) <- -.y.(1)
   in
-  let p = Numerics.Ode.pseudo_transient ~f:runaway ~y0:[| 0.; 1. |] () in
+  let pattern = Numerics.Ode.dense_pattern 2 in
+  let p = Numerics.Ode.pseudo_transient ~pattern ~f:runaway ~y0:[| 0.; 1. |] () in
   Alcotest.(check bool) "no root" true (Option.is_none p.Numerics.Ode.root);
   (* The same iteration does find a bounded root. *)
   let settle _t y dy =
     dy.(0) <- 2. -. y.(0);
     dy.(1) <- -.y.(1)
   in
-  match (Numerics.Ode.pseudo_transient ~f:settle ~y0:[| 0.; 1. |] ()).Numerics.Ode.root with
+  match (Numerics.Ode.pseudo_transient ~pattern ~f:settle ~y0:[| 0.; 1. |] ()).Numerics.Ode.root with
   | Some y ->
     check_float ~tol:1e-9 "y0 -> 2" 2. y.(0);
     check_float ~tol:1e-9 "y1 -> 0" 0. y.(1)
@@ -386,7 +387,7 @@ let test_ptc_allocation () =
   let f = linear_sink n in
   let y0 = Array.make n 0.5 in
   let before = Gc.minor_words () in
-  let p = Numerics.Ode.pseudo_transient ~f ~y0 () in
+  let p = Numerics.Ode.pseudo_transient ~pattern:(Numerics.Ode.dense_pattern n) ~f ~y0 () in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "converged" true (Option.is_some p.Numerics.Ode.root);
   let it = p.Numerics.Ode.iterations in
@@ -399,7 +400,8 @@ let test_ptc_allocation () =
 let test_ptc_deadline () =
   let f = linear_sink 24 in
   let expired = Obs.Clock.now_ns () - 1 in
-  match Numerics.Ode.pseudo_transient ~deadline:expired ~f ~y0:(Array.make 24 0.5) () with
+  let pattern = Numerics.Ode.dense_pattern 24 in
+  match Numerics.Ode.pseudo_transient ~deadline:expired ~pattern ~f ~y0:(Array.make 24 0.5) () with
   | _ -> Alcotest.fail "expired deadline ignored"
   | exception Numerics.Ode.Deadline _ -> ()
 

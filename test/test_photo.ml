@@ -336,6 +336,18 @@ let test_dopri5_window_bits () =
   Alcotest.(check (list int)) "steps, rejected" [ 110; 8 ] [ s.Numerics.Ode.steps; s.Numerics.Ode.rejected ];
   Alcotest.(check string) "state hash" "5c16912cd00bedc5" (hex_hash r.Numerics.Ode.y)
 
+let test_y0_length_checked () =
+  (* Too long a y0 used to be relaxed and reported converged with a state
+     of its own length; too short a one raised a bare index error. *)
+  List.iter
+    (fun len ->
+      Alcotest.check_raises (Printf.sprintf "%d states" len)
+        (Invalid_argument "Steady_state.evaluate: y0 length") (fun () ->
+          ignore
+            (Photo.Steady_state.evaluate ~y0:(Array.make len 0.5) ~env:present_low
+               ~ratios:(ones ()) ())))
+    [ 23; 25; 30 ]
+
 let test_unacceptable_root_falls_back () =
   (* Design 91 of a seed-7 draw over [0.05, 3] at past Ci, high export:
      PTC converges to a root within the pools, but one 20-unit window
@@ -345,7 +357,8 @@ let test_unacceptable_root_falls_back () =
   let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
   let vmax = Photo.Enzyme.vmax_of_ratios ratios in
   let f = Photo.Model.rhs Photo.Params.default env ~vmax in
-  (match (Numerics.Ode.pseudo_transient ~f ~y0 ()).Numerics.Ode.root with
+  let pattern = Photo.Model.pattern () in
+  (match (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ()).Numerics.Ode.root with
   | Some root ->
     Alcotest.(check bool) "root within the adenylate pool" true
       (root.(Photo.State.atp) <= Photo.Params.default.Photo.Params.adenylate_total)
@@ -394,8 +407,9 @@ let test_ptc_matches_long_relaxation () =
       ("[0.05, 3] #14", wide.(13));
     ]
 
-(* The rhs writes the 24 derivatives into the solver's vector; what it
-   still allocates is the [fluxes] record (~42 words). *)
+(* The rhs writes the 24 derivatives into the solver's vector and the
+   rates into a buffer its closure owns; what it still allocates is
+   about 6 words per call. *)
 let test_rhs_allocation () =
   let f = Photo.Model.rhs Photo.Params.default present_low ~vmax:(Photo.Enzyme.natural_vmax ()) in
   let y = Photo.State.initial () and dy = Array.make Photo.State.n 0. in
@@ -405,8 +419,96 @@ let test_rhs_allocation () =
     f 0. y dy
   done;
   let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
-  Alcotest.(check bool) (Printf.sprintf "%.1f words per call <= 64" per_call) true
-    (per_call <= 64.)
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per call <= 8" per_call) true
+    (per_call <= 8.)
+
+(* {1 Jacobian pattern} *)
+
+let test_pattern_shape () =
+  let p = Photo.Model.pattern () and n = Photo.State.n in
+  let nonzeros = ref 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if Numerics.Ode.nonzero p i j then incr nonzeros
+    done
+  done;
+  Alcotest.(check int) "structural nonzeros" 126 !nonzeros;
+  Alcotest.(check int) "column groups" 13 (Numerics.Ode.pattern_groups p);
+  for j = 0 to n - 1 do
+    Alcotest.(check bool) (Photo.State.names.(j) ^ " reads itself") true (Numerics.Ode.nonzero p j j)
+  done
+
+let natural_roots () =
+  List.map
+    (fun env -> (env, (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y))
+    Photo.Params.six_conditions
+
+let test_grouped_jacobian_bits () =
+  (* The column-grouped Jacobian PTC takes is the dense forward
+     difference bit for bit: at the six natural roots, and at 60 seeded
+     states — ten designs per condition, five over [0.05, 3] and five
+     within ±50 %, each at its condition's root scaled by U(0.5, 1.5) per
+     state with one state clipped to 0 as PTC's steps do. *)
+  let grouped = Photo.Model.pattern () and dense = Numerics.Ode.dense_pattern Photo.State.n in
+  let check_at name env ratios y =
+    let f = Photo.Model.rhs Photo.Params.default env ~vmax:(Photo.Enzyme.vmax_of_ratios ratios) in
+    let bits pattern =
+      Array.map (Array.map Int64.bits_of_float)
+        (Numerics.Matrix.to_arrays (Numerics.Ode.numeric_jacobian ~pattern f 0. y))
+    in
+    if bits grouped <> bits dense then Alcotest.failf "%s: grouped and dense Jacobians differ" name
+  in
+  let rng = Numerics.Rng.create 23 in
+  List.iteri
+    (fun c (env, root) ->
+      check_at (Printf.sprintf "natural root %d" c) env (ones ()) root;
+      for d = 0 to 9 do
+        let lo, hi = if d < 5 then (Photo.Leaf.ratio_min, Photo.Leaf.ratio_max) else (0.5, 1.5) in
+        let ratios = Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng lo hi) in
+        let y = Array.map (fun yi -> yi *. Numerics.Rng.uniform rng 0.5 1.5) root in
+        y.(Numerics.Rng.int rng Photo.State.n) <- 0.;
+        check_at (Printf.sprintf "condition %d, design %d" c d) env ratios y
+      done)
+    (natural_roots ())
+
+let test_pattern_covers_dataflow () =
+  (* No finite change to one state moves a derivative outside that
+     state's pattern column, at random interior states of [0.05, 3]
+     designs.  A rate law that swallowed a NaN (a comparison or a min
+     that drops it) would hide a dependence from the NaN probe and fail
+     here. *)
+  let p = Photo.Model.pattern () and n = Photo.State.n in
+  let rng = Numerics.Rng.create 29 in
+  let dy0 = Array.make n 0. and dy = Array.make n 0. in
+  List.iter
+    (fun (env, root) ->
+      for _ = 1 to 4 do
+        let ratios =
+          Array.init Photo.Enzyme.count (fun _ ->
+              Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
+        in
+        let f = Photo.Model.rhs Photo.Params.default env ~vmax:(Photo.Enzyme.vmax_of_ratios ratios) in
+        let y = Array.map (fun yi -> yi *. Numerics.Rng.uniform rng 0.2 5.) root in
+        f 0. y dy0;
+        for j = 0 to n - 1 do
+          let yj = y.(j) in
+          List.iter
+            (fun scale ->
+              y.(j) <- yj *. scale;
+              f 0. y dy;
+              y.(j) <- yj;
+              for i = 0 to n - 1 do
+                if
+                  (not (Numerics.Ode.nonzero p i j))
+                  && not (Int64.equal (Int64.bits_of_float dy.(i)) (Int64.bits_of_float dy0.(i)))
+                then
+                  Alcotest.failf "d%s/dt moved with %s outside the pattern" Photo.State.names.(i)
+                    Photo.State.names.(j)
+              done)
+            [ 0.; 0.5; 2.; 1e3 ]
+        done
+      done)
+    (natural_roots ())
 
 (* {1 Leaf problem wrapper} *)
 
@@ -436,6 +538,180 @@ let prop_nitrogen_monotone =
       > Photo.Enzyme.raw_nitrogen (Photo.Enzyme.vmax_of_ratios base)
         *. k.Photo.Params.nitrogen_scale)
 
+let env = present_low
+
+(* {1 Control analysis} *)
+
+let test_control_influential_enzymes () =
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let top = Photo.Control.ranking coeffs in
+  let top4 = List.filteri (fun i _ -> i < 4) top in
+  let names = List.map (fun c -> c.Photo.Control.name) top4 in
+  (* The paper: Rubisco, SBPase, ADPGPP and FBP aldolase are the most
+     influential enzymes; require at least two of them in our top four. *)
+  let influential = [ "Rubisco"; "SBPase"; "ADPGPP"; "FBP Aldolase" ] in
+  let hits = List.length (List.filter (fun n -> List.mem n influential) names) in
+  Alcotest.(check bool)
+    (Printf.sprintf "top4 = %s" (String.concat ", " names))
+    true (hits >= 2)
+
+let test_control_summation () =
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let s = Photo.Control.summation coeffs in
+  (* Flux-control summation theorem: Σ C_i ≈ 1 (within model noise). *)
+  Alcotest.(check bool) (Printf.sprintf "sum=%.3f in [0.5, 1.5]" s) true
+    (s > 0.5 && s < 1.5)
+
+let test_control_sucrose_enzymes_small () =
+  (* The paper: the sucrose/starch pathway enzymes do not affect uptake at
+     natural levels. *)
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let c i = Float.abs coeffs.(i).Photo.Control.control in
+  Alcotest.(check bool) "SPS weak" true (c Photo.Enzyme.idx_sps < 0.1);
+  Alcotest.(check bool) "SPP weak" true (c Photo.Enzyme.idx_spp < 0.1)
+
+(* {1 Response curves} *)
+
+let test_a_ci_monotone () =
+  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 165.; 270.; 490. ] () in
+  match curve with
+  | [ (_, a1); (_, a2); (_, a3) ] ->
+    Alcotest.(check bool) "A rises with Ci" true (a1 < a2 && a2 < a3)
+  | _ -> Alcotest.fail "curve shape"
+
+let test_a_ci_matches_conditions () =
+  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 270. ] () in
+  match curve with
+  | [ (_, a) ] -> check_float ~tol:0.05 "matches natural point" 15.486 a
+  | _ -> Alcotest.fail "curve shape"
+
+let test_export_response_saturates () =
+  let resp =
+    Photo.Response.export_response ~ci:270. ~export_values:[ 0.25; 1.; 3. ] ()
+  in
+  match resp with
+  | [ (_, a_low); (_, a_mid); (_, a_high) ] ->
+    Alcotest.(check bool) "sink limitation at low export" true (a_low <= a_mid +. 0.2);
+    Alcotest.(check bool) "saturating" true (a_high -. a_mid < a_mid -. a_low +. 2.)
+  | _ -> Alcotest.fail "resp shape"
+
+(* {1 Simulation} *)
+
+let natural = Array.make Photo.Enzyme.count 1.
+
+let test_time_course_samples () =
+  let tc = Photo.Simulate.time_course ~env ~ratios:natural ~t_end:50. ~dt_sample:10. () in
+  Alcotest.(check int) "six samples (0..50)" 6 (List.length tc);
+  let ts = List.map (fun s -> s.Photo.Simulate.t) tc in
+  Alcotest.(check bool) "monotone time" true (List.sort compare ts = ts)
+
+let test_time_course_y0_checked () =
+  List.iter
+    (fun len ->
+      Alcotest.check_raises (Printf.sprintf "%d states" len)
+        (Invalid_argument "Photo.Simulate.time_course: y0 length") (fun () ->
+          ignore
+            (Photo.Simulate.time_course ~y0:(Array.make len 0.5) ~env ~ratios:natural ~t_end:10.
+               ~dt_sample:10. ())))
+    [ 23; 25; 30 ]
+
+let test_induction_rises () =
+  let tc = Photo.Simulate.induction ~env ~ratios:natural () in
+  match tc, List.rev tc with
+  | first :: _, last :: _ ->
+    Alcotest.(check bool)
+      (Printf.sprintf "dark %.2f < final %.2f" first.Photo.Simulate.assimilation
+         last.Photo.Simulate.assimilation)
+      true
+      (first.Photo.Simulate.assimilation < last.Photo.Simulate.assimilation);
+    (* The induction should approach the steady-state rate. *)
+    let ss = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.uptake in
+    Alcotest.(check bool)
+      (Printf.sprintf "final %.2f near ss %.2f" last.Photo.Simulate.assimilation ss)
+      true
+      (Float.abs (last.Photo.Simulate.assimilation -. ss) < 0.15 *. ss)
+  | _ -> Alcotest.fail "empty induction"
+
+let test_induction_half_time () =
+  let tc = Photo.Simulate.induction ~env ~ratios:natural () in
+  let t_half = Photo.Simulate.induction_half_time tc in
+  Alcotest.(check bool)
+    (Printf.sprintf "t_half %.0f in (0, 300)" t_half)
+    true
+    (t_half > 0. && t_half < 300.)
+
+(* {1 Fixed-nitrogen optimization} *)
+
+let test_ratios_of_weights_budget () =
+  let rng = Numerics.Rng.create 7 in
+  for _ = 1 to 20 do
+    let w = Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng 0.05 3.) in
+    let target = Numerics.Rng.uniform rng 5e4 3e5 in
+    let ratios = Photo.Fixed_nitrogen.ratios_of_weights ~target_nitrogen:target w in
+    let n =
+      Photo.Enzyme.raw_nitrogen (Photo.Enzyme.vmax_of_ratios ratios)
+      *. Photo.Params.default.Photo.Params.nitrogen_scale
+    in
+    check_float ~tol:(target *. 1e-9) "budget exact" target n
+  done
+
+let test_ratios_of_weights_proportional () =
+  let w = Array.make Photo.Enzyme.count 2. in
+  let ratios = Photo.Fixed_nitrogen.ratios_of_weights ~target_nitrogen:208330. w in
+  (* Uniform weights at the natural budget give the natural partition. *)
+  Array.iter (fun r -> check_float ~tol:1e-6 "uniform = natural" 1. r) ratios
+
+let test_fixed_nitrogen_gains () =
+  (* Even a tiny budget must beat the natural leaf by a clear margin —
+     the Zhu et al. cross-check. *)
+  let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
+  let r = Photo.Fixed_nitrogen.optimize ~generations:12 ~env () in
+  Alcotest.(check bool)
+    (Printf.sprintf "gain %.1f%% > 25%%" r.Photo.Fixed_nitrogen.gain_pct)
+    true
+    (r.Photo.Fixed_nitrogen.gain_pct > 25.);
+  let n =
+    Photo.Enzyme.raw_nitrogen (Photo.Enzyme.vmax_of_ratios r.Photo.Fixed_nitrogen.ratios)
+    *. Photo.Params.default.Photo.Params.nitrogen_scale
+  in
+  check_float ~tol:1. "constraint held" 208330. n
+
+(* {1 Temperature} *)
+
+let test_vmax_scale_reference () =
+  check_float ~tol:1e-12 "unity at 25C" 1. (Photo.Temperature.vmax_scale 25.)
+
+let test_vmax_scale_monotone_below_peak () =
+  Alcotest.(check bool) "rises 10->25" true
+    (Photo.Temperature.vmax_scale 10. < Photo.Temperature.vmax_scale 25.);
+  Alcotest.(check bool) "collapses at 45" true
+    (Photo.Temperature.vmax_scale 45. < Photo.Temperature.vmax_scale 30.)
+
+let test_kinetics_at_trends () =
+  let cold = Photo.Temperature.kinetics_at 15. in
+  let hot = Photo.Temperature.kinetics_at 35. in
+  Alcotest.(check bool) "kc_eff rises with T" true
+    (hot.Photo.Params.kc_eff > cold.Photo.Params.kc_eff);
+  Alcotest.(check bool) "gamma_star rises with T" true
+    (hot.Photo.Params.gamma_star > cold.Photo.Params.gamma_star)
+
+let test_uptake_at_reference_matches () =
+  let a = Photo.Temperature.uptake_at ~env ~t_c:25. () in
+  check_float ~tol:0.05 "calibration preserved" 15.486 a
+
+let test_temperature_peak () =
+  let a20 = Photo.Temperature.uptake_at ~env ~t_c:20. () in
+  let a30 = Photo.Temperature.uptake_at ~env ~t_c:30. () in
+  let a42 = Photo.Temperature.uptake_at ~env ~t_c:42. () in
+  Alcotest.(check bool) "rises to 30" true (a30 > a20);
+  Alcotest.(check bool) "collapses past 40" true (a42 < a20)
+
+let test_optimum_in_range () =
+  let topt, aopt = Photo.Temperature.optimum ~env () in
+  Alcotest.(check bool) (Printf.sprintf "T_opt %.1f in (25, 40)" topt) true
+    (topt > 25. && topt < 40.);
+  Alcotest.(check bool) "peak above calibration value" true (aopt > 15.486)
+
 let () =
   Alcotest.run "photo"
     [
@@ -459,6 +735,9 @@ let () =
           Alcotest.test_case "fluxes non-negative" `Quick test_fluxes_nonnegative;
           Alcotest.test_case "photorespiration vs Ci" `Quick test_oxygenation_ratio_tracks_ci;
           Alcotest.test_case "rhs allocation" `Quick test_rhs_allocation;
+          Alcotest.test_case "jacobian pattern shape" `Quick test_pattern_shape;
+          Alcotest.test_case "grouped jacobian bits" `Quick test_grouped_jacobian_bits;
+          Alcotest.test_case "pattern covers the dataflow" `Quick test_pattern_covers_dataflow;
         ] );
       ( "steady-state",
         [
@@ -475,6 +754,7 @@ let () =
           Alcotest.test_case "seeded sweep bits" `Quick test_sweep_bits;
           Alcotest.test_case "ptc root bits" `Quick test_ptc_root_bits;
           Alcotest.test_case "dopri5 window bits" `Quick test_dopri5_window_bits;
+          Alcotest.test_case "y0 length checked" `Quick test_y0_length_checked;
           Alcotest.test_case "unacceptable root falls back" `Quick test_unacceptable_root_falls_back;
           Alcotest.test_case "ptc matches t = 3000" `Slow test_ptc_matches_long_relaxation;
         ] );
@@ -483,5 +763,39 @@ let () =
           Alcotest.test_case "problem shape" `Quick test_leaf_problem_shape;
           Alcotest.test_case "objective signs" `Slow test_leaf_objectives_signs;
           QCheck_alcotest.to_alcotest prop_nitrogen_monotone;
+        ] );
+      ( "control",
+        [
+          Alcotest.test_case "influential enzymes" `Slow test_control_influential_enzymes;
+          Alcotest.test_case "summation theorem" `Slow test_control_summation;
+          Alcotest.test_case "sucrose enzymes weak" `Slow test_control_sucrose_enzymes_small;
+        ] );
+      ( "response",
+        [
+          Alcotest.test_case "A/Ci monotone" `Slow test_a_ci_monotone;
+          Alcotest.test_case "matches conditions" `Slow test_a_ci_matches_conditions;
+          Alcotest.test_case "export saturation" `Slow test_export_response_saturates;
+        ] );
+      ( "simulate",
+        [
+          Alcotest.test_case "time-course sampling" `Slow test_time_course_samples;
+          Alcotest.test_case "y0 length checked" `Quick test_time_course_y0_checked;
+          Alcotest.test_case "induction rises" `Slow test_induction_rises;
+          Alcotest.test_case "induction half-time" `Slow test_induction_half_time;
+        ] );
+      ( "fixed-nitrogen",
+        [
+          Alcotest.test_case "budget exact" `Quick test_ratios_of_weights_budget;
+          Alcotest.test_case "uniform weights = natural" `Quick test_ratios_of_weights_proportional;
+          Alcotest.test_case "zhu-style gain" `Slow test_fixed_nitrogen_gains;
+        ] );
+      ( "temperature",
+        [
+          Alcotest.test_case "scale unity at 25C" `Quick test_vmax_scale_reference;
+          Alcotest.test_case "scale shape" `Quick test_vmax_scale_monotone_below_peak;
+          Alcotest.test_case "kinetic trends" `Quick test_kinetics_at_trends;
+          Alcotest.test_case "calibration preserved" `Slow test_uptake_at_reference_matches;
+          Alcotest.test_case "peaked response" `Slow test_temperature_peak;
+          Alcotest.test_case "optimum location" `Slow test_optimum_in_range;
         ] );
     ]

@@ -135,6 +135,58 @@ let test_archive_capacity_respected () =
   Alcotest.(check bool) "archive bounded" true
     (Moo.Archive.size (Pmo2.Archipelago.archive st) <= 10)
 
+(* {1 Heterogeneous islands} *)
+
+let test_island_wrappers () =
+  let rng = Numerics.Rng.create 7 in
+  let n = Pmo2.Island.nsga2 schaffer { Ea.Nsga2.default_config with pop_size = 12 } rng in
+  let s = Pmo2.Island.spea2 schaffer { Ea.Spea2.default_config with pop_size = 12; archive_size = 12 } rng in
+  Alcotest.(check string) "nsga2 name" "nsga2" (Pmo2.Island.name n);
+  Alcotest.(check string) "spea2 name" "spea2" (Pmo2.Island.name s);
+  Pmo2.Island.step n 3;
+  Pmo2.Island.step s 3;
+  Alcotest.(check bool) "fronts non-empty" true
+    (Pmo2.Island.front n <> [] && Pmo2.Island.front s <> []);
+  Alcotest.(check bool) "evaluations counted" true
+    (Pmo2.Island.evaluations n > 0 && Pmo2.Island.evaluations s > 0)
+
+let test_mixed_archipelago () =
+  let cfg =
+    {
+      Pmo2.Archipelago.default_config with
+      migration_period = 10;
+      algorithms =
+        [
+          Pmo2.Archipelago.Nsga2 { Ea.Nsga2.default_config with pop_size = 16 };
+          Pmo2.Archipelago.Spea2
+            { Ea.Spea2.default_config with pop_size = 16; archive_size = 16 };
+        ];
+    }
+  in
+  let st = Pmo2.Archipelago.init ~seed:8 schaffer cfg in
+  Alcotest.(check (list string)) "one of each" [ "nsga2"; "spea2" ]
+    (Pmo2.Archipelago.island_names st);
+  Pmo2.Archipelago.step_epoch st;
+  let r = Pmo2.Archipelago.run ~seed:8 ~generations:30 schaffer cfg in
+  Alcotest.(check bool) "mixed front" true (r.Pmo2.Archipelago.front <> [])
+
+let test_mixed_zdt1_quality () =
+  let cfg =
+    {
+      Pmo2.Archipelago.default_config with
+      migration_period = 15;
+      algorithms =
+        [
+          Pmo2.Archipelago.Nsga2 { Ea.Nsga2.default_config with pop_size = 24 };
+          Pmo2.Archipelago.Spea2
+            { Ea.Spea2.default_config with pop_size = 24; archive_size = 24 };
+        ];
+    }
+  in
+  let r = Pmo2.Archipelago.run ~seed:9 ~generations:90 (zdt1 8) cfg in
+  let hv = Moo.Hypervolume.of_solutions ~ref_point:[| 1.1; 1.1 |] r.Pmo2.Archipelago.front in
+  Alcotest.(check bool) (Printf.sprintf "hv=%.4f" hv) true (hv >= 0.82)
+
 let () =
   Alcotest.run "pmo2"
     [
@@ -159,5 +211,11 @@ let () =
           Alcotest.test_case "four islands ring" `Quick test_four_islands_ring;
           Alcotest.test_case "parallel = sequential" `Slow test_parallel_identical_to_sequential;
           Alcotest.test_case "archive capacity" `Quick test_archive_capacity_respected;
+        ] );
+      ( "islands",
+        [
+          Alcotest.test_case "wrappers" `Quick test_island_wrappers;
+          Alcotest.test_case "mixed archipelago" `Quick test_mixed_archipelago;
+          Alcotest.test_case "mixed zdt1 quality" `Slow test_mixed_zdt1_quality;
         ] );
     ]
