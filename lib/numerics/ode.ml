@@ -130,39 +130,41 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       let k1 = k.(0) and k2 = k.(1) and k3 = k.(2) and k4 = k.(3) and k5 = k.(4)
       and k6 = k.(5) and k7 = k.(6) in
       for i = 0 to n - 1 do
-        set stage_y i (get yc i +. (h_cur *. (0. +. (a21 *. get k1 i))))
+        let acc = 0. +. (a21 *. get k1 i) in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c2 *. h_cur)) stage_y k2;
       for i = 0 to n - 1 do
-        set stage_y i (get yc i +. (h_cur *. (0. +. (a31 *. get k1 i) +. (a32 *. get k2 i))))
+        let acc = 0. +. (a31 *. get k1 i) +. (a32 *. get k2 i) in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c3 *. h_cur)) stage_y k3;
       for i = 0 to n - 1 do
-        set stage_y i
-          (get yc i +. (h_cur *. (0. +. (a41 *. get k1 i) +. (a42 *. get k2 i) +. (a43 *. get k3 i))))
+        let acc = 0. +. (a41 *. get k1 i) +. (a42 *. get k2 i) +. (a43 *. get k3 i) in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c4 *. h_cur)) stage_y k4;
       for i = 0 to n - 1 do
-        set stage_y i
-          (get yc i
-          +. h_cur
-             *. (0. +. (a51 *. get k1 i) +. (a52 *. get k2 i) +. (a53 *. get k3 i) +. (a54 *. get k4 i)))
+        let acc =
+          0. +. (a51 *. get k1 i) +. (a52 *. get k2 i) +. (a53 *. get k3 i) +. (a54 *. get k4 i)
+        in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c5 *. h_cur)) stage_y k5;
       for i = 0 to n - 1 do
-        set stage_y i
-          (get yc i
-          +. h_cur
-             *. (0. +. (a61 *. get k1 i) +. (a62 *. get k2 i) +. (a63 *. get k3 i) +. (a64 *. get k4 i)
-               +. (a65 *. get k5 i)))
+        let acc =
+          0. +. (a61 *. get k1 i) +. (a62 *. get k2 i) +. (a63 *. get k3 i) +. (a64 *. get k4 i)
+          +. (a65 *. get k5 i)
+        in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c6 *. h_cur)) stage_y k6;
       for i = 0 to n - 1 do
-        set stage_y i
-          (get yc i
-          +. h_cur
-             *. (0. +. (a71 *. get k1 i) +. (a72 *. get k2 i) +. (a73 *. get k3 i) +. (a74 *. get k4 i)
-               +. (a75 *. get k5 i) +. (a76 *. get k6 i)))
+        let acc =
+          0. +. (a71 *. get k1 i) +. (a72 *. get k2 i) +. (a73 *. get k3 i) +. (a74 *. get k4 i)
+          +. (a75 *. get k5 i) +. (a76 *. get k6 i)
+        in
+        set stage_y i (get yc i +. (h_cur *. acc))
       done;
       f (!t +. (c7 *. h_cur)) stage_y k7;
       evals := !evals + 6;
@@ -170,8 +172,8 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       let y5 = !y_next in
       let err = ref 0. in
       for i = 0 to n - 1 do
-        let k1i = get k1 i and k2i = get k2 i and k3i = get k3 i and k4i = get k4 i and k5i = get k5 i
-        and k6i = get k6 i and k7i = get k7 i in
+        let k1i = get k1 i and k2i = get k2 i and k3i = get k3 i and k4i = get k4 i
+        and k5i = get k5 i and k6i = get k6 i and k7i = get k7 i in
         let s5 =
           0. +. (b51 *. k1i) +. (b52 *. k2i) +. (b53 *. k3i) +. (b54 *. k4i) +. (b55 *. k5i)
           +. (b56 *. k6i) +. (b57 *. k7i)
@@ -253,7 +255,10 @@ let pattern rows =
     group.(j) <- !g
   done;
   let members g = List.filter (fun j -> group.(j) = g) (List.init n Fun.id) in
-  { rows = Array.map Array.copy rows; groups = Array.init !count (fun g -> Array.of_list (members g)) }
+  {
+    rows = Array.map Array.copy rows;
+    groups = Array.init !count (fun g -> Array.of_list (members g));
+  }
 
 let dense_pattern n =
   let all = Array.init n Fun.id in

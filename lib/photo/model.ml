@@ -84,12 +84,18 @@ module R = struct
   let count = 35
 end
 
+(* Unchecked access to the rate buffer, which has [R.count] slots indexed
+   by [R] constants, and to a checked [vmax], indexed by [Enzyme.idx_*]. *)
+let[@inline] get (b : float array) slot = Array.unsafe_get b slot
+let[@inline] set (b : float array) slot x = Array.unsafe_set b slot x
+
 let check_vmax name vmax =
   if Array.length vmax <> Enzyme.count then invalid_arg (name ^ ": one vmax per enzyme")
 
-(* The rate laws: every rate at [y], written into [b] by its {!R} slot. *)
+(* The rate laws: every rate at [y], written into [b] by its {!R} slot.
+   Callers have checked [vmax] with {!check_vmax}. *)
 let rates (k : Params.kinetics) (env : Params.env) ~vmax y (b : float array) =
-  let v i = vmax.(i) in
+  let v i = get vmax i in
   let pi = State.stromal_pi k y in
   let atp = pos y.(State.atp) in
   let adp = pos (k.adenylate_total -. atp) in
@@ -197,59 +203,59 @@ let rates (k : Params.kinetics) (env : Params.env) ~vmax y (b : float array) =
   let v_scav_tp = k.k_scavenge *. starvation *. pos y.(State.tp) in
   let v_scav_pp = k.k_scavenge *. starvation *. pos y.(State.pp) in
   let v_light = k.v_light *. mm adp k.km_adp_light *. mm pi k.km_pi_light in
-  b.(R.vc) <- vc;
-  b.(R.vo) <- vo;
-  b.(R.v_pgak) <- v_pgak;
-  b.(R.v_gapdh) <- v_gapdh;
-  b.(R.v_fbpald) <- v_fbpald;
-  b.(R.v_fbpase) <- v_fbpase;
-  b.(R.v_tk1) <- v_tk1;
-  b.(R.v_tk2) <- v_tk2;
-  b.(R.v_sbald) <- v_sbald;
-  b.(R.v_sbpase) <- v_sbpase;
-  b.(R.v_prk) <- v_prk;
-  b.(R.v_adpgpp) <- v_adpgpp;
-  b.(R.v_pgcapase) <- v_pgcapase;
-  b.(R.v_goaox) <- v_goaox;
-  b.(R.v_ggat) <- v_ggat;
-  b.(R.v_gsat) <- v_gsat;
-  b.(R.v_gdc) <- v_gdc;
-  b.(R.v_hprred) <- v_hprred;
-  b.(R.v_gceak) <- v_gceak;
-  b.(R.v_export) <- v_export;
-  b.(R.v_cald) <- v_cald;
-  b.(R.v_cfbpase) <- v_cfbpase;
-  b.(R.v_udpgp) <- v_udpgp;
-  b.(R.v_sps) <- v_sps;
-  b.(R.v_spp) <- v_spp;
-  b.(R.v_f26bpase) <- v_f26bpase;
-  b.(R.v_f2k) <- v_f2k;
-  b.(R.v_serleak) <- v_serleak;
-  b.(R.v_stdeg) <- v_stdeg;
-  b.(R.v_g6pdh) <- v_g6pdh;
-  b.(R.v_scav_hp) <- v_scav_hp;
-  b.(R.v_scav_tp) <- v_scav_tp;
-  b.(R.v_scav_pp) <- v_scav_pp;
-  b.(R.v_light) <- v_light;
-  b.(R.pi) <- pi
+  set b R.vc vc;
+  set b R.vo vo;
+  set b R.v_pgak v_pgak;
+  set b R.v_gapdh v_gapdh;
+  set b R.v_fbpald v_fbpald;
+  set b R.v_fbpase v_fbpase;
+  set b R.v_tk1 v_tk1;
+  set b R.v_tk2 v_tk2;
+  set b R.v_sbald v_sbald;
+  set b R.v_sbpase v_sbpase;
+  set b R.v_prk v_prk;
+  set b R.v_adpgpp v_adpgpp;
+  set b R.v_pgcapase v_pgcapase;
+  set b R.v_goaox v_goaox;
+  set b R.v_ggat v_ggat;
+  set b R.v_gsat v_gsat;
+  set b R.v_gdc v_gdc;
+  set b R.v_hprred v_hprred;
+  set b R.v_gceak v_gceak;
+  set b R.v_export v_export;
+  set b R.v_cald v_cald;
+  set b R.v_cfbpase v_cfbpase;
+  set b R.v_udpgp v_udpgp;
+  set b R.v_sps v_sps;
+  set b R.v_spp v_spp;
+  set b R.v_f26bpase v_f26bpase;
+  set b R.v_f2k v_f2k;
+  set b R.v_serleak v_serleak;
+  set b R.v_stdeg v_stdeg;
+  set b R.v_g6pdh v_g6pdh;
+  set b R.v_scav_hp v_scav_hp;
+  set b R.v_scav_tp v_scav_tp;
+  set b R.v_scav_pp v_scav_pp;
+  set b R.v_light v_light;
+  set b R.pi pi
 
 let fluxes k env ~vmax y =
   check_vmax "Photo.Model.fluxes" vmax;
   let b = Array.create_float R.count in
   rates k env ~vmax y b;
   {
-    vc = b.(R.vc); vo = b.(R.vo); v_pgak = b.(R.v_pgak); v_gapdh = b.(R.v_gapdh);
-    v_fbpald = b.(R.v_fbpald); v_fbpase = b.(R.v_fbpase); v_tk1 = b.(R.v_tk1);
-    v_tk2 = b.(R.v_tk2); v_sbald = b.(R.v_sbald); v_sbpase = b.(R.v_sbpase);
-    v_prk = b.(R.v_prk); v_adpgpp = b.(R.v_adpgpp); v_pgcapase = b.(R.v_pgcapase);
-    v_goaox = b.(R.v_goaox); v_ggat = b.(R.v_ggat); v_gsat = b.(R.v_gsat);
-    v_gdc = b.(R.v_gdc); v_hprred = b.(R.v_hprred); v_gceak = b.(R.v_gceak);
-    v_export = b.(R.v_export); v_cald = b.(R.v_cald); v_cfbpase = b.(R.v_cfbpase);
-    v_udpgp = b.(R.v_udpgp); v_sps = b.(R.v_sps); v_spp = b.(R.v_spp);
-    v_f26bpase = b.(R.v_f26bpase); v_f2k = b.(R.v_f2k); v_serleak = b.(R.v_serleak);
-    v_stdeg = b.(R.v_stdeg); v_g6pdh = b.(R.v_g6pdh); v_scav_hp = b.(R.v_scav_hp);
-    v_scav_tp = b.(R.v_scav_tp); v_scav_pp = b.(R.v_scav_pp); v_light = b.(R.v_light);
-    pi = b.(R.pi);
+    vc = get b R.vc; vo = get b R.vo; v_pgak = get b R.v_pgak; v_gapdh = get b R.v_gapdh;
+    v_fbpald = get b R.v_fbpald; v_fbpase = get b R.v_fbpase; v_tk1 = get b R.v_tk1;
+    v_tk2 = get b R.v_tk2; v_sbald = get b R.v_sbald; v_sbpase = get b R.v_sbpase;
+    v_prk = get b R.v_prk; v_adpgpp = get b R.v_adpgpp; v_pgcapase = get b R.v_pgcapase;
+    v_goaox = get b R.v_goaox; v_ggat = get b R.v_ggat; v_gsat = get b R.v_gsat;
+    v_gdc = get b R.v_gdc; v_hprred = get b R.v_hprred; v_gceak = get b R.v_gceak;
+    v_export = get b R.v_export; v_cald = get b R.v_cald; v_cfbpase = get b R.v_cfbpase;
+    v_udpgp = get b R.v_udpgp; v_sps = get b R.v_sps; v_spp = get b R.v_spp;
+    v_f26bpase = get b R.v_f26bpase; v_f2k = get b R.v_f2k; v_serleak = get b R.v_serleak;
+    v_stdeg = get b R.v_stdeg; v_g6pdh = get b R.v_g6pdh; v_scav_hp = get b R.v_scav_hp;
+    v_scav_tp = get b R.v_scav_tp; v_scav_pp = get b R.v_scav_pp; v_light = get b R.v_light;
+    pi = get b R.pi;
   }
 
 (* The closure owns one rate buffer, so it is not re-entrant: the
@@ -260,33 +266,36 @@ let rhs k env ~vmax =
   fun _t y dy ->
     rates k env ~vmax y b;
     let open R in
-    dy.(State.rubp) <- b.(v_prk) -. b.(vc) -. b.(vo);
-    dy.(State.pga) <- (2. *. b.(vc)) +. b.(vo) +. b.(v_gceak) -. b.(v_pgak);
-    dy.(State.dpga) <- b.(v_pgak) -. b.(v_gapdh);
+    dy.(State.rubp) <- get b v_prk -. get b vc -. get b vo;
+    dy.(State.pga) <- (2. *. get b vc) +. get b vo +. get b v_gceak -. get b v_pgak;
+    dy.(State.dpga) <- get b v_pgak -. get b v_gapdh;
     dy.(State.tp) <-
-      b.(v_gapdh) -. (2. *. b.(v_fbpald)) -. b.(v_tk1) -. b.(v_tk2) -. b.(v_sbald) -. b.(v_export)
-      -. b.(v_scav_tp);
-    dy.(State.fbp) <- b.(v_fbpald) -. b.(v_fbpase);
+      get b v_gapdh -. (2. *. get b v_fbpald) -. get b v_tk1 -. get b v_tk2 -. get b v_sbald
+      -. get b v_export -. get b v_scav_tp;
+    dy.(State.fbp) <- get b v_fbpald -. get b v_fbpase;
     dy.(State.hp) <-
-      b.(v_fbpase) +. b.(v_stdeg) -. b.(v_tk1) -. b.(v_adpgpp) -. b.(v_g6pdh) -. b.(v_scav_hp);
-    dy.(State.e4p) <- b.(v_tk1) -. b.(v_sbald);
-    dy.(State.sbp) <- b.(v_sbald) -. b.(v_sbpase);
-    dy.(State.s7p) <- b.(v_sbpase) -. b.(v_tk2);
-    dy.(State.pp) <- b.(v_tk1) +. (2. *. b.(v_tk2)) +. b.(v_g6pdh) -. b.(v_prk) -. b.(v_scav_pp);
-    dy.(State.atp) <- b.(v_light) -. b.(v_pgak) -. b.(v_prk) -. b.(v_adpgpp) -. b.(v_gceak);
-    dy.(State.pgca) <- b.(vo) -. b.(v_pgcapase);
-    dy.(State.gca) <- b.(v_pgcapase) -. b.(v_goaox);
-    dy.(State.goa) <- b.(v_goaox) -. b.(v_ggat) -. b.(v_gsat);
-    dy.(State.gly) <- b.(v_ggat) +. b.(v_gsat) -. (2. *. b.(v_gdc));
-    dy.(State.ser) <- b.(v_gdc) -. b.(v_gsat) -. b.(v_serleak);
-    dy.(State.hpr) <- b.(v_gsat) -. b.(v_hprred);
-    dy.(State.gcea) <- b.(v_hprred) -. b.(v_gceak);
-    dy.(State.tpc) <- b.(v_export) -. (2. *. b.(v_cald));
-    dy.(State.fbpc) <- b.(v_cald) -. b.(v_cfbpase);
-    dy.(State.hpc) <- b.(v_cfbpase) -. b.(v_udpgp) -. b.(v_sps);
-    dy.(State.udpg) <- b.(v_udpgp) -. b.(v_sps);
-    dy.(State.sucp) <- b.(v_sps) -. b.(v_spp);
-    dy.(State.f26bp) <- b.(v_f2k) -. b.(v_f26bpase)
+      get b v_fbpase +. get b v_stdeg -. get b v_tk1 -. get b v_adpgpp -. get b v_g6pdh
+      -. get b v_scav_hp;
+    dy.(State.e4p) <- get b v_tk1 -. get b v_sbald;
+    dy.(State.sbp) <- get b v_sbald -. get b v_sbpase;
+    dy.(State.s7p) <- get b v_sbpase -. get b v_tk2;
+    dy.(State.pp) <-
+      get b v_tk1 +. (2. *. get b v_tk2) +. get b v_g6pdh -. get b v_prk -. get b v_scav_pp;
+    dy.(State.atp) <-
+      get b v_light -. get b v_pgak -. get b v_prk -. get b v_adpgpp -. get b v_gceak;
+    dy.(State.pgca) <- get b vo -. get b v_pgcapase;
+    dy.(State.gca) <- get b v_pgcapase -. get b v_goaox;
+    dy.(State.goa) <- get b v_goaox -. get b v_ggat -. get b v_gsat;
+    dy.(State.gly) <- get b v_ggat +. get b v_gsat -. (2. *. get b v_gdc);
+    dy.(State.ser) <- get b v_gdc -. get b v_gsat -. get b v_serleak;
+    dy.(State.hpr) <- get b v_gsat -. get b v_hprred;
+    dy.(State.gcea) <- get b v_hprred -. get b v_gceak;
+    dy.(State.tpc) <- get b v_export -. (2. *. get b v_cald);
+    dy.(State.fbpc) <- get b v_cald -. get b v_cfbpase;
+    dy.(State.hpc) <- get b v_cfbpase -. get b v_udpgp -. get b v_sps;
+    dy.(State.udpg) <- get b v_udpgp -. get b v_sps;
+    dy.(State.sucp) <- get b v_sps -. get b v_spp;
+    dy.(State.f26bp) <- get b v_f2k -. get b v_f26bpase
 
 (* Every rate law passes a NaN through — [pos], [mm] and the Pi clamp
    return it, and IEEE arithmetic propagates it — so the derivatives a
@@ -294,8 +303,8 @@ let rhs k env ~vmax =
    state j.  That dataflow does not depend on the parameters, so one
    probe at the natural leaf serves every kinetics, condition and vmax. *)
 let derive_pattern () =
-  let f = rhs Params.default (Params.present ~tp_export:Params.low_export)
-      ~vmax:(Enzyme.natural_vmax ()) in
+  let env = Params.present ~tp_export:Params.low_export in
+  let f = rhs Params.default env ~vmax:(Enzyme.natural_vmax ()) in
   let y = State.initial () and dy = Array.make State.n 0. in
   Numerics.Ode.pattern
     (Array.init State.n (fun j ->
