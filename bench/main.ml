@@ -124,10 +124,9 @@ let bench_fig4_repair =
    Ci, low export: one rhs call, one 20-unit dopri5 acceptance window
    from the steady state at [Steady_state.evaluate]'s tolerances, and one
    PTC solve from the cold initial state. *)
-let leaf_rhs () =
-  Photo.Model.rhs Photo.Params.default
-    (Photo.Params.present ~tp_export:Photo.Params.low_export)
-    ~vmax:(Photo.Enzyme.natural_vmax ())
+let leaf_env = Photo.Params.present ~tp_export:Photo.Params.low_export
+
+let leaf_rhs () = Photo.Model.rhs Photo.Params.default leaf_env ~vmax:(Photo.Enzyme.natural_vmax ())
 
 let bench_photo_rhs =
   Test.make ~name:"photo/rhs"
@@ -139,10 +138,7 @@ let bench_ode_dopri5_window =
   Test.make ~name:"ode/dopri5-window"
     (Staged.stage
        (let f = leaf_rhs () in
-        let y0 =
-          (Photo.Steady_state.natural ~env:(Photo.Params.present ~tp_export:Photo.Params.low_export) ())
-            .Photo.Steady_state.y
-        in
+        let y0 = (Photo.Steady_state.natural ~env:leaf_env ()).Photo.Steady_state.y in
         fun () -> ignore (Numerics.Ode.dopri5 ~rtol:2e-4 ~atol:1e-7 ~f ~t0:0. ~t1:20. ~y0 ())))
 
 let bench_ode_ptc =

@@ -79,13 +79,13 @@ let phosphate_groups =
   g.(pgca) <- 1.;
   g
 
-(* Only the 12 pools up to PGCA carry phosphate.  For a finite state,
-   summing just those gives the bits of the sum over all 24: each
-   skipped term is 0·y = ±0, and adding ±0 leaves a sum that started at
-   +0. unchanged (a round-to-nearest sum from +0. is never −0.).  It also
-   keeps a cytosolic or photorespiratory pool out of Pi's dataflow, which
-   {!Model.pattern} reads.  The clamp is [Float.max 0.01 x] bit for bit,
-   a NaN included, without the call. *)
+(* Only the first 12 states, RuBP to PGCA, carry phosphate.  For a
+   finite state, summing just those gives the bits of the sum over all
+   24: each skipped term is 0·y = ±0, and adding ±0 leaves a sum that
+   started at +0. unchanged (a round-to-nearest sum from +0. is never
+   −0.).  It also keeps the states after PGCA out of Pi's dataflow,
+   which [Model.pattern] reads.  The clamp is [Float.max 0.01 x] bit for
+   bit, a NaN included, without the call. *)
 let stromal_pi (k : Params.kinetics) y =
   let bound = ref 0. in
   for i = 0 to pgca do

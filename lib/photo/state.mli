@@ -48,8 +48,13 @@ val initial : unit -> float array
 
 val phosphate_groups : float array
 (** Per-state number of phosphate groups counted by the stromal phosphate
-    conservation (cytosolic states carry 0). *)
+    conservation.  Only the first 12 states, {!rubp} to {!pgca}, carry
+    any; the photorespiratory pools after PGCA and the cytosolic states
+    carry 0. *)
 
 val stromal_pi : Params.kinetics -> float array -> float
-(** Free stromal inorganic phosphate implied by conservation
-    (clamped at a small positive floor). *)
+(** Free stromal inorganic phosphate implied by conservation, clamped at
+    0.01 ([Float.max 0.01], a NaN passing through).  It sums the first
+    12 states only, which gives the bits of the full sum for any finite
+    state and reads no other state, so Pi adds no entries to the rhs's
+    Jacobian pattern beyond those 12 columns. *)

@@ -385,9 +385,9 @@ let test_ptc_bounded_root () =
 let test_ptc_allocation () =
   let n = 24 in
   let f = linear_sink n in
-  let y0 = Array.make n 0.5 in
+  let y0 = Array.make n 0.5 and pattern = Numerics.Ode.dense_pattern n in
   let before = Gc.minor_words () in
-  let p = Numerics.Ode.pseudo_transient ~pattern:(Numerics.Ode.dense_pattern n) ~f ~y0 () in
+  let p = Numerics.Ode.pseudo_transient ~pattern ~f ~y0 () in
   let words = Gc.minor_words () -. before in
   Alcotest.(check bool) "converged" true (Option.is_some p.Numerics.Ode.root);
   let it = p.Numerics.Ode.iterations in
