@@ -23,9 +23,9 @@ val evaluate :
     ratio vector [ratios] (1.0 = natural) and report uptake and nitrogen.
 
     The root comes from {!Numerics.Ode.pseudo_transient} over
-    {!Model.pattern}, started at [y0] (default {!State.initial}).  It is accepted when one 20-unit
-    {!Numerics.Ode.integrate_fallback} window from it keeps uptake
-    within 1e-3·(|u|+1); the report then
+    {!Model.pattern}, started at [y0] (default {!State.initial}).  It is
+    accepted when one 20-unit {!Numerics.Ode.integrate_fallback} window
+    from it keeps uptake within 1e-3·(|u|+1); the report then
     carries the root's state, fluxes and uptake, [converged = true] and
     the window's tier.  Otherwise the [photo.ptc_fallbacks] counter is
     incremented and 20-unit windows run from [y0] until uptake is stable
