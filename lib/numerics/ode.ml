@@ -124,9 +124,10 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       let h_cur = Float.min !h (t1 -. !t) in
       if h_cur < h_min then underflow !t;
       let yc = !y in
-      (* Stages 2..7; stage 1 is already in k1.  Each stage sum starts
-         at +0. and adds aₛⱼ·kⱼ in j order, zero coefficients included,
-         as the loop over the tableau rows did. *)
+      (* Stages 2..7, written out; stage 1 is already in k1.  Each stage
+         sum starts at +0. and adds aₛⱼ·kⱼ in j order, zero coefficients
+         included, so NaNs and signed zeros flow as the FSAL argument
+         above needs. *)
       let k1 = k.(0) and k2 = k.(1) and k3 = k.(2) and k4 = k.(3) and k5 = k.(4)
       and k6 = k.(5) and k7 = k.(6) in
       for i = 0 to n - 1 do
@@ -274,7 +275,7 @@ let nonzero p i j = Array.mem i p.rows.(j)
    shared by the backward-Euler step and pseudo-transient continuation.
    Its buffers are allocated once per integration or PTC call and
    rewritten in place: the n×n Jacobian (then the Newton matrix, then its
-   LU factors), the pivot vector and six scratch vectors.  For n = 24
+   LU factors), the pivot vector and five scratch vectors.  For n = 24
    the matrix is 576 floats, above the minor heap's 256-word limit, so
    allocating it per iteration would churn the major heap. *)
 
@@ -285,24 +286,13 @@ type dense = {
   f0 : Vec.t;  (** rhs at the current iterate *)
   fj : Vec.t;  (** rhs at a perturbed state *)
   yp : Vec.t;  (** perturbed state *)
-  hs : Vec.t;  (** difference step of each column *)
   r : Vec.t;  (** Newton residual *)
   x : Vec.t;  (** Newton correction *)
 }
 
 let dense_create n =
   let v () = Array.make n 0. in
-  {
-    n;
-    jac = Array.make (n * n) 0.;
-    perm = Array.make n 0;
-    f0 = v ();
-    fj = v ();
-    yp = v ();
-    hs = v ();
-    r = v ();
-    x = v ();
-  }
+  { n; jac = Array.make (n * n) 0.; perm = Array.make n 0; f0 = v (); fj = v (); yp = v (); r = v (); x = v () }
 
 (* Forward-difference Jacobian of [f] at [(t, y)] into [d.jac], given
    [f0 = f t y]: one rhs evaluation per column group of [p], with every
@@ -314,7 +304,7 @@ let dense_create n =
    forward difference. *)
 let jacobian d p f t y f0 =
   Obs.Metrics.incr m_jacobians;
-  let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac and hs = d.hs in
+  let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac in
   Array.blit y 0 yp 0 n;
   Array.fill jac 0 (n * n) 0.;
   for g = 0 to Array.length p.groups - 1 do
@@ -322,15 +312,14 @@ let jacobian d p f t y f0 =
     for c = 0 to Array.length cols - 1 do
       let j = Array.unsafe_get cols c in
       let yj = get y j in
-      let h = fd_step yj in
-      set hs j h;
-      set yp j (yj +. h)
+      set yp j (yj +. fd_step yj)
     done;
     f t yp fj;
     for c = 0 to Array.length cols - 1 do
       let j = Array.unsafe_get cols c in
-      set yp j (get y j);
-      let h = get hs j and rows = Array.unsafe_get p.rows j in
+      let yj = get y j in
+      set yp j yj;
+      let h = fd_step yj and rows = Array.unsafe_get p.rows j in
       for r = 0 to Array.length rows - 1 do
         let i = Array.unsafe_get rows r in
         set jac ((i * n) + j) ((get fj i -. get f0 i) /. h)
