@@ -547,7 +547,7 @@ let report_cmd =
        ~doc:
          "Join a run's trace, metrics and checkpoint into one summary: per-process \
           self-time table, shard restart/kill/backoff timeline with restart-latency \
-          quantiles, cache hit rates, ODE solver-tier breakdown and the hypervolume \
+          quantiles, cache hit rates, ODE solver counts and the hypervolume \
           trajectory.  Sections without data are omitted; at least one input is \
           required.  Torn metric lines (e.g. from a killed run) are skipped with a \
           warning.")

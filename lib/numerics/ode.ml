@@ -10,7 +10,7 @@ exception Deadline of float
 
 (* Observability probes.  Registered once at module init; every probe is
    a no-op behind a single atomic load until [Obs.Metrics.set_enabled]
-   flips the flag, so the integrators stay uninstrumented-speed in
+   flips the flag, so the solvers stay uninstrumented-speed in
    normal runs (see the metrics-overhead bench kernel). *)
 let m_steps = Obs.Metrics.counter "ode.steps"
 let m_rejected = Obs.Metrics.counter "ode.rejected"
@@ -18,11 +18,7 @@ let m_rhs_evals = Obs.Metrics.counter "ode.rhs_evals"
 let m_jacobians = Obs.Metrics.counter "ode.jacobians"
 let m_underflows = Obs.Metrics.counter "ode.underflows"
 let m_deadlines = Obs.Metrics.counter "ode.deadlines"
-let m_jacobian_reuses = Obs.Metrics.counter "ode.jacobian_reuses"
 let m_integrations = Obs.Metrics.counter "ode.integrations"
-let m_tier_adaptive = Obs.Metrics.counter "ode.tier.adaptive"
-let m_tier_tight = Obs.Metrics.counter "ode.tier.adaptive_tight"
-let m_tier_stiff = Obs.Metrics.counter "ode.tier.stiff"
 
 let underflow t =
   Obs.Metrics.incr m_underflows;
@@ -77,6 +73,8 @@ let add_counts ~steps ~rejected ~evals =
 let[@inline] get (v : Vec.t) i = Array.unsafe_get v i
 let[@inline] set (v : Vec.t) i x = Array.unsafe_set v i x
 
+let h_min = 1e-14
+
 (* Allocation-free Dormand–Prince: the seven stage vectors, the stage
    state and the two state buffers are allocated once per call, and the
    step loop writes into them.  First-same-as-last: stage 7 is evaluated
@@ -87,14 +85,15 @@ let[@inline] set (v : Vec.t) i x = Array.unsafe_set v i x
    step stage 1 is still f(t, y).  Each attempt costs six rhs
    evaluations, plus one per call for the first stage.  Stage 1 is
    evaluated at [y] itself rather than at y + h·0, which differs only in
-   the sign of a −0. entry. *)
-let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
-    ?(max_steps = 1_000_000) ?deadline ~f ~t0 ~t1 ~y0 () =
+   the sign of a −0. entry.  The step starts at 1/100 of the span and
+   stays within [h_min, span]. *)
+let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?(max_steps = 1_000_000) ?deadline ~f ~t0 ~t1 ~y0 () =
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.dopri5: need t1 >= t0";
+  Obs.Metrics.incr m_integrations;
+  Obs.Span.with_span "ode.integrate" @@ fun () ->
   let span = t1 -. t0 in
-  let h_max = match h_max with Some h -> h | None -> span in
-  let h = ref (match h0 with Some h -> h | None -> Float.min h_max (span /. 100.)) in
+  let h = ref (span /. 100.) in
   let t = ref t0 in
   let y = ref (Array.copy y0) in
   let y_next = ref (Array.make n 0.) in
@@ -122,7 +121,9 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
       check_deadline deadline !t;
       if !accepted + !rejected > max_steps then underflow !t;
       let h_cur = Float.min !h (t1 -. !t) in
-      if h_cur < h_min then underflow !t;
+      (* Written so that a NaN step, left by a NaN error estimate, also
+         underflows instead of being rejected until [max_steps]. *)
+      if not (h_cur >= h_min) then underflow !t;
       let yc = !y in
       (* Stages 2..7, written out; stage 1 is already in k1.  Each stage
          sum starts at +0. and adds aₛⱼ·kⱼ in j order, zero coefficients
@@ -211,7 +212,7 @@ let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?h0 ?(h_min = 1e-14) ?h_max
         (* robustlint: allow R1 — the controller divides by err^0.2, so guard exact zero *)
         if err = 0. then 5. else Float.min 5. (Float.max 0.2 (0.9 *. (err ** (-0.2))))
       in
-      h := Float.min h_max (Float.max h_min (h_cur *. fac))
+      h := Float.min span (Float.max h_min (h_cur *. fac))
     done
   with
   | () ->
@@ -271,11 +272,11 @@ let nonzero p i j = Array.mem i p.rows.(j)
 
 (* {1 Dense Newton kernel}
 
-   The one dense forward-difference Newton machinery of this module,
-   shared by the backward-Euler step and pseudo-transient continuation.
-   Its buffers are allocated once per integration or PTC call and
+   The dense forward-difference Newton machinery of pseudo-transient
+   continuation (whose Jacobian kernel {!numeric_jacobian} also runs).
+   Its buffers are allocated once per PTC call and
    rewritten in place: the n×n Jacobian (then the Newton matrix, then its
-   LU factors), the pivot vector and five scratch vectors.  For n = 24
+   LU factors), the pivot vector and four scratch vectors.  For n = 24
    the matrix is 576 floats, above the minor heap's 256-word limit, so
    allocating it per iteration would churn the major heap. *)
 
@@ -286,13 +287,12 @@ type dense = {
   f0 : Vec.t;  (** rhs at the current iterate *)
   fj : Vec.t;  (** rhs at a perturbed state *)
   yp : Vec.t;  (** perturbed state *)
-  r : Vec.t;  (** Newton residual *)
   x : Vec.t;  (** Newton correction *)
 }
 
 let dense_create n =
   let v () = Array.make n 0. in
-  { n; jac = Array.make (n * n) 0.; perm = Array.make n 0; f0 = v (); fj = v (); yp = v (); r = v (); x = v () }
+  { n; jac = Array.make (n * n) 0.; perm = Array.make n 0; f0 = v (); fj = v (); yp = v (); x = v () }
 
 (* Forward-difference Jacobian of [f] at [(t, y)] into [d.jac], given
    [f0 = f t y]: one rhs evaluation per column group of [p], with every
@@ -327,14 +327,14 @@ let jacobian d p f t y f0 =
     done
   done
 
-(* Overwrite the Jacobian with the Newton matrix diag·I − h·J and factor
+(* Overwrite the Jacobian with the Newton matrix diag·I − J and factor
    it in place; false when it is singular. *)
-let dense_factor d ~diag ~h =
+let dense_factor d ~diag =
   let n = d.n and jac = d.jac in
   for i = 0 to n - 1 do
     for k = 0 to n - 1 do
       let at = (i * n) + k in
-      Array.unsafe_set jac at ((if i = k then diag else 0.) -. (h *. Array.unsafe_get jac at))
+      Array.unsafe_set jac at ((if i = k then diag else 0.) -. Array.unsafe_get jac at)
     done
   done;
   match Lu.factor_in_place ~n jac d.perm with () -> true | exception Lu.Singular -> false
@@ -352,60 +352,6 @@ let numeric_jacobian ~pattern f t y =
   f t y d.f0;
   jacobian d pattern f t y d.f0;
   Matrix.init n n (fun i j -> d.jac.((i * n) + j))
-
-(* One backward-Euler step via a modified (frozen-Jacobian) Newton:
-   solve y' = y + h f(t+h, y').  The Newton matrix M = I - h J is
-   factored once and the LU reused across iterations while the residual
-   keeps contracting (‖r_k‖ <= 0.5 ‖r_{k-1}‖); a stalled residual
-   triggers a refresh at the current iterate.  For the kinetic models
-   here the Jacobian (n rhs evaluations plus an O(n³) factorization)
-   dominates the step cost, so freezing it is the single biggest saving
-   of the stiff tier — at the price of extra (cheap) iterations, never
-   of accuracy: convergence is still declared on the true residual.
-   The Jacobian is taken at the iterate whose rhs [fy] already holds.
-   [d] is the integration's dense workspace; only the returned state is
-   fresh. *)
-let backward_euler_step d p f t y h =
-  let n = d.n in
-  let ynext = Array.copy y in
-  let fy = d.f0 and residual = d.r in
-  let max_newton = 12 in
-  let frozen = ref false in
-  let refresh () =
-    jacobian d p f (t +. h) ynext fy;
-    frozen := dense_factor d ~diag:1. ~h;
-    !frozen
-  in
-  let rec iterate it evals rprev =
-    f (t +. h) ynext fy;
-    for i = 0 to n - 1 do
-      residual.(i) <- ynext.(i) -. y.(i) -. (h *. fy.(i))
-    done;
-    let rnorm = Vec.norm_inf residual in
-    let scale = 1. +. Vec.norm_inf ynext in
-    if rnorm <= 1e-10 *. scale then Some (ynext, evals + 1)
-    else if it >= max_newton then None
-    else begin
-      let need_refresh = (not !frozen) || not (rnorm <= 0.5 *. rprev) in
-      let extra_evals =
-        if need_refresh then n
-        else begin
-          Obs.Metrics.incr m_jacobian_reuses;
-          0
-        end
-      in
-      if need_refresh && not (refresh ()) then None
-      else begin
-        dense_solve d residual;
-        let dy = d.x in
-        for i = 0 to n - 1 do
-          ynext.(i) <- ynext.(i) -. dy.(i)
-        done;
-        iterate (it + 1) (evals + 1 + extra_evals) rnorm
-      end
-    end
-  in
-  iterate 0 0 infinity
 
 (* {1 Pseudo-transient continuation}
 
@@ -465,7 +411,7 @@ let pseudo_transient ?deadline ~pattern ~f ~y0 () =
         r_prev := r;
         jacobian d pattern f 0. y fy;
         evals := !evals + pattern_groups pattern;
-        if not (dense_factor d ~diag:(1. /. !dt) ~h:1.) then state := Gave_up
+        if not (dense_factor d ~diag:(1. /. !dt)) then state := Gave_up
         else begin
           dense_solve d fy;
           (* Fraction to the boundary: no positive state crosses zero. *)
@@ -490,118 +436,3 @@ let pseudo_transient ?deadline ~pattern ~f ~y0 () =
   | exception e ->
     count ();
     raise e
-
-let implicit_euler ?(rtol = 1e-5) ?(atol = 1e-8) ?(h_min = 1e-14) ?deadline ~f ~t0 ~t1
-    ~y0 () =
-  let n = Array.length y0 in
-  if not (t1 >= t0) then invalid_arg "Ode.implicit_euler: need t1 >= t0";
-  let max_steps = 200_000 in
-  let d = dense_create n and dense = dense_pattern n in
-  let h = ref ((t1 -. t0) /. 100.) in
-  let t = ref t0 in
-  let y = ref (Array.copy y0) in
-  let accepted = ref 0 and rejected = ref 0 and evals = ref 0 in
-  match
-    while !t < t1 do
-      check_deadline deadline !t;
-      if !accepted + !rejected > max_steps then underflow !t;
-      let h_cur = Float.min !h (t1 -. !t) in
-      if h_cur < h_min then underflow !t;
-      (* Error estimation by step doubling: one full step vs two half steps. *)
-      let full = backward_euler_step d dense f !t !y h_cur in
-      let halves =
-        match backward_euler_step d dense f !t !y (h_cur /. 2.) with
-        | None -> None
-        | Some (ymid, e1) -> (
-          match backward_euler_step d dense f (!t +. (h_cur /. 2.)) ymid (h_cur /. 2.) with
-          | None -> None
-          | Some (yend, e2) -> Some (yend, e1 + e2))
-      in
-      match full, halves with
-      | Some (y1, e1), Some (y2, e2) ->
-        evals := !evals + e1 + e2;
-        let err = ref 0. in
-        for i = 0 to n - 1 do
-          let sc = atol +. (rtol *. Float.max (Float.abs y1.(i)) (Float.abs y2.(i))) in
-          let r = (y2.(i) -. y1.(i)) /. sc in
-          err := !err +. (r *. r)
-        done;
-        let err = sqrt (!err /. float_of_int n) in
-        if err <= 1. then begin
-          t := !t +. h_cur;
-          (* Local extrapolation: the two-half-step solution is more accurate. *)
-          y := y2;
-          incr accepted;
-          h := h_cur *. Float.min 3. (Float.max 0.3 (0.9 /. Float.max 1e-8 (sqrt err)))
-        end
-        else begin
-          incr rejected;
-          h := h_cur *. 0.5
-        end
-      | _ ->
-        (* Newton failed to converge: retry with a smaller step. *)
-        incr rejected;
-        h := h_cur *. 0.25
-    done
-  with
-  | () ->
-    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
-    { t = !t; y = !y; stats = { steps = !accepted; rejected = !rejected; evals = !evals } }
-  | exception e ->
-    add_counts ~steps:!accepted ~rejected:!rejected ~evals:!evals;
-    raise e
-
-(* {1 Fallback chain} *)
-
-type tier = Adaptive | Adaptive_tight | Stiff
-
-let tier_name = function
-  | Adaptive -> "dopri5"
-  | Adaptive_tight -> "dopri5-tight"
-  | Stiff -> "implicit-euler"
-
-let tier_counter = function
-  | Adaptive -> m_tier_adaptive
-  | Adaptive_tight -> m_tier_tight
-  | Stiff -> m_tier_stiff
-
-let integrate_fallback ?(rtol = 1e-6) ?(atol = 1e-9) ?(max_steps = 1_000_000) ?deadline ~f
-    ~t0 ~t1 ~y0 () =
-  Obs.Metrics.incr m_integrations;
-  Obs.Span.with_span "ode.integrate" @@ fun () ->
-  let span = t1 -. t0 in
-  let h_min = 1e-14 in
-  let finite r = Array.for_all Float.is_finite r.y in
-  let attempt tier run =
-    Obs.Metrics.incr (tier_counter tier);
-    match run () with
-    | r when finite r -> Some (r, tier)
-    | _ -> None
-    | exception Step_underflow _ -> None
-  in
-  let tiers =
-    [
-      (* Tier 1: the workhorse, exactly as requested. *)
-      (fun () ->
-        attempt Adaptive (fun () ->
-            dopri5 ~rtol ~atol ~h_min ~max_steps ?deadline ~f ~t0 ~t1 ~y0 ()));
-      (* Tier 2: same integrator with tightened step bounds — a small
-         forced initial step, a capped maximum step, a lower step floor and
-         a doubled step budget rescue marginally stiff transients. *)
-      (fun () ->
-        attempt Adaptive_tight (fun () ->
-            dopri5 ~rtol ~atol ~h0:(span *. 1e-6) ~h_min:(h_min *. 1e-3)
-              ~h_max:(span /. 10.) ~max_steps:(2 * max_steps) ?deadline ~f ~t0 ~t1
-              ~y0 ()));
-      (* Tier 3: semi-implicit integrator for genuinely stiff regimes. *)
-      (fun () ->
-        attempt Stiff (fun () ->
-            implicit_euler ~rtol:(Float.max rtol 1e-6) ~atol ~h_min:(h_min *. 1e-3)
-              ?deadline ~f ~t0 ~t1 ~y0 ()));
-    ]
-  in
-  let rec try_tiers = function
-    | [] -> raise (Step_underflow t0)
-    | tier :: rest -> ( match tier () with Some out -> out | None -> try_tiers rest)
-  in
-  try_tiers tiers

@@ -1,10 +1,10 @@
-(** Initial-value problem integrators.
+(** Initial-value problems and steady states.
 
-    Two integrators are provided, and {!integrate_fallback} chains them:
-    - {!dopri5}: adaptive embedded Dormand–Prince 5(4) with PI-free step
-      control — the workhorse for the kinetic model;
-    - {!implicit_euler}: adaptive semi-implicit method (backward Euler with a
-      damped Newton solve and numeric Jacobian) for stiff regimes.
+    - {!dopri5}: adaptive embedded Dormand–Prince 5(4), the one
+      integrator;
+    - {!pseudo_transient}: pseudo-transient continuation toward a root
+      f(y) = 0, over a forward-difference Jacobian with a structural
+      sparsity {!pattern}.
 
     A right-hand side is an in-place function: [f t y dy] reads [y] and
     writes dy/dt at [(t, y)] into [dy].  It must overwrite every entry
@@ -27,11 +27,12 @@ type stats = {
 type result = { t : float; y : Vec.t; stats : stats }
 
 exception Step_underflow of float
-(** Raised when the adaptive controllers drive the step below the minimum
-    step size; carries the time at which it happened. *)
+(** Raised by {!dopri5} when its step falls below the 1e-14 floor or is
+    NaN, or when it exhausts its step budget; carries the time at which
+    it happened. *)
 
 exception Deadline of float
-(** Raised by the adaptive integrators when a [?deadline] (an
+(** Raised by {!dopri5} and {!pseudo_transient} when a [?deadline] (an
     {!Obs.Clock.now_ns} timestamp) has passed; carries the simulation
     time reached.  Cooperative: checked once per attempted step, so an
     integration is abandoned promptly but never mid-step.  Only raised
@@ -41,9 +42,6 @@ exception Deadline of float
 val dopri5 :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
   ?max_steps:int ->
   ?deadline:int ->
   f:rhs ->
@@ -54,38 +52,20 @@ val dopri5 :
   result
 (** Adaptive Dormand–Prince 5(4) from [t0] to [t1].
     Defaults: [rtol = 1e-6], [atol = 1e-9], [max_steps = 1_000_000].
-    [deadline] is an absolute {!Obs.Clock.now_ns} timestamp past which
-    {!Deadline} is raised.
+    The first step is 1/100 of the span, and steps stay within
+    [1e-14, t1 − t0].  Raises {!Step_underflow} when a step would fall
+    below that floor or is NaN (a NaN error estimate leaves one), or
+    after [max_steps] attempted steps.  [deadline] is an absolute
+    {!Obs.Clock.now_ns} timestamp past which {!Deadline} is raised.
 
     Allocation-free per step: the stage vectors and state buffers are
     allocated once per call.  First-same-as-last: an accepted step's
     seventh stage is the next step's first, so each attempted step costs
     six rhs evaluations, plus one per call.  The returned [y] is a buffer
-    no later step writes.  The [ode.steps], [ode.rejected] and
-    [ode.rhs_evals] counters are added once per call, on every exit. *)
-
-val implicit_euler :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h_min:float ->
-  ?deadline:int ->
-  f:rhs ->
-  t0:float ->
-  t1:float ->
-  y0:Vec.t ->
-  unit ->
-  result
-(** Adaptive backward Euler with step-doubling error estimation; intended
-    for stiff systems where {!dopri5} needs prohibitively small steps.
-    Defaults: [rtol = 1e-5], [atol = 1e-8], [h_min = 1e-14]; the first
-    step is 1/100 of the span and the budget 200 000 attempted steps.
-    The Newton iteration freezes its dense Jacobian factorization while
-    the residual keeps contracting and refactors only on stall (counted
-    by the [ode.jacobian_reuses] metric), which never loosens the
-    convergence test — it is always the true residual that must fall
-    below tolerance.  A refresh costs n rhs evaluations: the Jacobian is
-    taken at the iterate whose rhs the residual already holds.  The
-    Jacobian and LU buffers are allocated once per call. *)
+    no later step writes.  One [ode.integrate] span and one
+    [ode.integrations] count per call; the [ode.steps], [ode.rejected]
+    and [ode.rhs_evals] counters are added once per call, on every
+    exit. *)
 
 type pattern
 (** The structural sparsity of an rhs's Jacobian — which derivatives each
@@ -115,9 +95,8 @@ val numeric_jacobian : pattern:pattern -> rhs -> float -> Vec.t -> Matrix.t
     evaluation plus one per column group of [pattern].  An entry outside
     the pattern is +0.; inside, every column's step is 1e-7·max(1, |yⱼ|),
     and the entry is bit for bit the dense quotient, because fᵢ reads no
-    other column of its group.  The same kernel fills the Jacobians of
-    {!pseudo_transient} (with the caller's pattern) and
-    {!implicit_euler} (with {!dense_pattern}) in place.  Raises
+    other column of its group.  The same kernel fills
+    {!pseudo_transient}'s Jacobians in place.  Raises
     [Invalid_argument] when the pattern's size is not [y]'s length. *)
 
 type ptc = {
@@ -148,34 +127,3 @@ val pseudo_transient :
     pseudo-time reached).  One [ode.ptc] span and one [ode.ptc.calls]
     count per call; the [ode.ptc.iterations] and [ode.rhs_evals]
     counters are added once per call, on every exit. *)
-
-type tier =
-  | Adaptive        (** {!dopri5} with the caller's settings *)
-  | Adaptive_tight  (** {!dopri5} with tightened step bounds *)
-  | Stiff           (** {!implicit_euler} rescue *)
-(** Which member of the fallback chain produced a result. *)
-
-val tier_name : tier -> string
-
-val integrate_fallback :
-  ?rtol:float ->
-  ?atol:float ->
-  ?max_steps:int ->
-  ?deadline:int ->
-  f:rhs ->
-  t0:float ->
-  t1:float ->
-  y0:Vec.t ->
-  unit ->
-  result * tier
-(** Integrate from [t0] to [t1] through a three-tier fallback chain:
-    {!dopri5} as configured, then {!dopri5} with tightened step bounds
-    (forced small initial step, capped maximum step, doubled step budget),
-    then {!implicit_euler}.  A tier that raises {!Step_underflow} or
-    returns a non-finite state hands over to the next; the returned
-    {!tier} reports which one succeeded.  Raises {!Step_underflow} only
-    when every tier fails.  Defaults: [rtol = 1e-6], [atol = 1e-9],
-    [max_steps = 1_000_000] (doubled for the tightened tier); the step
-    floor is 1e-14 (1e-17 past the first tier).  {!Deadline} (from
-    [?deadline]) is {e not} absorbed by the chain — an expired budget
-    aborts all tiers. *)

@@ -124,25 +124,16 @@ let pp_ode ppf last =
   let c name = Option.value ~default:0 (counter_of last name) in
   let integrations = c "ode.integrations" and ptc = c "ode.ptc.calls" in
   if integrations > 0 || ptc > 0 then begin
-    section ppf "ODE solver tiers";
+    section ppf "ODE solver";
     if ptc > 0 then
       Format.fprintf ppf "ptc calls %d, iterations %d, fallbacks %d (%.1f%%)@\n" ptc
         (c "ode.ptc.iterations") (c "photo.ptc_fallbacks")
         (100. *. float_of_int (c "photo.ptc_fallbacks") /. float_of_int ptc);
-    let tier name label =
-      let n = c name in
-      Format.fprintf ppf "%-16s %8d (%.1f%%)@\n" label n
-        (100. *. float_of_int n /. float_of_int integrations)
-    in
     Format.fprintf ppf "%-16s %8d@\n" "integrations" integrations;
-    tier "ode.tier.adaptive" "adaptive";
-    tier "ode.tier.adaptive_tight" "adaptive tight";
-    tier "ode.tier.stiff" "stiff";
+    Format.fprintf ppf "%-16s %8d@\n" "underflows" (c "ode.underflows");
     Format.fprintf ppf "rhs evals %d, steps %d (%d rejected)@\n" (c "ode.rhs_evals")
       (c "ode.steps") (c "ode.rejected");
-    if c "ode.jacobians" > 0 then
-      Format.fprintf ppf "jacobians %d (%d frozen reuses)@\n" (c "ode.jacobians")
-        (c "ode.jacobian_reuses")
+    if c "ode.jacobians" > 0 then Format.fprintf ppf "jacobians %d@\n" (c "ode.jacobians")
   end
 
 (* Health of the factorized-basis simplex: pivot/refactorization volume

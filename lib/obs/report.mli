@@ -16,6 +16,6 @@ val pp : ?trace:Span.event list -> ?metrics:metrics_file -> Format.formatter -> 
 (** Render the report sections available from the given artifacts:
     per-(process, span) self-time table; shard restart/kill/backoff
     timeline with restart-latency p50/p90/p99; guarded-evaluation,
-    cache-hit-rate and ODE-tier breakdowns from the final snapshot; and
+    cache-hit-rate and ODE-solver counts from the final snapshot; and
     the hypervolume trajectory across snapshots.  Sections with no data
     are omitted. *)

@@ -259,7 +259,7 @@ let fluxes k env ~vmax y =
   }
 
 (* The closure owns one rate buffer, so it is not re-entrant: the
-   integrators call it from one domain, one stage at a time. *)
+   solvers call it from one domain, one stage at a time. *)
 let rhs k env ~vmax =
   check_vmax "Photo.Model.rhs" vmax;
   let b = Array.create_float R.count in

@@ -4,19 +4,11 @@ type report = {
   fluxes : Model.fluxes;
   uptake : float;
   nitrogen : float;
-  solver_tier : Numerics.Ode.tier;
 }
 
 let nitrogen_of ~kinetics ratios =
   let vmax = Enzyme.vmax_of_ratios ratios in
   Enzyme.raw_nitrogen vmax *. kinetics.Params.nitrogen_scale
-
-let tier_rank = function
-  | Numerics.Ode.Adaptive -> 0
-  | Numerics.Ode.Adaptive_tight -> 1
-  | Numerics.Ode.Stiff -> 2
-
-let deeper a b = if tier_rank b > tier_rank a then b else a
 
 let m_fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks"
 
@@ -31,7 +23,7 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
     | Some y -> Array.copy y
     | None -> State.initial ()
   in
-  let finish converged tier y =
+  let finish converged y =
     let fl = Model.fluxes kinetics env ~vmax y in
     {
       converged;
@@ -39,18 +31,29 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
       fluxes = fl;
       uptake = Model.assimilation kinetics fl;
       nitrogen = nitrogen_of ~kinetics ratios;
-      solver_tier = tier;
     }
+  in
+  (* One relaxation window from (t, y).  A window that underflows or ends
+     on a non-finite state has failed. *)
+  let window = 20. in
+  let integrate t y =
+    match
+      Numerics.Ode.dopri5 ~rtol:2e-4 ~atol:1e-7 ?deadline ~f ~t0:t ~t1:(t +. window) ~y0:y ()
+    with
+    | r when Array.for_all Float.is_finite r.Numerics.Ode.y -> Some r
+    | _ -> None
+    | exception Numerics.Ode.Step_underflow _ -> None
   in
   (* The fallback: converged when the net assimilation is stable across
      two successive integration windows (small persistent ATP/Pi
      oscillations are physiological and irrelevant to the reported
      uptake) and the state rate is modest.  A design still drifting at
-     [t_max] is reported unconverged. *)
-  let window = 20. and t_max = 400. in
+     [t_max], or whose window fails, is reported unconverged at the last
+     reachable state. *)
+  let t_max = 400. in
   let assim y = Model.assimilation kinetics (Model.fluxes kinetics env ~vmax y) in
   let dy = Array.make State.n 0. in
-  let rec advance t y prev_a stable tier =
+  let rec advance t y prev_a stable =
     let a = assim y in
     let tol_a = 2e-4 *. (Float.abs a +. 1.) in
     let state_rate =
@@ -58,18 +61,12 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
       Numerics.Vec.norm_inf dy /. (Numerics.Vec.norm_inf y +. 1.)
     in
     let stable = if Float.abs (a -. prev_a) <= tol_a && state_rate < 2e-3 then stable + 1 else 0 in
-    if stable >= 2 then finish true tier y
-    else if t >= t_max then finish false tier y
+    if stable >= 2 then finish true y
+    else if t >= t_max then finish false y
     else
-      (* On [Step_underflow] the chain has already tried tightened dopri5
-         and implicit Euler; the design is pathological and is reported
-         unconverged at the last reachable state. *)
-      match
-        Numerics.Ode.integrate_fallback ~rtol:2e-4 ~atol:1e-7 ?deadline ~f ~t0:t
-          ~t1:(t +. window) ~y0:y ()
-      with
-      | r, t' -> advance r.Numerics.Ode.t r.Numerics.Ode.y a stable (deeper tier t')
-      | exception Numerics.Ode.Step_underflow _ -> finish false tier y
+      match integrate t y with
+      | Some r -> advance r.Numerics.Ode.t r.Numerics.Ode.y a stable
+      | None -> finish false y
   in
   (* A PTC root is accepted when one window integrated from it keeps the
      uptake within 1e-3·(|u|+1).  The band is wider than the loop's 2e-4
@@ -85,20 +82,16 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
     | None -> None
     | Some root -> (
       let u = assim root in
-      match
-        Numerics.Ode.integrate_fallback ~rtol:2e-4 ~atol:1e-7 ?deadline ~f ~t0:0. ~t1:window
-          ~y0:root ()
-      with
-      | r, tier when Float.abs (assim r.Numerics.Ode.y -. u) <= 1e-3 *. (Float.abs u +. 1.) ->
-        Some (finish true tier root)
-      | _ -> None
-      | exception Numerics.Ode.Step_underflow _ -> None)
+      match integrate 0. root with
+      | Some r when Float.abs (assim r.Numerics.Ode.y -. u) <= 1e-3 *. (Float.abs u +. 1.) ->
+        Some (finish true root)
+      | _ -> None)
   in
   match accepted with
   | Some report -> report
   | None ->
     Obs.Metrics.incr m_fallbacks;
-    advance 0. y0 infinity 0 Numerics.Ode.Adaptive
+    advance 0. y0 infinity 0
 
 let uptake_score r = if r.converged then r.uptake else 0.
 

@@ -6,9 +6,6 @@ type report = {
   fluxes : Model.fluxes;
   uptake : float;        (** net CO2 assimilation, µmol m⁻² s⁻¹ *)
   nitrogen : float;      (** protein-nitrogen, mg l⁻¹ (paper units) *)
-  solver_tier : Numerics.Ode.tier;
-      (** deepest fallback tier the integration needed ({!Numerics.Ode.Adaptive}
-          when plain dopri5 sufficed throughout) *)
 }
 
 val evaluate :
@@ -24,20 +21,23 @@ val evaluate :
 
     The root comes from {!Numerics.Ode.pseudo_transient} over
     {!Model.pattern}, started at [y0] (default {!State.initial}).  It is
-    accepted when one 20-unit {!Numerics.Ode.integrate_fallback} window
-    from it keeps uptake within 1e-3·(|u|+1); the report then
-    carries the root's state, fluxes and uptake, [converged = true] and
-    the window's tier.  Otherwise the [photo.ptc_fallbacks] counter is
-    incremented and 20-unit windows run from [y0] until uptake is stable
-    across two windows, for at most 400 time units.  Designs that reach
-    that limit, or whose integration fails (pathological enzyme vectors),
-    are reported with [converged = false] and the last reachable state.
+    accepted when one 20-unit window from it keeps uptake within
+    1e-3·(|u|+1); the report then carries the root's state, fluxes and
+    uptake, and [converged = true].  Otherwise the [photo.ptc_fallbacks]
+    counter is incremented and 20-unit windows run from [y0] until
+    uptake is stable across two windows, for at most 400 time units.
+    A window is one {!Numerics.Ode.dopri5} call at [rtol = 2e-4],
+    [atol = 1e-7]; it has failed when it raises
+    {!Numerics.Ode.Step_underflow} or ends on a non-finite state.  A
+    design that reaches the time limit, or whose window fails, is
+    reported with [converged = false] and the last reachable state; a
+    failed acceptance window rejects the root.
 
     Raises [Invalid_argument] unless [ratios] has {!Enzyme.count}
     entries and [y0] has {!State.n}.
 
     [deadline] (an {!Obs.Clock.now_ns} timestamp) makes PTC and the
-    integrators raise {!Numerics.Ode.Deadline} once expired — use it
+    windows raise {!Numerics.Ode.Deadline} once expired — use it
     under a {!Runtime.Guard} to turn runaway designs into penalty
     objectives instead of hung islands. *)
 

@@ -15,7 +15,13 @@
    estimate: its band is 4 standard errors of the difference of two
    estimates at the recorded value and trial count, √(2Γ(1−Γ)/n).
    A change that moves the model's semantics re-derives a band only
-   together with an EXPERIMENTS.md entry giving old → new → paper. *)
+   together with an EXPERIMENTS.md entry giving old → new → paper.
+
+   Underflows.  A leaf relaxation window that underflows has failed, and
+   nothing rescues it: the design is scored unconverged.  The run counts
+   [ode.underflows] over the five experiments and requires zero, so a
+   model change that starts failing windows cannot score designs 0
+   unnoticed. *)
 
 let scale = Experiments.Scale.current ()
 let budgets = Experiments.Scale.budgets scale
@@ -209,8 +215,13 @@ let json_of_row r =
 let json_of_check c =
   Obs.Json.(Obj [ ("check", String c.check); ("ok", Bool c.ok); ("detail", String c.detail) ])
 
+let no_underflows () =
+  let n = Obs.Metrics.counter_value (Obs.Metrics.counter "ode.underflows") in
+  { check = "ode/no window underflowed"; ok = n = 0; detail = Printf.sprintf "%d underflows" n }
+
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "REPRO.json" in
+  Obs.Metrics.set_enabled true;
   let t0 = Obs.Clock.now_ns () in
   let timed name f =
     let s = Obs.Clock.now_ns () in
@@ -225,7 +236,7 @@ let () =
   let table2_rows = timed "table2" table2 in
   let fig3_checks = timed "fig3" fig3 in
   let rows = fig1_rows @ fig2_rows @ table2_rows in
-  let checks = fig2_checks @ table1_checks @ fig3_checks in
+  let checks = fig2_checks @ table1_checks @ fig3_checks @ [ no_underflows () ] in
   let wall_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   let pass = List.for_all row_ok rows && List.for_all (fun c -> c.ok) checks in
   List.iter

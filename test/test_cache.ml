@@ -225,8 +225,7 @@ let test_deadline_raises_and_guard_absorbs () =
   let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
   let natural = Array.make Photo.Enzyme.count 1. in
   let expired = Obs.Clock.now_ns () - 1 in
-  (* The fallback chain does not absorb an expired deadline: it aborts
-     the leaf relaxation... *)
+  (* An expired deadline aborts the leaf relaxation... *)
   (match Photo.Steady_state.evaluate ~deadline:expired ~env ~ratios:natural () with
   | _ -> Alcotest.fail "expired deadline did not abort the leaf evaluation"
   | exception Numerics.Ode.Deadline _ -> ());
@@ -248,13 +247,6 @@ let test_deadline_raises_and_guard_absorbs () =
   Alcotest.(check bool) "generous deadline converges" true timed.Photo.Steady_state.converged;
   Alcotest.(check bool) "same uptake as without a deadline" true
     (Float.equal free.Photo.Steady_state.uptake timed.Photo.Steady_state.uptake)
-
-let test_implicit_euler_frozen_jacobian () =
-  (* Fast linear decay: the frozen-LU Newton must still hit the same
-     accuracy contract as before on a genuinely stiff-ish problem. *)
-  let f _t y dy = dy.(0) <- -50. *. y.(0) in
-  let r = Numerics.Ode.implicit_euler ~f ~t0:0. ~t1:0.2 ~y0:[| 1. |] () in
-  Alcotest.(check (float 1e-3)) "decay endpoint" (exp (-10.)) r.Numerics.Ode.y.(0)
 
 let () =
   Alcotest.run "cache"
@@ -289,7 +281,5 @@ let () =
       ( "ode",
         [
           Alcotest.test_case "deadline + guard" `Quick test_deadline_raises_and_guard_absorbs;
-          Alcotest.test_case "frozen-jacobian implicit euler" `Quick
-            test_implicit_euler_frozen_jacobian;
         ] );
     ]

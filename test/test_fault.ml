@@ -1,13 +1,12 @@
-(* Tests for the fault-tolerance stack: ODE fallback chain, guarded
-   objectives, deterministic fault injection, supervised islands, and
-   checkpoint/resume. *)
+(* Tests for the fault-tolerance stack: ODE step underflow and the leaf
+   relaxation that absorbs it, guarded objectives, deterministic fault
+   injection, supervised islands, and checkpoint/resume. *)
 
 (* {1 A stiff test problem}
 
    y' = lambda (cos t - y) with lambda = 1e6: the solution hugs cos t, but
    an explicit integrator is stability-limited to steps ~ 2/lambda, so a
-   bounded step budget forces dopri5 into [Step_underflow] while implicit
-   Euler strolls through. *)
+   bounded step budget forces dopri5 into [Step_underflow]. *)
 
 let lambda = 1e6
 
@@ -24,28 +23,6 @@ let test_dopri5_underflows_on_stiff () =
       | exception Numerics.Ode.Step_underflow _ ->
         (* Normalize the payload: we only care that it underflowed. *)
         raise (Numerics.Ode.Step_underflow 0.))
-
-let test_fallback_rescues_stiff () =
-  let r, tier =
-    Numerics.Ode.integrate_fallback ~max_steps:2000 ~f:stiff_f ~t0:0. ~t1:1.
-      ~y0:[| 0. |] ()
-  in
-  (match tier with
-  | Numerics.Ode.Stiff -> ()
-  | t -> Alcotest.failf "expected implicit-Euler tier, got %s" (Numerics.Ode.tier_name t));
-  Alcotest.(check bool) "finite steady state" true (Float.is_finite r.Numerics.Ode.y.(0));
-  Alcotest.(check (float 1e-2)) "tracks cos t" (cos 1.) r.Numerics.Ode.y.(0);
-  (* Pinned by its bits: the stiff tier must keep its arithmetic. *)
-  Alcotest.(check string) "result bits" "0x1.14a29c703d875p-1" (Printf.sprintf "%h" r.Numerics.Ode.y.(0))
-
-let test_fallback_prefers_first_tier () =
-  (* A benign problem must not be kicked down the chain. *)
-  let f _ y dy = dy.(0) <- -.y.(0) in
-  let r, tier = Numerics.Ode.integrate_fallback ~f ~t0:0. ~t1:1. ~y0:[| 1. |] () in
-  (match tier with
-  | Numerics.Ode.Adaptive -> ()
-  | t -> Alcotest.failf "expected plain dopri5, got %s" (Numerics.Ode.tier_name t));
-  Alcotest.(check (float 1e-5)) "exp decay" (exp (-1.)) r.Numerics.Ode.y.(0)
 
 let test_ode_steady_state_survives_stiffness () =
   (* The leaf relaxation reports instead of raising: an extreme design
@@ -623,8 +600,6 @@ let () =
       ( "ode-fallback",
         [
           Alcotest.test_case "dopri5 underflows on stiff" `Quick test_dopri5_underflows_on_stiff;
-          Alcotest.test_case "chain rescues stiff" `Quick test_fallback_rescues_stiff;
-          Alcotest.test_case "benign stays tier 1" `Quick test_fallback_prefers_first_tier;
           Alcotest.test_case "steady_state survives" `Quick test_ode_steady_state_survives_stiffness;
         ] );
       ( "guard",

@@ -652,20 +652,17 @@ let test_report_lp_section () =
         (contains_substring ~sub:"refactor time" s))
 
 let test_report_ode_section () =
-  (* ODE counters render the solver-tier section: the PTC line with the
-     fallback share, one line per tier of the fallback chain with its
-     share of integrations, then the step and Jacobian economy. *)
+  (* ODE counters render the solver section: the PTC line with the
+     fallback share, the integrations and the failed windows among them,
+     then the step and Jacobian economy. *)
   with_metrics @@ fun () ->
   let add name n = Obs.Metrics.add (Obs.Metrics.counter name) n in
   add "ode.integrations" 8;
-  add "ode.tier.adaptive" 8;
-  add "ode.tier.adaptive_tight" 2;
-  add "ode.tier.stiff" 1;
+  add "ode.underflows" 1;
   add "ode.rhs_evals" 1234;
   add "ode.steps" 150;
   add "ode.rejected" 7;
   add "ode.jacobians" 3;
-  add "ode.jacobian_reuses" 11;
   add "ode.ptc.calls" 10;
   add "ode.ptc.iterations" 140;
   add "photo.ptc_fallbacks" 2;
@@ -683,14 +680,12 @@ let test_report_ode_section () =
           Alcotest.(check bool) (Printf.sprintf "line %S" line) true
             (contains_substring ~sub:line s))
         [
-          "ODE solver tiers";
+          "== ODE solver ==\n";
           "ptc calls 10, iterations 140, fallbacks 2 (20.0%)\n";
           "integrations            8\n";
-          "adaptive                8 (100.0%)";
-          "adaptive tight          2 (25.0%)";
-          "stiff                   1 (12.5%)";
+          "underflows              1\n";
           "rhs evals 1234, steps 150 (7 rejected)\n";
-          "jacobians 3 (11 frozen reuses)\n";
+          "jacobians 3\n";
         ])
 
 let () =

@@ -391,9 +391,7 @@ let test_ptc_matches_long_relaxation () =
       let vmax = Photo.Enzyme.vmax_of_ratios ratios in
       let k = Photo.Params.default in
       let f = Photo.Model.rhs k present_low ~vmax in
-      let oracle, _ =
-        Numerics.Ode.integrate_fallback ~rtol:1e-6 ~atol:1e-9 ~f ~t0:0. ~t1:3000. ~y0 ()
-      in
+      let oracle = Numerics.Ode.dopri5 ~rtol:1e-6 ~atol:1e-9 ~f ~t0:0. ~t1:3000. ~y0 () in
       let u = Photo.Model.assimilation k (Photo.Model.fluxes k present_low ~vmax oracle.Numerics.Ode.y) in
       Alcotest.(check bool) (name ^ " converged") true r.Photo.Steady_state.converged;
       Alcotest.(check bool)

@@ -30,10 +30,8 @@ let mem k j = Option.value ~default:Obs.Json.Null (Obs.Json.member k j)
 let ode_problem =
   Moo.Problem.make ~name:"ode-mini" ~n_obj:2 ~lower:[| 0.1 |] ~upper:[| 2. |] (fun x ->
       let k = x.(0) in
-      let r, _ =
-        Numerics.Ode.integrate_fallback
-          ~f:(fun _ y dy -> dy.(0) <- -.k *. y.(0))
-          ~t0:0. ~t1:1. ~y0:[| 1. |] ()
+      let r =
+        Numerics.Ode.dopri5 ~f:(fun _ y dy -> dy.(0) <- -.k *. y.(0)) ~t0:0. ~t1:1. ~y0:[| 1. |] ()
       in
       [| r.Numerics.Ode.y.(0); k |])
 
