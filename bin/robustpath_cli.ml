@@ -585,49 +585,52 @@ let robust_cmd =
 
 (* {1 experiment} *)
 
+(* The one table of experiments: [experiment] dispatches on it, and
+   [list] and [experiment]'s doc are generated from it. *)
+let experiments =
+  [
+    ("fig1", Experiments.Fig1.print);
+    ("fig2", Experiments.Fig2.print);
+    ("table1", Experiments.Table1.print);
+    ("table2", Experiments.Table2.print);
+    ("fig3", Experiments.Fig3.print);
+    ("fig4", Experiments.Fig4.print);
+    ("local", Experiments.Local_analysis.print);
+    ("zhu-check", Experiments.Zhu_check.print);
+    ("temperature", Experiments.Temperature_exp.print);
+    ("optknock", Experiments.Optknock.print);
+    ("control", Experiments.Enzyme_control.print);
+    ("ablate-migration", Experiments.Ablate.migration);
+    ("ablate-algorithms", Experiments.Ablate.algorithms);
+    ("ablate-operators", Experiments.Ablate.operators);
+    ("ablate-penalty", Experiments.Ablate.penalty);
+  ]
+
+let experiment_names sep = String.concat sep (List.map fst experiments)
+
 let experiment_cmd =
-  let all =
-    [
-      ("fig1", Experiments.Fig1.print);
-      ("fig2", Experiments.Fig2.print);
-      ("table1", Experiments.Table1.print);
-      ("table2", Experiments.Table2.print);
-      ("fig3", Experiments.Fig3.print);
-      ("fig4", Experiments.Fig4.print);
-      ("local", Experiments.Local_analysis.print);
-      ("zhu-check", Experiments.Zhu_check.print);
-      ("temperature", Experiments.Temperature_exp.print);
-      ("optknock", Experiments.Optknock.print);
-      ("control", Experiments.Enzyme_control.print);
-      ("ablate-migration", Experiments.Ablate.migration);
-      ("ablate-algorithms", Experiments.Ablate.algorithms);
-      ("ablate-operators", Experiments.Ablate.operators);
-      ("ablate-penalty", Experiments.Ablate.penalty);
-    ]
-  in
   let run names =
     List.iter
       (fun name ->
-        match List.assoc_opt name all with
+        match List.assoc_opt name experiments with
         | Some f -> f ()
         | None ->
-          Printf.eprintf "unknown experiment %S (try: %s)\n" name
-            (String.concat ", " (List.map fst all));
+          Printf.eprintf "unknown experiment %S (try: %s)\n" name (experiment_names ", ");
           exit 1)
       names
   in
   let names = Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT") in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a table/figure of the paper (fig1..fig4, table1, table2, ablate-*).")
+    (Cmd.info "experiment"
+       ~doc:
+         (Printf.sprintf "Regenerate a table/figure of the paper (%s)." (experiment_names ", ")))
     Term.(const run $ names)
 
 let list_cmd =
   let run () =
     print_endline
       "subcommands: photo, geobacter, robust, inspect, trace-summary, report, experiment, list";
-    print_endline
-      "experiments: fig1 fig2 table1 table2 fig3 fig4 local control zhu-check \
-       temperature ablate-migration ablate-algorithms ablate-operators ablate-penalty"
+    print_endline ("experiments: " ^ experiment_names " ")
   in
   Cmd.v (Cmd.info "list" ~doc:"List subcommands and experiments.") Term.(const run $ const ())
 

@@ -47,7 +47,7 @@ let hint = function
     "compare with a tolerance (|a - b| <= eps), or Float.equal/Float.compare where exact \
      semantics are intended (suppress with a justification)"
   | R2 -> "draw from Numerics.Rng (explicit, seedable, splittable stream)"
-  | R3 -> "go through Runtime.Checkpoint.save/load (magic + atomic rename)"
+  | R3 -> "go through Runtime.Checkpoint.save/load or Frame (CRC-checked frame + atomic rename)"
   | R4 ->
     "match the specific exceptions, re-raise, or route through Runtime.Guard so the \
      failure is counted"

@@ -1,52 +1,9 @@
-type t = { mutable members : Solution.t list; capacity : int option }
+type t = { mutable members : Solution.t list }
 
-let create ?capacity () =
-  (match capacity with
-  | Some c -> if c <= 0 then invalid_arg "Archive.create: capacity must be positive"
-  | None -> ());
-  { members = []; capacity }
+let create () = { members = [] }
 
 let size a = List.length a.members
 let to_list a = a.members
-let to_array a = Array.of_list a.members
-let clear a = a.members <- []
-
-(* Crowding distance per member (by position), used for capacity pruning. *)
-let crowding arr =
-  let n = Array.length arr in
-  let dist = Array.make n 0. in
-  if n > 0 then begin
-    let n_obj = Array.length arr.(0).Solution.f in
-    let order = Array.init n (fun i -> i) in
-    for k = 0 to n_obj - 1 do
-      Array.sort (fun i j -> Float.compare arr.(i).Solution.f.(k) arr.(j).Solution.f.(k)) order;
-      let fmin = arr.(order.(0)).Solution.f.(k) in
-      let fmax = arr.(order.(n - 1)).Solution.f.(k) in
-      let span = fmax -. fmin in
-      dist.(order.(0)) <- infinity;
-      dist.(order.(n - 1)) <- infinity;
-      if span > 0. then
-        for r = 1 to n - 2 do
-          let prev = arr.(order.(r - 1)).Solution.f.(k) in
-          let next = arr.(order.(r + 1)).Solution.f.(k) in
-          dist.(order.(r)) <- dist.(order.(r)) +. ((next -. prev) /. span)
-        done
-    done
-  end;
-  dist
-
-let prune a =
-  match a.capacity with
-  | None -> ()
-  | Some cap ->
-    while List.length a.members > cap do
-      let arr = Array.of_list a.members in
-      let dist = crowding arr in
-      let worst = ref 0 in
-      Array.iteri (fun i d -> if d < dist.(!worst) then worst := i) dist;
-      let victim = arr.(!worst) in
-      a.members <- List.filter (fun s -> s != victim) a.members
-    done
 
 let add a s =
   let dominated_by_member =
@@ -57,9 +14,7 @@ let add a s =
   if dominated_by_member then false
   else begin
     a.members <- s :: List.filter (fun m -> not (Dominance.dominates s m)) a.members;
-    prune a;
-    (* The new member itself may have been pruned under capacity pressure. *)
-    List.memq s a.members
+    true
   end
 
 let add_all a sols = List.iter (fun s -> ignore (add a s)) sols
@@ -68,11 +23,4 @@ let restore a sols =
   (* Checkpoint restore: reinstall members wholesale, preserving order, so
      a resumed run's archive is bit-identical to the uninterrupted one
      (add-order affects member order and hence downstream tie-breaks). *)
-  a.members <- sols;
-  prune a
-
-let merge a b =
-  let out = create ?capacity:a.capacity () in
-  add_all out (to_list a);
-  add_all out (to_list b);
-  out
+  a.members <- sols

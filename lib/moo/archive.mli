@@ -1,18 +1,14 @@
 (** A non-dominated archive of solutions.
 
     The archive keeps only mutually non-dominated solutions (under
-    constrained domination) and optionally enforces a capacity bound by
-    dropping the most crowded members (crowding distance in objective
-    space). *)
+    constrained domination), unbounded. *)
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Unbounded by default. *)
+val create : unit -> t
 
 val size : t -> int
 val to_list : t -> Solution.t list
-val to_array : t -> Solution.t array
 
 val add : t -> Solution.t -> bool
 (** [add a s] inserts [s] if no archived solution dominates it, removing
@@ -24,10 +20,4 @@ val add_all : t -> Solution.t list -> unit
 val restore : t -> Solution.t list -> unit
 (** [restore a sols] replaces the members wholesale, preserving list order
     (checkpoint restore).  The list is trusted to be mutually
-    non-dominated — no dominance filtering is applied — but capacity is
-    still enforced. *)
-
-val merge : t -> t -> t
-(** Fresh archive holding the non-dominated union (capacity of the first). *)
-
-val clear : t -> unit
+    non-dominated — no dominance filtering is applied. *)

@@ -75,9 +75,3 @@ let true_front_zdt1 ~k =
   List.init k (fun i ->
       let f1 = float_of_int i /. float_of_int (k - 1) in
       [| f1; 1. -. sqrt f1 |])
-
-let true_front_zdt2 ~k =
-  if k < 2 then invalid_arg "Benchmarks.true_front_zdt2: need k >= 2";
-  List.init k (fun i ->
-      let f1 = float_of_int i /. float_of_int (k - 1) in
-      [| f1; 1. -. (f1 ** 2.) |])

@@ -25,5 +25,3 @@ val constrained_schaffer : Problem.t
 
 val true_front_zdt1 : k:int -> float array list
 (** [k] points of ZDT1's analytic front (for GD/IGD references). *)
-
-val true_front_zdt2 : k:int -> float array list

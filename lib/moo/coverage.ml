@@ -1,38 +1,27 @@
 let union_front fronts = Dominance.non_dominated (List.concat fronts)
 
-let member ?(tol = 1e-9) s set =
-  List.exists (fun m -> Solution.equal_objectives ~tol m s) set
+(* Membership is objective equality within 1e-9, Table 1's Gp/Rp
+   tolerance, looser than [Solution.equal_objectives]'s 1e-12 default: a
+   point that matches a union member of another front to 1e-9 counts as
+   covered. *)
+let intersection_size front union =
+  List.length
+    (List.filter
+       (fun s -> List.exists (fun m -> Solution.equal_objectives ~tol:1e-9 m s) union)
+       front)
 
-(* Membership of each front member in the union is an independent pure
-   test; a count of hits is order-free, so the pooled fan-out is exact. *)
-let intersection_size ?tol ?pool front union =
-  match pool with
-  | None -> List.length (List.filter (fun s -> member ?tol s union) front)
-  | Some pool ->
-    let arr = Array.of_list front in
-    let hits =
-      Parallel.Pool.parallel_map pool ~n:(Array.length arr) (fun i ->
-          member ?tol arr.(i) union)
-    in
-    Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 hits
-
-let gp ?tol ?pool front union =
+let gp front union =
   if union = [] then 0.
-  else
-    float_of_int (intersection_size ?tol ?pool front union)
-    /. float_of_int (List.length union)
+  else float_of_int (intersection_size front union) /. float_of_int (List.length union)
 
-let rp ?tol ?pool front union =
+let rp front union =
   if front = [] then 0.
-  else
-    float_of_int (intersection_size ?tol ?pool front union)
-    /. float_of_int (List.length front)
+  else float_of_int (intersection_size front union) /. float_of_int (List.length front)
 
 type report = { points : int; gp : float; rp : float }
 
-let analyze ?pool fronts =
+let analyze fronts =
   let union = union_front fronts in
   List.map
-    (fun front ->
-      { points = List.length front; gp = gp ?pool front union; rp = rp ?pool front union })
+    (fun front -> { points = List.length front; gp = gp front union; rp = rp front union })
     fronts

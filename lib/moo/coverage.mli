@@ -8,16 +8,14 @@
 val union_front : Solution.t list list -> Solution.t list
 (** The non-dominated union [P_A] of the given fronts. *)
 
-val gp : ?tol:float -> ?pool:Parallel.Pool.t -> Solution.t list -> Solution.t list -> float
+val gp : Solution.t list -> Solution.t list -> float
 (** [gp front union] — fraction of the union front contributed by [front].
-    Membership is objective equality within [tol] (default 1e-9).  With
-    [?pool] the membership tests fan out over the domain pool; the count
-    is order-free, so the result is identical to the sequential one. *)
+    Membership is objective equality within 1e-9. *)
 
-val rp : ?tol:float -> ?pool:Parallel.Pool.t -> Solution.t list -> Solution.t list -> float
+val rp : Solution.t list -> Solution.t list -> float
 (** [rp front union] — fraction of [front] that is globally Pareto optimal. *)
 
 type report = { points : int; gp : float; rp : float }
 
-val analyze : ?pool:Parallel.Pool.t -> Solution.t list list -> report list
+val analyze : Solution.t list list -> report list
 (** Per-front Gp/Rp against the union of all given fronts, in order. *)

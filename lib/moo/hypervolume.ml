@@ -21,25 +21,11 @@ let hv2d r points =
 
 let project d f = Array.sub f 0 d
 
-(* Exclusive volume of slab [i] of the top slice: the points at or below
-   [i] in the sort order, projected down one dimension, times the slab
-   depth.  Pure in (arr, r, k, n, i) — safe to compute in any order. *)
-let rec slab_contribution arr r k n i =
-  let z_lo = arr.(i).(k) in
-  let z_hi = if i + 1 < n then arr.(i + 1).(k) else r.(k) in
-  let depth = z_hi -. z_lo in
-  if depth > 0. then begin
-    let slab = ref [] in
-    for j = 0 to i do
-      slab := project k arr.(j) :: !slab
-    done;
-    let slab = Dominance.non_dominated_objectives !slab in
-    depth *. hv_slice k (project k r) slab
-  end
-  else 0.
-
-(* Hypervolume by slicing objectives from the last dimension down (HSO). *)
-and hv_slice d r points =
+(* Hypervolume by slicing objectives from the last dimension down (HSO):
+   slab [i] of the top slice holds the points at or below [i] in the sort
+   order, projected down one dimension, and spans the gap to the next
+   point (or the reference). *)
+let rec hv_slice d r points =
   match points with
   | [] -> 0.
   | _ when d = 1 ->
@@ -53,30 +39,20 @@ and hv_slice d r points =
     let n = Array.length arr in
     let acc = ref 0. in
     for i = 0 to n - 1 do
-      acc := !acc +. slab_contribution arr r k n i
+      let z_hi = if i + 1 < n then arr.(i + 1).(k) else r.(k) in
+      let depth = z_hi -. arr.(i).(k) in
+      if depth > 0. then begin
+        let slab = ref [] in
+        for j = 0 to i do
+          slab := project k arr.(j) :: !slab
+        done;
+        let slab = Dominance.non_dominated_objectives !slab in
+        acc := !acc +. (depth *. hv_slice k (project k r) slab)
+      end
     done;
     !acc
 
-(* Pooled top level: the outermost slabs fan out over the pool, inner
-   recursion stays sequential.  Slab contributions land in an array and
-   are summed in index order — the exact accumulation order of the
-   sequential loop — so the result is bit-identical at any worker
-   count. *)
-let hv_top pool d r points =
-  match points with
-  | _ when d <= 2 -> hv_slice d r points
-  | [] -> 0.
-  | _ ->
-    let k = d - 1 in
-    let sorted = List.sort (fun a b -> compare a.(k) b.(k)) points in
-    let arr = Array.of_list sorted in
-    let n = Array.length arr in
-    let contribs =
-      Parallel.Pool.parallel_map pool ~n (fun i -> slab_contribution arr r k n i)
-    in
-    Array.fold_left ( +. ) 0. contribs
-
-let compute ?pool ~ref_point points =
+let compute ~ref_point points =
   let d = Array.length ref_point in
   let pts =
     List.filter
@@ -85,14 +61,12 @@ let compute ?pool ~ref_point points =
         strictly_dominates_ref ref_point f)
       points
   in
-  match pool with
-  | None -> hv_slice d ref_point pts
-  | Some pool -> hv_top pool d ref_point pts
+  hv_slice d ref_point pts
 
-let of_solutions ?pool ~ref_point sols =
-  compute ?pool ~ref_point (List.map (fun s -> s.Solution.f) sols)
+let of_solutions ~ref_point sols =
+  compute ~ref_point (List.map (fun s -> s.Solution.f) sols)
 
-let normalized ?pool ~ref_point ~ideal points =
+let normalized ~ref_point ~ideal points =
   let d = Array.length ref_point in
   if Array.length ideal <> d then invalid_arg "Hypervolume.normalized: dimension mismatch";
   let span = Array.init d (fun i -> ref_point.(i) -. ideal.(i)) in
@@ -101,24 +75,10 @@ let normalized ?pool ~ref_point ~ideal points =
       if not (s > 0.) then invalid_arg "Hypervolume.normalized: ref_point must dominate ideal")
     span;
   let rescale f = Array.init d (fun i -> (f.(i) -. ideal.(i)) /. span.(i)) in
-  compute ?pool ~ref_point:(Array.make d 1.) (List.map rescale points)
+  compute ~ref_point:(Array.make d 1.) (List.map rescale points)
 
-let contributions ?pool ~ref_point points =
+let contributions ~ref_point points =
   let total = compute ~ref_point points in
-  let arr = Array.of_list points in
-  let n = Array.length arr in
-  (* Leave-one-out computes are independent; each one runs the plain
-     sequential sweep, so the pooled map only reorders wall clock. *)
-  let one i =
-    let without = ref [] in
-    for j = n - 1 downto 0 do
-      if j <> i then without := arr.(j) :: !without
-    done;
-    (arr.(i), total -. compute ~ref_point !without)
-  in
-  let out =
-    match pool with
-    | None -> Array.init n one
-    | Some pool -> Parallel.Pool.parallel_map pool ~n one
-  in
-  Array.to_list out
+  List.mapi
+    (fun i p -> (p, total -. compute ~ref_point (List.filteri (fun j _ -> j <> i) points)))
+    points

@@ -5,30 +5,18 @@
     [r].  Exact sweep in two dimensions, recursive slicing (HSO) in higher
     dimensions. *)
 
-val compute : ?pool:Parallel.Pool.t -> ref_point:float array -> float array list -> float
+val compute : ref_point:float array -> float array list -> float
 (** [compute ~ref_point fronts] — points not strictly dominating the
-    reference point are ignored; dominated points contribute nothing.
+    reference point are ignored; dominated points contribute nothing. *)
 
-    With [?pool] (and more than two objectives) the outermost HSO slabs
-    fan out over the domain pool; slab volumes are summed in slab order,
-    so the result is bit-identical to the sequential computation at any
-    worker count. *)
+val of_solutions : ref_point:float array -> Solution.t list -> float
 
-val of_solutions :
-  ?pool:Parallel.Pool.t -> ref_point:float array -> Solution.t list -> float
-
-val normalized :
-  ?pool:Parallel.Pool.t ->
-  ref_point:float array -> ideal:float array -> float array list -> float
+val normalized : ref_point:float array -> ideal:float array -> float array list -> float
 (** Hypervolume of the points affinely rescaled so that [ideal ↦ 0] and
     [ref_point ↦ 1] on every axis; the result lies in [\[0, 1\]] and is the
     [Vp] indicator reported in the paper's Table 1. *)
 
-val contributions :
-  ?pool:Parallel.Pool.t ->
-  ref_point:float array -> float array list -> (float array * float) list
+val contributions : ref_point:float array -> float array list -> (float array * float) list
 (** Exclusive hypervolume contribution of each point: the volume lost if
     that point is removed (0 for dominated points).  Useful for archive
-    diagnostics and indicator-based selection.  With [?pool] the
-    leave-one-out computations run on the domain pool (bit-identical to
-    sequential). *)
+    diagnostics and indicator-based selection. *)

@@ -10,7 +10,6 @@ type config = {
   topology : Topology.t;
   nsga2 : Ea.Nsga2.config;
   algorithms : algorithm list;
-  archive_capacity : int option;
   parallel : bool;
   guard_penalty : float option;
   cache_size : int option;
@@ -25,7 +24,6 @@ let default_config =
     topology = Topology.All_to_all;
     nsga2 = Ea.Nsga2.default_config;
     algorithms = [];
-    archive_capacity = None;
     parallel = false;
     guard_penalty = None;
     cache_size = None;
@@ -113,7 +111,7 @@ let init ?(seed = 42) ?(initial = []) problem config =
     guards;
     memos;
     edges = Topology.edges config.topology ~n:config.n_islands;
-    arch = Moo.Archive.create ?capacity:config.archive_capacity ();
+    arch = Moo.Archive.create ();
     gens = 0;
     failures = 0;
     epoch_migrations = 0;
@@ -234,8 +232,6 @@ let evaluations st =
 
 let generations_done st = st.gens
 
-let island_failures st = st.failures
-
 let island_guard_stats st = Array.map Runtime.Guard.stats st.guards
 
 let island_cache_stats st = Array.map Cache.Memo.stats st.memos
@@ -267,8 +263,7 @@ type epoch_record = {
 (* Fix the hypervolume reference point on first use: the componentwise
    worst of the first observed front, pushed out by 10% of the span (so
    boundary points still contribute volume).  Derived only from
-   seed-determined state, hence deterministic; pass ~hv_ref to [run] to
-   compare runs against a common frame instead. *)
+   seed-determined state, hence deterministic. *)
 let fixed_hv_ref st front =
   match st.hv_ref with
   | Some r -> Some r
@@ -333,12 +328,8 @@ let jsonl_observer oc r =
 
 (* {1 Checkpointing} *)
 
-let checkpoint_magic_base = "robustpath-archipelago-checkpoint"
-
-let checkpoint_magic = Runtime.Checkpoint.versioned_magic ~base:checkpoint_magic_base ~version:2
-
-let checkpoint_magic_v1 =
-  Runtime.Checkpoint.versioned_magic ~base:checkpoint_magic_base ~version:1
+let checkpoint_magic =
+  Runtime.Checkpoint.versioned_magic ~base:"robustpath-archipelago-checkpoint" ~version:3
 
 type snapshot = {
   snap_problem : string;
@@ -352,41 +343,7 @@ type snapshot = {
   snap_guards : Runtime.Guard.stats array;
 }
 
-(* The v1 layout (PR 1) — everything of v2 except the guard counters.
-   Kept so [inspect] and [load] read pre-guard-stats checkpoints instead
-   of failing; the missing telemetry surfaces as an empty guards array. *)
-type snapshot_v1 = {
-  v1_problem : string;
-  v1_period : int;
-  v1_n_islands : int;
-  v1_islands : Island.snapshot array;
-  v1_rng : int64;
-  v1_archive : Moo.Solution.t list;
-  v1_gens : int;
-  v1_failures : int;
-}
-
-let snapshot_of_v1 (s : snapshot_v1) =
-  {
-    snap_problem = s.v1_problem;
-    snap_period = s.v1_period;
-    snap_n_islands = s.v1_n_islands;
-    snap_islands = s.v1_islands;
-    snap_rng = s.v1_rng;
-    snap_archive = s.v1_archive;
-    snap_gens = s.v1_gens;
-    snap_failures = s.v1_failures;
-    snap_guards = [||];
-  }
-
-(* Version-dispatching reader: peek at the magic line, then commit to the
-   matching layout.  Unknown magics fall through to the v2 loader so the
-   error message is the standard bad-magic [Corrupt]. *)
-let load_snapshot path =
-  let magic = Runtime.Checkpoint.read_magic ~path in
-  match Runtime.Checkpoint.version_of_magic ~base:checkpoint_magic_base magic with
-  | Some 1 -> (snapshot_of_v1 (Runtime.Checkpoint.load ~magic:checkpoint_magic_v1 ~path), 1)
-  | _ -> ((Runtime.Checkpoint.load ~magic:checkpoint_magic ~path : snapshot), 2)
+let load_snapshot path : snapshot = Runtime.Checkpoint.load ~magic:checkpoint_magic ~path
 
 let snapshot st =
   {
@@ -441,7 +398,7 @@ let restore st snap =
 let save st path = Runtime.Checkpoint.save ~magic:checkpoint_magic ~path (snapshot st)
 
 let load ?seed problem config path =
-  let snap, _version = load_snapshot path in
+  let snap = load_snapshot path in
   if snap.snap_problem <> problem.Moo.Problem.name then
     invalid_arg
       (Printf.sprintf "Archipelago.load: checkpoint is for problem %S, not %S"
@@ -460,7 +417,7 @@ type result = {
 }
 
 let run_with ~islands ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_checkpoints
-    ?resume ?observer ?hv_ref ~generations problem config =
+    ?resume ?observer ~generations problem config =
   if checkpoint_every < 1 then invalid_arg "Archipelago.run: checkpoint_every must be >= 1";
   (match keep_checkpoints with
   | Some k when k < 1 -> invalid_arg "Archipelago.run: keep_checkpoints must be >= 1"
@@ -478,7 +435,6 @@ let run_with ~islands ?seed ?initial ?checkpoint ?(checkpoint_every = 1) ?keep_c
       collect st;
       st
   in
-  st.hv_ref <- hv_ref;
   let phase = islands st in
   let save_epoch e =
     match keep_checkpoints, checkpoint with
@@ -523,7 +479,6 @@ type island_info = {
 }
 
 type info = {
-  info_version : int;
   info_problem : string;
   info_period : int;
   info_islands : island_info array;
@@ -534,9 +489,8 @@ type info = {
 }
 
 let inspect path =
-  let snap, version = load_snapshot path in
+  let snap = load_snapshot path in
   {
-    info_version = version;
     info_problem = snap.snap_problem;
     info_period = snap.snap_period;
     info_islands =
@@ -555,7 +509,7 @@ let inspect path =
   }
 
 let pp_info ppf i =
-  Format.fprintf ppf "problem: %s (checkpoint format v%d)@\n" i.info_problem i.info_version;
+  Format.fprintf ppf "problem: %s@\n" i.info_problem;
   Format.fprintf ppf "generations done: %d (migration period %d)@\n" i.info_generations
     i.info_period;
   Format.fprintf ppf "archive: %d solutions; island crashes absorbed: %d@\n"
@@ -567,7 +521,4 @@ let pp_info ppf i =
       if k < Array.length i.info_guards then
         Format.fprintf ppf " (guard: %a)" Runtime.Guard.pp_stats i.info_guards.(k);
       Format.fprintf ppf "@\n")
-    i.info_islands;
-  if i.info_version < 2 then
-    Format.fprintf ppf
-      "guard telemetry: not recorded (v%d checkpoint predates guard stats)@\n" i.info_version
+    i.info_islands

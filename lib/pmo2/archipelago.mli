@@ -21,7 +21,6 @@ type config = {
   algorithms : algorithm list;
       (** per-island algorithm assignments, cycled when shorter than
           [n_islands]; empty = all islands run NSGA-II with [nsga2] *)
-  archive_capacity : int option;  (** capacity of the merged archive *)
   parallel : bool;
       (** evolve islands on the process-wide persistent domain pool
           ({!Parallel.Pool.get}) between migrations — the paper's
@@ -76,9 +75,6 @@ val archive : state -> Moo.Archive.t
 val evaluations : state -> int
 val generations_done : state -> int
 
-val island_failures : state -> int
-(** Island crashes caught (and recovered from) by the epoch supervisor. *)
-
 val island_guard_stats : state -> Runtime.Guard.stats array
 (** Per-island guard telemetry, in island order.  Empty when the config
     has [guard_penalty = None]. *)
@@ -122,10 +118,9 @@ val set_island_guard_stats : state -> (int * Runtime.Guard.stats) list -> unit
     (hypervolume Vp vs. generations, Fig. 1): {!run} builds one
     [epoch_record] after every migration epoch and hands it to
     [?observer].  Records are deterministic for a given seed — the
-    hypervolume reference point is either supplied ([?hv_ref]) or fixed
-    once from the first observed front (componentwise worst + 10% span
-    margin), never re-fitted, so the per-epoch series is comparable
-    within a run.  When {!Obs.Metrics} is enabled the same values are
+    hypervolume reference point is fixed once from the first observed
+    front (componentwise worst + 10% span margin), never re-fitted, so
+    the per-epoch series is comparable within a run.  When {!Obs.Metrics} is enabled the same values are
     published as [arch.*] gauges even without an observer. *)
 
 type epoch_record = {
@@ -154,17 +149,22 @@ val log_src : Logs.src
     A checkpoint captures everything the run needs to continue
     bit-for-bit: every island's population (and archive, for SPEA2),
     evaluation/generation counters, all RNG stream states, the merged
-    archive in insertion order, and the supervisor's failure count.  The
-    file is an atomic {!Runtime.Checkpoint} (magic line + marshalled
-    pure-data snapshot); the problem and config are {e not} stored — a
-    resume must supply the same ones it was saved under (the problem name
-    and island layout are validated). *)
+    archive in insertion order, the supervisor's failure count and the
+    per-island guard counters.  The file is one atomic, CRC-checked
+    {!Runtime.Checkpoint} frame under the magic
+    ["robustpath-archipelago-checkpoint v3"] holding a marshalled
+    pure-data snapshot.  A file written under another magic (an older
+    format) is refused as {!Runtime.Checkpoint.Corrupt}: a resume is
+    bit-identical only under the code that wrote it.  The problem and
+    config are {e not} stored — a resume must supply the same ones it was
+    saved under (the problem name and island layout are validated). *)
 
 val save : state -> string -> unit
 
 val load : ?seed:int -> Moo.Problem.t -> config -> string -> state
 (** Rebuild a runnable state from a checkpoint.  Raises
-    {!Runtime.Checkpoint.Corrupt} on an unreadable file and
+    {!Runtime.Checkpoint.Corrupt} on an unreadable, corrupted or
+    foreign-magic file and
     [Invalid_argument] when the checkpoint does not match the supplied
     problem/config (different problem name, island count or algorithms). *)
 
@@ -187,7 +187,6 @@ val run :
   ?keep_checkpoints:int ->
   ?resume:string ->
   ?observer:(epoch_record -> unit) ->
-  ?hv_ref:float array ->
   generations:int ->
   Moo.Problem.t ->
   config ->
@@ -200,8 +199,7 @@ val run :
     [resume], the run continues from the given checkpoint instead of
     initializing — completed epochs are skipped and the result is
     bit-identical to the uninterrupted run with the same seed, problem and
-    config.  Checkpoints from the v1 format (pre guard-stats) resume with
-    fresh guard counters.
+    config.
 
     With [keep_checkpoints = Some k], each save goes to a numbered
     history file ({!Runtime.Checkpoint.numbered}[ path epoch]) and only
@@ -209,9 +207,7 @@ val run :
     newest with {!Runtime.Checkpoint.latest}.  Raises [Invalid_argument]
     when [k < 1].
 
-    [observer] is called with an [epoch_record] after every epoch;
-    [hv_ref] pins the hypervolume reference point (default: fixed from
-    the first observed front). *)
+    [observer] is called with an [epoch_record] after every epoch. *)
 
 val run_with :
   islands:(state -> epoch:int -> fire:(int * int) list -> int) ->
@@ -222,7 +218,6 @@ val run_with :
   ?keep_checkpoints:int ->
   ?resume:string ->
   ?observer:(epoch_record -> unit) ->
-  ?hv_ref:float array ->
   generations:int ->
   Moo.Problem.t ->
   config ->
@@ -241,22 +236,18 @@ type island_info = {
 }
 
 type info = {
-  info_version : int;  (** checkpoint format: 1 (pre guard-stats) or 2 *)
   info_problem : string;
   info_period : int;
   info_islands : island_info array;
   info_generations : int;
   info_archive_size : int;
   info_failures : int;
-  info_guards : Runtime.Guard.stats array;  (** empty for v1 checkpoints *)
+  info_guards : Runtime.Guard.stats array;  (** empty when the run had no guards *)
 }
 
 val inspect : string -> info
 (** Read a checkpoint's metadata without rebuilding a runnable state (no
-    problem or config needed).  Both the current (v2) and the legacy v1
-    format are understood — a v1 file reports [info_version = 1] and an
-    empty [info_guards] instead of failing.  Raises
-    {!Runtime.Checkpoint.Corrupt} on a missing, truncated or
-    unrecognized-magic file. *)
+    problem or config needed).  Raises {!Runtime.Checkpoint.Corrupt} on a
+    missing, truncated, corrupted or foreign-magic file. *)
 
 val pp_info : Format.formatter -> info -> unit

@@ -2,6 +2,69 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
+(* {1 Self-validating frames}
+
+   The one encoding of a persisted or shipped value: a magic line, the
+   payload length and a CRC-32, then the Marshal payload.  A reader that
+   gets a torn or bit-flipped frame — from a pipe or from disk — must
+   learn so from the codec (Marshal alone would happily misparse), hence
+   every decode failure is a {!Corrupt}. *)
+
+module Frame = struct
+  (* CRC-32 (IEEE 802.3, reflected), table-driven on native ints (an
+     [Int32] accumulator would box once per byte).  Standard polynomial
+     0xEDB88320; matches zlib's crc32 so frames are checkable with
+     off-the-shelf tools. *)
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let crc32 s =
+    let c = ref 0xFFFFFFFF in
+    for i = 0 to String.length s - 1 do
+      c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+    done;
+    Int32.of_int (!c lxor 0xFFFFFFFF)
+
+  (* A frame as its header (magic line, u32 payload length, u32 CRC) and
+     its payload, so a file save can write the two without first copying
+     them into one string. *)
+  let parts ~magic value =
+    if String.contains magic '\n' then invalid_arg "Checkpoint.Frame.encode: magic contains a newline";
+    let payload = Marshal.to_string value [] in
+    let fields = Bytes.create 8 in
+    Bytes.set_int32_be fields 0 (Int32.of_int (String.length payload));
+    Bytes.set_int32_be fields 4 (crc32 payload);
+    (String.concat "" [ magic; "\n"; Bytes.unsafe_to_string fields ], payload)
+
+  let encode ~magic value =
+    let header, payload = parts ~magic value in
+    header ^ payload
+
+  let decode ~magic frame =
+    let header = String.length magic + 1 in
+    if not (String.starts_with ~prefix:(magic ^ "\n") frame) then begin
+      (* Quote at most the bytes where the magic line should be, so a
+         foreign or bit-flipped file yields a one-line message. *)
+      let seen = String.sub frame 0 (min header (String.length frame)) in
+      let seen = match String.index_opt seen '\n' with Some i -> String.sub seen 0 i | None -> seen in
+      corrupt "frame: bad magic %S (expected %S)" seen magic
+    end;
+    if String.length frame < header + 8 then corrupt "frame: truncated header";
+    let len = Int32.to_int (String.get_int32_be frame header) land 0xFFFFFFFF in
+    let crc = String.get_int32_be frame (header + 4) in
+    if String.length frame <> header + 8 + len then
+      corrupt "frame: payload length %d does not match frame size" len;
+    let payload = String.sub frame (header + 8) len in
+    if crc32 payload <> crc then corrupt "frame: CRC mismatch (torn or corrupted)";
+    try Marshal.from_string payload 0
+    with Failure _ | Invalid_argument _ -> corrupt "frame: undecodable payload"
+end
+
 (* Checkpoint I/O telemetry: latency (histogram, ms), volume (bytes
    written) and call counts.  All probes are disabled-path no-ops. *)
 let m_saves = Obs.Metrics.counter "checkpoint.saves"
@@ -13,70 +76,34 @@ let h_save_ms = Obs.Metrics.histogram "checkpoint.save_ms"
 let save ~magic ~path value =
   Obs.Span.with_span "checkpoint.save" @@ fun () ->
   let t0 = Obs.Clock.now_ns () in
+  let header, payload = Frame.parts ~magic value in
   (* Write-then-rename so a crash mid-checkpoint never clobbers the
      previous good checkpoint with a truncated file. *)
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  let bytes =
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc magic;
-        output_char oc '\n';
-        Marshal.to_channel oc value [];
-        out_channel_length oc)
-  in
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc header;
+      Out_channel.output_string oc payload);
   Sys.rename tmp path;
   Obs.Metrics.incr m_saves;
-  Obs.Metrics.add m_bytes bytes;
+  Obs.Metrics.add m_bytes (String.length header + String.length payload);
   Obs.Metrics.observe h_save_ms (Obs.Clock.ns_to_ms (Obs.Clock.now_ns () - t0))
-
-let read_magic ~path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> corrupt "cannot open checkpoint %s: %s" path msg
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> try input_line ic with End_of_file -> "")
-
-(* {1 Versioned magic strings}
-
-   Every format this library persists — checkpoint files and shard wire
-   frames alike — identifies itself with a one-line magic of the shape
-   ["<base> v<N>"].  Keeping the parse in one place is what lets readers
-   dispatch on the version without each of them re-implementing (and
-   subtly diverging on) the magic grammar. *)
-
-let versioned_magic ~base ~version =
-  if version < 1 then invalid_arg "Checkpoint.versioned_magic: version must be >= 1";
-  Printf.sprintf "%s v%d" base version
-
-let version_of_magic ~base magic =
-  let prefix = base ^ " v" in
-  if String.starts_with ~prefix magic then begin
-    let digits = String.sub magic (String.length prefix) (String.length magic - String.length prefix) in
-    if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits then
-      int_of_string_opt digits
-    else None
-  end
-  else None
 
 let load ~magic ~path =
   Obs.Span.with_span "checkpoint.load" @@ fun () ->
-  let ic =
-    try open_in_bin path
+  let frame =
+    try In_channel.with_open_bin path In_channel.input_all
     with Sys_error msg -> corrupt "cannot open checkpoint %s: %s" path msg
   in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let line = try input_line ic with End_of_file -> "" in
-      if line <> magic then
-        corrupt "checkpoint %s: bad magic %S (expected %S)" path line magic;
-      Obs.Metrics.incr m_loads;
-      try Marshal.from_channel ic
-      with End_of_file | Failure _ -> corrupt "checkpoint %s: truncated or corrupt" path)
+  let value = try Frame.decode ~magic frame with Corrupt msg -> corrupt "checkpoint %s: %s" path msg in
+  Obs.Metrics.incr m_loads;
+  value
+
+(* Every format this library persists — checkpoint files and shard wire
+   frames alike — identifies itself with a one-line magic of the shape
+   ["<base> v<N>"]; a reader accepts exactly the version it expects. *)
+let versioned_magic ~base ~version =
+  if version < 1 then invalid_arg "Checkpoint.versioned_magic: version must be >= 1";
+  Printf.sprintf "%s v%d" base version
 
 (* {1 Numbered checkpoint histories} *)
 
@@ -111,83 +138,6 @@ let history path =
 
 let latest path =
   match List.rev (history path) with [] -> None | (_, p) :: _ -> Some p
-
-(* {1 Self-validating frames}
-
-   A frame is the checkpoint payload promoted to a wire format: the same
-   magic-line + Marshal encoding, made safe to ship over a pipe by a
-   CRC-32 and an explicit payload length.  A reader that gets a torn or
-   bit-flipped frame must learn so from the codec — Marshal alone would
-   happily misparse — hence every decode failure is a {!Corrupt}. *)
-
-module Frame = struct
-  (* CRC-32 (IEEE 802.3, reflected), table-driven.  Standard polynomial
-     0xEDB88320; matches zlib's crc32 so frames are checkable with
-     off-the-shelf tools. *)
-  let crc_table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
-
-  let crc32 s =
-    let table = Lazy.force crc_table in
-    let c = ref 0xFFFFFFFFl in
-    String.iter
-      (fun ch ->
-        let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-        c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.logxor !c 0xFFFFFFFFl
-
-  let put_u32 buf v =
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 24) 0xFFl)));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 16) 0xFFl)));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v 8) 0xFFl)));
-    Buffer.add_char buf (Char.chr (Int32.to_int (Int32.logand v 0xFFl)))
-
-  let get_u32 s off =
-    let b i = Int32.of_int (Char.code s.[off + i]) in
-    Int32.logor
-      (Int32.logor (Int32.shift_left (b 0) 24) (Int32.shift_left (b 1) 16))
-      (Int32.logor (Int32.shift_left (b 2) 8) (b 3))
-
-  let encode ~magic value =
-    if String.contains magic '\n' then invalid_arg "Checkpoint.Frame.encode: magic contains a newline";
-    let payload = Marshal.to_string value [] in
-    let buf = Buffer.create (String.length magic + String.length payload + 16) in
-    Buffer.add_string buf magic;
-    Buffer.add_char buf '\n';
-    put_u32 buf (Int32.of_int (String.length payload));
-    put_u32 buf (crc32 payload);
-    Buffer.add_string buf payload;
-    Buffer.contents buf
-
-  let magic_of frame =
-    match String.index_opt frame '\n' with
-    | None -> corrupt "frame: no magic line"
-    | Some i -> String.sub frame 0 i
-
-  let decode ~magic frame =
-    let m = magic_of frame in
-    if m <> magic then corrupt "frame: bad magic %S (expected %S)" m magic;
-    let header = String.length m + 1 in
-    if String.length frame < header + 8 then corrupt "frame: truncated header";
-    let len = Int32.to_int (get_u32 frame header) in
-    let crc = get_u32 frame (header + 4) in
-    if len < 0 || String.length frame <> header + 8 + len then
-      corrupt "frame: payload length %d does not match frame size" len;
-    let payload = String.sub frame (header + 8) len in
-    if crc32 payload <> crc then corrupt "frame: CRC mismatch (torn or corrupted)";
-    try Marshal.from_string payload 0
-    with Failure _ | Invalid_argument _ -> corrupt "frame: undecodable payload"
-end
 
 let prune ~keep path =
   if keep < 1 then invalid_arg "Checkpoint.prune: keep must be >= 1";

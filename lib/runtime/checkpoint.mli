@@ -1,45 +1,33 @@
-(** Atomic checkpoint files.
+(** Atomic, CRC-checked checkpoint files.
 
-    A checkpoint is a one-line magic string (carrying a format version)
-    followed by the OCaml [Marshal] encoding of a pure-data value.  Writes
-    go to [path ^ ".tmp"] and are renamed into place, so an interrupted
-    save never corrupts the previous checkpoint.
+    A checkpoint file is exactly one {!Frame}: a one-line magic string
+    (carrying a format version), the payload length, a CRC-32 of the
+    payload, then the OCaml [Marshal] encoding of a pure-data value.
+    Writes go to [path ^ ".tmp"] and are renamed into place, so an
+    interrupted save never corrupts the previous checkpoint; the CRC
+    catches a file corrupted after it was written.
 
     The payload must be closure-free (plain records, arrays, variants,
     scalars); readers must expect the exact type that was written — the
     magic string is the caller's versioning handle for that contract. *)
 
 exception Corrupt of string
-(** Missing file, wrong magic, or truncated payload. *)
+(** Missing file, wrong magic, or a truncated or corrupted frame. *)
 
 val save : magic:string -> path:string -> 'a -> unit
+(** Write [Frame.encode ~magic value] atomically to [path].  Raises
+    [Invalid_argument] when [magic] contains a newline. *)
 
 val load : magic:string -> path:string -> 'a
-(** Raises {!Corrupt} when the file is unreadable, the magic line differs,
-    or the payload is truncated.  Unsafe in the usual [Marshal] sense:
-    the ['a] the caller expects must match what was saved. *)
-
-val read_magic : path:string -> string
-(** The file's magic line, without deserializing the payload — lets a
-    reader dispatch on the format version before committing to a layout.
-    Raises {!Corrupt} only when the file cannot be opened; an empty file
-    reads as [""]. *)
-
-(** {2 Versioned magic strings}
-
-    All persisted formats in this library use magic lines of the shape
-    ["<base> v<N>"].  These helpers are the single implementation of that
-    grammar; readers dispatch on {!version_of_magic} instead of
-    re-parsing magic strings by hand. *)
+(** Raises {!Corrupt} when the file is unreadable or does not decode as
+    a frame with this [magic] (see {!Frame.decode}).  Unsafe in the usual
+    [Marshal] sense: the ['a] the caller expects must match what was
+    saved. *)
 
 val versioned_magic : base:string -> version:int -> string
-(** [versioned_magic ~base ~version] is ["<base> v<version>"].  Raises
+(** [versioned_magic ~base ~version] is ["<base> v<version>"], the shape
+    of every magic line this library persists or ships.  Raises
     [Invalid_argument] when [version < 1]. *)
-
-val version_of_magic : base:string -> string -> int option
-(** Inverse of {!versioned_magic}: [Some n] when the magic is
-    ["<base> v<n>"] for a well-formed decimal [n], [None] otherwise
-    (including foreign bases and malformed version suffixes). *)
 
 (** {2 Numbered checkpoint histories}
 
@@ -63,11 +51,10 @@ val prune : keep:int -> string -> unit
 
 (** {2 Self-validating frames}
 
-    The checkpoint encoding promoted to a wire format: the same magic
-    line and [Marshal] payload, hardened for transport with an explicit
-    payload length and a CRC-32 (IEEE).  Unlike a file — where rename
-    gives atomicity — a pipe can deliver a torn or corrupted frame, and
-    the codec must detect that rather than let [Marshal] misparse. *)
+    The one encoding of a persisted or shipped value: checkpoint files
+    and shard wire messages alike.  A file or a pipe can deliver torn or
+    corrupted bytes, and the codec must detect that rather than let
+    [Marshal] misparse them. *)
 
 module Frame : sig
   val encode : magic:string -> 'a -> string
@@ -79,10 +66,6 @@ module Frame : sig
   (** Raises {!Corrupt} on a magic mismatch, a length that disagrees with
       the frame size, a CRC mismatch, or an undecodable payload.  Same
       [Marshal] caveat as {!load}: the ['a] must match what was encoded. *)
-
-  val magic_of : string -> string
-  (** The frame's magic line, for version dispatch before {!decode}.
-      Raises {!Corrupt} when the frame has no newline-terminated magic. *)
 
   val crc32 : string -> int32
   (** CRC-32 (IEEE 802.3, reflected) of a string; matches zlib's crc32. *)

@@ -538,7 +538,7 @@ let start ~live config (acfg : A.config) st =
   island_phase ctx
 
 let run ?seed ?initial ?checkpoint ?checkpoint_every ?keep_checkpoints ?resume ?observer
-    ?hv_ref ?(config = default) ~generations problem (acfg : A.config) =
+    ?(config = default) ~generations problem (acfg : A.config) =
   validate config;
   let acfg = sanitize acfg in
   (* A write to a SIGKILLed worker must surface as EPIPE, not kill us. *)
@@ -555,7 +555,7 @@ let run ?seed ?initial ?checkpoint ?checkpoint_every ?keep_checkpoints ?resume ?
   @@ fun () ->
   let result =
     A.run_with ~islands:(start ~live config acfg) ?seed ?initial ?checkpoint ?checkpoint_every
-      ?keep_checkpoints ?resume ?observer ?hv_ref ~generations problem acfg
+      ?keep_checkpoints ?resume ?observer ~generations problem acfg
   in
   (* [run_with] calls [start] before its first epoch, so the context
      exists; stats are taken before the drain so they report the

@@ -69,7 +69,6 @@ val run :
   ?keep_checkpoints:int ->
   ?resume:string ->
   ?observer:(Pmo2.Archipelago.epoch_record -> unit) ->
-  ?hv_ref:float array ->
   ?config:config ->
   generations:int ->
   Moo.Problem.t ->

@@ -414,91 +414,103 @@ let test_keep_checkpoints_prunes_and_resumes () =
             (Sys.file_exists (Runtime.Checkpoint.numbered path i)))
         [ (1, false); (2, false); (3, true); (4, true) ])
 
-(* {1 Legacy (v1) checkpoints} *)
+(* {1 Corrupted checkpoint files} *)
 
-(* Marshal-layout mirrors of the archipelago's checkpoint payloads, used
-   to manufacture a genuine v1 fixture from a current checkpoint: v1 is
-   exactly v2 minus the trailing guard-stats field. *)
-type snapshot_v2_repr = {
-  r2_problem : string;
-  r2_period : int;
-  r2_n_islands : int;
-  r2_islands : Pmo2.Island.snapshot array;
-  r2_rng : int64;
-  r2_archive : Moo.Solution.t list;
-  r2_gens : int;
-  r2_failures : int;
-  r2_guards : Runtime.Guard.stats array;
-}
-[@@warning "-69"]
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-type snapshot_v1_repr = {
-  r1_problem : string;
-  r1_period : int;
-  r1_n_islands : int;
-  r1_islands : Pmo2.Island.snapshot array;
-  r1_rng : int64;
-  r1_archive : Moo.Solution.t list;
-  r1_gens : int;
-  r1_failures : int;
-}
-[@@warning "-69"]
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-let magic_v1 = "robustpath-archipelago-checkpoint v1"
-let magic_v2 = "robustpath-archipelago-checkpoint v2"
+let archipelago_magic = "robustpath-archipelago-checkpoint v3"
 
-let downgrade_checkpoint ~src ~dst =
-  let s : snapshot_v2_repr = Runtime.Checkpoint.load ~magic:magic_v2 ~path:src in
-  Runtime.Checkpoint.save ~magic:magic_v1 ~path:dst
-    {
-      r1_problem = s.r2_problem;
-      r1_period = s.r2_period;
-      r1_n_islands = s.r2_n_islands;
-      r1_islands = s.r2_islands;
-      r1_rng = s.r2_rng;
-      r1_archive = s.r2_archive;
-      r1_gens = s.r2_gens;
-      r1_failures = s.r2_failures;
-    }
+(* A real archipelago checkpoint: the frame a 2-epoch zdt1 run leaves. *)
+let real_checkpoint () =
+  with_temp_file (fun path ->
+      ignore
+        (Pmo2.Archipelago.run ~seed:21 ~checkpoint:path ~generations:20
+           (Moo.Benchmarks.zdt1 ~n:8) small_config);
+      read_file path)
 
-let contains_substring ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+let expect_refused what path =
+  Alcotest.(check bool) (what ^ ": load refuses") true
+    (match Pmo2.Archipelago.load (Moo.Benchmarks.zdt1 ~n:8) small_config path with
+    | exception Runtime.Checkpoint.Corrupt _ -> true
+    | _ -> false);
+  Alcotest.(check bool) (what ^ ": inspect refuses") true
+    (match Pmo2.Archipelago.inspect path with
+    | exception Runtime.Checkpoint.Corrupt _ -> true
+    | _ -> false)
 
-let test_v1_checkpoint_inspect_and_resume () =
-  let problem = Moo.Benchmarks.zdt1 ~n:8 in
-  let full = Pmo2.Archipelago.run ~seed:21 ~generations:40 problem small_config in
-  with_temp_file (fun v2path ->
-      with_temp_file (fun v1path ->
-          let _ =
-            Pmo2.Archipelago.run ~seed:21 ~checkpoint:v2path ~generations:20 problem
-              small_config
-          in
-          downgrade_checkpoint ~src:v2path ~dst:v1path;
-          (* inspect reports the version and the missing telemetry instead
-             of failing. *)
-          let info = Pmo2.Archipelago.inspect v1path in
-          Alcotest.(check int) "format version" 1 info.Pmo2.Archipelago.info_version;
-          Alcotest.(check int) "no guard stats" 0
-            (Array.length info.Pmo2.Archipelago.info_guards);
-          Alcotest.(check string) "problem name" "zdt1" info.Pmo2.Archipelago.info_problem;
-          Alcotest.(check int) "generations" 20 info.Pmo2.Archipelago.info_generations;
-          let rendered = Format.asprintf "%a" Pmo2.Archipelago.pp_info info in
-          Alcotest.(check bool) "pp names the format" true
-            (contains_substring ~sub:"checkpoint format v1" rendered);
-          Alcotest.(check bool) "pp flags missing telemetry" true
-            (contains_substring ~sub:"not recorded" rendered);
-          (* a v2 checkpoint of the same run reports version 2 *)
-          Alcotest.(check int) "v2 reports 2" 2
-            (Pmo2.Archipelago.inspect v2path).Pmo2.Archipelago.info_version;
-          (* resume accepts the v1 file (guard counters start fresh) and
-             reproduces the uninterrupted run. *)
-          let resumed =
-            Pmo2.Archipelago.run ~seed:21 ~resume:v1path ~generations:40 problem
-              small_config
-          in
-          Alcotest.(check bool) "v1 resume identical" true (objs full = objs resumed)))
+let test_corrupted_checkpoint_refused () =
+  let frame = real_checkpoint () in
+  let n = String.length frame in
+  (* magic line, then the u32 payload length and the u32 CRC *)
+  let header = String.length archipelago_magic + 1 in
+  Alcotest.(check bool) "file starts with the v3 magic line" true
+    (String.starts_with ~prefix:(archipelago_magic ^ "\n") frame);
+  with_temp_file (fun path ->
+      write_file path frame;
+      Alcotest.(check int) "intact file inspects" 20
+        (Pmo2.Archipelago.inspect path).Pmo2.Archipelago.info_generations;
+      (* One flipped byte in the magic line, in each header field and at
+         spread payload offsets. *)
+      let payload = List.init 6 (fun k -> header + 8 + (k * (n - header - 9) / 5)) in
+      List.iter
+        (fun pos ->
+          let b = Bytes.of_string frame in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
+          write_file path (Bytes.to_string b);
+          expect_refused (Printf.sprintf "byte %d of %d flipped" pos n) path)
+        ([ 0; header / 2; header - 1; header + 2; header + 5 ] @ payload);
+      List.iter
+        (fun len ->
+          write_file path (String.sub frame 0 len);
+          expect_refused (Printf.sprintf "truncated to %d of %d bytes" len n) path)
+        [ 0; header + 3; n / 2; n - 1 ];
+      (* The previous format: a v2 magic line over the bare Marshal
+         payload of the same snapshot. *)
+      write_file path
+        ("robustpath-archipelago-checkpoint v2\n" ^ String.sub frame (header + 8) (n - header - 8));
+      expect_refused "v2 file" path)
+
+(* Fuzz the frame codec with a real checkpoint: 1 000 seeded mutations —
+   1–8 bit flips (half of them in the magic line and header fields), a
+   random u32 over the length field, or a truncation.  Each mutant must
+   decode to the original value or raise [Corrupt]; nothing else. *)
+let test_frame_fuzz () =
+  let frame = real_checkpoint () in
+  let n = String.length frame in
+  let header = String.length archipelago_magic + 1 in
+  let rng = Numerics.Rng.create 22 in
+  let mutate () =
+    match Numerics.Rng.int rng 3 with
+    | 0 ->
+      let b = Bytes.of_string frame in
+      for _ = 1 to 1 + Numerics.Rng.int rng 8 do
+        let pos =
+          if Numerics.Rng.bool rng then Numerics.Rng.int rng (header + 8)
+          else Numerics.Rng.int rng n
+        in
+        Bytes.set b pos
+          (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl Numerics.Rng.int rng 8)))
+      done;
+      Bytes.to_string b
+    | 1 ->
+      let b = Bytes.of_string frame in
+      Bytes.set_int32_be b header (Int64.to_int32 (Numerics.Rng.bits64 rng));
+      Bytes.to_string b
+    | _ -> String.sub frame 0 (Numerics.Rng.int rng n)
+  in
+  let refused = ref 0 in
+  for i = 1 to 1000 do
+    let mutant = mutate () in
+    match Runtime.Checkpoint.Frame.decode ~magic:archipelago_magic mutant with
+    | v ->
+      if Runtime.Checkpoint.Frame.encode ~magic:archipelago_magic v <> frame then
+        Alcotest.failf "mutant %d decoded to a different value" i
+    | exception Runtime.Checkpoint.Corrupt _ -> incr refused
+    | exception e -> Alcotest.failf "mutant %d raised %s" i (Printexc.to_string e)
+  done;
+  Alcotest.(check bool) "most mutants refused" true (!refused > 900)
 
 (* {1 Per-island guard telemetry} *)
 
@@ -635,8 +647,8 @@ let () =
             test_numbered_history_primitives;
           Alcotest.test_case "keep_checkpoints prunes and resumes" `Quick
             test_keep_checkpoints_prunes_and_resumes;
-          Alcotest.test_case "v1 inspect and resume" `Quick
-            test_v1_checkpoint_inspect_and_resume;
+          Alcotest.test_case "corrupted file refused" `Quick test_corrupted_checkpoint_refused;
+          Alcotest.test_case "frame fuzz: decode or Corrupt" `Quick test_frame_fuzz;
         ] );
       ( "telemetry",
         [

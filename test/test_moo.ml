@@ -82,26 +82,6 @@ let test_archive_removes_dominated () =
   ignore (Moo.Archive.add a (sol [| 1.; 1. |]));
   Alcotest.(check int) "only the dominator remains" 1 (Moo.Archive.size a)
 
-let test_archive_capacity () =
-  let a = Moo.Archive.create ~capacity:5 () in
-  for i = 0 to 19 do
-    let t = float_of_int i /. 19. in
-    ignore (Moo.Archive.add a (sol [| t; 1. -. t |]))
-  done;
-  Alcotest.(check int) "capacity respected" 5 (Moo.Archive.size a);
-  (* Extremes survive crowding-based pruning. *)
-  let fs = List.map (fun s -> s.Moo.Solution.f.(0)) (Moo.Archive.to_list a) in
-  Alcotest.(check bool) "min extreme kept" true (List.exists (fun f -> f = 0.) fs);
-  Alcotest.(check bool) "max extreme kept" true (List.exists (fun f -> f = 1.) fs)
-
-let test_archive_merge () =
-  let a = Moo.Archive.create () and b = Moo.Archive.create () in
-  ignore (Moo.Archive.add a (sol [| 1.; 3. |]));
-  ignore (Moo.Archive.add b (sol [| 3.; 1. |]));
-  ignore (Moo.Archive.add b (sol [| 0.5; 3.5 |]));
-  let m = Moo.Archive.merge a b in
-  Alcotest.(check int) "merged" 3 (Moo.Archive.size m)
-
 (* {1 Hypervolume} *)
 
 let test_hv_single_point () =
@@ -456,8 +436,6 @@ let () =
         [
           Alcotest.test_case "keeps non-dominated" `Quick test_archive_keeps_non_dominated;
           Alcotest.test_case "removes dominated" `Quick test_archive_removes_dominated;
-          Alcotest.test_case "capacity pruning" `Quick test_archive_capacity;
-          Alcotest.test_case "merge" `Quick test_archive_merge;
         ] );
       ( "hypervolume",
         [

@@ -1,8 +1,8 @@
 (* Tests for the persistent domain pool: scheduling correctness,
    exception discipline, nesting, the default-pool lifecycle — and the
    determinism contract: pooled evaluation at any worker count must be
-   bit-for-bit equal to the sequential path, across the archipelago,
-   robustness ensembles and front metrics. *)
+   bit-for-bit equal to the sequential path, across the archipelago and
+   robustness ensembles. *)
 
 (* {1 Pool basics} *)
 
@@ -252,37 +252,6 @@ let test_gamma_pool_deterministic_across_widths () =
     [ 1; 2 ];
   Parallel.Pool.set_default_domains 1
 
-let test_front_metrics_pooled_equal_sequential () =
-  (* A 3-objective cloud, so the pooled HSO top level actually engages. *)
-  let rng = Numerics.Rng.create 3 in
-  let points =
-    List.init 60 (fun _ ->
-        Array.init 3 (fun _ -> Numerics.Rng.float rng))
-  in
-  let ref_point = [| 1.1; 1.1; 1.1 |] in
-  let reference = Moo.Hypervolume.compute ~ref_point points in
-  List.iter
-    (fun domains ->
-      with_pool domains (fun pool ->
-          Alcotest.(check bool)
-            (Printf.sprintf "hypervolume bit-identical at %d domains" domains)
-            true
-            (Float.equal reference (Moo.Hypervolume.compute ~pool ~ref_point points))))
-    [ 1; 2; 4 ];
-  with_pool 2 (fun pool ->
-      let contribs = Moo.Hypervolume.contributions ~ref_point points in
-      Alcotest.(check bool) "contributions pooled = sequential" true
-        (Moo.Hypervolume.contributions ~pool ~ref_point points = contribs);
-      let fronts =
-        let sol f = { Moo.Solution.x = [||]; f; v = 0. } in
-        [
-          [ sol [| 0.1; 0.9 |]; sol [| 0.5; 0.5 |] ];
-          [ sol [| 0.5; 0.5 |]; sol [| 0.9; 0.1 |] ];
-        ]
-      in
-      Alcotest.(check bool) "coverage pooled = sequential" true
-        (Moo.Coverage.analyze ~pool fronts = Moo.Coverage.analyze fronts))
-
 (* {1 Pool observability} *)
 
 let test_pool_counters_tick_when_enabled () =
@@ -325,8 +294,6 @@ let () =
             test_photo_archipelago_pooled_equals_sequential;
           Alcotest.test_case "robustness ensembles pooled = sequential" `Quick
             test_gamma_pool_deterministic_across_widths;
-          Alcotest.test_case "front metrics pooled = sequential" `Quick
-            test_front_metrics_pooled_equal_sequential;
         ] );
       ( "observability",
         [

@@ -127,14 +127,6 @@ let test_parallel_identical_to_sequential () =
   in
   Alcotest.(check bool) "identical fronts" true (objs seq = objs par)
 
-let test_archive_capacity_respected () =
-  let cfg = { small_config with Pmo2.Archipelago.archive_capacity = Some 10 } in
-  let st = Pmo2.Archipelago.init ~seed:9 (zdt1 6) cfg in
-  Pmo2.Archipelago.step_epoch st;
-  Pmo2.Archipelago.step_epoch st;
-  Alcotest.(check bool) "archive bounded" true
-    (Moo.Archive.size (Pmo2.Archipelago.archive st) <= 10)
-
 (* {1 Heterogeneous islands} *)
 
 let test_island_wrappers () =
@@ -210,7 +202,6 @@ let () =
           Alcotest.test_case "seeding" `Quick test_seeded_archipelago;
           Alcotest.test_case "four islands ring" `Quick test_four_islands_ring;
           Alcotest.test_case "parallel = sequential" `Slow test_parallel_identical_to_sequential;
-          Alcotest.test_case "archive capacity" `Quick test_archive_capacity_respected;
         ] );
       ( "islands",
         [
