@@ -121,9 +121,12 @@ let bench_fig4_repair =
         fun () -> ignore (repair v)))
 
 (* The leaf kernel under fig1/leaf-steady-state, natural leaf at present
-   Ci, low export: one rhs call, one 20-unit dopri5 acceptance window
-   from the steady state at [Steady_state.evaluate]'s tolerances, and one
-   PTC solve from the cold initial state. *)
+   Ci, low export: one rhs call; one 20-unit dopri5 window (what a
+   restart integrates) from the steady state at [Steady_state.evaluate]'s
+   tolerances; one PTC solve from the cold initial state, its root
+   certificate included; and the certificate's eigenvalue kernel alone on
+   the natural root's Jacobian (each run first copies the Jacobian into
+   the buffer the kernel overwrites). *)
 let leaf_env = Photo.Params.present ~tp_export:Photo.Params.low_export
 
 let leaf_rhs () = Photo.Model.rhs Photo.Params.default leaf_env ~vmax:(Photo.Enzyme.natural_vmax ())
@@ -146,6 +149,19 @@ let bench_ode_ptc =
     (Staged.stage
        (let f = leaf_rhs () and y0 = Photo.State.initial () and pattern = Photo.Model.pattern () in
         fun () -> ignore (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ())))
+
+let bench_ode_eigenvalues =
+  Test.make ~name:"ode/eigenvalues"
+    (Staged.stage
+       (let n = Photo.State.n in
+        let y = (Photo.Steady_state.natural ~env:leaf_env ()).Photo.Steady_state.y in
+        let pattern = Photo.Model.pattern () in
+        let jac = Numerics.Ode.numeric_jacobian ~pattern (leaf_rhs ()) 0. y in
+        let src = Array.init (n * n) (fun k -> Numerics.Matrix.get jac (k / n) (k mod n)) in
+        let a = Array.make (n * n) 0. and wr = Array.make n 0. and wi = Array.make n 0. in
+        fun () ->
+          Array.blit src 0 a 0 (n * n);
+          ignore (Numerics.Eigen.eigenvalues_in_place ~n a wr wi)))
 
 (* Cost of the fault-tolerance wrapper on the hot kernel: the same
    fig1/leaf-steady-state evaluation routed through Guard, plus the bare
@@ -230,6 +246,7 @@ let run_micro_benchmarks () =
             bench_photo_rhs;
             bench_ode_dopri5_window;
             bench_ode_ptc;
+            bench_ode_eigenvalues;
             bench_fig2_nitrogen;
             bench_table1_metrics;
             bench_table2_yield;

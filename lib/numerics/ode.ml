@@ -363,6 +363,7 @@ let numeric_jacobian ~pattern f t y =
 
 let m_ptc_calls = Obs.Metrics.counter "ode.ptc.calls"
 let m_ptc_iterations = Obs.Metrics.counter "ode.ptc.iterations"
+let m_ptc_unstable = Obs.Metrics.counter "ode.ptc.unstable"
 
 type ptc = { root : Vec.t option; iterations : int }
 
@@ -374,6 +375,23 @@ let ptc_dt_max = 1e8
 let ptc_rtol = 1e-10
 let ptc_atol = 1e-8
 let ptc_to_boundary = 0.99
+
+(* The root certificate: the forward-difference Jacobian at the root,
+   given [f0 = f 0 y], and its eigenvalues, all in the Newton workspace.
+   The kernel overwrites [d.jac] and writes the spectrum into [d.fj] and
+   [d.yp], which the Jacobian no longer needs.  Stable when every
+   eigenvalue has a negative real part; a spectrum the QR iteration
+   could not finish certifies nothing. *)
+let stable_root d pattern f y f0 =
+  jacobian d pattern f 0. y f0;
+  let wr = d.fj and wi = d.yp in
+  Eigen.eigenvalues_in_place ~n:d.n d.jac wr wi
+  &&
+  let stable = ref true in
+  for i = 0 to d.n - 1 do
+    if not (Array.unsafe_get wr i < 0.) then stable := false
+  done;
+  !stable
 
 let pseudo_transient ?deadline ~pattern ~f ~y0 () =
   Obs.Metrics.incr m_ptc_calls;
@@ -403,7 +421,14 @@ let pseudo_transient ?deadline ~pattern ~f ~y0 () =
       done;
       let r = !fnorm /. (!ynorm +. 1.) in
       if not (Float.is_finite r && Float.is_finite !ynorm) then state := Gave_up
-      else if r < ptc_rtol && !fnorm <= ptc_atol then state := Converged
+      else if r < ptc_rtol && !fnorm <= ptc_atol then begin
+        evals := !evals + pattern_groups pattern;
+        if stable_root d pattern f y fy then state := Converged
+        else begin
+          Obs.Metrics.incr m_ptc_unstable;
+          state := Gave_up
+        end
+      end
       else if !iterations >= ptc_max_iterations then state := Gave_up
       else begin
         check_deadline deadline !tau;
@@ -425,6 +450,10 @@ let pseudo_transient ?deadline ~pattern ~f ~y0 () =
             Array.unsafe_set y i (pos (Array.unsafe_get y i +. (!alpha *. Array.unsafe_get step i)))
           done;
           tau := !tau +. (!alpha *. !dt);
+          (* A step the boundary cut short also shortens the next one:
+             otherwise Δt keeps growing while a pool heads to zero and
+             every later step is cut to a sliver. *)
+          if !alpha < 1. then dt := !alpha *. !dt;
           incr iterations
         end
       end

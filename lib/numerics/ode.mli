@@ -4,7 +4,8 @@
       integrator;
     - {!pseudo_transient}: pseudo-transient continuation toward a root
       f(y) = 0, over a forward-difference Jacobian with a structural
-      sparsity {!pattern}.
+      sparsity {!pattern}, returning only roots whose Jacobian is
+      stable ({!Eigen}).
 
     A right-hand side is an in-place function: [f t y dy] reads [y] and
     writes dy/dt at [(t, y)] into [dy].  It must overwrite every entry
@@ -100,7 +101,9 @@ val numeric_jacobian : pattern:pattern -> rhs -> float -> Vec.t -> Matrix.t
     [Invalid_argument] when the pattern's size is not [y]'s length. *)
 
 type ptc = {
-  root : Vec.t option;  (** the converged state; [None] when PTC gave up *)
+  root : Vec.t option;
+      (** the certified root; [None] when PTC gave up or its root is
+          not stable *)
   iterations : int;  (** Newton steps taken *)
 }
 
@@ -111,16 +114,27 @@ val pseudo_transient :
     Each iteration solves (I/Δt − J)·δ = f(y) with the forward-difference
     Jacobian over [pattern] ({!numeric_jacobian}; the Jacobian is only
     taken where f(y) is finite, so it equals the dense one bit for bit),
-    scales δ so that no positive state crosses zero (0.99 of
-    the way to the boundary), clips at 0, and sets
-    Δt ← min(1e8, Δt·r_prev/r), from Δt = 1, where
-    r = ‖f‖∞/(‖y‖∞+1).  Converged when r < 1e-10 {e and} ‖f‖∞ ≤ 1e-8:
-    the relative test alone also passes on a state that runs away,
-    because ‖y‖∞ grows.  Gives up after 200 iterations, on a singular
-    matrix, or on a non-finite residual or state.
+    scales δ by the largest α ≤ 1 that leaves every positive state at
+    least 1 % of its value (0.99 of the way to the boundary), clips at
+    0, and scales Δt by α when α < 1, so a step the boundary cut short
+    also shortens the next.
+    The next iteration sets Δt ← min(1e8, Δt·r_prev/r), from Δt = 1,
+    where r = ‖f‖∞/(‖y‖∞+1).  Converged when r < 1e-10 {e and}
+    ‖f‖∞ ≤ 1e-8: the relative test alone also passes on a state that
+    runs away, because ‖y‖∞ grows.  Gives up after 200 iterations, on a
+    singular matrix, or on a non-finite residual or state.
 
-    Each iteration costs one rhs evaluation plus one per column group.
-    The Jacobian, LU and scratch buffers are allocated once per call.
+    A converged state is returned only when it is certified: every
+    eigenvalue of its forward-difference Jacobian over [pattern] has a
+    negative real part ({!Eigen.eigenvalues_in_place}, run in the
+    Newton workspace).  A root that fails the test, whose Jacobian has
+    a non-finite entry, or whose QR iteration hits its cap counts once
+    in [ode.ptc.unstable] and gives [root = None].
+
+    Each iteration costs one rhs evaluation plus one per column group,
+    and the certificate one Jacobian more (counted in [ode.jacobians]
+    and [ode.rhs_evals]).  The Jacobian, LU and scratch buffers are
+    allocated once per call; the certificate allocates nothing.
     Raises [Invalid_argument] when the pattern's size is not [y0]'s
     length.
     [deadline] is polled once per iteration ({!Deadline} carries the

@@ -152,17 +152,16 @@ let parse_number c =
     c.pos <- c.pos + 1
   done;
   let s = String.sub c.src start (c.pos - start) in
-  if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then
+  (* A literal too large for a double (1e999) would read as infinity,
+     which JSON cannot carry: refuse it like the Infinity token. *)
+  let float_literal () =
     match float_of_string_opt s with
-    | Some f -> Float f
+    | Some f when Float.is_finite f -> Float f
+    | Some _ -> fail start "number %S out of range" s
     | None -> fail start "bad number %S" s
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail start "bad number %S" s)
+  in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'E' then float_literal ()
+  else match int_of_string_opt s with Some i -> Int i | None -> float_literal ()
 
 (* Recursive descent consumes native stack per nesting level; cap the
    depth so hostile/corrupt input fails with [Parse_error] rather than

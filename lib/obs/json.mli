@@ -21,9 +21,9 @@ exception Parse_error of string
 
 val parse : string -> t
 (** Parse a complete JSON document.  Raises {!Parse_error} on malformed
-    input, trailing garbage, [NaN]/[Infinity] literals, or nesting
-    deeper than 512 levels (guarding against [Stack_overflow] on
-    corrupt input). *)
+    input, trailing garbage, [NaN]/[Infinity] literals, a number whose
+    value overflows a double (such as [1e999]), or nesting deeper than
+    512 levels (guarding against [Stack_overflow] on corrupt input). *)
 
 val to_buffer : Buffer.t -> t -> unit
 (** Compact (single-line) serialization.  Non-finite floats are emitted

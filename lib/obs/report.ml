@@ -125,10 +125,15 @@ let pp_ode ppf last =
   let integrations = c "ode.integrations" and ptc = c "ode.ptc.calls" in
   if integrations > 0 || ptc > 0 then begin
     section ppf "ODE solver";
-    if ptc > 0 then
-      Format.fprintf ppf "ptc calls %d, iterations %d, fallbacks %d (%.1f%%)@\n" ptc
-        (c "ode.ptc.iterations") (c "photo.ptc_fallbacks")
-        (100. *. float_of_int (c "photo.ptc_fallbacks") /. float_of_int ptc);
+    if ptc > 0 then begin
+      (* A leaf evaluation runs PTC once, and once more when it restarts. *)
+      let restarts = c "photo.ptc_fallbacks" in
+      let evaluations = ptc - restarts in
+      Format.fprintf ppf "ptc calls %d, iterations %d@\n" ptc (c "ode.ptc.iterations");
+      Format.fprintf ppf "restarts %d of %d evaluations (%.1f%%)@\n" restarts evaluations
+        (100. *. float_of_int restarts /. float_of_int (max 1 evaluations));
+      Format.fprintf ppf "unstable roots %d@\n" (c "ode.ptc.unstable")
+    end;
     Format.fprintf ppf "%-16s %8d@\n" "integrations" integrations;
     Format.fprintf ppf "%-16s %8d@\n" "underflows" (c "ode.underflows");
     Format.fprintf ppf "rhs evals %d, steps %d (%d rejected)@\n" (c "ode.rhs_evals")

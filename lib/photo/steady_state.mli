@@ -19,25 +19,25 @@ val evaluate :
 (** Relax the kinetic model to steady state for the enzyme-activity
     ratio vector [ratios] (1.0 = natural) and report uptake and nitrogen.
 
-    The root comes from {!Numerics.Ode.pseudo_transient} over
-    {!Model.pattern}, started at [y0] (default {!State.initial}).  It is
-    accepted when one 20-unit window from it keeps uptake within
-    1e-3·(|u|+1); the report then carries the root's state, fluxes and
-    uptake, and [converged = true].  Otherwise the [photo.ptc_fallbacks]
-    counter is incremented and 20-unit windows run from [y0] until
-    uptake is stable across two windows, for at most 400 time units.
-    A window is one {!Numerics.Ode.dopri5} call at [rtol = 2e-4],
-    [atol = 1e-7]; it has failed when it raises
-    {!Numerics.Ode.Step_underflow} or ends on a non-finite state.  A
-    design that reaches the time limit, or whose window fails, is
-    reported with [converged = false] and the last reachable state; a
-    failed acceptance window rejects the root.
+    The steady state is a certified root of
+    {!Numerics.Ode.pseudo_transient} over {!Model.pattern}: f = 0, and
+    every eigenvalue of the Jacobian there has a negative real part.
+    PTC starts at [y0] (default {!State.initial}).  When it returns a
+    root, the report carries the root's state, fluxes and uptake, and
+    [converged = true].  Otherwise the design restarts once: the
+    [photo.ptc_fallbacks] counter is incremented, one 20-unit
+    {!Numerics.Ode.dopri5} window runs from [y0] at [rtol = 2e-4],
+    [atol = 1e-7], and PTC runs again from the window's end.  When that
+    returns no root either, the report has [converged = false] and the
+    window's end state; when the window itself failed (it raised
+    {!Numerics.Ode.Step_underflow} or ended on a non-finite state), the
+    state [y0].
 
     Raises [Invalid_argument] unless [ratios] has {!Enzyme.count}
     entries and [y0] has {!State.n}.
 
     [deadline] (an {!Obs.Clock.now_ns} timestamp) makes PTC and the
-    windows raise {!Numerics.Ode.Deadline} once expired — use it
+    window raise {!Numerics.Ode.Deadline} once expired — use it
     under a {!Runtime.Guard} to turn runaway designs into penalty
     objectives instead of hung islands. *)
 

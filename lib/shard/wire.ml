@@ -19,6 +19,12 @@ let magic = Runtime.Checkpoint.versioned_magic ~base:"robustpath-shard-wire" ~ve
 (* Frames larger than this are a protocol error, not a payload. *)
 let max_frame = 1 lsl 30
 
+(* The length prefix is untrusted until the frame decodes, so a read
+   allocates at most this much before the bytes arrive; a longer frame
+   doubles its buffer as they do.  A frame up to this size is read into
+   one allocation. *)
+let first_buffer = 1 lsl 19
+
 let m_frames = Obs.Metrics.counter "shard.frames"
 let m_frame_bytes = Obs.Metrics.counter "shard.frame_bytes"
 
@@ -124,9 +130,18 @@ let recv ?deadline fd =
    with End_of_file -> corrupt "shard wire: torn length prefix");
   let len = read_be32 hdr in
   if len <= 0 || len > max_frame then corrupt "shard wire: implausible frame length %d" len;
-  let buf = Bytes.create len in
-  (try read_exact fd ~deadline buf 0 len with End_of_file -> corrupt "shard wire: torn frame");
-  Runtime.Checkpoint.Frame.decode ~magic (Bytes.unsafe_to_string buf)
+  let buf = ref (Bytes.create (min len first_buffer)) and got = ref 0 in
+  while !got < len do
+    if !got = Bytes.length !buf then begin
+      let grown = Bytes.create (min len (2 * !got)) in
+      Bytes.blit !buf 0 grown 0 !got;
+      buf := grown
+    end;
+    match read_chunk fd ~deadline !buf !got (Bytes.length !buf - !got) with
+    | 0 -> corrupt "shard wire: torn frame"
+    | n -> got := !got + n
+  done;
+  Runtime.Checkpoint.Frame.decode ~magic (Bytes.unsafe_to_string !buf)
 
 (* Typed entry points: Marshal is untyped, so pin each pipe direction to
    its message type at the call sites. *)

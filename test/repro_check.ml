@@ -51,28 +51,28 @@ let gamma_band ~trials pct =
 
 (* {1 Recorded values}
 
-   Quick scale, captured with the pseudo-transient steady state
-   (DESIGN.md §22); EXPERIMENTS.md lists the values they replaced. *)
+   Quick scale, captured with the certified steady state (DESIGN.md
+   §26); EXPERIMENTS.md lists the values they replaced. *)
 
 let natural_expected =
   [
-    ("ci=165/tp=1", 11.994668202941673);
-    ("ci=165/tp=3", 11.840191352834429);
-    ("ci=270/tp=1", 15.487700672044614);
-    ("ci=270/tp=3", 15.441789785895081);
-    ("ci=490/tp=1", 18.589557636084074);
-    ("ci=490/tp=3", 18.582972331991645);
+    ("ci=165/tp=1", 11.994668202941678);
+    ("ci=165/tp=3", 11.840191352833436);
+    ("ci=270/tp=1", 15.487700672042665);
+    ("ci=270/tp=3", 15.441789785894915);
+    ("ci=490/tp=1", 18.58955763608213);
+    ("ci=490/tp=3", 18.58297233198126);
   ]
 
-let fig2_b_uptake = 15.115884389648082
-let fig2_b_nitrogen_pct = 45.792575944542037
+let fig2_b_uptake = 15.57747161946495
+let fig2_b_nitrogen_pct = 45.999267214196578
 
 let table2_expected =
   [
-    ("Closest-to-ideal", (25.934320780644097, 42.0));
-    ("Max CO2 Uptake", (45.910597742978638, 7.75));
-    ("Min Nitrogen", (1.1332344022106735, 32.5));
-    ("Max Yield", (29.387115011712481, 69.0));
+    ("Closest-to-ideal", (27.076928653659095, 51.75));
+    ("Max CO2 Uptake", (44.458517313782345, 22.0));
+    ("Min Nitrogen", (1.1176828002786536, 32.25));
+    ("Max Yield", (35.240773967320585, 72.0));
   ]
 
 (* The paper's Table 2 (uptake, Γ %). *)
@@ -219,6 +219,17 @@ let no_underflows () =
   let n = Obs.Metrics.counter_value (Obs.Metrics.counter "ode.underflows") in
   { check = "ode/no window underflowed"; ok = n = 0; detail = Printf.sprintf "%d underflows" n }
 
+(* How the leaf steady states went over the five experiments: each
+   evaluation runs PTC once, plus once more when it restarts. *)
+let leaf_counts () =
+  let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let calls = c "ode.ptc.calls" and restarts = c "photo.ptc_fallbacks" in
+  [
+    ("evaluations", calls - restarts);
+    ("restarts", restarts);
+    ("unstable_roots", c "ode.ptc.unstable");
+  ]
+
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "REPRO.json" in
   Obs.Metrics.set_enabled true;
@@ -248,6 +259,9 @@ let () =
   List.iter
     (fun c -> Printf.printf "%-4s %-36s %s\n" (if c.ok then "ok" else "FAIL") c.check c.detail)
     checks;
+  let leaf = leaf_counts () in
+  Printf.printf "leaf: %s\n"
+    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s %d" k v) leaf));
   let json =
     Obs.Json.(
       Obj
@@ -257,6 +271,7 @@ let () =
           ("pass", Bool pass);
           ("rows", List (List.map json_of_row rows));
           ("checks", List (List.map json_of_check checks));
+          ("leaf", Obj (List.map (fun (k, v) -> (k, Int v)) leaf));
         ])
   in
   let oc = open_out_bin out in

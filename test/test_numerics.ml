@@ -395,12 +395,13 @@ let test_ptc_deadline () =
 
 let test_steady_state_timeout () =
   (* A seeded leaf design on which pseudo-transient continuation finds no
-     root, so the relaxation falls back to the windowed loop, which is
-     still drifting at its 400-unit limit: the fallback is counted, all
-     20 windows run, the report says unconverged, and the design problem
-     scores it zero uptake. *)
+     root from the natural state, nor from the end of the one 20-unit
+     window that follows: the restart is counted, one window and two PTC
+     solves run, the report says unconverged, and the design problem
+     scores it zero uptake.  Its trajectory runs away (glycine passes
+     150 mM by t = 3 000). *)
   let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
-  let rng = Numerics.Rng.create 19 in
+  let rng = Numerics.Rng.create 28 in
   let ratios =
     Array.init Photo.Enzyme.count (fun _ ->
         Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
@@ -408,8 +409,9 @@ let test_steady_state_timeout () =
   (* The design problem relaxes every candidate from the natural leaf's
      steady state; so does this evaluation. *)
   let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
-  let windows = Obs.Metrics.counter "ode.integrations" in
-  let fallbacks = Obs.Metrics.counter "photo.ptc_fallbacks" in
+  let counter = Obs.Metrics.counter in
+  let windows = counter "ode.integrations" and ptc_calls = counter "ode.ptc.calls"
+  and restarts = counter "photo.ptc_fallbacks" and unstable = counter "ode.ptc.unstable" in
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   let r =
@@ -417,12 +419,143 @@ let test_steady_state_timeout () =
       ~finally:(fun () -> Obs.Metrics.set_enabled false)
       (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ())
   in
-  Alcotest.(check int) "ran every window up to t_max" 20 (Obs.Metrics.counter_value windows);
-  Alcotest.(check int) "one fallback" 1 (Obs.Metrics.counter_value fallbacks);
+  Alcotest.(check (list int)) "windows, PTC calls, restarts, unstable roots" [ 1; 2; 1; 0 ]
+    (List.map Obs.Metrics.counter_value [ windows; ptc_calls; restarts; unstable ]);
   Obs.Metrics.reset ();
   Alcotest.(check bool) "not converged" false r.Photo.Steady_state.converged;
   let s = Moo.Solution.evaluate (Photo.Leaf.problem env) ratios in
   check_float ~tol:0. "scored zero uptake" 0. (Photo.Leaf.uptake_of s)
+
+(* The certificate: PTC converges on each of these planar systems from a
+   start near its root, and returns the root only when both eigenvalues
+   of the root's Jacobian have negative real parts.  A saddle (+3, −1)
+   and an unstable focus (0.1 ± i) are rejected and each counted once in
+   [ode.ptc.unstable]; a stable node (−1, −2) is returned. *)
+let test_ptc_certificate () =
+  let pattern = Numerics.Ode.dense_pattern 2 in
+  let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
+  let solve f y0 =
+    Obs.Metrics.reset ();
+    Obs.Metrics.set_enabled true;
+    let p =
+      Fun.protect
+        ~finally:(fun () -> Obs.Metrics.set_enabled false)
+        (fun () -> Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ())
+    in
+    let n = Obs.Metrics.counter_value unstable in
+    Obs.Metrics.reset ();
+    (p, n)
+  in
+  let saddle _t y dy =
+    dy.(0) <- 3. *. (y.(0) -. 1.);
+    dy.(1) <- 1. -. y.(1)
+  in
+  let focus _t y dy =
+    let u = y.(0) -. 2. and v = y.(1) -. 2. in
+    dy.(0) <- (0.1 *. u) -. v;
+    dy.(1) <- u +. (0.1 *. v)
+  in
+  let node _t y dy =
+    dy.(0) <- 1. -. y.(0);
+    dy.(1) <- 2. *. (3. -. y.(1))
+  in
+  List.iter
+    (fun (name, f, y0) ->
+      let p, n = solve f y0 in
+      Alcotest.(check bool) (name ^ ": no root") true (Option.is_none p.Numerics.Ode.root);
+      Alcotest.(check int) (name ^ ": one unstable root") 1 n)
+    [ ("saddle", saddle, [| 1.2; 0.5 |]); ("focus", focus, [| 2.3; 1.8 |]) ];
+  match solve node [| 0.5; 2.5 |] with
+  | { Numerics.Ode.root = Some y; _ }, 0 ->
+    check_float ~tol:1e-9 "node y0" 1. y.(0);
+    check_float ~tol:1e-9 "node y1" 3. y.(1)
+  | _ -> Alcotest.fail "stable node not certified"
+
+(* {1 Eigenvalues} *)
+
+(* A = S·D·S⁻¹ for a block-diagonal D of real eigenvalues and 2×2
+   blocks [a b; −b a] (eigenvalues a ± ib).  S = P·Q scales the rows of
+   an orthogonal Q (three Householder reflections) by powers of two in
+   [1/8, 8], so A is not normal, S⁻¹ = Qᵀ·P⁻¹ to rounding and κ(S) ≤ 64.
+   Returns A row-major and the spectrum. *)
+let known_spectrum rng n =
+  let d = Numerics.Matrix.zeros n n and spectrum = ref [] and i = ref 0 in
+  while !i < n do
+    let re = Numerics.Rng.uniform rng (-5.) 5. in
+    if !i + 1 < n && Numerics.Rng.bernoulli rng 0.5 then begin
+      let im = Numerics.Rng.uniform rng 0.1 5. in
+      Numerics.Matrix.set d !i !i re;
+      Numerics.Matrix.set d (!i + 1) (!i + 1) re;
+      Numerics.Matrix.set d !i (!i + 1) im;
+      Numerics.Matrix.set d (!i + 1) !i (-.im);
+      spectrum := (re, im) :: (re, -.im) :: !spectrum;
+      i := !i + 2
+    end
+    else begin
+      Numerics.Matrix.set d !i !i re;
+      spectrum := (re, 0.) :: !spectrum;
+      incr i
+    end
+  done;
+  let q =
+    List.fold_left
+      (fun q _ ->
+        let v = Array.init n (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
+        let vv = Numerics.Vec.dot v v in
+        let h =
+          Numerics.Matrix.init n n (fun r c ->
+              (if r = c then 1. else 0.) -. (2. *. v.(r) *. v.(c) /. vv))
+        in
+        Numerics.Matrix.matmul q h)
+      (Numerics.Matrix.identity n) [ 1; 2; 3 ]
+  in
+  let scale = Array.init n (fun _ -> Float.ldexp 1. (Numerics.Rng.int rng 7 - 3)) in
+  let s = Numerics.Matrix.init n n (fun r c -> scale.(r) *. Numerics.Matrix.get q r c) in
+  let s_inv = Numerics.Matrix.init n n (fun r c -> Numerics.Matrix.get q c r /. scale.(c)) in
+  let a = Numerics.Matrix.matmul (Numerics.Matrix.matmul s d) s_inv in
+  (Array.init (n * n) (fun k -> Numerics.Matrix.get a (k / n) (k mod n)), !spectrum)
+
+let eigenvalues n a =
+  let wr = Array.make n 0. and wi = Array.make n 0. in
+  if not (Numerics.Eigen.eigenvalues_in_place ~n a wr wi) then Alcotest.fail "QR did not converge";
+  Array.to_list (Array.map2 (fun r i -> (r, i)) wr wi)
+
+(* Largest distance from a known eigenvalue to its computed match, each
+   computed eigenvalue matched at most once. *)
+let spectrum_error expected computed =
+  let left = ref computed in
+  List.fold_left
+    (fun worst (re, im) ->
+      let dist (r, i) = Float.hypot (r -. re) (i -. im) in
+      match List.sort (fun a b -> Float.compare (dist a) (dist b)) !left with
+      | best :: rest ->
+        left := rest;
+        Float.max worst (dist best)
+      | [] -> Alcotest.fail "fewer eigenvalues than the order")
+    0. expected
+
+let test_eigen_known_spectra () =
+  let rng = Numerics.Rng.create 2026 in
+  for trial = 1 to 200 do
+    let n = if trial <= 20 then trial else 24 in
+    let a, spectrum = known_spectrum rng n in
+    let err = spectrum_error spectrum (eigenvalues n a) in
+    if err > 1e-9 then Alcotest.failf "trial %d (n = %d): eigenvalue error %g" trial n err
+  done;
+  (* A triangular matrix deflates at once, to its diagonal exactly; a
+     rotation's pair is ±i exactly. *)
+  let tri = [| 3.; 1.; -2.; 0.; -0.5; 4.; 0.; 0.; 7. |] in
+  List.iter2
+    (fun (r, i) d ->
+      if not (Float.equal r d && Float.equal i 0.) then
+        Alcotest.failf "triangular: %g%+gi for diagonal %g" r i d)
+    (List.sort compare (eigenvalues 3 tri))
+    [ -0.5; 3.; 7. ];
+  Alcotest.(check (list (pair (float 0.) (float 0.)))) "rotation" [ (0., -1.); (0., 1.) ]
+    (List.sort compare (eigenvalues 2 [| 0.; 1.; -1.; 0. |]));
+  let nan_entry = [| 1.; Float.nan; 0.; 1. |] in
+  Alcotest.(check bool) "non-finite entry refused" false
+    (Numerics.Eigen.eigenvalues_in_place ~n:2 nan_entry (Array.make 2 0.) (Array.make 2 0.))
 
 (* {1 Stats} *)
 
@@ -715,7 +848,9 @@ let () =
           Alcotest.test_case "ptc bounded root" `Quick test_ptc_bounded_root;
           Alcotest.test_case "ptc allocation" `Quick test_ptc_allocation;
           Alcotest.test_case "ptc deadline" `Quick test_ptc_deadline;
+          Alcotest.test_case "ptc certificate" `Quick test_ptc_certificate;
         ] );
+      ("eigen", [ Alcotest.test_case "known spectra" `Quick test_eigen_known_spectra ]);
       ( "stats",
         [
           Alcotest.test_case "basic moments" `Quick test_stats_basic;

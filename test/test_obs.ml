@@ -652,9 +652,10 @@ let test_report_lp_section () =
         (contains_substring ~sub:"refactor time" s))
 
 let test_report_ode_section () =
-  (* ODE counters render the solver section: the PTC line with the
-     fallback share, the integrations and the failed windows among them,
-     then the step and Jacobian economy. *)
+  (* ODE counters render the solver section: the PTC line, the restarts
+     among the leaf evaluations (each runs PTC once, plus once per
+     restart) and the unstable roots, the integrations and the failed
+     windows among them, then the step and Jacobian economy. *)
   with_metrics @@ fun () ->
   let add name n = Obs.Metrics.add (Obs.Metrics.counter name) n in
   add "ode.integrations" 8;
@@ -665,6 +666,7 @@ let test_report_ode_section () =
   add "ode.jacobians" 3;
   add "ode.ptc.calls" 10;
   add "ode.ptc.iterations" 140;
+  add "ode.ptc.unstable" 3;
   add "photo.ptc_fallbacks" 2;
   let path = Filename.temp_file "obs_report" ".jsonl" in
   Fun.protect
@@ -681,12 +683,62 @@ let test_report_ode_section () =
             (contains_substring ~sub:line s))
         [
           "== ODE solver ==\n";
-          "ptc calls 10, iterations 140, fallbacks 2 (20.0%)\n";
+          "ptc calls 10, iterations 140\n";
+          "restarts 2 of 8 evaluations (25.0%)\n";
+          "unstable roots 3\n";
           "integrations            8\n";
           "underflows              1\n";
           "rhs evals 1234, steps 150 (7 rejected)\n";
           "jacobians 3\n";
         ])
+
+(* Every input either parses or raises [Parse_error], and what parses
+   holds finite floats only: overflowing literals, then 10 000 seeded
+   mutations of a real metrics snapshot (one to three bit flips, byte
+   overwrites or truncations each). *)
+let test_json_fuzz () =
+  let rejects s =
+    match Obs.Json.parse s with
+    | exception Obs.Json.Parse_error _ -> ()
+    | _ -> Alcotest.failf "accepted %S" s
+  in
+  List.iter rejects
+    [ "1e999"; "-1e999"; "[0.5e400]"; {|{"a": 1E+999}|}; String.make 400 '9'; "-0.1e99999" ];
+  let doc =
+    with_metrics @@ fun () ->
+    Obs.Metrics.add (Obs.Metrics.counter "ode.rhs_evals") 1234;
+    Obs.Metrics.set_gauge (Obs.Metrics.gauge "arch.hypervolume") 0.4231;
+    let h = Obs.Metrics.histogram "checkpoint.save_ms" in
+    List.iter (Obs.Metrics.observe h) [ 0.3; 1.7; 42. ];
+    Obs.Json.to_string (Obs.Metrics.snapshot ~label:"epoch 3" ())
+  in
+  let rec finite = function
+    | Obs.Json.Float f -> Float.is_finite f
+    | Obs.Json.List l -> List.for_all finite l
+    | Obs.Json.Obj kvs -> List.for_all (fun (_, v) -> finite v) kvs
+    | _ -> true
+  in
+  Alcotest.(check bool) "the document parses" true (finite (Obs.Json.parse doc));
+  let rng = Numerics.Rng.create 404 in
+  for case = 1 to 10_000 do
+    let b = Bytes.of_string doc in
+    let len = ref (Bytes.length b) in
+    for _ = 0 to Numerics.Rng.int rng 3 do
+      if !len > 0 then begin
+        let at = Numerics.Rng.int rng !len in
+        match Numerics.Rng.int rng 3 with
+        | 0 ->
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl Numerics.Rng.int rng 8)))
+        | 1 -> Bytes.set b at (Char.chr (Numerics.Rng.int rng 256))
+        | _ -> len := at
+      end
+    done;
+    let s = Bytes.sub_string b 0 !len in
+    match Obs.Json.parse s with
+    | j -> if not (finite j) then Alcotest.failf "case %d: a non-finite float parsed from %S" case s
+    | exception Obs.Json.Parse_error _ -> ()
+    | exception e -> Alcotest.failf "case %d: %s on %S" case (Printexc.to_string e) s
+  done
 
 let () =
   Alcotest.run "obs"
@@ -703,6 +755,7 @@ let () =
             test_json_rejects_nonfinite_literals;
           Alcotest.test_case "string escapes" `Quick test_json_string_escapes;
           Alcotest.test_case "member and number" `Quick test_json_member_number;
+          Alcotest.test_case "fuzz: parse or Parse_error" `Quick test_json_fuzz;
         ] );
       ( "span",
         [

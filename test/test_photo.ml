@@ -223,23 +223,21 @@ let check_bits name ~uptake ~converged ~state (r : Photo.Steady_state.report) =
 
 let test_natural_bits () =
   (* The 15.486 anchor at present Ci, low export: the PTC root. *)
-  check_bits "natural" ~uptake:"0x1.ef9b3e7095672p+3" ~converged:true
-    ~state:"6ee95279a2fb45f9"
+  check_bits "natural" ~uptake:"0x1.ef9b3e7095229p+3" ~converged:true
+    ~state:"ba4b8214aff6a7ed"
     (Photo.Steady_state.natural ~env:present_low ())
 
 let test_seeded_design_bits () =
   (* A design drawn over the whole [0.05, 3] box, relaxed from the
-     natural state as the design problem does.  PTC finds no root for
-     it, and the windowed fallback is still drifting at t_max, so this
-     pins all 20 windows. *)
+     natural state as the design problem does: PTC's certified root. *)
   let rng = Numerics.Rng.create 19 in
   let ratios =
     Array.init Photo.Enzyme.count (fun _ ->
         Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
   in
   let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
-  check_bits "seed 19" ~uptake:"0x1.bdcc63c310433p+2" ~converged:false
-    ~state:"b4cb4f63f23c12b7"
+  check_bits "seed 19" ~uptake:"0x1.bdd82d98a2466p+2" ~converged:true
+    ~state:"5989b5e2c5d99640"
     (Photo.Steady_state.evaluate ~y0 ~env:present_low ~ratios ())
 
 let seeded_designs ~seed ~lo ~hi count =
@@ -270,10 +268,10 @@ let hash_halves y =
 
 let test_sweep_bits () =
   (* Six designs per condition drawn over [0.05, 3] (Rng seed 2011), each
-     relaxed from its condition's natural state.  The sweep takes every
-     path of [evaluate]: 28 PTC roots accepted by their window, 5
-     fallbacks that converge and 3 still drifting at t_max.  The hash
-     covers each report's uptake bits, [converged] and state hash. *)
+     relaxed from its condition's natural state: 35 certified roots from
+     the natural state, and one design whose root is unstable and whose
+     restart finds no certified root either.  The hash covers each
+     report's uptake bits, [converged] and state hash. *)
   let rng = Numerics.Rng.create 2011 in
   let paths = Array.make 3 0 and bits = ref [] in
   List.iter
@@ -294,9 +292,9 @@ let test_sweep_bits () =
             !bits
       done)
     Photo.Params.six_conditions;
-  Alcotest.(check (list int)) "PTC, fallback converged, fallback unconverged" [ 28; 5; 3 ]
+  Alcotest.(check (list int)) "root from y0, restart converged, restart unconverged" [ 35; 0; 1 ]
     (Array.to_list paths);
-  Alcotest.(check string) "FNV-1a of the sweep" "f203162b44e356d0"
+  Alcotest.(check string) "FNV-1a of the sweep" "fc43879b2e3d8dca"
     (hex_hash (Array.of_list (List.rev !bits)))
 
 let test_ptc_root_bits () =
@@ -314,13 +312,13 @@ let test_ptc_root_bits () =
               Photo.Steady_state.evaluate ~y0 ~env ~ratios:designs.(i) ())
         with
         | r, [ 0; its ] -> (its, hex_hash r.Photo.Steady_state.y)
-        | _ -> Alcotest.fail "PTC root not accepted")
+        | _ -> Alcotest.fail "PTC root not certified")
       Photo.Params.six_conditions
   in
   Alcotest.(check (list (pair int string))) "iterations and root hash"
     [
-      (9, "8d5965cab8efec28"); (10, "c207bac873cef7da"); (43, "120581a3eef90350");
-      (11, "b39e71b7fe12936c"); (10, "d4fecb5ebaf7000e"); (41, "1f115157213202f6");
+      (9, "8b36ca77045eccd1"); (10, "a3539412564f37d5"); (43, "5585007b9e978f69");
+      (11, "b929f7e9b9fcd8c4"); (10, "70ffc95c11aa9674"); (41, "aa21fe4710f6c3d0");
     ]
     got
 
@@ -349,32 +347,52 @@ let test_y0_length_checked () =
     [ 23; 25; 30 ]
 
 let test_unacceptable_root_falls_back () =
-  (* Design 91 of a seed-7 draw over [0.05, 3] at past Ci, high export:
-     PTC converges to a root within the pools, but one 20-unit window
-     from it moves the uptake by 1.1e-3·(|u|+1), past the band. *)
-  let env = Photo.Params.past ~tp_export:Photo.Params.high_export in
-  let ratios = (seeded_designs ~seed:7 ~lo:0.05 ~hi:3. 91).(90) in
+  (* Design 56 of a seed-3 draw over [0.05, 3] at present Ci, high
+     export: PTC from the natural state converges to a root whose
+     Jacobian has an eigenvalue with a positive real part.  One 20-unit
+     window from the root keeps its uptake within 1e-3·(|u|+1), but the
+     trajectory from the natural state does not stay there: its uptake
+     reads 6.24 at t = 3 000 and 5.48 at t = 3 200.  The root is
+     rejected and counted, and the restart runs; it finds no certified
+     root either. *)
+  let env = Photo.Params.present ~tp_export:Photo.Params.high_export in
+  let ratios = (seeded_designs ~seed:3 ~lo:0.05 ~hi:3. 56).(55) in
   let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
-  let vmax = Photo.Enzyme.vmax_of_ratios ratios in
-  let f = Photo.Model.rhs Photo.Params.default env ~vmax in
-  let pattern = Photo.Model.pattern () in
-  (match (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ()).Numerics.Ode.root with
-  | Some root ->
-    Alcotest.(check bool) "root within the adenylate pool" true
-      (root.(Photo.State.atp) <= Photo.Params.default.Photo.Params.adenylate_total)
-  | None -> Alcotest.fail "PTC found no root");
-  let r, n = counted (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ()) in
-  Alcotest.(check int) "window rejection falls back" 1 n;
-  Alcotest.(check bool) "finite fallback report" true (Float.is_finite r.Photo.Steady_state.uptake);
+  let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
+  let r, n =
+    counts [ fallbacks; unstable ] (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ())
+  in
+  Alcotest.(check (list int)) "restarts, unstable roots" [ 1; 1 ] n;
+  Alcotest.(check bool) "unconverged" false r.Photo.Steady_state.converged;
+  Alcotest.(check bool) "finite report" true (Float.is_finite r.Photo.Steady_state.uptake);
   (* A start far outside the pools (ATP ~1e6 mM against a 1.5 mM
-     adenylate total): PTC finds no root, and the fallback is counted. *)
+     adenylate total): PTC finds no root, and the restart is counted. *)
   let poisoned = Array.copy y0 in
   poisoned.(Photo.State.atp) <- 1.4e6;
   poisoned.(Photo.State.s7p) <- 8e5;
   let _, n =
     counted (fun () -> Photo.Steady_state.evaluate ~y0:poisoned ~env ~ratios:(ones ()) ())
   in
-  Alcotest.(check int) "out-of-bounds start falls back" 1 n
+  Alcotest.(check int) "out-of-bounds start restarts" 1 n
+
+let test_runaway_unconverged () =
+  (* Design 77 of a seed-43 draw over [0.05, 3] at present Ci, high
+     export.  Its trajectory from the natural state runs away: cytosolic
+     FBP passes 100 mM by t = 3 000 while the uptake creeps, so a state
+     rate relative to ‖y‖ looks settled once the pools are large.  PTC
+     finds no certified root from the natural state, nor after the
+     restart, so the design is unconverged and scores zero. *)
+  let env = Photo.Params.present ~tp_export:Photo.Params.high_export in
+  let ratios = (seeded_designs ~seed:43 ~lo:0.05 ~hi:3. 77).(76) in
+  let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let r, n = counted (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ()) in
+  Alcotest.(check int) "one restart" 1 n;
+  Alcotest.(check bool) "unconverged" false r.Photo.Steady_state.converged;
+  check_float ~tol:0. "scores zero" 0. (Photo.Steady_state.uptake_score r);
+  let f = Photo.Model.rhs Photo.Params.default env ~vmax:(Photo.Enzyme.vmax_of_ratios ratios) in
+  let traj = Numerics.Ode.dopri5 ~rtol:2e-4 ~atol:1e-7 ~f ~t0:0. ~t1:3000. ~y0 () in
+  let top = Array.fold_left Float.max 0. traj.Numerics.Ode.y in
+  Alcotest.(check bool) (Printf.sprintf "a pool at %.1f mM > 60 at t = 3000" top) true (top > 60.)
 
 let test_ptc_matches_long_relaxation () =
   (* Designs the windowed loop leaves unconverged at t_max (two within
@@ -754,6 +772,7 @@ let () =
           Alcotest.test_case "dopri5 window bits" `Quick test_dopri5_window_bits;
           Alcotest.test_case "y0 length checked" `Quick test_y0_length_checked;
           Alcotest.test_case "unacceptable root falls back" `Quick test_unacceptable_root_falls_back;
+          Alcotest.test_case "runaway unconverged" `Quick test_runaway_unconverged;
           Alcotest.test_case "ptc matches t = 3000" `Slow test_ptc_matches_long_relaxation;
         ] );
       ( "leaf-problem",

@@ -86,20 +86,21 @@ let test_frame_roundtrip () =
 (* A worker SIGKILLed mid-write can tear the wire frame at any byte
    boundary; every prefix must read back as a clean close (nothing sent)
    or a detected corruption — never a misparse. *)
-let test_wire_torn_at_every_byte () =
+let sample_reply () =
   let migrant = Moo.Solution.evaluate (zdt1 6) (Array.make 6 0.25) in
-  let reply =
-    Shard.Wire.Stepped
-      {
-        sd_epoch = 7;
-        sd_snapshots = [];
-        sd_emigrants = [ ((0, 1), [ migrant ]) ];
-        sd_failures = 0;
-        sd_guards = [];
-        sd_caches = [];
-        sd_obs = None;
-      }
-  in
+  Shard.Wire.Stepped
+    {
+      sd_epoch = 7;
+      sd_snapshots = [];
+      sd_emigrants = [ ((0, 1), [ migrant ]) ];
+      sd_failures = 0;
+      sd_guards = [];
+      sd_caches = [];
+      sd_obs = None;
+    }
+
+let test_wire_torn_at_every_byte () =
+  let reply = sample_reply () in
   let bytes = Shard.Wire.to_bytes reply in
   let n = String.length bytes in
   for cut = 0 to n - 1 do
@@ -120,6 +121,28 @@ let test_wire_torn_at_every_byte () =
   Unix.close w;
   Alcotest.(check bool) "full frame decodes" true (Shard.Wire.recv_reply r = reply);
   Unix.close r
+
+(* Every single-bit flip of a real frame's 4-byte length prefix, sent
+   down a pipe the writer then closes, reads as [Corrupt]: a longer
+   length finds the pipe closed, a shorter one cuts the inner frame.
+   And none allocates a buffer the size of the corrupt length: flipping
+   bit 29 claims a 512 MiB frame. *)
+let test_wire_corrupt_length_prefix () =
+  let bytes = Shard.Wire.to_bytes (sample_reply ()) in
+  for bit = 0 to 31 do
+    let b = Bytes.of_string bytes and at = 3 - (bit / 8) in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (bit mod 8))));
+    let r, w = Unix.pipe () in
+    Shard.Wire.write_raw w (Bytes.to_string b);
+    Unix.close w;
+    let before = Gc.allocated_bytes () in
+    (match Shard.Wire.recv_reply r with
+    | _ -> Alcotest.failf "bit %d: a corrupt prefix decoded" bit
+    | exception Runtime.Checkpoint.Corrupt _ -> ());
+    let allocated = Gc.allocated_bytes () -. before in
+    Unix.close r;
+    if allocated >= 1e6 then Alcotest.failf "bit %d: recv allocated %.0f bytes" bit allocated
+  done
 
 (* {1 Process-fault specs} *)
 
@@ -484,6 +507,7 @@ let () =
           Alcotest.test_case "versioned magic" `Quick test_versioned_magic;
           Alcotest.test_case "frame roundtrip + CRC" `Quick test_frame_roundtrip;
           Alcotest.test_case "torn at every byte boundary" `Quick test_wire_torn_at_every_byte;
+          Alcotest.test_case "corrupt length prefix" `Quick test_wire_corrupt_length_prefix;
         ] );
       ( "fault-spec",
         [
