@@ -1033,33 +1033,21 @@ let run_simplex_benchmarks () =
       ]
   end
 
+(* The paper's experiments, then the harness's own entries. *)
 let experiments =
-  [
-    ("fig1", Experiments.Fig1.print);
-    ("fig2", Experiments.Fig2.print);
-    ("table1", Experiments.Table1.print);
-    ("table2", Experiments.Table2.print);
-    ("fig3", Experiments.Fig3.print);
-    ("fig4", Experiments.Fig4.print);
-    ("local", Experiments.Local_analysis.print);
-    ("zhu-check", Experiments.Zhu_check.print);
-    ("temperature", Experiments.Temperature_exp.print);
-    ("optknock", Experiments.Optknock.print);
-    ("control", Experiments.Enzyme_control.print);
-    ("export-data", fun () ->
-       let files = Experiments.Export.all ~dir:"results" in
-       List.iter (Printf.printf "   wrote %s\n") files);
-    ("ablate-migration", Experiments.Ablate.migration);
-    ("ablate-algorithms", Experiments.Ablate.algorithms);
-    ("ablate-operators", Experiments.Ablate.operators);
-    ("ablate-penalty", Experiments.Ablate.penalty);
-    ("bench", run_micro_benchmarks);
-    ("bench-obs", run_obs_benchmarks);
-    ("bench-parallel", run_parallel_benchmarks);
-    ("bench-cache", run_cache_benchmarks);
-    ("bench-shard", run_shard_benchmarks);
-    ("bench-simplex", run_simplex_benchmarks);
-  ]
+  Experiments.Catalog.all
+  @ [
+      ( "export-data",
+        fun () ->
+          let files = Experiments.Export.all ~dir:"results" in
+          List.iter (Printf.printf "   wrote %s\n") files );
+      ("bench", run_micro_benchmarks);
+      ("bench-obs", run_obs_benchmarks);
+      ("bench-parallel", run_parallel_benchmarks);
+      ("bench-cache", run_cache_benchmarks);
+      ("bench-shard", run_shard_benchmarks);
+      ("bench-simplex", run_simplex_benchmarks);
+    ]
 
 let run_one name =
   match List.assoc_opt name experiments with

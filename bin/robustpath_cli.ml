@@ -262,8 +262,8 @@ let report_pool_stats ~metrics pool =
   | None, _ | _, None -> ()
   | Some _, Some pool ->
     let s = Parallel.Pool.stats () in
-    Printf.printf "pool: %d domains, %d tasks, %d steals, %.1f ms idle\n"
-      (Parallel.Pool.domains pool) s.Parallel.Pool.tasks s.Parallel.Pool.steals
+    Printf.printf "pool: %d domains, %d tasks, %.1f ms idle\n" (Parallel.Pool.domains pool)
+      s.Parallel.Pool.tasks
       (float_of_int s.Parallel.Pool.idle_ns /. 1e6)
 
 let report_faults r =
@@ -279,28 +279,19 @@ let report_faults r =
     Printf.printf "island crashes absorbed by the supervisor: %d\n"
       r.Pmo2.Archipelago.failures
 
-let env_of ~ci ~export =
-  let tp_export =
-    match export with
-    | "low" -> Photo.Params.low_export
-    | "high" -> Photo.Params.high_export
-    | s -> (
-      match float_of_string_opt s with Some v -> v | None -> Photo.Params.low_export)
-  in
-  match ci with
-  | 165 -> Photo.Params.past ~tp_export
-  | 490 -> Photo.Params.future ~tp_export
-  | _ -> Photo.Params.present ~tp_export
+(* {1 The optimization runner}
 
-(* {1 photo} *)
-
-let photo_cmd =
-  let run ci export generations pop seed domains cache_size shards shard_retry kill_spec
-      checkpoint checkpoint_every keep resume trace metrics metrics_interval flight =
-    with_user_errors @@ fun () ->
-    let env = env_of ~ci ~export in
-    let problem = Photo.Leaf.problem env in
-    let natural = Moo.Solution.evaluate problem (Array.make Photo.Enzyme.count 1.) in
+   [photo] and [geobacter] run the same archipelago under the same
+   flags; only the problem, its initial solutions, the variation
+   operator and the front printout differ.  The term applies the shared
+   flags and yields the runner: it evolves [problem] from [initial]
+   in-process on the pool or across supervised shards, hands the result
+   to [print], then prints the run's fault, cache, pool and shard
+   summaries. *)
+let optimizer =
+  let optimize domains cache_size shards shard_retry kill_spec checkpoint checkpoint_every keep
+      resume trace metrics metrics_interval flight ~generations ~pop ~seed ~variation ~initial
+      ~print problem =
     let sharded = shards > 0 in
     (match flight with
     | Some prefix when not sharded -> Obs.Ring.attach ~path:(prefix ^ ".ring") ~lane:0
@@ -310,7 +301,7 @@ let photo_cmd =
       {
         Pmo2.Archipelago.default_config with
         migration_period = Stdlib.max 1 (generations / 4);
-        nsga2 = { Ea.Nsga2.default_config with pop_size = pop; pool };
+        nsga2 = { Ea.Nsga2.default_config with pop_size = pop; variation; pool };
         guard_penalty = Some 1e12;
         parallel = not sharded;
         cache_size = cache_size_of cache_size;
@@ -330,37 +321,56 @@ let photo_cmd =
           }
         in
         let r, st =
-          Shard.Supervisor.run ~seed ~initial:[ natural ] ?checkpoint ~checkpoint_every
+          Shard.Supervisor.run ~seed ~initial ?checkpoint ~checkpoint_every
             ?keep_checkpoints:keep ?resume ?observer ~config ~generations problem cfg
         in
         (r, Some st)
       else
-        ( Pmo2.Archipelago.run ~seed ~initial:[ natural ] ?checkpoint ~checkpoint_every
+        ( Pmo2.Archipelago.run ~seed ~initial ?checkpoint ~checkpoint_every
             ?keep_checkpoints:keep ?resume ?observer ~generations problem cfg,
           None )
     in
-    let u, n = Photo.Leaf.natural_point env in
-    Printf.printf "condition: %s, triose-P export %g mmol/l/s\n" env.Photo.Params.label
-      env.Photo.Params.tp_export;
-    Printf.printf "natural: uptake %.3f, nitrogen %.0f\n" u n;
-    Printf.printf "front (%d points, %d evaluations):\n"
-      (List.length r.Pmo2.Archipelago.front)
-      r.Pmo2.Archipelago.evaluations;
-    List.iter
-      (fun s ->
-        Printf.printf "  uptake %8.3f   nitrogen %10.0f\n" (Photo.Leaf.uptake_of s)
-          (Photo.Leaf.nitrogen_of s))
-      (Moo.Mine.equally_spaced ~k:15 r.Pmo2.Archipelago.front);
+    print r;
     report_faults r;
     report_cache_stats ~metrics r;
     report_pool_stats ~metrics pool;
     report_shard_stats ~metrics shard_stats
   in
-  let ci =
-    Arg.(value & opt int 270 & info [ "ci" ] ~doc:"Intercellular CO2 (165, 270 or 490 ppm).")
-  in
-  let export =
-    Arg.(value & opt string "low" & info [ "export" ] ~doc:"Triose-P export: low, high, or a rate.")
+  Term.(
+    const optimize $ domains_arg $ cache_size_arg $ shards_arg $ shard_retry_arg
+    $ fault_kill_shard_arg $ checkpoint_arg $ checkpoint_every_arg $ keep_checkpoints_arg
+    $ resume_arg $ trace_arg $ metrics_arg $ metrics_interval_arg $ flight_recorder_arg)
+
+(* The leaf's condition flags, shared by [photo] and [robust]. *)
+let ci_arg =
+  Arg.(value & opt int 270 & info [ "ci" ] ~doc:"Intercellular CO2 (165, 270 or 490 ppm).")
+
+let export_arg =
+  Arg.(value & opt string "low" & info [ "export" ] ~doc:"Triose-P export: low, high, or a rate.")
+
+(* {1 photo} *)
+
+let photo_cmd =
+  let run ci export generations pop seed optimize =
+    with_user_errors @@ fun () ->
+    let env = Photo.Params.of_flags ~ci ~export in
+    let problem = Photo.Leaf.problem env in
+    let natural = Moo.Solution.evaluate problem (Array.make Photo.Enzyme.count 1.) in
+    let print r =
+      let u, n = Photo.Leaf.natural_point env in
+      Printf.printf "condition: %s, triose-P export %g mmol/l/s\n" env.Photo.Params.label
+        env.Photo.Params.tp_export;
+      Printf.printf "natural: uptake %.3f, nitrogen %.0f\n" u n;
+      Printf.printf "front (%d points, %d evaluations):\n"
+        (List.length r.Pmo2.Archipelago.front)
+        r.Pmo2.Archipelago.evaluations;
+      List.iter
+        (fun s ->
+          Printf.printf "  uptake %8.3f   nitrogen %10.0f\n" (Photo.Leaf.uptake_of s)
+            (Photo.Leaf.nitrogen_of s))
+        (Moo.Mine.equally_spaced ~k:15 r.Pmo2.Archipelago.front)
+    in
+    optimize ~generations ~pop ~seed ~variation:None ~initial:[ natural ] ~print problem
   in
   let generations =
     Arg.(value & opt int 120 & info [ "generations" ] ~doc:"Generations per island.")
@@ -369,73 +379,29 @@ let photo_cmd =
   let seed = Arg.(value & opt int 2011 & info [ "seed" ] ~doc:"Random seed.") in
   Cmd.v
     (Cmd.info "photo" ~doc:"Optimize the C3 leaf: CO2 uptake vs protein-nitrogen (PMO2).")
-    Term.(
-      const run $ ci $ export $ generations $ pop $ seed $ domains_arg $ cache_size_arg
-      $ shards_arg $ shard_retry_arg $ fault_kill_shard_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ keep_checkpoints_arg $ resume_arg $ trace_arg $ metrics_arg
-      $ metrics_interval_arg $ flight_recorder_arg)
+    Term.(const run $ ci_arg $ export_arg $ generations $ pop $ seed $ optimizer)
 
 (* {1 geobacter} *)
 
 let geobacter_cmd =
-  let run generations pop seed domains cache_size shards shard_retry kill_spec checkpoint
-      checkpoint_every keep resume trace metrics metrics_interval flight =
+  let run generations pop seed optimize =
     with_user_errors @@ fun () ->
     let g = Fba.Geobacter.build () in
     let problem = Fba.Moo_problem.problem g in
     let seeds = Fba.Moo_problem.seeds g ~levels:[ 0.283; 0.292; 0.301 ] in
-    let vary = Fba.Moo_problem.flux_variation g () in
-    let sharded = shards > 0 in
-    (match flight with
-    | Some prefix when not sharded -> Obs.Ring.attach ~path:(prefix ^ ".ring") ~lane:0
-    | _ -> ());
-    let pool = if sharded then None else Some (pool_of_domains domains) in
-    let cfg =
-      {
-        Pmo2.Archipelago.default_config with
-        migration_period = Stdlib.max 1 (generations / 4);
-        nsga2 = { Ea.Nsga2.default_config with pop_size = pop; variation = Some vary; pool };
-        guard_penalty = Some 1e12;
-        parallel = not sharded;
-        cache_size = cache_size_of cache_size;
-      }
+    let variation = Some (Fba.Moo_problem.flux_variation g ()) in
+    let print r =
+      let feasible = List.filter (fun s -> s.Moo.Solution.v <= 0.) r.Pmo2.Archipelago.front in
+      Printf.printf "front: %d points (%d near-steady-state)\n"
+        (List.length r.Pmo2.Archipelago.front)
+        (List.length feasible);
+      List.iter
+        (fun s ->
+          Printf.printf "  EP %8.3f   BP %.4f\n" (Fba.Moo_problem.ep_of s)
+            (Fba.Moo_problem.bp_of s))
+        (Moo.Mine.equally_spaced ~k:8 feasible)
     in
-    let r, shard_stats =
-      with_observability ~trace ~metrics ?metrics_interval @@ fun ~observer ~tick ->
-      if sharded then
-        let config =
-          {
-            Shard.Supervisor.default with
-            Shard.Supervisor.shards;
-            retry_budget = shard_retry;
-            fault = Option.map Runtime.Fault.parse_kill_spec kill_spec;
-            ring_prefix = flight;
-            tick;
-          }
-        in
-        let r, st =
-          Shard.Supervisor.run ~seed ~initial:seeds ?checkpoint ~checkpoint_every
-            ?keep_checkpoints:keep ?resume ?observer ~config ~generations problem cfg
-        in
-        (r, Some st)
-      else
-        ( Pmo2.Archipelago.run ~seed ~initial:seeds ?checkpoint ~checkpoint_every
-            ?keep_checkpoints:keep ?resume ?observer ~generations problem cfg,
-          None )
-    in
-    let feasible = List.filter (fun s -> s.Moo.Solution.v <= 0.) r.Pmo2.Archipelago.front in
-    Printf.printf "front: %d points (%d near-steady-state)\n"
-      (List.length r.Pmo2.Archipelago.front)
-      (List.length feasible);
-    List.iter
-      (fun s ->
-        Printf.printf "  EP %8.3f   BP %.4f\n" (Fba.Moo_problem.ep_of s)
-          (Fba.Moo_problem.bp_of s))
-      (Moo.Mine.equally_spaced ~k:8 feasible);
-    report_faults r;
-    report_cache_stats ~metrics r;
-    report_pool_stats ~metrics pool;
-    report_shard_stats ~metrics shard_stats
+    optimize ~generations ~pop ~seed ~variation ~initial:seeds ~print problem
   in
   let generations =
     Arg.(value & opt int 60 & info [ "generations" ] ~doc:"Generations per island.")
@@ -445,11 +411,7 @@ let geobacter_cmd =
   Cmd.v
     (Cmd.info "geobacter"
        ~doc:"Optimize Geobacter: electron vs biomass production over 608 fluxes.")
-    Term.(
-      const run $ generations $ pop $ seed $ domains_arg $ cache_size_arg $ shards_arg
-      $ shard_retry_arg $ fault_kill_shard_arg $ checkpoint_arg $ checkpoint_every_arg
-      $ keep_checkpoints_arg $ resume_arg $ trace_arg $ metrics_arg $ metrics_interval_arg
-      $ flight_recorder_arg)
+    Term.(const run $ generations $ pop $ seed $ optimizer)
 
 (* {1 inspect} *)
 
@@ -557,7 +519,8 @@ let report_cmd =
 
 let robust_cmd =
   let run ci export trials =
-    let env = env_of ~ci ~export in
+    with_user_errors @@ fun () ->
+    let env = Photo.Params.of_flags ~ci ~export in
     let uptake = Experiments.Runs.uptake_property ~env in
     let natural = Array.make Photo.Enzyme.count 1. in
     let g = Robustness.Yield.gamma_pool ~seed:42 ~f:uptake ~trials natural in
@@ -572,47 +535,22 @@ let robust_cmd =
             p.Robustness.Screen.yield_pct)
       profile
   in
-  let ci = Arg.(value & opt int 270 & info [ "ci" ] ~doc:"Intercellular CO2 (ppm).") in
-  let export =
-    Arg.(value & opt string "low" & info [ "export" ] ~doc:"Triose-P export: low or high.")
-  in
   let trials =
     Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Global ensemble size (paper: 5000).")
   in
   Cmd.v
     (Cmd.info "robust" ~doc:"Robustness screen (Γ yields) of the natural leaf.")
-    Term.(const run $ ci $ export $ trials)
+    Term.(const run $ ci_arg $ export_arg $ trials)
 
 (* {1 experiment} *)
 
-(* The one table of experiments: [experiment] dispatches on it, and
-   [list] and [experiment]'s doc are generated from it. *)
-let experiments =
-  [
-    ("fig1", Experiments.Fig1.print);
-    ("fig2", Experiments.Fig2.print);
-    ("table1", Experiments.Table1.print);
-    ("table2", Experiments.Table2.print);
-    ("fig3", Experiments.Fig3.print);
-    ("fig4", Experiments.Fig4.print);
-    ("local", Experiments.Local_analysis.print);
-    ("zhu-check", Experiments.Zhu_check.print);
-    ("temperature", Experiments.Temperature_exp.print);
-    ("optknock", Experiments.Optknock.print);
-    ("control", Experiments.Enzyme_control.print);
-    ("ablate-migration", Experiments.Ablate.migration);
-    ("ablate-algorithms", Experiments.Ablate.algorithms);
-    ("ablate-operators", Experiments.Ablate.operators);
-    ("ablate-penalty", Experiments.Ablate.penalty);
-  ]
-
-let experiment_names sep = String.concat sep (List.map fst experiments)
+let experiment_names sep = String.concat sep (List.map fst Experiments.Catalog.all)
 
 let experiment_cmd =
   let run names =
     List.iter
       (fun name ->
-        match List.assoc_opt name experiments with
+        match List.assoc_opt name Experiments.Catalog.all with
         | Some f -> f ()
         | None ->
           Printf.eprintf "unknown experiment %S (try: %s)\n" name (experiment_names ", ");

@@ -48,9 +48,8 @@ let evaluate (type a) ?pool ?(memo : a Memo.t option) ~n ~key f : a array =
     let eval_miss mi = f rep_index.(miss.(mi)) in
     let results =
       match pool with
-      | Some pool when Array.length miss > 1 ->
-        Parallel.Pool.parallel_map pool ~n:(Array.length miss) eval_miss
-      | _ -> Array.init (Array.length miss) eval_miss
+      | Some pool -> Parallel.Pool.parallel_map pool ~n:(Array.length miss) eval_miss
+      | None -> Array.init (Array.length miss) eval_miss
     in
     (* 4. Publish results and fill the memo, sequentially in
        representative order. *)

@@ -44,16 +44,3 @@ let render ~objectives (o : Design.outcome) =
   add "\n";
   Buffer.contents buf
 
-let print ~objectives o = print_string (render ~objectives o)
-
-let leaf_objectives =
-  [|
-    { label = "uptake"; maximized = true };
-    { label = "nitrogen"; maximized = false };
-  |]
-
-let geobacter_objectives =
-  [|
-    { label = "electron-production"; maximized = true };
-    { label = "biomass-production"; maximized = true };
-  |]

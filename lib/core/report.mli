@@ -15,14 +15,3 @@ val render :
   string
 (** Multi-line text report: front summary, mined trade-offs with yields,
     the most robust design, evaluation count. *)
-
-val print : objectives:objective array -> Design.outcome -> unit
-(** [render] to stdout. *)
-
-val leaf_objectives : objective array
-(** Labels for the photosynthesis problem: CO2 uptake (maximized),
-    nitrogen (minimized). *)
-
-val geobacter_objectives : objective array
-(** Labels for the Geobacter problem: electron production and biomass
-    production (both maximized). *)

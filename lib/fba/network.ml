@@ -29,7 +29,6 @@ let create ~metabolites () =
 
 let n_metabolites net = Array.length net.metabolites
 let n_reactions net = net.n
-let metabolite_names net = net.metabolites
 
 let add_reaction net ~name ~stoich ~lb ~ub =
   if not (lb <= ub) then invalid_arg "Fba.Network.add_reaction: lb must not exceed ub";
@@ -88,8 +87,6 @@ let columns net =
 
 let violation net v =
   Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (stoichiometric_matrix net) v)
-
-let mass_balance_residual net v = Numerics.Sparse.csc_mv (stoichiometric_matrix net) v
 
 (* Least-squares projection onto null(S): v' = v − Sᵀ (S Sᵀ + λI)⁻¹ S v.
    The small Tikhonov term λ keeps S Sᵀ invertible, because the decoy

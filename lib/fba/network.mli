@@ -20,7 +20,6 @@ val add_reaction : t -> name:string -> stoich:(int * float) list -> lb:float -> 
 
 val n_metabolites : t -> int
 val n_reactions : t -> int
-val metabolite_names : t -> string array
 val reaction : t -> int -> reaction
 val reaction_index : t -> string -> int
 (** Raises [Not_found] for unknown names. *)
@@ -42,9 +41,6 @@ val columns : t -> (int * float) list array
 
 val violation : t -> float array -> float
 (** [‖S·v‖₂] of a flux vector, from the cached S. *)
-
-val mass_balance_residual : t -> float array -> float array
-(** Per-metabolite residual [S·v]. *)
 
 val projector : t -> float array -> float array
 (** [projector net] is the least-squares projection onto the null space

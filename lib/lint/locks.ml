@@ -2,7 +2,7 @@
    imposed on it.
 
    A record type with a [Mutex.t] field and at least one mutable field is
-   "guarded" (Cache.Memo's [t], Parallel.Pool's [deque]); a module with a
+   "guarded" (Cache.Memo's [t], Parallel.Pool's [job]); a module with a
    toplevel mutex and toplevel mutable containers guards those globals
    (Experiments.Runs, Obs.Span).  The pass then walks every function body
    tracking which locks are held along the sequential spine —

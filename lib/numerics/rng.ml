@@ -10,8 +10,6 @@ let state r = r.state
 
 let set_state r s = r.state <- s
 
-let of_state s = { state = s }
-
 (* SplitMix64 step: advance by the golden gamma then mix (Steele et al.). *)
 let bits64 r =
   r.state <- Int64.add r.state golden_gamma;

@@ -27,14 +27,11 @@ val copy : t -> t
 (** Snapshot of the current state. *)
 
 val state : t -> int64
-(** Raw generator state, for checkpointing.  [set_state (of_state s)]
-    resumes the stream exactly where [state] captured it. *)
+(** Raw generator state, for checkpointing.  [set_state r s] resumes
+    the stream exactly where [state] captured it. *)
 
 val set_state : t -> int64 -> unit
 (** Overwrite the generator state in place (checkpoint restore). *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from a captured raw state. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

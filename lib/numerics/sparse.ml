@@ -76,10 +76,6 @@ let compress m =
   col_ptr.(m.c) <- !k;
   { cs_rows = m.r; cs_cols = m.c; col_ptr; row_idx; values }
 
-let csc_rows c = c.cs_rows
-let csc_cols c = c.cs_cols
-let csc_nnz c = c.col_ptr.(c.cs_cols)
-
 let csc_column c j =
   if not (0 <= j && j < c.cs_cols) then invalid_arg "Numerics.Sparse.csc_column: out of range";
   let acc = ref [] in

@@ -35,9 +35,6 @@ val residual_norm2 : t -> float array -> float
 type csc
 
 val compress : t -> csc
-val csc_rows : csc -> int
-val csc_cols : csc -> int
-val csc_nnz : csc -> int
 
 val csc_column : csc -> int -> (int * float) list
 val csc_mv : csc -> float array -> float array

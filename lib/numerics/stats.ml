@@ -56,10 +56,6 @@ let summarize xs =
     max = maximum xs;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.6g min=%.6g q25=%.6g med=%.6g q75=%.6g max=%.6g"
-    s.n s.mean s.stddev s.min s.q25 s.median s.q75 s.max
-
 let histogram ?(bins = 10) xs =
   if not (bins > 0 && Array.length xs > 0) then
     invalid_arg "Stats.histogram: empty sample or non-positive bins";

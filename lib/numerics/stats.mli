@@ -26,7 +26,6 @@ type summary = {
 }
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 val histogram : ?bins:int -> float array -> (float * int) array
 (** [histogram ~bins xs] returns [(left_edge, count)] pairs over equal-width

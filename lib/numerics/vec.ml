@@ -4,7 +4,6 @@ let make n x = Array.make n x
 let init = Array.init
 let copy = Array.copy
 let zeros n = Array.make n 0.
-let ones n = Array.make n 1.
 
 let check_len x y =
   if Array.length x <> Array.length y then invalid_arg "Vec: length mismatch"
@@ -29,12 +28,6 @@ let axpy a x y =
     y.(i) <- (a *. x.(i)) +. y.(i)
   done
 
-let add_inplace x y =
-  check_len x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- x.(i) +. y.(i)
-  done
-
 let dot x y =
   check_len x y;
   let acc = ref 0. in
@@ -57,10 +50,6 @@ let min x = Array.fold_left Float.min infinity x
 let max x = Array.fold_left Float.max neg_infinity x
 
 let map = Array.map
-let map2 f x y =
-  check_len x y;
-  Array.mapi (fun i xi -> f xi y.(i)) x
-
 let mapi = Array.mapi
 
 let clamp ~lo ~hi x =

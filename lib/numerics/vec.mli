@@ -11,7 +11,6 @@ val make : int -> float -> t
 val init : int -> (int -> float) -> t
 val copy : t -> t
 val zeros : int -> t
-val ones : int -> t
 
 val add : t -> t -> t
 (** Elementwise sum (fresh vector). *)
@@ -28,9 +27,6 @@ val scale : float -> t -> t
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] sets [y <- a*x + y] in place. *)
 
-val add_inplace : t -> t -> unit
-(** [add_inplace x y] sets [y <- x + y]. *)
-
 val dot : t -> t -> float
 val norm2 : t -> float
 val norm_inf : t -> float
@@ -45,7 +41,6 @@ val min : t -> float
 val max : t -> float
 
 val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
 val mapi : (int -> float -> float) -> t -> t
 
 val clamp : lo:t -> hi:t -> t -> t

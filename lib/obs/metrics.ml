@@ -216,12 +216,6 @@ let set_contribution ~key d =
     ~finally:(fun () -> Mutex.unlock registry_lock)
     (fun () -> Hashtbl.replace contributions key d)
 
-let clear_contributions () =
-  Mutex.lock registry_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_lock)
-    (fun () -> Hashtbl.reset contributions)
-
 let sorted_contributions () =
   let all = List.of_seq (Hashtbl.to_seq contributions) in
   List.map snd (List.sort (fun (a, _) (b, _) -> compare (a : int) b) all)

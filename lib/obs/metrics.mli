@@ -103,10 +103,6 @@ val delta : unit -> delta
 val set_contribution : key:int -> delta -> unit
 (** Store (replacing) the delta contributed under [key]. *)
 
-val clear_contributions : unit -> unit
-(** Drop all contributions (forked workers must call this, with
-    {!reset}, so inherited supervisor state is not double-counted). *)
-
 (** {2 Snapshots} *)
 
 val snapshot : ?label:string -> unit -> Json.t

@@ -1,95 +1,36 @@
 (* A process-wide persistent pool of worker domains.
 
    Lifecycle: [create] spawns [domains - 1] worker domains that park on
-   a condition variable.  Each submission publishes one job (a chunked
-   index range), bumps a sequence number and broadcasts; every worker
-   wakes, drains tasks — own deque first, then stealing from the others
-   — and reports quiescence.  The submitting domain participates as
-   worker 0 and returns once all workers have quiesced, which doubles
-   as the barrier guaranteeing no stale worker can touch the next job's
-   deques.  Workers therefore live across an arbitrary number of
-   submissions; the per-job cost is one broadcast and one rendezvous
-   instead of a domain spawn/join per task.
+   a condition variable.  Each submission publishes one job (a map over
+   [0, n) with a shared index cursor), bumps a sequence number and
+   broadcasts; every worker wakes, claims indices from the cursor until
+   it passes [n], and reports quiescence.  The submitting domain claims
+   indices too and returns once all workers have quiesced, which doubles
+   as the barrier guaranteeing no stale worker can touch the next job.
+   Workers therefore live across an arbitrary number of submissions; the
+   per-job cost is one broadcast and one rendezvous instead of a domain
+   spawn/join per item.
 
-   Determinism: chunk boundaries depend only on (n, chunk), tasks are
-   pure functions of their index range writing to disjoint slots, and
-   stochastic tasks derive their own [Numerics.Rng.stream].  Execution
-   order is free; results are not. *)
+   Determinism: every item is a pure function of its index writing only
+   its own slot, and stochastic items derive their own
+   [Numerics.Rng.stream].  Which domain runs an item is free; results
+   are not. *)
 
 let m_tasks = Obs.Metrics.counter "pool.tasks"
-let m_steals = Obs.Metrics.counter "pool.steals"
 let m_idle_ns = Obs.Metrics.counter "pool.idle_ns"
-
-(* {1 Work-stealing deques}
-
-   One deque per worker slot, task ids round-robined at submission.
-   The owner pops newest-first from the bottom; thieves take oldest-
-   first from the top.  A small mutex per deque keeps both ends safe —
-   tasks here are milliseconds (kinetic-model evaluations), so lock
-   traffic is noise compared to task bodies. *)
-
-type deque = {
-  dlock : Mutex.t;
-  mutable buf : int array;
-  mutable top : int; (* next steal slot *)
-  mutable bottom : int; (* next push slot; top = bottom means empty *)
-}
-
-let deque_create () = { dlock = Mutex.create (); buf = Array.make 16 0; top = 0; bottom = 0 }
-
-let push_bottom d task =
-  Mutex.lock d.dlock;
-  if d.bottom = Array.length d.buf then begin
-    let grown = Array.make (2 * Array.length d.buf) 0 in
-    Array.blit d.buf 0 grown 0 d.bottom;
-    d.buf <- grown
-  end;
-  d.buf.(d.bottom) <- task;
-  d.bottom <- d.bottom + 1;
-  Mutex.unlock d.dlock
-
-let pop_bottom d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.top = d.bottom then begin
-      d.top <- 0;
-      d.bottom <- 0;
-      None
-    end
-    else begin
-      d.bottom <- d.bottom - 1;
-      Some d.buf.(d.bottom)
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
-
-let steal_top d =
-  Mutex.lock d.dlock;
-  let r =
-    if d.top = d.bottom then None
-    else begin
-      let v = d.buf.(d.top) in
-      d.top <- d.top + 1;
-      Some v
-    end
-  in
-  Mutex.unlock d.dlock;
-  r
-
-(* {1 Jobs and the pool} *)
 
 type job = {
   run : int -> unit;
+  n : int;
+  next : int Atomic.t; (* the next unclaimed index *)
   elock : Mutex.t;
-  (* First failure by task index — a deterministic choice, unlike
+  (* First failure by index — a deterministic choice, unlike
      first-by-wall-clock. *)
   mutable exn : (int * exn * Printexc.raw_backtrace) option;
 }
 
 type t = {
   size : int; (* workers including the submitting domain *)
-  deques : deque array;
   lock : Mutex.t; (* guards job / seq / quiesced / stopped *)
   work_ready : Condition.t;
   job_done : Condition.t;
@@ -101,55 +42,37 @@ type t = {
   mutable workers : unit Domain.t array;
 }
 
-(* Set while a domain is executing a pool task: nested submissions from
-   inside a task run inline instead of deadlocking on [submit]. *)
+(* Set while a domain is draining a job: nested submissions from inside
+   an item run inline instead of deadlocking on [submit]. *)
 let in_task_key = Domain.DLS.new_key (fun () -> false)
 
-let record_failure job task e bt =
+let record_failure job i e bt =
   Mutex.lock job.elock;
   (match job.exn with
-  | Some (t0, _, _) when t0 <= task -> ()
-  | _ -> job.exn <- Some (task, e, bt));
+  | Some (i0, _, _) when i0 <= i -> ()
+  | _ -> job.exn <- Some (i, e, bt));
   Mutex.unlock job.elock
 
-let exec job task =
+(* Claim and run indices until the cursor passes [n].  Returns only when
+   every index is claimed, which — combined with the quiescence barrier
+   below — implies every item of the job has finished. *)
+let drain job =
   Domain.DLS.set in_task_key true;
-  (match job.run task with
-  | () -> ()
-  (* robustlint: allow R4 — the barrier re-raises the lowest-index failure once all tasks settle *)
-  | exception e -> record_failure job task e (Printexc.get_raw_backtrace ()));
-  Domain.DLS.set in_task_key false;
-  Obs.Metrics.incr m_tasks
-
-(* Drain: own deque first, then sweep the others.  Returns only when no
-   task is visible anywhere, which — combined with the quiescence
-   barrier below — implies every task of the job has finished. *)
-let drain t slot job =
-  let next () =
-    match pop_bottom t.deques.(slot) with
-    | Some _ as s -> s
-    | None ->
-      let rec sweep k =
-        if k >= t.size then None
-        else
-          match steal_top t.deques.((slot + k) mod t.size) with
-          | Some _ as s ->
-            Obs.Metrics.incr m_steals;
-            s
-          | None -> sweep (k + 1)
-      in
-      sweep 1
-  in
   let rec go () =
-    match next () with
-    | None -> ()
-    | Some task ->
-      exec job task;
+    let i = Atomic.fetch_and_add job.next 1 in
+    if i < job.n then begin
+      (match job.run i with
+      | () -> ()
+      (* robustlint: allow R4 — the barrier re-raises the lowest-index failure once all items settle *)
+      | exception e -> record_failure job i e (Printexc.get_raw_backtrace ()));
+      Obs.Metrics.incr m_tasks;
       go ()
+    end
   in
-  go ()
+  go ();
+  Domain.DLS.set in_task_key false
 
-let rec worker_loop t slot last_seen =
+let rec worker_loop t last_seen =
   Mutex.lock t.lock;
   let t0 = Obs.Clock.now_ns () in
   while (not t.stopped) && t.seq = last_seen do
@@ -161,12 +84,12 @@ let rec worker_loop t slot last_seen =
     let seen = t.seq in
     let job = Option.get t.job in
     Mutex.unlock t.lock;
-    drain t slot job;
+    drain job;
     Mutex.lock t.lock;
     t.quiesced <- t.quiesced + 1;
     if t.quiesced = t.size - 1 then Condition.broadcast t.job_done;
     Mutex.unlock t.lock;
-    worker_loop t slot seen
+    worker_loop t seen
   end
 
 let create ?domains () =
@@ -180,7 +103,6 @@ let create ?domains () =
   let t =
     {
       size;
-      deques = Array.init size (fun _ -> deque_create ());
       lock = Mutex.create ();
       work_ready = Condition.create ();
       job_done = Condition.create ();
@@ -193,9 +115,9 @@ let create ?domains () =
     }
   in
   t.workers <-
-    Array.init (size - 1) (fun i ->
+    Array.init (size - 1) (fun _ ->
         (* robustlint: allow R8 — the pool is the one sanctioned spawn site; workers are parked between jobs and joined in shutdown *)
-        Domain.spawn (fun () -> worker_loop t (i + 1) 0));
+        Domain.spawn (fun () -> worker_loop t 0));
   t
 
 let domains t = t.size
@@ -211,83 +133,47 @@ let shutdown t =
   (* robustlint: allow R10 — join must happen off-lock; workers array is write-once *)
   if not already then Array.iter Domain.join t.workers
 
-let run_inline ~n_tasks run =
-  for task = 0 to n_tasks - 1 do
-    run task;
-    Obs.Metrics.incr m_tasks
-  done
+(* Publish one job and run it to completion.  The quiescence rendezvous
+   is the safety property: the submission returns only after every
+   worker has both seen this job's sequence number and found its cursor
+   exhausted, so no worker can still be claiming from a stale job when
+   the next one is published. *)
+let submit t ~n run =
+  Mutex.lock t.submit;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock t.submit)
+    (fun () ->
+      Obs.Span.with_span "pool.run" @@ fun () ->
+      let job = { run; n; next = Atomic.make 0; elock = Mutex.create (); exn = None } in
+      Mutex.lock t.lock;
+      t.job <- Some job;
+      t.quiesced <- 0;
+      t.seq <- t.seq + 1;
+      Condition.broadcast t.work_ready;
+      Mutex.unlock t.lock;
+      drain job;
+      Mutex.lock t.lock;
+      while t.quiesced < t.size - 1 do
+        Condition.wait t.job_done t.lock
+      done;
+      t.job <- None;
+      Mutex.unlock t.lock;
+      match job.exn with
+      | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ())
 
-(* Submit [n_tasks] tasks and run them to completion.  The quiescence
-   rendezvous is the safety property: the submission returns only after
-   every worker has both seen this job's sequence number and drained to
-   emptiness, so no worker can still be sweeping stale deques when the
-   next job distributes its tasks. *)
-let run_tasks ?(sequential = false) t ~n_tasks run =
-  if n_tasks < 0 then invalid_arg "Pool.run_tasks: n_tasks must be >= 0";
-  if n_tasks = 0 then ()
-  (* robustlint: allow R10 — deliberately racy fast-path read of stopped; a stale value only delays the inline fallback *)
-  else if sequential || t.size = 1 || t.stopped || Domain.DLS.get in_task_key then
-    run_inline ~n_tasks run
-  else begin
-    Mutex.lock t.submit;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.submit)
-      (fun () ->
-        Obs.Span.with_span "pool.run" @@ fun () ->
-        let job = { run; elock = Mutex.create (); exn = None } in
-        for task = 0 to n_tasks - 1 do
-          push_bottom t.deques.(task mod t.size) task
-        done;
-        Mutex.lock t.lock;
-        t.job <- Some job;
-        t.quiesced <- 0;
-        t.seq <- t.seq + 1;
-        Condition.broadcast t.work_ready;
-        Mutex.unlock t.lock;
-        drain t 0 job;
-        Mutex.lock t.lock;
-        while t.quiesced < t.size - 1 do
-          Condition.wait t.job_done t.lock
-        done;
-        t.job <- None;
-        Mutex.unlock t.lock;
-        match job.exn with
-        | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-  end
-
-let chunk_bounds ~n ~chunk c =
-  let lo = c * chunk in
-  (lo, Stdlib.min n (lo + chunk))
-
-let resolve_chunk t ~n = function
-  | Some c ->
-    if c < 1 then invalid_arg "Pool.parallel_for: chunk must be >= 1";
-    c
-  | None ->
-    (* About 8 tasks per worker: enough slack for stealing to balance
-       uneven task costs without drowning in scheduling overhead. *)
-    Stdlib.max 1 (n / (8 * t.size))
-
-let parallel_for ?sequential ?chunk t ~n body =
-  if n < 0 then invalid_arg "Pool.parallel_for: n must be >= 0";
-  if n > 0 then begin
-    let chunk = resolve_chunk t ~n chunk in
-    let n_tasks = (n + chunk - 1) / chunk in
-    run_tasks ?sequential t ~n_tasks (fun c ->
-        let lo, hi = chunk_bounds ~n ~chunk c in
-        for i = lo to hi - 1 do
-          body i
-        done)
-  end
-
-let parallel_map ?sequential ?chunk t ~n f =
+let parallel_map ?(sequential = false) t ~n f =
   if n < 0 then invalid_arg "Pool.parallel_map: n must be >= 0";
-  if n = 0 then [||]
+  (* robustlint: allow R10 — deliberately racy fast-path read of stopped; a stale value only delays the inline fallback *)
+  if n <= 1 || sequential || t.size = 1 || t.stopped || Domain.DLS.get in_task_key then
+    Array.init n (fun i ->
+        let v = f i in
+        Obs.Metrics.incr m_tasks;
+        v)
   else begin
     let out = Array.make n None in
-    parallel_for ?sequential ?chunk t ~n (fun i -> out.(i) <- Some (f i));
-    Array.map (function Some v -> v | None -> assert false) out
+    submit t ~n (fun i -> out.(i) <- Some (f i));
+    Array.map Option.get out
   end
 
 (* {1 The process-wide default pool} *)
@@ -343,13 +229,8 @@ let get () =
 
 type stats = {
   tasks : int;
-  steals : int;
   idle_ns : int;
 }
 
 let stats () =
-  {
-    tasks = Obs.Metrics.counter_value m_tasks;
-    steals = Obs.Metrics.counter_value m_steals;
-    idle_ns = Obs.Metrics.counter_value m_idle_ns;
-  }
+  { tasks = Obs.Metrics.counter_value m_tasks; idle_ns = Obs.Metrics.counter_value m_idle_ns }

@@ -1,38 +1,43 @@
-(** Persistent pool of worker domains with deterministic chunked
-    scheduling.
+(** Persistent pool of worker domains with one shared index cursor.
 
     The pool exists because [Domain.spawn] costs milliseconds: spawning
     per work item (or per epoch) wastes more time than the work saves.
     A pool is created once, its workers park on a condition variable
     between jobs, and every embarrassingly parallel hot path — island
-    epochs, population evaluation, Monte-Carlo robustness ensembles,
-    hypervolume slabs — submits chunked tasks to the same long-lived
-    domains.
+    epochs, population evaluation, Monte-Carlo robustness ensembles —
+    submits a map over item indices to the same long-lived domains.
+
+    {2 Scheduling}
+
+    A job is a map over [0, n).  The submitting domain and every worker
+    claim the next index with one atomic fetch-and-add until the cursor
+    passes [n], so a domain that finishes an item early simply claims
+    another.  The pooled items here (an epoch's islands, a population's
+    memo misses, a screen's Γ trials) cost 0.2 ms or more each, which
+    makes one claim per item cheap.
 
     {2 Determinism contract}
 
-    [parallel_for]/[parallel_map] decompose the index range [0, n) into
-    contiguous chunks and hand the chunks to workers through per-worker
-    work-stealing deques.  Scheduling is nondeterministic; results are
-    not, because every task is a pure function of its index range and
-    writes only to its own slots of the result.  Stochastic workloads
-    keep the contract by deriving an independent SplitMix64 stream per
-    logical item with {!Numerics.Rng.stream} — never by sharing one
-    sequential stream across tasks.  Consequently a pooled computation
-    is bit-for-bit identical to the sequential path at any worker
-    count, and [~sequential:true] is an escape hatch that runs the same
-    tasks inline in the caller for differential testing.
+    Which domain runs which item is nondeterministic; results are not,
+    because every item is a pure function of its index and writes only
+    its own slot of the result.  Stochastic workloads keep the contract
+    by deriving an independent SplitMix64 stream per item with
+    {!Numerics.Rng.stream} — never by sharing one sequential stream
+    across items.  Consequently a pooled computation is bit-for-bit
+    identical to the sequential path at any worker count, and
+    [~sequential:true] runs the same items inline in the caller for
+    differential testing.
 
-    A task that itself calls [parallel_for] (nested parallelism) runs
-    the inner loop inline in its worker — nesting degrades gracefully
-    instead of deadlocking.  Concurrent submissions from distinct
-    domains serialize.
+    A job of at most one item, a one-domain or shut-down pool and an
+    item that itself calls {!parallel_map} (nested parallelism) all run
+    inline in the calling domain — nesting degrades gracefully instead
+    of deadlocking.  Concurrent submissions from distinct domains
+    serialize.
 
-    Observability: the pool feeds three process-global metrics —
-    [pool.tasks] (chunks executed), [pool.steals] (chunks taken from
-    another worker's deque) and [pool.idle_ns] (time workers spent
-    parked between jobs) — and brackets each submission in a
-    [pool.run] span. *)
+    Observability: the pool feeds two process-global metrics —
+    [pool.tasks] (items run, inline ones included) and [pool.idle_ns]
+    (time workers spent parked between jobs) — and brackets each pooled
+    submission in a [pool.run] span. *)
 
 type t
 
@@ -47,21 +52,15 @@ val domains : t -> int
 
 val shutdown : t -> unit
 (** Park, wake and join all spawned workers.  Idempotent.  Submitting
-    to a shut-down pool runs the tasks inline in the caller. *)
+    to a shut-down pool runs the items inline in the caller. *)
 
-val parallel_for : ?sequential:bool -> ?chunk:int -> t -> n:int -> (int -> unit) -> unit
-(** [parallel_for pool ~n body] runs [body i] for every [i] in [0, n),
-    chunked into contiguous index ranges of size [chunk] (default: a
-    range count of about 8 tasks per worker).  Exceptions raised by
-    tasks are collected and the one from the lowest task index is
-    re-raised after every task has settled.  [~sequential:true] runs
-    the identical chunks inline in the caller. *)
-
-val parallel_map : ?sequential:bool -> ?chunk:int -> t -> n:int -> (int -> 'a) -> 'a array
-(** [parallel_map pool ~n f] is [[| f 0; …; f (n-1) |]], computed with
-    the same chunking and exception discipline as {!parallel_for};
-    results are placed by index, so the output array is independent of
-    scheduling. *)
+val parallel_map : ?sequential:bool -> t -> n:int -> (int -> 'a) -> 'a array
+(** [parallel_map pool ~n f] is [[| f 0; …; f (n-1) |]]; results are
+    placed by index, so the output array is independent of scheduling.
+    Exceptions raised by items are collected and the one from the
+    lowest index is re-raised after every item has settled.
+    [~sequential:true] runs the items inline in the caller, in index
+    order.  Raises [Invalid_argument] when [n < 0]. *)
 
 (** {2 The process-wide default pool} *)
 
@@ -77,8 +76,7 @@ val get : unit -> t
 (** {2 Counters} *)
 
 type stats = {
-  tasks : int;  (** chunks executed (pool.tasks) *)
-  steals : int;  (** chunks stolen across deques (pool.steals) *)
+  tasks : int;  (** items run (pool.tasks) *)
   idle_ns : int;  (** worker time parked between jobs (pool.idle_ns) *)
 }
 

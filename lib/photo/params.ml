@@ -7,6 +7,24 @@ let future ~tp_export = { label = "future (Ci=490)"; ci = 490.; tp_export }
 let low_export = 1.0
 let high_export = 3.0
 
+let of_flags ~ci ~export =
+  let tp_export =
+    match export with
+    | "low" -> low_export
+    | "high" -> high_export
+    | s -> (
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v && v >= 0. -> v
+      | _ ->
+        invalid_arg
+          (Printf.sprintf "--export must be low, high or a finite rate >= 0, not %S" s))
+  in
+  match ci with
+  | 165 -> past ~tp_export
+  | 270 -> present ~tp_export
+  | 490 -> future ~tp_export
+  | c -> invalid_arg (Printf.sprintf "--ci must be 165, 270 or 490, not %d" c)
+
 let six_conditions =
   [
     past ~tp_export:low_export;

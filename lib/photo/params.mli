@@ -22,6 +22,11 @@ val low_export : float
 val high_export : float
 (** 3 mmol l⁻¹ s⁻¹. *)
 
+val of_flags : ci:int -> export:string -> env
+(** The condition the CLI's [--ci] and [--export] flags name: [ci] is
+    165, 270 or 490, and [export] is [low], [high] or a finite rate
+    [>= 0].  Raises [Invalid_argument] on any other value. *)
+
 val six_conditions : env list
 (** The paper's six Ci × triose-P-export conditions (Figure 1). *)
 

@@ -178,10 +178,9 @@ let step_islands st ~epoch:_ ~fire =
      island.  Failures are caught inside each task so one crashing
      island can no longer kill the epoch. *)
   let outcomes =
-    if st.config.parallel && Array.length st.islands > 1 then
-      Parallel.Pool.parallel_map (Parallel.Pool.get ()) ~chunk:1
-        ~n:(Array.length st.islands)
-        (fun i -> try_step st.islands.(i) period)
+    if st.config.parallel then
+      Parallel.Pool.parallel_map (Parallel.Pool.get ()) ~n:(Array.length st.islands) (fun i ->
+          try_step st.islands.(i) period)
     else Array.map (fun isl -> try_step isl period) st.islands
   in
   let absorbed = ref 0 in

@@ -489,6 +489,71 @@ let test_ring_read_rejects_garbage () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "read accepted garbage")
 
+(* A real dump — every slot written through [attach], four probes,
+   every kind — mutated 1 000 times.  A mutant either raises
+   [Invalid_argument] or decodes to well-formed entries that [pp]
+   renders; [is_ring_file] never raises. *)
+let test_ring_fuzz () =
+  let header_and_names = 64 + (Obs.Ring.max_names * 32) in
+  let path = Filename.temp_file "obs_ring" ".ring" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let dump =
+        with_ring @@ fun () ->
+        Obs.Ring.attach ~path ~lane:5;
+        let probes = Array.map Obs.Ring.probe [| "t.fuzz.a"; "t.fuzz.b"; "t.fuzz.c"; "t.fuzz.d" |] in
+        let kinds = Obs.Ring.[| Enter; Leave; Fault; Count; Mark |] in
+        for i = 0 to Obs.Ring.capacity + 43 do
+          Obs.Ring.record probes.(i mod 4) kinds.(i mod 5) (i * 7919)
+        done;
+        In_channel.with_open_bin path In_channel.input_all
+      in
+      Alcotest.(check int) "the intact dump decodes whole" Obs.Ring.capacity
+        (List.length (Obs.Ring.read ~path).Obs.Ring.d_entries);
+      let rng = Numerics.Rng.create 2024 in
+      let decoded = ref 0 and refused = ref 0 in
+      for case = 1 to 1_000 do
+        let b = Bytes.of_string dump in
+        let n = Bytes.length b in
+        let mutant =
+          match Numerics.Rng.int rng 4 with
+          | 0 ->
+            let at =
+              Numerics.Rng.int rng (if Numerics.Rng.bool rng then header_and_names else n)
+            in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl Numerics.Rng.int rng 8)));
+            Bytes.to_string b
+          | 1 ->
+            Bytes.set b (Numerics.Rng.int rng n) (Char.chr (Numerics.Rng.int rng 256));
+            Bytes.to_string b
+          | 2 -> Bytes.sub_string b 0 (Numerics.Rng.int rng n)
+          | _ ->
+            Bytes.to_string b
+            ^ String.init (1 + Numerics.Rng.int rng 64) (fun _ -> Char.chr (Numerics.Rng.int rng 256))
+        in
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc mutant);
+        ignore (Obs.Ring.is_ring_file ~path);
+        match Obs.Ring.read ~path with
+        | exception Invalid_argument _ -> incr refused
+        | d ->
+          incr decoded;
+          let rec ordered = function
+            | a :: (b :: _ as rest) -> a.Obs.Ring.e_seq <= b.Obs.Ring.e_seq && ordered rest
+            | _ -> true
+          in
+          if not (ordered d.Obs.Ring.d_entries) then Alcotest.failf "case %d: entries out of order" case;
+          List.iter
+            (fun e ->
+              if not (e.Obs.Ring.e_t_ns > 0 && e.Obs.Ring.e_seq >= 0) then
+                Alcotest.failf "case %d: entry seq %d at t %d" case e.Obs.Ring.e_seq
+                  e.Obs.Ring.e_t_ns)
+            d.Obs.Ring.d_entries;
+          ignore (Format.asprintf "%a" Obs.Ring.pp d)
+      done;
+      Alcotest.(check bool) "some mutants decode" true (!decoded > 0);
+      Alcotest.(check bool) "some mutants are refused" true (!refused > 0))
+
 (* {1 Cross-process span merging} *)
 
 let test_span_drain_ingest () =
@@ -788,6 +853,7 @@ let () =
           Alcotest.test_case "wraparound keeps last 256" `Quick test_ring_wraparound;
           Alcotest.test_case "attach and read back" `Quick test_ring_attach_read;
           Alcotest.test_case "read rejects garbage" `Quick test_ring_read_rejects_garbage;
+          Alcotest.test_case "fuzz: read or Invalid_argument" `Quick test_ring_fuzz;
         ] );
       ( "merge",
         [

@@ -10,42 +10,21 @@ let with_pool domains f =
   let pool = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
 
-let test_parallel_for_covers_every_index () =
-  List.iter
-    (fun domains ->
-      with_pool domains (fun pool ->
-          let n = 103 in
-          let out = Array.make n 0 in
-          Parallel.Pool.parallel_for pool ~n (fun i -> out.(i) <- (i * i) + 1);
-          Alcotest.(check (array int))
-            (Printf.sprintf "squares at %d domains" domains)
-            (Array.init n (fun i -> (i * i) + 1))
-            out))
-    [ 1; 2; 4 ]
-
 let test_parallel_map_orders_results () =
   List.iter
-    (fun domains ->
+    (fun (domains, n, f) ->
       with_pool domains (fun pool ->
-          let n = 57 in
-          let got = Parallel.Pool.parallel_map pool ~n (fun i -> 3 * i) in
           Alcotest.(check (array int))
-            (Printf.sprintf "ordered at %d domains" domains)
-            (Array.init n (fun i -> 3 * i))
-            got))
-    [ 1; 3 ]
-
-let test_chunk_sizes_do_not_change_results () =
-  with_pool 4 (fun pool ->
-      let n = 64 in
-      let expected = Array.init n (fun i -> i - 7) in
-      List.iter
-        (fun chunk ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "chunk %d" chunk)
-            expected
-            (Parallel.Pool.parallel_map ~chunk pool ~n (fun i -> i - 7)))
-        [ 1; 3; 64; 1000 ])
+            (Printf.sprintf "%d items ordered at %d domains" n domains)
+            (Array.init n f)
+            (Parallel.Pool.parallel_map pool ~n f)))
+    [
+      (1, 57, fun i -> 3 * i);
+      (3, 57, fun i -> 3 * i);
+      (1, 103, fun i -> (i * i) + 1);
+      (2, 103, fun i -> (i * i) + 1);
+      (4, 103, fun i -> (i * i) + 1);
+    ]
 
 let test_empty_and_sequential () =
   with_pool 2 (fun pool ->
@@ -54,10 +33,32 @@ let test_empty_and_sequential () =
       Alcotest.(check (array int)) "sequential escape hatch" [| 0; 1; 2 |]
         (Parallel.Pool.parallel_map ~sequential:true pool ~n:3 (fun i -> i)))
 
+(* A job of at most one item never wakes the workers: it runs inline,
+   so tracing records no [pool.run] span for it. *)
+let test_small_jobs_run_inline () =
+  with_pool 2 (fun pool ->
+      Obs.Span.reset ();
+      Obs.Span.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.Span.set_enabled false;
+          Obs.Span.reset ())
+        (fun () ->
+          let pool_runs () =
+            List.length
+              (List.filter (fun e -> e.Obs.Span.name = "pool.run") (Obs.Span.events ()))
+          in
+          Alcotest.(check (array int)) "n = 1" [| 7 |]
+            (Parallel.Pool.parallel_map pool ~n:1 (fun i -> i + 7));
+          Alcotest.(check (array int)) "n = 0" [||]
+            (Parallel.Pool.parallel_map pool ~n:0 (fun i -> i));
+          Alcotest.(check int) "no pool.run span" 0 (pool_runs ());
+          ignore (Parallel.Pool.parallel_map pool ~n:2 (fun i -> i));
+          Alcotest.(check int) "n = 2 is pooled" 1 (pool_runs ())))
+
 let test_exception_is_lowest_failing_index () =
-  (* Tasks cover contiguous index ranges in order, so the re-raised
-     failure is the lowest failing item — a deterministic choice, not
-     first-by-wall-clock. *)
+  (* The re-raised failure is the lowest failing item — a deterministic
+     choice, not first-by-wall-clock. *)
   List.iter
     (fun domains ->
       with_pool domains (fun pool ->
@@ -65,17 +66,17 @@ let test_exception_is_lowest_failing_index () =
             (Printf.sprintf "lowest index wins at %d domains" domains)
             "item-10"
             (match
-               Parallel.Pool.parallel_for ~chunk:1 pool ~n:40 (fun i ->
+               Parallel.Pool.parallel_map pool ~n:40 (fun i ->
                    if i = 10 || i = 23 then failwith (Printf.sprintf "item-%d" i))
              with
-            | () -> "no exception"
+            | _ -> "no exception"
             | exception Failure msg -> msg)))
     [ 1; 2; 4 ]
 
 let test_pool_survives_a_failed_job () =
   with_pool 2 (fun pool ->
-      (match Parallel.Pool.parallel_for pool ~n:8 (fun _ -> failwith "boom") with
-      | () -> Alcotest.fail "expected the job to raise"
+      (match Parallel.Pool.parallel_map pool ~n:8 (fun _ -> failwith "boom") with
+      | _ -> Alcotest.fail "expected the job to raise"
       | exception Failure _ -> ());
       Alcotest.(check (array int)) "next job runs normally" [| 0; 1; 2; 3 |]
         (Parallel.Pool.parallel_map pool ~n:4 (fun i -> i)))
@@ -83,7 +84,7 @@ let test_pool_survives_a_failed_job () =
 let test_nested_submission_runs_inline () =
   with_pool 2 (fun pool ->
       let got =
-        Parallel.Pool.parallel_map ~chunk:1 pool ~n:4 (fun i ->
+        Parallel.Pool.parallel_map pool ~n:4 (fun i ->
             (* A submission from inside a task must not deadlock on the
                pool; it degrades to an inline loop. *)
             Array.fold_left ( + ) 0
@@ -110,10 +111,6 @@ let test_invalid_arguments () =
   expect_invalid "create: 0 domains" (fun () -> Parallel.Pool.create ~domains:0 ());
   expect_invalid "set_default_domains: 0" (fun () -> Parallel.Pool.set_default_domains 0);
   with_pool 2 (fun pool ->
-      expect_invalid "parallel_for: negative n" (fun () ->
-          Parallel.Pool.parallel_for pool ~n:(-1) (fun _ -> ()));
-      expect_invalid "parallel_for: chunk 0" (fun () ->
-          Parallel.Pool.parallel_for ~chunk:0 pool ~n:4 (fun _ -> ()));
       expect_invalid "parallel_map: negative n" (fun () ->
           ignore (Parallel.Pool.parallel_map pool ~n:(-2) (fun i -> i))))
 
@@ -257,24 +254,20 @@ let test_gamma_pool_deterministic_across_widths () =
 let test_pool_counters_tick_when_enabled () =
   Obs.Metrics.set_enabled true;
   let before = (Parallel.Pool.stats ()).Parallel.Pool.tasks in
-  with_pool 2 (fun pool ->
-      Parallel.Pool.parallel_for ~chunk:1 pool ~n:16 (fun _ -> ()));
+  with_pool 2 (fun pool -> ignore (Parallel.Pool.parallel_map pool ~n:16 (fun i -> i)));
   Obs.Metrics.set_enabled false;
   let after = (Parallel.Pool.stats ()).Parallel.Pool.tasks in
-  Alcotest.(check bool) "pool.tasks advanced by the job" true (after - before >= 16)
+  Alcotest.(check int) "pool.tasks counts the job's items" 16 (after - before)
 
 let () =
   Alcotest.run "parallel"
     [
       ( "pool",
         [
-          Alcotest.test_case "parallel_for covers every index" `Quick
-            test_parallel_for_covers_every_index;
           Alcotest.test_case "parallel_map orders results" `Quick
             test_parallel_map_orders_results;
-          Alcotest.test_case "chunking never changes results" `Quick
-            test_chunk_sizes_do_not_change_results;
           Alcotest.test_case "empty and sequential paths" `Quick test_empty_and_sequential;
+          Alcotest.test_case "n ≤ 1 runs inline" `Quick test_small_jobs_run_inline;
           Alcotest.test_case "lowest failing index wins" `Quick
             test_exception_is_lowest_failing_index;
           Alcotest.test_case "pool survives a failed job" `Quick

@@ -542,6 +542,36 @@ let test_leaf_objectives_signs () =
   Alcotest.(check bool) "nitrogen positive" true (Photo.Leaf.nitrogen_of s > 0.);
   check_float ~tol:0.1 "natural via problem" 15.486 (Photo.Leaf.uptake_of s)
 
+(* The CLI's --ci and --export flags name one of the paper's conditions
+   or a finite export rate; anything else is refused, never mapped to
+   present Ci or low export. *)
+let test_condition_flags () =
+  let open Photo.Params in
+  Alcotest.(check bool) "past, low" true
+    (past ~tp_export:low_export = of_flags ~ci:165 ~export:"low");
+  Alcotest.(check bool) "present, high" true
+    (present ~tp_export:high_export = of_flags ~ci:270 ~export:"high");
+  Alcotest.(check bool) "future, a rate" true
+    (future ~tp_export:2.5 = of_flags ~ci:490 ~export:"2.5");
+  Alcotest.(check bool) "a zero rate" true
+    (present ~tp_export:0. = of_flags ~ci:270 ~export:"0");
+  List.iter
+    (fun (ci, export) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "--ci %d --export %s refused" ci export)
+        true
+        (match of_flags ~ci ~export with exception Invalid_argument _ -> true | _ -> false))
+    [
+      (300, "hgih");
+      (300, "low");
+      (270, "hgih");
+      (12, "nan");
+      (270, "nan");
+      (270, "-1");
+      (270, "inf");
+      (270, "");
+    ]
+
 let prop_nitrogen_monotone =
   QCheck.Test.make ~name:"nitrogen increases with any ratio" ~count:50
     QCheck.(pair (int_bound 22) (float_range 1.1 3.9))
@@ -779,6 +809,7 @@ let () =
         [
           Alcotest.test_case "problem shape" `Quick test_leaf_problem_shape;
           Alcotest.test_case "objective signs" `Slow test_leaf_objectives_signs;
+          Alcotest.test_case "condition flags" `Quick test_condition_flags;
           QCheck_alcotest.to_alcotest prop_nitrogen_monotone;
         ] );
       ( "control",
