@@ -494,6 +494,7 @@ let test_ring_read_rejects_garbage () =
    [Invalid_argument] or decodes to well-formed entries that [pp]
    renders; [is_ring_file] never raises. *)
 let test_ring_fuzz () =
+  (* The 64-byte header, then the name table's 32-byte slots. *)
   let header_and_names = 64 + (Obs.Ring.max_names * 32) in
   let path = Filename.temp_file "obs_ring" ".ring" in
   Fun.protect
