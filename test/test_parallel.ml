@@ -10,21 +10,39 @@ let with_pool domains f =
   let pool = Parallel.Pool.create ~domains () in
   Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
 
+(* [parallel_map] is the pool's parallel for-loop: whatever the width,
+   the shared cursor hands out every index of [0, n) exactly once. *)
+let test_parallel_for_covers_every_index () =
+  List.iter
+    (fun domains ->
+      with_pool domains (fun pool ->
+          let n = 103 in
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          let out = Array.make n 0 in
+          ignore
+            (Parallel.Pool.parallel_map pool ~n (fun i ->
+                 Atomic.incr runs.(i);
+                 out.(i) <- (i * i) + 1));
+          Alcotest.(check (array int))
+            (Printf.sprintf "squares at %d domains" domains)
+            (Array.init n (fun i -> (i * i) + 1))
+            out;
+          Alcotest.(check (array int))
+            (Printf.sprintf "each index once at %d domains" domains)
+            (Array.make n 1) (Array.map Atomic.get runs)))
+    [ 1; 2; 4 ]
+
 let test_parallel_map_orders_results () =
   List.iter
-    (fun (domains, n, f) ->
+    (fun domains ->
       with_pool domains (fun pool ->
+          let n = 57 in
+          let got = Parallel.Pool.parallel_map pool ~n (fun i -> 3 * i) in
           Alcotest.(check (array int))
-            (Printf.sprintf "%d items ordered at %d domains" n domains)
-            (Array.init n f)
-            (Parallel.Pool.parallel_map pool ~n f)))
-    [
-      (1, 57, fun i -> 3 * i);
-      (3, 57, fun i -> 3 * i);
-      (1, 103, fun i -> (i * i) + 1);
-      (2, 103, fun i -> (i * i) + 1);
-      (4, 103, fun i -> (i * i) + 1);
-    ]
+            (Printf.sprintf "ordered at %d domains" domains)
+            (Array.init n (fun i -> 3 * i))
+            got))
+    [ 1; 3 ]
 
 let test_empty_and_sequential () =
   with_pool 2 (fun pool ->
@@ -264,6 +282,8 @@ let () =
     [
       ( "pool",
         [
+          Alcotest.test_case "parallel_for covers every index" `Quick
+            test_parallel_for_covers_every_index;
           Alcotest.test_case "parallel_map orders results" `Quick
             test_parallel_map_orders_results;
           Alcotest.test_case "empty and sequential paths" `Quick test_empty_and_sequential;
