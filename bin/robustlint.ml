@@ -1,147 +1,32 @@
 (* Static analysis gate for the robustpath tree.
 
-     robustlint lib bin               # text report, exit 1 on findings
-     robustlint --json lib            # machine-readable
-     robustlint --sarif out.sarif lib # SARIF 2.1.0 export
-     robustlint --write-baseline robustlint.baseline lib
-     robustlint --baseline robustlint.baseline lib   # fail only on new findings
-     robustlint --fix lib             # rewrite mechanical fixes in place
-     robustlint --check-stale lib     # exit 1 on allow comments that silence nothing
-     robustlint --source-root .. --treat-as-lib test/lint_fixtures
+     robustlint [DIR...]     # default: lib bin
 
-   Reads the .cmt files dune produces; run it from the build context root
-   (the @lint alias does) so compiled locations resolve.  --fix patches
-   sources under --source-root (pass the real source tree, not dune's
-   copy). *)
+   Reads the .cmt files dune produces under each DIR (dune build @check),
+   runs every rule, applies the allow comments and, in the same pass,
+   reports the allow comments that silenced nothing.  Run it from the
+   build context root (the @lint alias does) so compiled locations
+   resolve.  Exit status: 0 clean, 1 on any finding or stale allow
+   comment, 2 on a usage error. *)
 
-open Cmdliner
-
-let run json sarif baseline write_baseline fix check_stale treat_as_lib source_root dirs =
-  let dirs = match dirs with [] -> [ "lib"; "bin" ] | ds -> ds in
-  let missing = List.filter (fun d -> not (Sys.file_exists d)) dirs in
-  if missing <> [] then begin
-    Printf.eprintf "robustlint: no such directory: %s\n" (String.concat ", " missing);
-    exit 2
-  end;
-  let r = Lint.Driver.run ~force_lib:treat_as_lib ~source_root dirs in
-  if r.Lint.Driver.units = 0 then begin
-    Printf.eprintf
-      "robustlint: no .cmt files under %s — build first (dune build) and run from the \
-       build context root\n"
-      (String.concat " " dirs);
-    exit 2
-  end;
-  if check_stale then begin
-    let stale = Lint.Stale.scan ~source_root ~dirs ~used:r.Lint.Driver.sup_used in
-    List.iter
-      (fun (file, line, id) ->
-        Printf.printf "%s:%d: stale suppression: [%s] no longer fires here — delete it\n"
-          file line id)
-      stale;
-    Printf.printf "robustlint: %d stale suppression%s\n" (List.length stale)
-      (if List.length stale = 1 then "" else "s");
-    exit (if stale = [] then 0 else 1)
-  end;
-  (match write_baseline with
-  | Some path ->
-    Lint.Baseline.save path r.Lint.Driver.findings;
-    Printf.printf "robustlint: baseline of %d finding%s written to %s\n"
-      (List.length r.Lint.Driver.findings)
-      (if List.length r.Lint.Driver.findings = 1 then "" else "s")
-      path;
-    exit 0
-  | None -> ());
-  let r =
-    match baseline with
-    | Some path ->
-      let known = Lint.Baseline.load path in
-      { r with Lint.Driver.findings = Lint.Baseline.filter ~baseline:known r.findings }
-    | None -> r
-  in
-  if fix then begin
-    let patched = Lint.Patch.apply ~source_root r.Lint.Driver.findings in
-    List.iter (fun f -> Printf.printf "fixed: %s\n" f) patched;
-    Printf.printf "robustlint: rewrote %d file%s for %d finding%s\n" (List.length patched)
-      (if List.length patched = 1 then "" else "s")
-      (List.length r.Lint.Driver.findings)
-      (if List.length r.Lint.Driver.findings = 1 then "" else "s");
-    exit 0
-  end;
-  (match sarif with
-  | Some path ->
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (Lint.Sarif.to_string r.Lint.Driver.findings))
-  | None -> ());
-  if json then Lint.Driver.print_json Format.std_formatter r
-  else Lint.Driver.print_text Format.std_formatter r;
-  if r.Lint.Driver.findings <> [] then exit 1
-
-let json_arg =
-  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as a JSON object.")
-
-let sarif_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "sarif" ] ~docv:"FILE" ~doc:"Also write the findings as SARIF 2.1.0 to $(docv).")
-
-let baseline_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "baseline" ] ~docv:"FILE"
-        ~doc:
-          "Subtract the findings recorded in $(docv) (multiset fingerprint match); report \
-           and fail only on what is new.")
-
-let write_baseline_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "write-baseline" ] ~docv:"FILE"
-        ~doc:"Record the current findings to $(docv) and exit 0.")
-
-let fix_arg =
-  Arg.(
-    value & flag
-    & info [ "fix" ]
-        ~doc:
-          "Rewrite sources under --source-root: mechanical fixes (float =/<>/compare to \
-           Float.equal/Float.compare) applied in place; everything else gets an \
-           unjustified allow stub above it for a human to justify or fix.  Idempotent.")
-
-let check_stale_arg =
-  Arg.(
-    value & flag
-    & info [ "check-stale" ]
-        ~doc:
-          "Scan the linted directories for suppression comments that no finding \
-           consulted this run; exit 1 if any exist.")
-
-let treat_as_lib_arg =
-  Arg.(
-    value & flag
-    & info [ "treat-as-lib" ]
-        ~doc:"Apply the library-only rules (R5/R6/R7) to every file regardless of path.")
-
-let source_root_arg =
-  Arg.(
-    value & opt string "."
-    & info [ "source-root" ] ~docv:"DIR"
-        ~doc:
-          "Resolve the build-root-relative paths recorded in .cmt files against $(docv) \
-           when scanning for suppression comments.")
-
-let dirs_arg =
-  Arg.(value & pos_all string [] & info [] ~docv:"DIR" ~doc:"Directories to scan (default: lib bin).")
+let usage_error msg =
+  Printf.eprintf "robustlint: %s\nusage: robustlint [DIR...]\n" msg;
+  exit 2
 
 let () =
-  let info =
-    Cmd.info "robustlint" ~version:"2.0.0"
-      ~doc:"Determinism and numerical-safety lint over robustpath's typed trees."
-  in
-  exit
-    (Cmd.eval
-       (Cmd.v info
-          Term.(
-            const run $ json_arg $ sarif_arg $ baseline_arg $ write_baseline_arg $ fix_arg
-            $ check_stale_arg $ treat_as_lib_arg $ source_root_arg $ dirs_arg)))
+  let dirs = match List.tl (Array.to_list Sys.argv) with [] -> [ "lib"; "bin" ] | ds -> ds in
+  List.iter
+    (fun d -> if String.starts_with ~prefix:"-" d then usage_error ("unknown option " ^ d))
+    dirs;
+  (match List.filter (fun d -> not (Sys.file_exists d)) dirs with
+  | [] -> ()
+  | missing -> usage_error ("no such directory: " ^ String.concat ", " missing));
+  let r = Lint.Driver.run ~source_root:"." dirs in
+  if r.units = 0 then
+    usage_error
+      (Printf.sprintf
+         "no .cmt files under %s — build first (dune build @check) and run from the build \
+          context root"
+         (String.concat " " dirs));
+  Lint.Driver.print_text Format.std_formatter r;
+  if r.findings <> [] || r.stale <> [] then exit 1

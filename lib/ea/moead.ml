@@ -7,7 +7,6 @@ type config = {
   eta_m : float;
   max_replacements : int;
   penalty : float;
-  normalize : bool;
 }
 
 let default_config =
@@ -20,7 +19,6 @@ let default_config =
     eta_m = 20.;
     max_replacements = 2;
     penalty = 1e6;
-    normalize = true;
   }
 
 type state = {
@@ -31,37 +29,19 @@ type state = {
   neighborhoods : int array array;
   pop : Moo.Solution.t array;
   z : float array; (* running ideal point estimate *)
-  znad : float array; (* running nadir estimate, for normalization *)
   mutable evals : int;
 }
 
-(* Aggregation: Tchebycheff on objectives normalized by the running
-   ideal/nadir ranges (objectives of real problems differ by orders of
-   magnitude), plus a large penalty for constraint violation so infeasible
-   candidates only survive while nothing feasible exists. *)
+(* Aggregation: the original 2007 formulation, raw-objective Tchebycheff
+   against the running ideal point, plus a large penalty for constraint
+   violation so infeasible candidates only survive while nothing
+   feasible exists. *)
 let aggregate st w s =
-  let penalty = st.config.penalty *. s.Moo.Solution.v in
-  if st.config.normalize then begin
-    let d = Array.length s.Moo.Solution.f in
-    let normalized =
-      Array.init d (fun i ->
-          let span = st.znad.(i) -. st.z.(i) in
-          if span > 1e-12 then (s.Moo.Solution.f.(i) -. st.z.(i)) /. span
-          else s.Moo.Solution.f.(i) -. st.z.(i))
-    in
-    Moo.Scalarize.tchebycheff ~w ~z:(Array.make d 0.) normalized +. penalty
-  end
-  else
-    (* The original 2007 formulation: raw-objective Tchebycheff against
-       the running ideal point. *)
-    Moo.Scalarize.tchebycheff ~w ~z:st.z s.Moo.Solution.f +. penalty
+  Moo.Scalarize.tchebycheff ~w ~z:st.z s.Moo.Solution.f
+  +. (st.config.penalty *. s.Moo.Solution.v)
 
 let update_ideal st s =
-  Array.iteri
-    (fun i fi ->
-      if fi < st.z.(i) then st.z.(i) <- fi;
-      if fi > st.znad.(i) then st.znad.(i) <- fi)
-    s.Moo.Solution.f
+  Array.iteri (fun i fi -> if fi < st.z.(i) then st.z.(i) <- fi) s.Moo.Solution.f
 
 let init problem config rng =
   if config.pop_size < 4 then invalid_arg "Ea.Moead.init: need pop_size >= 4";
@@ -82,10 +62,7 @@ let init problem config rng =
         Moo.Solution.evaluate problem (Moo.Problem.random_solution problem rng))
   in
   let z = Array.make problem.Moo.Problem.n_obj infinity in
-  let znad = Array.make problem.Moo.Problem.n_obj neg_infinity in
-  let st =
-    { problem; config; rng; weights; neighborhoods; pop; z; znad; evals = config.pop_size }
-  in
+  let st = { problem; config; rng; weights; neighborhoods; pop; z; evals = config.pop_size } in
   Array.iter (fun s -> update_ideal st s) pop;
   st
 

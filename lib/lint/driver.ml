@@ -1,6 +1,7 @@
 (* Walk directories for the .cmt files dune leaves under [.*.objs/byte],
-   run every pass over the implementations, then apply suppression
-   comments from the corresponding sources.
+   run every pass over the implementations, apply suppression comments
+   from the corresponding sources, then audit those same sources for
+   allow comments that silenced nothing.
 
    Pass order matters: the per-occurrence rules and the two
    whole-program scans (call graph, lock discipline) all read the same
@@ -9,13 +10,14 @@
    findings (and decide which nondeterminism sources are [Active] and
    may taint their callers), then again over the interprocedural
    findings, which carry their own locations and their own allow
-   comments. *)
+   comments.  Only then is the set of consulted comments complete, so
+   the stale audit runs last, over each unit's [cmt_sourcefile]. *)
 
 type report = {
   findings : Finding.t list;
   suppressed : int;
   units : int;
-  sup_used : (string * int) list;
+  stale : (string * int * string) list;
 }
 
 let rec collect_cmts acc path =
@@ -33,8 +35,8 @@ let read_unit path =
     (* Not a readable cmt for this compiler — stale artifact or foreign
        file; nothing to check. *)
     None
-  | { cmt_annots = Cmt_format.Implementation str; cmt_modname; _ } ->
-    Some (Callgraph.normalize cmt_modname, str)
+  | { cmt_annots = Cmt_format.Implementation str; cmt_modname; cmt_sourcefile; _ } ->
+    Some (Callgraph.normalize cmt_modname, cmt_sourcefile, str)
   | _ -> None
 
 let dedupe findings =
@@ -55,13 +57,13 @@ let run ?(force_lib = false) ~source_root dirs =
   let cg = Callgraph.create () in
   let locks = Locks.create () in
   List.iter
-    (fun (modname, (str : Typedtree.structure)) ->
+    (fun (modname, _, (str : Typedtree.structure)) ->
       Rules.check_structure rules str;
       Callgraph.scan cg ~modname str;
       Locks.scan_types locks ~modname str.str_items)
     units;
   List.iter
-    (fun (modname, (str : Typedtree.structure)) ->
+    (fun (modname, _, (str : Typedtree.structure)) ->
       Locks.scan_bodies locks ~modname str.str_items)
     units;
   let sup = Suppress.create ~source_root in
@@ -95,19 +97,19 @@ let run ?(force_lib = false) ~source_root dirs =
     findings = dedupe (occurrence @ interproc);
     suppressed = !suppressed;
     units = List.length units;
-    sup_used = Suppress.used sup;
+    stale = Suppress.stale sup (List.filter_map (fun (_, src, _) -> src) units);
   }
+
+let plural n = if n = 1 then "" else "s"
 
 let print_text ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) r.findings;
-  Format.fprintf ppf "robustlint: %d finding%s over %d unit%s (%d suppressed)@."
-    (List.length r.findings)
-    (if List.length r.findings = 1 then "" else "s")
-    r.units
-    (if r.units = 1 then "" else "s")
-    r.suppressed
-
-let print_json ppf r =
-  Format.fprintf ppf {|{"findings":[%s],"suppressed":%d,"units":%d}@.|}
-    (String.concat "," (List.map Finding.to_json r.findings))
-    r.suppressed r.units
+  List.iter
+    (fun (file, line, id) ->
+      Format.fprintf ppf "%s:%d: stale suppression: [%s] no longer fires here — delete it@."
+        file line id)
+    r.stale;
+  let nf = List.length r.findings and ns = List.length r.stale in
+  Format.fprintf ppf
+    "robustlint: %d finding%s and %d stale suppression%s over %d unit%s (%d suppressed)@." nf
+    (plural nf) ns (plural ns) r.units (plural r.units) r.suppressed

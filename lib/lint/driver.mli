@@ -1,12 +1,14 @@
 (** Linter driver: find .cmt files, run the per-occurrence rules and the
     whole-program passes (interprocedural taint, lock discipline), apply
-    suppressions, report. *)
+    suppressions, audit the allow comments, report. *)
 
 type report = {
-  findings : Finding.t list;       (** unsuppressed, sorted by location *)
-  suppressed : int;                (** findings silenced by justified allow comments *)
-  units : int;                     (** implementation units checked *)
-  sup_used : (string * int) list;  (** consulted allow-comment sites, for [--check-stale] *)
+  findings : Finding.t list;  (** unsuppressed, sorted by location *)
+  suppressed : int;           (** findings silenced by justified allow comments *)
+  units : int;                (** implementation units checked *)
+  stale : (string * int * string) list;
+      (** [(file, line, rule id)] of the allow comments in the checked
+          units' sources that silenced nothing, sorted *)
 }
 
 val run : ?force_lib:bool -> source_root:string -> string list -> report
@@ -18,4 +20,5 @@ val run : ?force_lib:bool -> source_root:string -> string list -> report
     library-only rules everywhere (fixture testing). *)
 
 val print_text : Format.formatter -> report -> unit
-val print_json : Format.formatter -> report -> unit
+(** The findings, then the stale allow comments, then a one-line
+    summary. *)

@@ -29,19 +29,6 @@ let rule_of_id = function
   | "R11" -> Some R11
   | _ -> None
 
-let rule_doc = function
-  | R1 -> "polymorphic =/<>/compare at a float-containing type"
-  | R2 -> "Stdlib.Random is nondeterministic across runs"
-  | R3 -> "Marshal outside Runtime.Checkpoint"
-  | R4 -> "catch-all exception handler swallows failures"
-  | R5 -> "assert in library code"
-  | R6 -> "module-toplevel mutable state in library code"
-  | R7 -> "Hashtbl.iter/fold has unspecified iteration order"
-  | R8 -> "raw Domain.spawn outside Parallel.Pool"
-  | R9 -> "raw process control (fork/create_process/exit) outside Shard"
-  | R10 -> "mutex-guarded mutable state touched off the lock, or a lock acquired twice"
-  | R11 -> "wall-clock read (gettimeofday/Sys.time/Unix.time) outside Obs.Clock and Shard"
-
 let hint = function
   | R1 ->
     "compare with a tolerance (|a - b| <= eps), or Float.equal/Float.compare where exact \
@@ -68,19 +55,12 @@ let hint = function
     "use Obs.Clock.now_ns (monotonic) for durations, or thread time in explicitly; \
      wall-clock reads differ across runs and machines the same way Random does"
 
-(* A fix is a list of span edits inside [file]: replace the byte range
-   [start, stop) with [text] (zero-width ranges insert).  Offsets are the
-   compiler's [pos_cnum] values, i.e. positions in the file the .cmt was
-   built from. *)
-type edit = { start : int; stop : int; text : string }
-
 type t = {
   rule : rule;
   file : string;
   line : int;
   col : int;
   message : string;
-  fix : edit list;
 }
 
 let compare_by_loc a b =
@@ -99,33 +79,3 @@ let compare_by_loc a b =
 let pp ppf f =
   Format.fprintf ppf "%s:%d:%d: [%s] %s@,    hint: %s" f.file f.line f.col (rule_id f.rule)
     f.message (hint f.rule)
-
-let to_string f =
-  Printf.sprintf "%s:%d:%d: [%s] %s\n    hint: %s" f.file f.line f.col (rule_id f.rule)
-    f.message (hint f.rule)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json f =
-  Printf.sprintf
-    {|{"rule":"%s","file":"%s","line":%d,"col":%d,"message":"%s","hint":"%s","fixable":%b}|}
-    (rule_id f.rule) (json_escape f.file) f.line f.col (json_escape f.message)
-    (json_escape (hint f.rule))
-    (f.fix <> [])
-
-(* The baseline fingerprint deliberately omits the line/column so that
-   unrelated edits shifting code up or down do not resurface old
-   findings; rule + file + message is stable under motion. *)
-let fingerprint f = rule_id f.rule ^ "|" ^ f.file ^ "|" ^ f.message

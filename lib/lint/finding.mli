@@ -27,16 +27,8 @@ val rule_id : rule -> string
 
 val rule_of_id : string -> rule option
 
-val rule_doc : rule -> string
-(** One-line description of what the rule forbids. *)
-
 val hint : rule -> string
 (** One-line fix hint attached to every finding of the rule. *)
-
-type edit = { start : int; stop : int; text : string }
-(** A span edit inside the finding's file: replace bytes [start, stop)
-    with [text] (zero-width ranges insert).  Offsets are the compiler's
-    [pos_cnum] values. *)
 
 type t = {
   rule : rule;
@@ -44,22 +36,9 @@ type t = {
   line : int;     (** 1-based *)
   col : int;      (** 0-based *)
   message : string;
-  fix : edit list;  (** mechanical rewrite, when one exists; [[]] otherwise *)
 }
 
 val compare_by_loc : t -> t -> int
 (** Order by (file, line, col, rule, message) for stable reports. *)
 
 val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-
-val json_escape : string -> string
-
-val to_json : t -> string
-(** One finding as a JSON object (rule, file, line, col, message, hint,
-    fixable). *)
-
-val fingerprint : t -> string
-(** Stable identity for {!Baseline}: rule + file + message, no line, so
-    baselines survive unrelated code motion. *)

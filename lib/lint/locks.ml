@@ -70,7 +70,7 @@ let loc_of (l : Location.t) =
   }
 
 let mkf (l : Callgraph.loc) message =
-  { Finding.rule = Finding.R10; file = l.l_file; line = l.l_line; col = l.l_col; message; fix = [] }
+  { Finding.rule = Finding.R10; file = l.l_file; line = l.l_line; col = l.l_col; message }
 
 let show_key k =
   match String.index_opt k ':' with

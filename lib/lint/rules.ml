@@ -13,13 +13,9 @@ open Typedtree
 type t = {
   force_lib : bool; (* treat every file as library code (fixture testing) *)
   mutable acc : Finding.t list;
-  (* Mechanical rewrites discovered at application sites, keyed by the
-     (file, line, col) of the operator occurrence the finding anchors to;
-     [findings] merges them in. *)
-  mutable fixes : ((string * int * int) * Finding.edit list) list;
 }
 
-let create ?(force_lib = false) () = { force_lib; acc = []; fixes = [] }
+let create ?(force_lib = false) () = { force_lib; acc = [] }
 
 let file_of (loc : Location.t) = loc.loc_start.pos_fname
 
@@ -27,7 +23,7 @@ let is_lib t loc = t.force_lib || String.starts_with ~prefix:"lib/" (file_of loc
 
 let in_module ~suffix loc = String.ends_with ~suffix (file_of loc)
 
-let add ?(fix = []) t rule (loc : Location.t) message =
+let add t rule (loc : Location.t) message =
   let p = loc.loc_start in
   t.acc <-
     {
@@ -36,23 +32,10 @@ let add ?(fix = []) t rule (loc : Location.t) message =
       line = p.pos_lnum;
       col = p.pos_cnum - p.pos_bol;
       message;
-      fix;
     }
     :: t.acc
 
-let record_fix t (loc : Location.t) edits =
-  let p = loc.loc_start in
-  t.fixes <- ((p.pos_fname, p.pos_lnum, p.pos_cnum - p.pos_bol), edits) :: t.fixes
-
-let findings t =
-  let with_fix (f : Finding.t) =
-    if f.fix <> [] then f
-    else
-      match List.assoc_opt (f.file, f.line, f.col) t.fixes with
-      | Some edits when f.rule = Finding.R1 || f.rule = Finding.R7 -> { f with fix = edits }
-      | _ -> f
-  in
-  List.sort Finding.compare_by_loc (List.map with_fix t.acc)
+let findings t = List.sort Finding.compare_by_loc t.acc
 
 (* {2 R1 helpers} *)
 
@@ -80,23 +63,6 @@ let first_arrow_arg ty =
 
 let poly_compare_op name =
   match name with "Stdlib.=" | "Stdlib.<>" | "Stdlib.compare" -> true | _ -> false
-
-let is_exactly_float ty =
-  match Types.get_desc ty with
-  | Tconstr (p, [], _) -> Path.same p Predef.path_float
-  | _ -> false
-
-(* [compare : float -> float -> int], i.e. a comparator that can be
-   swapped for [Float.compare] verbatim. *)
-let is_float_comparator ty =
-  match Types.get_desc ty with
-  | Tarrow (_, a, rest, _) -> (
-    is_exactly_float a
-    &&
-    match Types.get_desc rest with
-    | Tarrow (_, b, _, _) -> is_exactly_float b
-    | _ -> false)
-  | _ -> false
 
 (* {2 R4 helpers} *)
 
@@ -173,25 +139,7 @@ let check_ident t loc name ty =
   if poly_compare_op name then begin
     match first_arrow_arg ty with
     | Some arg when mentions_float 0 arg ->
-      let fix =
-        (* A bare [compare] at [float -> float -> int] is replaceable by
-           [Float.compare] token-for-token; [=]/[<>] application fixes are
-           recorded at the application site, where the argument spans are
-           known. *)
-        if
-          name = "Stdlib.compare" && is_float_comparator ty
-          && not (loc : Location.t).loc_ghost
-        then
-          [
-            {
-              Finding.start = loc.loc_start.pos_cnum;
-              stop = loc.loc_end.pos_cnum;
-              text = "Float.compare";
-            };
-          ]
-        else []
-      in
-      add ~fix t Finding.R1 loc
+      add t Finding.R1 loc
         (Printf.sprintf "polymorphic %s at a float-containing type"
            (match String.rindex_opt name '.' with
            | Some i -> String.sub name (i + 1) (String.length name - i - 1)
@@ -230,96 +178,9 @@ let check_ident t loc name ty =
       (Printf.sprintf
          "%s reads the wall clock: results depend on when and where the run happens" name)
 
-(* The deterministic replacement for a full [Hashtbl.iter f tbl]
-   application: visit the keys in sorted order (deduplicated — multiple
-   bindings of a key are then visited through [find_all], newest first,
-   exactly the per-key order [iter] uses).  The collecting [fold] is
-   itself order-insensitive, which is precisely the justification its
-   generated same-line suppression states.  One line, no newlines, so
-   the span edits stay layout-preserving ({!Patch.apply_spans}). *)
-let r7_body =
-  (* The suppression marker is spliced from two literals so the textual
-     stale-suppression scanner does not mistake this line of the linter's
-     own source for an allow comment. *)
-  "List.iter (fun __rl_k -> List.iter (__rl_f __rl_k) (Stdlib.Hashtbl.find_all __rl_t \
-   __rl_k)) (List.sort_uniq compare (Stdlib.Hashtbl.fold (fun __rl_k _ __rl_ks -> __rl_k \
-   :: __rl_ks) __rl_t [])) (* robust" ^ "lint: allow R7 — rewritten by --fix: keys are \
-                                         sorted before any visit, so iteration order is \
-                                         total *)"
-
-(* [a = b] / [a <> b] at exactly float rewrites mechanically to
-   [Float.equal], and a whole [Hashtbl.iter f tbl] application to a
-   sorted-key traversal; record the span edits while the argument
-   locations are in hand.  The findings themselves are anchored to the
-   operator/ident occurrence, which [check_ident] reports when the
-   iterator reaches it.  Both rewrites keep the original argument
-   expressions in place (possibly spanning lines) and only replace the
-   text around them. *)
-let check_apply_fix t (e : expression) fn args =
-  let sane (x : expression) (y : expression) =
-    (not e.exp_loc.loc_ghost)
-    && (not fn.exp_loc.loc_ghost)
-    && (not x.exp_loc.loc_ghost)
-    && (not y.exp_loc.loc_ghost)
-    && file_of e.exp_loc = file_of fn.exp_loc
-    && file_of e.exp_loc = file_of x.exp_loc
-    && file_of e.exp_loc = file_of y.exp_loc
-  in
-  match (fn.exp_desc, args) with
-  | ( Texp_ident (path, _, _),
-      [ (Asttypes.Nolabel, Some a); (Asttypes.Nolabel, Some b) ] )
-    when (Path.name path = "Stdlib.=" || Path.name path = "Stdlib.<>")
-         && is_exactly_float a.exp_type && is_exactly_float b.exp_type && sane a b ->
-    let app_s = e.exp_loc.loc_start.pos_cnum
-    and app_e = e.exp_loc.loc_end.pos_cnum
-    and a_s = a.exp_loc.loc_start.pos_cnum
-    and a_e = a.exp_loc.loc_end.pos_cnum
-    and b_s = b.exp_loc.loc_start.pos_cnum
-    and b_e = b.exp_loc.loc_end.pos_cnum in
-    if app_s <= a_s && a_s <= a_e && a_e <= b_s && b_s <= b_e && b_e <= app_e then begin
-      let neg = Path.name path = "Stdlib.<>" in
-      let edits =
-        [
-          {
-            Finding.start = app_s;
-            stop = a_s;
-            text = (if neg then "not (Float.equal (" else "Float.equal (");
-          };
-          { Finding.start = a_e; stop = b_s; text = ") (" };
-          { Finding.start = b_e; stop = app_e; text = (if neg then "))" else ")") };
-        ]
-      in
-      record_fix t fn.exp_loc edits
-    end
-  | ( Texp_ident (path, _, _),
-      [ (Asttypes.Nolabel, Some f); (Asttypes.Nolabel, Some tbl) ] )
-    when Path.name path = "Stdlib.Hashtbl.iter" && is_lib t fn.exp_loc && sane f tbl ->
-    let app_s = e.exp_loc.loc_start.pos_cnum
-    and app_e = e.exp_loc.loc_end.pos_cnum
-    and f_s = f.exp_loc.loc_start.pos_cnum
-    and f_e = f.exp_loc.loc_end.pos_cnum
-    and t_s = tbl.exp_loc.loc_start.pos_cnum
-    and t_e = tbl.exp_loc.loc_end.pos_cnum in
-    if app_s <= f_s && f_s <= f_e && f_e <= t_s && t_s <= t_e && t_e <= app_e then begin
-      let edits =
-        [
-          {
-            Finding.start = app_s;
-            stop = f_s;
-            text = "(fun __rl_f __rl_t -> " ^ r7_body ^ ") (";
-          };
-          { Finding.start = f_e; stop = t_s; text = ") (" };
-          { Finding.start = t_e; stop = app_e; text = ")" };
-        ]
-      in
-      record_fix t fn.exp_loc edits
-    end
-  | _ -> ()
-
 let expr t sub (e : expression) =
   (match e.exp_desc with
   | Texp_ident (path, _, _) -> check_ident t e.exp_loc (Path.name path) e.exp_type
-  | Texp_apply (fn, args) -> check_apply_fix t e fn args
   | Texp_try (_, cases) when not (in_module ~suffix:"runtime/guard.ml" e.exp_loc) ->
     List.iter (check_handler t) cases
   | Texp_match (_, cases, _) when not (in_module ~suffix:"runtime/guard.ml" e.exp_loc) ->

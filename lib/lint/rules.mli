@@ -1,10 +1,10 @@
 (** The per-occurrence rule checks, as a visitor over typed trees.
 
     One [t] accumulates findings across any number of compilation units;
-    {!findings} returns them sorted by location, with mechanical fixes
-    attached where one exists.  [force_lib] makes the library-only rules
-    (R5/R6/R7) apply to every file regardless of path — used by the
-    fixture tests, whose sources live under [test/]. *)
+    {!findings} returns them sorted by location.  [force_lib] makes the
+    library-only rules (R5/R6/R7) apply to every file regardless of
+    path — used by the fixture tests, whose sources live under
+    [test/]. *)
 
 type t
 

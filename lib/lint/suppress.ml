@@ -7,16 +7,17 @@
    justification does not suppress (the driver reports it instead).
 
    [verdict] also records which comment lines actually matched a
-   finding; [--check-stale] subtracts that set from the tree's allow
-   comments to flag suppressions whose finding no longer fires. *)
+   finding; [stale] subtracts that set from the allow comments of the
+   linted sources to flag suppressions whose finding no longer fires —
+   a stale allow is a license to reintroduce the bug silently. *)
 
 type verdict = Active | Suppressed | Missing_justification
 
 let marker = "robustlint: allow R"
 
-(* Parse [line] for a suppression of [rule].  [None] when the line carries
-   no marker for that rule; [Some justified] otherwise. *)
-let parse_line line rule =
+(* The first marker on [line], with its rule and the offset just past
+   the rule id.  A marker with an unknown id suppresses nothing. *)
+let first_marker line =
   let rec find from =
     match String.index_from_opt line from 'r' with
     | None -> None
@@ -33,25 +34,30 @@ let parse_line line rule =
     while !stop < len && line.[!stop] >= '0' && line.[!stop] <= '9' do
       incr stop
     done;
-    let id = "R" ^ String.sub line digit_at (!stop - digit_at) in
-    if Finding.rule_of_id id <> Some rule then None
-    else begin
-      (* Justification: what remains once the comment closer and leading
-         separators (dash, em-dash, colon) are stripped. *)
-      let rest = String.sub line !stop (len - !stop) in
-      let rest =
-        match String.index_opt rest '*' with
-        | Some j when j + 1 < String.length rest && rest.[j + 1] = ')' -> String.sub rest 0 j
-        | _ -> rest
-      in
-      let justified =
-        String.exists
-          (fun c ->
-            (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9'))
-          rest
-      in
-      Some justified
-    end
+    Finding.rule_of_id ("R" ^ String.sub line digit_at (!stop - digit_at))
+    |> Option.map (fun rule -> (rule, !stop))
+
+let rule_on_line line = Option.map (fun (rule, _) -> Finding.rule_id rule) (first_marker line)
+
+(* Parse [line] for a suppression of [rule].  [None] when the line carries
+   no marker for that rule; [Some justified] otherwise. *)
+let parse_line line rule =
+  match first_marker line with
+  | Some (r, stop) when r = rule ->
+    (* Justification: what remains once the comment closer and leading
+       separators (dash, em-dash, colon) are stripped. *)
+    let rest = String.sub line stop (String.length line - stop) in
+    let rest =
+      match String.index_opt rest '*' with
+      | Some j when j + 1 < String.length rest && rest.[j + 1] = ')' -> String.sub rest 0 j
+      | _ -> rest
+    in
+    Some
+      (String.exists
+         (fun c ->
+           (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9'))
+         rest)
+  | _ -> None
 
 type t = {
   source_root : string;
@@ -60,8 +66,6 @@ type t = {
 }
 
 let create ~source_root = { source_root; files = []; used = [] }
-
-let used t = t.used
 
 let read_lines path =
   match open_in path with
@@ -103,3 +107,17 @@ let verdict t ~file ~line rule =
     | Some (cline, j) ->
       if not (List.mem (file, cline) t.used) then t.used <- (file, cline) :: t.used;
       if j then Suppressed else Missing_justification)
+
+let stale t files =
+  List.sort_uniq String.compare files
+  |> List.concat_map (fun file ->
+         match lines t file with
+         | None -> []
+         | Some ls ->
+           List.concat
+             (List.mapi
+                (fun i text ->
+                  match rule_on_line text with
+                  | Some id when not (List.mem (file, i + 1) t.used) -> [ (file, i + 1, id) ]
+                  | _ -> [])
+                (Array.to_list ls)))

@@ -21,10 +21,15 @@ val create : source_root:string -> t
 val verdict : t -> file:string -> line:int -> Finding.rule -> verdict
 (** Unreadable files yield [Active] (never silently suppress). *)
 
-val used : t -> (string * int) list
-(** The (file, comment line) pairs whose allow comment matched at least
-    one finding so far — the complement feeds [--check-stale]. *)
+val stale : t -> string list -> (string * int * string) list
+(** [stale t files] is the [(file, line, rule id)] of every allow comment
+    in [files] that no {!verdict} so far has consulted: it silences
+    nothing.  Sorted by file, then line. *)
 
 val parse_line : string -> Finding.rule -> bool option
 (** [parse_line line rule] is [None] when [line] has no allow comment for
     [rule], [Some justified] otherwise.  Exposed for tests. *)
+
+val rule_on_line : string -> string option
+(** The rule id of the first allow comment on a source line, if it names
+    a real rule.  Exposed for tests. *)

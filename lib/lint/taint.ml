@@ -19,7 +19,7 @@ module SM = Callgraph.SM
 module SS = Set.Make (String)
 
 let mkf rule (l : Callgraph.loc) message =
-  { Finding.rule; file = l.l_file; line = l.l_line; col = l.l_col; message; fix = [] }
+  { Finding.rule; file = l.l_file; line = l.l_line; col = l.l_col; message }
 
 (* {2 Interprocedural R1} *)
 

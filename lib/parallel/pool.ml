@@ -162,10 +162,10 @@ let submit t ~n run =
       | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
       | None -> ())
 
-let parallel_map ?(sequential = false) t ~n f =
+let parallel_map t ~n f =
   if n < 0 then invalid_arg "Pool.parallel_map: n must be >= 0";
   (* robustlint: allow R10 — deliberately racy fast-path read of stopped; a stale value only delays the inline fallback *)
-  if n <= 1 || sequential || t.size = 1 || t.stopped || Domain.DLS.get in_task_key then
+  if n <= 1 || t.size = 1 || t.stopped || Domain.DLS.get in_task_key then
     Array.init n (fun i ->
         let v = f i in
         Obs.Metrics.incr m_tasks;

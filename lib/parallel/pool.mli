@@ -24,9 +24,9 @@
     by deriving an independent SplitMix64 stream per item with
     {!Numerics.Rng.stream} — never by sharing one sequential stream
     across items.  Consequently a pooled computation is bit-for-bit
-    identical to the sequential path at any worker count, and
-    [~sequential:true] runs the same items inline in the caller for
-    differential testing.
+    identical to the sequential path at any worker count; a one-domain
+    pool runs that path, inline and in index order, which makes it the
+    reference for differential testing.
 
     A job of at most one item, a one-domain or shut-down pool and an
     item that itself calls {!parallel_map} (nested parallelism) all run
@@ -54,13 +54,12 @@ val shutdown : t -> unit
 (** Park, wake and join all spawned workers.  Idempotent.  Submitting
     to a shut-down pool runs the items inline in the caller. *)
 
-val parallel_map : ?sequential:bool -> t -> n:int -> (int -> 'a) -> 'a array
+val parallel_map : t -> n:int -> (int -> 'a) -> 'a array
 (** [parallel_map pool ~n f] is [[| f 0; …; f (n-1) |]]; results are
     placed by index, so the output array is independent of scheduling.
     Exceptions raised by items are collected and the one from the
-    lowest index is re-raised after every item has settled.
-    [~sequential:true] runs the items inline in the caller, in index
-    order.  Raises [Invalid_argument] when [n < 0]. *)
+    lowest index is re-raised after every item has settled.  Raises
+    [Invalid_argument] when [n < 0]. *)
 
 (** {2 The process-wide default pool} *)
 

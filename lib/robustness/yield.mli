@@ -15,7 +15,6 @@ type result = {
 
 val gamma_pool :
   ?pool:Parallel.Pool.t ->
-  ?sequential:bool ->
   seed:int ->
   f:(float array -> float) ->
   ?delta:float ->
@@ -28,8 +27,8 @@ val gamma_pool :
     fanned out over a domain pool (default {!Parallel.Pool.get}), so [f]
     may be called from several domains at once.  Trial [t] draws from
     {!Numerics.Rng.stream}[ ~seed t], so the result is a pure function of
-    [(seed, x, parameters)]: bit-identical at any worker count and equal
-    to [~sequential:true].  Defaults follow the paper: [delta] 10%
+    [(seed, x, parameters)]: bit-identical at any worker count, a
+    one-domain pool included.  Defaults follow the paper: [delta] 10%
     perturbation, [eps_frac] 5% of [|f x|], [trials] 5000 for the global
     analysis ([index = None]); with [index] only that component is
     perturbed (the local analysis).  Raises [Invalid_argument] when

@@ -196,7 +196,7 @@ let test_missing_dir_yields_no_units () =
   Alcotest.(check int) "no units" 0 r.Lint.Driver.units;
   Alcotest.(check int) "no findings" 0 (List.length r.Lint.Driver.findings)
 
-(* {1 Machine-readable output} *)
+(* {1 Report output} *)
 
 let test_findings_sorted () =
   let fs = (Lazy.force report).Lint.Driver.findings in
@@ -205,194 +205,29 @@ let test_findings_sorted () =
 
 let test_byte_stable_output () =
   let render () = Format.asprintf "%a" Lint.Driver.print_text (Lazy.force report) in
-  Alcotest.(check string) "two renders are byte-identical" (render ()) (render ());
-  let sarif () = Lint.Sarif.to_string (Lazy.force report).Lint.Driver.findings in
-  Alcotest.(check string) "two SARIF renders are byte-identical" (sarif ()) (sarif ())
-
-let test_fingerprint_ignores_position () =
-  let f = List.hd (Lazy.force report).Lint.Driver.findings in
-  let moved = { f with Lint.Finding.line = f.Lint.Finding.line + 41; col = 0 } in
-  Alcotest.(check string) "code motion keeps the fingerprint"
-    (Lint.Finding.fingerprint f)
-    (Lint.Finding.fingerprint moved)
-
-let test_baseline_roundtrip () =
-  let fs = (Lazy.force report).Lint.Driver.findings in
-  let path = Filename.temp_file "robustlint" ".baseline" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Lint.Baseline.save path fs;
-      let baseline = Lint.Baseline.load path in
-      Alcotest.(check int) "full baseline absorbs everything" 0
-        (List.length (Lint.Baseline.filter ~baseline fs));
-      (* dropping one entry lets exactly the matching finding through;
-         multiset semantics, so duplicates are absorbed one-for-one. *)
-      let short = List.tl baseline in
-      let escaped = Lint.Baseline.filter ~baseline:short fs in
-      Alcotest.(check int) "one escapes a shortened baseline" 1 (List.length escaped);
-      Alcotest.(check string) "and it is the dropped fingerprint"
-        (List.hd baseline)
-        (Lint.Finding.fingerprint (List.hd escaped)))
-
-let test_baseline_missing_file () =
-  Alcotest.check_raises "load on a missing path raises"
-    (Invalid_argument "baseline file no-such.baseline does not exist") (fun () ->
-      ignore (Lint.Baseline.load "no-such.baseline"))
-
-(* {1 SARIF schema} *)
-
-let rec validate ~path schema j =
-  let open Obs.Json in
-  match member "const" schema with
-  | Some c -> if j = c then [] else [ path ^ ": const mismatch" ]
-  | None -> (
-    match member "type" schema with
-    | Some (String "object") -> (
-      match j with
-      | Obj kvs ->
-        let required =
-          match member "required" schema with
-          | Some (List l) -> List.filter_map (function String s -> Some s | _ -> None) l
-          | _ -> []
-        in
-        let missing =
-          List.filter_map
-            (fun k ->
-              if List.mem_assoc k kvs then None else Some (path ^ ": missing key " ^ k))
-            required
-        in
-        let props = match member "properties" schema with Some (Obj p) -> p | _ -> [] in
-        let nested =
-          List.concat_map
-            (fun (k, sub) ->
-              match List.assoc_opt k kvs with
-              | Some v -> validate ~path:(path ^ "." ^ k) sub v
-              | None -> [])
-            props
-        in
-        missing @ nested
-      | _ -> [ path ^ ": not an object" ])
-    | Some (String "array") -> (
-      match j with
-      | List items -> (
-        match member "items" schema with
-        | Some sub ->
-          List.concat
-            (List.mapi
-               (fun i v -> validate ~path:(Printf.sprintf "%s[%d]" path i) sub v)
-               items)
-        | None -> [])
-      | _ -> [ path ^ ": not an array" ])
-    | Some (String "string") -> (
-      match j with String _ -> [] | _ -> [ path ^ ": not a string" ])
-    | Some (String "integer") -> (
-      match j with Int _ -> [] | _ -> [ path ^ ": not an integer" ])
-    | _ -> [])
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let test_sarif_validates () =
-  let out = Lint.Sarif.to_string (Lazy.force report).Lint.Driver.findings in
-  let doc = Obs.Json.parse out in
-  let schema = Obs.Json.parse (read_file "sarif_schema.json") in
-  (match validate ~path:"$" schema doc with
-  | [] -> ()
-  | errs -> Alcotest.failf "SARIF schema violations:\n%s" (String.concat "\n" errs));
-  (* one result per finding, in report order *)
-  match Obs.Json.(member "runs" doc) with
-  | Some (Obs.Json.List [ run ]) -> (
-    match Obs.Json.member "results" run with
-    | Some (Obs.Json.List results) ->
-      Alcotest.(check int) "one result per finding"
-        (List.length (Lazy.force report).Lint.Driver.findings)
-        (List.length results)
-    | _ -> Alcotest.fail "no results array")
-  | _ -> Alcotest.fail "expected exactly one run"
+  Alcotest.(check string) "two renders are byte-identical" (render ()) (render ())
 
 (* {1 Stale-suppression audit} *)
 
 let test_stale_scan () =
-  let r = Lazy.force report in
-  let stale =
-    Lint.Stale.scan ~source_root:".." ~dirs:[ "test/lint_fixtures" ]
-      ~used:r.Lint.Driver.sup_used
-  in
   Alcotest.(check (list (triple string int string)))
     "exactly the two dead allow comments"
     [
       ("test/lint_fixtures/stale_allow.ml", 4, "R1");
       ("test/lint_fixtures/suppress_wrongrule.ml", 3, "R2");
     ]
-    stale
+    (Lazy.force report).Lint.Driver.stale
 
 let test_rule_on_line () =
   Alcotest.(check (option string)) "plain allow" (Some "R1")
-    (Lint.Stale.rule_on_line "(* robustlint: allow R1 — reason *)");
+    (Lint.Suppress.rule_on_line "(* robustlint: allow R1 — reason *)");
   Alcotest.(check (option string)) "double digits" (Some "R11")
-    (Lint.Stale.rule_on_line "  (* robustlint: allow R11 — reason *)");
+    (Lint.Suppress.rule_on_line "  (* robustlint: allow R11 — reason *)");
   Alcotest.(check (option string)) "no digit is not a marker" None
-    (Lint.Stale.rule_on_line "(* robustlint: allow R<k> — doc example *)");
+    (Lint.Suppress.rule_on_line "(* robustlint: allow R<k> — doc example *)");
   Alcotest.(check (option string)) "out-of-range rule rejected" None
-    (Lint.Stale.rule_on_line "(* robustlint: allow R12 — no such rule *)");
-  Alcotest.(check (option string)) "ordinary code" None (Lint.Stale.rule_on_line "let x = 1")
-
-(* {1 The stub planter} *)
-
-let test_stub_planting_idempotent () =
-  let path = Filename.temp_file "robustlint" ".ml" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "let f () =\n  assert false\n";
-      close_out oc;
-      let finding =
-        {
-          Lint.Finding.rule = Lint.Finding.R5;
-          file = Filename.basename path;
-          line = 2;
-          col = 2;
-          message = "assert in library code";
-          fix = [];
-        }
-      in
-      let source_root = Filename.dirname path in
-      Alcotest.(check (list string)) "stub planted"
-        [ Filename.basename path ]
-        (Lint.Patch.apply ~source_root [ finding ]);
-      let planted = read_file path in
-      Alcotest.(check bool) "marker present with copied indent" true
-        (contains ~sub:"\n  (* robustlint: allow R5 *)\n  assert false" planted);
-      Alcotest.(check (list string)) "second pass plants nothing" []
-        (Lint.Patch.apply ~source_root [ finding ]);
-      Alcotest.(check string) "file unchanged" planted (read_file path))
-
-let test_r7_fix_recorded () =
-  match findings_in "r7_hashtbl_iter.ml" with
-  | [ f ] ->
-    Alcotest.(check bool) "R7 finding carries span edits" true (f.Lint.Finding.fix <> []);
-    let texts =
-      String.concat "" (List.map (fun (e : Lint.Finding.edit) -> e.text) f.Lint.Finding.fix)
-    in
-    Alcotest.(check bool) "rewrite sorts the keys" true
-      (contains ~sub:"List.sort_uniq compare" texts);
-    Alcotest.(check bool) "generated fold carries a justified suppression" true
-      (contains ~sub:"robustlint: allow R7" texts);
-    Alcotest.(check bool) "replacements stay newline-free" true
-      (List.for_all
-         (fun (e : Lint.Finding.edit) -> not (String.contains e.text '\n'))
-         f.Lint.Finding.fix)
-  | fs -> Alcotest.failf "expected one R7 finding, got %d" (List.length fs)
-
-let test_has_marker () =
-  Alcotest.(check bool) "marker line" true
-    (Lint.Patch.has_marker "  (* robustlint: allow R1 — x *)");
-  Alcotest.(check bool) "plain line" false (Lint.Patch.has_marker "let x = compare")
+    (Lint.Suppress.rule_on_line "(* robustlint: allow R12 — no such rule *)");
+  Alcotest.(check (option string)) "ordinary code" None (Lint.Suppress.rule_on_line "let x = 1")
 
 let () =
   Alcotest.run "lint"
@@ -433,21 +268,10 @@ let () =
         [
           Alcotest.test_case "findings sorted" `Quick test_findings_sorted;
           Alcotest.test_case "byte-stable output" `Quick test_byte_stable_output;
-          Alcotest.test_case "fingerprint ignores position" `Quick
-            test_fingerprint_ignores_position;
-          Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
-          Alcotest.test_case "baseline missing file" `Quick test_baseline_missing_file;
-          Alcotest.test_case "SARIF validates" `Quick test_sarif_validates;
         ] );
       ( "stale",
         [
           Alcotest.test_case "stale scan" `Quick test_stale_scan;
           Alcotest.test_case "rule_on_line" `Quick test_rule_on_line;
-        ] );
-      ( "fix",
-        [
-          Alcotest.test_case "stub planting idempotent" `Quick test_stub_planting_idempotent;
-          Alcotest.test_case "R7 fix recorded" `Quick test_r7_fix_recorded;
-          Alcotest.test_case "has_marker" `Quick test_has_marker;
         ] );
     ]

@@ -47,9 +47,19 @@ let test_parallel_map_orders_results () =
 let test_empty_and_sequential () =
   with_pool 2 (fun pool ->
       Alcotest.(check (array int)) "n = 0 yields [||]" [||]
-        (Parallel.Pool.parallel_map pool ~n:0 (fun i -> i));
-      Alcotest.(check (array int)) "sequential escape hatch" [| 0; 1; 2 |]
-        (Parallel.Pool.parallel_map ~sequential:true pool ~n:3 (fun i -> i)))
+        (Parallel.Pool.parallel_map pool ~n:0 (fun i -> i)));
+  (* A one-domain pool is the sequential reference: the items run in
+     the caller's domain, in index order. *)
+  with_pool 1 (fun pool ->
+      let caller = (Domain.self () :> int) in
+      let visits = ref [] in
+      Alcotest.(check (array int)) "one-domain pool maps" [| 0; 1; 2 |]
+        (Parallel.Pool.parallel_map pool ~n:3 (fun i ->
+             visits := (i, (Domain.self () :> int)) :: !visits;
+             i));
+      Alcotest.(check (list (pair int int))) "inline, in index order"
+        [ (0, caller); (1, caller); (2, caller) ]
+        (List.rev !visits))
 
 (* A job of at most one item never wakes the workers: it runs inline,
    so tracing records no [pool.run] span for it. *)
@@ -209,26 +219,26 @@ let test_photo_archipelago_pooled_equals_sequential () =
 let test_gamma_pool_deterministic_across_widths () =
   let f x = sin (x.(0) *. 3.) +. (x.(1) *. x.(1)) -. cos x.(2) in
   let x = [| 1.0; 0.5; 2.0 |] in
-  let gamma pool ~sequential =
-    Robustness.Yield.gamma_pool ~pool ~sequential ~seed:7 ~f ~trials:500 x
-  in
-  with_pool 1 (fun p1 ->
-      let reference = gamma p1 ~sequential:true in
-      Alcotest.(check bool) "some trials survive" true
-        (reference.Robustness.Yield.survivors > 0);
-      List.iter
-        (fun domains ->
-          with_pool domains (fun pool ->
-              Alcotest.(check bool)
-                (Printf.sprintf "yield identical at %d domains" domains)
-                true
-                (gamma pool ~sequential:false = reference)))
-        [ 1; 2; 4 ]);
-  (* The screens run on the default pool; item i must equal a sequential
+  let gamma pool = Robustness.Yield.gamma_pool ~pool ~seed:7 ~f ~trials:500 x in
+  (* The one-domain pool runs the trials inline: the sequential
+     reference. *)
+  with_pool 1 @@ fun p1 ->
+  let reference = gamma p1 in
+  Alcotest.(check bool) "some trials survive" true
+    (reference.Robustness.Yield.survivors > 0);
+  List.iter
+    (fun domains ->
+      with_pool domains (fun pool ->
+          Alcotest.(check bool)
+            (Printf.sprintf "yield identical at %d domains" domains)
+            true
+            (gamma pool = reference)))
+    [ 2; 4 ];
+  (* The screens run on the default pool; item i must equal a one-domain
      gamma_pool under seed + i, whatever the pool width. *)
   let seed = 11 in
   let item i ?index x =
-    (Robustness.Yield.gamma_pool ~sequential:true ~seed:(seed + i) ~f ~trials:200 ?index x)
+    (Robustness.Yield.gamma_pool ~pool:p1 ~seed:(seed + i) ~f ~trials:200 ?index x)
       .Robustness.Yield.yield_pct
   in
   let front =
