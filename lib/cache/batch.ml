@@ -1,7 +1,5 @@
 let m_dedup = Obs.Metrics.counter "cache.dedup_hits"
 
-let dedup_hits () = Obs.Metrics.counter_value m_dedup
-
 let evaluate (type a) ?pool ?(memo : a Memo.t option) ~n ~key f : a array =
   if n = 0 then [||]
   else begin

@@ -33,8 +33,3 @@ val evaluate :
     where [key i] is the decision vector determining [f i] ([f] must be
     a pure function of it).  [f] is called exactly once per distinct
     key not already in the memo, at the key's first occurrence index. *)
-
-val dedup_hits : unit -> int
-(** Process-global count of batch slots served by within-batch dedup
-    (the [cache.dedup_hits] counter; ticks only while {!Obs.Metrics} is
-    enabled). *)

@@ -55,8 +55,6 @@ let create ~capacity =
     c_evictions = 0;
   }
 
-let capacity t = t.cap
-
 let with_lock t f =
   Mutex.lock t.lock;
   match f () with

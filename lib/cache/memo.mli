@@ -31,8 +31,6 @@ val create : capacity:int -> 'a t
 (** An empty memo holding at most [capacity] entries.  Raises
     [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val find : 'a t -> float array -> 'a option
 (** Bit-exact lookup.  A hit refreshes the entry's recency. *)
 
@@ -41,6 +39,7 @@ val add : 'a t -> float array -> 'a -> unit
     least recently used entry when full.  Re-adding an existing key
     replaces its value and refreshes recency without evicting. *)
 
+(* robustlint: allow R12 — test_cache's "lru eviction" and "replace refreshes" probe membership without touching recency *)
 val mem : 'a t -> float array -> bool
 (** Pure membership probe: touches neither recency nor the hit/miss
     counters (intended for tests and diagnostics). *)

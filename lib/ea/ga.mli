@@ -15,8 +15,6 @@ type config = {
   elites : int;  (** individuals copied unchanged each generation *)
 }
 
-val default_config : config
-
 type result = {
   best_x : float array;
   best_f : float;   (** maximized objective *)

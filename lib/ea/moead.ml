@@ -112,8 +112,3 @@ let evaluations st = st.evals
    the final population (no external archive). *)
 let front st = Moo.Dominance.non_dominated (Array.to_list st.pop)
 
-let run ~generations ~seed problem config =
-  let rng = Numerics.Rng.create seed in
-  let st = init problem config rng in
-  step st generations;
-  front st

@@ -26,6 +26,3 @@ val evaluations : state -> int
 val front : state -> Moo.Solution.t list
 (** Non-dominated set of the final population (the original MOEA/D keeps
     no external archive). *)
-
-val run :
-  generations:int -> seed:int -> Moo.Problem.t -> config -> Moo.Solution.t list

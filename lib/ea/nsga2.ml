@@ -240,7 +240,6 @@ let front st =
   Moo.Dominance.non_dominated !out
 
 let evaluations st = st.evals
-let generation st = st.gen
 
 type snapshot = {
   snap_pop : Moo.Solution.t array;

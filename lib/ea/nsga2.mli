@@ -43,7 +43,6 @@ val front : state -> Moo.Solution.t list
 (** Current first non-dominated front. *)
 
 val evaluations : state -> int
-val generation : state -> int
 
 type snapshot = {
   snap_pop : Moo.Solution.t array;
@@ -78,9 +77,11 @@ val run :
 
 (** {2 Internals exposed for testing} *)
 
+(* robustlint: allow R12 — test_ea's "rank structure", "all incomparable" and "dominance chain" cases *)
 val fast_non_dominated_sort : Moo.Solution.t array -> int array
 (** Rank (0 = best) per index, Deb's constrained domination. *)
 
+(* robustlint: allow R12 — test_ea's "crowding extremes" and "constrained ranking" cases *)
 val crowding_distance : Moo.Solution.t array -> int array -> int -> float array
 (** [crowding_distance pop ranks r] — crowding distances computed within
     rank [r] (entries of other ranks are 0). *)

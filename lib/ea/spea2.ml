@@ -197,12 +197,10 @@ let step st n =
     st.gen <- st.gen + 1
   done
 
-let archive st = Array.copy st.arch
 
 let front st = Moo.Dominance.non_dominated (Array.to_list st.arch)
 
 let evaluations st = st.evals
-let generation st = st.gen
 
 type snapshot = {
   snap_pop : Moo.Solution.t array;
@@ -243,8 +241,3 @@ let inject st immigrants =
     st.arch <-
       environmental_select st.config (Array.append st.arch (Array.of_list immigrants))
 
-let run ?initial ~generations ~seed problem config =
-  let rng = Numerics.Rng.create seed in
-  let st = init ?initial problem config rng in
-  step st generations;
-  front st

@@ -31,9 +31,7 @@ val step : state -> int -> unit
 val front : state -> Moo.Solution.t list
 (** Non-dominated members of the archive. *)
 
-val archive : state -> Moo.Solution.t array
 val evaluations : state -> int
-val generation : state -> int
 
 type snapshot = {
   snap_pop : Moo.Solution.t array;
@@ -53,16 +51,9 @@ val restore : state -> snapshot -> unit
 val select_emigrants : state -> int -> Moo.Solution.t list
 val inject : state -> Moo.Solution.t list -> unit
 
-val run :
-  ?initial:Moo.Solution.t list ->
-  generations:int ->
-  seed:int ->
-  Moo.Problem.t ->
-  config ->
-  Moo.Solution.t list
-
 (** {2 Internals exposed for testing} *)
 
+(* robustlint: allow R12 — test_ea's "fitness nd < 1" and "fitness ordering" cases *)
 val fitness : Moo.Solution.t array -> float array
 (** SPEA2 fitness (raw strength-based fitness + density); lower is
     better, values < 1 are non-dominated. *)

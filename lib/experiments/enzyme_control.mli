@@ -3,7 +3,5 @@
     Rubisco, SBPase, ADPGPP and FBP aldolase are the most influential
     enzymes of the carbon-metabolism model. *)
 
-val compute : unit -> Photo.Control.coefficient list
-(** Ranked by decreasing influence. *)
-
 val print : unit -> unit
+(** Prints the ranking, most influential first. *)

@@ -4,13 +4,5 @@
     (created if missing): fig1.tsv, fig2.tsv, fig3.tsv, fig4.tsv —
     using the same memoized runs as the printed experiments. *)
 
-val write_tsv : path:string -> header:string list -> string list list -> unit
-
-val fig1 : dir:string -> string
-(** Returns the written path. *)
-
-val fig2 : dir:string -> string
-val fig3 : dir:string -> string
-val fig4 : dir:string -> string
-
 val all : dir:string -> string list
+(** The written paths, in figure order. *)

@@ -14,12 +14,6 @@ type candidate = {
   ratios : float array;   (** 23 enzyme ratios to the natural leaf *)
 }
 
-val mine_candidate :
-  front:Moo.Solution.t list -> natural_uptake:float -> min_uptake_frac:float ->
-  Moo.Solution.t option
-(** Least-nitrogen front member with uptake ≥ [min_uptake_frac] ×
-    [natural_uptake]. *)
-
 val compute : unit -> candidate list
 (** [B; A2] when minable from the current front. *)
 

@@ -12,6 +12,7 @@ type point = {
 
 val compute : unit -> point list
 
+(* robustlint: allow R12 — @repro-check (test/repro_check.ml) pins Fig. 3's extremes-vs-interior row *)
 val extremes_vs_interior : point list -> float * float
 (** (mean yield of the two extreme points, best yield of the interior) —
     the quantitative form of the paper's observation. *)

@@ -2,10 +2,6 @@
     perturbed at a time, 200 trials per enzyme, ε = 5% — which single
     enzymes is the designed uptake most fragile to? *)
 
-type row = { enzyme : string; yield_pct : float }
-
-val compute : unit -> row list
-(** Per-enzyme local yields of the natural leaf (Ci = 270, low export),
-    sorted most-fragile-first. *)
-
 val print : unit -> unit
+(** Per-enzyme local yields of the natural leaf (Ci = 270, low export),
+    most fragile first. *)

@@ -31,7 +31,3 @@ val uptake_property : env:Photo.Params.env -> float array -> float
     relaxed from the natural leaf and scored by
     {!Photo.Steady_state.uptake_score}: 0 when no steady state was
     reached. *)
-
-val pmo2_config : Scale.budgets -> Pmo2.Archipelago.config
-(** The paper's archipelago configuration at a given budget, with
-    per-island guard telemetry enabled. *)

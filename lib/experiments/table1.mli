@@ -12,6 +12,7 @@ type row = {
   evaluations : int;
 }
 
+(* robustlint: allow R12 — @repro-check (test/repro_check.ml) pins Table 1's rows *)
 val compute : unit -> row list
 (** [PMO2 row; MOEA/D row]. *)
 

@@ -11,5 +11,6 @@ type row = {
   yield_pct : float;
 }
 
+(* robustlint: allow R12 — @repro-check (test/repro_check.ml) pins Table 2's rows *)
 val compute : unit -> row list
 val print : unit -> unit

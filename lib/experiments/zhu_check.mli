@@ -3,5 +3,4 @@
     should substantially raise CO2 uptake (Zhu reported ~+60%; the DAC'11
     paper builds its two-objective formulation on this result). *)
 
-val compute : unit -> Photo.Fixed_nitrogen.result
 val print : unit -> unit

@@ -23,9 +23,6 @@ type model = {
   ex_acetate : int;
 }
 
-val target_reactions : int
-(** 608, as in the published reconstruction. *)
-
 val build : ?seed:int -> unit -> model
 (** Deterministic build; [seed] (default 2011) varies only the decoy
     wiring, never the calibrated core. *)

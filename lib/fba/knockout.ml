@@ -39,11 +39,6 @@ let parent_basis ~t ~target ~biomass ~min_biomass =
       | _, carry -> carry
       | exception Analysis.Infeasible_model _ -> None)
 
-let baseline ~t ~target ~biomass ~min_biomass =
-  match solve_with_removed ~t ~target ~biomass ~min_biomass [] with
-  | Some k -> k
-  | None -> invalid_arg "Knockout.baseline: wild type infeasible under biomass floor"
-
 let ranked results =
   List.sort (fun a b -> Float.compare b.target_flux a.target_flux) results
 

@@ -14,10 +14,6 @@ type knockout = {
   biomass_flux : float;   (** biomass at that optimum *)
 }
 
-val baseline :
-  t:Network.t -> target:int -> biomass:int -> min_biomass:float -> knockout
-(** No knockout: the wild-type optimum under the biomass constraint. *)
-
 val single :
   t:Network.t ->
   target:int ->

@@ -87,15 +87,3 @@ let seeds ?eps (g : Geobacter.model) ~levels =
   in
   Array.iteri (fun j (l, u) -> Network.set_bounds g.net j l u) saved;
   out
-
-let initial_guess_violation (g : Geobacter.model) ~seed =
-  let rng = Numerics.Rng.create seed in
-  let b = Network.bounds g.net in
-  let v =
-    Array.map
-      (fun (lo, hi) ->
-        let hi' = Float.min hi 1000. and lo' = Float.max lo (-1000.) in
-        Numerics.Rng.uniform rng lo' hi')
-      b
-  in
-  Network.violation g.net v

@@ -50,7 +50,3 @@ val ep_of : Moo.Solution.t -> float
 
 val bp_of : Moo.Solution.t -> float
 (** Biomass production (un-negated objective 1). *)
-
-val initial_guess_violation : Geobacter.model -> seed:int -> float
-(** [‖S·v‖] of a random flux vector inside the bounds — the paper's
-    "initial guess" violation baseline. *)

@@ -55,7 +55,6 @@ let reaction net j =
   if not (0 <= j && j < net.n) then invalid_arg "Fba.Network.reaction: index out of range";
   net.reactions.(j)
 
-let reaction_index net name = Hashtbl.find net.index name
 
 let bounds net = Array.init net.n (fun j -> (net.reactions.(j).lb, net.reactions.(j).ub))
 

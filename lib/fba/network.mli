@@ -21,21 +21,14 @@ val add_reaction : t -> name:string -> stoich:(int * float) list -> lb:float -> 
 val n_metabolites : t -> int
 val n_reactions : t -> int
 val reaction : t -> int -> reaction
-val reaction_index : t -> string -> int
-(** Raises [Not_found] for unknown names. *)
 
 val bounds : t -> (float * float) array
 val set_bounds : t -> int -> float -> float -> unit
 
-val stoichiometric_matrix : t -> Numerics.Sparse.csc
-(** S in compressed columns, built once and cached; entry [(i, j)] is the
-    coefficient of metabolite [i] in reaction [j].  Invalidated by
-    [add_reaction]; bounds are not part of it. *)
-
 val columns : t -> (int * float) list array
 (** The columns of S as sparse [(metabolite, coefficient)] lists sorted
-    by row, built once from {!stoichiometric_matrix} and cached beside
-    it.  Invalidated by [add_reaction].  The array and its lists are
+    by row, built once from S in compressed columns (cached, and
+    invalidated by [add_reaction]) and cached beside it.  Invalidated by [add_reaction].  The array and its lists are
     shared by every caller, so LP specs built from them carry physically
     equal columns; treat them as read-only. *)
 

@@ -52,10 +52,3 @@ val normalize : string -> string
 val builtin_carrier : string -> bool
 (** Stdlib generics that compare their arguments internally
     ([List.mem], [List.assoc], ..., [Array.mem]): always carriers. *)
-
-val deep_float : Types.type_expr -> bool
-(** Float anywhere in the type, through any constructor, tuple or arrow —
-    unlike [Rules.mentions_float] which is first-argument, known-container
-    only.  Exposed for tests. *)
-
-val deep_tvar : Types.type_expr -> bool

@@ -20,24 +20,49 @@ type report = {
   stale : (string * int * string) list;
 }
 
-let rec collect_cmts acc path =
-  match Sys.is_directory path with
-  | exception Sys_error _ -> acc
-  | true ->
-    Array.fold_left
-      (fun acc entry -> collect_cmts acc (Filename.concat path entry))
-      acc (Sys.readdir path)
-  | false -> if Filename.check_suffix path ".cmt" then path :: acc else acc
+let rec collect ?(skip = "") acc path =
+  if path = skip then acc
+  else
+    match Sys.is_directory path with
+    | exception Sys_error _ -> acc
+    | true ->
+      Array.fold_left
+        (fun acc entry -> collect ~skip acc (Filename.concat path entry))
+        acc (Sys.readdir path)
+    | false ->
+      if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti" then
+        path :: acc
+      else acc
 
-let read_unit path =
+let read path =
   match Cmt_format.read_cmt path with
   | exception (Sys_error _ | End_of_file | Failure _ | Cmi_format.Error _) ->
     (* Not a readable cmt for this compiler — stale artifact or foreign
        file; nothing to check. *)
     None
-  | { cmt_annots = Cmt_format.Implementation str; cmt_modname; cmt_sourcefile; _ } ->
+  | cmt -> Some cmt
+
+let read_unit path =
+  match read path with
+  | Some { cmt_annots = Cmt_format.Implementation str; cmt_modname; cmt_sourcefile; _ } ->
     Some (Callgraph.normalize cmt_modname, cmt_sourcefile, str)
   | _ -> None
+
+let read_interface path =
+  match read path with
+  | Some { cmt_annots = Cmt_format.Interface sg; cmt_modname; cmt_sourcefile; _ } ->
+    Some (cmt_modname, cmt_sourcefile, sg)
+  | _ -> None
+
+(* R12's referrers beyond the linted units: every other compiled unit
+   under [source_root] except test/, read for references only. *)
+let referrers ~source_root linted =
+  let strip p = if String.starts_with ~prefix:"./" p then String.sub p 2 (String.length p - 2) else p in
+  let linted = List.map strip linted in
+  collect ~skip:(Filename.concat source_root "test") [] source_root
+  |> List.filter (fun p ->
+         Filename.check_suffix p ".cmt" && not (List.mem (strip p) linted))
+  |> List.sort String.compare
 
 let dedupe findings =
   let rec go = function
@@ -51,8 +76,12 @@ let dedupe findings =
   go (List.sort Finding.compare_by_loc findings)
 
 let run ?(force_lib = false) ~source_root dirs =
-  let cmts = List.sort String.compare (List.fold_left collect_cmts [] dirs) in
+  let files = List.sort String.compare (List.fold_left (collect ~skip:"") [] dirs) in
+  let cmts = List.filter (fun p -> Filename.check_suffix p ".cmt") files in
   let units = List.filter_map read_unit cmts in
+  let interfaces =
+    List.filter_map read_interface (List.filter (fun p -> Filename.check_suffix p ".cmti") files)
+  in
   let rules = Rules.create ~force_lib () in
   let cg = Callgraph.create () in
   let locks = Locks.create () in
@@ -62,6 +91,14 @@ let run ?(force_lib = false) ~source_root dirs =
       Callgraph.scan cg ~modname str;
       Locks.scan_types locks ~modname str.str_items)
     units;
+  List.iter (fun (modname, _, sg) -> Rules.check_interface rules ~modname sg) interfaces;
+  if Rules.has_exports rules then begin
+    List.iter (fun (_, _, str) -> Rules.scan_references rules str) units;
+    List.iter
+      (fun path ->
+        Option.iter (fun (_, _, str) -> Rules.scan_references rules str) (read_unit path))
+      (referrers ~source_root cmts)
+  end;
   List.iter
     (fun (modname, _, (str : Typedtree.structure)) ->
       Locks.scan_bodies locks ~modname str.str_items)
@@ -97,7 +134,10 @@ let run ?(force_lib = false) ~source_root dirs =
     findings = dedupe (occurrence @ interproc);
     suppressed = !suppressed;
     units = List.length units;
-    stale = Suppress.stale sup (List.filter_map (fun (_, src, _) -> src) units);
+    stale =
+      Suppress.stale sup
+        (List.filter_map (fun (_, src, _) -> src) units
+        @ List.filter_map (fun (_, src, _) -> src) interfaces);
   }
 
 let plural n = if n = 1 then "" else "s"

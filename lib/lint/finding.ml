@@ -1,6 +1,6 @@
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12 ]
 
 let rule_id = function
   | R1 -> "R1"
@@ -14,6 +14,7 @@ let rule_id = function
   | R9 -> "R9"
   | R10 -> "R10"
   | R11 -> "R11"
+  | R12 -> "R12"
 
 let rule_of_id = function
   | "R1" -> Some R1
@@ -27,6 +28,7 @@ let rule_of_id = function
   | "R9" -> Some R9
   | "R10" -> Some R10
   | "R11" -> Some R11
+  | "R12" -> Some R12
   | _ -> None
 
 let hint = function
@@ -54,6 +56,9 @@ let hint = function
   | R11 ->
     "use Obs.Clock.now_ns (monotonic) for durations, or thread time in explicitly; \
      wall-clock reads differ across runs and machines the same way Random does"
+  | R12 ->
+    "delete it (with the tests that check only it), move it into test/, drop it from the \
+     .mli, or keep a test hook under an allow comment that names its test"
 
 type t = {
   rule : rule;

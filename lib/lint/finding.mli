@@ -16,19 +16,19 @@
     - R9: raw process control ([fork]/[create_process]/[exit]) outside [Shard]
     - R10: lock discipline — mutex-guarded mutable state accessed off the
       lock, double acquisition, lock-order cycles
-    - R11: wall-clock reads outside [Obs.Clock] and [lib/shard] *)
+    - R11: wall-clock reads outside [Obs.Clock] and [lib/shard]
+    - R12: a value a [lib/] interface declares that no other compilation
+      unit outside [test/] references *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
+(* robustlint: allow R12 — test_lint's "rule ids roundtrip" walks every rule *)
 val all_rules : rule list
 
 val rule_id : rule -> string
-(** ["R1"] .. ["R11"]. *)
+(** ["R1"] .. ["R12"]. *)
 
 val rule_of_id : string -> rule option
-
-val hint : rule -> string
-(** One-line fix hint attached to every finding of the rule. *)
 
 type t = {
   rule : rule;

@@ -6,16 +6,21 @@
 
    Interprocedural reasoning (R1 through generic helpers, R2/R7 taint,
    R10 lock discipline) lives in [Callgraph]/[Taint]/[Locks]; this module
-   stays single-occurrence. *)
+   stays single-occurrence, apart from R12, which matches the values the
+   interfaces export against the references the referrer units make. *)
 
 open Typedtree
 
 type t = {
   force_lib : bool; (* treat every file as library code (fixture testing) *)
   mutable acc : Finding.t list;
+  mutable exports : (string * Location.t) list; (* R12: dotted key, the val's loc *)
+  refs : (string, unit) Hashtbl.t; (* R12: dotted value paths referenced *)
+  whole : (string, unit) Hashtbl.t; (* R12: modules referenced as a whole *)
 }
 
-let create ?(force_lib = false) () = { force_lib; acc = [] }
+let create ?(force_lib = false) () =
+  { force_lib; acc = []; exports = []; refs = Hashtbl.create 1024; whole = Hashtbl.create 16 }
 
 let file_of (loc : Location.t) = loc.loc_start.pos_fname
 
@@ -35,7 +40,141 @@ let add t rule (loc : Location.t) message =
     }
     :: t.acc
 
-let findings t = List.sort Finding.compare_by_loc t.acc
+(* {2 R12: exports no other unit references}
+
+   Keys are by compilation unit.  Dune's wrapped unit [Lp__Problem] is
+   [Lp.Problem] seen from outside its library, so both spellings map to
+   the dotted key ["Lp.Problem.make"], while [Moo.Problem.make] keeps a
+   key of its own. *)
+
+let dotted name =
+  let n = String.length name in
+  let b = Buffer.create n in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 1 < n && name.[!i] = '_' && name.[!i + 1] = '_' then begin
+      Buffer.add_char b '.';
+      i := !i + 2
+    end
+    else begin
+      Buffer.add_char b name.[!i];
+      incr i
+    end
+  done;
+  Buffer.contents b
+
+let has_exports t = t.exports <> []
+
+let check_interface t ~modname (sg : signature) =
+  let rec values prefix (sg : signature) =
+    List.iter
+      (fun (item : signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd -> t.exports <- (prefix ^ "." ^ vd.val_name.txt, vd.val_loc) :: t.exports
+        | Tsig_module
+            { md_name = { txt = Some m; _ }; md_type = { mty_desc = Tmty_signature sub; _ }; _ }
+          ->
+          values (prefix ^ "." ^ m) sub
+        | _ -> ())
+      sg.sig_items
+  in
+  match sg.sig_items with
+  | item :: _ when is_lib t item.sig_loc -> values (dotted modname) sg
+  | _ -> ()
+
+let rec head_ident : Path.t -> Ident.t option = function
+  | Pident id -> Some id
+  | Pdot (p, _) -> head_ident p
+  | _ -> None
+
+let scan_references t (str : structure) =
+  (* Local aliases ([module J = Obs.Json]) resolve to their target, so
+     [J.obj] counts as a reference to [Obs.Json.obj]. *)
+  let aliases = ref [] in
+  let resolve p =
+    let name = Path.name p in
+    match head_ident p with
+    | None -> dotted name
+    | Some id -> (
+      match List.find_opt (fun (a, _) -> Ident.same a id) !aliases with
+      | Some (_, target) ->
+        let h = String.length (Ident.name id) in
+        target ^ String.sub name h (String.length name - h)
+      | None -> dotted name)
+  in
+  let rec alias_target (m : module_expr) =
+    match m.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (m, _, _, _) -> alias_target m
+    | _ -> None
+  in
+  let bind id_opt m =
+    match (id_opt, alias_target m) with
+    | Some id, Some p ->
+      aliases := (id, resolve p) :: !aliases;
+      true
+    | _ -> false
+  in
+  let expr sub (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> Hashtbl.replace t.refs (resolve p) ()
+    | Texp_letmodule (id, _, _, m, body) when bind id m -> sub.Tast_iterator.expr sub body
+    | _ -> Tast_iterator.default_iterator.expr sub e
+  in
+  let module_binding sub (mb : module_binding) =
+    if not (bind mb.mb_id mb.mb_expr) then Tast_iterator.default_iterator.module_binding sub mb
+  in
+  (* A module used as a whole (functor argument, [include], packed) may
+     reach any of its values; an [open] only brings names into scope. *)
+  let module_expr sub (m : module_expr) =
+    match m.mod_desc with
+    | Tmod_ident (p, _) -> Hashtbl.replace t.whole (resolve p) ()
+    | _ -> Tast_iterator.default_iterator.module_expr sub m
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr;
+      module_binding;
+      module_expr;
+      open_declaration =
+        (fun sub od ->
+          match od.open_expr.mod_desc with
+          | Tmod_ident _ -> ()
+          | _ -> Tast_iterator.default_iterator.open_declaration sub od);
+    }
+  in
+  it.structure it str
+
+let referenced t key =
+  Hashtbl.mem t.refs key
+  ||
+  let rec prefixes i =
+    match String.rindex_from_opt key i '.' with
+    | None -> false
+    | Some j -> Hashtbl.mem t.whole (String.sub key 0 j) || (j > 0 && prefixes (j - 1))
+  in
+  prefixes (String.length key - 1)
+
+let unreferenced t =
+  List.filter_map
+    (fun (key, loc) ->
+      if referenced t key then None
+      else begin
+        let p = loc.Location.loc_start in
+        Some
+          {
+            Finding.rule = Finding.R12;
+            file = p.pos_fname;
+            line = p.pos_lnum;
+            col = p.pos_cnum - p.pos_bol;
+            message =
+              Printf.sprintf "%s is exported but no unit outside test/ references it" key;
+          }
+      end)
+    t.exports
+
+let findings t = List.sort Finding.compare_by_loc (unreferenced t @ t.acc)
 
 (* {2 R1 helpers} *)
 

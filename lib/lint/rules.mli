@@ -12,12 +12,23 @@ val create : ?force_lib:bool -> unit -> t
 
 val check_structure : t -> Typedtree.structure -> unit
 
-val findings : t -> Finding.t list
+val check_interface : t -> modname:string -> Typedtree.signature -> unit
+(** R12: record the values a library interface declares (nested
+    [module M : sig ... end] included), keyed by the compilation unit
+    [modname] ([Lp__Problem]), so same-named modules of different
+    libraries never share a key.  Interfaces outside [lib/] are skipped
+    unless [force_lib]. *)
 
-val mentions_float : int -> Types.type_expr -> bool
-(** [mentions_float depth ty]: structural float-containment test used by
-    R1 (float itself, and float under tuples/list/array/option/ref).
-    Exposed for tests and for the interprocedural passes. *)
+val has_exports : t -> bool
+
+val scan_references : t -> Typedtree.structure -> unit
+(** R12: record every value path a referrer unit mentions.  A module
+    used as a whole (functor argument, [include], first-class) counts as
+    a reference to each of its values. *)
+
+val findings : t -> Finding.t list
+(** Every finding so far, R12 included: an export that no scanned
+    referrer mentions, located at its [val] in the interface. *)
 
 val first_arrow_arg : Types.type_expr -> Types.type_expr option
 

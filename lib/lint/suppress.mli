@@ -26,10 +26,12 @@ val stale : t -> string list -> (string * int * string) list
     in [files] that no {!verdict} so far has consulted: it silences
     nothing.  Sorted by file, then line. *)
 
+(* robustlint: allow R12 — test_lint's "comment parsing" case checks the parser *)
 val parse_line : string -> Finding.rule -> bool option
 (** [parse_line line rule] is [None] when [line] has no allow comment for
-    [rule], [Some justified] otherwise.  Exposed for tests. *)
+    [rule], [Some justified] otherwise. *)
 
+(* robustlint: allow R12 — test_lint's "rule_on_line" case checks the stale audit's reader *)
 val rule_on_line : string -> string option
 (** The rule id of the first allow comment on a source line, if it names
-    a real rule.  Exposed for tests. *)
+    a real rule. *)

@@ -10,12 +10,10 @@ val create : unit -> t
 val size : t -> int
 val to_list : t -> Solution.t list
 
-val add : t -> Solution.t -> bool
-(** [add a s] inserts [s] if no archived solution dominates it, removing
-    any members it dominates; returns [true] if [s] was inserted.
-    Duplicates in objective space are rejected. *)
-
 val add_all : t -> Solution.t list -> unit
+(** Insert each solution in order if no archived solution dominates it,
+    removing any members it dominates.  Duplicates in objective space are
+    rejected. *)
 
 val restore : t -> Solution.t list -> unit
 (** [restore a sols] replaces the members wholesale, preserving list order

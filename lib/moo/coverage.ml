@@ -17,11 +17,3 @@ let gp front union =
 let rp front union =
   if front = [] then 0.
   else float_of_int (intersection_size front union) /. float_of_int (List.length front)
-
-type report = { points : int; gp : float; rp : float }
-
-let analyze fronts =
-  let union = union_front fronts in
-  List.map
-    (fun front -> { points = List.length front; gp = gp front union; rp = rp front union })
-    fronts

@@ -14,8 +14,3 @@ val gp : Solution.t list -> Solution.t list -> float
 
 val rp : Solution.t list -> Solution.t list -> float
 (** [rp front union] — fraction of [front] that is globally Pareto optimal. *)
-
-type report = { points : int; gp : float; rp : float }
-
-val analyze : Solution.t list list -> report list
-(** Per-front Gp/Rp against the union of all given fronts, in order. *)

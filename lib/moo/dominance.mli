@@ -2,9 +2,6 @@
 
 type relation = Dominates | Dominated | Incomparable | Equal
 
-val compare_objectives : float array -> float array -> relation
-(** Pure Pareto comparison of two objective vectors. *)
-
 val constrained : Solution.t -> Solution.t -> relation
 (** Deb's constrained-domination: a feasible solution dominates an
     infeasible one; of two infeasible solutions the one with the smaller

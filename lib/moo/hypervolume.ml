@@ -76,9 +76,3 @@ let normalized ~ref_point ~ideal points =
     span;
   let rescale f = Array.init d (fun i -> (f.(i) -. ideal.(i)) /. span.(i)) in
   compute ~ref_point:(Array.make d 1.) (List.map rescale points)
-
-let contributions ~ref_point points =
-  let total = compute ~ref_point points in
-  List.mapi
-    (fun i p -> (p, total -. compute ~ref_point (List.filteri (fun j _ -> j <> i) points)))
-    points

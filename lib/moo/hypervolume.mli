@@ -15,8 +15,3 @@ val normalized : ref_point:float array -> ideal:float array -> float array list 
 (** Hypervolume of the points affinely rescaled so that [ideal ↦ 0] and
     [ref_point ↦ 1] on every axis; the result lies in [\[0, 1\]] and is the
     [Vp] indicator reported in the paper's Table 1. *)
-
-val contributions : ref_point:float array -> float array list -> (float array * float) list
-(** Exclusive hypervolume contribution of each point: the volume lost if
-    that point is removed (0 for dominated points).  Useful for archive
-    diagnostics and indicator-based selection. *)

@@ -97,61 +97,3 @@ let equally_spaced ~k front =
     in
     dedup [] chosen
   end
-
-let normalized_objectives front =
-  let ideal = ideal_point front and nadir = nadir_point front in
-  let d = Array.length ideal in
-  let span =
-    Array.init d (fun i ->
-        let s = nadir.(i) -. ideal.(i) in
-        if s > 0. then s else 1.)
-  in
-  fun s -> Array.init d (fun i -> (s.Solution.f.(i) -. ideal.(i)) /. span.(i))
-
-let knee front =
-  match front with
-  | [] -> invalid_arg "Mine.knee: empty front"
-  | [ s ] -> s
-  | _ ->
-    let s0 = List.hd front in
-    if Array.length s0.Solution.f <> 2 then invalid_arg "Mine.knee: 2 objectives only";
-    let norm = normalized_objectives front in
-    (* Extremes of the normalized front along objective 0. *)
-    let by_f0 = List.sort (fun a b -> Float.compare a.Solution.f.(0) b.Solution.f.(0)) front in
-    let a = norm (List.hd by_f0) in
-    let b = norm (List.nth by_f0 (List.length by_f0 - 1)) in
-    let ab = Numerics.Vec.sub b a in
-    let ab_len = Numerics.Vec.norm2 ab in
-    if ab_len < 1e-12 then List.hd front
-    else
-      let distance s =
-        let p = Numerics.Vec.sub (norm s) a in
-        (* Perpendicular distance via the 2-D cross product. *)
-        Float.abs ((ab.(0) *. p.(1)) -. (ab.(1) *. p.(0))) /. ab_len
-      in
-      List.fold_left (fun best s -> if distance s > distance best then s else best)
-        (List.hd front) front
-
-let tradeoff_weight front s =
-  match front with
-  | [] -> invalid_arg "Mine.tradeoff_weight: empty front"
-  | _ ->
-    if Array.length s.Solution.f <> 2 then
-      invalid_arg "Mine.tradeoff_weight: 2 objectives only";
-    let norm = normalized_objectives front in
-    let fs = norm s in
-    (* Mean normalized improvement over every other front member: Das's
-       trade-off metric — knees score high. *)
-    let others = List.filter (fun o -> o != s) front in
-    if others = [] then 0.
-    else
-      let total =
-        List.fold_left
-          (fun acc o ->
-            let fo = norm o in
-            let gain = Float.max 0. (fo.(0) -. fs.(0)) +. Float.max 0. (fo.(1) -. fs.(1)) in
-            let loss = Float.max 0. (fs.(0) -. fo.(0)) +. Float.max 0. (fs.(1) -. fo.(1)) in
-            acc +. ((gain -. loss) /. 2.))
-          0. others
-      in
-      total /. float_of_int (List.length others)

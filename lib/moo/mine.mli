@@ -24,15 +24,3 @@ val equally_spaced : k:int -> Solution.t list -> Solution.t list
 (** [k] members spaced uniformly in (normalized) arc length along the
     front, ordered by the first objective.  Returns the whole front when it
     has at most [k] members. *)
-
-val knee : Solution.t list -> Solution.t
-(** The knee of a (2-objective) front: the member with the maximum
-    perpendicular distance to the line joining the front's extreme points
-    (objectives normalized to the front's ranges first).  A common
-    automatic trade-off selector alongside {!closest_to_ideal}.
-    Requires a non-empty front with 2 objectives. *)
-
-val tradeoff_weight : Solution.t list -> Solution.t -> float
-(** Marginal-rate-of-substitution score of a front member: how much of
-    objective 1 one gives up per unit of objective 0 gained, relative to
-    its neighbors on the (2-objective) front; larger = stronger knee. *)

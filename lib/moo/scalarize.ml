@@ -1,9 +1,3 @@
-let weighted_sum ~w f =
-  if Array.length w <> Array.length f then invalid_arg "Scalarize.weighted_sum: length mismatch";
-  let acc = ref 0. in
-  Array.iteri (fun i wi -> acc := !acc +. (wi *. f.(i))) w;
-  !acc
-
 let tchebycheff ~w ~z f =
   if not (Array.length w = Array.length f && Array.length z = Array.length f) then
     invalid_arg "Scalarize.tchebycheff: length mismatch";

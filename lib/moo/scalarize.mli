@@ -1,8 +1,5 @@
 (** Scalarization functions used by decomposition-based algorithms. *)
 
-val weighted_sum : w:float array -> float array -> float
-(** [weighted_sum ~w f = Σ wᵢ fᵢ]. *)
-
 val tchebycheff : w:float array -> z:float array -> float array -> float
 (** [tchebycheff ~w ~z f = maxᵢ wᵢ·|fᵢ − zᵢ|] with reference (ideal)
     point [z]; zero weights are lifted to a small epsilon so every

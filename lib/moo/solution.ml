@@ -7,11 +7,6 @@ let evaluate p x =
     invalid_arg "Solution.evaluate: objective vector has the wrong arity";
   { x; f; v = Problem.violation_of p x }
 
-let feasible s = s.v <= 0.
-
 let equal_objectives ?(tol = 1e-12) a b =
   Array.length a.f = Array.length b.f
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.f b.f
-
-let pp ppf s =
-  Format.fprintf ppf "f=%a v=%g" Numerics.Vec.pp s.f s.v

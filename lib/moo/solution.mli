@@ -9,9 +9,5 @@ type t = {
 val evaluate : Problem.t -> float array -> t
 (** Evaluate a decision vector (clipping it into the box first). *)
 
-val feasible : t -> bool
-
 val equal_objectives : ?tol:float -> t -> t -> bool
 (** Componentwise objective equality within [tol] (default 1e-12). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,3 @@
-type t = { n : int; lu : float array; perm : int array }
-
 exception Singular
 
 let pivot_tolerance = 1e-13
@@ -70,17 +68,3 @@ let solve_in_place ~n lu perm b x =
     done;
     Array.unsafe_set x i (!acc /. Array.unsafe_get lu (ri + i))
   done
-
-let factor a =
-  let n = Matrix.rows a in
-  if n <> Matrix.cols a then invalid_arg "Lu.factor: matrix must be square";
-  let lu = Array.init (n * n) (fun k -> Matrix.get a (k / n) (k mod n)) in
-  let perm = Array.make n 0 in
-  factor_in_place ~n lu perm;
-  { n; lu; perm }
-
-let solve { n; lu; perm } b =
-  if Array.length b <> n then invalid_arg "Lu.solve: rhs length mismatch";
-  let x = Array.make n 0. in
-  solve_in_place ~n lu perm b x;
-  x

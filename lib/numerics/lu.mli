@@ -1,21 +1,9 @@
-(** LU factorization with partial pivoting.
-
-    One kernel, two entry points: {!factor}/{!solve} allocate their
-    result, while {!factor_in_place}/{!solve_in_place} run the same
-    pivoting and arithmetic on caller-owned buffers without allocating
-    (the dense Newton steps of {!Ode} reuse one buffer per call). *)
-
-type t
-(** A factorization [P·A = L·U] of a square matrix. *)
+(** LU factorization with partial pivoting, [P·A = L·U], on
+    caller-owned buffers without allocating (the dense Newton steps of
+    {!Ode} reuse one buffer per call). *)
 
 exception Singular
 (** Raised when the matrix is numerically singular (zero pivot). *)
-
-val factor : Matrix.t -> t
-(** Factor a square matrix. Raises {!Singular} if a pivot underflows. *)
-
-val solve : t -> Vec.t -> Vec.t
-(** [solve lu b] solves [A x = b]. *)
 
 val factor_in_place : n:int -> float array -> int array -> unit
 (** [factor_in_place ~n a perm] overwrites the row-major n×n matrix [a]

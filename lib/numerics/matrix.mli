@@ -1,45 +1,10 @@
-(** Dense row-major matrices of floats. *)
+(** Dense row-major matrices of floats: the Jacobians {!Ode.numeric_jacobian}
+    returns. *)
 
 type t
 
-val make : int -> int -> float -> t
 val init : int -> int -> (int -> int -> float) -> t
-val zeros : int -> int -> t
-val identity : int -> t
-val of_arrays : float array array -> t
-val to_arrays : t -> float array array
-val copy : t -> t
-
-val rows : t -> int
-val cols : t -> int
+(** [init r c f] is the [r]×[c] matrix with entry [(i, j) = f i j]. *)
 
 val get : t -> int -> int -> float
-val set : t -> int -> int -> float -> unit
-
-val row : t -> int -> Vec.t
-(** Fresh copy of a row. *)
-
-val col : t -> int -> Vec.t
-(** Fresh copy of a column. *)
-
-val set_row : t -> int -> Vec.t -> unit
-val swap_rows : t -> int -> int -> unit
-
-val transpose : t -> t
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val matmul : t -> t -> t
-
-val mv : t -> Vec.t -> Vec.t
-(** Matrix-vector product. *)
-
-val tmv : t -> Vec.t -> Vec.t
-(** Transposed matrix-vector product [Aᵀ x] without forming the transpose. *)
-
-val norm_frobenius : t -> float
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
+(** Raises [Invalid_argument] outside the matrix. *)

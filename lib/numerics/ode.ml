@@ -262,10 +262,6 @@ let pattern rows =
     groups = Array.init !count (fun g -> Array.of_list (members g));
   }
 
-let dense_pattern n =
-  let all = Array.init n Fun.id in
-  { rows = Array.make n all; groups = Array.init n (fun j -> [| j |]) }
-
 let pattern_groups p = Array.length p.groups
 
 let nonzero p i j = Array.mem i p.rows.(j)
@@ -300,8 +296,8 @@ let dense_create n =
    is (fᵢ(y + Σ hₖeₖ) − f0ᵢ)/hⱼ over j's group, which is the dense
    quotient because fᵢ reads no other column of the group; every other
    entry is +0., which the dense quotient (fᵢ − fᵢ)/hⱼ also is wherever
-   [f0] is finite.  Under {!dense_pattern} this is the plain n-call
-   forward difference. *)
+   [f0] is finite.  Under a dense pattern (one column per group) this is
+   the plain n-call forward difference. *)
 let jacobian d p f t y f0 =
   Obs.Metrics.incr m_jacobians;
   let n = d.n and yp = d.yp and fj = d.fj and jac = d.jac in

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy r = { state = r.state }
-
 let state r = r.state
 
 let set_state r s = r.state <- s
@@ -74,10 +72,6 @@ let shuffle r a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose r a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int r (Array.length a))
 
 let sample_indices r ~n ~k =
   if not (0 <= k && k <= n) then invalid_arg "Rng.sample_indices: need 0 <= k <= n";

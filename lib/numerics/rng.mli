@@ -23,9 +23,6 @@ val stream : seed:int -> int -> t
     results are bit-for-bit identical whether the tasks run sequentially
     or on any number of worker domains.  Requires [k >= 0]. *)
 
-val copy : t -> t
-(** Snapshot of the current state. *)
-
 val state : t -> int64
 (** Raw generator state, for checkpointing.  [set_state r s] resumes
     the stream exactly where [state] captured it. *)
@@ -56,9 +53,6 @@ val gaussian : ?mu:float -> ?sigma:float -> t -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform draw from a non-empty array. *)
 
 val sample_indices : t -> n:int -> k:int -> int array
 (** [sample_indices r ~n ~k] draws [k] distinct indices from [\[0, n)]

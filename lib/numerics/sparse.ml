@@ -8,9 +8,6 @@ let create ~rows ~cols =
   if not (rows > 0 && cols > 0) then invalid_arg "Numerics.Sparse.create: dimensions must be positive";
   { r = rows; c = cols; cols = Array.init cols (fun _ -> Hashtbl.create 4) }
 
-let rows m = m.r
-let cols m = m.c
-
 let set m i j v =
   if not (0 <= i && i < m.r && 0 <= j && j < m.c) then
     invalid_arg "Numerics.Sparse.set: index out of range";
@@ -28,25 +25,6 @@ let column m j =
   (* robustlint: allow R7 — fold only collects bindings; the sort below fixes the order *)
   Hashtbl.fold (fun i v acc -> (i, v) :: acc) m.cols.(j) []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let to_dense m =
-  let d = Matrix.zeros m.r m.c in
-  for j = 0 to m.c - 1 do
-    (* robustlint: allow R7 — each binding writes a distinct dense cell, so order is immaterial *)
-    Hashtbl.iter (fun i v -> Matrix.set d i j v) m.cols.(j)
-  done;
-  d
-
-let residual_norm2 m x =
-  if Array.length x <> m.c then
-    invalid_arg "Numerics.Sparse.residual_norm2: vector length mismatch";
-  let r = Array.make m.r 0. in
-  for j = 0 to m.c - 1 do
-    List.iter (fun (i, v) -> r.(i) <- r.(i) +. (v *. x.(j))) (column m j)
-  done;
-  let acc = ref 0. in
-  Array.iter (fun v -> acc := !acc +. (v *. v)) r;
-  sqrt !acc
 
 (* {1 Compressed columns} *)
 

@@ -8,24 +8,10 @@
 type t
 
 val create : rows:int -> cols:int -> t
-val rows : t -> int
-val cols : t -> int
 
 val set : t -> int -> int -> float -> unit
 (** [set m i j v] — setting a previously set entry overwrites it;
     setting [0.] removes it. *)
-
-val get : t -> int -> int -> float
-
-val nnz : t -> int
-
-val column : t -> int -> (int * float) list
-(** Non-zero entries of a column as [(row, value)] pairs, sorted by row. *)
-
-val to_dense : t -> Matrix.t
-
-val residual_norm2 : t -> float array -> float
-(** [‖m · x‖₂] without materializing intermediate structures. *)
 
 (** {1 Compressed sparse columns}
 

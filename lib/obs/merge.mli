@@ -16,12 +16,10 @@ type flush = {
       semantics on absorb) *)
 }
 
-val capture : pid:int -> unit -> flush
-(** Drain local spans (tagged [pid]) and snapshot the metric delta. *)
-
 val capture_if_enabled : pid:int -> unit -> flush option
-(** {!capture}, or [None] when neither tracing nor metrics is enabled —
-    keeps the wire payload empty on unobserved runs. *)
+(** Drain local spans (tagged [pid]) and snapshot the metric delta, or
+    [None] when neither tracing nor metrics is enabled — keeps the wire
+    payload empty on unobserved runs. *)
 
 val absorb : key:int -> flush -> unit
 (** Ingest the spans and store the metric delta under contribution

@@ -65,8 +65,6 @@ let gauge name = registered gauges name (fun () -> { g_name = name; g_value = Fl
    which is the semantics a gauge advertises anyway. *)
 let set_gauge g v = if Atomic.get on then g.g_value <- v
 
-let gauge_value g = g.g_value
-
 (* {1 Histograms} *)
 
 let default_ms_buckets =
@@ -111,14 +109,6 @@ let observe h v =
     Mutex.unlock h.h_lock
   end
 
-(* Deliberately lock-free accessors: a torn read of a single word cannot
-   occur in OCaml, and metric snapshots tolerate staleness. *)
-(* robustlint: allow R10 — lock-free accessor by design, staleness tolerated *)
-let histogram_count h = h.h_count
-
-(* robustlint: allow R10 — lock-free accessor by design, staleness tolerated *)
-let histogram_sum h = h.h_sum
-
 (* {1 Quantiles} *)
 
 let quantile_of ~le ~counts q =
@@ -147,12 +137,6 @@ let quantile_of ~le ~counts q =
     in
     go 0 0
   end
-
-let quantile h q =
-  Mutex.lock h.h_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock h.h_lock)
-    (fun () -> quantile_of ~le:h.bounds ~counts:(Array.copy h.counts) q)
 
 (* {1 Cross-process deltas} *)
 

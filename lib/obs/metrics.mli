@@ -44,7 +44,6 @@ val gauge : string -> gauge
 (** Register (or look up) a gauge: a last-write-wins float. *)
 
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {2 Histograms} *)
 
@@ -60,18 +59,14 @@ val histogram : ?buckets:float array -> string -> histogram
     re-registering an existing name with different bounds. *)
 
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
-val quantile : histogram -> float -> float
-(** [quantile h q] estimates the [q]-quantile (0 ≤ q ≤ 1) of the
-    observed values by linear interpolation inside the bucket holding
-    the rank.  Values in the [+inf] bucket are reported as the last
-    finite bound (an underestimate).  NaN when the histogram is empty;
-    raises [Invalid_argument] when [q] is outside [0, 1]. *)
 
 val quantile_of : le:float array -> counts:int array -> float -> float
-(** Same estimator over raw bucket data (as found in a JSONL snapshot's
+(** [quantile_of ~le ~counts q] estimates the [q]-quantile (0 ≤ q ≤ 1)
+    of a histogram's observations by linear interpolation inside the
+    bucket holding the rank.  Values in the [+inf] bucket are reported
+    as the last finite bound (an underestimate).  NaN when the histogram
+    is empty; raises [Invalid_argument] when [q] is outside [0, 1].
+    Takes raw bucket data (as found in a JSONL snapshot's
     ["le"]/["counts"] arrays) — used by [trace-summary] and [report] on
     persisted metrics. *)
 

@@ -28,6 +28,7 @@ type kind =
   | Count  (** counter milestone; value = counter value *)
   | Mark   (** lifecycle point (worker step/inject, kill); value = epoch etc. *)
 
+(* robustlint: allow R12 — test_obs's "wraparound keeps last 256" and ring fuzz cases size by it *)
 val capacity : int
 (** Number of retained events (256); older events are overwritten. *)
 
@@ -38,6 +39,7 @@ val probe : string -> probe
     past that, new names share the last slot.  Not for hot paths — call
     once and reuse the probe. *)
 
+(* robustlint: allow R12 — test_obs's ring fuzz case computes where the entries start *)
 val max_names : int
 
 val record : probe -> kind -> int -> unit
@@ -64,6 +66,7 @@ type entry = {
 
 type dump = { d_lane : int; d_entries : entry list }
 
+(* robustlint: allow R12 — test_obs's "wraparound keeps last 256" decodes the live buffer *)
 val entries : unit -> entry list
 (** Decode the live buffer (sequence order). *)
 

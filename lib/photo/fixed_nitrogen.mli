@@ -7,6 +7,7 @@
     its protein-nitrogen equals the target before evaluation, so the
     constraint holds exactly by construction. *)
 
+(* robustlint: allow R12 — test_photo's "budget exact" and "uniform weights = natural" cases *)
 val ratios_of_weights :
   ?kinetics:Params.kinetics -> target_nitrogen:float -> float array -> float array
 (** Scale a weight vector into enzyme ratios whose nitrogen equals

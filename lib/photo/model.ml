@@ -328,12 +328,3 @@ let pattern () =
 
 let assimilation (k : Params.kinetics) f =
   (f.vc -. f.v_gdc -. k.day_respiration) *. k.flux_to_uptake
-
-let carbon_balance f =
-  (* Carbon enters via carboxylation and leaves via GDC decarboxylation,
-     starch (6 C per ADPGPP flux), sucrose export (3 C per exported
-     triose) and the serine drain (3 C).  At steady state the interior
-     pools are constant so these must balance. *)
-  f.vc +. (6. *. f.v_stdeg) -. f.v_gdc -. f.v_g6pdh -. (6. *. f.v_adpgpp)
-  -. (3. *. f.v_export) -. (3. *. f.v_serleak) -. (6. *. f.v_scav_hp)
-  -. (3. *. f.v_scav_tp) -. (5. *. f.v_scav_pp)

@@ -69,7 +69,3 @@ val pattern : unit -> Numerics.Ode.pattern
 val assimilation : Params.kinetics -> fluxes -> float
 (** Instantaneous net CO2 assimilation, µmol m⁻² s⁻¹:
     [(vc − v_gdc − Rd) · flux_to_uptake]. *)
-
-val carbon_balance : fluxes -> float
-(** Net stromal/cytosolic carbon inflow minus sink outflow (mM s⁻¹ of C);
-    zero at steady state — used by conservation tests. *)

@@ -7,14 +7,9 @@ type env = {
   tp_export : float;  (** triose-P translocator maximal rate, mM s⁻¹ *)
 }
 
-val past : tp_export:float -> env
-(** 25 M years ago: Ci = 165. *)
-
 val present : tp_export:float -> env
-(** Present day: Ci = 270. *)
-
-val future : tp_export:float -> env
-(** End of century: Ci = 490. *)
+(** Present day: Ci = 270.  [of_flags] also gives the paper's past
+    (Ci = 165, 25 M years ago) and future (Ci = 490, end of century). *)
 
 val low_export : float
 (** 1 mmol l⁻¹ s⁻¹. *)

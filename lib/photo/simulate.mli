@@ -7,6 +7,7 @@ type sample = {
   assimilation : float;  (** instantaneous net CO2 uptake, µmol m⁻² s⁻¹ *)
 }
 
+(* robustlint: allow R12 — test_photo's "time-course sampling" and "y0 length checked" cases *)
 val time_course :
   ?kinetics:Params.kinetics ->
   ?y0:float array ->
@@ -20,10 +21,6 @@ val time_course :
     t = 0), from [y0] (default {!State.initial}).  Raises
     [Invalid_argument] unless [t_end] and [dt_sample] are positive and
     [y0] has {!State.n} entries. *)
-
-val dark_adapted : unit -> float array
-(** An initial state mimicking a dark-adapted leaf: depleted RuBP and
-    phosphorylated intermediates, low ATP. *)
 
 val induction :
   ?kinetics:Params.kinetics ->

@@ -41,11 +41,13 @@ val udpg : int
 val sucp : int
 val f26bp : int
 
+(* robustlint: allow R12 — test_photo's layout and Jacobian-pattern cases name the states *)
 val names : string array
 
 val initial : unit -> float array
 (** A physiological initial condition (mM), fresh copy. *)
 
+(* robustlint: allow R12 — test_photo's "phosphate conservation" case weighs dy by it *)
 val phosphate_groups : float array
 (** Per-state number of phosphate groups counted by the stromal phosphate
     conservation.  Only the first 12 states, {!rubp} to {!pgca}, carry

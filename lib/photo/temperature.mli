@@ -8,19 +8,19 @@
     produce the classic peaked A(T) response with an optimum in the
     high 20s °C. *)
 
-val reference_celsius : float
-(** 25 °C — the calibration temperature. *)
-
+(* robustlint: allow R12 — test_photo's "scale unity at 25C" and "scale shape" cases *)
 val vmax_scale : float -> float
 (** [vmax_scale t_c] — multiplicative enzyme-capacity factor at leaf
-    temperature [t_c]; equals 1 at 25 °C.  Q10 2.0, damped by a logistic
+    temperature [t_c]; equals 1 at the 25 °C calibration temperature.  Q10 2.0, damped by a logistic
     deactivation with its midpoint at 38 °C. *)
 
+(* robustlint: allow R12 — test_photo's "kinetic trends" case *)
 val kinetics_at : ?base:Params.kinetics -> float -> Params.kinetics
 (** Kinetic constants adjusted to a leaf temperature: [kc_eff] (Q10 2.1),
     [gamma_star] (Q10 1.75) and [v_light] (same capacity scaling as the
     enzymes). *)
 
+(* robustlint: allow R12 — test_photo's "calibration preserved" case *)
 val uptake_at :
   ?kinetics:Params.kinetics ->
   ?ratios:float array ->

@@ -72,7 +72,6 @@ val step_epoch : state -> unit
 val islands_fronts : state -> Moo.Solution.t list list
 val island_names : state -> string list
 val archive : state -> Moo.Archive.t
-val evaluations : state -> int
 val generations_done : state -> int
 
 val island_guard_stats : state -> Runtime.Guard.stats array
@@ -140,10 +139,6 @@ val jsonl_observer : out_channel -> epoch_record -> unit
     and appends one {!Obs.Metrics} snapshot line (labelled ["epoch N"])
     to the channel — the [--metrics FILE.jsonl] stream of the CLI. *)
 
-val log_src : Logs.src
-(** Log source ["pmo2.archipelago"]: supervisor warnings, checkpoint
-    activity. *)
-
 (** {2 Checkpointing}
 
     A checkpoint captures everything the run needs to continue
@@ -157,16 +152,11 @@ val log_src : Logs.src
     format) is refused as {!Runtime.Checkpoint.Corrupt}: a resume is
     bit-identical only under the code that wrote it.  The problem and
     config are {e not} stored — a resume must supply the same ones it was
-    saved under (the problem name and island layout are validated). *)
-
-val save : state -> string -> unit
-
-val load : ?seed:int -> Moo.Problem.t -> config -> string -> state
-(** Rebuild a runnable state from a checkpoint.  Raises
-    {!Runtime.Checkpoint.Corrupt} on an unreadable, corrupted or
-    foreign-magic file and
+    saved under: {!run}'s [~resume] raises {!Runtime.Checkpoint.Corrupt}
+    on an unreadable, corrupted or foreign-magic file and
     [Invalid_argument] when the checkpoint does not match the supplied
-    problem/config (different problem name, island count or algorithms). *)
+    problem/config (different problem name, island count or
+    algorithms). *)
 
 type result = {
   front : Moo.Solution.t list;        (** merged non-dominated front *)

@@ -21,9 +21,3 @@ let edges t ~n =
           invalid_arg "Pmo2.Topology.edges: custom edge endpoints out of range or self-loop")
       es;
     es
-
-let name = function
-  | All_to_all -> "all-to-all"
-  | Ring -> "ring"
-  | Star -> "star"
-  | Custom _ -> "custom"

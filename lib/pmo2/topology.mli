@@ -12,5 +12,3 @@ type t =
 val edges : t -> n:int -> (int * int) list
 (** Concrete directed edge list for [n] islands. Custom edges are
     validated against [n]. *)
-
-val name : t -> string

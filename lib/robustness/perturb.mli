@@ -7,13 +7,6 @@
     ([delta] outside [\[0, 1)] or an out-of-range [index]), so validation
     survives [-noassert] release builds. *)
 
-val global : Numerics.Rng.t -> delta:float -> float array -> float array
-(** Perturb every component (the paper's global analysis). *)
-
-val local : Numerics.Rng.t -> delta:float -> index:int -> float array -> float array
-(** Perturb a single component (the paper's local, one-enzyme-at-a-time
-    analysis). *)
-
 val stream_trial :
   seed:int -> delta:float -> ?index:int -> float array -> int -> float array
 (** [stream_trial ~seed ~delta x t] — trial [t] of the stream ensemble:

@@ -15,16 +15,6 @@ type entry = {
   yield : Yield.result;
 }
 
-val screen_solutions :
-  seed:int ->
-  f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
-  ?trials:int ->
-  Moo.Solution.t list ->
-  entry list
-(** Global-analysis yield of each solution's decision vector. *)
-
 val front_sweep :
   seed:int ->
   f:(float array -> float) ->
@@ -34,7 +24,9 @@ val front_sweep :
   k:int ->
   Moo.Solution.t list ->
   entry list
-(** Yield of [k] equally spaced Pareto points (the Figure 3 surface). *)
+(** Global-analysis yield of [k] equally spaced Pareto points (the
+    Figure 3 surface); the whole front when it has at most [k]
+    members. *)
 
 type local_profile = { index : int; yield_pct : float }
 

@@ -136,9 +136,6 @@ let history path =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) hits
 
-let latest path =
-  match List.rev (history path) with [] -> None | (_, p) :: _ -> Some p
-
 let prune ~keep path =
   if keep < 1 then invalid_arg "Checkpoint.prune: keep must be >= 1";
   let hist = history path in

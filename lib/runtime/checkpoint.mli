@@ -41,9 +41,6 @@ val numbered : string -> int -> string
 (** [numbered path seq] is [path.NNNNNN].  Raises [Invalid_argument] on a
     negative [seq]. *)
 
-val latest : string -> string option
-(** Highest-numbered existing history file for [path], if any. *)
-
 val prune : keep:int -> string -> unit
 (** Delete all but the [keep] highest-numbered history files of [path].
     Unremovable files are skipped silently.  Raises [Invalid_argument]
@@ -67,6 +64,7 @@ module Frame : sig
       the frame size, a CRC mismatch, or an undecodable payload.  Same
       [Marshal] caveat as {!load}: the ['a] must match what was encoded. *)
 
+  (* robustlint: allow R12 — test_shard's "frame roundtrip + CRC" pins the CRC-32 known answer *)
   val crc32 : string -> int32
   (** CRC-32 (IEEE 802.3, reflected) of a string; matches zlib's crc32. *)
 end

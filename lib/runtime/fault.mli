@@ -1,48 +1,8 @@
-(** Deterministic fault injection for testing the fault-tolerance stack.
-
-    Wraps an objective so that a configurable fraction of evaluations
-    fail: raise an exception, return NaN objectives, or stall (simulated
-    near-timeout).  The decision for a candidate is a pure hash of
-    [(seed, x)] — not a shared random stream — so injection commutes with
-    evaluation order and an archipelago run under injection is
-    bit-identical whether islands evolve in parallel or sequentially. *)
-
-type mode =
-  | Raise  (** raise {!Injected} *)
-  | Nan    (** return all-NaN objectives *)
-  | Stall  (** deterministic busy-work, then evaluate normally *)
-
-exception Injected
-(** The exception raised by {!Raise}-mode faults. *)
-
-type config = {
-  fraction : float;   (** fraction of evaluations faulted, in [\[0, 1\]] *)
-  modes : mode list;  (** fault classes drawn from (hash-selected); non-empty *)
-  seed : int;         (** decorrelates campaigns *)
-  stall_iters : int;  (** busy-work iterations for {!Stall} *)
-}
-
-val default : config
-(** 5% faults, all three modes, seed 0. *)
-
-val decide : config -> float array -> mode option
-(** The (pure) fault decision for a candidate.  Raises [Invalid_argument]
-    on a malformed config. *)
-
-val wrap :
-  config -> n_obj:int -> (float array -> float array) -> float array -> float array
-(** Inject into a raw objective. *)
-
-val wrap_problem : config -> Moo.Problem.t -> Moo.Problem.t
-(** Inject into a problem's [eval]; compose with {!Guard.wrap_problem}
-    (guard outermost) to exercise recovery. *)
-
-(** {2 Process-level faults}
-
-    Targets the shard supervisor rather than the evaluation stack: a
-    worker process that dies outright ({!Kill}) or keeps its pipe open
-    while making no progress ({!Wedge}), which only SIGKILL-based hard
-    preemption can clear. *)
+(** Process-level fault injection for the shard supervisor: a worker
+    process that dies outright ({!Kill}) or keeps its pipe open while
+    making no progress ({!Wedge}), which only SIGKILL-based hard
+    preemption can clear.  The CLI's [--fault-kill-shard] spec names the
+    shard, epoch, incarnations and mode. *)
 
 type process_mode =
   | Kill   (** worker SIGKILLs itself mid-migration *)

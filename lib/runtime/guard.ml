@@ -39,19 +39,12 @@ let create ?(penalty = 1e12) () =
     non_finite = Atomic.make 0;
   }
 
-let penalty t = t.penalty
-
 let stats t =
   {
     evaluations = Atomic.get t.evaluations;
     exceptions = Atomic.get t.exceptions;
     non_finite = Atomic.get t.non_finite;
   }
-
-let reset t =
-  Atomic.set t.evaluations 0;
-  Atomic.set t.exceptions 0;
-  Atomic.set t.non_finite 0
 
 let set_stats t (s : stats) =
   Atomic.set t.evaluations s.evaluations;

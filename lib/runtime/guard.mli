@@ -30,17 +30,12 @@ val create : ?penalty:float -> unit -> t
     positive penalty makes failed candidates maximally unattractive
     without breaking comparisons. *)
 
-val penalty : t -> float
-
 val wrap :
   t -> n_obj:int -> (float array -> float array) -> float array -> float array
 (** [wrap t ~n_obj f] evaluates like [f] but: an exception (other than
     [Sys.Break], [Out_of_memory] and [Stack_overflow], which re-raise)
     yields [n_obj] penalty components; NaN/±inf components are replaced by
     the penalty.  Telemetry is updated on every call. *)
-
-val wrap_scalar : t -> (float array -> float) -> float array -> float
-(** Same contract for scalar functions (constraint-violation measures). *)
 
 val wrap_problem : t -> Moo.Problem.t -> Moo.Problem.t
 (** Guard a problem's [eval] (and [violation], when present) in place of
@@ -49,13 +44,8 @@ val wrap_problem : t -> Moo.Problem.t -> Moo.Problem.t
 val stats : t -> stats
 (** Snapshot of the counters. *)
 
-val reset : t -> unit
-
 val set_stats : t -> stats -> unit
 (** Overwrite the counters, e.g. when restoring a checkpoint that
     recorded the guard's telemetry alongside the optimizer state. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-
-val log_src : Logs.src
-(** Log source ["runtime.guard"]; penalized evaluations log at debug. *)

@@ -84,7 +84,3 @@ val run :
     (lane 0 = supervisor, lane [s+1] = shard [s]) and roll-ups equal to
     the in-process run's, exactly as committed — replayed epochs after a
     kill never double-count. *)
-
-val log_src : Logs.src
-(** Log source ["shard.supervisor"]: spawns, preemptions, restarts,
-    degradations. *)

@@ -30,6 +30,7 @@ exception Timeout
 (** The [deadline] passed while waiting for bytes — the wedged-peer
     signal that triggers hard preemption. *)
 
+(* robustlint: allow R12 — test_shard's "versioned magic" case pins the wire version *)
 val magic : string
 (** ["robustpath-shard-wire v3"], built with
     {!Runtime.Checkpoint.versioned_magic} (v2 added the obs flush

@@ -37,6 +37,3 @@ val ring_path : prefix:string -> shard:int -> incarnation:int -> string
 (** [PREFIX.shardN.incM.ring] — the flight-recorder sidecar file of one
     worker incarnation (shared with the supervisor's kill-path log
     message and the tests). *)
-
-val log_src : Logs.src
-(** Log source ["shard.worker"]. *)

@@ -2,7 +2,7 @@
    (optimize → mine → robustness-screen) on small problems, plus a reduced
    leaf-design integration run. *)
 
-let schaffer = Moo.Benchmarks.schaffer
+let schaffer = Testkit.Benchmarks.schaffer
 
 let small_config =
   {
@@ -72,37 +72,6 @@ let test_pipeline_deterministic () =
   Alcotest.(check int) "same front" (List.length a.Robustpath.Design.front)
     (List.length b.Robustpath.Design.front)
 
-let test_report_renders () =
-  let o = Robustpath.Design.run schaffer small_config in
-  let objectives =
-    [|
-      { Robustpath.Report.label = "f0"; maximized = false };
-      { Robustpath.Report.label = "f1"; maximized = false };
-    |]
-  in
-  let text = Robustpath.Report.render ~objectives o in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "mentions front" true (contains text "Pareto front");
-  Alcotest.(check bool) "mentions labels" true (contains text "closest-to-ideal")
-
-let test_report_unnegates () =
-  (* A maximized objective must be reported un-negated. *)
-  let o = Robustpath.Design.run schaffer small_config in
-  let objectives =
-    [|
-      { Robustpath.Report.label = "negf0"; maximized = true };
-      { Robustpath.Report.label = "f1"; maximized = false };
-    |]
-  in
-  let text = Robustpath.Report.render ~objectives o in
-  (* All f0 values on the Schaffer front are >= 0, so the "maximized" view
-     must contain a negative number (or zero). *)
-  Alcotest.(check bool) "rendered" true (String.length text > 40)
-
 (* A reduced end-to-end leaf-design run: the paper's structure on a small
    evaluation budget.  Marked slow. *)
 let test_leaf_integration () =
@@ -149,8 +118,6 @@ let () =
           Alcotest.test_case "max yield is max" `Quick test_pipeline_max_yield_is_max;
           Alcotest.test_case "custom property" `Quick test_pipeline_custom_property;
           Alcotest.test_case "deterministic" `Quick test_pipeline_deterministic;
-          Alcotest.test_case "report renders" `Quick test_report_renders;
-          Alcotest.test_case "report un-negation" `Quick test_report_unnegates;
         ] );
       ("integration", [ Alcotest.test_case "leaf design end-to-end" `Slow test_leaf_integration ]);
     ]

@@ -4,9 +4,9 @@
 
 let zdt1 n = Moo.Benchmarks.zdt1 ~n
 
-let schaffer = Moo.Benchmarks.schaffer
+let schaffer = Testkit.Benchmarks.schaffer
 
-let constrained_sphere = Moo.Benchmarks.constrained_schaffer
+let constrained_sphere = Testkit.Benchmarks.constrained_schaffer
 
 (* {1 Operators} *)
 
@@ -29,7 +29,7 @@ let test_sbx_prob_zero_copies () =
   let p1 = [| 0.1; 0.5; 0.9 |] and p2 = [| 0.2; 0.6; 0.8 |] in
   let c1, c2 = Ea.Operators.sbx_crossover ~eta:15. ~prob:0. ~rng ~lower ~upper p1 p2 in
   Alcotest.(check bool) "copies parents" true
-    (Numerics.Vec.approx_equal c1 p1 && Numerics.Vec.approx_equal c2 p2)
+    (Testkit.Vec.approx_equal c1 p1 && Testkit.Vec.approx_equal c2 p2)
 
 let test_sbx_children_near_parents () =
   (* With a high distribution index, children concentrate near parents. *)
@@ -57,14 +57,14 @@ let test_mutation_prob_zero_identity () =
   let lower, upper = bounds01 4 in
   let x = [| 0.1; 0.2; 0.3; 0.4 |] in
   let y = Ea.Operators.polynomial_mutation ~eta:20. ~prob:0. ~rng ~lower ~upper x in
-  Alcotest.(check bool) "identity" true (Numerics.Vec.approx_equal x y)
+  Alcotest.(check bool) "identity" true (Testkit.Vec.approx_equal x y)
 
 let test_mutation_changes_something () =
   let rng = Numerics.Rng.create 6 in
   let lower, upper = bounds01 10 in
   let x = Array.make 10 0.5 in
   let y = Ea.Operators.polynomial_mutation ~eta:20. ~prob:1. ~rng ~lower ~upper x in
-  Alcotest.(check bool) "moved" true (not (Numerics.Vec.approx_equal ~tol:1e-15 x y))
+  Alcotest.(check bool) "moved" true (not (Testkit.Vec.approx_equal ~tol:1e-15 x y))
 
 (* {1 NSGA-II internals} *)
 
@@ -159,9 +159,9 @@ let test_nsga2_constraint_handling () =
 let test_nsga2_step_and_state () =
   let rng = Numerics.Rng.create 11 in
   let st = Ea.Nsga2.init (zdt1 6) { Ea.Nsga2.default_config with pop_size = 20 } rng in
-  Alcotest.(check int) "gen 0" 0 (Ea.Nsga2.generation st);
+  Alcotest.(check int) "gen 0" 0 (Ea.Nsga2.snapshot st).Ea.Nsga2.snap_gen;
   Ea.Nsga2.step st 5;
-  Alcotest.(check int) "gen 5" 5 (Ea.Nsga2.generation st);
+  Alcotest.(check int) "gen 5" 5 (Ea.Nsga2.snapshot st).Ea.Nsga2.snap_gen;
   Alcotest.(check int) "pop size kept" 20 (Array.length (Ea.Nsga2.population st));
   Alcotest.(check bool) "evaluations counted" true (Ea.Nsga2.evaluations st >= 20 * 6)
 
@@ -197,8 +197,13 @@ let test_nsga2_custom_variation () =
 
 (* {1 MOEA/D} *)
 
+let moead_run ~generations ~seed problem config =
+  let st = Ea.Moead.init problem config (Numerics.Rng.create seed) in
+  Ea.Moead.step st generations;
+  Ea.Moead.front st
+
 let test_moead_converges_schaffer () =
-  let front = Ea.Moead.run ~generations:80 ~seed:1 schaffer Ea.Moead.default_config in
+  let front = moead_run ~generations:80 ~seed:1 schaffer Ea.Moead.default_config in
   Alcotest.(check bool) "non-empty" true (front <> []);
   List.iter
     (fun s ->
@@ -207,18 +212,18 @@ let test_moead_converges_schaffer () =
     front
 
 let test_moead_zdt1_quality () =
-  let front = Ea.Moead.run ~generations:150 ~seed:1 (zdt1 10) Ea.Moead.default_config in
+  let front = moead_run ~generations:150 ~seed:1 (zdt1 10) Ea.Moead.default_config in
   let hv = Moo.Hypervolume.of_solutions ~ref_point:[| 1.1; 1.1 |] front in
   Alcotest.(check bool) (Printf.sprintf "hv=%.4f >= 0.85" hv) true (hv >= 0.85)
 
 let test_moead_front_bounded_by_population () =
   let cfg = { Ea.Moead.default_config with pop_size = 30 } in
-  let front = Ea.Moead.run ~generations:50 ~seed:2 (zdt1 6) cfg in
+  let front = moead_run ~generations:50 ~seed:2 (zdt1 6) cfg in
   Alcotest.(check bool) "front <= pop" true (List.length front <= 30)
 
 let test_moead_deterministic () =
-  let f1 = Ea.Moead.run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
-  let f2 = Ea.Moead.run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
+  let f1 = moead_run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
+  let f2 = moead_run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
   Alcotest.(check int) "same size" (List.length f1) (List.length f2)
 
 let test_moead_step_state () =
@@ -297,8 +302,13 @@ let test_spea2_fitness_strength_accumulates () =
   let fit = Ea.Spea2.fitness sols in
   Alcotest.(check bool) "ordering" true (fit.(0) < fit.(1) && fit.(1) < fit.(2))
 
+let spea2_run ?initial ~generations ~seed problem config =
+  let st = Ea.Spea2.init ?initial problem config (Numerics.Rng.create seed) in
+  Ea.Spea2.step st generations;
+  Ea.Spea2.front st
+
 let test_spea2_converges_schaffer () =
-  let front = Ea.Spea2.run ~generations:60 ~seed:1 schaffer Ea.Spea2.default_config in
+  let front = spea2_run ~generations:60 ~seed:1 schaffer Ea.Spea2.default_config in
   Alcotest.(check bool) "non-empty" true (front <> []);
   List.iter
     (fun s ->
@@ -308,7 +318,7 @@ let test_spea2_converges_schaffer () =
 
 let test_spea2_zdt1_quality () =
   let cfg = { Ea.Spea2.default_config with pop_size = 60; archive_size = 60 } in
-  let front = Ea.Spea2.run ~generations:120 ~seed:1 (zdt1 8) cfg in
+  let front = spea2_run ~generations:120 ~seed:1 (zdt1 8) cfg in
   let hv = Moo.Hypervolume.of_solutions ~ref_point:[| 1.1; 1.1 |] front in
   Alcotest.(check bool) (Printf.sprintf "hv=%.4f >= 0.82" hv) true (hv >= 0.82)
 
@@ -318,7 +328,7 @@ let test_spea2_archive_bounded () =
   let st = Ea.Spea2.init (zdt1 6) cfg rng in
   Ea.Spea2.step st 10;
   Alcotest.(check bool) "archive within bound" true
-    (Array.length (Ea.Spea2.archive st) <= 15)
+    (Array.length (Ea.Spea2.snapshot st).Ea.Spea2.snap_arch <= 15)
 
 let test_spea2_truncation_keeps_extremes () =
   (* Feed a dense line front through environmental selection: the two
@@ -336,20 +346,20 @@ let test_spea2_truncation_keeps_extremes () =
      truncation directly through inject on a fresh state. *)
   let st2 = Ea.Spea2.init (zdt1 6) cfg rng in
   Ea.Spea2.inject st2 line;
-  let arch = Ea.Spea2.archive st2 in
+  let arch = (Ea.Spea2.snapshot st2).Ea.Spea2.snap_arch in
   Alcotest.(check bool) "bounded" true (Array.length arch <= 10);
   let f0s = Array.map (fun s -> s.Moo.Solution.f.(0)) arch in
   Alcotest.(check bool) "extremes kept" true
     (Array.exists (fun f -> f <= 0.026) f0s && Array.exists (fun f -> f >= 0.974) f0s)
 
 let test_spea2_deterministic () =
-  let a = Ea.Spea2.run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
-  let b = Ea.Spea2.run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
+  let a = spea2_run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
+  let b = spea2_run ~generations:20 ~seed:5 schaffer Ea.Spea2.default_config in
   Alcotest.(check int) "same size" (List.length a) (List.length b)
 
 let test_spea2_seeding () =
   let opt = Moo.Solution.evaluate schaffer [| 1. |] in
-  let front = Ea.Spea2.run ~initial:[ opt ] ~generations:3 ~seed:6 schaffer Ea.Spea2.default_config in
+  let front = spea2_run ~initial:[ opt ] ~generations:3 ~seed:6 schaffer Ea.Spea2.default_config in
   Alcotest.(check bool) "seed region present" true
     (List.exists (fun s -> Float.abs (s.Moo.Solution.x.(0) -. 1.) < 0.5) front)
 

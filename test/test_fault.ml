@@ -52,9 +52,7 @@ let test_guard_sanitizes_non_finite () =
   Alcotest.(check (array (float 0.))) "NaN and inf replaced, finite kept" [| 1e9; 2.; 1e9 |]
     (wrapped [| 0. |]);
   let s = Runtime.Guard.stats g in
-  Alcotest.(check int) "non-finite counted" 1 s.Runtime.Guard.non_finite;
-  Runtime.Guard.reset g;
-  Alcotest.(check int) "reset" 0 (Runtime.Guard.stats g).Runtime.Guard.evaluations
+  Alcotest.(check int) "non-finite counted" 1 s.Runtime.Guard.non_finite
 
 let test_guard_problem_wrapping () =
   let p =
@@ -77,11 +75,11 @@ let test_guard_rejects_non_finite_penalty () =
 (* {1 Fault injection} *)
 
 let test_fault_decide_is_pure () =
-  let cfg = { Runtime.Fault.default with fraction = 0.5; seed = 3 } in
+  let cfg = { Testkit.Fault.default with fraction = 0.5; seed = 3 } in
   let rng = Numerics.Rng.create 1 in
   for _ = 1 to 50 do
     let x = Array.init 4 (fun _ -> Numerics.Rng.float rng) in
-    let a = Runtime.Fault.decide cfg x and b = Runtime.Fault.decide cfg x in
+    let a = Testkit.Fault.decide cfg x and b = Testkit.Fault.decide cfg x in
     Alcotest.(check bool) "same x, same decision" true (a = b)
   done
 
@@ -89,9 +87,9 @@ let test_fault_fraction_bounds () =
   let rng = Numerics.Rng.create 2 in
   let xs = Array.init 2000 (fun _ -> Array.init 3 (fun _ -> Numerics.Rng.float rng)) in
   let count frac =
-    let cfg = { Runtime.Fault.default with fraction = frac } in
+    let cfg = { Testkit.Fault.default with fraction = frac } in
     Array.fold_left
-      (fun acc x -> if Runtime.Fault.decide cfg x <> None then acc + 1 else acc)
+      (fun acc x -> if Testkit.Fault.decide cfg x <> None then acc + 1 else acc)
       0 xs
   in
   Alcotest.(check int) "fraction 0 never fires" 0 (count 0.);
@@ -103,20 +101,20 @@ let test_fault_fraction_bounds () =
     (hits > 0.25 && hits < 0.35)
 
 let test_fault_modes_behave () =
-  let raise_cfg = { Runtime.Fault.default with fraction = 1.; modes = [ Runtime.Fault.Raise ] } in
-  let nan_cfg = { raise_cfg with modes = [ Runtime.Fault.Nan ] } in
-  let stall_cfg = { raise_cfg with modes = [ Runtime.Fault.Stall ]; stall_iters = 100 } in
+  let raise_cfg = { Testkit.Fault.default with fraction = 1.; modes = [ Testkit.Fault.Raise ] } in
+  let nan_cfg = { raise_cfg with modes = [ Testkit.Fault.Nan ] } in
+  let stall_cfg = { raise_cfg with modes = [ Testkit.Fault.Stall ]; stall_iters = 100 } in
   let f x = [| x.(0) |] in
   Alcotest.(check bool) "raise mode raises" true
-    (match Runtime.Fault.wrap raise_cfg ~n_obj:1 f [| 0.5 |] with
-    | exception Runtime.Fault.Injected -> true
+    (match Testkit.Fault.wrap raise_cfg ~n_obj:1 f [| 0.5 |] with
+    | exception Testkit.Fault.Injected -> true
     | _ -> false);
   Alcotest.(check bool) "nan mode poisons" true
-    (Float.is_nan (Runtime.Fault.wrap nan_cfg ~n_obj:1 f [| 0.5 |]).(0));
+    (Float.is_nan (Testkit.Fault.wrap nan_cfg ~n_obj:1 f [| 0.5 |]).(0));
   Alcotest.(check (array (float 0.))) "stall mode still answers" [| 0.5 |]
-    (Runtime.Fault.wrap stall_cfg ~n_obj:1 f [| 0.5 |]);
+    (Testkit.Fault.wrap stall_cfg ~n_obj:1 f [| 0.5 |]);
   Alcotest.(check bool) "malformed fraction refused" true
-    (match Runtime.Fault.decide { raise_cfg with fraction = 2. } [| 0. |] with
+    (match Testkit.Fault.decide { raise_cfg with fraction = 2. } [| 0. |] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -132,13 +130,13 @@ let small_config =
 let faulty_zdt1 ~guard ~fraction ~seed =
   let cfg =
     {
-      Runtime.Fault.fraction;
+      Testkit.Fault.fraction;
       seed;
-      modes = [ Runtime.Fault.Raise; Runtime.Fault.Nan; Runtime.Fault.Stall ];
+      modes = [ Testkit.Fault.Raise; Testkit.Fault.Nan; Testkit.Fault.Stall ];
       stall_iters = 500;
     }
   in
-  Runtime.Guard.wrap_problem guard (Runtime.Fault.wrap_problem cfg (Moo.Benchmarks.zdt1 ~n:8))
+  Runtime.Guard.wrap_problem guard (Testkit.Fault.wrap_problem cfg (Moo.Benchmarks.zdt1 ~n:8))
 
 let objs r =
   List.sort compare
@@ -230,8 +228,8 @@ let test_pooled_kill_and_resume () =
   Parallel.Pool.set_default_domains 2;
   let pool = Parallel.Pool.get () in
   let problem =
-    Runtime.Fault.wrap_problem
-      { Runtime.Fault.fraction = 0.05; seed = 17; modes = [ Runtime.Fault.Nan ]; stall_iters = 500 }
+    Testkit.Fault.wrap_problem
+      { Testkit.Fault.fraction = 0.05; seed = 17; modes = [ Testkit.Fault.Nan ]; stall_iters = 500 }
       (Moo.Benchmarks.zdt1 ~n:8)
   in
   let cfg ~pooled =
@@ -290,31 +288,25 @@ let test_resume_spea2_and_mixed_islands () =
 
 let test_checkpoint_validation () =
   let problem = Moo.Benchmarks.zdt1 ~n:6 in
+  let resume ?(config = small_config) path problem =
+    Pmo2.Archipelago.run ~seed:3 ~resume:path ~generations:10 problem config
+  in
   with_temp_file (fun path ->
-      let st = Pmo2.Archipelago.init ~seed:3 problem small_config in
-      Pmo2.Archipelago.step_epoch st;
-      Pmo2.Archipelago.save st path;
+      let saved = Pmo2.Archipelago.run ~seed:3 ~checkpoint:path ~generations:10 problem small_config in
       (* Same file, different problem: refused. *)
       Alcotest.(check bool) "wrong problem refused" true
-        (match Pmo2.Archipelago.load Moo.Benchmarks.schaffer small_config path with
+        (match resume path Testkit.Benchmarks.schaffer with
         | exception Invalid_argument _ -> true
         | _ -> false);
       (* Same file, different island layout: refused. *)
       Alcotest.(check bool) "wrong island count refused" true
-        (match
-           Pmo2.Archipelago.load problem
-             { small_config with Pmo2.Archipelago.n_islands = 3 }
-             path
-         with
+        (match resume ~config:{ small_config with Pmo2.Archipelago.n_islands = 3 } path problem with
         | exception Invalid_argument _ -> true
         | _ -> false);
-      (* Good load restores counters exactly. *)
-      let st' = Pmo2.Archipelago.load problem small_config path in
-      Alcotest.(check int) "generation counter restored" 10
-        (Pmo2.Archipelago.generations_done st');
-      Alcotest.(check int) "evaluation counter restored"
-        (Pmo2.Archipelago.evaluations st)
-        (Pmo2.Archipelago.evaluations st'))
+      (* A good resume restores both counters exactly: the 10 generations
+         are already done, so it spends no further evaluation. *)
+      Alcotest.(check int) "evaluation counter restored" saved.Pmo2.Archipelago.evaluations
+        (resume path problem).Pmo2.Archipelago.evaluations)
 
 let test_corrupt_checkpoint_detected () =
   with_temp_file (fun path ->
@@ -323,7 +315,8 @@ let test_corrupt_checkpoint_detected () =
       close_out oc;
       Alcotest.(check bool) "bad magic detected" true
         (match
-           Pmo2.Archipelago.load (Moo.Benchmarks.zdt1 ~n:6) small_config path
+           Pmo2.Archipelago.run ~resume:path ~generations:10 (Moo.Benchmarks.zdt1 ~n:6)
+             small_config
          with
         | exception Runtime.Checkpoint.Corrupt _ -> true
         | _ -> false))
@@ -351,16 +344,12 @@ let test_numbered_history_primitives () =
     | exception Invalid_argument _ -> true
     | _ -> false);
   with_temp_history (fun path ->
-      Alcotest.(check (option string)) "no history yet" None (Runtime.Checkpoint.latest path);
       List.iter
         (fun i ->
           Runtime.Checkpoint.save ~magic:"history-test"
             ~path:(Runtime.Checkpoint.numbered path i)
             i)
         [ 1; 2; 3; 4 ];
-      Alcotest.(check (option string)) "latest is newest"
-        (Some (Runtime.Checkpoint.numbered path 4))
-        (Runtime.Checkpoint.latest path);
       Runtime.Checkpoint.prune ~keep:2 path;
       List.iter
         (fun (i, expected) ->
@@ -392,9 +381,7 @@ let test_keep_checkpoints_prunes_and_resumes () =
         (Sys.file_exists (Runtime.Checkpoint.numbered path 2));
       (* Resume from the newest surviving file: bit-identical to the
          uninterrupted run. *)
-      let newest = Option.get (Runtime.Checkpoint.latest path) in
-      Alcotest.(check string) "latest finds epoch 2"
-        (Runtime.Checkpoint.numbered path 2) newest;
+      let newest = Runtime.Checkpoint.numbered path 2 in
       let resumed =
         Pmo2.Archipelago.run ~seed:21 ~resume:newest ~generations:40 problem small_config
       in
@@ -432,7 +419,9 @@ let real_checkpoint () =
 
 let expect_refused what path =
   Alcotest.(check bool) (what ^ ": load refuses") true
-    (match Pmo2.Archipelago.load (Moo.Benchmarks.zdt1 ~n:8) small_config path with
+    (match
+       Pmo2.Archipelago.run ~resume:path ~generations:20 (Moo.Benchmarks.zdt1 ~n:8) small_config
+     with
     | exception Runtime.Checkpoint.Corrupt _ -> true
     | _ -> false);
   Alcotest.(check bool) (what ^ ": inspect refuses") true

@@ -1,6 +1,6 @@
 (* End-to-end tests of the robustlint static analyzer: the fixture
    library under lint_fixtures/ carries one deliberate violation per
-   rule, interprocedural chains (generic helper instantiated at float,
+   rule (R12 on the interfaces of r12_exports and problem), interprocedural chains (generic helper instantiated at float,
    nondeterminism reaching an entry point through an intermediate), lock
    discipline shapes (off-lock read, double acquisition, order cycle,
    guarded global), and a spread of suppression-comment corner cases.
@@ -54,12 +54,30 @@ let test_r11_wall_clock () =
   | fs -> Alcotest.failf "expected two R11 findings, got %d" (List.length fs)
 
 let test_no_extra_findings () =
-  Alcotest.(check int) "total findings" 22
+  Alcotest.(check int) "total findings" 24
     (List.length (Lazy.force report).Lint.Driver.findings)
 
 let test_units_counted () =
-  (* 24 fixture modules plus the library's generated alias module. *)
-  Alcotest.(check int) "units" 25 (Lazy.force report).Lint.Driver.units
+  (* 27 fixture modules plus the library's generated alias module. *)
+  Alcotest.(check int) "units" 28 (Lazy.force report).Lint.Driver.units
+
+(* {1 R12: exports no other unit references} *)
+
+let test_r12_only_tests () =
+  (* test_lint is a test: this call is no referrer. *)
+  ignore (Lint_fixtures.R12_exports.only_tests 0);
+  match findings_in "r12_exports.mli" with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "R12" (Lint.Finding.rule_id f.Lint.Finding.rule);
+    Alcotest.(check int) "at the val" 5 f.Lint.Finding.line;
+    Alcotest.(check bool) "names the unit's value" true
+      (contains ~sub:"Lint_fixtures.R12_exports.only_tests" f.Lint.Finding.message)
+  | fs -> Alcotest.failf "r12_exports.mli: expected one finding, got %d" (List.length fs)
+
+let test_r12_unit_keys () =
+  (* R12_user references Lint_fixtures_other.Problem.make; a key by
+     module name alone ("Problem.make") would hide this library's. *)
+  check_single_finding ~rule:"R12" ~file:"problem.mli" ~line:3 ()
 
 (* {1 Interprocedural R1: generic helpers instantiated at float} *)
 
@@ -148,7 +166,7 @@ let test_justified_suppression_silences () =
       "suppress_lastline.ml";
       "stale_allow.ml";
     ];
-  Alcotest.(check int) "seven suppressions counted" 7
+  Alcotest.(check int) "eight suppressions counted" 8
     (Lazy.force report).Lint.Driver.suppressed
 
 let test_unjustified_suppression_reports () =
@@ -189,7 +207,7 @@ let test_rule_ids_roundtrip () =
         true
         (Lint.Finding.rule_of_id (Lint.Finding.rule_id r) = Some r))
     Lint.Finding.all_rules;
-  Alcotest.(check bool) "unknown id rejected" true (Lint.Finding.rule_of_id "R12" = None)
+  Alcotest.(check bool) "unknown id rejected" true (Lint.Finding.rule_of_id "R13" = None)
 
 let test_missing_dir_yields_no_units () =
   let r = Lint.Driver.run ~source_root:".." [ "no-such-dir" ] in
@@ -211,8 +229,9 @@ let test_byte_stable_output () =
 
 let test_stale_scan () =
   Alcotest.(check (list (triple string int string)))
-    "exactly the two dead allow comments"
+    "exactly the three dead allow comments"
     [
+      ("test/lint_fixtures/r12_exports.mli", 8, "R12");
       ("test/lint_fixtures/stale_allow.ml", 4, "R1");
       ("test/lint_fixtures/suppress_wrongrule.ml", 3, "R2");
     ]
@@ -226,7 +245,7 @@ let test_rule_on_line () =
   Alcotest.(check (option string)) "no digit is not a marker" None
     (Lint.Suppress.rule_on_line "(* robustlint: allow R<k> — doc example *)");
   Alcotest.(check (option string)) "out-of-range rule rejected" None
-    (Lint.Suppress.rule_on_line "(* robustlint: allow R12 — no such rule *)");
+    (Lint.Suppress.rule_on_line "(* robustlint: allow R13 — no such rule *)");
   Alcotest.(check (option string)) "ordinary code" None (Lint.Suppress.rule_on_line "let x = 1")
 
 let () =
@@ -240,6 +259,11 @@ let () =
           Alcotest.test_case "units counted" `Quick test_units_counted;
           Alcotest.test_case "missing dir yields no units" `Quick
             test_missing_dir_yields_no_units;
+        ] );
+      ( "r12",
+        [
+          Alcotest.test_case "export only tests use" `Quick test_r12_only_tests;
+          Alcotest.test_case "same-named modules keep their own keys" `Quick test_r12_unit_keys;
         ] );
       ( "interproc",
         [

@@ -5,20 +5,20 @@ let check_float ?(tol = 1e-7) msg expected actual =
     Alcotest.failf "%s: expected %.10g, got %.10g" msg expected actual
 
 let solve_expect_optimal p =
-  match Lp.Problem.solve p with
-  | Lp.Problem.Optimal { x; objective } -> (x, objective)
-  | Lp.Problem.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Lp.Problem.Unbounded -> Alcotest.fail "unexpected unbounded"
+  match Testkit.Lp_problem.solve p with
+  | Testkit.Lp_problem.Optimal { x; objective } -> (x, objective)
+  | Testkit.Lp_problem.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Testkit.Lp_problem.Unbounded -> Alcotest.fail "unexpected unbounded"
 
 let test_basic_max () =
   (* max 3x + 2y, x+y <= 4, x+3y <= 6, x,y >= 0 → (4,0), obj 12. *)
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 3.;
-  Lp.Problem.set_objective p 1 2.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 4.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 3.) ] Lp.Problem.Le 6.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 3.;
+  Testkit.Lp_problem.set_objective p 1 2.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 4.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 3.) ] Testkit.Lp_problem.Le 6.;
   let rx, robj = solve_expect_optimal p in
   check_float "objective" 12. robj;
   check_float "x" 4. rx.(0);
@@ -26,85 +26,85 @@ let test_basic_max () =
 
 let test_basic_min () =
   (* min x + y, x + 2y >= 3, 3x + y >= 3 → (0.6, 1.2), obj 1.8. *)
-  let p = Lp.Problem.make ~sense:Lp.Problem.Minimize ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.set_objective p 1 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 2.) ] Lp.Problem.Ge 3.;
-  Lp.Problem.add_row p [ (0, 3.); (1, 1.) ] Lp.Problem.Ge 3.;
+  let p = Testkit.Lp_problem.make ~sense:Testkit.Lp_problem.Minimize ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.set_objective p 1 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 2.) ] Testkit.Lp_problem.Ge 3.;
+  Testkit.Lp_problem.add_row p [ (0, 3.); (1, 1.) ] Testkit.Lp_problem.Ge 3.;
   let rx, robj = solve_expect_optimal p in
   check_float "objective" 1.8 robj;
   check_float "x" 0.6 rx.(0);
   check_float "y" 1.2 rx.(1)
 
 let test_equality_negative_bounds () =
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 (-1.) 2.;
-  Lp.Problem.set_bounds p 1 0. 5.;
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Eq 1.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 (-1.) 2.;
+  Testkit.Lp_problem.set_bounds p 1 0. 5.;
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Eq 1.;
   let rx, robj = solve_expect_optimal p in
   check_float "x at its best" 1. rx.(0);
   check_float "objective" 1. robj
 
 let test_upper_bounds_bind () =
   (* max x + y with x <= 1.5, y <= 2.5 and x + y <= 10: box binds. *)
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. 1.5;
-  Lp.Problem.set_bounds p 1 0. 2.5;
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.set_objective p 1 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 10.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. 1.5;
+  Testkit.Lp_problem.set_bounds p 1 0. 2.5;
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.set_objective p 1 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 10.;
   let _rx, robj = solve_expect_optimal p in
   check_float "objective" 4. robj
 
 let test_infeasible () =
-  let p = Lp.Problem.make ~n_vars:1 () in
-  Lp.Problem.set_bounds p 0 0. 1.;
-  Lp.Problem.add_row p [ (0, 1.) ] Lp.Problem.Eq 5.;
-  (match Lp.Problem.solve p with
-   | Lp.Problem.Infeasible -> ()
+  let p = Testkit.Lp_problem.make ~n_vars:1 () in
+  Testkit.Lp_problem.set_bounds p 0 0. 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.) ] Testkit.Lp_problem.Eq 5.;
+  (match Testkit.Lp_problem.solve p with
+   | Testkit.Lp_problem.Infeasible -> ()
    | _ -> Alcotest.fail "expected infeasible")
 
 let test_unbounded () =
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, -1.) ] Lp.Problem.Le 1.;
-  (match Lp.Problem.solve p with
-   | Lp.Problem.Unbounded -> ()
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, -1.) ] Testkit.Lp_problem.Le 1.;
+  (match Testkit.Lp_problem.solve p with
+   | Testkit.Lp_problem.Unbounded -> ()
    | _ -> Alcotest.fail "expected unbounded")
 
 let test_free_variable () =
   (* min x with x free and x >= -7 via a Ge row: answer -7. *)
-  let p = Lp.Problem.make ~sense:Lp.Problem.Minimize ~n_vars:1 () in
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.add_row p [ (0, 1.) ] Lp.Problem.Ge (-7.);
+  let p = Testkit.Lp_problem.make ~sense:Testkit.Lp_problem.Minimize ~n_vars:1 () in
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.) ] Testkit.Lp_problem.Ge (-7.);
   let _rx, robj = solve_expect_optimal p in
   check_float "free var floor" (-7.) robj
 
 let test_degenerate () =
   (* Degenerate vertex: several constraints meet at the optimum. *)
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 1.;
-  Lp.Problem.set_objective p 1 1.;
-  Lp.Problem.add_row p [ (0, 1.) ] Lp.Problem.Le 1.;
-  Lp.Problem.add_row p [ (1, 1.) ] Lp.Problem.Le 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 2.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 1.;
+  Testkit.Lp_problem.set_objective p 1 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.) ] Testkit.Lp_problem.Le 1.;
+  Testkit.Lp_problem.add_row p [ (1, 1.) ] Testkit.Lp_problem.Le 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 2.;
   let _rx, robj = solve_expect_optimal p in
   check_float "objective" 2. robj
 
 let test_fixed_variable () =
   (* A variable fixed by equal bounds participates correctly. *)
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0.45 0.45;
-  Lp.Problem.set_bounds p 1 0. 10.;
-  Lp.Problem.set_objective p 1 1.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 3.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0.45 0.45;
+  Testkit.Lp_problem.set_bounds p 1 0. 10.;
+  Testkit.Lp_problem.set_objective p 1 1.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 3.;
   let rx, robj = solve_expect_optimal p in
   check_float "fixed var kept" 0.45 rx.(0);
   check_float "objective" 2.55 robj
@@ -117,14 +117,14 @@ let test_diet_problem () =
      10x1+4x2=20 & 5x1+5x2=20 → x1 = 2/3, x2 = 10/3, cost 0.4+10/3 ≈ 3.7333
      vs rows 2&3: 5x1+5x2=20 & 2x1+6x2=12 → x1=3, x2=1, cost 2.8. Check
      feasibility of (3,1) in row 1: 34 >= 20 ✓, so optimum is 2.8. *)
-  let p = Lp.Problem.make ~sense:Lp.Problem.Minimize ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 0.6;
-  Lp.Problem.set_objective p 1 1.0;
-  Lp.Problem.add_row p [ (0, 10.); (1, 4.) ] Lp.Problem.Ge 20.;
-  Lp.Problem.add_row p [ (0, 5.); (1, 5.) ] Lp.Problem.Ge 20.;
-  Lp.Problem.add_row p [ (0, 2.); (1, 6.) ] Lp.Problem.Ge 12.;
+  let p = Testkit.Lp_problem.make ~sense:Testkit.Lp_problem.Minimize ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 0.6;
+  Testkit.Lp_problem.set_objective p 1 1.0;
+  Testkit.Lp_problem.add_row p [ (0, 10.); (1, 4.) ] Testkit.Lp_problem.Ge 20.;
+  Testkit.Lp_problem.add_row p [ (0, 5.); (1, 5.) ] Testkit.Lp_problem.Ge 20.;
+  Testkit.Lp_problem.add_row p [ (0, 2.); (1, 6.) ] Testkit.Lp_problem.Ge 12.;
   let _rx, robj = solve_expect_optimal p in
   check_float ~tol:1e-6 "diet optimum" 2.8 robj
 
@@ -135,20 +135,20 @@ let test_larger_random_consistency () =
   for _ = 1 to 20 do
     let n = 3 + Numerics.Rng.int rng 5 in
     let m = 2 + Numerics.Rng.int rng 4 in
-    let p = Lp.Problem.make ~n_vars:n () in
+    let p = Testkit.Lp_problem.make ~n_vars:n () in
     for j = 0 to n - 1 do
-      Lp.Problem.set_bounds p j 0. (1. +. Numerics.Rng.uniform rng 0. 9.);
-      Lp.Problem.set_objective p j (Numerics.Rng.uniform rng (-1.) 2.)
+      Testkit.Lp_problem.set_bounds p j 0. (1. +. Numerics.Rng.uniform rng 0. 9.);
+      Testkit.Lp_problem.set_objective p j (Numerics.Rng.uniform rng (-1.) 2.)
     done;
     let rows = ref [] in
     for _ = 1 to m do
       let coeffs = List.init n (fun j -> (j, Numerics.Rng.uniform rng 0. 1.)) in
       let rhs = 1. +. Numerics.Rng.uniform rng 0. 10. in
       rows := (coeffs, rhs) :: !rows;
-      Lp.Problem.add_row p coeffs Lp.Problem.Le rhs
+      Testkit.Lp_problem.add_row p coeffs Testkit.Lp_problem.Le rhs
     done;
-    match Lp.Problem.solve p with
-    | Lp.Problem.Optimal { x; objective = _ } ->
+    match Testkit.Lp_problem.solve p with
+    | Testkit.Lp_problem.Optimal { x; objective = _ } ->
       (* feasibility of rows *)
       List.iter
         (fun (coeffs, rhs) ->
@@ -160,8 +160,8 @@ let test_larger_random_consistency () =
           if j < n && (xj < -1e-9 || xj > 10. +. 1e-6) then
             Alcotest.failf "bound violated: x%d = %g" j xj)
         x
-    | Lp.Problem.Infeasible -> Alcotest.fail "random Le problem must be feasible (0 works)"
-    | Lp.Problem.Unbounded -> Alcotest.fail "bounded box cannot be unbounded"
+    | Testkit.Lp_problem.Infeasible -> Alcotest.fail "random Le problem must be feasible (0 works)"
+    | Testkit.Lp_problem.Unbounded -> Alcotest.fail "bounded box cannot be unbounded"
   done
 
 let prop_simplex_weak_duality =
@@ -173,17 +173,17 @@ let prop_simplex_weak_duality =
     (fun seed ->
       let rng = Numerics.Rng.create seed in
       let n = 2 + Numerics.Rng.int rng 4 in
-      let p = Lp.Problem.make ~n_vars:n () in
+      let p = Testkit.Lp_problem.make ~n_vars:n () in
       for j = 0 to n - 1 do
-        Lp.Problem.set_bounds p j 0. 5.;
-        Lp.Problem.set_objective p j (Numerics.Rng.uniform rng 0. 1.)
+        Testkit.Lp_problem.set_bounds p j 0. 5.;
+        Testkit.Lp_problem.set_objective p j (Numerics.Rng.uniform rng 0. 1.)
       done;
       for _ = 1 to 3 do
         let coeffs = List.init n (fun j -> (j, Numerics.Rng.uniform rng 0. 1.)) in
-        Lp.Problem.add_row p coeffs Lp.Problem.Le (1. +. Numerics.Rng.uniform rng 0. 5.)
+        Testkit.Lp_problem.add_row p coeffs Testkit.Lp_problem.Le (1. +. Numerics.Rng.uniform rng 0. 5.)
       done;
-      match Lp.Problem.solve p with
-      | Lp.Problem.Optimal { objective; _ } -> objective >= -1e-9
+      match Testkit.Lp_problem.solve p with
+      | Testkit.Lp_problem.Optimal { objective; _ } -> objective >= -1e-9
       | _ -> false)
 
 (* {1 Optimality certificates} *)
@@ -239,15 +239,15 @@ let kkt_errors (spec : Lp.Simplex.spec) x (b : Lp.Simplex.basis) =
       | Lp.Simplex.At_upper -> worse (Float.abs (xj -. spec.up.(j)))
       | Lp.Simplex.Basic | Lp.Simplex.Free_nb -> ())
     x;
-  let bt = Numerics.Matrix.zeros m m in
+  let bt = Testkit.Matrix.zeros m m in
   Array.iteri
     (fun r j ->
       List.iter
-        (fun (i, v) -> Numerics.Matrix.set bt r i (Numerics.Matrix.get bt r i +. v))
+        (fun (i, v) -> Testkit.Matrix.set bt r i (Testkit.Matrix.get bt r i +. v))
         spec.cols.(j))
     b.Lp.Simplex.b_rows;
   let y =
-    Numerics.Lu.solve (Numerics.Lu.factor bt)
+    Testkit.Lu.solve (Testkit.Lu.factor bt)
       (Array.map (fun j -> spec.obj.(j)) b.Lp.Simplex.b_rows)
   in
   let dual = ref 0. in
@@ -368,14 +368,14 @@ let test_empty_column () =
 let test_duplicate_rows () =
   (* Byte-identical duplicated rows make every basis containing both
      slacks singular; the solver must still reach the optimum. *)
-  let p = Lp.Problem.make ~n_vars:2 () in
-  Lp.Problem.set_bounds p 0 0. infinity;
-  Lp.Problem.set_bounds p 1 0. infinity;
-  Lp.Problem.set_objective p 0 3.;
-  Lp.Problem.set_objective p 1 2.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 4.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 4.;
-  Lp.Problem.add_row p [ (0, 1.); (1, 3.) ] Lp.Problem.Le 6.;
+  let p = Testkit.Lp_problem.make ~n_vars:2 () in
+  Testkit.Lp_problem.set_bounds p 0 0. infinity;
+  Testkit.Lp_problem.set_bounds p 1 0. infinity;
+  Testkit.Lp_problem.set_objective p 0 3.;
+  Testkit.Lp_problem.set_objective p 1 2.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 4.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 4.;
+  Testkit.Lp_problem.add_row p [ (0, 1.); (1, 3.) ] Testkit.Lp_problem.Le 6.;
   let _rx, robj = solve_expect_optimal p in
   check_float "objective with duplicate rows" 12. robj
 
@@ -779,19 +779,19 @@ let test_beale_cycling () =
      tie-breaks can loop on this degenerate LP forever.  The
      degenerate-streak Bland fallback must terminate it at the true
      optimum 1/20. *)
-  let p = Lp.Problem.make ~n_vars:4 () in
+  let p = Testkit.Lp_problem.make ~n_vars:4 () in
   for j = 0 to 3 do
-    Lp.Problem.set_bounds p j 0. infinity
+    Testkit.Lp_problem.set_bounds p j 0. infinity
   done;
-  Lp.Problem.set_objective p 0 0.75;
-  Lp.Problem.set_objective p 1 (-150.);
-  Lp.Problem.set_objective p 2 0.02;
-  Lp.Problem.set_objective p 3 (-6.);
-  Lp.Problem.add_row p [ (0, 0.25); (1, -60.); (2, -0.04); (3, 9.) ] Lp.Problem.Le 0.;
-  Lp.Problem.add_row p [ (0, 0.5); (1, -90.); (2, -0.02); (3, 3.) ] Lp.Problem.Le 0.;
-  Lp.Problem.add_row p [ (2, 1.) ] Lp.Problem.Le 1.;
-  match Lp.Problem.solve p with
-  | Lp.Problem.Optimal { objective; _ } -> check_float ~tol:1e-9 "Beale optimum" 0.05 objective
+  Testkit.Lp_problem.set_objective p 0 0.75;
+  Testkit.Lp_problem.set_objective p 1 (-150.);
+  Testkit.Lp_problem.set_objective p 2 0.02;
+  Testkit.Lp_problem.set_objective p 3 (-6.);
+  Testkit.Lp_problem.add_row p [ (0, 0.25); (1, -60.); (2, -0.04); (3, 9.) ] Testkit.Lp_problem.Le 0.;
+  Testkit.Lp_problem.add_row p [ (0, 0.5); (1, -90.); (2, -0.02); (3, 3.) ] Testkit.Lp_problem.Le 0.;
+  Testkit.Lp_problem.add_row p [ (2, 1.) ] Testkit.Lp_problem.Le 1.;
+  match Testkit.Lp_problem.solve p with
+  | Testkit.Lp_problem.Optimal { objective; _ } -> check_float ~tol:1e-9 "Beale optimum" 0.05 objective
   | _ -> Alcotest.fail "Beale must be optimal"
 
 let test_solve_telemetry () =
@@ -807,23 +807,19 @@ let test_solve_telemetry () =
     (fun () ->
       let solves = Obs.Metrics.counter "simplex.solves" in
       let pivots = Obs.Metrics.counter "simplex.pivots" in
-      let per_solve =
-        (* same buckets Simplex registered with: lookup, not re-definition *)
-        Obs.Metrics.histogram "simplex.pivots_per_solve"
-          ~buckets:[| 1.; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 5000. |]
-      in
-      let p = Lp.Problem.make ~n_vars:2 () in
-      Lp.Problem.set_bounds p 0 0. infinity;
-      Lp.Problem.set_bounds p 1 0. infinity;
-      Lp.Problem.set_objective p 0 3.;
-      Lp.Problem.set_objective p 1 2.;
-      Lp.Problem.add_row p [ (0, 1.); (1, 1.) ] Lp.Problem.Le 4.;
-      Lp.Problem.add_row p [ (0, 1.); (1, 3.) ] Lp.Problem.Le 6.;
+      let p = Testkit.Lp_problem.make ~n_vars:2 () in
+      Testkit.Lp_problem.set_bounds p 0 0. infinity;
+      Testkit.Lp_problem.set_bounds p 1 0. infinity;
+      Testkit.Lp_problem.set_objective p 0 3.;
+      Testkit.Lp_problem.set_objective p 1 2.;
+      Testkit.Lp_problem.add_row p [ (0, 1.); (1, 1.) ] Testkit.Lp_problem.Le 4.;
+      Testkit.Lp_problem.add_row p [ (0, 1.); (1, 3.) ] Testkit.Lp_problem.Le 6.;
       let _ = solve_expect_optimal p in
       Alcotest.(check int) "one solve counted" 1 (Obs.Metrics.counter_value solves);
       Alcotest.(check bool) "pivots counted" true (Obs.Metrics.counter_value pivots > 0);
       Alcotest.(check int) "one histogram observation" 1
-        (Obs.Metrics.histogram_count per_solve))
+        (List.assoc "simplex.pivots_per_solve" (Obs.Metrics.delta ()).Obs.Metrics.d_histograms)
+          .Obs.Metrics.hd_count)
 
 let () =
   Alcotest.run "lp"

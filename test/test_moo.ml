@@ -30,9 +30,12 @@ let test_problem_violation_default () =
 let test_solution_evaluate () =
   let s = Moo.Solution.evaluate sphere2 [| 0.5; -0.5 |] in
   check_float "f0" 0.25 s.Moo.Solution.f.(0);
-  Alcotest.(check bool) "feasible" true (Moo.Solution.feasible s)
+  check_float "no violation" 0. s.Moo.Solution.v
 
 (* {1 Dominance} *)
+
+(* Two feasible solutions compare by Pareto dominance of their objectives. *)
+let compare_objectives a b = Moo.Dominance.constrained (sol a) (sol b)
 
 let test_dominance_basic () =
   let open Moo.Dominance in
@@ -69,17 +72,15 @@ let test_non_dominated_dedup () =
 
 let test_archive_keeps_non_dominated () =
   let a = Moo.Archive.create () in
-  Alcotest.(check bool) "first insert" true (Moo.Archive.add a (sol [| 1.; 3. |]));
-  Alcotest.(check bool) "incomparable insert" true (Moo.Archive.add a (sol [| 3.; 1. |]));
-  Alcotest.(check bool) "dominated rejected" false (Moo.Archive.add a (sol [| 4.; 4. |]));
-  Alcotest.(check int) "size" 2 (Moo.Archive.size a)
+  Moo.Archive.add_all a [ sol [| 1.; 3. |]; sol [| 3.; 1. |] ];
+  Alcotest.(check int) "incomparable both kept" 2 (Moo.Archive.size a);
+  Moo.Archive.add_all a [ sol [| 4.; 4. |] ];
+  Alcotest.(check int) "dominated rejected" 2 (Moo.Archive.size a)
 
 let test_archive_removes_dominated () =
   let a = Moo.Archive.create () in
-  ignore (Moo.Archive.add a (sol [| 2.; 2. |]));
-  ignore (Moo.Archive.add a (sol [| 3.; 3. |]));
-  (* [| 3.; 3. |] was rejected; add a dominator of [| 2.; 2. |]. *)
-  ignore (Moo.Archive.add a (sol [| 1.; 1. |]));
+  (* [| 3.; 3. |] is rejected; [| 1.; 1. |] then dominates [| 2.; 2. |]. *)
+  Moo.Archive.add_all a [ sol [| 2.; 2. |]; sol [| 3.; 3. |]; sol [| 1.; 1. |] ];
   Alcotest.(check int) "only the dominator remains" 1 (Moo.Archive.size a)
 
 (* {1 Hypervolume} *)
@@ -125,11 +126,20 @@ let test_hv_normalized () =
   in
   check_float "normalized full" 1. hv
 
+(* The exclusive contribution of each point: the volume lost when it alone
+   is removed. *)
+let contributions ~ref_point points =
+  let total = Moo.Hypervolume.compute ~ref_point points in
+  List.mapi
+    (fun i p ->
+      (p, total -. Moo.Hypervolume.compute ~ref_point (List.filteri (fun j _ -> j <> i) points)))
+    points
+
 let test_hv_contributions () =
   (* Staircase of two points plus one dominated: contributions must be the
      non-overlapping rectangles, and 0 for the dominated point. *)
   let pts = [ [| 0.; 1. |]; [| 1.; 0. |]; [| 1.5; 1.5 |] ] in
-  match Moo.Hypervolume.contributions ~ref_point:[| 2.; 2. |] pts with
+  match contributions ~ref_point:[| 2.; 2. |] pts with
   | [ (_, c1); (_, c2); (_, c3) ] ->
     (* Each extreme point exclusively owns a 1x2 strip minus the 1x1
        overlap core: union 3, removing one leaves 2 → contribution 1. *)
@@ -144,7 +154,7 @@ let test_hv_contributions_sum_bound () =
   let total = Moo.Hypervolume.compute ~ref_point:[| 1.; 1. |] pts in
   let sum =
     List.fold_left (fun acc (_, c) -> acc +. c) 0.
-      (Moo.Hypervolume.contributions ~ref_point:[| 1.; 1. |] pts)
+      (contributions ~ref_point:[| 1.; 1. |] pts)
   in
   Alcotest.(check bool) "sum <= total" true (sum <= total +. 1e-12)
 
@@ -200,12 +210,10 @@ let test_coverage_dominating_front () =
 
 let test_coverage_analyze () =
   let f1 = [ sol [| 1.; 2. |] ] and f2 = [ sol [| 2.; 1. |] ] in
-  match Moo.Coverage.analyze [ f1; f2 ] with
-  | [ r1; r2 ] ->
-    Alcotest.(check int) "points f1" 1 r1.Moo.Coverage.points;
-    check_float "gp each" 0.5 r1.Moo.Coverage.gp;
-    check_float "rp each" 1.0 r2.Moo.Coverage.rp
-  | _ -> Alcotest.fail "expected two reports"
+  let union = Moo.Coverage.union_front [ f1; f2 ] in
+  Alcotest.(check int) "union keeps both" 2 (List.length union);
+  check_float "gp each" 0.5 (Moo.Coverage.gp f1 union);
+  check_float "rp each" 1.0 (Moo.Coverage.rp f2 union)
 
 (* {1 Mine} *)
 
@@ -258,9 +266,6 @@ let test_mine_empty_raises () =
 
 (* {1 Scalarize} *)
 
-let test_weighted_sum () =
-  check_float "weighted" 2.5 (Moo.Scalarize.weighted_sum ~w:[| 0.5; 1. |] [| 1.; 2. |])
-
 let test_tchebycheff () =
   let g = Moo.Scalarize.tchebycheff ~w:[| 1.; 1. |] ~z:[| 0.; 0. |] [| 3.; 2. |] in
   check_float "max term" 3. g
@@ -293,12 +298,12 @@ let test_benchmark_zdt1_front () =
   check_float ~tol:1e-12 "f2" 0.5 f.(1)
 
 let test_benchmark_zdt2_front () =
-  let p = Moo.Benchmarks.zdt2 ~n:4 in
+  let p = Testkit.Benchmarks.zdt2 ~n:4 in
   let f = p.Moo.Problem.eval [| 0.5; 0.; 0.; 0. |] in
   check_float ~tol:1e-12 "f2 = 1 - f1^2" 0.75 f.(1)
 
 let test_benchmark_zdt3_disconnected () =
-  let p = Moo.Benchmarks.zdt3 ~n:4 in
+  let p = Testkit.Benchmarks.zdt3 ~n:4 in
   (* The sine term makes f2 non-monotone in f1 along the g=1 slice. *)
   let f2_at f1 = (p.Moo.Problem.eval [| f1; 0.; 0.; 0. |]).(1) in
   Alcotest.(check bool) "non-monotone" true
@@ -306,7 +311,7 @@ let test_benchmark_zdt3_disconnected () =
      || f2_at 0.2 > f2_at 0.25)
 
 let test_benchmark_dtlz2_sphere () =
-  let p = Moo.Benchmarks.dtlz2 ~n:7 ~n_obj:3 in
+  let p = Testkit.Benchmarks.dtlz2 ~n:7 ~n_obj:3 in
   (* With the distance variables at 0.5, the front satisfies Σ fᵢ² = 1. *)
   let x = [| 0.3; 0.7; 0.5; 0.5; 0.5; 0.5; 0.5 |] in
   let f = p.Moo.Problem.eval x in
@@ -314,13 +319,13 @@ let test_benchmark_dtlz2_sphere () =
   check_float ~tol:1e-9 "unit sphere" 1. norm2
 
 let test_benchmark_fonseca_bounds () =
-  let p = Moo.Benchmarks.fonseca in
+  let p = Testkit.Benchmarks.fonseca in
   let f = p.Moo.Problem.eval [| 0.; 0.; 0. |] in
   Alcotest.(check bool) "objectives in [0,1)" true
     (f.(0) >= 0. && f.(0) < 1. && f.(1) >= 0. && f.(1) < 1.)
 
 let test_benchmark_true_fronts () =
-  let tf = Moo.Benchmarks.true_front_zdt1 ~k:11 in
+  let tf = Testkit.Benchmarks.true_front_zdt1 ~k:11 in
   Alcotest.(check int) "k points" 11 (List.length tf);
   List.iter
     (fun f -> check_float ~tol:1e-12 "on front" (1. -. sqrt f.(0)) f.(1))
@@ -374,44 +379,6 @@ let prop_union_front_covers =
       let union = Moo.Coverage.union_front [ f1; f2 ] in
       union = []
       || Moo.Coverage.gp f1 union +. Moo.Coverage.gp f2 union >= 1. -. 1e-9)
-
-(* {1 Knee detection} *)
-
-let test_knee_obvious () =
-  (* An L-shaped front: the corner is the knee. *)
-  let front =
-    [ sol [| 0.; 1. |]; sol [| 0.02; 0.5 |]; sol [| 0.05; 0.05 |]; sol [| 0.5; 0.02 |];
-      sol [| 1.; 0. |] ]
-  in
-  let k = Moo.Mine.knee front in
-  Alcotest.(check bool) "corner found" true
-    (Numerics.Vec.approx_equal k.Moo.Solution.f [| 0.05; 0.05 |])
-
-let test_knee_on_line_returns_member () =
-  (* A straight front has no distinguished knee; any member is fine, but
-     the call must not fail. *)
-  let front = List.init 5 (fun i -> sol [| float_of_int i; float_of_int (4 - i) |]) in
-  let k = Moo.Mine.knee front in
-  Alcotest.(check bool) "is a member" true (List.memq k front)
-
-let test_knee_singleton () =
-  let s = sol [| 1.; 2. |] in
-  Alcotest.(check bool) "singleton returned" true (Moo.Mine.knee [ s ] == s)
-
-let test_knee_empty_raises () =
-  Alcotest.check_raises "empty" (Invalid_argument "Mine.knee: empty front") (fun () ->
-      ignore (Moo.Mine.knee []))
-
-let test_tradeoff_weight_ranks_knee () =
-  let corner = sol [| 0.05; 0.05 |] in
-  let front =
-    [ sol [| 0.; 1. |]; corner; sol [| 1.; 0. |] ]
-  in
-  let w_corner = Moo.Mine.tradeoff_weight front corner in
-  let w_end = Moo.Mine.tradeoff_weight front (List.hd front) in
-  Alcotest.(check bool)
-    (Printf.sprintf "corner %.3f > end %.3f" w_corner w_end)
-    true (w_corner > w_end)
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
@@ -480,7 +447,6 @@ let () =
         ] );
       ( "scalarize",
         [
-          Alcotest.test_case "weighted sum" `Quick test_weighted_sum;
           Alcotest.test_case "tchebycheff" `Quick test_tchebycheff;
           Alcotest.test_case "zero-weight guard" `Quick test_tchebycheff_zero_weight_guard;
           Alcotest.test_case "uniform weights 2d" `Quick test_uniform_weights_2d;
@@ -494,12 +460,4 @@ let () =
             prop_non_dominated_mutual;
             prop_union_front_covers;
           ] );
-      ( "knee",
-        [
-          Alcotest.test_case "obvious corner" `Quick test_knee_obvious;
-          Alcotest.test_case "straight front" `Quick test_knee_on_line_returns_member;
-          Alcotest.test_case "singleton" `Quick test_knee_singleton;
-          Alcotest.test_case "empty raises" `Quick test_knee_empty_raises;
-          Alcotest.test_case "tradeoff weight" `Quick test_tradeoff_weight_ranks_knee;
-        ] );
     ]

@@ -60,7 +60,7 @@ let test_rng_gaussian_moments () =
   let n = 100_000 in
   let xs = Array.init n (fun _ -> Numerics.Rng.gaussian ~mu:2. ~sigma:3. r) in
   check_float ~tol:0.05 "gaussian mean" 2.0 (Numerics.Stats.mean xs);
-  check_float ~tol:0.1 "gaussian sd" 3.0 (Numerics.Stats.stddev xs)
+  check_float ~tol:0.1 "gaussian sd" 3.0 (Testkit.Stats.stddev xs)
 
 let test_rng_split_independence () =
   let master = Numerics.Rng.create 9 in
@@ -108,92 +108,92 @@ let test_rng_bernoulli_bias () =
 
 let test_vec_arith () =
   let x = [| 1.; 2.; 3. |] and y = [| 4.; 5.; 6. |] in
-  Alcotest.(check bool) "add" true (Numerics.Vec.approx_equal (Numerics.Vec.add x y) [| 5.; 7.; 9. |]);
-  Alcotest.(check bool) "sub" true (Numerics.Vec.approx_equal (Numerics.Vec.sub y x) [| 3.; 3.; 3. |]);
-  Alcotest.(check bool) "mul" true (Numerics.Vec.approx_equal (Numerics.Vec.mul x y) [| 4.; 10.; 18. |]);
-  Alcotest.(check bool) "scale" true (Numerics.Vec.approx_equal (Numerics.Vec.scale 2. x) [| 2.; 4.; 6. |])
+  Alcotest.(check bool) "add" true (Testkit.Vec.approx_equal (Testkit.Vec.add x y) [| 5.; 7.; 9. |]);
+  Alcotest.(check bool) "sub" true (Testkit.Vec.approx_equal (Testkit.Vec.sub y x) [| 3.; 3.; 3. |]);
+  Alcotest.(check bool) "mul" true (Testkit.Vec.approx_equal (Testkit.Vec.mul x y) [| 4.; 10.; 18. |]);
+  Alcotest.(check bool) "scale" true (Testkit.Vec.approx_equal (Testkit.Vec.scale 2. x) [| 2.; 4.; 6. |])
 
 let test_vec_dot_norms () =
   let x = [| 3.; 4. |] in
-  check_float "dot" 25. (Numerics.Vec.dot x x);
+  check_float "dot" 25. (Testkit.Vec.dot x x);
   check_float "norm2" 5. (Numerics.Vec.norm2 x);
-  check_float "norm1" 7. (Numerics.Vec.norm1 x);
-  check_float "norm_inf" 4. (Numerics.Vec.norm_inf x);
+  check_float "norm1" 7. (Testkit.Vec.norm1 x);
+  check_float "norm_inf" 4. (Testkit.Vec.norm_inf x);
   check_float "dist2" 5. (Numerics.Vec.dist2 x [| 0.; 0. |])
 
 let test_vec_axpy () =
   let x = [| 1.; 1. |] and y = [| 1.; 2. |] in
-  Numerics.Vec.axpy 3. x y;
-  Alcotest.(check bool) "axpy" true (Numerics.Vec.approx_equal y [| 4.; 5. |])
+  Testkit.Vec.axpy 3. x y;
+  Alcotest.(check bool) "axpy" true (Testkit.Vec.approx_equal y [| 4.; 5. |])
 
 let test_vec_clamp_lerp () =
   let lo = [| 0.; 0. |] and hi = [| 1.; 1. |] in
   Alcotest.(check bool) "clamp" true
-    (Numerics.Vec.approx_equal (Numerics.Vec.clamp ~lo ~hi [| -1.; 2. |]) [| 0.; 1. |]);
+    (Testkit.Vec.approx_equal (Testkit.Vec.clamp ~lo ~hi [| -1.; 2. |]) [| 0.; 1. |]);
   Alcotest.(check bool) "lerp mid" true
-    (Numerics.Vec.approx_equal (Numerics.Vec.lerp [| 0.; 0. |] [| 2.; 4. |] 0.5) [| 1.; 2. |])
+    (Testkit.Vec.approx_equal (Testkit.Vec.lerp [| 0.; 0. |] [| 2.; 4. |] 0.5) [| 1.; 2. |])
 
 let test_vec_stats () =
   let x = [| 1.; 2.; 3.; 4. |] in
-  check_float "sum" 10. (Numerics.Vec.sum x);
-  check_float "mean" 2.5 (Numerics.Vec.mean x);
-  check_float "min" 1. (Numerics.Vec.min x);
-  check_float "max" 4. (Numerics.Vec.max x)
+  check_float "sum" 10. (Testkit.Vec.sum x);
+  check_float "mean" 2.5 (Testkit.Vec.mean x);
+  check_float "min" 1. (Testkit.Vec.min x);
+  check_float "max" 4. (Testkit.Vec.max x)
 
 (* {1 Matrix} *)
 
 let test_matrix_identity () =
-  let i3 = Numerics.Matrix.identity 3 in
+  let i3 = Testkit.Matrix.identity 3 in
   let x = [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "I x = x" true (Numerics.Vec.approx_equal (Numerics.Matrix.mv i3 x) x)
+  Alcotest.(check bool) "I x = x" true (Testkit.Vec.approx_equal (Testkit.Matrix.mv i3 x) x)
 
 let test_matrix_matmul () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  let b = Numerics.Matrix.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
-  let c = Numerics.Matrix.matmul a b in
-  let expected = Numerics.Matrix.of_arrays [| [| 19.; 22. |]; [| 43.; 50. |] |] in
-  Alcotest.(check bool) "matmul" true (Numerics.Matrix.approx_equal c expected)
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
+  let b = Testkit.Matrix.of_arrays [| [| 5.; 6. |]; [| 7.; 8. |] |] in
+  let c = Testkit.Matrix.matmul a b in
+  let expected = Testkit.Matrix.of_arrays [| [| 19.; 22. |]; [| 43.; 50. |] |] in
+  Alcotest.(check bool) "matmul" true (Testkit.Matrix.approx_equal c expected)
 
 let test_matrix_transpose () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
-  let t = Numerics.Matrix.transpose a in
-  Alcotest.(check int) "rows" 3 (Numerics.Matrix.rows t);
-  Alcotest.(check int) "cols" 2 (Numerics.Matrix.cols t);
-  check_float "t(0,1)" 4. (Numerics.Matrix.get t 0 1);
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |] |] in
+  let t = Testkit.Matrix.transpose a in
+  Alcotest.(check int) "rows" 3 (Testkit.Matrix.rows t);
+  Alcotest.(check int) "cols" 2 (Testkit.Matrix.cols t);
+  check_float "t(0,1)" 4. (Testkit.Matrix.get t 0 1);
   Alcotest.(check bool) "double transpose" true
-    (Numerics.Matrix.approx_equal a (Numerics.Matrix.transpose t))
+    (Testkit.Matrix.approx_equal a (Testkit.Matrix.transpose t))
 
 let test_matrix_mv_tmv () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |]; [| 5.; 6. |] |] in
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |]; [| 5.; 6. |] |] in
   let x = [| 1.; 1. |] in
   Alcotest.(check bool) "mv" true
-    (Numerics.Vec.approx_equal (Numerics.Matrix.mv a x) [| 3.; 7.; 11. |]);
+    (Testkit.Vec.approx_equal (Testkit.Matrix.mv a x) [| 3.; 7.; 11. |]);
   let y = [| 1.; 1.; 1. |] in
   Alcotest.(check bool) "tmv" true
-    (Numerics.Vec.approx_equal (Numerics.Matrix.tmv a y) [| 9.; 12. |])
+    (Testkit.Vec.approx_equal (Testkit.Matrix.tmv a y) [| 9.; 12. |])
 
 let test_matrix_rows_ops () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
-  Numerics.Matrix.swap_rows a 0 1;
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |] |] in
+  Testkit.Matrix.swap_rows a 0 1;
   Alcotest.(check bool) "swap" true
-    (Numerics.Vec.approx_equal (Numerics.Matrix.row a 0) [| 3.; 4. |]);
-  Numerics.Matrix.set_row a 0 [| 9.; 9. |];
-  check_float "set_row" 9. (Numerics.Matrix.get a 0 1)
+    (Testkit.Vec.approx_equal (Testkit.Matrix.row a 0) [| 3.; 4. |]);
+  Testkit.Matrix.set_row a 0 [| 9.; 9. |];
+  check_float "set_row" 9. (Testkit.Matrix.get a 0 1)
 
 let test_matrix_norms () =
-  let a = Numerics.Matrix.of_arrays [| [| 3.; 4. |]; [| 0.; 0. |] |] in
-  check_float "frobenius" 5. (Numerics.Matrix.norm_frobenius a);
-  check_float "inf norm" 7. (Numerics.Matrix.norm_inf a)
+  let a = Testkit.Matrix.of_arrays [| [| 3.; 4. |]; [| 0.; 0. |] |] in
+  check_float "frobenius" 5. (Testkit.Matrix.norm_frobenius a);
+  check_float "inf norm" 7. (Testkit.Matrix.norm_inf a)
 
 (* {1 Lu} *)
 
 let random_system rng n =
   let a =
-    Numerics.Matrix.init n n (fun _ _ -> Numerics.Rng.uniform rng (-5.) 5.)
+    Testkit.Matrix.init n n (fun _ _ -> Numerics.Rng.uniform rng (-5.) 5.)
   in
   (* Diagonal dominance guarantees a well-conditioned system. *)
   for i = 0 to n - 1 do
-    Numerics.Matrix.set a i i (Numerics.Matrix.get a i i +. 10.)
+    Testkit.Matrix.set a i i (Testkit.Matrix.get a i i +. 10.)
   done;
   let x = Array.init n (fun _ -> Numerics.Rng.uniform rng (-2.) 2.) in
   (a, x)
@@ -202,18 +202,18 @@ let test_lu_solve () =
   let rng = Numerics.Rng.create 21 in
   for n = 1 to 12 do
     let a, x = random_system rng n in
-    let b = Numerics.Matrix.mv a x in
-    let solved = Numerics.Lu.solve (Numerics.Lu.factor a) b in
+    let b = Testkit.Matrix.mv a x in
+    let solved = Testkit.Lu.solve (Testkit.Lu.factor a) b in
     Alcotest.(check bool)
       (Printf.sprintf "solve n=%d" n)
       true
-      (Numerics.Vec.approx_equal ~tol:1e-8 x solved)
+      (Testkit.Vec.approx_equal ~tol:1e-8 x solved)
   done
 
 let test_lu_singular () =
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |] in
   Alcotest.check_raises "singular" Numerics.Lu.Singular (fun () ->
-      ignore (Numerics.Lu.factor a))
+      ignore (Testkit.Lu.factor a))
 
 (* {1 Ode} *)
 
@@ -325,11 +325,11 @@ let test_dopri5_nan_step_underflows () =
 
 let test_numeric_jacobian () =
   (* f(y) = A y has Jacobian A. *)
-  let a = Numerics.Matrix.of_arrays [| [| 1.; 2. |]; [| -3.; 0.5 |] |] in
-  let f _t y dy = Array.blit (Numerics.Matrix.mv a y) 0 dy 0 2 in
-  let jac = Numerics.Ode.numeric_jacobian ~pattern:(Numerics.Ode.dense_pattern 2) f 0. [| 0.3; -0.7 |] in
+  let a = Testkit.Matrix.of_arrays [| [| 1.; 2. |]; [| -3.; 0.5 |] |] in
+  let f _t y dy = Array.blit (Testkit.Matrix.mv a y) 0 dy 0 2 in
+  let jac = Numerics.Ode.numeric_jacobian ~pattern:(Testkit.Ode.dense_pattern 2) f 0. [| 0.3; -0.7 |] in
   Alcotest.(check bool) "jacobian of linear map" true
-    (Numerics.Matrix.approx_equal ~tol:1e-5 a jac)
+    (Testkit.Matrix.approx_equal ~tol:1e-5 a (Testkit.Matrix.of_numerics ~n:2 jac))
 
 (* {2 Pseudo-transient continuation} *)
 
@@ -353,7 +353,7 @@ let test_ptc_bounded_root () =
     dy.(0) <- 1.;
     dy.(1) <- -.y.(1)
   in
-  let pattern = Numerics.Ode.dense_pattern 2 in
+  let pattern = Testkit.Ode.dense_pattern 2 in
   let p = Numerics.Ode.pseudo_transient ~pattern ~f:runaway ~y0:[| 0.; 1. |] () in
   Alcotest.(check bool) "no root" true (Option.is_none p.Numerics.Ode.root);
   (* The same iteration does find a bounded root. *)
@@ -373,7 +373,7 @@ let test_ptc_bounded_root () =
 let test_ptc_allocation () =
   let n = 24 in
   let f = linear_sink n in
-  let y0 = Array.make n 0.5 and pattern = Numerics.Ode.dense_pattern n in
+  let y0 = Array.make n 0.5 and pattern = Testkit.Ode.dense_pattern n in
   let before = Gc.minor_words () in
   let p = Numerics.Ode.pseudo_transient ~pattern ~f ~y0 () in
   let words = Gc.minor_words () -. before in
@@ -388,7 +388,7 @@ let test_ptc_allocation () =
 let test_ptc_deadline () =
   let f = linear_sink 24 in
   let expired = Obs.Clock.now_ns () - 1 in
-  let pattern = Numerics.Ode.dense_pattern 24 in
+  let pattern = Testkit.Ode.dense_pattern 24 in
   match Numerics.Ode.pseudo_transient ~deadline:expired ~pattern ~f ~y0:(Array.make 24 0.5) () with
   | _ -> Alcotest.fail "expired deadline ignored"
   | exception Numerics.Ode.Deadline _ -> ()
@@ -432,7 +432,7 @@ let test_steady_state_timeout () =
    and an unstable focus (0.1 ± i) are rejected and each counted once in
    [ode.ptc.unstable]; a stable node (−1, −2) is returned. *)
 let test_ptc_certificate () =
-  let pattern = Numerics.Ode.dense_pattern 2 in
+  let pattern = Testkit.Ode.dense_pattern 2 in
   let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
   let solve f y0 =
     Obs.Metrics.reset ();
@@ -479,20 +479,20 @@ let test_ptc_certificate () =
    [1/8, 8], so A is not normal, S⁻¹ = Qᵀ·P⁻¹ to rounding and κ(S) ≤ 64.
    Returns A row-major and the spectrum. *)
 let known_spectrum rng n =
-  let d = Numerics.Matrix.zeros n n and spectrum = ref [] and i = ref 0 in
+  let d = Testkit.Matrix.zeros n n and spectrum = ref [] and i = ref 0 in
   while !i < n do
     let re = Numerics.Rng.uniform rng (-5.) 5. in
     if !i + 1 < n && Numerics.Rng.bernoulli rng 0.5 then begin
       let im = Numerics.Rng.uniform rng 0.1 5. in
-      Numerics.Matrix.set d !i !i re;
-      Numerics.Matrix.set d (!i + 1) (!i + 1) re;
-      Numerics.Matrix.set d !i (!i + 1) im;
-      Numerics.Matrix.set d (!i + 1) !i (-.im);
+      Testkit.Matrix.set d !i !i re;
+      Testkit.Matrix.set d (!i + 1) (!i + 1) re;
+      Testkit.Matrix.set d !i (!i + 1) im;
+      Testkit.Matrix.set d (!i + 1) !i (-.im);
       spectrum := (re, im) :: (re, -.im) :: !spectrum;
       i := !i + 2
     end
     else begin
-      Numerics.Matrix.set d !i !i re;
+      Testkit.Matrix.set d !i !i re;
       spectrum := (re, 0.) :: !spectrum;
       incr i
     end
@@ -501,19 +501,19 @@ let known_spectrum rng n =
     List.fold_left
       (fun q _ ->
         let v = Array.init n (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-        let vv = Numerics.Vec.dot v v in
+        let vv = Testkit.Vec.dot v v in
         let h =
-          Numerics.Matrix.init n n (fun r c ->
+          Testkit.Matrix.init n n (fun r c ->
               (if r = c then 1. else 0.) -. (2. *. v.(r) *. v.(c) /. vv))
         in
-        Numerics.Matrix.matmul q h)
-      (Numerics.Matrix.identity n) [ 1; 2; 3 ]
+        Testkit.Matrix.matmul q h)
+      (Testkit.Matrix.identity n) [ 1; 2; 3 ]
   in
   let scale = Array.init n (fun _ -> Float.ldexp 1. (Numerics.Rng.int rng 7 - 3)) in
-  let s = Numerics.Matrix.init n n (fun r c -> scale.(r) *. Numerics.Matrix.get q r c) in
-  let s_inv = Numerics.Matrix.init n n (fun r c -> Numerics.Matrix.get q c r /. scale.(c)) in
-  let a = Numerics.Matrix.matmul (Numerics.Matrix.matmul s d) s_inv in
-  (Array.init (n * n) (fun k -> Numerics.Matrix.get a (k / n) (k mod n)), !spectrum)
+  let s = Testkit.Matrix.init n n (fun r c -> scale.(r) *. Testkit.Matrix.get q r c) in
+  let s_inv = Testkit.Matrix.init n n (fun r c -> Testkit.Matrix.get q c r /. scale.(c)) in
+  let a = Testkit.Matrix.matmul (Testkit.Matrix.matmul s d) s_inv in
+  (Array.init (n * n) (fun k -> Testkit.Matrix.get a (k / n) (k mod n)), !spectrum)
 
 let eigenvalues n a =
   let wr = Array.make n 0. and wi = Array.make n 0. in
@@ -562,9 +562,9 @@ let test_eigen_known_spectra () =
 let test_stats_basic () =
   let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   check_float "mean" 5. (Numerics.Stats.mean xs);
-  check_float ~tol:1e-9 "variance" (32. /. 7.) (Numerics.Stats.variance xs);
-  check_float "min" 2. (Numerics.Stats.minimum xs);
-  check_float "max" 9. (Numerics.Stats.maximum xs)
+  check_float ~tol:1e-9 "variance" (32. /. 7.) (Testkit.Stats.variance xs);
+  check_float "min" 2. (Testkit.Stats.minimum xs);
+  check_float "max" 9. (Testkit.Stats.maximum xs)
 
 let test_stats_median_quantile () =
   let xs = [| 1.; 2.; 3.; 4. |] in
@@ -574,13 +574,13 @@ let test_stats_median_quantile () =
   check_float "q25" 1.75 (Numerics.Stats.quantile xs 0.25)
 
 let test_stats_summary () =
-  let s = Numerics.Stats.summarize [| 1.; 2.; 3. |] in
-  Alcotest.(check int) "n" 3 s.Numerics.Stats.n;
-  check_float "mean" 2. s.Numerics.Stats.mean;
-  check_float "median" 2. s.Numerics.Stats.median
+  let s = Testkit.Stats.summarize [| 1.; 2.; 3. |] in
+  Alcotest.(check int) "n" 3 s.Testkit.Stats.n;
+  check_float "mean" 2. s.Testkit.Stats.mean;
+  check_float "median" 2. s.Testkit.Stats.median
 
 let test_stats_histogram () =
-  let h = Numerics.Stats.histogram ~bins:2 [| 0.; 0.1; 0.9; 1.0 |] in
+  let h = Testkit.Stats.histogram ~bins:2 [| 0.; 0.1; 0.9; 1.0 |] in
   Alcotest.(check int) "bins" 2 (Array.length h);
   let total = Array.fold_left (fun acc (_, c) -> acc + c) 0 h in
   Alcotest.(check int) "all counted" 4 total
@@ -588,9 +588,9 @@ let test_stats_histogram () =
 let test_stats_pearson () =
   let xs = [| 1.; 2.; 3.; 4. |] in
   let ys = Array.map (fun x -> (2. *. x) +. 1.) xs in
-  check_float ~tol:1e-12 "perfect correlation" 1. (Numerics.Stats.pearson xs ys);
+  check_float ~tol:1e-12 "perfect correlation" 1. (Testkit.Stats.pearson xs ys);
   let zs = Array.map (fun x -> -.x) xs in
-  check_float ~tol:1e-12 "anti correlation" (-1.) (Numerics.Stats.pearson xs zs)
+  check_float ~tol:1e-12 "anti correlation" (-1.) (Testkit.Stats.pearson xs zs)
 
 (* {1 Properties} *)
 
@@ -608,11 +608,11 @@ let vec_pair =
 
 let prop_dot_symmetric =
   QCheck.Test.make ~name:"dot is symmetric" ~count:200 vec_pair (fun (x, y) ->
-      feq ~tol:1e-6 (Numerics.Vec.dot x y) (Numerics.Vec.dot y x))
+      feq ~tol:1e-6 (Testkit.Vec.dot x y) (Testkit.Vec.dot y x))
 
 let prop_triangle_inequality =
   QCheck.Test.make ~name:"norm triangle inequality" ~count:200 vec_pair (fun (x, y) ->
-      Numerics.Vec.norm2 (Numerics.Vec.add x y)
+      Numerics.Vec.norm2 (Testkit.Vec.add x y)
       <= Numerics.Vec.norm2 x +. Numerics.Vec.norm2 y +. 1e-9)
 
 let prop_lu_residual =
@@ -622,8 +622,8 @@ let prop_lu_residual =
       let rng = Numerics.Rng.create seed in
       let n = 1 + Numerics.Rng.int rng 10 in
       let a, x = random_system rng n in
-      let b = Numerics.Matrix.mv a x in
-      let solved = Numerics.Lu.solve (Numerics.Lu.factor a) b in
+      let b = Testkit.Matrix.mv a x in
+      let solved = Testkit.Lu.solve (Testkit.Lu.factor a) b in
       Numerics.Vec.dist2 x solved <= 1e-6)
 
 let prop_quantile_monotone =
@@ -666,8 +666,8 @@ let random_sparse_cols rng n =
         ((diag_row.(j), 2. +. Numerics.Rng.uniform rng 0. 2.) :: extras))
 
 let dense_of_cols n cols =
-  let d = Numerics.Matrix.zeros n n in
-  Array.iteri (fun j col -> List.iter (fun (i, v) -> Numerics.Matrix.set d i j v) col) cols;
+  let d = Testkit.Matrix.zeros n n in
+  Array.iteri (fun j col -> List.iter (fun (i, v) -> Testkit.Matrix.set d i j v) col) cols;
   d
 
 (* {1 Sparse Gram} *)
@@ -686,10 +686,10 @@ let test_csc_gram_matches_dense () =
     let ridge = Numerics.Rng.uniform rng 0. 1. in
     let gram = Numerics.Sparse.csc_gram ~ridge (Numerics.Sparse.compress s) in
     Alcotest.(check int) "square" m (Array.length gram);
-    let dense = Numerics.Sparse.to_dense s in
-    let expected = Numerics.Matrix.matmul dense (Numerics.Matrix.transpose dense) in
+    let dense = Testkit.Sparse.to_dense ~rows:m ~cols:n s in
+    let expected = Testkit.Matrix.matmul dense (Testkit.Matrix.transpose dense) in
     for i = 0 to m - 1 do
-      Numerics.Matrix.set expected i i (Numerics.Matrix.get expected i i +. ridge)
+      Testkit.Matrix.set expected i i (Testkit.Matrix.get expected i i +. ridge)
     done;
     let got = dense_of_cols m gram in
     Array.iter
@@ -699,7 +699,7 @@ let test_csc_gram_matches_dense () =
       gram;
     for i = 0 to m - 1 do
       for k = 0 to m - 1 do
-        let e = Numerics.Matrix.get expected i k and g = Numerics.Matrix.get got i k in
+        let e = Testkit.Matrix.get expected i k and g = Testkit.Matrix.get got i k in
         if not (Float.equal e g) then Alcotest.failf "gram (%d,%d): dense %h, csc %h" i k e g
       done
     done
@@ -714,7 +714,7 @@ let test_sparse_lu_solve () =
     let dense = dense_of_cols n cols in
     let b = Array.init n (fun _ -> Numerics.Rng.uniform rng (-5.) 5.) in
     let x = Numerics.Sparse_lu.solve f b in
-    let r = Numerics.Matrix.mv dense x in
+    let r = Testkit.Matrix.mv dense x in
     Array.iteri
       (fun i bi ->
         if Float.abs (r.(i) -. bi) > 1e-8 then
@@ -732,7 +732,7 @@ let test_sparse_lu_solve_t () =
     let c = Array.init n (fun _ -> Numerics.Rng.uniform rng (-5.) 5.) in
     let y = Numerics.Sparse_lu.solve_t f c in
     (* Aᵀ y = c  ⇔  y·A_col_j = c_j *)
-    let r = Numerics.Matrix.tmv dense y in
+    let r = Testkit.Matrix.tmv dense y in
     Array.iteri
       (fun j cj ->
         if Float.abs (r.(j) -. cj) > 1e-8 then

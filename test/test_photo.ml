@@ -93,10 +93,20 @@ let test_phosphate_conservation_in_rhs () =
   check_float ~tol:1e-6 "free Pi balances bound P" (-. !weighted) dpi;
   ignore f
 
+(* Net stromal/cytosolic carbon inflow minus sink outflow (mM s⁻¹ of C).
+   Carbon enters via carboxylation and leaves via GDC decarboxylation,
+   starch (6 C per ADPGPP flux), sucrose export (3 C per exported
+   triose) and the serine drain (3 C); at steady state the interior
+   pools are constant, so these must balance. *)
+let carbon_balance (f : Photo.Model.fluxes) =
+  f.vc +. (6. *. f.v_stdeg) -. f.v_gdc -. f.v_g6pdh -. (6. *. f.v_adpgpp)
+  -. (3. *. f.v_export) -. (3. *. f.v_serleak) -. (6. *. f.v_scav_hp)
+  -. (3. *. f.v_scav_tp) -. (5. *. f.v_scav_pp)
+
 let test_carbon_balance_at_steady_state () =
   let r = Photo.Steady_state.natural ~env:present_low () in
   Alcotest.(check bool) "converged" true r.Photo.Steady_state.converged;
-  let cb = Photo.Model.carbon_balance r.Photo.Steady_state.fluxes in
+  let cb = carbon_balance r.Photo.Steady_state.fluxes in
   Alcotest.(check bool) (Printf.sprintf "carbon closed (%.2e)" cb) true (Float.abs cb < 5e-3)
 
 let test_fluxes_nonnegative () =
@@ -119,8 +129,8 @@ let test_oxygenation_ratio_tracks_ci () =
   let k = Photo.Params.default in
   let vmax = Photo.Enzyme.natural_vmax () in
   let y = Photo.State.initial () in
-  let f_past = Photo.Model.fluxes k (Photo.Params.past ~tp_export:1.) ~vmax y in
-  let f_future = Photo.Model.fluxes k (Photo.Params.future ~tp_export:1.) ~vmax y in
+  let f_past = Photo.Model.fluxes k { Photo.Params.label = "past"; ci = 165.; tp_export = 1. } ~vmax y in
+  let f_future = Photo.Model.fluxes k { Photo.Params.label = "future"; ci = 490.; tp_export = 1. } ~vmax y in
   let ratio f = f.Photo.Model.vo /. f.Photo.Model.vc in
   Alcotest.(check bool) "more photorespiration at low CO2" true
     (ratio f_past > ratio f_future)
@@ -136,9 +146,9 @@ let test_natural_operating_point () =
 
 let test_ci_gradient () =
   let uptake env = fst (Photo.Leaf.natural_point env) in
-  let past = uptake (Photo.Params.past ~tp_export:1.) in
+  let past = uptake { Photo.Params.label = "past"; ci = 165.; tp_export = 1. } in
   let present = uptake present_low in
-  let future = uptake (Photo.Params.future ~tp_export:1.) in
+  let future = uptake { Photo.Params.label = "future"; ci = 490.; tp_export = 1. } in
   Alcotest.(check bool)
     (Printf.sprintf "%.2f < %.2f < %.2f" past present future)
     true
@@ -207,9 +217,9 @@ let test_steady_state_is_steady () =
   let vmax = Photo.Enzyme.natural_vmax () in
   let dy = Array.make Photo.State.n nan in
   Photo.Model.rhs Photo.Params.default present_low ~vmax 0. r.Photo.Steady_state.y dy;
-  Alcotest.(check bool) "small derivatives" true (Numerics.Vec.norm_inf dy < 8e-3);
+  Alcotest.(check bool) "small derivatives" true (Testkit.Vec.norm_inf dy < 8e-3);
   dy.(Photo.State.atp) <- 0.;
-  Alcotest.(check bool) "non-adenylate states quiet" true (Numerics.Vec.norm_inf dy < 2e-3)
+  Alcotest.(check bool) "non-adenylate states quiet" true (Testkit.Vec.norm_inf dy < 2e-3)
 
 (* Exact results pinned by their bits: a change to the integrator or the
    rate laws that is meant to be a pure speedup must leave every one of
@@ -465,12 +475,13 @@ let test_grouped_jacobian_bits () =
      states — ten designs per condition, five over [0.05, 3] and five
      within ±50 %, each at its condition's root scaled by U(0.5, 1.5) per
      state with one state clipped to 0 as PTC's steps do. *)
-  let grouped = Photo.Model.pattern () and dense = Numerics.Ode.dense_pattern Photo.State.n in
+  let grouped = Photo.Model.pattern () and dense = Testkit.Ode.dense_pattern Photo.State.n in
   let check_at name env ratios y =
     let f = Photo.Model.rhs Photo.Params.default env ~vmax:(Photo.Enzyme.vmax_of_ratios ratios) in
     let bits pattern =
       Array.map (Array.map Int64.bits_of_float)
-        (Numerics.Matrix.to_arrays (Numerics.Ode.numeric_jacobian ~pattern f 0. y))
+        (Testkit.Matrix.to_arrays
+           (Testkit.Matrix.of_numerics ~n:Photo.State.n (Numerics.Ode.numeric_jacobian ~pattern f 0. y)))
     in
     if bits grouped <> bits dense then Alcotest.failf "%s: grouped and dense Jacobians differ" name
   in
@@ -547,12 +558,11 @@ let test_leaf_objectives_signs () =
    present Ci or low export. *)
 let test_condition_flags () =
   let open Photo.Params in
-  Alcotest.(check bool) "past, low" true
-    (past ~tp_export:low_export = of_flags ~ci:165 ~export:"low");
+  let past = of_flags ~ci:165 ~export:"low" and future = of_flags ~ci:490 ~export:"2.5" in
+  Alcotest.(check bool) "past, low" true (past.ci = 165. && past.tp_export = low_export);
   Alcotest.(check bool) "present, high" true
     (present ~tp_export:high_export = of_flags ~ci:270 ~export:"high");
-  Alcotest.(check bool) "future, a rate" true
-    (future ~tp_export:2.5 = of_flags ~ci:490 ~export:"2.5");
+  Alcotest.(check bool) "future, a rate" true (future.ci = 490. && future.tp_export = 2.5);
   Alcotest.(check bool) "a zero rate" true
     (present ~tp_export:0. = of_flags ~ci:270 ~export:"0");
   List.iter

@@ -2,7 +2,7 @@
 
 let zdt1 n = Moo.Benchmarks.zdt1 ~n
 
-let schaffer = Moo.Benchmarks.schaffer
+let schaffer = Testkit.Benchmarks.schaffer
 
 (* {1 Topology} *)
 
@@ -28,9 +28,6 @@ let test_star_edges () =
 let test_custom_edges () =
   let es = Pmo2.Topology.edges (Pmo2.Topology.Custom [ (0, 1) ]) ~n:2 in
   Alcotest.(check int) "as given" 1 (List.length es)
-
-let test_topology_names () =
-  Alcotest.(check string) "name" "ring" (Pmo2.Topology.name Pmo2.Topology.Ring)
 
 (* {1 Archipelago} *)
 
@@ -189,7 +186,6 @@ let () =
           Alcotest.test_case "ring n=1" `Quick test_ring_single_island;
           Alcotest.test_case "star" `Quick test_star_edges;
           Alcotest.test_case "custom" `Quick test_custom_edges;
-          Alcotest.test_case "names" `Quick test_topology_names;
         ] );
       ( "archipelago",
         [

@@ -11,10 +11,9 @@ let expect_invalid name f =
 (* {1 Perturb} *)
 
 let test_global_within_band () =
-  let rng = Numerics.Rng.create 1 in
   let x = [| 1.; 2.; 4. |] in
-  for _ = 1 to 200 do
-    let y = Robustness.Perturb.global rng ~delta:0.1 x in
+  for t = 0 to 199 do
+    let y = Robustness.Perturb.stream_trial ~seed:1 ~delta:0.1 x t in
     Array.iteri
       (fun i yi ->
         let r = yi /. x.(i) in
@@ -23,19 +22,17 @@ let test_global_within_band () =
   done
 
 let test_local_changes_one () =
-  let rng = Numerics.Rng.create 2 in
   let x = [| 1.; 2.; 4. |] in
-  for _ = 1 to 100 do
-    let y = Robustness.Perturb.local rng ~delta:0.1 ~index:1 x in
+  for t = 0 to 99 do
+    let y = Robustness.Perturb.stream_trial ~seed:2 ~delta:0.1 ~index:1 x t in
     check_float "x0 untouched" x.(0) y.(0);
     check_float "x2 untouched" x.(2) y.(2)
   done
 
 let test_zero_delta_identity () =
-  let rng = Numerics.Rng.create 3 in
   let x = [| 1.; 2. |] in
-  let y = Robustness.Perturb.global rng ~delta:0. x in
-  Alcotest.(check bool) "identity" true (Numerics.Vec.approx_equal x y)
+  let y = Robustness.Perturb.stream_trial ~seed:3 ~delta:0. x 0 in
+  Alcotest.(check bool) "identity" true (Testkit.Vec.approx_equal x y)
 
 (* {1 Yield} *)
 
@@ -72,7 +69,7 @@ let mk_sol x f = { Moo.Solution.x; f; v = 0. }
 
 let test_screen_solutions () =
   let sols = [ mk_sol [| 1. |] [| 1.; 1. |]; mk_sol [| 2. |] [| 2.; 0.5 |] ] in
-  let entries = Robustness.Screen.screen_solutions ~seed:11 ~f:(fun _ -> 1.) ~trials:50 sols in
+  let entries = Robustness.Screen.front_sweep ~seed:11 ~f:(fun _ -> 1.) ~trials:50 ~k:2 sols in
   Alcotest.(check int) "entry per solution" 2 (List.length entries);
   List.iter
     (fun e -> check_float "constant property robust" 100. e.Robustness.Screen.yield.yield_pct)
@@ -105,7 +102,7 @@ let test_max_yield () =
      multiplicative noise; x=0.0001 changes f by ~0.1% → robust;
      x=1 changes f by ~e^±1 → fragile. *)
   let f x = exp (10. *. x.(0)) in
-  let entries = Robustness.Screen.screen_solutions ~seed:14 ~f ~trials:200 [ robust; fragile ] in
+  let entries = Robustness.Screen.front_sweep ~seed:14 ~f ~trials:200 ~k:2 [ robust; fragile ] in
   let best = Robustness.Screen.max_yield entries in
   Alcotest.(check bool) "robust one wins" true
     (best.Robustness.Screen.solution == robust)
@@ -140,18 +137,13 @@ let prop_larger_eps_no_worse =
       y2 >= y1)
 
 let test_perturb_invalid_arguments () =
-  let rng = Numerics.Rng.create 7 in
   let x = [| 1.; 2. |] in
-  expect_invalid "global: delta = 1" (fun () ->
-      Robustness.Perturb.global rng ~delta:1. x);
-  expect_invalid "global: negative delta" (fun () ->
-      Robustness.Perturb.global rng ~delta:(-0.1) x);
-  expect_invalid "local: delta = 1" (fun () ->
-      Robustness.Perturb.local rng ~delta:1. ~index:0 x);
-  expect_invalid "local: index out of range" (fun () ->
-      Robustness.Perturb.local rng ~delta:0.1 ~index:2 x);
-  expect_invalid "local: negative index" (fun () ->
-      Robustness.Perturb.local rng ~delta:0.1 ~index:(-1) x)
+  let trial ?index delta () = Robustness.Perturb.stream_trial ~seed:7 ~delta ?index x 0 in
+  expect_invalid "global: delta = 1" (trial 1.);
+  expect_invalid "global: negative delta" (trial (-0.1));
+  expect_invalid "local: delta = 1" (trial ~index:0 1.);
+  expect_invalid "local: index out of range" (trial ~index:2 0.1);
+  expect_invalid "local: negative index" (trial ~index:(-1) 0.1)
 
 let test_yield_invalid_arguments () =
   expect_invalid "gamma: zero trials" (fun () ->

@@ -27,8 +27,8 @@ let with_temp_file f =
 (* ZDT1 whose objective raises for a tenth of candidates, picked by a
    pure hash of the decision vector. *)
 let faulty_zdt1 () =
-  Runtime.Fault.wrap_problem
-    { Runtime.Fault.default with Runtime.Fault.fraction = 0.1; modes = [ Runtime.Fault.Raise ] }
+  Testkit.Fault.wrap_problem
+    { Testkit.Fault.default with Testkit.Fault.fraction = 0.1; modes = [ Testkit.Fault.Raise ] }
     (zdt1 6)
 
 (* Four islands so 1/2/4-shard partitions are all non-trivial. *)
@@ -490,14 +490,12 @@ let test_numbered_history_matches () =
           Alcotest.(check (list string)) "two newest epochs kept"
             [ "run.ckpt.000003"; "run.ckpt.000004" ] (history adir);
           Alcotest.(check (list string)) "same numbered files" (history adir) (history sdir);
-          match Runtime.Checkpoint.latest spath with
-          | None -> Alcotest.fail "sharded run left no numbered checkpoint"
-          | Some newest ->
-            let resumed = A.run ~seed:53 ~resume:newest ~generations:30 problem quad_config in
-            Alcotest.(check bool) "resumed front bit-identical" true
-              (front_key resumed = front_key full);
-            Alcotest.(check int) "resumed evaluations exact" full.A.evaluations
-              resumed.A.evaluations))
+          let newest = Runtime.Checkpoint.numbered spath 4 in
+          let resumed = A.run ~seed:53 ~resume:newest ~generations:30 problem quad_config in
+          Alcotest.(check bool) "resumed front bit-identical" true
+            (front_key resumed = front_key full);
+          Alcotest.(check int) "resumed evaluations exact" full.A.evaluations
+            resumed.A.evaluations))
 
 let () =
   Alcotest.run "shard"

@@ -55,14 +55,14 @@ let test_simplex_matches_vertex_enumeration () =
             Numerics.Rng.uniform rng 0.5 4. ))
     in
     let expected = brute_force_2var ~cx ~cy ~rows ~ux ~uy in
-    let p = Lp.Problem.make ~n_vars:2 () in
-    Lp.Problem.set_bounds p 0 0. ux;
-    Lp.Problem.set_bounds p 1 0. uy;
-    Lp.Problem.set_objective p 0 cx;
-    Lp.Problem.set_objective p 1 cy;
-    List.iter (fun (a, b, c) -> Lp.Problem.add_row p [ (0, a); (1, b) ] Lp.Problem.Le c) rows;
-    match Lp.Problem.solve p with
-    | Lp.Problem.Optimal { objective; _ } ->
+    let p = Testkit.Lp_problem.make ~n_vars:2 () in
+    Testkit.Lp_problem.set_bounds p 0 0. ux;
+    Testkit.Lp_problem.set_bounds p 1 0. uy;
+    Testkit.Lp_problem.set_objective p 0 cx;
+    Testkit.Lp_problem.set_objective p 1 cy;
+    List.iter (fun (a, b, c) -> Testkit.Lp_problem.add_row p [ (0, a); (1, b) ] Testkit.Lp_problem.Le c) rows;
+    match Testkit.Lp_problem.solve p with
+    | Testkit.Lp_problem.Optimal { objective; _ } ->
       check_float ~tol:1e-6 "simplex = vertex enumeration" expected objective
     | _ -> Alcotest.fail "bounded feasible LP must be optimal"
   done

@@ -1,3 +1,9 @@
+(* Builder for small linear programs in the tests, on top of
+   Lp.Simplex.  Rows may be equalities or inequalities; inequalities get
+   slack variables before the problem reaches the simplex core.  The
+   objective [solve] reports is in the problem's own sense (default
+   Maximize); bounds default to (-inf, +inf). *)
+
 type sense = Maximize | Minimize
 
 type cmp = Eq | Le | Ge
@@ -15,7 +21,7 @@ type t = {
 }
 
 let make ?(sense = Maximize) ~n_vars () =
-  if n_vars <= 0 then invalid_arg "Lp.Problem.make: n_vars must be positive";
+  if n_vars <= 0 then invalid_arg "Lp_problem.make: n_vars must be positive";
   {
     sense;
     n = n_vars;
@@ -26,22 +32,20 @@ let make ?(sense = Maximize) ~n_vars () =
     n_rows = 0;
   }
 
-let n_vars p = p.n
-
 let set_objective p j c =
-  if not (0 <= j && j < p.n) then invalid_arg "Lp.Problem.set_objective: variable out of range";
+  if not (0 <= j && j < p.n) then invalid_arg "Lp_problem.set_objective: variable out of range";
   p.obj.(j) <- c
 
 let set_bounds p j lo up =
-  if not (0 <= j && j < p.n) then invalid_arg "Lp.Problem.set_bounds: variable out of range";
-  if not (lo <= up) then invalid_arg "Lp.Problem.set_bounds: empty interval";
+  if not (0 <= j && j < p.n) then invalid_arg "Lp_problem.set_bounds: variable out of range";
+  if not (lo <= up) then invalid_arg "Lp_problem.set_bounds: empty interval";
   p.lo.(j) <- lo;
   p.up.(j) <- up
 
 let add_row p coeffs cmp rhs =
   List.iter
     (fun (j, _) ->
-      if not (0 <= j && j < p.n) then invalid_arg "Lp.Problem.add_row: variable out of range")
+      if not (0 <= j && j < p.n) then invalid_arg "Lp_problem.add_row: variable out of range")
     coeffs;
   p.rows <- { coeffs; cmp; rhs } :: p.rows;
   p.n_rows <- p.n_rows + 1
@@ -83,9 +87,9 @@ let solve p =
   let obj =
     Array.init n_total (fun j -> if j < p.n then sign *. p.obj.(j) else 0.)
   in
-  let spec = { Simplex.n_rows = m; cols; rhs; obj; lo; up } in
-  match fst (Simplex.solve spec) with
-  | Simplex.Infeasible -> Infeasible
-  | Simplex.Unbounded -> Unbounded
-  | Simplex.Optimal { x; objective } ->
+  let spec = { Lp.Simplex.n_rows = m; cols; rhs; obj; lo; up } in
+  match fst (Lp.Simplex.solve spec) with
+  | Lp.Simplex.Infeasible -> Infeasible
+  | Lp.Simplex.Unbounded -> Unbounded
+  | Lp.Simplex.Optimal { x; objective } ->
     Optimal { x = Array.sub x 0 p.n; objective = sign *. objective }
