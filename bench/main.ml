@@ -287,6 +287,11 @@ let wall_ns f =
   let r = f () in
   (r, float_of_int (Obs.Clock.now_ns () - t0))
 
+(* User + system CPU seconds of the whole process, every domain included. *)
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
 let obs_threshold_ns = 10.
 let ring_threshold_ns = 50.
 
@@ -426,11 +431,17 @@ let run_obs_benchmarks () =
    curves to BENCH_parallel.json.
 
    Each rep runs every width once, in turn, so host noise lands on all
-   widths alike; a point is the median of its reps, with the quartiles
-   beside it, and a speedup is the one-domain median over the width's
-   median.  The pass criterion adapts to the machine: at least 3x at 8
-   domains, or 0.8x-linear at the machine's core count, whichever is
-   lower (1.6x at 2 domains on a 2-core host). *)
+   widths alike.  A width's speedup is the median over reps of the
+   paired ratio (that rep's one-domain time over its time at the
+   width): a noisy stretch of the host then slows both sides of a pair
+   instead of one median.  Each kernel is sized so that its one-domain
+   point takes at least 100 ms, far above the timer and scheduling
+   noise.  A point also records the median process CPU time of a run
+   (Unix.times, user + system over all domains), so a verdict can tell
+   a pool that did not scale from a host that lent it no second core.
+   The pass criterion adapts to the machine: at least 3x at 8 domains,
+   or 0.8x-linear at the machine's core count, whichever is lower (1.6x
+   at 2 domains on a 2-core host). *)
 
 type pkernel = {
   pk_name : string;
@@ -465,7 +476,7 @@ let run_parallel_benchmarks () =
   let quick = !quick_mode in
   let kernels =
     if quick then [ photo_population_kernel ~n:8 ]
-    else [ photo_population_kernel ~n:48; robustness_ensemble_kernel ~trials:64 ]
+    else [ photo_population_kernel ~n:256; robustness_ensemble_kernel ~trials:448 ]
   in
   let widths = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let reps = if quick then 3 else 21 in
@@ -491,32 +502,48 @@ let run_parallel_benchmarks () =
             end)
           widths pools;
         let samples = List.map (fun _ -> Array.make reps 0.) widths in
+        let cpu = List.map (fun _ -> Array.make reps 0.) widths in
         for r = 0 to reps - 1 do
           List.iter2
-            (fun pool ns -> ns.(r) <- snd (wall_ns (fun () -> k.pk_run pool)))
-            pools samples
+            (fun pool (ns, cpu_s) ->
+              let c0 = cpu_seconds () in
+              ns.(r) <- snd (wall_ns (fun () -> k.pk_run pool));
+              cpu_s.(r) <- cpu_seconds () -. c0)
+            pools (List.combine samples cpu)
         done;
         List.iter Parallel.Pool.shutdown pools;
-        let one_domain = Numerics.Stats.median (List.hd samples) in
+        let one_domain = List.hd samples in
         let curve =
           List.map2
-            (fun d ns ->
+            (fun d (ns, cpu_s) ->
+              let q = Numerics.Stats.quantile in
+              let ratios = Array.mapi (fun r t -> one_domain.(r) /. t) ns in
               let median = Numerics.Stats.median ns
-              and q1 = Numerics.Stats.quantile ns 0.25
-              and q3 = Numerics.Stats.quantile ns 0.75 in
-              let speedup = one_domain /. median in
+              and speedup = Numerics.Stats.median ratios
+              and cpu_ms = 1e3 *. Numerics.Stats.median cpu_s in
               Printf.printf
-                "   %-32s %d domain%s  %8.3f ms [%.3f, %.3f]  %5.2fx (bit-identical)\n%!"
+                "   %-32s %d domain%s  %8.3f ms [%.3f, %.3f]  cpu %8.3f ms  %5.2fx [%.2f, \
+                 %.2f] (bit-identical)\n%!"
                 k.pk_name d
                 (if d = 1 then " " else "s")
-                (median /. 1e6) (q1 /. 1e6) (q3 /. 1e6) speedup;
-              (d, median, q1, q3, speedup))
-            widths samples
+                (median /. 1e6) (q ns 0.25 /. 1e6) (q ns 0.75 /. 1e6) cpu_ms speedup
+                (q ratios 0.25) (q ratios 0.75);
+              ( d,
+                [
+                  ("domains", Obs.Json.Float (float_of_int d));
+                  ("ms", Obs.Json.Float (median /. 1e6));
+                  ("ms_q1", Obs.Json.Float (q ns 0.25 /. 1e6));
+                  ("ms_q3", Obs.Json.Float (q ns 0.75 /. 1e6));
+                  ("cpu_ms", Obs.Json.Float cpu_ms);
+                  ("speedup", Obs.Json.Float speedup);
+                  ("speedup_q1", Obs.Json.Float (q ratios 0.25));
+                  ("speedup_q3", Obs.Json.Float (q ratios 0.75));
+                ],
+                speedup ))
+            widths (List.combine samples cpu)
         in
         let speedup_at_target =
-          List.fold_left
-            (fun acc (d, _, _, _, s) -> if d = target_domains then s else acc)
-            nan curve
+          List.fold_left (fun acc (d, _, s) -> if d = target_domains then s else acc) nan curve
         in
         (k.pk_name, curve, speedup_at_target))
       kernels
@@ -524,7 +551,9 @@ let run_parallel_benchmarks () =
   if quick then Printf.printf "   smoke mode: 2-domain determinism check only\n%!"
   else begin
     let pass = List.for_all (fun (_, _, s) -> Float.is_finite s && s >= threshold) results in
-    Printf.printf "   median [quartiles] of %d interleaved reps per point\n%!" reps;
+    Printf.printf
+      "   median [quartiles] of %d interleaved reps per point; speedup = median paired ratio\n%!"
+      reps;
     write_results ~file:"BENCH_parallel.json" ~pass
       [
         ("benchmark", Obs.Json.String "persistent pool speedup (one-domain vs wider pools)");
@@ -540,25 +569,14 @@ let run_parallel_benchmarks () =
                    [
                      ("name", Obs.Json.String name);
                      ( "curve",
-                       Obs.Json.List
-                         (List.map
-                            (fun (d, median, q1, q3, s) ->
-                              Obs.Json.Obj
-                                [
-                                  ("domains", Obs.Json.Float (float_of_int d));
-                                  ("ms", Obs.Json.Float (median /. 1e6));
-                                  ("ms_q1", Obs.Json.Float (q1 /. 1e6));
-                                  ("ms_q3", Obs.Json.Float (q3 /. 1e6));
-                                  ("speedup", Obs.Json.Float s);
-                                ])
-                            curve) );
+                       Obs.Json.List (List.map (fun (_, point, _) -> Obs.Json.Obj point) curve) );
                      ("deterministic", Obs.Json.Bool true);
                      ("speedup_at_target", Obs.Json.Float s_at);
                    ])
                results) );
       ];
     if not pass then begin
-      Printf.eprintf "bench-parallel: median speedup at %d domains below %.2fx\n"
+      Printf.eprintf "bench-parallel: median paired speedup at %d domains below %.2fx\n"
         target_domains threshold;
       exit 1
     end

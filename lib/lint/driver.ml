@@ -57,7 +57,9 @@ let read_interface path =
 (* R12's referrers beyond the linted units: every other compiled unit
    under [source_root] except test/, read for references only. *)
 let referrers ~source_root linted =
-  let strip p = if String.starts_with ~prefix:"./" p then String.sub p 2 (String.length p - 2) else p in
+  let strip p =
+    if String.starts_with ~prefix:"./" p then String.sub p 2 (String.length p - 2) else p
+  in
   let linted = List.map strip linted in
   collect ~skip:(Filename.concat source_root "test") [] source_root
   |> List.filter (fun p ->

@@ -79,7 +79,7 @@ val set_process_label : int -> string -> unit
 (** Display name for a pid lane in the exported trace ([process_name]
     metadata).  Lane 0 defaults to ["supervisor"]. *)
 
-(* robustlint: allow R12 — test_obs and @trace-check validate the document it builds *)
+(* robustlint: allow R12 — test_obs's "chrome roundtrip" and @trace-check validate the document it builds *)
 val export_chrome : unit -> Json.t
 (** The whole trace as a [{"traceEvents": [...]}] document, with
     [process_name]/[thread_name] metadata per lane and domain. *)

@@ -1,9 +1,9 @@
-(* Quick-scale reproduction gate for the paper's photosynthesis rows, run
-   from the [repro-check] dune alias (kept out of [dune runtest]: the five
+(* Quick-scale reproduction gate for the paper's rows, run from the
+   [repro-check] dune alias (kept out of [dune runtest]: the six
    experiments take minutes on two cores).
 
-   Regenerates Fig. 1, Fig. 2, Table 1, Table 2 and Fig. 3 through the
-   same [Experiments] code the CLI prints, compares every pinned number
+   Regenerates Fig. 1, Fig. 2, Table 1, Table 2, Fig. 3 and Fig. 4
+   through the same [Experiments] code the CLI prints, compares every pinned number
    with its recorded value and band, and writes the whole record to
    REPRO.json (or to the path given as the only argument).  Exits 1 when
    any row leaves its band or a qualitative check fails.
@@ -14,12 +14,20 @@
    get 5 % of (|u|+1), the nitrogen share 5 points.  A Γ is a binomial
    estimate: its band is 4 standard errors of the difference of two
    estimates at the recorded value and trial count, √(2Γ(1−Γ)/n).
+   Fig. 4's points A–E are mined from a seeded PMO2 run over the 608
+   Geobacter fluxes.  Their EP is held to 1 EP unit (mmol gDW⁻¹ h⁻¹),
+   about the spacing of the paper's points and a third of the exact LP
+   window's EP span; their BP to the BP one EP unit spans along that
+   window, |ΔBP/ΔEP| of the ε-constraint sweep (≈ 0.006).  The violation
+   reduction (best initial ‖S·v‖ over best evolved) gets 10 % of itself,
+   the precision of the paper's "~1/26".  The ATP-maintenance bounds are
+   an input, not a result: both must equal 0.45 exactly.
    A change that moves the model's semantics re-derives a band only
    together with an EXPERIMENTS.md entry giving old → new → paper.
 
    Underflows.  A leaf relaxation window that underflows has failed, and
    nothing rescues it: the design is scored unconverged.  The run counts
-   [ode.underflows] over the five experiments and requires zero, so a
+   [ode.underflows] over the five leaf experiments and requires zero, so a
    model change that starts failing windows cannot score designs 0
    unnoticed. *)
 
@@ -85,6 +93,28 @@ let table2_paper =
   ]
 
 let anchor = 15.486
+
+(* Fig. 4: (EP, BP) of points A–E, and the violation reduction. *)
+let fig4_expected =
+  [
+    ("A", (157.4369914329246, 0.30599479545533514));
+    ("B", (158.56007281536023, 0.29986008080248133));
+    ("C", (159.63711062749329, 0.29351581600716958));
+    ("D", (160.74729596568068, 0.28674866766233831));
+    ("E", (161.86468629598576, 0.28000000000000003));
+  ]
+
+let fig4_reduction = 21.696178720610892
+
+(* The paper's Fig. 4 points (EP, BP) and its ~1/26 reduction. *)
+let fig4_paper =
+  [
+    ("A", (158.14, 0.300));
+    ("B", (159.36, 0.298));
+    ("C", (159.38, 0.297));
+    ("D", (160.70, 0.284));
+    ("E", (160.90, 0.283));
+  ]
 
 (* {1 Experiments} *)
 
@@ -198,6 +228,45 @@ let fig3 () =
     };
   ]
 
+let fig4 () =
+  let r = Experiments.Fig4.compute () in
+  let lp = r.Experiments.Fig4.lp_front in
+  let span xs = List.fold_left Float.max neg_infinity xs -. List.fold_left Float.min infinity xs in
+  let ep_band = 1. in
+  let bp_band = ep_band *. span (List.map snd lp) /. span (List.map fst lp) in
+  let points =
+    List.concat_map
+      (fun (p : Experiments.Fig4.point) ->
+        let l = p.Experiments.Fig4.label in
+        let ep, bp = Option.value ~default:(nan, nan) (List.assoc_opt l fig4_expected) in
+        let pep, pbp = Option.value ~default:(nan, nan) (List.assoc_opt l fig4_paper) in
+        let row id value expected band paper =
+          { id = "fig4/" ^ l ^ id; value; expected; band; paper = Some paper }
+        in
+        [
+          row "/ep" p.Experiments.Fig4.ep ep ep_band pep;
+          row "/bp" p.Experiments.Fig4.bp bp bp_band pbp;
+        ])
+      r.Experiments.Fig4.points
+  in
+  let g = Fba.Geobacter.build () in
+  let atpm_lo, atpm_hi = (Fba.Network.bounds g.Fba.Geobacter.net).(g.Fba.Geobacter.atpm) in
+  let atpm id value =
+    { id = "fig4/atpm/" ^ id; value; expected = 0.45; band = 0.; paper = Some 0.45 }
+  in
+  points
+  @ [
+      {
+        id = "fig4/violation_reduction";
+        value = r.Experiments.Fig4.initial_violation /. r.Experiments.Fig4.best_violation;
+        expected = fig4_reduction;
+        band = 0.1 *. fig4_reduction;
+        paper = Some 26.;
+      };
+      atpm "lb" atpm_lo;
+      atpm "ub" atpm_hi;
+    ]
+
 (* {1 Report} *)
 
 let json_of_row r =
@@ -219,7 +288,7 @@ let no_underflows () =
   let n = Obs.Metrics.counter_value (Obs.Metrics.counter "ode.underflows") in
   { check = "ode/no window underflowed"; ok = n = 0; detail = Printf.sprintf "%d underflows" n }
 
-(* How the leaf steady states went over the five experiments: each
+(* How the leaf steady states went over the five leaf experiments: each
    evaluation runs PTC once, plus once more when it restarts. *)
 let leaf_counts () =
   let c name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
@@ -246,7 +315,8 @@ let () =
   let table1_checks = timed "table1" table1 in
   let table2_rows = timed "table2" table2 in
   let fig3_checks = timed "fig3" fig3 in
-  let rows = fig1_rows @ fig2_rows @ table2_rows in
+  let fig4_rows = timed "fig4" fig4 in
+  let rows = fig1_rows @ fig2_rows @ table2_rows @ fig4_rows in
   let checks = fig2_checks @ table1_checks @ fig3_checks @ [ no_underflows () ] in
   let wall_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   let pass = List.for_all row_ok rows && List.for_all (fun c -> c.ok) checks in
