@@ -431,7 +431,8 @@ let run_obs_benchmarks () =
    curves to BENCH_parallel.json.
 
    Each rep runs every width once, in turn, so host noise lands on all
-   widths alike.  A width's speedup is the median over reps of the
+   widths alike, each on a fresh pool that is shut down before the next
+   width starts.  A width's speedup is the median over reps of the
    paired ratio (that rep's one-domain time over its time at the
    width): a noisy stretch of the host then slows both sides of a pair
    instead of one median.  Each kernel is sized so that its one-domain
@@ -476,7 +477,7 @@ let run_parallel_benchmarks () =
   let quick = !quick_mode in
   let kernels =
     if quick then [ photo_population_kernel ~n:8 ]
-    else [ photo_population_kernel ~n:256; robustness_ensemble_kernel ~trials:448 ]
+    else [ photo_population_kernel ~n:384; robustness_ensemble_kernel ~trials:640 ]
   in
   let widths = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
   let reps = if quick then 3 else 21 in
@@ -492,26 +493,32 @@ let run_parallel_benchmarks () =
   let results =
     List.map
       (fun k ->
-        let pools = List.map (fun d -> Parallel.Pool.create ~domains:d ()) widths in
-        let reference = k.pk_run (List.hd pools) in
-        List.iter2
-          (fun d pool ->
-            if k.pk_run pool <> reference then begin
+        (* One pool lives at a time, as in a run: parked workers of other
+           widths would take part in every stop-the-world minor
+           collection and tax the width being timed. *)
+        let with_pool d f =
+          let pool = Parallel.Pool.create ~domains:d () in
+          Fun.protect ~finally:(fun () -> Parallel.Pool.shutdown pool) (fun () -> f pool)
+        in
+        let reference = with_pool 1 k.pk_run in
+        List.iter
+          (fun d ->
+            if with_pool d k.pk_run <> reference then begin
               Printf.eprintf "bench-parallel: %s diverges at %d domains\n" k.pk_name d;
               exit 1
             end)
-          widths pools;
+          widths;
         let samples = List.map (fun _ -> Array.make reps 0.) widths in
         let cpu = List.map (fun _ -> Array.make reps 0.) widths in
         for r = 0 to reps - 1 do
           List.iter2
-            (fun pool (ns, cpu_s) ->
-              let c0 = cpu_seconds () in
-              ns.(r) <- snd (wall_ns (fun () -> k.pk_run pool));
-              cpu_s.(r) <- cpu_seconds () -. c0)
-            pools (List.combine samples cpu)
+            (fun d (ns, cpu_s) ->
+              with_pool d (fun pool ->
+                  let c0 = cpu_seconds () in
+                  ns.(r) <- snd (wall_ns (fun () -> k.pk_run pool));
+                  cpu_s.(r) <- cpu_seconds () -. c0))
+            widths (List.combine samples cpu)
         done;
-        List.iter Parallel.Pool.shutdown pools;
         let one_domain = List.hd samples in
         let curve =
           List.map2
