@@ -20,7 +20,7 @@ type report = {
   stale : (string * int * string) list;
 }
 
-let rec collect ?(skip = "") acc path =
+let rec collect ~skip acc path =
   if path = skip then acc
   else
     match Sys.is_directory path with

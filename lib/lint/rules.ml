@@ -28,17 +28,11 @@ let is_lib t loc = t.force_lib || String.starts_with ~prefix:"lib/" (file_of loc
 
 let in_module ~suffix loc = String.ends_with ~suffix (file_of loc)
 
-let add t rule (loc : Location.t) message =
+let finding rule (loc : Location.t) message =
   let p = loc.loc_start in
-  t.acc <-
-    {
-      Finding.rule;
-      file = p.pos_fname;
-      line = p.pos_lnum;
-      col = p.pos_cnum - p.pos_bol;
-      message;
-    }
-    :: t.acc
+  { Finding.rule; file = p.pos_fname; line = p.pos_lnum; col = p.pos_cnum - p.pos_bol; message }
+
+let add t rule loc message = t.acc <- finding rule loc message :: t.acc
 
 (* {2 R12: exports no other unit references}
 
@@ -160,18 +154,10 @@ let unreferenced t =
   List.filter_map
     (fun (key, loc) ->
       if referenced t key then None
-      else begin
-        let p = loc.Location.loc_start in
+      else
         Some
-          {
-            Finding.rule = Finding.R12;
-            file = p.pos_fname;
-            line = p.pos_lnum;
-            col = p.pos_cnum - p.pos_bol;
-            message =
-              Printf.sprintf "%s is exported but no unit outside test/ references it" key;
-          }
-      end)
+          (finding Finding.R12 loc
+             (Printf.sprintf "%s is exported but no unit outside test/ references it" key)))
     t.exports
 
 let findings t = List.sort Finding.compare_by_loc (unreferenced t @ t.acc)
