@@ -4,10 +4,11 @@
 
    Reads the .cmt files dune produces under each DIR (dune build @check),
    runs every rule, applies the allow comments and, in the same pass,
-   reports the allow comments that silenced nothing.  Run it from the
-   build context root (the @lint alias does) so compiled locations
-   resolve.  Exit status: 0 clean, 1 on any finding or stale allow
-   comment, 2 on a usage error. *)
+   reports the allow comments that silenced nothing.  For R12 it also
+   reads every other .cmt under the build root except test/, for
+   references only.  Run it from the build context root (the @lint
+   alias does) so compiled locations resolve.  Exit status: 0 clean, 1
+   on any finding or stale allow comment, 2 on a usage error. *)
 
 let usage_error msg =
   Printf.eprintf "robustlint: %s\nusage: robustlint [DIR...]\n" msg;

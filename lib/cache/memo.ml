@@ -99,10 +99,6 @@ let find t key =
     Obs.Metrics.incr m_misses;
     None
 
-let mem t key =
-  with_lock t @@ fun () ->
-  List.exists (fun nd -> Fnv.equal nd.n_key key) (bucket t (Fnv.hash key))
-
 let add t key value =
   with_lock t @@ fun () ->
   let h = Fnv.hash key in

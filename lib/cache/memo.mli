@@ -39,11 +39,6 @@ val add : 'a t -> float array -> 'a -> unit
     least recently used entry when full.  Re-adding an existing key
     replaces its value and refreshes recency without evicting. *)
 
-(* robustlint: allow R12 — test_cache's "lru eviction" and "replace refreshes" probe membership without touching recency *)
-val mem : 'a t -> float array -> bool
-(** Pure membership probe: touches neither recency nor the hit/miss
-    counters (intended for tests and diagnostics). *)
-
 val clear : 'a t -> unit
 (** Drop every entry (the flush used on checkpoint restore).  Lifetime
     hit/miss counters survive; [size] returns to 0. *)

@@ -1,7 +1,5 @@
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12 ]
-
 let rule_id = function
   | R1 -> "R1"
   | R2 -> "R2"

@@ -22,9 +22,6 @@
 
 type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9 | R10 | R11 | R12
 
-(* robustlint: allow R12 — test_lint's "rule ids roundtrip" walks every rule *)
-val all_rules : rule list
-
 val rule_id : rule -> string
 (** ["R1"] .. ["R12"]. *)
 

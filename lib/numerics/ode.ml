@@ -264,8 +264,6 @@ let pattern rows =
 
 let pattern_groups p = Array.length p.groups
 
-let nonzero p i j = Array.mem i p.rows.(j)
-
 (* {1 Dense Newton kernel}
 
    The dense forward-difference Newton machinery of pseudo-transient

@@ -85,10 +85,6 @@ val pattern : int array array -> pattern
 val pattern_groups : pattern -> int
 (** Number of column groups: the rhs calls one Jacobian costs. *)
 
-(* robustlint: allow R12 — test_photo's pattern shape and dataflow-coverage cases *)
-val nonzero : pattern -> int -> int -> bool
-(** [nonzero p i j]: whether entry (i, j) is in the pattern. *)
-
 val numeric_jacobian : pattern:pattern -> rhs -> float -> Vec.t -> Matrix.t
 (** Forward-difference Jacobian of the rhs at [(t, y)]; one rhs
     evaluation plus one per column group of [pattern].  An entry outside

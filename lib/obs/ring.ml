@@ -274,19 +274,6 @@ let decode b =
   done;
   List.sort (fun a b -> compare a.e_seq b.e_seq) !entries
 
-let snapshot_bytes () =
-  locked (fun () ->
-      match !backing with
-      | Mem b -> Bytes.copy b
-      | Map (m, _) ->
-        let b = Bytes.create total_size in
-        for i = 0 to total_size - 1 do
-          Bytes.set b i (Bigarray.Array1.get m i)
-        done;
-        b)
-
-let entries () = decode (snapshot_bytes ())
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect

@@ -66,10 +66,6 @@ type entry = {
 
 type dump = { d_lane : int; d_entries : entry list }
 
-(* robustlint: allow R12 — test_obs's "wraparound keeps last 256" decodes the live buffer *)
-val entries : unit -> entry list
-(** Decode the live buffer (sequence order). *)
-
 val read : path:string -> dump
 (** Decode a sidecar file written through {!attach} — including one left
     by a SIGKILLed process.  Raises [Invalid_argument] when [path] is

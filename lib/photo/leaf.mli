@@ -6,12 +6,12 @@
     [\[ratio_min, ratio_max\]].  Objectives (both minimized):
     [f0 = −uptake (µmol m⁻² s⁻¹)], [f1 = nitrogen (mg l⁻¹)]. *)
 
-(* robustlint: allow R12 — test_photo's problem-shape, bits and sweep cases and test_numerics' "steady state timeout" *)
+(* robustlint: allow R12 — test_photo's problem-shape, bits, sweep and dataflow cases; test_numerics' "steady state timeout" *)
 val ratio_min : float
 (** 0.05 — enzymes cannot be fully switched off (photorespiration serves
     processes outside the model, as the paper discusses). *)
 
-(* robustlint: allow R12 — test_photo's problem-shape, bits and sweep cases and test_numerics' "steady state timeout" *)
+(* robustlint: allow R12 — test_photo's problem-shape, bits, sweep and dataflow cases; test_numerics' "steady state timeout" *)
 val ratio_max : float
 (** 3.0 — the explored over-expression range; the paper's candidate
     ratios stay below ~2.2×. *)

@@ -25,16 +25,6 @@ let f26bp = 23
 
 let n = 24
 
-let names =
-  [|
-    "RuBP"; "PGA"; "DPGA"; "TP"; "FBP"; "E4P"; "SBP"; "S7P"; "PP"; "HP"; "ATP";
-    "PGCA"; "GCA"; "GOA"; "GLY"; "SER"; "HPR"; "GCEA";
-    "TPc"; "FBPc"; "HPc"; "UDPG"; "SUCP"; "F26BP";
-  |]
-
-let () =
-  if Array.length names <> n then invalid_arg "Photo.State: metabolite name table out of sync"
-
 let initial () =
   let y = Array.make n 0. in
   y.(rubp) <- 2.0;

@@ -41,9 +41,6 @@ val udpg : int
 val sucp : int
 val f26bp : int
 
-(* robustlint: allow R12 — test_photo's layout and Jacobian-pattern cases name the states *)
-val names : string array
-
 val initial : unit -> float array
 (** A physiological initial condition (mM), fresh copy. *)
 

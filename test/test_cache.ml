@@ -31,12 +31,13 @@ let test_memo_lru_eviction () =
   Alcotest.(check (option int)) "hit k1" (Some 1) (Cache.Memo.find m k1);
   (* ...then overflow: k2 must be the victim, deterministically. *)
   Cache.Memo.add m k3 3;
-  Alcotest.(check bool) "k1 survives" true (Cache.Memo.mem m k1);
-  Alcotest.(check bool) "k2 evicted" false (Cache.Memo.mem m k2);
-  Alcotest.(check bool) "k3 present" true (Cache.Memo.mem m k3);
   let s = Cache.Memo.stats m in
   Alcotest.(check int) "one eviction" 1 s.Cache.Memo.evictions;
   Alcotest.(check int) "size" 2 s.Cache.Memo.size;
+  (* Lookups last: a hit refreshes recency, and nothing is added after. *)
+  Alcotest.(check (option int)) "k2 evicted" None (Cache.Memo.find m k2);
+  Alcotest.(check (option int)) "k1 survives" (Some 1) (Cache.Memo.find m k1);
+  Alcotest.(check (option int)) "k3 present" (Some 3) (Cache.Memo.find m k3);
   Cache.Memo.clear m;
   Alcotest.(check int) "cleared" 0 (Cache.Memo.stats m).Cache.Memo.size;
   Alcotest.(check int) "counters survive clear" 1 (Cache.Memo.stats m).Cache.Memo.evictions
@@ -50,7 +51,7 @@ let test_memo_replace_refreshes () =
   Alcotest.(check int) "no eviction" 0 (Cache.Memo.stats m).Cache.Memo.evictions;
   Alcotest.(check (option int)) "value replaced" (Some 10) (Cache.Memo.find m [| 1. |]);
   Cache.Memo.add m [| 3. |] 3;
-  Alcotest.(check bool) "2 was LRU after refresh" false (Cache.Memo.mem m [| 2. |])
+  Alcotest.(check (option int)) "2 was LRU after refresh" None (Cache.Memo.find m [| 2. |])
 
 (* {1 Batch} *)
 

@@ -201,12 +201,10 @@ let test_parse_line () =
 
 let test_rule_ids_roundtrip () =
   List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (Lint.Finding.rule_id r ^ " roundtrips")
-        true
-        (Lint.Finding.rule_of_id (Lint.Finding.rule_id r) = Some r))
-    Lint.Finding.all_rules;
+    (fun id ->
+      Alcotest.(check (option string)) (id ^ " roundtrips") (Some id)
+        (Option.map Lint.Finding.rule_id (Lint.Finding.rule_of_id id)))
+    (List.init 12 (fun i -> "R" ^ string_of_int (i + 1)));
   Alcotest.(check bool) "unknown id rejected" true (Lint.Finding.rule_of_id "R13" = None)
 
 let test_missing_dir_yields_no_units () =

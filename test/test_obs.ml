@@ -430,11 +430,14 @@ let with_ring f =
 
 let test_ring_wraparound () =
   with_ring @@ fun () ->
+  let path = Filename.temp_file "obs_ring" ".ring" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Ring.attach ~path ~lane:0;
   let p = Obs.Ring.probe "t.ring.wrap" in
   for i = 0 to 299 do
     Obs.Ring.record p Obs.Ring.Count i
   done;
-  let es = Obs.Ring.entries () in
+  let es = (Obs.Ring.read ~path).Obs.Ring.d_entries in
   Alcotest.(check int) "capacity retained" Obs.Ring.capacity (List.length es);
   (* The oldest 44 events were overwritten; the survivors are the last
      256 in sequence order, values tracking sequence. *)
