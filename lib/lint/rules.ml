@@ -36,10 +36,10 @@ let add t rule loc message = t.acc <- finding rule loc message :: t.acc
 
 (* {2 R12: exports no other unit references}
 
-   Keys are by compilation unit.  Dune's wrapped unit [Lp__Problem] is
-   [Lp.Problem] seen from outside its library, so both spellings map to
-   the dotted key ["Lp.Problem.make"], while [Moo.Problem.make] keeps a
-   key of its own. *)
+   Keys are by compilation unit.  Dune's wrapped unit [Cache__Memo] is
+   [Cache.Memo] seen from outside its library, so both spellings map to
+   the dotted key ["Cache.Memo.find"], while a same-named module of
+   another library keeps a key of its own. *)
 
 let dotted name =
   let n = String.length name in

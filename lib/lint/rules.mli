@@ -15,7 +15,7 @@ val check_structure : t -> Typedtree.structure -> unit
 val check_interface : t -> modname:string -> Typedtree.signature -> unit
 (** R12: record the values a library interface declares (nested
     [module M : sig ... end] included), keyed by the compilation unit
-    [modname] ([Lp__Problem]), so same-named modules of different
+    [modname] ([Cache__Memo]), so same-named modules of different
     libraries never share a key.  Interfaces outside [lib/] are skipped
     unless [force_lib]. *)
 

@@ -63,9 +63,10 @@ val step_epoch : state -> unit
 
     Epochs are supervised: each island is snapshotted before the epoch,
     and an island whose step raises (a crashing objective, a solver
-    failure that escaped its guard) is caught, logged on {!log_src},
-    rolled back to its snapshot and retried sequentially; a second failure
-    rolls back again and skips the island for this epoch.  A crash
+    failure that escaped its guard) is caught, logged on the
+    ["pmo2.archipelago"] log source, rolled back to its snapshot and
+    retried sequentially; a second failure rolls back again and skips
+    the island for this epoch.  A crash
     therefore degrades one island's progress instead of killing the run,
     in both parallel and sequential schedules. *)
 
@@ -194,8 +195,7 @@ val run :
     With [keep_checkpoints = Some k], each save goes to a numbered
     history file ({!Runtime.Checkpoint.numbered}[ path epoch]) and only
     the [k] newest survive ({!Runtime.Checkpoint.prune}); resume from the
-    newest with {!Runtime.Checkpoint.latest}.  Raises [Invalid_argument]
-    when [k < 1].
+    newest.  Raises [Invalid_argument] when [k < 1].
 
     [observer] is called with an [epoch_record] after every epoch. *)
 
