@@ -7,8 +7,9 @@
    reports the allow comments that silenced nothing.  For R12 it also
    reads every other .cmt under the build root except test/, for
    references only.  Run it from the build context root (the @lint
-   alias does) so compiled locations resolve.  Exit status: 0 clean, 1
-   on any finding or stale allow comment, 2 on a usage error. *)
+   alias does) so compiled locations resolve.  A .cmt older than its
+   source stops the run.  Exit status: 0 clean, 1 on any finding or
+   stale allow comment, 2 on a usage error or a stale .cmt. *)
 
 let usage_error msg =
   Printf.eprintf "robustlint: %s\nusage: robustlint [DIR...]\n" msg;
@@ -22,7 +23,12 @@ let () =
   (match List.filter (fun d -> not (Sys.file_exists d)) dirs with
   | [] -> ()
   | missing -> usage_error ("no such directory: " ^ String.concat ", " missing));
-  let r = Lint.Driver.run ~source_root:"." dirs in
+  let r =
+    try Lint.Driver.run ~source_root:"." dirs
+    with Invalid_argument msg ->
+      Printf.eprintf "robustlint: %s\n" msg;
+      exit 2
+  in
   if r.units = 0 then
     usage_error
       (Printf.sprintf

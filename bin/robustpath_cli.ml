@@ -93,8 +93,8 @@ let flight_recorder_arg =
     & opt (some string) None
     & info [ "flight-recorder" ] ~docv:"PREFIX"
         ~doc:
-          "Map each process's always-on flight recorder (last 256 events) to sidecar \
-           files under $(docv): PREFIX.ring in-process, or PREFIX.supervisor.ring plus \
+          "Keep each process's flight recorder (its last 256 events) in memory-mapped \
+           sidecar files under $(docv): PREFIX.ring in-process, or PREFIX.supervisor.ring plus \
            PREFIX.shardN.incM.ring per worker incarnation when sharded.  The files \
            survive SIGKILL; render one with $(b,robustpath inspect).")
 

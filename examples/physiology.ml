@@ -17,23 +17,22 @@ let () =
   List.iter
     (fun (ci, a) -> Printf.printf "  Ci %4.0f ppm  A %7.3f %s\n" ci a (bar 40 a 0.6))
     (Photo.Response.a_ci_curve ~tp_export:1.
-       ~ci_values:[ 100.; 165.; 220.; 270.; 350.; 490.; 700. ]
-       ());
+       ~ci_values:[ 100.; 165.; 220.; 270.; 350.; 490.; 700. ]);
 
   print_endline "\nSink limitation (uptake vs triose-P export capacity, Ci=270):";
   List.iter
     (fun (e, a) -> Printf.printf "  export %4.2f  A %7.3f %s\n" e a (bar 40 a 0.6))
-    (Photo.Response.export_response ~ci:270. ~export_values:[ 0.1; 0.25; 0.5; 1.; 2.; 3. ] ());
+    (Photo.Response.export_response ~ci:270. ~export_values:[ 0.1; 0.25; 0.5; 1.; 2.; 3. ]);
 
   print_endline "\nTemperature response (Q10 kinetics + deactivation):";
   List.iter
     (fun (t, a) -> Printf.printf "  %4.0f C  A %7.3f %s\n" t a (bar 40 a 0.6))
-    (Photo.Temperature.a_t_curve ~env ~t_values:[ 10.; 15.; 20.; 25.; 30.; 35.; 40. ] ());
-  let topt, aopt = Photo.Temperature.optimum ~env () in
+    (Photo.Temperature.a_t_curve ~env ~t_values:[ 10.; 15.; 20.; 25.; 30.; 35.; 40. ]);
+  let topt, aopt = Photo.Temperature.optimum ~env in
   Printf.printf "  optimum: %.1f C (A = %.2f)\n" topt aopt;
 
   print_endline "\nPhotosynthetic induction (dark-adapted leaf stepped into light):";
-  let samples = Photo.Simulate.induction ~env ~ratios:(Array.make Photo.Enzyme.count 1.) () in
+  let samples = Photo.Simulate.induction ~env ~ratios:(Array.make Photo.Enzyme.count 1.) in
   List.iter
     (fun s ->
       if int_of_float s.Photo.Simulate.t mod 30 = 0 then

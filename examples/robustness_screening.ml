@@ -9,7 +9,7 @@
 
 let () =
   let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
-  let warm = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let warm = (Photo.Steady_state.natural env).Photo.Steady_state.y in
   let uptake ratios =
     (Photo.Steady_state.evaluate ~y0:warm ~env ~ratios ()).Photo.Steady_state.uptake
   in

@@ -2,8 +2,6 @@ type config = {
   pmo2 : Pmo2.Archipelago.config;
   generations : int;
   seed : int;
-  robustness_delta : float;
-  robustness_eps : float;
   robustness_trials : int;
   sweep_points : int;
 }
@@ -13,8 +11,6 @@ let default_config =
     pmo2 = Pmo2.Archipelago.default_config;
     generations = 1000;
     seed = 42;
-    robustness_delta = 0.10;
-    robustness_eps = 0.05;
     robustness_trials = 5000;
     sweep_points = 50;
   }
@@ -46,8 +42,7 @@ let run ?property ?initial problem config =
   let front = result.Pmo2.Archipelago.front in
   let seed = config.seed + 1 in
   let yield_of s =
-    (Robustness.Yield.gamma_pool ~seed ~f:property ~delta:config.robustness_delta
-       ~eps_frac:config.robustness_eps ~trials:config.robustness_trials
+    (Robustness.Yield.gamma_pool ~seed ~f:property ~trials:config.robustness_trials
        s.Moo.Solution.x)
       .Robustness.Yield.yield_pct
   in
@@ -68,8 +63,7 @@ let run ?property ?initial problem config =
       :: shadow_entries
   in
   let sweep =
-    Robustness.Screen.front_sweep ~seed ~f:property ~delta:config.robustness_delta
-      ~eps_frac:config.robustness_eps
+    Robustness.Screen.front_sweep ~seed ~f:property
       ~trials:(Stdlib.max 200 (config.robustness_trials / 10))
       ~k:config.sweep_points front
   in

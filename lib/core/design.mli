@@ -3,7 +3,8 @@
     1. approximate the Pareto front with PMO2 (Section 2.1);
     2. mine the front — closest-to-ideal, shadow minima, equally spaced
        trade-offs (Section 2.2);
-    3. screen the mined designs for robustness (Section 2.3).
+    3. screen the mined designs for robustness (Section 2.3), at the
+       paper's 10 % perturbation and 5 % yield band ({!Robustness.Yield}).
 
     The robustness property function defaults to the negated first
     objective (which is CO2 uptake / electron production in this
@@ -13,8 +14,6 @@ type config = {
   pmo2 : Pmo2.Archipelago.config;
   generations : int;
   seed : int;
-  robustness_delta : float;   (** perturbation amplitude, paper: 0.10 *)
-  robustness_eps : float;     (** yield threshold fraction, paper: 0.05 *)
   robustness_trials : int;    (** global-analysis ensemble size, paper: 5000 *)
   sweep_points : int;         (** equally spaced points screened, paper: 50 *)
 }

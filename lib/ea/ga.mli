@@ -4,16 +4,11 @@
     Used where the library needs plain maximization — e.g. reproducing the
     Zhu et al. (2007) experiment underlying the paper's leaf model:
     repartition enzyme nitrogen at a fixed total and maximize CO2 uptake
-    alone. *)
+    alone.
 
-type config = {
-  pop_size : int;
-  crossover_prob : float;
-  eta_c : float;
-  mutation_prob : float option;  (** default [1 / n_var] *)
-  eta_m : float;
-  elites : int;  (** individuals copied unchanged each generation *)
-}
+    The population is 60, the best 2 are copied unchanged each
+    generation, and variation is SBX and polynomial mutation on the
+    standard settings of {!Operators}. *)
 
 type result = {
   best_x : float array;
@@ -23,7 +18,6 @@ type result = {
 }
 
 val maximize :
-  ?config:config ->
   generations:int ->
   seed:int ->
   lower:float array ->

@@ -1,25 +1,11 @@
-type config = {
-  pop_size : int;
-  neighbors : int;
-  crossover_prob : float;
-  eta_c : float;
-  mutation_prob : float option;
-  eta_m : float;
-  max_replacements : int;
-  penalty : float;
-}
+type config = { pop_size : int }
 
-let default_config =
-  {
-    pop_size = 100;
-    neighbors = 20;
-    crossover_prob = 0.9;
-    eta_c = 15.;
-    mutation_prob = None;
-    eta_m = 20.;
-    max_replacements = 2;
-    penalty = 1e6;
-  }
+(* Zhang & Li's settings: neighborhood size T, the cap n_r on neighbor
+   replacements per child, and the violation penalty folded into the
+   aggregation. *)
+let neighbors = 20
+let max_replacements = 2
+let penalty = 1e6
 
 type state = {
   problem : Moo.Problem.t;
@@ -38,15 +24,14 @@ type state = {
    feasible exists. *)
 let aggregate st w s =
   Moo.Scalarize.tchebycheff ~w ~z:st.z s.Moo.Solution.f
-  +. (st.config.penalty *. s.Moo.Solution.v)
+  +. (penalty *. s.Moo.Solution.v)
 
 let update_ideal st s =
   Array.iteri (fun i fi -> if fi < st.z.(i) then st.z.(i) <- fi) s.Moo.Solution.f
 
 let init problem config rng =
-  if config.pop_size < 4 then invalid_arg "Ea.Moead.init: need pop_size >= 4";
-  if not (config.neighbors >= 2 && config.neighbors <= config.pop_size) then
-    invalid_arg "Ea.Moead.init: need 2 <= neighbors <= pop_size";
+  if config.pop_size < neighbors then
+    invalid_arg "Ea.Moead.init: need pop_size >= 20, the neighborhood size";
   let weights =
     Moo.Scalarize.uniform_weights ~n:config.pop_size ~n_obj:problem.Moo.Problem.n_obj
   in
@@ -55,7 +40,7 @@ let init problem config rng =
     Array.init config.pop_size (fun i ->
         let order = Array.init config.pop_size (fun j -> j) in
         Array.sort (fun a b -> Float.compare (dist i a) (dist i b)) order;
-        Array.sub order 0 config.neighbors)
+        Array.sub order 0 neighbors)
   in
   let pop =
     Array.init config.pop_size (fun _ ->
@@ -68,23 +53,19 @@ let init problem config rng =
 
 let step st n =
   let p = st.problem in
-  let pm =
-    match st.config.mutation_prob with
-    | Some pm -> pm
-    | None -> 1. /. float_of_int p.Moo.Problem.n_var
-  in
+  let pm = Operators.mutation_prob p.Moo.Problem.n_var in
   for _ = 1 to n do
     for i = 0 to st.config.pop_size - 1 do
       let nb = st.neighborhoods.(i) in
       let a = nb.(Numerics.Rng.int st.rng (Array.length nb)) in
       let b = nb.(Numerics.Rng.int st.rng (Array.length nb)) in
       let c1, _ =
-        Operators.sbx_crossover ~eta:st.config.eta_c ~prob:st.config.crossover_prob
+        Operators.sbx_crossover ~eta:Operators.eta_c ~prob:Operators.crossover_prob
           ~rng:st.rng ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper
           st.pop.(a).Moo.Solution.x st.pop.(b).Moo.Solution.x
       in
       let child_x =
-        Operators.polynomial_mutation ~eta:st.config.eta_m ~prob:pm ~rng:st.rng
+        Operators.polynomial_mutation ~eta:Operators.eta_m ~prob:pm ~rng:st.rng
           ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper c1
       in
       let child = Moo.Solution.evaluate p child_x in
@@ -96,7 +77,7 @@ let step st n =
       Numerics.Rng.shuffle st.rng order;
       Array.iter
         (fun j ->
-          if !replaced < st.config.max_replacements then
+          if !replaced < max_replacements then
             if aggregate st st.weights.(j) child < aggregate st st.weights.(j) st.pop.(j)
             then begin
               st.pop.(j) <- child;

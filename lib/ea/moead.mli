@@ -6,21 +6,19 @@
     scales, which is the weakness Table 1 exposes. *)
 
 type config = {
-  pop_size : int;   (** number of weight vectors / subproblems *)
-  neighbors : int;  (** neighborhood size T *)
-  crossover_prob : float;
-  eta_c : float;
-  mutation_prob : float option;  (** default 1/n *)
-  eta_m : float;
-  max_replacements : int;  (** cap on neighbor replacements per child *)
-  penalty : float;  (** violation penalty folded into the aggregation *)
+  pop_size : int;  (** number of weight vectors / subproblems *)
 }
-
-val default_config : config
+(** The rest is fixed at Zhang & Li's settings: neighborhood size
+    T = 20, at most n_r = 2 neighbor replacements per child, a
+    violation penalty of 1e6 in the aggregation, and SBX and polynomial
+    mutation on the standard settings of {!Operators}. *)
 
 type state
 
 val init : Moo.Problem.t -> config -> Numerics.Rng.t -> state
+(** Raises [Invalid_argument] when [pop_size] is below the neighborhood
+    size, 20. *)
+
 val step : state -> int -> unit
 val evaluations : state -> int
 val front : state -> Moo.Solution.t list

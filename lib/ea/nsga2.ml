@@ -1,9 +1,7 @@
 type config = {
   pop_size : int;
-  crossover_prob : float;
   eta_c : float;
   mutation_prob : float option;
-  eta_m : float;
   variation :
     (Numerics.Rng.t -> float array -> float array -> float array * float array)
     option;
@@ -14,10 +12,8 @@ type config = {
 let default_config =
   {
     pop_size = 100;
-    crossover_prob = 0.9;
-    eta_c = 15.;
+    eta_c = Operators.eta_c;
     mutation_prob = None;
-    eta_m = 20.;
     variation = None;
     pool = None;
     cache = None;
@@ -192,7 +188,7 @@ let make_offspring st =
   let pm =
     match st.config.mutation_prob with
     | Some pm -> pm
-    | None -> 1. /. float_of_int n_var
+    | None -> Operators.mutation_prob n_var
   in
   let children = ref [] in
   let half = st.config.pop_size / 2 in
@@ -204,11 +200,11 @@ let make_offspring st =
       | Some vary -> vary st.rng x1 x2
       | None ->
         let c1, c2 =
-          Operators.sbx_crossover ~eta:st.config.eta_c ~prob:st.config.crossover_prob
+          Operators.sbx_crossover ~eta:st.config.eta_c ~prob:Operators.crossover_prob
             ~rng:st.rng ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper x1 x2
         in
         let mutate c =
-          Operators.polynomial_mutation ~eta:st.config.eta_m ~prob:pm ~rng:st.rng
+          Operators.polynomial_mutation ~eta:Operators.eta_m ~prob:pm ~rng:st.rng
             ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper c
         in
         (mutate c1, mutate c2)

@@ -3,10 +3,9 @@
 
 type config = {
   pop_size : int;
-  crossover_prob : float;
   eta_c : float;  (** SBX distribution index *)
-  mutation_prob : float option;  (** default [1 / n_var] *)
-  eta_m : float;  (** mutation distribution index *)
+  mutation_prob : float option;
+      (** [None] is {!Operators.mutation_prob}[ n_var] *)
   variation :
     (Numerics.Rng.t -> float array -> float array -> float array * float array)
     option;
@@ -28,7 +27,9 @@ type config = {
 }
 
 val default_config : config
-(** pop 100, pc 0.9, eta_c 15, pm 1/n, eta_m 20, default operators. *)
+(** pop 100, {!Operators.eta_c}, [mutation_prob = None], SBX and
+    polynomial mutation at {!Operators.crossover_prob} and
+    {!Operators.eta_m}. *)
 
 type state
 

@@ -1,3 +1,8 @@
+let crossover_prob = 0.9
+let eta_c = 15.
+let eta_m = 20.
+let mutation_prob n_var = 1. /. float_of_int n_var
+
 let clip lo hi x = Float.min hi (Float.max lo x)
 
 (* Deb & Agrawal's simulated binary crossover, per-gene formulation with

@@ -1,32 +1,17 @@
 type config = {
   pop_size : int;
   archive_size : int;
-  crossover_prob : float;
-  eta_c : float;
-  mutation_prob : float option;
-  eta_m : float;
-  pool : Parallel.Pool.t option;
   cache : Moo.Solution.t Cache.Memo.t option;
 }
 
-let default_config =
-  {
-    pop_size = 100;
-    archive_size = 100;
-    crossover_prob = 0.9;
-    eta_c = 15.;
-    mutation_prob = None;
-    eta_m = 20.;
-    pool = None;
-    cache = None;
-  }
+let default_config = { pop_size = 100; archive_size = 100; cache = None }
 
 (* Same contract as [Nsga2.evaluate_batch]: variation has already
    consumed the generator, evaluation is a pure function of the vector,
-   so the deduped/memoized/pooled batch is bit-identical to the
-   sequential map. *)
+   so the deduped/memoized batch is bit-identical to the sequential
+   map. *)
 let evaluate_batch problem config xs =
-  Cache.Batch.evaluate ?pool:config.pool ?memo:config.cache ~n:(Array.length xs)
+  Cache.Batch.evaluate ?memo:config.cache ~n:(Array.length xs)
     ~key:(fun i -> xs.(i))
     (fun i -> Moo.Solution.evaluate problem xs.(i))
 
@@ -168,23 +153,19 @@ let binary_tournament st fit =
 
 let step st n =
   let p = st.problem in
-  let pm =
-    match st.config.mutation_prob with
-    | Some pm -> pm
-    | None -> 1. /. float_of_int p.Moo.Problem.n_var
-  in
+  let pm = Operators.mutation_prob p.Moo.Problem.n_var in
   for _ = 1 to n do
     let fit = fitness st.arch in
     let children = ref [] in
     for _ = 1 to st.config.pop_size / 2 do
       let i = binary_tournament st fit and j = binary_tournament st fit in
       let c1, c2 =
-        Operators.sbx_crossover ~eta:st.config.eta_c ~prob:st.config.crossover_prob
+        Operators.sbx_crossover ~eta:Operators.eta_c ~prob:Operators.crossover_prob
           ~rng:st.rng ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper
           st.arch.(i).Moo.Solution.x st.arch.(j).Moo.Solution.x
       in
       let mutate c =
-        Operators.polynomial_mutation ~eta:st.config.eta_m ~prob:pm ~rng:st.rng
+        Operators.polynomial_mutation ~eta:Operators.eta_m ~prob:pm ~rng:st.rng
           ~lower:p.Moo.Problem.lower ~upper:p.Moo.Problem.upper c
       in
       children := mutate c1 :: mutate c2 :: !children

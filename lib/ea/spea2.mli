@@ -9,20 +9,14 @@
 type config = {
   pop_size : int;
   archive_size : int;
-  crossover_prob : float;
-  eta_c : float;
-  mutation_prob : float option;  (** default [1 / n_var] *)
-  eta_m : float;
-  pool : Parallel.Pool.t option;
-      (** evaluate populations on this domain pool; bit-identical to
-          [None] at any worker count (see {!Nsga2.config}). *)
   cache : Moo.Solution.t Cache.Memo.t option;
       (** memoize evaluations by bit-exact genotype (see
           {!Nsga2.config}); results are bit-identical with or without. *)
 }
 
 val default_config : config
-(** pop 100, archive 100, pc 0.9, eta_c 15, pm 1/n, eta_m 20. *)
+(** pop 100, archive 100.  Variation is SBX and polynomial mutation on
+    the standard settings of {!Operators}. *)
 
 type state
 

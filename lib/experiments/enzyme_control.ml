@@ -1,7 +1,7 @@
 let compute () =
   let env = Photo.Params.present ~tp_export:Photo.Params.low_export in
   let coeffs =
-    Photo.Control.flux_control ~env ~ratios:(Array.make Photo.Enzyme.count 1.) ()
+    Photo.Control.flux_control ~env ~ratios:(Array.make Photo.Enzyme.count 1.)
   in
   Photo.Control.ranking coeffs
 

@@ -84,7 +84,7 @@ let uptake_property ~env =
         match Hashtbl.find_opt warm_cache k with
         | Some y -> y
         | None ->
-          let y = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+          let y = (Photo.Steady_state.natural env).Photo.Steady_state.y in
           Hashtbl.replace warm_cache k y;
           y)
   in

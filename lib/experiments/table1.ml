@@ -15,7 +15,7 @@ let compute () =
   (* The paper's baseline is the original (2007) MOEA/D, which aggregates
      raw objectives — on this problem the nitrogen scale (~1e5) swamps the
      uptake scale (~40), which is exactly the weakness Table 1 exposes. *)
-  let moead_cfg = { Ea.Moead.default_config with pop_size = b.Scale.pop_size } in
+  let moead_cfg = { Ea.Moead.pop_size = b.Scale.pop_size } in
   let rng = Numerics.Rng.create 2011 in
   let st = Ea.Moead.init problem moead_cfg rng in
   Ea.Moead.step st b.Scale.moead_generations;

@@ -23,7 +23,10 @@ let problem ?(eps = 0.005) (g : Geobacter.model) =
     ~violation:(relaxed_violation g ~eps)
     (fun v -> [| -.v.(g.ep); -.v.(g.bp) |])
 
-let flux_variation (g : Geobacter.model) ?(sigma = 0.01) () =
+(* The Gaussian step's scale, relative to each flux's range. *)
+let sigma = 0.01
+
+let flux_variation (g : Geobacter.model) () =
   let project = Network.projector g.net in
   let clip = clip_bounds g in
   let bounds = Network.bounds g.net in

@@ -22,7 +22,6 @@ val repair : Geobacter.model -> float array -> float array
 
 val flux_variation :
   Geobacter.model ->
-  ?sigma:float ->
   unit ->
   Numerics.Rng.t ->
   float array ->
@@ -31,12 +30,13 @@ val flux_variation :
 (** Variation operator for flux spaces, to plug into
     [Ea.Nsga2.config.variation]: whole-arithmetic blend of the parents
     (steady-state flux sets are convex, so blends preserve feasibility),
-    Gaussian perturbation of a few fluxes (relative scale [sigma],
-    default 0.01), then three rounds of null-space projection
-    ({!Network.projector}) and bound clipping, which keep the residual
-    [‖S·v‖] inside the ε-band.  The projector is factored and the bounds
-    are read once, when [flux_variation g ()] is applied; later
-    {!Network.set_bounds} calls do not reach the operator. *)
+    Gaussian perturbation of a few fluxes (standard deviation 1 % of
+    the flux's range, a range capped at 200), then three rounds of
+    null-space projection ({!Network.projector}) and bound clipping,
+    which keep the residual [‖S·v‖] inside the ε-band.  The projector
+    is factored and the bounds are read once, when [flux_variation g ()]
+    is applied; later {!Network.set_bounds} calls do not reach the
+    operator. *)
 
 val seeds : ?eps:float -> Geobacter.model -> levels:float list -> Moo.Solution.t list
 (** FBA-derived seed solutions: for each biomass level, the LP solution

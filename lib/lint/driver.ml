@@ -34,22 +34,38 @@ let rec collect ~skip acc path =
         path :: acc
       else acc
 
-let read path =
+(* A .cmt older than its source would judge code that no longer exists:
+   R12 could count a reference the source has since dropped.  Only
+   [@check] refreshes the .cmt files of bench/ and examples/, so refuse
+   the run instead of reading one. *)
+let check_fresh ~source_root path (cmt : Cmt_format.cmt_infos) =
+  match (cmt.cmt_sourcefile, cmt.cmt_source_digest) with
+  | Some src, Some digest ->
+    let file = Filename.concat source_root src in
+    if not (Sys.file_exists file && Digest.equal (Digest.file file) digest) then
+      invalid_arg
+        (Printf.sprintf "%s is stale: %s changed since it was compiled; run `dune build @check`"
+           path file)
+  | _ -> ()
+
+let read ~source_root path =
   match Cmt_format.read_cmt path with
   | exception (Sys_error _ | End_of_file | Failure _ | Cmi_format.Error _) ->
     (* Not a readable cmt for this compiler — stale artifact or foreign
        file; nothing to check. *)
     None
-  | cmt -> Some cmt
+  | cmt ->
+    check_fresh ~source_root path cmt;
+    Some cmt
 
-let read_unit path =
-  match read path with
+let read_unit ~source_root path =
+  match read ~source_root path with
   | Some { cmt_annots = Cmt_format.Implementation str; cmt_modname; cmt_sourcefile; _ } ->
     Some (Callgraph.normalize cmt_modname, cmt_sourcefile, str)
   | _ -> None
 
-let read_interface path =
-  match read path with
+let read_interface ~source_root path =
+  match read ~source_root path with
   | Some { cmt_annots = Cmt_format.Interface sg; cmt_modname; cmt_sourcefile; _ } ->
     Some (cmt_modname, cmt_sourcefile, sg)
   | _ -> None
@@ -80,9 +96,10 @@ let dedupe findings =
 let run ?(force_lib = false) ~source_root dirs =
   let files = List.sort String.compare (List.fold_left (collect ~skip:"") [] dirs) in
   let cmts = List.filter (fun p -> Filename.check_suffix p ".cmt") files in
-  let units = List.filter_map read_unit cmts in
+  let units = List.filter_map (read_unit ~source_root) cmts in
   let interfaces =
-    List.filter_map read_interface (List.filter (fun p -> Filename.check_suffix p ".cmti") files)
+    List.filter_map (read_interface ~source_root)
+      (List.filter (fun p -> Filename.check_suffix p ".cmti") files)
   in
   let rules = Rules.create ~force_lib () in
   let cg = Callgraph.create () in
@@ -98,7 +115,9 @@ let run ?(force_lib = false) ~source_root dirs =
     List.iter (fun (_, _, str) -> Rules.scan_references rules str) units;
     List.iter
       (fun path ->
-        Option.iter (fun (_, _, str) -> Rules.scan_references rules str) (read_unit path))
+        Option.iter
+          (fun (_, _, str) -> Rules.scan_references rules str)
+          (read_unit ~source_root path))
       (referrers ~source_root cmts)
   end;
   List.iter

@@ -17,7 +17,12 @@ val run : ?force_lib:bool -> source_root:string -> string list -> report
     comments by reading sources relative to [source_root] (compiled
     locations are build-root-relative, so from a dune rule running in
     [_build/default] that is ["."]).  [force_lib] applies the
-    library-only rules everywhere (fixture testing). *)
+    library-only rules everywhere (fixture testing).
+
+    Raises [Invalid_argument], naming the file, when a [.cmt] or
+    [.cmti] it reads (a checked unit, or an R12 referrer) is older than
+    its source: the digest it records differs from that of its
+    [cmt_sourcefile] under [source_root], or that source is gone. *)
 
 val print_text : Format.formatter -> report -> unit
 (** The findings, then the stale allow comments, then a one-line

@@ -87,7 +87,9 @@ let h_min = 1e-14
    evaluated at [y] itself rather than at y + h·0, which differs only in
    the sign of a −0. entry.  The step starts at 1/100 of the span and
    stays within [h_min, span]. *)
-let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?(max_steps = 1_000_000) ?deadline ~f ~t0 ~t1 ~y0 () =
+let max_steps = 1_000_000
+
+let dopri5 ?(rtol = 1e-6) ?(atol = 1e-9) ?deadline ~f ~t0 ~t1 ~y0 () =
   let n = Array.length y0 in
   if not (t1 >= t0) then invalid_arg "Ode.dopri5: need t1 >= t0";
   Obs.Metrics.incr m_integrations;

@@ -43,7 +43,6 @@ exception Deadline of float
 val dopri5 :
   ?rtol:float ->
   ?atol:float ->
-  ?max_steps:int ->
   ?deadline:int ->
   f:rhs ->
   t0:float ->
@@ -52,11 +51,11 @@ val dopri5 :
   unit ->
   result
 (** Adaptive Dormand–Prince 5(4) from [t0] to [t1].
-    Defaults: [rtol = 1e-6], [atol = 1e-9], [max_steps = 1_000_000].
+    Defaults: [rtol = 1e-6], [atol = 1e-9].
     The first step is 1/100 of the span, and steps stay within
     [1e-14, t1 − t0].  Raises {!Step_underflow} when a step would fall
     below that floor or is NaN (a NaN error estimate leaves one), or
-    after [max_steps] attempted steps.  [deadline] is an absolute
+    after 1 000 000 attempted steps.  [deadline] is an absolute
     {!Obs.Clock.now_ns} timestamp past which {!Deadline} is raised.
 
     Allocation-free per step: the stage vectors and state buffers are

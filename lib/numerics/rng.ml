@@ -55,7 +55,7 @@ let bool r = Int64.logand (bits64 r) 1L = 1L
 
 let bernoulli r p = float r < p
 
-let gaussian ?(mu = 0.) ?(sigma = 1.) r =
+let gaussian ?(sigma = 1.) r =
   let rec draw () =
     let u1 = float r in
     if u1 <= 1e-300 then draw ()
@@ -63,7 +63,7 @@ let gaussian ?(mu = 0.) ?(sigma = 1.) r =
       let u2 = float r in
       sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
   in
-  mu +. (sigma *. draw ())
+  sigma *. draw ()
 
 let shuffle r a =
   for i = Array.length a - 1 downto 1 do

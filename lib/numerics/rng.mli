@@ -48,8 +48,8 @@ val bool : t -> bool
 val bernoulli : t -> float -> bool
 (** [bernoulli r p] is [true] with probability [p]. *)
 
-val gaussian : ?mu:float -> ?sigma:float -> t -> float
-(** Normal draw via Box–Muller (unpaired). Defaults: [mu = 0.], [sigma = 1.]. *)
+val gaussian : ?sigma:float -> t -> float
+(** Zero-mean normal draw via Box–Muller (unpaired). Default: [sigma = 1.]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -1,15 +1,15 @@
 (* Flight recorder: a fixed-capacity ring of the most recent
-   observability events, always on.
+   observability events, kept in a memory-mapped file.
 
    Unlike Span/Metrics (off by default, rich, unbounded) the ring is a
-   crash-dump device: it records unconditionally into a preallocated
-   256-slot buffer, so the last moments of a process that dies by
-   SIGKILL — which no OCaml code can observe — are still on record.
-   Persistence is mmap-based: [attach] maps a sidecar file and every
-   [record] writes straight into the mapping, so the entries live in the
-   page cache and survive any abnormal exit without a dump step.  The
-   kernel flushes the dirty pages whether or not the process got to say
-   goodbye.
+   crash-dump device: once [attach] maps a sidecar file, every [record]
+   writes straight into a 256-slot ring in the mapping, so the last
+   moments of a process that dies by SIGKILL — which no OCaml code can
+   observe — are still on record.  The entries live in the page cache
+   and survive any abnormal exit without a dump step: the kernel flushes
+   the dirty pages whether or not the process got to say goodbye.  With
+   no file attached nothing could ever read an event, so [record] stores
+   nothing.
 
    The record path is lock-free and allocation-free: one
    [Atomic.fetch_and_add] to claim a slot, a coarse clock read, then
@@ -65,7 +65,7 @@ type mapped64 = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* A mapped file carries two views of the same pages: a char view for
    the header/name table and an int64 view for the hot entry stores. *)
-type backing = Mem of Bytes.t | Map of mapped * mapped64
+type backing = mapped * mapped64
 
 let lock = Mutex.create ()
 
@@ -73,8 +73,8 @@ let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
-(* robustlint: allow R6 — process-global recorder backing; swapped only under [lock], read racily by the lock-free record path (a stale read during attach loses at most one event) *)
-let backing = ref (Mem (Bytes.make total_size '\000'))
+(* robustlint: allow R6 — process-global recorder mapping; swapped only under [lock], read racily by the lock-free record path (a stale read during attach loses at most one event) *)
+let backing : backing option ref = ref None
 
 let seq = Atomic.make 0
 
@@ -85,22 +85,11 @@ let n_names = ref 0
 
 type probe = int
 
-(* {1 Byte-level codec, duplicated per backing to keep the record path
-   free of closures (a [set] closure would allocate per call)} *)
-
-(* Unaligned native-endian 64-bit store: the classic-mode compiler
-   cancels the Int64 boxing when the value flows straight into the
-   primitive, so the record path stays allocation-free. *)
-external set_64_ne : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+(* {1 Byte-level codec} *)
 
 (* The on-disk format is little-endian (get64 below); word stores are
    native-endian, so big-endian machines take the byte-store path. *)
 let le = not Sys.big_endian
-
-let put64_mem b off v =
-  for i = 0 to 7 do
-    Bytes.unsafe_set b (off + i) (Char.unsafe_chr ((v lsr (i * 8)) land 0xff))
-  done
 
 let put64_map (m : mapped) off v =
   for i = 0 to 7 do
@@ -129,27 +118,15 @@ let get32 b off =
 (* {1 Recording} *)
 
 let record (p : probe) k v =
-  let s = Atomic.fetch_and_add seq 1 in
-  let off = entries_off + (s mod capacity * entry_size) in
-  let t = Clock.coarse_now_ns () in
-  (* Probe id in byte 24, kind in byte 25, packed as one LE word. *)
-  let tag = p land 0xff lor (kind_code k lsl 8) in
   (* robustlint: allow R10 — lock-free record path by design: [backing] is swapped only by attach/reset (process start); a stale read loses at most the one event being written *)
   match !backing with
-  | Mem b ->
-    if le then begin
-      set_64_ne b off (Int64.of_int s);
-      set_64_ne b (off + 8) (Int64.of_int t);
-      set_64_ne b (off + 16) (Int64.of_int v);
-      set_64_ne b (off + 24) (Int64.of_int tag)
-    end
-    else begin
-      put64_mem b off s;
-      put64_mem b (off + 8) t;
-      put64_mem b (off + 16) v;
-      put64_mem b (off + 24) tag
-    end
-  | Map (m, w) ->
+  | None -> ()
+  | Some (m, w) ->
+    let s = Atomic.fetch_and_add seq 1 in
+    let off = entries_off + (s mod capacity * entry_size) in
+    let t = Clock.coarse_now_ns () in
+    (* Probe id in byte 24, kind in byte 25, packed as one LE word. *)
+    let tag = p land 0xff lor (kind_code k lsl 8) in
     if le then begin
       let woff = off lsr 3 in
       Bigarray.Array1.unsafe_set w woff (Int64.of_int s);
@@ -171,10 +148,8 @@ let write_name_at i name =
   let n = Stdlib.min (String.length name) (name_size - 1) in
   let off = names_off + (i * name_size) in
   match !backing with
-  | Mem b ->
-    Bytes.set b off (Char.chr n);
-    Bytes.blit_string name 0 b (off + 1) n
-  | Map (m, _) ->
+  | None -> ()
+  | Some (m, _) ->
     Bigarray.Array1.set m off (Char.chr n);
     for j = 0 to n - 1 do
       Bigarray.Array1.set m (off + 1 + j) name.[j]
@@ -200,17 +175,14 @@ let probe name =
 
 (* {1 Attach / reset} *)
 
-let write_header ~lane =
+let write_header (m : mapped) ~lane =
   let hdr = Bytes.make header_size '\000' in
   Bytes.blit_string magic 0 hdr 0 (String.length magic);
   put32_mem hdr 32 capacity;
   put32_mem hdr 36 lane;
-  (match !backing with
-  | Mem b -> Bytes.blit hdr 0 b 0 header_size
-  | Map (m, _) ->
-    for i = 0 to header_size - 1 do
-      Bigarray.Array1.set m i (Bytes.get hdr i)
-    done);
+  for i = 0 to header_size - 1 do
+    Bigarray.Array1.set m i (Bytes.get hdr i)
+  done;
   for i = 0 to !n_names - 1 do
     write_name_at i names.(i)
   done
@@ -227,15 +199,15 @@ let attach ~path ~lane =
              char view used for the header never disagree. *)
           let g = Unix.map_file fd Bigarray.char Bigarray.c_layout true [| total_size |] in
           let g64 = Unix.map_file fd Bigarray.int64 Bigarray.c_layout true [| total_size / 8 |] in
-          backing := Map (Bigarray.array1_of_genarray g, Bigarray.array1_of_genarray g64));
-      Atomic.set seq 0;
-      write_header ~lane)
+          let m = Bigarray.array1_of_genarray g in
+          backing := Some (m, Bigarray.array1_of_genarray g64);
+          Atomic.set seq 0;
+          write_header m ~lane))
 
 let reset () =
   locked (fun () ->
-      backing := Mem (Bytes.make total_size '\000');
-      Atomic.set seq 0;
-      write_header ~lane:0)
+      backing := None;
+      Atomic.set seq 0)
 
 (* {1 Reading} *)
 

@@ -1,19 +1,18 @@
-(** Flight recorder: an always-on, fixed-capacity ring of the last
-    {!capacity} observability events per process.
+(** Flight recorder: a fixed-capacity ring of the last {!capacity}
+    observability events per process, kept in a memory-mapped file.
 
     Span/Metrics answer "how did the run perform"; the ring answers "what
-    was this process doing when it died".  It records unconditionally —
-    there is no enabled flag — into a preallocated buffer, with a
+    was this process doing when it died".  Once {!attach} maps a sidecar
+    file, every event is written straight through the mapping, with a
     lock-free, allocation-free record path (one atomic fetch-and-add, a
     coarse clock read and a few word stores; the [ring-record] bench
-    kernel bounds it at 50 ns).
-
-    {!attach} redirects recording into a memory-mapped sidecar file:
-    every event is written straight through the mapping, so the entries
-    live in the kernel page cache and survive a SIGKILL — the one signal
-    no process can handle — without any dump-on-exit step.  The shard
-    supervisor attaches one file per worker incarnation; after a kill
-    the file is the post-mortem, rendered by [robustpath inspect].
+    kernel bounds it at 50 ns).  The entries live in the kernel page
+    cache and survive a SIGKILL — the one signal no process can handle —
+    without any dump-on-exit step.  The CLI attaches one file per
+    process under [--flight-recorder]; the shard supervisor attaches one
+    per worker incarnation, and after a kill the file is the
+    post-mortem, rendered by [robustpath inspect].  With no file
+    attached, {!record} stores nothing.
 
     Event names are interned by {!probe} into a fixed table stored in
     the file header; events carry a 1-byte probe id.  {!read} is
@@ -43,7 +42,8 @@ val probe : string -> probe
 val max_names : int
 
 val record : probe -> kind -> int -> unit
-(** Record one event: lock-free, allocation-free, always on. *)
+(** Record one event into the attached file: lock-free and
+    allocation-free.  A no-op when no file is attached. *)
 
 val attach : path:string -> lane:int -> unit
 (** Record into a fresh memory-mapped file at [path] (truncates any
@@ -51,7 +51,9 @@ val attach : path:string -> lane:int -> unit
     interned probe names are carried over; the sequence restarts at 0. *)
 
 val reset : unit -> unit
-(** Back to a zeroed in-memory buffer (drops any mapping), sequence 0. *)
+(** Detach: drop any mapping, so {!record} stores nothing, and restart
+    the sequence at 0.  A forked worker calls it to stop writing into
+    its supervisor's file. *)
 
 type entry = {
   e_seq : int;    (** global sequence number, monotonic per process *)

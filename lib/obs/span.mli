@@ -40,7 +40,7 @@ val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     is recorded even when [f] raises (the exception is re-raised).
     [args] become the event's [args] in the trace.  When tracing is
     disabled this is [f ()].  Every enter/leave also drops an event into
-    the always-on flight recorder ({!Ring}). *)
+    the flight recorder ({!Ring}) when a ring file is attached. *)
 
 type event = {
   id : int;           (** sequential within the originating process *)

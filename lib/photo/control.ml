@@ -4,10 +4,13 @@ type coefficient = {
   control : float;
 }
 
-let flux_control ?kinetics ?(delta = 0.05) ~env ~ratios () =
+(* The relative finite-difference step. *)
+let delta = 0.05
+
+let flux_control ~env ~ratios =
   if Array.length ratios <> Enzyme.count then
     invalid_arg "Photo.Control.flux_control: one ratio per enzyme required";
-  let base = Steady_state.evaluate ?kinetics ~env ~ratios () in
+  let base = Steady_state.evaluate ~env ~ratios () in
   let warm = base.Steady_state.y in
   let a0 = base.Steady_state.uptake in
   Array.init Enzyme.count (fun i ->
@@ -15,10 +18,8 @@ let flux_control ?kinetics ?(delta = 0.05) ~env ~ratios () =
       up.(i) <- ratios.(i) *. (1. +. delta);
       let down = Array.copy ratios in
       down.(i) <- ratios.(i) *. (1. -. delta);
-      let a_up = (Steady_state.evaluate ?kinetics ~y0:warm ~env ~ratios:up ()).Steady_state.uptake in
-      let a_down =
-        (Steady_state.evaluate ?kinetics ~y0:warm ~env ~ratios:down ()).Steady_state.uptake
-      in
+      let a_up = (Steady_state.evaluate ~y0:warm ~env ~ratios:up ()).Steady_state.uptake in
+      let a_down = (Steady_state.evaluate ~y0:warm ~env ~ratios:down ()).Steady_state.uptake in
       let control =
         if Float.abs a0 < 1e-9 then 0.
         else (a_up -. a_down) /. (2. *. delta *. a0)

@@ -12,16 +12,10 @@ type coefficient = {
   control : float;     (** C_i *)
 }
 
-val flux_control :
-  ?kinetics:Params.kinetics ->
-  ?delta:float ->
-  env:Params.env ->
-  ratios:float array ->
-  unit ->
-  coefficient array
-(** Control coefficients of all 23 enzymes at the design [ratios]
-    ([delta] is the relative finite-difference step, default 5%).
-    The result is in enzyme order (not ranked). *)
+val flux_control : env:Params.env -> ratios:float array -> coefficient array
+(** Control coefficients of all 23 enzymes at the design [ratios], by
+    central differences with a relative step of 5 %.  The result is in
+    enzyme order (not ranked). *)
 
 val ranking : coefficient array -> coefficient list
 (** Sorted by decreasing |C_i|. *)

@@ -1,4 +1,4 @@
-let ratios_of_weights ?(kinetics = Params.default) ~target_nitrogen w =
+let ratios_of_weights ~target_nitrogen w =
   if Array.length w <> Enzyme.count then
     invalid_arg "Photo.Fixed_nitrogen.ratios_of_weights: one weight per enzyme";
   if target_nitrogen <= 0. then
@@ -7,7 +7,7 @@ let ratios_of_weights ?(kinetics = Params.default) ~target_nitrogen w =
      the budget exactly. *)
   let weights = Array.map (fun wi -> Float.max 1e-6 wi) w in
   let n_of r =
-    Enzyme.raw_nitrogen (Enzyme.vmax_of_ratios r) *. kinetics.Params.nitrogen_scale
+    Enzyme.raw_nitrogen (Enzyme.vmax_of_ratios r) *. Params.default.Params.nitrogen_scale
   in
   let base = n_of weights in
   Array.map (fun wi -> wi *. target_nitrogen /. base) weights
@@ -20,20 +20,20 @@ type result = {
   evaluations : int;
 }
 
-let optimize ?(kinetics = Params.default) ?(generations = 80) ?(seed = 2011) ~env () =
-  let natural = Steady_state.natural ~kinetics ~env () in
+let optimize ?(generations = 80) ~env () =
+  let natural = Steady_state.natural env in
   let target_nitrogen = natural.Steady_state.nitrogen in
   let warm = natural.Steady_state.y in
   let n = Enzyme.count in
   let objective w =
-    let ratios = ratios_of_weights ~kinetics ~target_nitrogen w in
-    Steady_state.uptake_score (Steady_state.evaluate ~kinetics ~y0:warm ~env ~ratios ())
+    let ratios = ratios_of_weights ~target_nitrogen w in
+    Steady_state.uptake_score (Steady_state.evaluate ~y0:warm ~env ~ratios ())
   in
   let ga =
-    Ea.Ga.maximize ~generations ~seed ~lower:(Array.make n 0.05)
+    Ea.Ga.maximize ~generations ~seed:2011 ~lower:(Array.make n 0.05)
       ~upper:(Array.make n 3.) objective
   in
-  let ratios = ratios_of_weights ~kinetics ~target_nitrogen ga.Ea.Ga.best_x in
+  let ratios = ratios_of_weights ~target_nitrogen ga.Ea.Ga.best_x in
   {
     ratios;
     uptake = ga.Ea.Ga.best_f;

@@ -8,8 +8,7 @@
     constraint holds exactly by construction. *)
 
 (* robustlint: allow R12 — test_photo's "budget exact" and "uniform weights = natural" cases *)
-val ratios_of_weights :
-  ?kinetics:Params.kinetics -> target_nitrogen:float -> float array -> float array
+val ratios_of_weights : target_nitrogen:float -> float array -> float array
 (** Scale a weight vector into enzyme ratios whose nitrogen equals
     [target_nitrogen] (paper units, mg l⁻¹). *)
 
@@ -21,12 +20,6 @@ type result = {
   evaluations : int;
 }
 
-val optimize :
-  ?kinetics:Params.kinetics ->
-  ?generations:int ->
-  ?seed:int ->
-  env:Params.env ->
-  unit ->
-  result
-(** Maximize uptake at the natural leaf's nitrogen (default 80
-    generations, GA population 60). *)
+val optimize : ?generations:int -> env:Params.env -> unit -> result
+(** Maximize uptake at the natural leaf's nitrogen with {!Ea.Ga} under
+    seed 2011 (default 80 generations). *)

@@ -16,12 +16,12 @@ val ratio_max : float
 (** 3.0 — the explored over-expression range; the paper's candidate
     ratios stay below ~2.2×. *)
 
-val problem : ?kinetics:Params.kinetics -> Params.env -> Moo.Problem.t
+val problem : Params.env -> Moo.Problem.t
 
 val uptake_of : Moo.Solution.t -> float
 (** Un-negate objective 0. *)
 
 val nitrogen_of : Moo.Solution.t -> float
 
-val natural_point : ?kinetics:Params.kinetics -> Params.env -> float * float
+val natural_point : Params.env -> float * float
 (** (uptake, nitrogen) of the natural leaf under [env]. *)

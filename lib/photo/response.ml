@@ -1,22 +1,16 @@
-let natural_ratios () = Array.make Enzyme.count 1.
-
-let a_ci_curve ?kinetics ?ratios ~tp_export ~ci_values () =
-  let ratios = match ratios with Some r -> r | None -> natural_ratios () in
+let a_ci_curve ~tp_export ~ci_values =
   List.map
     (fun ci ->
       if ci <= 0. then invalid_arg "Photo.Response.a_ci_curve: ci values must be positive";
       let env = { Params.label = Printf.sprintf "ci=%g" ci; ci; tp_export } in
-      let r = Steady_state.evaluate ?kinetics ~env ~ratios () in
-      (ci, r.Steady_state.uptake))
+      (ci, (Steady_state.natural env).Steady_state.uptake))
     ci_values
 
-let export_response ?kinetics ?ratios ~ci ~export_values () =
-  let ratios = match ratios with Some r -> r | None -> natural_ratios () in
+let export_response ~ci ~export_values =
   List.map
     (fun tp_export ->
       if tp_export < 0. then
         invalid_arg "Photo.Response.export_response: export values must be non-negative";
       let env = { Params.label = Printf.sprintf "export=%g" tp_export; ci; tp_export } in
-      let r = Steady_state.evaluate ?kinetics ~env ~ratios () in
-      (tp_export, r.Steady_state.uptake))
+      (tp_export, (Steady_state.natural env).Steady_state.uptake))
     export_values

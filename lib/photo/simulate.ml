@@ -4,10 +4,11 @@ type sample = {
   assimilation : float;
 }
 
-let time_course ?(kinetics = Params.default) ?y0 ~env ~ratios ~t_end ~dt_sample () =
+let time_course ?y0 ~env ~ratios ~t_end ~dt_sample () =
   if not (t_end > 0. && dt_sample > 0.) then
     invalid_arg "Photo.Simulate.time_course: t_end and dt_sample must be positive";
   let vmax = Enzyme.vmax_of_ratios ratios in
+  let kinetics = Params.default in
   let f = Model.rhs kinetics env ~vmax in
   let y0 =
     match y0 with
@@ -44,8 +45,8 @@ let dark_adapted () =
   y.(State.atp) <- 0.1;
   y
 
-let induction ?kinetics ~env ~ratios () =
-  time_course ?kinetics ~y0:(dark_adapted ()) ~env ~ratios ~t_end:300. ~dt_sample:10. ()
+let induction ~env ~ratios =
+  time_course ~y0:(dark_adapted ()) ~env ~ratios ~t_end:300. ~dt_sample:10. ()
 
 let induction_half_time samples =
   match List.rev samples with

@@ -9,7 +9,6 @@ type sample = {
 
 (* robustlint: allow R12 — test_photo's "time-course sampling" and "y0 length checked" cases *)
 val time_course :
-  ?kinetics:Params.kinetics ->
   ?y0:float array ->
   env:Params.env ->
   ratios:float array ->
@@ -22,12 +21,7 @@ val time_course :
     [Invalid_argument] unless [t_end] and [dt_sample] are positive and
     [y0] has {!State.n} entries. *)
 
-val induction :
-  ?kinetics:Params.kinetics ->
-  env:Params.env ->
-  ratios:float array ->
-  unit ->
-  sample list
+val induction : env:Params.env -> ratios:float array -> sample list
 (** The induction transient: the dark-adapted leaf stepped into light,
     sampled every 10 s for 300 s.  Assimilation rises monotonically (after
     an initial lag) toward the steady-state rate. *)

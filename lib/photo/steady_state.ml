@@ -55,5 +55,4 @@ let evaluate ?(kinetics = Params.default) ?y0 ?deadline ~env ~ratios () =
 
 let uptake_score r = if r.converged then r.uptake else 0.
 
-let natural ?kinetics ~env () =
-  evaluate ?kinetics ~env ~ratios:(Array.make Enzyme.count 1.) ()
+let natural env = evaluate ~env ~ratios:(Array.make Enzyme.count 1.) ()

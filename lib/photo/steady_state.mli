@@ -45,5 +45,5 @@ val uptake_score : report -> float
 (** The uptake every design problem and the robustness property score:
     [uptake] when the report converged, 0 otherwise. *)
 
-val natural : ?kinetics:Params.kinetics -> env:Params.env -> unit -> report
+val natural : Params.env -> report
 (** The natural leaf (all ratios 1). *)

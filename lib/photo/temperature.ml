@@ -6,7 +6,8 @@ let vmax_scale t_c =
   let deact t = 1. /. (1. +. exp (0.45 *. (t -. 38.))) in
   arrhenius *. deact t_c /. deact reference_celsius
 
-let kinetics_at ?(base = Params.default) t_c =
+let kinetics_at t_c =
+  let base = Params.default in
   let q t q10 = q10 ** ((t -. reference_celsius) /. 10.) in
   {
     base with
@@ -15,23 +16,16 @@ let kinetics_at ?(base = Params.default) t_c =
     v_light = base.Params.v_light *. vmax_scale t_c;
   }
 
-let natural_ratios () = Array.make Enzyme.count 1.
+let uptake_at ~env ~t_c =
+  let ratios = Array.make Enzyme.count (vmax_scale t_c) in
+  (Steady_state.evaluate ~kinetics:(kinetics_at t_c) ~env ~ratios ()).Steady_state.uptake
 
-let uptake_at ?kinetics ?ratios ~env ~t_c () =
-  let base = match kinetics with Some k -> k | None -> Params.default in
-  let ratios = match ratios with Some r -> r | None -> natural_ratios () in
-  let k = kinetics_at ~base t_c in
-  let scale = vmax_scale t_c in
-  let scaled = Array.map (fun r -> r *. scale) ratios in
-  (Steady_state.evaluate ~kinetics:k ~env ~ratios:scaled ()).Steady_state.uptake
+let a_t_curve ~env ~t_values = List.map (fun t_c -> (t_c, uptake_at ~env ~t_c)) t_values
 
-let a_t_curve ?ratios ~env ~t_values () =
-  List.map (fun t_c -> (t_c, uptake_at ?ratios ~env ~t_c ())) t_values
-
-let optimum ?ratios ~env () =
+let optimum ~env =
   (* Golden-section search; A(T) is unimodal under the peaked capacity
      factor. *)
-  let f t = uptake_at ?ratios ~env ~t_c:t () in
+  let f t = uptake_at ~env ~t_c:t in
   let phi = (sqrt 5. -. 1.) /. 2. in
   let rec go a b fa_cache =
     ignore fa_cache;

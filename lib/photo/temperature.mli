@@ -15,29 +15,19 @@ val vmax_scale : float -> float
     deactivation with its midpoint at 38 °C. *)
 
 (* robustlint: allow R12 — test_photo's "kinetic trends" case *)
-val kinetics_at : ?base:Params.kinetics -> float -> Params.kinetics
-(** Kinetic constants adjusted to a leaf temperature: [kc_eff] (Q10 2.1),
+val kinetics_at : float -> Params.kinetics
+(** {!Params.default} adjusted to a leaf temperature: [kc_eff] (Q10 2.1),
     [gamma_star] (Q10 1.75) and [v_light] (same capacity scaling as the
     enzymes). *)
 
 (* robustlint: allow R12 — test_photo's "calibration preserved" case *)
-val uptake_at :
-  ?kinetics:Params.kinetics ->
-  ?ratios:float array ->
-  env:Params.env ->
-  t_c:float ->
-  unit ->
-  float
-(** Net assimilation of a design at leaf temperature [t_c]. *)
+val uptake_at : env:Params.env -> t_c:float -> float
+(** Net assimilation of the natural leaf at leaf temperature [t_c]. *)
 
-val a_t_curve :
-  ?ratios:float array ->
-  env:Params.env ->
-  t_values:float list ->
-  unit ->
-  (float * float) list
-(** [(temperature, uptake)] samples of the response curve. *)
+val a_t_curve : env:Params.env -> t_values:float list -> (float * float) list
+(** [(temperature, uptake)] samples of the natural leaf's response
+    curve. *)
 
-val optimum :
-  ?ratios:float array -> env:Params.env -> unit -> float * float
-(** (T_opt, A(T_opt)) by golden-section search on [10, 45] °C. *)
+val optimum : env:Params.env -> float * float
+(** (T_opt, A(T_opt)) of the natural leaf by golden-section search on
+    [10, 45] °C. *)

@@ -6,7 +6,6 @@ type config = {
   n_islands : int;
   migration_period : int;
   migration_prob : float;
-  migrants : int;
   topology : Topology.t;
   nsga2 : Ea.Nsga2.config;
   algorithms : algorithm list;
@@ -15,12 +14,13 @@ type config = {
   cache_size : int option;
 }
 
+let migrants = 5
+
 let default_config =
   {
     n_islands = 2;
     migration_period = 200;
     migration_prob = 0.5;
-    migrants = 5;
     topology = Topology.All_to_all;
     nsga2 = Ea.Nsga2.default_config;
     algorithms = [];
@@ -194,7 +194,7 @@ let step_islands st ~epoch:_ ~fire =
   (* Emigrants are non-dominated members of the source island's first
      front. *)
   let deliveries =
-    List.map (fun (src, dst) -> (dst, Island.emigrants st.islands.(src) st.config.migrants)) fire
+    List.map (fun (src, dst) -> (dst, Island.emigrants st.islands.(src) migrants)) fire
   in
   List.iter (fun (dst, sols) -> Island.inject st.islands.(dst) sols) deliveries;
   !absorbed

@@ -15,7 +15,6 @@ type config = {
   n_islands : int;
   migration_period : int;  (** generations between exchanges *)
   migration_prob : float;  (** probability each edge fires at an epoch *)
-  migrants : int;          (** emigrants offered per firing edge *)
   topology : Topology.t;
   nsga2 : Ea.Nsga2.config; (** algorithm for every island when [algorithms = []] *)
   algorithms : algorithm list;
@@ -49,6 +48,10 @@ type config = {
 }
 
 val default_config : config
+
+val migrants : int
+(** 5: the emigrants a firing edge offers (fewer when the source
+    island's first front is smaller). *)
 
 type state
 

@@ -5,23 +5,21 @@ type entry = {
 
 (* Item [i] screens under its own seed [seed + i], so a screen's results
    depend on neither the pool width nor the other items. *)
-let screen_solutions ~seed ~f ?delta ?eps_frac ?trials sols =
+let screen_solutions ~seed ~f ?trials sols =
   List.mapi
     (fun i s ->
       let x = s.Moo.Solution.x in
-      { solution = s; yield = Yield.gamma_pool ~seed:(seed + i) ~f ?delta ?eps_frac ?trials x })
+      { solution = s; yield = Yield.gamma_pool ~seed:(seed + i) ~f ?trials x })
     sols
 
-let front_sweep ~seed ~f ?delta ?eps_frac ?trials ~k front =
-  screen_solutions ~seed ~f ?delta ?eps_frac ?trials (Moo.Mine.equally_spaced ~k front)
+let front_sweep ~seed ~f ?trials ~k front =
+  screen_solutions ~seed ~f ?trials (Moo.Mine.equally_spaced ~k front)
 
 type local_profile = { index : int; yield_pct : float }
 
-let local_analysis ~seed ~f ?delta ?eps_frac ?(trials = 200) x =
+let local_analysis ~seed ~f ?(trials = 200) x =
   List.init (Array.length x) (fun index ->
-      let y =
-        Yield.gamma_pool ~seed:(seed + index) ~f ?delta ?eps_frac ~trials ~index x
-      in
+      let y = Yield.gamma_pool ~seed:(seed + index) ~f ~trials ~index x in
       { index; yield_pct = y.Yield.yield_pct })
 
 let max_yield = function

@@ -8,7 +8,7 @@
     default domain pool, so [f] may be called from several domains at
     once.  Item [i] of a screen (a solution, or a component in the local
     analysis) uses seed [seed + i]: results are a pure function of
-    [(seed, inputs, parameters)], identical at any pool width. *)
+    [(seed, inputs, trials)], identical at any pool width. *)
 
 type entry = {
   solution : Moo.Solution.t;
@@ -18,8 +18,6 @@ type entry = {
 val front_sweep :
   seed:int ->
   f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
   ?trials:int ->
   k:int ->
   Moo.Solution.t list ->
@@ -33,8 +31,6 @@ type local_profile = { index : int; yield_pct : float }
 val local_analysis :
   seed:int ->
   f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
   ?trials:int ->
   float array ->
   local_profile list

@@ -5,13 +5,18 @@ type result = {
   survivors : int;
 }
 
+(* The paper's ensemble: every component perturbed by up to 10 %, and a
+   trial preserves the property within 5 % of the nominal value. *)
+let delta = 0.10
+let eps_frac = 0.05
+
 (* Pooled Monte-Carlo yield over the stream ensemble.  Each trial is a
    pure function of (seed, trial index): derive the trial's generator,
    perturb, evaluate, compare.  The survivor count is order-free, so the
    result is identical at any worker count — and identical to a
    one-domain pool's inline loop, which is how the determinism tests pin
    it. *)
-let gamma_pool ?pool ~seed ~f ?(delta = 0.10) ?(eps_frac = 0.05) ?(trials = 5000) ?index x =
+let gamma_pool ?pool ~seed ~f ?(trials = 5000) ?index x =
   if trials <= 0 then
     invalid_arg "Robustness.Yield.gamma_pool: trials must be positive";
   let nominal = f x in

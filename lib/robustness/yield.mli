@@ -4,7 +4,11 @@
     a perturbed design x' preserves the property of x when
     |f(x) − f(x')| ≤ ε; the paper expresses ε as a percentage of the
     nominal value.  The yield Γ is the fraction of an ensemble that
-    preserves the property. *)
+    preserves the property.
+
+    The settings are the paper's: a perturbation multiplies a component
+    by a factor drawn from [\[0.9, 1.1\]] (δ = 10 %), and it preserves
+    the property when [|f(x) − f(x')| ≤ 0.05·|f(x)|] (ε = 5 %). *)
 
 type result = {
   nominal : float;       (** f(x) *)
@@ -17,8 +21,6 @@ val gamma_pool :
   ?pool:Parallel.Pool.t ->
   seed:int ->
   f:(float array -> float) ->
-  ?delta:float ->
-  ?eps_frac:float ->
   ?trials:int ->
   ?index:int ->
   float array ->
@@ -27,9 +29,8 @@ val gamma_pool :
     fanned out over a domain pool (default {!Parallel.Pool.get}), so [f]
     may be called from several domains at once.  Trial [t] draws from
     {!Numerics.Rng.stream}[ ~seed t], so the result is a pure function of
-    [(seed, x, parameters)]: bit-identical at any worker count, a
-    one-domain pool included.  Defaults follow the paper: [delta] 10%
-    perturbation, [eps_frac] 5% of [|f x|], [trials] 5000 for the global
-    analysis ([index = None]); with [index] only that component is
-    perturbed (the local analysis).  Raises [Invalid_argument] when
+    [(seed, x, trials, index)]: bit-identical at any worker count, a
+    one-domain pool included.  [trials] defaults to the paper's 5000 for
+    the global analysis ([index = None]); with [index] only that
+    component is perturbed (the local analysis).  Raises [Invalid_argument] when
     [trials <= 0]. *)

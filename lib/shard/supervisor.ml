@@ -114,7 +114,6 @@ type ctx = {
   scfg : config;
   st : A.state;
   period : int;
-  migrants : int;
   mutable workers : worker array; (* [||] = fully degraded, step in-process *)
   mutable pending : (int * Moo.Solution.t list) list; (* the last commit's deliveries *)
   latest_cache : Cache.Memo.stats option array; (* per island, worker-reported *)
@@ -138,9 +137,7 @@ let sanitize (cfg : A.config) =
     nsga2 = { cfg.A.nsga2 with Ea.Nsga2.pool = None };
     algorithms =
       List.map
-        (function
-          | A.Nsga2 c -> A.Nsga2 { c with Ea.Nsga2.pool = None }
-          | A.Spea2 c -> A.Spea2 { c with Ea.Spea2.pool = None })
+        (function A.Nsga2 c -> A.Nsga2 { c with Ea.Nsga2.pool = None } | a -> a)
         cfg.A.algorithms;
   }
 
@@ -169,8 +166,7 @@ let spawn_raw ctx ~shard ~islands_idx ~incarnation =
        Unix.close req_w;
        Unix.close rep_r;
        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) inherited;
-       Worker.run ~state:ctx.st ~shard ~incarnation ~local:islands_idx ~migrants:ctx.migrants
-         ~fault:ctx.scfg.fault ~span_base:ctx.lane_base.(shard)
+       Worker.run ~state:ctx.st ~shard ~incarnation ~local:islands_idx ~fault:ctx.scfg.fault ~span_base:ctx.lane_base.(shard)
          ~ring_prefix:ctx.scfg.ring_prefix ~input:req_r ~output:rep_w;
        Unix._exit 0
      (* robustlint: allow R4 — a forked child must die here, never resume the supervisor's stack *)
@@ -509,7 +505,6 @@ let start ~live config (acfg : A.config) st =
       scfg = config;
       st;
       period = acfg.A.migration_period;
-      migrants = acfg.A.migrants;
       workers = [||];
       pending = [];
       latest_cache = Array.make n_islands None;

@@ -39,7 +39,7 @@ let rec wedge () =
 let ring_path ~prefix ~shard ~incarnation =
   Printf.sprintf "%s.shard%d.inc%d.ring" prefix shard incarnation
 
-let run ~state ~shard ~incarnation ~local ~migrants ~fault ~span_base ~ring_prefix ~input
+let run ~state ~shard ~incarnation ~local ~fault ~span_base ~ring_prefix ~input
     ~output =
   let lane = shard + 1 in
   Obs.Span.on_fork ~next_id:span_base;
@@ -87,7 +87,7 @@ let run ~state ~shard ~incarnation ~local ~migrants ~fault ~span_base ~ring_pref
               List.filter_map
                 (fun (src, dst) ->
                   if List.mem src local then
-                    Some ((src, dst), Pmo2.Island.emigrants islands.(src) migrants)
+                    Some ((src, dst), Pmo2.Island.emigrants islands.(src) Pmo2.Archipelago.migrants)
                   else None)
                 fire
             in

@@ -15,7 +15,6 @@ val run :
   shard:int ->
   incarnation:int ->
   local:int list ->
-  migrants:int ->
   fault:Runtime.Fault.process_fault option ->
   span_base:int ->
   ring_prefix:string option ->

@@ -203,7 +203,7 @@ let moead_run ~generations ~seed problem config =
   Ea.Moead.front st
 
 let test_moead_converges_schaffer () =
-  let front = moead_run ~generations:80 ~seed:1 schaffer Ea.Moead.default_config in
+  let front = moead_run ~generations:80 ~seed:1 schaffer { Ea.Moead.pop_size = 100 } in
   Alcotest.(check bool) "non-empty" true (front <> []);
   List.iter
     (fun s ->
@@ -212,23 +212,23 @@ let test_moead_converges_schaffer () =
     front
 
 let test_moead_zdt1_quality () =
-  let front = moead_run ~generations:150 ~seed:1 (zdt1 10) Ea.Moead.default_config in
+  let front = moead_run ~generations:150 ~seed:1 (zdt1 10) { Ea.Moead.pop_size = 100 } in
   let hv = Moo.Hypervolume.of_solutions ~ref_point:[| 1.1; 1.1 |] front in
   Alcotest.(check bool) (Printf.sprintf "hv=%.4f >= 0.85" hv) true (hv >= 0.85)
 
 let test_moead_front_bounded_by_population () =
-  let cfg = { Ea.Moead.default_config with pop_size = 30 } in
+  let cfg = { Ea.Moead.pop_size = 30 } in
   let front = moead_run ~generations:50 ~seed:2 (zdt1 6) cfg in
   Alcotest.(check bool) "front <= pop" true (List.length front <= 30)
 
 let test_moead_deterministic () =
-  let f1 = moead_run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
-  let f2 = moead_run ~generations:30 ~seed:5 schaffer Ea.Moead.default_config in
+  let f1 = moead_run ~generations:30 ~seed:5 schaffer { Ea.Moead.pop_size = 100 } in
+  let f2 = moead_run ~generations:30 ~seed:5 schaffer { Ea.Moead.pop_size = 100 } in
   Alcotest.(check int) "same size" (List.length f1) (List.length f2)
 
 let test_moead_step_state () =
   let rng = Numerics.Rng.create 14 in
-  let st = Ea.Moead.init (zdt1 6) { Ea.Moead.default_config with pop_size = 20 } rng in
+  let st = Ea.Moead.init (zdt1 6) { Ea.Moead.pop_size = 20 } rng in
   let e0 = Ea.Moead.evaluations st in
   Ea.Moead.step st 3;
   Alcotest.(check int) "evals accounted" (e0 + (3 * 20)) (Ea.Moead.evaluations st)

@@ -212,6 +212,37 @@ let test_missing_dir_yields_no_units () =
   Alcotest.(check int) "no units" 0 r.Lint.Driver.units;
   Alcotest.(check int) "no findings" 0 (List.length r.Lint.Driver.findings)
 
+(* A unit whose source changed after it was compiled: copy one fixture
+   .cmt into a scratch build root beside its source, then edit the
+   source.  The driver must refuse the run and name the .cmt. *)
+let test_stale_cmt_refused () =
+  let cmt = "lint_fixtures__R1_float_eq.cmt" in
+  let root = Filename.temp_dir "robustlint" "" in
+  let objs = Filename.concat root "objs" in
+  let test_dir = Filename.concat root "test" in
+  let src_dir = Filename.concat test_dir "lint_fixtures" in
+  let src = Filename.concat src_dir "r1_float_eq.ml" in
+  List.iter (fun d -> Sys.mkdir d 0o755) [ objs; test_dir; src_dir ];
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove [ Filename.concat objs cmt; src ];
+      List.iter Sys.rmdir [ objs; src_dir; test_dir; root ])
+    (fun () ->
+      write (Filename.concat objs cmt) (read (Filename.concat fixture_cmts cmt));
+      let source = read "lint_fixtures/r1_float_eq.ml" in
+      write src source;
+      let lint () = Lint.Driver.run ~force_lib:true ~source_root:root [ objs ] in
+      Alcotest.(check int) "the unedited copy is read" 1 (lint ()).Lint.Driver.units;
+      write src (source ^ "let edited = ()\n");
+      match lint () with
+      | _ -> Alcotest.fail "a .cmt older than its source was read"
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "names the .cmt" true (contains ~sub:cmt msg);
+        Alcotest.(check bool) "says how to refresh it" true
+          (contains ~sub:"dune build @check" msg))
+
 (* {1 Report output} *)
 
 let test_findings_sorted () =
@@ -257,6 +288,7 @@ let () =
           Alcotest.test_case "units counted" `Quick test_units_counted;
           Alcotest.test_case "missing dir yields no units" `Quick
             test_missing_dir_yields_no_units;
+          Alcotest.test_case "stale cmt refused" `Quick test_stale_cmt_refused;
         ] );
       ( "r12",
         [

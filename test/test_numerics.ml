@@ -58,7 +58,7 @@ let test_rng_int_range () =
 let test_rng_gaussian_moments () =
   let r = Numerics.Rng.create 8 in
   let n = 100_000 in
-  let xs = Array.init n (fun _ -> Numerics.Rng.gaussian ~mu:2. ~sigma:3. r) in
+  let xs = Array.init n (fun _ -> 2. +. Numerics.Rng.gaussian ~sigma:3. r) in
   check_float ~tol:0.05 "gaussian mean" 2.0 (Numerics.Stats.mean xs);
   check_float ~tol:0.1 "gaussian sd" 3.0 (Testkit.Stats.stddev xs)
 
@@ -277,7 +277,9 @@ let test_dopri5_allocation () =
     (per_step <= 32.)
 
 (* Counters are added once per integration, on every exit: a run that
-   exhausts its step budget still reports the attempts it made. *)
+   exhausts its step budget still reports the attempts it made.  Stable
+   steps on this problem are ~3e-6 long, so a 100-unit horizon needs
+   far more than the 1 000 000 attempts the budget allows. *)
 let test_dopri5_counts_on_underflow () =
   let steps = Obs.Metrics.counter "ode.steps" and rejected = Obs.Metrics.counter "ode.rejected"
   and evals = Obs.Metrics.counter "ode.rhs_evals"
@@ -289,7 +291,7 @@ let test_dopri5_counts_on_underflow () =
     Fun.protect
       ~finally:(fun () -> Obs.Metrics.set_enabled false)
       (fun () ->
-        match Numerics.Ode.dopri5 ~max_steps:200 ~f:stiff ~t0:0. ~t1:1. ~y0:[| 0. |] () with
+        match Numerics.Ode.dopri5 ~f:stiff ~t0:0. ~t1:100. ~y0:[| 0. |] () with
         | _ -> false
         | exception Numerics.Ode.Step_underflow _ -> true)
   in
@@ -297,7 +299,7 @@ let test_dopri5_counts_on_underflow () =
   let attempts = v steps + v rejected in
   Alcotest.(check bool) "underflowed" true raised;
   Alcotest.(check int) "one underflow" 1 (v underflows);
-  Alcotest.(check int) "every attempt counted" 201 attempts;
+  Alcotest.(check int) "every attempt counted" 1_000_001 attempts;
   Alcotest.(check int) "evals = 6 attempts + 1" ((6 * attempts) + 1) (v evals);
   Obs.Metrics.reset ()
 
@@ -408,7 +410,7 @@ let test_steady_state_timeout () =
   in
   (* The design problem relaxes every candidate from the natural leaf's
      steady state; so does this evaluation. *)
-  let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let y0 = (Photo.Steady_state.natural env).Photo.Steady_state.y in
   let counter = Obs.Metrics.counter in
   let windows = counter "ode.integrations" and ptc_calls = counter "ode.ptc.calls"
   and restarts = counter "photo.ptc_fallbacks" and unstable = counter "ode.ptc.unstable" in

@@ -103,7 +103,7 @@ let carbon_balance (f : Photo.Model.fluxes) =
   -. (3. *. f.v_scav_tp) -. (5. *. f.v_scav_pp)
 
 let test_carbon_balance_at_steady_state () =
-  let r = Photo.Steady_state.natural ~env:present_low () in
+  let r = Photo.Steady_state.natural present_low in
   Alcotest.(check bool) "converged" true r.Photo.Steady_state.converged;
   let cb = carbon_balance r.Photo.Steady_state.fluxes in
   Alcotest.(check bool) (Printf.sprintf "carbon closed (%.2e)" cb) true (Float.abs cb < 5e-3)
@@ -160,7 +160,7 @@ let test_zero_enzymes_zero_uptake () =
   Alcotest.(check bool) "uptake collapses" true (r.Photo.Steady_state.uptake < 3.)
 
 let test_boost_regeneration_helps () =
-  let base = Photo.Steady_state.natural ~env:present_low () in
+  let base = Photo.Steady_state.natural present_low in
   let boosted = ones () in
   List.iter (fun i -> boosted.(i) <- 2.)
     Photo.Enzyme.[ idx_sbpase; idx_fbp_aldolase; idx_fbpase; idx_aldolase; idx_transketolase; idx_adpgpp ];
@@ -204,7 +204,7 @@ let test_warm_start_consistency () =
   let ratios = ones () in
   ratios.(Photo.Enzyme.idx_sbpase) <- 1.5;
   let cold = Photo.Steady_state.evaluate ~env:present_low ~ratios () in
-  let warm_y = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
+  let warm_y = (Photo.Steady_state.natural present_low).Photo.Steady_state.y in
   let warm = Photo.Steady_state.evaluate ~y0:warm_y ~env:present_low ~ratios () in
   check_float ~tol:0.2 "same steady state"
     cold.Photo.Steady_state.uptake warm.Photo.Steady_state.uptake
@@ -212,7 +212,7 @@ let test_warm_start_consistency () =
 let test_steady_state_is_steady () =
   (* A small persistent ATP/Pi oscillation (amplitude ~3e-3 mM/s) is part
      of the model's physiology; everything else must be quiet. *)
-  let r = Photo.Steady_state.natural ~env:present_low () in
+  let r = Photo.Steady_state.natural present_low in
   let vmax = Photo.Enzyme.natural_vmax () in
   let dy = Array.make Photo.State.n nan in
   Photo.Model.rhs Photo.Params.default present_low ~vmax 0. r.Photo.Steady_state.y dy;
@@ -234,7 +234,7 @@ let test_natural_bits () =
   (* The 15.486 anchor at present Ci, low export: the PTC root. *)
   check_bits "natural" ~uptake:"0x1.ef9b3e7095229p+3" ~converged:true
     ~state:"ba4b8214aff6a7ed"
-    (Photo.Steady_state.natural ~env:present_low ())
+    (Photo.Steady_state.natural present_low)
 
 let test_seeded_design_bits () =
   (* A design drawn over the whole [0.05, 3] box, relaxed from the
@@ -244,7 +244,7 @@ let test_seeded_design_bits () =
     Array.init Photo.Enzyme.count (fun _ ->
         Numerics.Rng.uniform rng Photo.Leaf.ratio_min Photo.Leaf.ratio_max)
   in
-  let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
+  let y0 = (Photo.Steady_state.natural present_low).Photo.Steady_state.y in
   check_bits "seed 19" ~uptake:"0x1.bdd82d98a2466p+2" ~converged:true
     ~state:"5989b5e2c5d99640"
     (Photo.Steady_state.evaluate ~y0 ~env:present_low ~ratios ())
@@ -285,7 +285,7 @@ let test_sweep_bits () =
   let paths = Array.make 3 0 and bits = ref [] in
   List.iter
     (fun env ->
-      let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+      let y0 = (Photo.Steady_state.natural env).Photo.Steady_state.y in
       for _ = 1 to 6 do
         let ratios =
           Array.init Photo.Enzyme.count (fun _ ->
@@ -315,7 +315,7 @@ let test_ptc_root_bits () =
   let got =
     List.mapi
       (fun i env ->
-        let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+        let y0 = (Photo.Steady_state.natural env).Photo.Steady_state.y in
         match
           counts [ fallbacks; iterations ] (fun () ->
               Photo.Steady_state.evaluate ~y0 ~env ~ratios:designs.(i) ())
@@ -366,7 +366,7 @@ let test_unacceptable_root_falls_back () =
      root either. *)
   let env = Photo.Params.present ~tp_export:Photo.Params.high_export in
   let ratios = (seeded_designs ~seed:3 ~lo:0.05 ~hi:3. 56).(55) in
-  let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let y0 = (Photo.Steady_state.natural env).Photo.Steady_state.y in
   let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
   let r, n =
     counts [ fallbacks; unstable ] (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ())
@@ -393,7 +393,7 @@ let test_runaway_unconverged () =
      restart, so the design is unconverged and scores zero. *)
   let env = Photo.Params.present ~tp_export:Photo.Params.high_export in
   let ratios = (seeded_designs ~seed:43 ~lo:0.05 ~hi:3. 77).(76) in
-  let y0 = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y in
+  let y0 = (Photo.Steady_state.natural env).Photo.Steady_state.y in
   let r, n = counted (fun () -> Photo.Steady_state.evaluate ~y0 ~env ~ratios ()) in
   Alcotest.(check int) "one restart" 1 n;
   Alcotest.(check bool) "unconverged" false r.Photo.Steady_state.converged;
@@ -409,7 +409,7 @@ let test_ptc_matches_long_relaxation () =
      natural state): PTC's report converges and agrees with a t = 3 000
      integration within 1e-3·(|u|+1).  The windows' last uptakes were
      10.12, 13.46, 6.48 and 3.73. *)
-  let y0 = (Photo.Steady_state.natural ~env:present_low ()).Photo.Steady_state.y in
+  let y0 = (Photo.Steady_state.natural present_low).Photo.Steady_state.y in
   let narrow = seeded_designs ~seed:7 ~lo:0.5 ~hi:1.5 17 in
   let wide = seeded_designs ~seed:7 ~lo:0.05 ~hi:3. 14 in
   List.iter
@@ -466,7 +466,7 @@ let test_pattern_shape () =
 
 let natural_roots () =
   List.map
-    (fun env -> (env, (Photo.Steady_state.natural ~env ()).Photo.Steady_state.y))
+    (fun env -> (env, (Photo.Steady_state.natural env).Photo.Steady_state.y))
     Photo.Params.six_conditions
 
 let test_grouped_jacobian_bits () =
@@ -599,7 +599,7 @@ let env = present_low
 (* {1 Control analysis} *)
 
 let test_control_influential_enzymes () =
-  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) in
   let top = Photo.Control.ranking coeffs in
   let top4 = List.filteri (fun i _ -> i < 4) top in
   let names = List.map (fun c -> c.Photo.Control.name) top4 in
@@ -612,7 +612,7 @@ let test_control_influential_enzymes () =
     true (hits >= 2)
 
 let test_control_summation () =
-  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) in
   let s = Photo.Control.summation coeffs in
   (* Flux-control summation theorem: Σ C_i ≈ 1 (within model noise). *)
   Alcotest.(check bool) (Printf.sprintf "sum=%.3f in [0.5, 1.5]" s) true
@@ -621,7 +621,7 @@ let test_control_summation () =
 let test_control_sucrose_enzymes_small () =
   (* The paper: the sucrose/starch pathway enzymes do not affect uptake at
      natural levels. *)
-  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) () in
+  let coeffs = Photo.Control.flux_control ~env ~ratios:(Array.make 23 1.) in
   let c i = Float.abs coeffs.(i).Photo.Control.control in
   Alcotest.(check bool) "SPS weak" true (c Photo.Enzyme.idx_sps < 0.1);
   Alcotest.(check bool) "SPP weak" true (c Photo.Enzyme.idx_spp < 0.1)
@@ -629,22 +629,20 @@ let test_control_sucrose_enzymes_small () =
 (* {1 Response curves} *)
 
 let test_a_ci_monotone () =
-  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 165.; 270.; 490. ] () in
+  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 165.; 270.; 490. ] in
   match curve with
   | [ (_, a1); (_, a2); (_, a3) ] ->
     Alcotest.(check bool) "A rises with Ci" true (a1 < a2 && a2 < a3)
   | _ -> Alcotest.fail "curve shape"
 
 let test_a_ci_matches_conditions () =
-  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 270. ] () in
+  let curve = Photo.Response.a_ci_curve ~tp_export:1. ~ci_values:[ 270. ] in
   match curve with
   | [ (_, a) ] -> check_float ~tol:0.05 "matches natural point" 15.486 a
   | _ -> Alcotest.fail "curve shape"
 
 let test_export_response_saturates () =
-  let resp =
-    Photo.Response.export_response ~ci:270. ~export_values:[ 0.25; 1.; 3. ] ()
-  in
+  let resp = Photo.Response.export_response ~ci:270. ~export_values:[ 0.25; 1.; 3. ] in
   match resp with
   | [ (_, a_low); (_, a_mid); (_, a_high) ] ->
     Alcotest.(check bool) "sink limitation at low export" true (a_low <= a_mid +. 0.2);
@@ -672,7 +670,7 @@ let test_time_course_y0_checked () =
     [ 23; 25; 30 ]
 
 let test_induction_rises () =
-  let tc = Photo.Simulate.induction ~env ~ratios:natural () in
+  let tc = Photo.Simulate.induction ~env ~ratios:natural in
   match tc, List.rev tc with
   | first :: _, last :: _ ->
     Alcotest.(check bool)
@@ -681,7 +679,7 @@ let test_induction_rises () =
       true
       (first.Photo.Simulate.assimilation < last.Photo.Simulate.assimilation);
     (* The induction should approach the steady-state rate. *)
-    let ss = (Photo.Steady_state.natural ~env ()).Photo.Steady_state.uptake in
+    let ss = (Photo.Steady_state.natural env).Photo.Steady_state.uptake in
     Alcotest.(check bool)
       (Printf.sprintf "final %.2f near ss %.2f" last.Photo.Simulate.assimilation ss)
       true
@@ -689,7 +687,7 @@ let test_induction_rises () =
   | _ -> Alcotest.fail "empty induction"
 
 let test_induction_half_time () =
-  let tc = Photo.Simulate.induction ~env ~ratios:natural () in
+  let tc = Photo.Simulate.induction ~env ~ratios:natural in
   let t_half = Photo.Simulate.induction_half_time tc in
   Alcotest.(check bool)
     (Printf.sprintf "t_half %.0f in (0, 300)" t_half)
@@ -752,18 +750,18 @@ let test_kinetics_at_trends () =
     (hot.Photo.Params.gamma_star > cold.Photo.Params.gamma_star)
 
 let test_uptake_at_reference_matches () =
-  let a = Photo.Temperature.uptake_at ~env ~t_c:25. () in
+  let a = Photo.Temperature.uptake_at ~env ~t_c:25. in
   check_float ~tol:0.05 "calibration preserved" 15.486 a
 
 let test_temperature_peak () =
-  let a20 = Photo.Temperature.uptake_at ~env ~t_c:20. () in
-  let a30 = Photo.Temperature.uptake_at ~env ~t_c:30. () in
-  let a42 = Photo.Temperature.uptake_at ~env ~t_c:42. () in
+  let a20 = Photo.Temperature.uptake_at ~env ~t_c:20. in
+  let a30 = Photo.Temperature.uptake_at ~env ~t_c:30. in
+  let a42 = Photo.Temperature.uptake_at ~env ~t_c:42. in
   Alcotest.(check bool) "rises to 30" true (a30 > a20);
   Alcotest.(check bool) "collapses past 40" true (a42 < a20)
 
 let test_optimum_in_range () =
-  let topt, aopt = Photo.Temperature.optimum ~env () in
+  let topt, aopt = Photo.Temperature.optimum ~env in
   Alcotest.(check bool) (Printf.sprintf "T_opt %.1f in (25, 40)" topt) true
     (topt > 25. && topt < 40.);
   Alcotest.(check bool) "peak above calibration value" true (aopt > 15.486)

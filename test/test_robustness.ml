@@ -120,21 +120,28 @@ let prop_yield_in_range =
       let r = Robustness.Yield.gamma_pool ~seed ~f:(fun x -> x.(0) ** 2.) ~trials:100 [| x0 |] in
       r.Robustness.Yield.yield_pct >= 0. && r.Robustness.Yield.yield_pct <= 100.)
 
+(* Γ is the paper's δ = 10 %, ε = 5 %: recount the survivors of the same
+   stream ensemble by hand, at ε = 2 %, 5 % and 8 %.  The yield equals the
+   5 % count and lies between the other two. *)
 let prop_larger_eps_no_worse =
   QCheck.Test.make ~name:"yield monotone in eps" ~count:30
     QCheck.(int_bound 100000)
     (fun seed ->
       let f x = (2. *. x.(0)) +. x.(1) in
       let x = [| 1.; 3. |] in
-      let y1 =
-        (Robustness.Yield.gamma_pool ~seed ~f ~eps_frac:0.02
-           ~trials:300 x).Robustness.Yield.yield_pct
+      let trials = 300 in
+      let nominal = f x in
+      let deviations =
+        List.init trials (fun t ->
+            Float.abs (nominal -. f (Robustness.Perturb.stream_trial ~seed ~delta:0.10 x t)))
       in
-      let y2 =
-        (Robustness.Yield.gamma_pool ~seed ~f ~eps_frac:0.08
-           ~trials:300 x).Robustness.Yield.yield_pct
+      let count eps =
+        List.length (List.filter (fun d -> d <= eps *. Float.abs nominal) deviations)
       in
-      y2 >= y1)
+      let r = Robustness.Yield.gamma_pool ~seed ~f ~trials x in
+      r.Robustness.Yield.survivors = count 0.05
+      && count 0.02 <= r.Robustness.Yield.survivors
+      && r.Robustness.Yield.survivors <= count 0.08)
 
 let test_perturb_invalid_arguments () =
   let x = [| 1.; 2. |] in
