@@ -466,6 +466,12 @@ let test_ring_attach_read () =
       Alcotest.(check bool) "magic recognized" true (Obs.Ring.is_ring_file ~path);
       let d = Obs.Ring.read ~path in
       Alcotest.(check int) "lane" 3 d.Obs.Ring.d_lane;
+      (* Detached, a record reaches no file: a forked worker resets to
+         stop writing into its supervisor's ring. *)
+      Obs.Ring.reset ();
+      Obs.Ring.record late Obs.Ring.Fault 33;
+      Alcotest.(check bool) "nothing recorded after reset" true
+        ((Obs.Ring.read ~path).Obs.Ring.d_entries = d.Obs.Ring.d_entries);
       match d.Obs.Ring.d_entries with
       | [ a; b ] ->
         Alcotest.(check string) "early name" "t.ring.early" a.Obs.Ring.e_name;
