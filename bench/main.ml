@@ -124,9 +124,11 @@ let bench_fig4_repair =
    Ci, low export: one rhs call; one 20-unit dopri5 window (what a
    restart integrates) from the steady state at [Steady_state.evaluate]'s
    tolerances; one PTC solve from the cold initial state, its root
-   certificate included; and the certificate's eigenvalue kernel alone on
-   the natural root's Jacobian (each run first copies the Jacobian into
-   the buffer the kernel overwrites). *)
+   certificate included; one PTC solve started at the natural root, which
+   takes no Newton step, so it is one residual, one Jacobian and the
+   certificate on the Jacobian's diagonal blocks; and the eigenvalue
+   kernel alone on the natural root's full 24×24 Jacobian (each run first
+   copies the Jacobian into the buffer the kernel overwrites). *)
 let leaf_env = Photo.Params.present ~tp_export:Photo.Params.low_export
 
 let leaf_rhs () = Photo.Model.rhs Photo.Params.default leaf_env ~vmax:(Photo.Enzyme.natural_vmax ())
@@ -148,6 +150,13 @@ let bench_ode_ptc =
   Test.make ~name:"ode/ptc"
     (Staged.stage
        (let f = leaf_rhs () and y0 = Photo.State.initial () and pattern = Photo.Model.pattern () in
+        fun () -> ignore (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ())))
+
+let bench_ode_certificate =
+  Test.make ~name:"ode/certificate"
+    (Staged.stage
+       (let f = leaf_rhs () and pattern = Photo.Model.pattern () in
+        let y0 = (Photo.Steady_state.natural leaf_env).Photo.Steady_state.y in
         fun () -> ignore (Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ())))
 
 let bench_ode_eigenvalues =
@@ -246,6 +255,7 @@ let run_micro_benchmarks () =
             bench_photo_rhs;
             bench_ode_dopri5_window;
             bench_ode_ptc;
+            bench_ode_certificate;
             bench_ode_eigenvalues;
             bench_fig2_nitrogen;
             bench_table1_metrics;

@@ -3,7 +3,8 @@
    similarity transforms, then Francis double-shift QR on the Hessenberg
    matrix (the EISPACK balanc / elmhes / hqr sequence).  Eigenvalues
    only: no transform is accumulated, so the QR sweeps touch only the
-   active block.  Row-major n×n storage, entry (i, j) at i·n + j. *)
+   active block.  Row-major n×n storage in the first n² entries of the
+   buffer, entry (i, j) at i·n + j. *)
 
 let max_sweeps = 30
 
@@ -255,7 +256,7 @@ let hqr ~n a (wr : Vec.t) (wi : Vec.t) =
   not !capped
 
 let eigenvalues_in_place ~n a wr wi =
-  if Array.length a <> n * n || Array.length wr < n || Array.length wi < n then
+  if Array.length a < n * n || Array.length wr < n || Array.length wi < n then
     invalid_arg "Eigen.eigenvalues_in_place: buffer sizes";
   let finite = ref true in
   for k = 0 to (n * n) - 1 do

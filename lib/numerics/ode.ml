@@ -238,7 +238,61 @@ let[@inline] pos x = if x > 0. then x else if Float.is_nan x then x else 0.
 type pattern = {
   rows : int array array;  (** rows.(j): the derivatives state j can change *)
   groups : int array array;  (** column groups, no two columns sharing a row *)
+  blocks : int array array;
+      (** strongly connected components of j → i, each ascending, in the
+          order of their least state *)
+  swaps : int array;
+      (** the row swaps, a ↔ swaps.(a) for a = 0, 1, …, that lay out the
+          [blocks] one after another *)
 }
+
+(* The strongly connected components of the graph j → i (i ∈ rows.(j)),
+   from its transitive closure (Warshall, O(n³) once per pattern): i and
+   j share a component when each reaches the other.  Each component is
+   ascending, and they come in the order of their least state. *)
+let components rows =
+  let n = Array.length rows in
+  let reach =
+    Array.init n (fun j ->
+        let r = Array.make n false in
+        r.(j) <- true;
+        Array.iter (fun i -> r.(i) <- true) rows.(j);
+        r)
+  in
+  for k = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if reach.(j).(k) then
+        for i = 0 to n - 1 do
+          if reach.(k).(i) then reach.(j).(i) <- true
+        done
+    done
+  done;
+  let placed = Array.make n false in
+  List.filter_map
+    (fun j ->
+      if placed.(j) then None
+      else begin
+        let block = List.filter (fun i -> reach.(j).(i) && reach.(i).(j)) (List.init n Fun.id) in
+        List.iter (fun i -> placed.(i) <- true) block;
+        Some (Array.of_list block)
+      end)
+    (List.init n Fun.id)
+  |> Array.of_list
+
+(* The swaps that bring state order.(a) to row a, for a = 0, 1, … in
+   turn: where.(s) is the row state s has reached so far, at.(r) the
+   state in row r.  Every swap is a ↔ r with r ≥ a. *)
+let swaps_to order =
+  let n = Array.length order in
+  let at = Array.init n Fun.id and where = Array.init n Fun.id in
+  Array.init n (fun a ->
+      let s = order.(a) and moved = at.(a) in
+      let r = where.(s) in
+      at.(r) <- moved;
+      where.(moved) <- r;
+      at.(a) <- s;
+      where.(s) <- a;
+      r)
 
 (* Curtis–Powell–Reid grouping, greedy in column order: each column joins
    the first group none of whose columns shares a row with it. *)
@@ -259,9 +313,12 @@ let pattern rows =
     group.(j) <- !g
   done;
   let members g = List.filter (fun j -> group.(j) = g) (List.init n Fun.id) in
+  let blocks = components rows in
   {
     rows = Array.map Array.copy rows;
     groups = Array.init !count (fun g -> Array.of_list (members g));
+    blocks;
+    swaps = swaps_to (Array.concat (Array.to_list blocks));
   }
 
 let pattern_groups p = Array.length p.groups
@@ -372,22 +429,60 @@ let ptc_rtol = 1e-10
 let ptc_atol = 1e-8
 let ptc_to_boundary = 0.99
 
-(* The root certificate: the forward-difference Jacobian at the root,
-   given [f0 = f 0 y], and its eigenvalues, all in the Newton workspace.
-   The kernel overwrites [d.jac] and writes the spectrum into [d.fj] and
-   [d.yp], which the Jacobian no longer needs.  Stable when every
-   eigenvalue has a negative real part; a spectrum the QR iteration
-   could not finish certifies nothing. *)
-let stable_root d pattern f y f0 =
-  jacobian d pattern f 0. y f0;
-  let wr = d.fj and wi = d.yp in
-  Eigen.eigenvalues_in_place ~n:d.n d.jac wr wi
-  &&
-  let stable = ref true in
-  for i = 0 to d.n - 1 do
-    if not (Array.unsafe_get wr i < 0.) then stable := false
+(* The root certificate: the forward-difference Jacobian J at the root,
+   given [f0 = f 0 y], then the eigenvalues of its diagonal blocks, all
+   in the Newton workspace.  Up to a symmetric permutation J is block
+   triangular over the pattern's [blocks], so its spectrum is the union
+   of theirs.  A non-finite entry anywhere in J certifies nothing.  The
+   row swaps lay the blocks' rows out one after another; a block of one
+   state is read off the diagonal, and a larger one is compacted, its
+   columns picked out, to the front of [d.jac].  Compaction in row-major
+   order reads each entry at or after the place it writes, and the
+   blocks before it are done with, so it overwrites nothing still
+   needed.  The kernel then overwrites the block and writes its spectrum
+   into [d.fj] and [d.yp], which the Jacobian no longer needs.  Stable
+   when every eigenvalue has a negative real part; the first block that
+   is not, or whose QR iteration hits its cap, ends the certificate. *)
+let stable_root d p f y f0 =
+  jacobian d p f 0. y f0;
+  let n = d.n and a = d.jac and wr = d.fj and wi = d.yp in
+  let finite = ref true in
+  for k = 0 to (n * n) - 1 do
+    if not (Float.is_finite (Array.unsafe_get a k)) then finite := false
   done;
-  !stable
+  !finite
+  && begin
+    for r = 0 to n - 1 do
+      let s = Array.unsafe_get p.swaps r in
+      if s <> r then
+        for k = 0 to n - 1 do
+          let t = Array.unsafe_get a ((r * n) + k) in
+          Array.unsafe_set a ((r * n) + k) (Array.unsafe_get a ((s * n) + k));
+          Array.unsafe_set a ((s * n) + k) t
+        done
+    done;
+    let stable = ref true and o = ref 0 and b = ref 0 in
+    while !stable && !b < Array.length p.blocks do
+      let states = Array.unsafe_get p.blocks !b in
+      let m = Array.length states in
+      if m = 1 then stable := Array.unsafe_get a ((!o * n) + Array.unsafe_get states 0) < 0.
+      else begin
+        for r = 0 to m - 1 do
+          for c = 0 to m - 1 do
+            Array.unsafe_set a ((r * m) + c)
+              (Array.unsafe_get a (((!o + r) * n) + Array.unsafe_get states c))
+          done
+        done;
+        stable := Eigen.eigenvalues_in_place ~n:m a wr wi;
+        for i = 0 to m - 1 do
+          if not (Array.unsafe_get wr i < 0.) then stable := false
+        done
+      end;
+      o := !o + m;
+      incr b
+    done;
+    !stable
+  end
 
 let pseudo_transient ?deadline ~pattern ~f ~y0 () =
   Obs.Metrics.incr m_ptc_calls;

@@ -71,14 +71,23 @@ type pattern
 (** The structural sparsity of an rhs's Jacobian — which derivatives each
     state can change — with its columns grouped so that no two columns of
     a group share a row (Curtis–Powell–Reid).  A forward-difference
-    Jacobian then perturbs a whole group per rhs call. *)
+    Jacobian then perturbs a whole group per rhs call.  The pattern also
+    holds its diagonal blocks: the strongly connected components of the
+    graph j → i, under whose symmetric permutation the Jacobian is block
+    triangular, so that its spectrum is the union of the blocks'. *)
 
 val pattern : int array array -> pattern
 (** [pattern rows]: [rows.(j)] lists the derivatives [i] that state [j]
     can change.  It must contain every [i] whose fᵢ reads yⱼ; extra rows
-    only cost groups.  Columns are grouped greedily in index order: each
-    joins the first group that shares no row with it.  Raises
-    [Invalid_argument] on a row outside [0, n). *)
+    only cost groups, and may merge blocks.  Columns are grouped greedily
+    in index order: each joins the first group that shares no row with
+    it.  The blocks are the strongly connected components of j → i
+    (i ∈ [rows.(j)]), found from the graph's transitive closure in
+    O(n³), and are laid out in the order of their least state by a
+    sequence of row swaps fixed here.  Build it once per system: the
+    leaf model's has blocks of 19, 4 and 1 states; a dense pattern has
+    one.  Raises [Invalid_argument] on a row outside
+    [0, n). *)
 
 (* robustlint: allow R12 — test_photo's "jacobian pattern shape" case counts the leaf's groups *)
 val pattern_groups : pattern -> int
@@ -119,10 +128,14 @@ val pseudo_transient :
 
     A converged state is returned only when it is certified: every
     eigenvalue of its forward-difference Jacobian over [pattern] has a
-    negative real part ({!Eigen.eigenvalues_in_place}, run in the
-    Newton workspace).  A root that fails the test, whose Jacobian has
-    a non-finite entry, or whose QR iteration hits its cap counts once
-    in [ode.ptc.unstable] and gives [root = None].
+    negative real part.  The certificate permutes the Jacobian's rows
+    in the Newton workspace so that the pattern's blocks lie along the
+    diagonal, reads a one-state block's eigenvalue off the diagonal, and
+    runs {!Eigen.eigenvalues_in_place} on each larger block, compacted
+    to the front of the buffer; it stops at the first block that fails.
+    A root that fails the test, whose Jacobian has a non-finite entry
+    (in any block, on or off the diagonal), or whose QR iteration hits
+    its cap counts once in [ode.ptc.unstable] and gives [root = None].
 
     Each iteration costs one rhs evaluation plus one per column group,
     and the certificate one Jacobian more (counted in [ode.jacobians]

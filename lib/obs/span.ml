@@ -83,10 +83,39 @@ let slot tbl key =
     Hashtbl.add tbl key r;
     r
 
+(* Span name → flight-recorder probe, read without a lock.  [Ring.probe]
+   takes the ring's mutex and scans every interned name, a quarter of an
+   enabled span's cost, so each name is interned once and its id kept
+   here.  Ids never change: attaching a ring file later writes every
+   interned name into its header.  The list only grows; two domains that
+   miss on one name at once both add it, with the same id.  A name is
+   usually a literal, the same string on every call, so physical
+   equality finds it before any string comparison runs. *)
+let probes : (string * Ring.probe) list Atomic.t = Atomic.make []
+
+let rec add_probe entry =
+  let l = Atomic.get probes in
+  if not (Atomic.compare_and_set probes l (entry :: l)) then add_probe entry
+
+let probe_of name =
+  let rec same = function
+    | (n, _) :: _ as l when n == name -> l
+    | _ :: rest -> same rest
+    | [] -> []
+  and equal = function
+    | (n, p) :: rest -> if String.equal n name then p else equal rest
+    | [] ->
+      let p = Ring.probe name in
+      add_probe (name, p);
+      p
+  in
+  let l = Atomic.get probes in
+  match same l with (_, p) :: _ -> p | [] -> equal l
+
 let enter name =
   let domain = (Domain.self () :> int) in
   let id = Atomic.fetch_and_add next_id 1 in
-  let rp = Ring.probe name in
+  let rp = probe_of name in
   Ring.record rp Ring.Enter id;
   let parent, start_rel =
     locked (fun () ->

@@ -369,23 +369,83 @@ let test_ptc_bounded_root () =
     check_float ~tol:1e-9 "y1 -> 0" 0. y.(1)
   | None -> Alcotest.fail "bounded root not found"
 
+(* A 24-state linear system y' = A·(y − 2) whose pattern has the leaf's
+   strongly connected components: states 0–18 in one cycle, {19, 20, 21,
+   23} in a second and 22 alone.  Couplings 0 → 19 and 22 → 23 feed the
+   second from both others, so the blocks, taken in the order of their
+   least state, are not in topological order, and the second block's
+   rows hold a nonzero entry in column 22, inside its index range.
+   [block] is A over (19, 20, 21, 23) and [last] is A₂₂,₂₂.  Returns the
+   pattern read off A and the rhs. *)
+let reducible ~block ~last =
+  let n = 24 and b = [| 19; 20; 21; 23 |] in
+  let entries =
+    List.concat
+      [
+        List.init 19 (fun i -> (i, i, -0.1 -. (0.05 *. float_of_int i)));
+        List.init 19 (fun i -> (i, (i + 1) mod 19, 0.01));
+        [ (19, 0, 0.1); (23, 22, 0.5); (22, 22, last) ];
+        List.concat
+          (List.init 4 (fun r ->
+               List.filter_map
+                 (fun c ->
+                   let x = block.(r).(c) in
+                   if Float.equal x 0. then None else Some (b.(r), b.(c), x))
+                 (List.init 4 Fun.id)));
+      ]
+  in
+  let rows =
+    Array.init n (fun j ->
+        Array.of_list (List.filter_map (fun (i, j', _) -> if j' = j then Some i else None) entries))
+  in
+  let ei = Array.of_list (List.map (fun (i, _, _) -> i) entries)
+  and ej = Array.of_list (List.map (fun (_, j, _) -> j) entries)
+  and ex = Array.of_list (List.map (fun (_, _, x) -> x) entries) in
+  let f _t y dy =
+    Array.fill dy 0 n 0.;
+    for k = 0 to Array.length ex - 1 do
+      dy.(ei.(k)) <- dy.(ei.(k)) +. (ex.(k) *. (y.(ej.(k)) -. 2.))
+    done
+  in
+  (Numerics.Ode.pattern rows, f)
+
+(* The second component's A: a cycle 19 → 20 → 21 → 23 → 19 whose
+   entries off the leading 2×2 and the diagonal are small, so its
+   eigenvalues are those of [lead], −2 and [d23] (state 23's, the one
+   out of index order), to within 1e-6. *)
+let second_block ?(d23 = -3.) lead =
+  [|
+    [| lead.(0).(0); lead.(0).(1); 0.; 0.01 |];
+    [| lead.(1).(0); lead.(1).(1); 0.; 0. |];
+    [| 0.; 0.01; -2.; 0. |];
+    [| 0.; 0.; 0.01; d23 |];
+  |]
+
+let stable_lead = [| [| -1.; -1. |]; [| 1.; -1. |] |]
+let stable_second = second_block stable_lead
+
 (* The Jacobian, LU and scratch buffers are allocated once per call: on
-   a 24-dimensional linear system the whole call, per-call buffers
-   included, stays within 64 minor words per iteration. *)
+   24-dimensional linear systems the whole call, per-call buffers
+   included, stays within 64 minor words per iteration.  Under the dense
+   pattern the certificate is one block; under [reducible]'s it swaps
+   rows and compacts blocks. *)
 let test_ptc_allocation () =
   let n = 24 in
-  let f = linear_sink n in
-  let y0 = Array.make n 0.5 and pattern = Testkit.Ode.dense_pattern n in
-  let before = Gc.minor_words () in
-  let p = Numerics.Ode.pseudo_transient ~pattern ~f ~y0 () in
-  let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) "converged" true (Option.is_some p.Numerics.Ode.root);
-  let it = p.Numerics.Ode.iterations in
-  Alcotest.(check bool) (Printf.sprintf "%d iterations" it) true (it >= 5);
-  let per_iteration = words /. float_of_int it in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per iteration <= 64" per_iteration)
-    true (per_iteration <= 64.)
+  List.iter
+    (fun (name, pattern, f) ->
+      let y0 = Array.make n 0.5 in
+      let before = Gc.minor_words () in
+      let p = Numerics.Ode.pseudo_transient ~pattern ~f ~y0 () in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (name ^ ": converged") true (Option.is_some p.Numerics.Ode.root);
+      let it = p.Numerics.Ode.iterations in
+      Alcotest.(check bool) (Printf.sprintf "%s: %d iterations" name it) true (it >= 5);
+      let per_iteration = words /. float_of_int it in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per iteration <= 64" name per_iteration)
+        true (per_iteration <= 64.))
+    (let pattern, f = reducible ~block:stable_second ~last:(-1.) in
+     [ ("dense", Testkit.Ode.dense_pattern n, linear_sink n); ("reducible", pattern, f) ])
 
 let test_ptc_deadline () =
   let f = linear_sink 24 in
@@ -428,15 +488,17 @@ let test_steady_state_timeout () =
   let s = Moo.Solution.evaluate (Photo.Leaf.problem env) ratios in
   check_float ~tol:0. "scored zero uptake" 0. (Photo.Leaf.uptake_of s)
 
-(* The certificate: PTC converges on each of these planar systems from a
-   start near its root, and returns the root only when both eigenvalues
-   of the root's Jacobian have negative real parts.  A saddle (+3, −1)
-   and an unstable focus (0.1 ± i) are rejected and each counted once in
-   [ode.ptc.unstable]; a stable node (−1, −2) is returned. *)
+(* The certificate: PTC converges on each of these systems from a start
+   near its root, and returns the root only when every eigenvalue of the
+   root's Jacobian has a negative real part.  A saddle (+3, −1) and an
+   unstable focus (0.1 ± i) are rejected and each counted once in
+   [ode.ptc.unstable]; a stable node (−1, −2) is returned.  So are their
+   24-state counterparts under a pattern of three components, with the
+   unstable mode confined to a block other than the first: +3 on state
+   23 or 0.1 ± i in the second, +3 in the third, of one state. *)
 let test_ptc_certificate () =
-  let pattern = Testkit.Ode.dense_pattern 2 in
   let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
-  let solve f y0 =
+  let solve ?(pattern = Testkit.Ode.dense_pattern 2) f y0 =
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
     let p =
@@ -467,11 +529,30 @@ let test_ptc_certificate () =
       Alcotest.(check bool) (name ^ ": no root") true (Option.is_none p.Numerics.Ode.root);
       Alcotest.(check int) (name ^ ": one unstable root") 1 n)
     [ ("saddle", saddle, [| 1.2; 0.5 |]); ("focus", focus, [| 2.3; 1.8 |]) ];
-  match solve node [| 0.5; 2.5 |] with
+  (match solve node [| 0.5; 2.5 |] with
   | { Numerics.Ode.root = Some y; _ }, 0 ->
     check_float ~tol:1e-9 "node y0" 1. y.(0);
     check_float ~tol:1e-9 "node y1" 3. y.(1)
-  | _ -> Alcotest.fail "stable node not certified"
+  | _ -> Alcotest.fail "stable node not certified");
+  let near = Array.init 24 (fun i -> if i mod 2 = 0 then 2.1 else 1.9) in
+  let reducible_solve ~block ~last =
+    let pattern, f = reducible ~block ~last in
+    solve ~pattern f near
+  in
+  List.iter
+    (fun (name, block, last) ->
+      let p, n = reducible_solve ~block ~last in
+      Alcotest.(check bool) (name ^ ": no root") true (Option.is_none p.Numerics.Ode.root);
+      Alcotest.(check int) (name ^ ": one unstable root") 1 n)
+    [
+      ("second block +3", second_block ~d23:3. stable_lead, -1.);
+      ("second block 0.1 ± i", second_block [| [| 0.1; -1. |]; [| 1.; 0.1 |] |], -1.);
+      ("third block +3", stable_second, 3.);
+    ];
+  match reducible_solve ~block:stable_second ~last:(-1.) with
+  | { Numerics.Ode.root = Some y; _ }, 0 ->
+    Array.iteri (fun i yi -> check_float ~tol:1e-9 (Printf.sprintf "reducible y%d" i) 2. yi) y
+  | _ -> Alcotest.fail "stable reducible system not certified"
 
 (* {1 Eigenvalues} *)
 

@@ -483,6 +483,36 @@ let test_ring_attach_read () =
           (contains_substring ~sub:"t.ring.early" s)
       | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es))
 
+(* A span's ring probe is interned on its name's first enabled span and
+   kept: a ring attached after spans ran still names every span entered
+   after the attach, whether its name was seen before the attach, is
+   new, or is a fresh copy of a cached name built at each call. *)
+let test_ring_names_spans_after_attach () =
+  with_ring @@ fun () ->
+  with_tracing @@ fun () ->
+  let path = Filename.temp_file "obs_ring" ".ring" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let built () = String.concat "." [ "t"; "span"; "built" ] in
+  Obs.Span.with_span "t.span.before" (fun () -> Obs.Span.with_span (built ()) ignore);
+  Obs.Ring.attach ~path ~lane:1;
+  Obs.Span.with_span "t.span.before" (fun () ->
+      Obs.Span.with_span (built ()) ignore;
+      Obs.Span.with_span "t.span.after" ignore);
+  let kind = function Obs.Ring.Enter -> "enter" | Obs.Ring.Leave -> "leave" | _ -> "other" in
+  Alcotest.(check (list (pair string string)))
+    "ring events"
+    [
+      ("enter", "t.span.before");
+      ("enter", "t.span.built");
+      ("leave", "t.span.built");
+      ("enter", "t.span.after");
+      ("leave", "t.span.after");
+      ("leave", "t.span.before");
+    ]
+    (List.map
+       (fun e -> (kind e.Obs.Ring.e_kind, e.Obs.Ring.e_name))
+       (Obs.Ring.read ~path).Obs.Ring.d_entries)
+
 let test_ring_read_rejects_garbage () =
   let path = Filename.temp_file "obs_ring" ".not" in
   Fun.protect
@@ -860,6 +890,8 @@ let () =
         [
           Alcotest.test_case "wraparound keeps last 256" `Quick test_ring_wraparound;
           Alcotest.test_case "attach and read back" `Quick test_ring_attach_read;
+          Alcotest.test_case "names spans entered after attach" `Quick
+            test_ring_names_spans_after_attach;
           Alcotest.test_case "read rejects garbage" `Quick test_ring_read_rejects_garbage;
           Alcotest.test_case "fuzz: read or Invalid_argument" `Quick test_ring_fuzz;
         ] );

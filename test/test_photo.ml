@@ -403,6 +403,53 @@ let test_runaway_unconverged () =
   let top = Array.fold_left Float.max 0. traj.Numerics.Ode.y in
   Alcotest.(check bool) (Printf.sprintf "a pool at %.1f mM > 60 at t = 3000" top) true (top > 60.)
 
+let natural_roots () =
+  List.map
+    (fun env -> (env, (Photo.Steady_state.natural env).Photo.Steady_state.y))
+    Photo.Params.six_conditions
+
+let test_certified_roots_full_spectrum () =
+  (* Every root PTC certifies block by block is stable by the whole
+     spectrum too.  Ten designs per regime (±10 %, ±50 %, [0.05, 3]) and
+     condition, drawn in that order from one Rng seed 31 stream, each
+     relaxed from its condition's natural state.  The oracle runs the
+     eigenvalue kernel on the full 24×24 forward-difference Jacobian at
+     the root.  Of the 180 calls, the pinned counts are certified, then
+     rejected by the certificate ([ode.ptc.unstable]), then given up. *)
+  let n = Photo.State.n and pattern = Photo.Model.pattern () in
+  let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
+  let rng = Numerics.Rng.create 31 in
+  let certified = ref 0 and rejected = ref 0 and gave_up = ref 0 in
+  let wr = Array.make n 0. and wi = Array.make n 0. in
+  List.iter
+    (fun (lo, hi) ->
+      List.iter
+        (fun (env, y0) ->
+          for d = 1 to 10 do
+            let ratios =
+              Array.init Photo.Enzyme.count (fun _ -> Numerics.Rng.uniform rng lo hi)
+            in
+            let f =
+              Photo.Model.rhs Photo.Params.default env ~vmax:(Photo.Enzyme.vmax_of_ratios ratios)
+            in
+            match counts [ unstable ] (fun () -> Numerics.Ode.pseudo_transient ~pattern ~f ~y0 ()) with
+            | { Numerics.Ode.root = Some y; _ }, _ ->
+              incr certified;
+              let jac = Numerics.Ode.numeric_jacobian ~pattern f 0. y in
+              let a = Array.init (n * n) (fun k -> Numerics.Matrix.get jac (k / n) (k mod n)) in
+              if
+                not
+                  (Numerics.Eigen.eigenvalues_in_place ~n a wr wi
+                  && Array.for_all (fun x -> x < 0.) wr)
+              then Alcotest.failf "[%g, %g] design %d: certified root is not stable" lo hi d
+            | { root = None; _ }, [ 1 ] -> incr rejected
+            | _ -> incr gave_up
+          done)
+        (natural_roots ()))
+    [ (0.9, 1.1); (0.5, 1.5); (Photo.Leaf.ratio_min, Photo.Leaf.ratio_max) ];
+  Alcotest.(check (list int)) "certified, rejected, gave up" [ 180; 0; 0 ]
+    [ !certified; !rejected; !gave_up ]
+
 let test_ptc_matches_long_relaxation () =
   (* Designs the windowed loop leaves unconverged at t_max (two within
      ±50 % of natural, two over [0.05, 3]; Rng seed 7, relaxed from the
@@ -463,11 +510,6 @@ let test_pattern_shape () =
   for j = 0 to n - 1 do
     Alcotest.(check bool) (Printf.sprintf "state %d reads itself" j) true (inside j j)
   done
-
-let natural_roots () =
-  List.map
-    (fun env -> (env, (Photo.Steady_state.natural env).Photo.Steady_state.y))
-    Photo.Params.six_conditions
 
 let test_grouped_jacobian_bits () =
   (* The column-grouped Jacobian PTC takes is the dense forward
@@ -811,6 +853,8 @@ let () =
           Alcotest.test_case "y0 length checked" `Quick test_y0_length_checked;
           Alcotest.test_case "unacceptable root falls back" `Quick test_unacceptable_root_falls_back;
           Alcotest.test_case "runaway unconverged" `Quick test_runaway_unconverged;
+          Alcotest.test_case "certified roots pass the full spectrum" `Quick
+            test_certified_roots_full_spectrum;
           Alcotest.test_case "ptc matches t = 3000" `Slow test_ptc_matches_long_relaxation;
         ] );
       ( "leaf-problem",
