@@ -432,7 +432,7 @@ let stable_second = second_block stable_lead
 let test_ptc_allocation () =
   let n = 24 in
   List.iter
-    (fun (name, pattern, f) ->
+    (fun (name, (pattern, f)) ->
       let y0 = Array.make n 0.5 in
       let before = Gc.minor_words () in
       let p = Numerics.Ode.pseudo_transient ~pattern ~f ~y0 () in
@@ -444,8 +444,10 @@ let test_ptc_allocation () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.1f words per iteration <= 64" name per_iteration)
         true (per_iteration <= 64.))
-    (let pattern, f = reducible ~block:stable_second ~last:(-1.) in
-     [ ("dense", Testkit.Ode.dense_pattern n, linear_sink n); ("reducible", pattern, f) ])
+    [
+      ("dense", (Testkit.Ode.dense_pattern n, linear_sink n));
+      ("reducible", reducible ~block:stable_second ~last:(-1.));
+    ]
 
 let test_ptc_deadline () =
   let f = linear_sink 24 in
@@ -498,7 +500,7 @@ let test_steady_state_timeout () =
    23 or 0.1 ± i in the second, +3 in the third, of one state. *)
 let test_ptc_certificate () =
   let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
-  let solve ?(pattern = Testkit.Ode.dense_pattern 2) f y0 =
+  let solve (pattern, f) y0 =
     Obs.Metrics.reset ();
     Obs.Metrics.set_enabled true;
     let p =
@@ -510,6 +512,7 @@ let test_ptc_certificate () =
     Obs.Metrics.reset ();
     (p, n)
   in
+  let planar f = (Testkit.Ode.dense_pattern 2, f) in
   let saddle _t y dy =
     dy.(0) <- 3. *. (y.(0) -. 1.);
     dy.(1) <- 1. -. y.(1)
@@ -523,33 +526,27 @@ let test_ptc_certificate () =
     dy.(0) <- 1. -. y.(0);
     dy.(1) <- 2. *. (3. -. y.(1))
   in
+  let near = Array.init 24 (fun i -> if i mod 2 = 0 then 2.1 else 1.9) in
   List.iter
-    (fun (name, f, y0) ->
-      let p, n = solve f y0 in
+    (fun (name, system, y0) ->
+      let p, n = solve system y0 in
       Alcotest.(check bool) (name ^ ": no root") true (Option.is_none p.Numerics.Ode.root);
       Alcotest.(check int) (name ^ ": one unstable root") 1 n)
-    [ ("saddle", saddle, [| 1.2; 0.5 |]); ("focus", focus, [| 2.3; 1.8 |]) ];
-  (match solve node [| 0.5; 2.5 |] with
+    [
+      ("saddle", planar saddle, [| 1.2; 0.5 |]);
+      ("focus", planar focus, [| 2.3; 1.8 |]);
+      ("second block +3", reducible ~block:(second_block ~d23:3. stable_lead) ~last:(-1.), near);
+      ( "second block 0.1 ± i",
+        reducible ~block:(second_block [| [| 0.1; -1. |]; [| 1.; 0.1 |] |]) ~last:(-1.),
+        near );
+      ("third block +3", reducible ~block:stable_second ~last:3., near);
+    ];
+  (match solve (planar node) [| 0.5; 2.5 |] with
   | { Numerics.Ode.root = Some y; _ }, 0 ->
     check_float ~tol:1e-9 "node y0" 1. y.(0);
     check_float ~tol:1e-9 "node y1" 3. y.(1)
   | _ -> Alcotest.fail "stable node not certified");
-  let near = Array.init 24 (fun i -> if i mod 2 = 0 then 2.1 else 1.9) in
-  let reducible_solve ~block ~last =
-    let pattern, f = reducible ~block ~last in
-    solve ~pattern f near
-  in
-  List.iter
-    (fun (name, block, last) ->
-      let p, n = reducible_solve ~block ~last in
-      Alcotest.(check bool) (name ^ ": no root") true (Option.is_none p.Numerics.Ode.root);
-      Alcotest.(check int) (name ^ ": one unstable root") 1 n)
-    [
-      ("second block +3", second_block ~d23:3. stable_lead, -1.);
-      ("second block 0.1 ± i", second_block [| [| 0.1; -1. |]; [| 1.; 0.1 |] |], -1.);
-      ("third block +3", stable_second, 3.);
-    ];
-  match reducible_solve ~block:stable_second ~last:(-1.) with
+  match solve (reducible ~block:stable_second ~last:(-1.)) near with
   | { Numerics.Ode.root = Some y; _ }, 0 ->
     Array.iteri (fun i yi -> check_float ~tol:1e-9 (Printf.sprintf "reducible y%d" i) 2. yi) y
   | _ -> Alcotest.fail "stable reducible system not certified"
