@@ -86,8 +86,7 @@ val pattern : int array array -> pattern
     O(n³), and are laid out in the order of their least state by a
     sequence of row swaps fixed here.  Build it once per system: the
     leaf model's has blocks of 19, 4 and 1 states; a dense pattern has
-    one.  Raises [Invalid_argument] on a row outside
-    [0, n). *)
+    one.  Raises [Invalid_argument] on a row outside [0, n). *)
 
 (* robustlint: allow R12 — test_photo's "jacobian pattern shape" case counts the leaf's groups *)
 val pattern_groups : pattern -> int
