@@ -497,7 +497,10 @@ let test_steady_state_timeout () =
    [ode.ptc.unstable]; a stable node (−1, −2) is returned.  So are their
    24-state counterparts under a pattern of three components, with the
    unstable mode confined to a block other than the first: +3 on state
-   23 or 0.1 ± i in the second, +3 in the third, of one state. *)
+   23 or 0.1 ± i in the second, +3 in the third, of one state.  A stable
+   24-state system started at its root, whose Jacobian there has one
+   infinite entry outside the diagonal blocks (f₁₉ turns infinite once
+   y₀ > 2), is rejected too. *)
 let test_ptc_certificate () =
   let unstable = Obs.Metrics.counter "ode.ptc.unstable" in
   let solve (pattern, f) y0 =
@@ -527,6 +530,13 @@ let test_ptc_certificate () =
     dy.(1) <- 2. *. (3. -. y.(1))
   in
   let near = Array.init 24 (fun i -> if i mod 2 = 0 then 2.1 else 1.9) in
+  let off_block_infinite =
+    let pattern, f = reducible ~block:stable_second ~last:(-1.) in
+    ( pattern,
+      fun t y dy ->
+        f t y dy;
+        if y.(0) > 2. then dy.(19) <- Float.infinity )
+  in
   List.iter
     (fun (name, system, y0) ->
       let p, n = solve system y0 in
@@ -540,6 +550,7 @@ let test_ptc_certificate () =
         reducible ~block:(second_block [| [| 0.1; -1. |]; [| 1.; 0.1 |] |]) ~last:(-1.),
         near );
       ("third block +3", reducible ~block:stable_second ~last:3., near);
+      ("infinite entry off the blocks", off_block_infinite, Array.make 24 2.);
     ];
   (match solve (planar node) [| 0.5; 2.5 |] with
   | { Numerics.Ode.root = Some y; _ }, 0 ->
