@@ -201,9 +201,13 @@ let fault_kill_shard_arg =
     & opt (some string) None
     & info [ "fault-kill-shard" ] ~docv:"SPEC"
         ~doc:
-          "Fault injection for supervision testing: SHARD:EPOCH[:TIMES][:kill|wedge] \
-           kills (or wedges) the worker running shard SHARD at epoch EPOCH, TIMES times \
-           (default once).  The run must still finish with the exact in-process front.")
+          (Printf.sprintf
+             "Fault injection for supervision testing: SHARD:EPOCH[:TIMES][:kill|wedge] \
+              kills (or wedges) the worker running shard SHARD at epoch EPOCH, TIMES times \
+              (default once).  A worker that has not replied %g s after it was sent its \
+              step (the reply deadline) is SIGKILLed and restarted, so a wedge costs that \
+              long.  The run must still finish with the exact in-process front."
+             Shard.Supervisor.(default.epoch_deadline)))
 
 let report_shard_stats ~metrics st =
   match (metrics, st) with

@@ -24,13 +24,15 @@
    worker was forked on — a worker forked after it (any spawn or
    respawn) inherited the deliveries and must not get them again.
 
-   Supervision policy per shard: heartbeat timeout and a per-phase
-   wall-clock deadline, both enforced with SIGKILL (hard preemption —
-   covers wedged workers that cooperative deadlines cannot interrupt);
-   supervised restart with exponential backoff under a retry budget; on
-   budget exhaustion the shard is lost, remaining workers are drained,
-   and the run degrades to a smaller partition (ultimately to in-process
-   stepping) without losing determinism. *)
+   Supervision policy per shard: a worker must reply within
+   [epoch_deadline] of being sent its Step, enforced with SIGKILL (hard
+   preemption — covers wedged workers that cooperative deadlines cannot
+   interrupt).  Every dead worker — Step undeliverable, reply torn or
+   missing, or deadline passed — takes the same path: supervised restart
+   with exponential backoff under a retry budget; on budget exhaustion
+   the shard is lost, remaining workers are drained, and the run
+   degrades to a smaller partition (ultimately to in-process stepping)
+   without losing determinism. *)
 
 module A = Pmo2.Archipelago
 
@@ -42,7 +44,6 @@ let m_spawns = Obs.Metrics.counter "shard.spawns"
 let m_restarts = Obs.Metrics.counter "shard.restarts"
 let m_kills = Obs.Metrics.counter "shard.kills"
 let m_lost = Obs.Metrics.counter "shard.lost"
-let m_heartbeats = Obs.Metrics.counter "shard.heartbeats"
 let h_restart_ms = Obs.Metrics.histogram "shard.restart_ms"
 let h_backoff_ms = Obs.Metrics.histogram "shard.backoff_ms"
 let g_shards = Obs.Metrics.gauge "shard.active"
@@ -54,7 +55,6 @@ let rp_epoch = Obs.Ring.probe "supervisor.epoch"
 type config = {
   shards : int;
   retry_budget : int;
-  heartbeat_timeout : float;
   epoch_deadline : float;
   backoff_base : float;
   backoff_cap : float;
@@ -67,7 +67,6 @@ let default =
   {
     shards = 2;
     retry_budget = 2;
-    heartbeat_timeout = 10.;
     epoch_deadline = 120.;
     backoff_base = 0.02;
     backoff_cap = 0.5;
@@ -79,8 +78,6 @@ let default =
 let validate cfg =
   if cfg.shards < 1 then invalid_arg "Supervisor: shards must be >= 1";
   if cfg.retry_budget < 0 then invalid_arg "Supervisor: retry_budget must be >= 0";
-  if not (cfg.heartbeat_timeout > 0.) then
-    invalid_arg "Supervisor: heartbeat_timeout must be > 0";
   if not (cfg.epoch_deadline > 0.) then invalid_arg "Supervisor: epoch_deadline must be > 0";
   if not (cfg.backoff_base >= 0. && cfg.backoff_cap >= 0.) then
     invalid_arg "Supervisor: backoff must be >= 0"
@@ -104,7 +101,7 @@ type worker = {
   mutable w_from : Unix.file_descr;
   mutable w_incarnation : int;
   mutable w_restarts : int;
-  mutable w_last_seen : float;
+  mutable w_deadline : float; (* reply due by; armed when its Step is sent *)
   mutable w_alive : bool;
   mutable w_synced : bool; (* forked after the last commit: has its deliveries *)
   mutable w_key : int; (* metric contribution key, fresh per spawn *)
@@ -234,38 +231,34 @@ let fresh_key ctx =
   ctx.spawn_seq <- k + 1;
   k
 
+(* Fork one worker per block, appending each to [ctx.workers] as it is
+   born so the next child closes its earlier siblings' pipe ends. *)
 let spawn_partition ctx ~shards =
   let n_islands = Array.length (A.islands ctx.st) in
-  let blocks = partition ~n_islands ~shards in
-  ctx.workers <-
-    Array.of_list
-      (List.mapi
-         (fun s islands_idx ->
-           let pid, w_to, w_from = spawn_raw ctx ~shard:s ~islands_idx ~incarnation:0 in
-           {
-             w_shard = s;
-             w_islands = islands_idx;
-             w_pid = pid;
-             w_to;
-             w_from;
-             w_incarnation = 0;
-             w_restarts = 0;
-             w_last_seen = Unix.gettimeofday ();
-             w_alive = true;
-             w_synced = true;
-             w_key = fresh_key ctx;
-           })
-         blocks);
+  List.iteri
+    (fun s islands_idx ->
+      let pid, w_to, w_from = spawn_raw ctx ~shard:s ~islands_idx ~incarnation:0 in
+      let w =
+        {
+          w_shard = s;
+          w_islands = islands_idx;
+          w_pid = pid;
+          w_to;
+          w_from;
+          w_incarnation = 0;
+          w_restarts = 0;
+          w_deadline = infinity;
+          w_alive = true;
+          w_synced = true;
+          w_key = fresh_key ctx;
+        }
+      in
+      ctx.workers <- Array.append ctx.workers [| w |])
+    (partition ~n_islands ~shards);
   Obs.Metrics.set_gauge g_shards (float_of_int (Array.length ctx.workers))
 
-let shutdown_all ctx =
-  Array.iter
-    (fun w ->
-      if w.w_alive then begin
-        (try Wire.send_request w.w_to Wire.Shutdown with Wire.Closed -> ());
-        reap w
-      end)
-    ctx.workers;
+let reap_all ctx =
+  Array.iter (fun w -> if w.w_alive then reap w) ctx.workers;
   ctx.workers <- [||]
 
 (* Exponential backoff, then respawn the shard in place (next
@@ -293,7 +286,6 @@ let respawn ctx w =
   w.w_from <- w_from;
   w.w_alive <- true;
   w.w_synced <- true;
-  w.w_last_seen <- Unix.gettimeofday ();
   w.w_key <- fresh_key ctx;
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
   ctx.c_restart_ms <- ms :: ctx.c_restart_ms;
@@ -309,37 +301,41 @@ let degrade ctx w =
   Log.err (fun m ->
       m "shard %d lost after %d restarts; degrading to %d shard(s)" w.w_shard w.w_restarts
         survivors);
-  shutdown_all ctx;
+  reap_all ctx;
   if survivors > 0 then spawn_partition ctx ~shards:survivors
   else Obs.Metrics.set_gauge g_shards 0.
 
 (* {1 The island phase} *)
 
-(* Send [w] its Step: the last commit's deliveries unless it was forked
-   after that commit and so inherited them. *)
+(* Send [w] its Step — the last commit's deliveries unless it was forked
+   after that commit and so inherited them — and arm its deadline. *)
 let send_step ctx w ~epoch ~fire =
-  w.w_last_seen <- Unix.gettimeofday ();
+  w.w_deadline <- Unix.gettimeofday () +. ctx.scfg.epoch_deadline;
   let deliveries = if w.w_synced then [] else ctx.pending in
-  Wire.send_request w.w_to (Wire.Step { epoch; period = ctx.period; fire; deliveries })
+  Wire.send_step w.w_to { Wire.epoch; period = ctx.period; fire; deliveries }
 
-(* Wait for one [Stepped] reply per worker, treating silence past the
-   heartbeat timeout or the phase deadline as a wedged worker.  A dead
-   worker is respawned and re-sent its Step while its retry budget
-   lasts; past the budget the whole partition is rebuilt and [None]
-   tells the caller to replay the phase. *)
+(* Send every worker its Step and wait for one reply each.  A worker
+   that cannot take its Step, dies, tears its reply or misses its
+   deadline is reaped and, while its retry budget lasts, respawned and
+   re-sent its Step under a fresh deadline; past the budget the whole
+   partition is rebuilt and [None] tells the caller to replay the
+   phase. *)
 let collect_phase ctx ~epoch ~fire =
-  let phase_deadline = Unix.gettimeofday () +. ctx.scfg.epoch_deadline in
   let n = Array.length ctx.workers in
   let replies = Array.make n None in
-  let fail i ~reason =
+  let rec send i =
+    match send_step ctx ctx.workers.(i) ~epoch ~fire with
+    | () -> true
+    | exception Wire.Closed ->
+      reap ctx.workers.(i);
+      fail i ~reason:"step not delivered"
+  and fail i ~reason =
     let w = ctx.workers.(i) in
     if w.w_restarts < ctx.scfg.retry_budget then begin
       Log.warn (fun m ->
           m "shard %d failed during step of epoch %d (%s); restarting" w.w_shard epoch reason);
       respawn ctx w;
-      (try send_step ctx w ~epoch ~fire
-       with Wire.Closed -> () (* instant death; the next pump pass handles it *));
-      true
+      send i
     end
     else begin
       degrade ctx w;
@@ -351,14 +347,12 @@ let collect_phase ctx ~epoch ~fire =
     if waiting = [] then Some (Array.map Option.get replies)
     else begin
       let now = Unix.gettimeofday () in
-      let deadline_of i =
-        Float.min phase_deadline (ctx.workers.(i).w_last_seen +. ctx.scfg.heartbeat_timeout)
-      in
+      let deadline_of i = ctx.workers.(i).w_deadline in
       (* First preempt anyone already past their deadline. *)
       let expired = List.filter (fun i -> now >= deadline_of i) waiting in
       match expired with
       | i :: _ ->
-        preempt ctx ctx.workers.(i) ~reason:"no frames during step";
+        preempt ctx ctx.workers.(i) ~reason:"no reply within the deadline";
         if fail i ~reason:"deadline" then pump () else None
       | [] -> (
         (* The periodic tick (e.g. --metrics-interval flushing) must run
@@ -381,16 +375,11 @@ let collect_phase ctx ~epoch ~fire =
             | None -> invalid_arg "Supervisor: select returned a foreign descriptor"
           in
           let w = ctx.workers.(i) in
-          match Wire.recv_reply ~deadline:(deadline_of i) w.w_from with
-          | Wire.Heartbeat _ ->
-            w.w_last_seen <- Unix.gettimeofday ();
-            Obs.Metrics.incr m_heartbeats;
-            pump ()
-          | Wire.Stepped r when r.Wire.sd_epoch = epoch ->
-            w.w_last_seen <- Unix.gettimeofday ();
+          match Wire.recv_stepped ~deadline:(deadline_of i) w.w_from with
+          | r when r.Wire.sd_epoch = epoch ->
             replies.(i) <- Some r;
             pump ()
-          | Wire.Stepped r ->
+          | r ->
             let reason =
               Printf.sprintf "stepped reply for epoch %d during epoch %d" r.Wire.sd_epoch epoch
             in
@@ -404,7 +393,7 @@ let collect_phase ctx ~epoch ~fire =
             if fail i ~reason:"died (closed/torn frame)" then pump () else None))
     end
   in
-  pump ()
+  if List.for_all send (List.init n Fun.id) then pump () else None
 
 (* Commit a complete Step phase: restore every reply's snapshots into
    the canonical islands, inject the epoch's deliveries there (so
@@ -443,37 +432,16 @@ let commit ctx ~fire replies =
   Array.iter (fun w -> w.w_synced <- false) ctx.workers;
   !failures
 
-(* One supervised island phase: Step, retried wholesale on repartition
-   (safe because commits are buffered), then commit.  With no workers
-   left the phase runs in-process on the already-drawn fire list. *)
+(* One supervised island phase: Step and collect, replayed wholesale on
+   repartition (safe because commits are buffered), then commit.  With
+   no workers left the phase runs in-process on the already-drawn fire
+   list. *)
 let rec step_phase ctx ~epoch ~fire =
   if Array.length ctx.workers = 0 then A.step_islands ctx.st ~epoch ~fire
-  else begin
-    let send_ok =
-      Array.for_all
-        (fun w ->
-          try
-            send_step ctx w ~epoch ~fire;
-            true
-          with Wire.Closed -> false)
-        ctx.workers
-    in
-    if not send_ok then begin
-      (* A worker died between epochs; rebuild the partition and retry. *)
-      Log.warn (fun m -> m "worker died before epoch %d; repartitioning" epoch);
-      let shards = Array.length ctx.workers in
-      shutdown_all ctx;
-      spawn_partition ctx ~shards;
-      step_phase ctx ~epoch ~fire
-    end
-    else
-      match collect_phase ctx ~epoch ~fire with
-      | Some replies -> commit ctx ~fire replies
-      | None ->
-        (* Canonical islands still hold epoch-start state: replay the
-           epoch on the new partition with the same fire list. *)
-        step_phase ctx ~epoch ~fire
-  end
+  else
+    match collect_phase ctx ~epoch ~fire with
+    | Some replies -> commit ctx ~fire replies
+    | None -> step_phase ctx ~epoch ~fire
 
 let island_phase ctx ~epoch ~fire =
   Obs.Ring.record rp_epoch Obs.Ring.Mark epoch;
@@ -543,7 +511,7 @@ let run ?seed ?initial ?checkpoint ?checkpoint_every ?keep_checkpoints ?resume ?
   let live = ref None in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter shutdown_all !live;
+      Option.iter reap_all !live;
       match old_sigpipe with
       | Some h -> ( try Sys.set_signal Sys.sigpipe h with Invalid_argument _ -> ())
       | None -> ())

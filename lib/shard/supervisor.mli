@@ -10,13 +10,15 @@
     bit-for-bit identical to the in-process archipelago at any shard
     count, crashes or not.
 
-    Supervision per shard: heartbeat timeout and per-phase wall-clock
-    deadline enforced by SIGKILL (hard preemption — covers wedged
-    evaluations that cooperative deadlines cannot interrupt), supervised
-    restart with exponential backoff under [retry_budget], and graceful
-    degradation: a shard that exhausts its budget is lost, the partition
-    is rebuilt over fewer shards, and with no shards left the run
-    continues in-process.
+    Supervision per shard: one request and one reply per epoch, and one
+    deadline — a worker must reply within [epoch_deadline] of being sent
+    its step, or it is SIGKILLed (hard preemption — covers wedged
+    evaluations that cooperative deadlines cannot interrupt).  A worker
+    that dies, tears its reply, misses its deadline or cannot take its
+    step is restarted the same way, with exponential backoff under
+    [retry_budget], each respawn under a fresh deadline; a shard that
+    exhausts its budget is lost, the partition is rebuilt over fewer
+    shards, and with no shards left the run continues in-process.
 
     Fork safety: {!run} must be called before any domains are spawned
     (no {!Parallel.Pool} may exist); it forces [parallel = false] and
@@ -27,8 +29,9 @@
 type config = {
   shards : int;             (** worker processes; clamped to the island count *)
   retry_budget : int;       (** restarts per shard before it is declared lost *)
-  heartbeat_timeout : float; (** seconds without any frame before SIGKILL *)
-  epoch_deadline : float;   (** wall-clock seconds per phase before SIGKILL *)
+  epoch_deadline : float;
+      (** wall-clock seconds from sending a worker its step to its reply
+          before SIGKILL; an island phase may compute for this long *)
   backoff_base : float;     (** restart backoff seconds, doubled per restart *)
   backoff_cap : float;      (** backoff ceiling, seconds *)
   fault : Runtime.Fault.process_fault option;
@@ -46,7 +49,7 @@ type config = {
 }
 
 val default : config
-(** 2 shards, 2 restarts per shard, 10 s heartbeat, 120 s phase deadline,
+(** 2 shards, 2 restarts per shard, 120 s reply deadline,
     20 ms backoff doubling to 0.5 s, no fault, no flight-recorder files,
     no tick. *)
 
@@ -55,7 +58,7 @@ type stats = {
   shards_used : int;     (** partition size at run end; 0 = degraded to in-process *)
   spawns : int;          (** worker processes forked, restarts included *)
   restarts : int;        (** supervised restarts *)
-  kills : int;           (** SIGKILL preemptions (deadline or heartbeat) *)
+  kills : int;           (** SIGKILL preemptions (missed deadlines) *)
   lost : int;            (** shards permanently lost to budget exhaustion *)
   backoff_ms : float;    (** total backoff wall-clock *)
   restart_ms : float list;  (** per-restart latency, detection to respawn *)

@@ -12,9 +12,10 @@ exception Closed
 exception Timeout
 
 (* Bumped whenever a message changes shape (v2: obs flushes, v3:
-   deliveries in [Step]), so an older peer fails loudly on the magic
-   line rather than misparse the marshalled message. *)
-let magic = Runtime.Checkpoint.versioned_magic ~base:"robustpath-shard-wire" ~version:3
+   deliveries in [Step], v4: one request and one reply, no heartbeats),
+   so an older peer fails loudly on the magic line rather than misparse
+   the marshalled message. *)
+let magic = Runtime.Checkpoint.versioned_magic ~base:"robustpath-shard-wire" ~version:4
 
 (* Frames larger than this are a protocol error, not a payload. *)
 let max_frame = 1 lsl 30
@@ -28,14 +29,12 @@ let first_buffer = 1 lsl 19
 let m_frames = Obs.Metrics.counter "shard.frames"
 let m_frame_bytes = Obs.Metrics.counter "shard.frame_bytes"
 
-type request =
-  | Step of {
-      epoch : int;
-      period : int;
-      fire : (int * int) list;
-      deliveries : (int * Moo.Solution.t list) list;
-    }
-  | Shutdown
+type step = {
+  epoch : int;
+  period : int;
+  fire : (int * int) list;
+  deliveries : (int * Moo.Solution.t list) list;
+}
 
 type stepped = {
   sd_epoch : int;
@@ -46,10 +45,6 @@ type stepped = {
   sd_caches : (int * Cache.Memo.stats) list;
   sd_obs : Obs.Merge.flush option;
 }
-
-type reply =
-  | Heartbeat of { hb_epoch : int; hb_island : int }
-  | Stepped of stepped
 
 (* {1 Encoding} *)
 
@@ -146,7 +141,7 @@ let recv ?deadline fd =
 (* Typed entry points: Marshal is untyped, so pin each pipe direction to
    its message type at the call sites. *)
 
-let send_request fd (r : request) = send fd r
-let recv_request ?deadline fd : request = recv ?deadline fd
-let send_reply fd (r : reply) = send fd r
-let recv_reply ?deadline fd : reply = recv ?deadline fd
+let send_step fd (r : step) = send fd r
+let recv_step fd : step = recv fd
+let send_stepped fd (r : stepped) = send fd r
+let recv_stepped ?deadline fd : stepped = recv ?deadline fd

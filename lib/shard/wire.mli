@@ -7,21 +7,23 @@
     a frame torn by a SIGKILL mid-write — at {e any} byte boundary —
     reads as {!Runtime.Checkpoint.Corrupt}, never as a misparse.
 
-    The protocol has one request and one terminal reply per worker per
-    epoch.  [Step] carries the epoch's firing edges (the archipelago
-    draws every migration decision, so the dedicated migration stream is
-    consumed exactly as in-process) and the deliveries of the previous
-    epoch's commit when the worker has not seen them; the worker injects
-    those addressed to its islands, steps its islands, heartbeating
-    after each, and answers [Stepped] with post-step snapshots and the
-    emigrants of firing edges whose source it owns, in global edge
-    order.
+    The protocol has two messages: one {!step} request and one
+    {!stepped} reply per worker per epoch.  A [step] carries the
+    epoch's firing edges (the archipelago draws every migration
+    decision, so the dedicated migration stream is consumed exactly as
+    in-process) and the deliveries of the previous epoch's commit when
+    the worker has not seen them; the worker injects those addressed to
+    its islands, steps its islands and answers with post-step snapshots
+    and the emigrants of firing edges whose source it owns, in global
+    edge order.  Nothing else crosses the pipes: the supervisor tells a
+    worker to leave by closing its request pipe, and judges it alive by
+    whether its reply arrives before the deadline.
 
-    [Stepped] optionally carries an {!Obs.Merge.flush} — the worker's
-    drained trace spans and cumulative metric delta.  Flushes ride only
-    on [Stepped] (never on heartbeats): the supervisor absorbs a flush
-    exactly when it commits the epoch it answered, so a killed worker's
-    replayed epoch cannot double-count (DESIGN §14). *)
+    A [stepped] reply optionally carries an {!Obs.Merge.flush} — the
+    worker's drained trace spans and cumulative metric delta.  The
+    supervisor absorbs a flush exactly when it commits the epoch it
+    answered, so a killed worker's replayed epoch cannot double-count
+    (DESIGN §14). *)
 
 exception Closed
 (** Peer closed the pipe at a frame boundary (clean EOF or EPIPE). *)
@@ -32,20 +34,19 @@ exception Timeout
 
 (* robustlint: allow R12 — test_shard's "versioned magic" case pins the wire version *)
 val magic : string
-(** ["robustpath-shard-wire v3"], built with
+(** ["robustpath-shard-wire v4"], built with
     {!Runtime.Checkpoint.versioned_magic} (v2 added the obs flush
-    payloads, v3 moved deliveries into [Step]). *)
+    payloads, v3 moved deliveries into the request, v4 left one request
+    and one reply: no heartbeats, no shutdown message). *)
 
-type request =
-  | Step of {
-      epoch : int;
-      period : int;
-      fire : (int * int) list;  (** firing edges, in global edge order *)
-      deliveries : (int * Moo.Solution.t list) list;
-          (** [(dst, migrants)] of the previous commit, in global edge
-              order; [[]] for a worker forked after that commit *)
-    }
-  | Shutdown
+type step = {
+  epoch : int;
+  period : int;
+  fire : (int * int) list;  (** firing edges, in global edge order *)
+  deliveries : (int * Moo.Solution.t list) list;
+      (** [(dst, migrants)] of the previous commit, in global edge
+          order; [[]] for a worker forked after that commit *)
+}
 
 type stepped = {
   sd_epoch : int;
@@ -61,25 +62,22 @@ type stepped = {
           are both disabled *)
 }
 
-type reply =
-  | Heartbeat of { hb_epoch : int; hb_island : int }
-      (** liveness tick; [hb_island = -1] right after [Step] receipt *)
-  | Stepped of stepped
-
-val send_request : Unix.file_descr -> request -> unit
-val send_reply : Unix.file_descr -> reply -> unit
+val send_step : Unix.file_descr -> step -> unit
+val send_stepped : Unix.file_descr -> stepped -> unit
 (** Raise {!Closed} when the peer is gone (EPIPE). *)
 
-val recv_request : ?deadline:float -> Unix.file_descr -> request
+val recv_step : Unix.file_descr -> step
+(** Block for the next request; {!Closed} when the supervisor closed the
+    pipe, which is how a worker is told to leave. *)
 
-val recv_reply : ?deadline:float -> Unix.file_descr -> reply
+val recv_stepped : ?deadline:float -> Unix.file_descr -> stepped
 (** Read one frame.  [deadline] is absolute ([Unix.gettimeofday] clock);
     raises {!Timeout} when it passes mid-read, {!Closed} on EOF at a
     frame boundary, {!Runtime.Checkpoint.Corrupt} on a torn or corrupted
     frame. *)
 
 val to_bytes : 'a -> string
-(** The exact byte sequence [send] writes (length prefix + frame) — for
+(** The exact bytes {!send_step} and {!send_stepped} write (length prefix + frame) — for
     tests that tear frames at chosen boundaries, and for the kill-fault
     path that leaks a torn prefix before dying. *)
 

@@ -7,7 +7,7 @@
    (its copies of those go stale the moment siblings step them).
 
    Determinism contract: the worker first injects the deliveries its
-   [Step] carries (the previous commit's, which a worker forked before
+   step carries (the previous commit's, which a worker forked before
    that commit has not seen), then steps its islands in island order
    with the same supervised policy as the in-process driver, and selects
    emigrants only for firing edges, in global edge order — the only two
@@ -18,7 +18,7 @@
    spans restart at the supervisor-issued [span_base] watermark for this
    lane (keeping [(pid, id)] unique across incarnations), metrics at
    zero so the worker's delta is cumulative-since-fork — and every
-   [Stepped] reply carries the resulting {!Obs.Merge.flush}.  The flight
+   [stepped] reply carries the resulting {!Obs.Merge.flush}.  The flight
    recorder is re-attached to a per-incarnation sidecar file so a
    SIGKILL leaves a post-mortem. *)
 
@@ -52,13 +52,11 @@ let run ~state ~shard ~incarnation ~local ~fault ~span_base ~ring_prefix ~input
     List.filter_map (fun i -> if i < Array.length stats then Some (i, stats.(i)) else None) local
   in
   let rec loop () =
-    match Wire.recv_request input with
+    match Wire.recv_step input with
     | exception Wire.Closed -> ()
-    | Wire.Shutdown -> ()
-    | Wire.Step { epoch; period; fire; deliveries } ->
+    | { Wire.epoch; period; fire; deliveries } ->
       let mode = Runtime.Fault.should_fault fault ~shard ~epoch ~incarnation in
       Obs.Ring.record rp_step Obs.Ring.Mark epoch;
-      Wire.send_reply output (Wire.Heartbeat { hb_epoch = epoch; hb_island = -1 });
       let failures, emigrants =
         (* The whole local phase under one span, closed before the flush
            is captured so it ships inside this epoch's reply. *)
@@ -70,16 +68,15 @@ let run ~state ~shard ~incarnation ~local ~fault ~span_base ~ring_prefix ~input
               (fun (dst, sols) ->
                 if List.mem dst local then Pmo2.Island.inject islands.(dst) sols)
               deliveries;
-            let failures = ref 0 in
-            List.iter
-              (fun i ->
-                failures :=
-                  !failures
+            let failures =
+              List.fold_left
+                (fun acc i ->
+                  acc
                   + Pmo2.Archipelago.supervised_step
                       ~label:(Printf.sprintf "shard %d island %d" shard i)
-                      islands.(i) ~period;
-                Wire.send_reply output (Wire.Heartbeat { hb_epoch = epoch; hb_island = i }))
-              local;
+                      islands.(i) ~period)
+                0 local
+            in
             (* Emigrants strictly after every local island stepped, and
                only for firing edges in global edge order — the
                in-process schedule. *)
@@ -91,19 +88,18 @@ let run ~state ~shard ~incarnation ~local ~fault ~span_base ~ring_prefix ~input
                   else None)
                 fire
             in
-            (!failures, emigrants))
+            (failures, emigrants))
       in
       let reply =
-        Wire.Stepped
-          {
-            sd_epoch = epoch;
-            sd_snapshots = List.map (fun i -> (i, Pmo2.Island.snapshot islands.(i))) local;
-            sd_emigrants = emigrants;
-            sd_failures = failures;
-            sd_guards = pick (Pmo2.Archipelago.island_guard_stats state);
-            sd_caches = pick (Pmo2.Archipelago.island_cache_stats state);
-            sd_obs = Obs.Merge.capture_if_enabled ~pid:lane ();
-          }
+        {
+          Wire.sd_epoch = epoch;
+          sd_snapshots = List.map (fun i -> (i, Pmo2.Island.snapshot islands.(i))) local;
+          sd_emigrants = emigrants;
+          sd_failures = failures;
+          sd_guards = pick (Pmo2.Archipelago.island_guard_stats state);
+          sd_caches = pick (Pmo2.Archipelago.island_cache_stats state);
+          sd_obs = Obs.Merge.capture_if_enabled ~pid:lane ();
+        }
       in
       (match mode with
       | Some Runtime.Fault.Wedge ->
@@ -116,14 +112,15 @@ let run ~state ~shard ~incarnation ~local ~fault ~span_base ~ring_prefix ~input
            and restart this shard from its epoch-start state. *)
         Log.warn (fun m -> m "shard %d incarnation %d: injected kill at epoch %d" shard incarnation epoch);
         Obs.Ring.record rp_fault Obs.Ring.Mark epoch;
-        let b = Wire.to_bytes (reply : Wire.reply) in
+        let b = Wire.to_bytes reply in
         Wire.write_raw output (String.sub b 0 (String.length b / 2));
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         loop ()
       | None ->
-        Wire.send_reply output reply;
+        Wire.send_stepped output reply;
         loop ())
   in
-  (* A dead supervisor surfaces as Closed (EOF on requests) or EPIPE on
-     replies; both mean this worker is orphaned and should just leave. *)
+  (* A closed request pipe (EOF) is how the supervisor lets a worker go;
+     EPIPE on the reply means it is gone.  Either way this worker just
+     leaves. *)
   try loop () with Wire.Closed -> ()

@@ -3,12 +3,13 @@
 
     The worker inherits the supervisor's canonical archipelago state via
     [fork] — nothing is shipped at spawn — and serves the {!Wire}
-    protocol over its two pipes: applying the deliveries a [Step]
-    carries to the islands in [local], stepping exactly those islands
-    (heartbeating after each), and selecting emigrants for firing edges
-    it owns in global edge order.  Returns when told to shut down or when the supervisor's
-    pipe closes; the caller is expected to [Unix._exit] immediately
-    after, never to resume the supervisor's stack. *)
+    protocol over its two pipes: for each {!Wire.step} it applies the
+    deliveries the step carries to the islands in [local], steps exactly
+    those islands, selects emigrants for firing edges it owns in global
+    edge order, and sends one {!Wire.stepped} reply.  Returns when the
+    supervisor closes its request pipe; the caller is expected to
+    [Unix._exit] immediately after, never to resume the supervisor's
+    stack. *)
 
 val run :
   state:Pmo2.Archipelago.state ->

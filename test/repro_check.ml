@@ -2,11 +2,12 @@
    [repro-check] dune alias (kept out of [dune runtest]: the six
    experiments take minutes on two cores).
 
-   Regenerates Fig. 1, Fig. 2, Table 1, Table 2, Fig. 3 and Fig. 4
-   through the same [Experiments] code the CLI prints, compares every pinned number
-   with its recorded value and band, and writes the whole record to
-   REPRO.json (or to the path given as the only argument).  Exits 1 when
-   any row leaves its band or a qualitative check fails.
+   Regenerates Fig. 1, Fig. 2, Table 1, Table 2, Fig. 3, Fig. 4 and the
+   OptKnock comparison through the same [Experiments] code the CLI
+   prints, compares every pinned number with its recorded value and
+   band, and writes the whole record to REPRO.json (or to the path given
+   as the only argument).  Exits 1 when any row leaves its band or a
+   qualitative check fails.
 
    Bands.  Uptakes of the natural leaf move only with the steady-state
    solver, so they are held to 1e-3·(|u|+1), the resolution at which a
@@ -21,7 +22,9 @@
    window, |ΔBP/ΔEP| of the ε-constraint sweep (≈ 0.006).  The violation
    reduction (best initial ‖S·v‖ over best evolved) gets 10 % of itself,
    the precision of the paper's "~1/26".  The ATP-maintenance bounds are
-   an input, not a result: both must equal 0.45 exactly.
+   an input, not a result: both must equal 0.45 exactly.  OptKnock's
+   growth and succinate window are LP optima of a fixed network, held
+   to 1e-3, the resolution the CLI prints them at.
    A change that moves the model's semantics re-derives a band only
    together with an EXPERIMENTS.md entry giving old → new → paper.
 
@@ -114,6 +117,15 @@ let fig4_paper =
     ("C", (159.38, 0.297));
     ("D", (160.70, 0.284));
     ("E", (160.90, 0.283));
+  ]
+
+(* OptKnock in the E. coli core: each strain's growth and, for a
+   growth-coupled strain, its succinate window at optimal growth.  The
+   wild type guarantees no succinate. *)
+let optknock_expected =
+  [
+    ("wild type", (5.5555555555555554, None));
+    ("dPFL dLDH", (2.7777777777777777, Some (7.7699999999999996, 7.7800000000000011)));
   ]
 
 (* {1 Experiments} *)
@@ -267,6 +279,34 @@ let fig4 () =
       atpm "ub" atpm_hi;
     ]
 
+let optknock () =
+  let strain (r : Experiments.Optknock.row) =
+    let l = r.Experiments.Optknock.label in
+    let growth, window = Option.value ~default:(nan, None) (List.assoc_opt l optknock_expected) in
+    let row id value expected =
+      { id = "optknock/" ^ l ^ id; value; expected; band = 1e-3; paper = None }
+    in
+    let name = "optknock/" ^ l ^ if Option.is_some window then " growth-coupled" else " not coupled" in
+    match r.Experiments.Optknock.coupling with
+    | None -> ([], [ { check = name; ok = false; detail = "lethal" } ])
+    | Some c ->
+      let lo, hi = c.Fba.Knockout.target_at_growth in
+      let coupled = lo > 1e-6 in
+      ( row "/growth" c.Fba.Knockout.biomass_opt growth
+        :: (match window with
+           | Some (elo, ehi) -> [ row "/succinate_lo" lo elo; row "/succinate_hi" hi ehi ]
+           | None -> []),
+        [
+          {
+            check = name;
+            ok = coupled = Option.is_some window;
+            detail = Printf.sprintf "succinate at optimal growth >= %.3g" lo;
+          };
+        ] )
+  in
+  let rows, checks = List.split (List.map strain (Experiments.Optknock.compute ())) in
+  (List.concat rows, List.concat checks)
+
 (* {1 Report} *)
 
 let json_of_row r =
@@ -316,8 +356,11 @@ let () =
   let table2_rows = timed "table2" table2 in
   let fig3_checks = timed "fig3" fig3 in
   let fig4_rows = timed "fig4" fig4 in
-  let rows = fig1_rows @ fig2_rows @ table2_rows @ fig4_rows in
-  let checks = fig2_checks @ table1_checks @ fig3_checks @ [ no_underflows () ] in
+  let optknock_rows, optknock_checks = timed "optknock" optknock in
+  let rows = fig1_rows @ fig2_rows @ table2_rows @ fig4_rows @ optknock_rows in
+  let checks =
+    fig2_checks @ table1_checks @ fig3_checks @ optknock_checks @ [ no_underflows () ]
+  in
   let wall_s = float_of_int (Obs.Clock.now_ns () - t0) /. 1e9 in
   let pass = List.for_all row_ok rows && List.for_all (fun c -> c.ok) checks in
   List.iter

@@ -1,9 +1,11 @@
 (* Tests for the multi-process sharded archipelago: wire-format framing
    (including frames torn at every byte boundary), supervised restarts
-   after injected SIGKILLs, hard preemption of wedged workers, retry
-   budget exhaustion degrading the partition, and the headline
-   determinism claim — fronts bit-for-bit identical to the in-process
-   archipelago at any shard count, crashes or not. *)
+   after injected SIGKILLs and between-epoch deaths, the per-worker reply
+   deadline (wedged workers preempted, slow islands left alone, respawns
+   re-armed), retry budget exhaustion degrading the partition, teardown
+   by closing the request pipes, and the headline determinism claim —
+   fronts bit-for-bit identical to the in-process archipelago at any
+   shard count, crashes or not. *)
 
 module A = Pmo2.Archipelago
 module Sup = Shard.Supervisor
@@ -40,15 +42,9 @@ let quad_config =
     nsga2 = { Ea.Nsga2.default_config with Ea.Nsga2.pop_size = 16 };
   }
 
-(* Supervision tuned for tests: fast backoff, CI-safe deadlines. *)
+(* Supervision tuned for tests: fast backoff, a CI-safe deadline. *)
 let sup_config =
-  {
-    Sup.default with
-    Sup.heartbeat_timeout = 5.;
-    epoch_deadline = 30.;
-    backoff_base = 0.002;
-    backoff_cap = 0.02;
-  }
+  { Sup.default with Sup.epoch_deadline = 30.; backoff_base = 0.002; backoff_cap = 0.02 }
 
 (* {1 Versioned magic and frame codec} *)
 
@@ -56,7 +52,7 @@ let test_versioned_magic () =
   let base = "robustpath-test" in
   let m = Runtime.Checkpoint.versioned_magic ~base ~version:3 in
   Alcotest.(check string) "shape" "robustpath-test v3" m;
-  Alcotest.(check string) "wire magic" "robustpath-shard-wire v3" Shard.Wire.magic;
+  Alcotest.(check string) "wire magic" "robustpath-shard-wire v4" Shard.Wire.magic;
   Alcotest.(check bool) "version < 1 refused" true
     (match Runtime.Checkpoint.versioned_magic ~base ~version:0 with
     | exception Invalid_argument _ -> true
@@ -88,16 +84,15 @@ let test_frame_roundtrip () =
    or a detected corruption — never a misparse. *)
 let sample_reply () =
   let migrant = Moo.Solution.evaluate (zdt1 6) (Array.make 6 0.25) in
-  Shard.Wire.Stepped
-    {
-      sd_epoch = 7;
-      sd_snapshots = [];
-      sd_emigrants = [ ((0, 1), [ migrant ]) ];
-      sd_failures = 0;
-      sd_guards = [];
-      sd_caches = [];
-      sd_obs = None;
-    }
+  {
+    Shard.Wire.sd_epoch = 7;
+    sd_snapshots = [];
+    sd_emigrants = [ ((0, 1), [ migrant ]) ];
+    sd_failures = 0;
+    sd_guards = [];
+    sd_caches = [];
+    sd_obs = None;
+  }
 
 let test_wire_torn_at_every_byte () =
   let reply = sample_reply () in
@@ -107,7 +102,7 @@ let test_wire_torn_at_every_byte () =
     let r, w = Unix.pipe () in
     Shard.Wire.write_raw w (String.sub bytes 0 cut);
     Unix.close w;
-    (match Shard.Wire.recv_reply r with
+    (match Shard.Wire.recv_stepped r with
     | _ -> Alcotest.failf "torn frame of %d/%d bytes decoded" cut n
     | exception Shard.Wire.Closed ->
       if cut <> 0 then Alcotest.failf "cut at %d read as clean close" cut
@@ -119,7 +114,7 @@ let test_wire_torn_at_every_byte () =
   let r, w = Unix.pipe () in
   Shard.Wire.write_raw w bytes;
   Unix.close w;
-  Alcotest.(check bool) "full frame decodes" true (Shard.Wire.recv_reply r = reply);
+  Alcotest.(check bool) "full frame decodes" true (Shard.Wire.recv_stepped r = reply);
   Unix.close r
 
 (* Every single-bit flip of a real frame's 4-byte length prefix, sent
@@ -136,7 +131,7 @@ let test_wire_corrupt_length_prefix () =
     Shard.Wire.write_raw w (Bytes.to_string b);
     Unix.close w;
     let before = Gc.allocated_bytes () in
-    (match Shard.Wire.recv_reply r with
+    (match Shard.Wire.recv_stepped r with
     | _ -> Alcotest.failf "bit %d: a corrupt prefix decoded" bit
     | exception Runtime.Checkpoint.Corrupt _ -> ());
     let allocated = Gc.allocated_bytes () -. before in
@@ -237,13 +232,13 @@ let test_kill_mid_migration_supervised_restart () =
 let test_wedged_worker_hard_preempted () =
   let problem = zdt1 6 in
   let baseline = A.run ~seed:19 ~generations:15 problem quad_config in
-  (* Shard 0 wedges at epoch 1: pipe open, no frames.  Cooperative
-     deadlines cannot clear this; the supervisor's heartbeat timeout
-     must SIGKILL it. *)
+  (* Shard 0 wedges at epoch 1: pipe open, no reply.  Cooperative
+     deadlines cannot clear this; the supervisor's reply deadline must
+     SIGKILL it. *)
   let fault = Runtime.Fault.parse_kill_spec "0:1:1:wedge" in
   let r, stats =
     Sup.run ~seed:19
-      ~config:{ sup_config with Sup.shards = 2; heartbeat_timeout = 0.4; fault = Some fault }
+      ~config:{ sup_config with Sup.shards = 2; epoch_deadline = 0.4; fault = Some fault }
       ~generations:15 problem quad_config
   in
   Alcotest.(check bool) "hard preemption fired" true (stats.Sup.kills >= 1);
@@ -268,6 +263,129 @@ let test_retry_budget_exhaustion_degrades () =
     (front_key r = front_key baseline);
   Alcotest.(check int) "evaluations exact after degradation" baseline.A.evaluations
     r.A.evaluations
+
+(* A worker is judged only by its reply deadline, so an island phase may
+   compute for as long as that allows: two islands whose evaluations
+   take 10 ms in the workers (about 0.8 s a step, twice the deadline the
+   wedge cases use) run under a 5 s deadline with no preemption.  The
+   supervisor's own initial evaluations are not slowed, which keeps the
+   case short. *)
+let test_slow_island_not_preempted () =
+  let pair_config = { quad_config with A.n_islands = 2 } in
+  let baseline = A.run ~seed:61 ~generations:5 (zdt1 6) pair_config in
+  let p = zdt1 6 and self = Unix.getpid () in
+  let slow =
+    {
+      p with
+      Moo.Problem.eval =
+        (fun x ->
+          if Unix.getpid () <> self then Unix.sleepf 0.01;
+          p.Moo.Problem.eval x);
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let r, stats =
+    Sup.run ~seed:61
+      ~config:{ sup_config with Sup.shards = 2; epoch_deadline = 5. }
+      ~generations:5 slow pair_config
+  in
+  if Unix.gettimeofday () -. t0 < 0.5 then Alcotest.fail "the island step was not slow";
+  Alcotest.(check int) "no preemption" 0 stats.Sup.kills;
+  Alcotest.(check int) "no restart" 0 stats.Sup.restarts;
+  Alcotest.(check int) "both shards used" 2 stats.Sup.shards_used;
+  Alcotest.(check bool) "front bit-identical" true (front_key r = front_key baseline);
+  Alcotest.(check int) "evaluations exact" baseline.A.evaluations r.A.evaluations
+
+(* The deadline is armed when a Step is sent, so the worker respawned
+   after a wedge gets a full one; a deadline fixed when the phase began
+   would already have passed and kill every respawn in turn.  Shard 1
+   wedges at epoch 2, after migrants were delivered: one kill, one
+   restart, nothing lost. *)
+let test_respawn_gets_full_deadline () =
+  let problem = zdt1 6 in
+  let baseline = A.run ~seed:67 ~generations:20 problem quad_config in
+  let fault = Runtime.Fault.parse_kill_spec "1:2:1:wedge" in
+  let r, stats =
+    Sup.run ~seed:67
+      ~config:{ sup_config with Sup.shards = 2; epoch_deadline = 0.4; fault = Some fault }
+      ~generations:20 problem quad_config
+  in
+  Alcotest.(check int) "one kill" 1 stats.Sup.kills;
+  Alcotest.(check int) "one restart" 1 stats.Sup.restarts;
+  Alcotest.(check int) "no shard lost" 0 stats.Sup.lost;
+  Alcotest.(check int) "still two shards" 2 stats.Sup.shards_used;
+  Alcotest.(check bool) "front bit-identical" true (front_key r = front_key baseline);
+  Alcotest.(check int) "evaluations exact" baseline.A.evaluations r.A.evaluations
+
+(* A worker that dies between epochs fails its next Step's write and is
+   respawned under its budget like any other dead worker: the problem
+   records each evaluating process's pid, and the observer SIGKILLs and
+   collects one worker after epoch 1, so the next write fails for sure.
+   One restart, three spawns, and the sibling is left alone. *)
+let test_worker_dead_between_epochs () =
+  let baseline = A.run ~seed:37 ~generations:20 (zdt1 6) quad_config in
+  let dir = Filename.temp_dir "robustpath" ".pids" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let p = zdt1 6 in
+      (* Per process after the fork: the last pid this copy recorded. *)
+      let recorded = ref 0 in
+      let problem =
+        {
+          p with
+          Moo.Problem.eval =
+            (fun x ->
+              let pid = Unix.getpid () in
+              if !recorded <> pid then begin
+                recorded := pid;
+                close_out (open_out (Filename.concat dir (string_of_int pid)))
+              end;
+              p.Moo.Problem.eval x);
+        }
+      in
+      let self = Unix.getpid () in
+      let observer (er : A.epoch_record) =
+        if er.A.er_epoch = 1 then begin
+          let workers =
+            Sys.readdir dir |> Array.to_list |> List.map int_of_string
+            |> List.filter (fun pid -> pid <> self)
+            |> List.sort compare
+          in
+          Alcotest.(check int) "two workers evaluated epoch 1" 2 (List.length workers);
+          let victim = List.hd workers in
+          Unix.kill victim Sys.sigkill;
+          ignore (Unix.waitpid [] victim)
+        end
+      in
+      let r, stats =
+        Sup.run ~seed:37 ~observer ~config:{ sup_config with Sup.shards = 2 } ~generations:20
+          problem quad_config
+      in
+      Alcotest.(check int) "one restart" 1 stats.Sup.restarts;
+      Alcotest.(check int) "three spawns" 3 stats.Sup.spawns;
+      Alcotest.(check int) "no preemption" 0 stats.Sup.kills;
+      Alcotest.(check int) "no shard lost" 0 stats.Sup.lost;
+      Alcotest.(check bool) "front bit-identical" true (front_key r = front_key baseline);
+      Alcotest.(check int) "evaluations exact" baseline.A.evaluations r.A.evaluations)
+
+(* Without a shutdown message a worker leaves when its request pipe
+   closes, which needs every later sibling to have closed its copy of
+   that pipe: a clean run tears down well inside the 2 s reap grace that
+   a worker kept alive by a sibling would wait out. *)
+let test_teardown_on_eof () =
+  let last_epoch = ref 0. in
+  let _r, stats =
+    Sup.run ~seed:59
+      ~observer:(fun _ -> last_epoch := Unix.gettimeofday ())
+      ~config:{ sup_config with Sup.shards = 2 }
+      ~generations:10 (zdt1 6) quad_config
+  in
+  let teardown = Unix.gettimeofday () -. !last_epoch in
+  Alcotest.(check int) "two spawns" 2 stats.Sup.spawns;
+  if teardown >= 1.0 then Alcotest.failf "teardown took %.2f s" teardown
 
 (* {1 Telemetry exactness across processes} *)
 
@@ -537,6 +655,13 @@ let () =
             test_wedged_worker_hard_preempted;
           Alcotest.test_case "retry budget exhaustion degrades" `Quick
             test_retry_budget_exhaustion_degrades;
+          Alcotest.test_case "slow island is not preempted" `Quick
+            test_slow_island_not_preempted;
+          Alcotest.test_case "respawn gets a full deadline" `Quick
+            test_respawn_gets_full_deadline;
+          Alcotest.test_case "worker dead between epochs" `Quick
+            test_worker_dead_between_epochs;
+          Alcotest.test_case "teardown on EOF" `Quick test_teardown_on_eof;
         ] );
       ( "checkpoints",
         [
