@@ -26,6 +26,16 @@ let with_temp_file f =
   let path = Filename.temp_file "robustpath" ".ckpt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
+(* [f dir path] with [path] a checkpoint base name inside a fresh
+   directory, removed afterwards with everything in it. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "robustpath" ".hist" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir (Filename.concat dir "run.ckpt"))
+
 (* ZDT1 whose objective raises for a tenth of candidates, picked by a
    pure hash of the decision vector. *)
 let faulty_zdt1 () =
@@ -324,12 +334,7 @@ let test_respawn_gets_full_deadline () =
    One restart, three spawns, and the sibling is left alone. *)
 let test_worker_dead_between_epochs () =
   let baseline = A.run ~seed:37 ~generations:20 (zdt1 6) quad_config in
-  let dir = Filename.temp_dir "robustpath" ".pids" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir _ ->
       let p = zdt1 6 in
       (* Per process after the fork: the last pid this copy recorded. *)
       let recorded = ref 0 in
@@ -579,16 +584,6 @@ let test_observer_stream_identical () =
     (fun i (b, s) ->
       Alcotest.(check bool) (Printf.sprintf "record %d identical" (i + 1)) true (b = s))
     (List.combine baseline sharded)
-
-(* [f dir path] with [path] a checkpoint base name inside a fresh
-   directory, removed afterwards with everything in it. *)
-let with_temp_dir f =
-  let dir = Filename.temp_dir "robustpath" ".hist" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir (Filename.concat dir "run.ckpt"))
 
 let history dir = List.sort compare (Array.to_list (Sys.readdir dir))
 
