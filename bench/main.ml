@@ -206,14 +206,16 @@ let bench_lp_solve =
     (Staged.stage
        (let rng = Numerics.Rng.create 3 in
         let n = 20 and m = 12 in
-        let cols =
-          Array.init n (fun _ ->
-              List.init m (fun i -> (i, Numerics.Rng.uniform rng 0. 1.)))
-        in
+        let a = Numerics.Sparse.create ~rows:m ~cols:n in
+        for j = 0 to n - 1 do
+          for i = 0 to m - 1 do
+            Numerics.Sparse.set a i j (Numerics.Rng.uniform rng 0. 1.)
+          done
+        done;
         let spec =
           {
             Lp.Simplex.n_rows = m;
-            cols;
+            cols = Numerics.Sparse.compress a;
             rhs = Array.make m 10.;
             obj = Array.init n (fun _ -> Numerics.Rng.uniform rng 0. 1.);
             lo = Array.make n 0.;
@@ -944,9 +946,10 @@ let run_shard_benchmarks () =
    [bench-simplex] times the simplex on the Geobacter model (608
    reactions) and writes BENCH_simplex.json:
 
-   - simplex/cold-vs-warm: an FBA spec solved cold, then re-solved from
-     the basis it returned — the same objective to 1e-6, and strictly
-     fewer pivots warm;
+   - simplex/cold-vs-warm: an FBA spec solved cold, on exactly its
+     recorded path of 441 pivots and 12 refactorizations, then re-solved
+     from the basis it returned — the same objective to 1e-6, and
+     strictly fewer pivots warm;
    - simplex/warm-sweep: the Geobacter FVA + knockout-screen workload,
      every LP warm from the wild-type basis — pivots, the median and
      quartiles of the wall-clock over five samples, and the objective
@@ -968,6 +971,11 @@ let counters_delta names f =
   Obs.Metrics.set_enabled false;
   (r, deltas)
 
+(* The cold Geobacter solve's pivot path: any change to the simplex or
+   its workspace that moves a pivot or a refactorization moves these. *)
+let cold_path_pivots = 441
+let cold_path_refactors = 12
+
 let bench_simplex_cold_warm ~quick =
   let g = Lazy.force geobacter in
   let t = g.Fba.Geobacter.net in
@@ -988,6 +996,9 @@ let bench_simplex_cold_warm ~quick =
   let cold_pivots, cold_refactors =
     match counts with [ p; r ] -> (p, r) | _ -> assert false
   in
+  if cold_pivots <> cold_path_pivots || cold_refactors <> cold_path_refactors then
+    simplex_fail "the cold solve took %d pivots and %d refactorizations, not %d and %d"
+      cold_pivots cold_refactors cold_path_pivots cold_path_refactors;
   let (warm_out, _), warm_pivots =
     counter_delta "simplex.pivots" (fun () -> Lp.Simplex.solve ?basis spec)
   in
@@ -1113,7 +1124,9 @@ let bench_simplex_warm_sweep ~quick =
 
 let run_simplex_benchmarks () =
   let quick = !quick_mode in
-  Printf.printf "== LP kernels (gates: warm = cold to 1e-6, warm strictly cheaper) ==\n%!";
+  Printf.printf
+    "== LP kernels (gates: cold path 441 pivots / 12 refactors, warm = cold to 1e-6, warm \
+     strictly cheaper) ==\n%!";
   let lp = bench_simplex_cold_warm ~quick in
   let sweep = bench_simplex_warm_sweep ~quick in
   if quick then Printf.printf "   smoke mode: gates checked, BENCH_simplex.json not written\n%!"

@@ -5,14 +5,13 @@ exception Infeasible_model of string
 let spec_of ~t ~obj =
   let n = Network.n_reactions t in
   let m = Network.n_metabolites t in
-  let cols = Network.columns t in
   let lo = Array.make n 0. and up = Array.make n 0. in
-  Array.iteri
-    (fun j (l, u) ->
-      lo.(j) <- l;
-      up.(j) <- u)
-    (Network.bounds t);
-  { Lp.Simplex.n_rows = m; cols; rhs = Array.make m 0.; obj; lo; up }
+  for j = 0 to n - 1 do
+    let r = Network.reaction t j in
+    lo.(j) <- r.Network.lb;
+    up.(j) <- r.Network.ub
+  done;
+  { Lp.Simplex.n_rows = m; cols = Network.matrix t; rhs = Array.make m 0.; obj; lo; up }
 
 let solve_spec_basis ?basis spec =
   (* With a parent basis in hand the solver runs its dual decision tree:

@@ -8,9 +8,8 @@ exception Infeasible_model of string
 val spec_of : t:Network.t -> obj:float array -> Lp.Simplex.spec
 (** The raw LP behind {!fba}: steady state [S·v = 0] with the network's
     bounds and a dense objective vector over reactions.  Its [cols] is
-    the network's cached {!Network.columns}, shared by every spec of the
-    same network (so warm starts between them reuse the carried LU);
-    treat it as read-only.  Exposed so harnesses (the [bench-simplex]
+    the network's cached {!Network.matrix}, shared by every spec of the
+    same network (so warm starts between them reuse the carried LU).  Exposed so harnesses (the [bench-simplex]
     legs in particular) can drive {!Lp.Simplex.solve} directly on the
     same LP. *)
 

@@ -4,8 +4,13 @@ type knockout = {
   biomass_flux : float;
 }
 
+(* The bounds of reaction [j], read without copying the network's. *)
+let bound t j =
+  let r = Network.reaction t j in
+  (r.Network.lb, r.Network.ub)
+
 let with_biomass_floor ~t ~biomass ~min_biomass f =
-  let lb, ub = (Network.bounds t).(biomass) in
+  let lb, ub = bound t biomass in
   if min_biomass > ub then invalid_arg "Fba.Knockout: biomass floor exceeds its upper bound";
   Network.set_bounds t biomass (Float.max lb min_biomass) ub;
   let restore () = Network.set_bounds t biomass lb ub in
@@ -18,7 +23,7 @@ let with_biomass_floor ~t ~biomass ~min_biomass f =
     raise e
 
 let solve_with_removed ?basis ~t ~target ~biomass ~min_biomass removed =
-  let saved = List.map (fun j -> (j, (Network.bounds t).(j))) removed in
+  let saved = List.map (fun j -> (j, bound t j)) removed in
   List.iter (fun j -> Network.set_bounds t j 0. 0.) removed;
   let restore () = List.iter (fun (j, (lb, ub)) -> Network.set_bounds t j lb ub) saved in
   Fun.protect ~finally:restore (fun () ->
@@ -75,8 +80,8 @@ let growth_coupled ~t ~target ~biomass ~removed =
   (* Read every bound before pinning anything, and restore them on any
      exit: a bad index or an LP failure must not leave the caller's
      network knocked out. *)
-  let bio_lb, bio_ub = (Network.bounds t).(biomass) in
-  let saved = List.map (fun j -> (j, (Network.bounds t).(j))) removed in
+  let bio_lb, bio_ub = bound t biomass in
+  let saved = List.map (fun j -> (j, bound t j)) removed in
   let restore () =
     List.iter (fun (j, (lb, ub)) -> Network.set_bounds t j lb ub) saved;
     Network.set_bounds t biomass bio_lb bio_ub

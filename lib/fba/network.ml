@@ -10,10 +10,8 @@ type t = {
   mutable reactions : reaction array;
   mutable n : int; (* used slots in [reactions] *)
   index : (string, int) Hashtbl.t;
-  (* Compressed S and its columns as lists, built on first use and
-     dropped by [add_reaction]. *)
+  (* Compressed S, built on first use and dropped by [add_reaction]. *)
   mutable cache : Numerics.Sparse.csc option;
-  mutable columns : (int * float) list array option;
 }
 
 let create ~metabolites () =
@@ -24,7 +22,6 @@ let create ~metabolites () =
     n = 0;
     index = Hashtbl.create 64;
     cache = None;
-    columns = None;
   }
 
 let n_metabolites net = Array.length net.metabolites
@@ -47,7 +44,6 @@ let add_reaction net ~name ~stoich ~lb ~ub =
   net.reactions.(net.n) <- { name; stoich; lb; ub };
   Hashtbl.add net.index name net.n;
   net.cache <- None;
-  net.columns <- None;
   net.n <- net.n + 1;
   net.n - 1
 
@@ -63,7 +59,7 @@ let set_bounds net j lb ub =
   if not (lb <= ub) then invalid_arg "Fba.Network.set_bounds: lb must not exceed ub";
   net.reactions.(j) <- { (net.reactions.(j)) with lb; ub }
 
-let stoichiometric_matrix net =
+let matrix net =
   match net.cache with
   | Some s -> s
   | None ->
@@ -75,17 +71,8 @@ let stoichiometric_matrix net =
     net.cache <- Some s;
     s
 
-let columns net =
-  match net.columns with
-  | Some cols -> cols
-  | None ->
-    let s = stoichiometric_matrix net in
-    let cols = Array.init net.n (Numerics.Sparse.csc_column s) in
-    net.columns <- Some cols;
-    cols
-
 let violation net v =
-  Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (stoichiometric_matrix net) v)
+  Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (matrix net) v)
 
 (* Least-squares projection onto null(S): v' = v − Sᵀ (S Sᵀ + λI)⁻¹ S v.
    The small Tikhonov term λ keeps S Sᵀ invertible, because the decoy
@@ -94,7 +81,7 @@ let violation net v =
 let ridge = 1e-9
 
 let projector net =
-  let s = stoichiometric_matrix net in
+  let s = matrix net in
   let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge s) in
   fun v ->
     let y = Numerics.Sparse_lu.solve lu (Numerics.Sparse.csc_mv s v) in

@@ -25,12 +25,11 @@ val reaction : t -> int -> reaction
 val bounds : t -> (float * float) array
 val set_bounds : t -> int -> float -> float -> unit
 
-val columns : t -> (int * float) list array
-(** The columns of S as sparse [(metabolite, coefficient)] lists sorted
-    by row, built once from S in compressed columns (cached, and
-    invalidated by [add_reaction]) and cached beside it.  Invalidated by [add_reaction].  The array and its lists are
-    shared by every caller, so LP specs built from them carry physically
-    equal columns; treat them as read-only. *)
+val matrix : t -> Numerics.Sparse.csc
+(** S in compressed columns, rows sorted within each column: built on
+    first use, cached, and rebuilt after an [add_reaction].  Every
+    caller shares the one value, so LP specs built from it carry
+    physically equal matrices. *)
 
 val violation : t -> float array -> float
 (** [‖S·v‖₂] of a flux vector, from the cached S. *)

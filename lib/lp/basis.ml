@@ -14,39 +14,50 @@
    order, so each solve is a bit-for-bit deterministic function of the
    basis history.
 
+   The eta file is flat: eta k is pivot row [e_row.(k)], pivot
+   [e_diag.(k)] and the off-pivot entries [e_start.(k)] to
+   [e_start.(k+1) - 1] of [e_idx]/[e_val], ascending by position.  The
+   buffers only grow, so one [t] carries any number of solves without
+   allocating past its largest eta file.
+
    Updates trade pivot cost against solve cost; [should_refactor] says
    when the accumulated eta work calls for refactorizing; the caller —
-   who owns the basis columns — answers with {!refactor}. *)
-
-type eta = {
-  e_row : int;               (* pivot position r *)
-  e_diag : float;            (* w.(r) *)
-  e_off : (int * float) array;  (* off-pivot nonzeros of w, ascending position *)
-}
+   who owns the basis columns — answers with {!reset}. *)
 
 type t = {
-  m : int;
+  mutable m : int;
   mutable lu : Numerics.Sparse_lu.t;
-  mutable etas : eta list;   (* newest first *)
   mutable n_etas : int;
-  mutable eta_nnz : int;     (* total stored off-diagonal eta entries *)
+  mutable e_row : int array;
+  mutable e_diag : float array;
+  mutable e_start : int array;  (* n_etas + 1 used; e_start.(0) = 0 *)
+  mutable e_idx : int array;
+  mutable e_val : float array;
 }
 
 let g_eta_len = Obs.Metrics.gauge "simplex.eta_len"
 
-let of_lu lu = { m = Numerics.Sparse_lu.dim lu; lu; etas = []; n_etas = 0; eta_nnz = 0 }
+let create lu =
+  {
+    m = Numerics.Sparse_lu.dim lu;
+    lu;
+    n_etas = 0;
+    e_row = Array.make 16 0;
+    e_diag = Array.make 16 0.;
+    e_start = Array.make 17 0;
+    e_idx = Array.make 64 0;
+    e_val = Array.make 64 0.;
+  }
 
-let factor cols = of_lu (Numerics.Sparse_lu.factor cols)
+let reset b lu =
+  b.m <- Numerics.Sparse_lu.dim lu;
+  b.lu <- lu;
+  b.n_etas <- 0;
+  Obs.Metrics.set_gauge g_eta_len 0.
 
 let fresh_lu b = if b.n_etas = 0 then Some b.lu else None
 
-let refactor b cols =
-  if Array.length cols <> b.m then invalid_arg "Lp.Basis.refactor: dimension changed";
-  b.lu <- Numerics.Sparse_lu.factor cols;
-  b.etas <- [];
-  b.n_etas <- 0;
-  b.eta_nnz <- 0;
-  Obs.Metrics.set_gauge g_eta_len 0.
+let eta_nnz b = b.e_start.(b.n_etas)
 
 (* Refactorize once the eta file holds about as many nonzeros as the
    base factors themselves (cheap updates postpone it, dense ones hasten
@@ -55,53 +66,65 @@ let refactor b cols =
    a typical stoichiometric basis. *)
 let should_refactor b =
   let cap = max 16 (2 * int_of_float (Float.sqrt (float_of_int b.m))) in
-  b.n_etas >= cap || b.eta_nnz > Numerics.Sparse_lu.nnz b.lu + (4 * b.m)
+  b.n_etas >= cap || eta_nnz b > Numerics.Sparse_lu.nnz b.lu + (4 * b.m)
+
+let grow_int a len = Array.append a (Array.make (max 16 len) 0)
+let grow_float a len = Array.append a (Array.make (max 16 len) 0.)
 
 let update b ~row w =
   if not (0 <= row && row < b.m) then invalid_arg "Lp.Basis.update: row out of range";
   (* robustlint: allow R1 — guard against a structurally impossible exactly-zero pivot *)
   if w.(row) = 0. then invalid_arg "Lp.Basis.update: zero pivot";
-  let off = ref [] in
-  for i = b.m - 1 downto 0 do
+  let k = b.n_etas in
+  if k + 1 >= Array.length b.e_row then begin
+    b.e_row <- grow_int b.e_row k;
+    b.e_diag <- grow_float b.e_diag k;
+    b.e_start <- grow_int b.e_start (k + 1)
+  end;
+  let p = ref b.e_start.(k) in
+  if !p + b.m > Array.length b.e_idx then begin
+    b.e_idx <- grow_int b.e_idx (!p + b.m);
+    b.e_val <- grow_float b.e_val (!p + b.m)
+  end;
+  for i = 0 to b.m - 1 do
     (* robustlint: allow R1 — exact-zero sparsity skip over the computed column *)
-    if i <> row && w.(i) <> 0. then off := (i, w.(i)) :: !off
+    if i <> row && w.(i) <> 0. then begin
+      b.e_idx.(!p) <- i;
+      b.e_val.(!p) <- w.(i);
+      incr p
+    end
   done;
-  let e_off = Array.of_list !off in
-  b.etas <- { e_row = row; e_diag = w.(row); e_off } :: b.etas;
-  b.n_etas <- b.n_etas + 1;
-  b.eta_nnz <- b.eta_nnz + Array.length e_off;
+  b.e_row.(k) <- row;
+  b.e_diag.(k) <- w.(row);
+  b.e_start.(k + 1) <- !p;
+  b.n_etas <- k + 1;
   Obs.Metrics.set_gauge g_eta_len (float_of_int b.n_etas)
 
-(* E⁻¹ v in place: t = v_r / w_r;  v_i -= w_i t;  v_r = t. *)
-let apply_eta v { e_row; e_diag; e_off } =
-  let t = v.(e_row) /. e_diag in
-  (* robustlint: allow R1 — exact-zero sparsity skip *)
-  if t <> 0. then Array.iter (fun (i, wi) -> v.(i) <- v.(i) -. (wi *. t)) e_off;
-  v.(e_row) <- t
+(* E⁻¹ v in place, oldest eta first: t = v_r / w_r;  v_i -= w_i t;
+   v_r = t. *)
+let ftran_into b rhs x =
+  Numerics.Sparse_lu.solve_into b.lu rhs x;
+  for k = 0 to b.n_etas - 1 do
+    let r = b.e_row.(k) in
+    let t = x.(r) /. b.e_diag.(k) in
+    (* robustlint: allow R1 — exact-zero sparsity skip *)
+    if t <> 0. then
+      for q = b.e_start.(k) to b.e_start.(k + 1) - 1 do
+        let i = b.e_idx.(q) in
+        x.(i) <- x.(i) -. (b.e_val.(q) *. t)
+      done;
+    x.(r) <- t
+  done
 
-(* E⁻ᵀ c in place: c_r = (c_r − Σ w_i c_i) / w_r, other entries kept. *)
-let apply_eta_t c { e_row; e_diag; e_off } =
-  let acc = ref c.(e_row) in
-  Array.iter (fun (i, wi) -> acc := !acc -. (wi *. c.(i))) e_off;
-  c.(e_row) <- !acc /. e_diag
-
-let ftran b rhs =
-  if Array.length rhs <> b.m then invalid_arg "Lp.Basis.ftran: rhs length mismatch";
-  let x = Numerics.Sparse_lu.solve b.lu rhs in
-  List.iter (apply_eta x) (List.rev b.etas);
-  x
-
-let ftran_col b col =
-  let rhs = Array.make b.m 0. in
-  List.iter
-    (fun (i, v) ->
-      if not (0 <= i && i < b.m) then invalid_arg "Lp.Basis.ftran_col: row out of range";
-      rhs.(i) <- rhs.(i) +. v)
-    col;
-  ftran b rhs
-
-let btran b c =
-  if Array.length c <> b.m then invalid_arg "Lp.Basis.btran: rhs length mismatch";
-  let v = Array.copy c in
-  List.iter (apply_eta_t v) b.etas;
-  Numerics.Sparse_lu.solve_t b.lu v
+(* E⁻ᵀ c in place, newest eta first: c_r = (c_r − Σ w_i c_i) / w_r,
+   other entries kept. *)
+let btran_into b c y =
+  for k = b.n_etas - 1 downto 0 do
+    let r = b.e_row.(k) in
+    let acc = ref c.(r) in
+    for q = b.e_start.(k) to b.e_start.(k + 1) - 1 do
+      acc := !acc -. (b.e_val.(q) *. c.(b.e_idx.(q)))
+    done;
+    c.(r) <- !acc /. b.e_diag.(k)
+  done;
+  Numerics.Sparse_lu.solve_t_into b.lu c y

@@ -1,8 +1,6 @@
-type column = (int * float) list
-
 type spec = {
   n_rows : int;
-  cols : column array;
+  cols : Numerics.Sparse.csc;
   rhs : float array;
   obj : float array;
   lo : float array;
@@ -87,60 +85,245 @@ let timed_hist h f =
   end
   else f ()
 
-type state = {
-  m : int;                    (* rows *)
-  n_total : int;              (* structural + artificial variables *)
-  cols : column array;        (* columns for all variables *)
-  rhs : float array;
-  lo : float array;           (* mutable bound arrays (artificials get pinned) *)
-  up : float array;
-  status : status array;
-  basis : int array;          (* basis.(i) = variable basic in row i *)
-  fac : Basis.t;
-  x : float array;            (* current values of all variables *)
+(* {1 The per-domain workspace}
+
+   Every vector a solve works in lives in one workspace per domain,
+   sized on first use (grown when a larger LP arrives) and fully
+   reinitialised by every solve, so a solve allocates its outcome, its
+   carried basis and the LUs it factors, and nothing per pivot.  [solve]
+   takes no callbacks, so a domain never runs two solves at once; the
+   outcome and the carried basis are copies, never views of it. *)
+
+type workspace = {
+  mutable lo : float array;     (* n_total: bounds, artificials pinned *)
+  mutable up : float array;
+  mutable x : float array;      (* current values of all variables *)
+  mutable cost : float array;   (* the current phase's objective *)
+  mutable status : status array;
+  mutable rhs : float array;    (* m *)
+  mutable art : float array;    (* m: artificial n + i is art.(i)·e_i *)
+  mutable basis : int array;    (* m: basis.(i) = variable basic in row i *)
+  mutable y : float array;      (* m: simplex multipliers *)
+  mutable rho : float array;    (* m: dual pricing row *)
+  mutable w : float array;      (* m: ftran of the entering column *)
+  mutable xb : float array;     (* m: recomputed basic values *)
+  mutable work : float array;   (* m: right-hand side consumed by a solve *)
+  mutable b_ptr : int array;    (* m + 1: the basis matrix, compressed *)
+  mutable b_row : int array;
+  mutable b_val : float array;
+  mutable fac : Basis.t option;
 }
 
-let basis_columns st = Array.init st.m (fun r -> st.cols.(st.basis.(r)))
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        lo = [||]; up = [||]; x = [||]; cost = [||]; status = [||];
+        rhs = [||]; art = [||]; basis = [||]; y = [||]; rho = [||]; w = [||];
+        xb = [||]; work = [||]; b_ptr = [| 0 |]; b_row = [||]; b_val = [||];
+        fac = None;
+      })
 
-(* Simplex multipliers y = B⁻ᵀ c_B. *)
-let multipliers st c = Basis.btran st.fac (Array.init st.m (fun r -> c.(st.basis.(r))))
+(* The calling domain's workspace, with room for [m] rows and [n_total]
+   variables. *)
+let workspace ~m ~n_total =
+  let ws = Domain.DLS.get workspace_key in
+  if Array.length ws.x < n_total then begin
+    ws.lo <- Array.make n_total 0.;
+    ws.up <- Array.make n_total 0.;
+    ws.x <- Array.make n_total 0.;
+    ws.cost <- Array.make n_total 0.;
+    ws.status <- Array.make n_total At_lower
+  end;
+  if Array.length ws.rhs < m then begin
+    ws.rhs <- Array.make m 0.;
+    ws.art <- Array.make m 0.;
+    ws.basis <- Array.make m 0;
+    ws.y <- Array.make m 0.;
+    ws.rho <- Array.make m 0.;
+    ws.w <- Array.make m 0.;
+    ws.xb <- Array.make m 0.;
+    ws.work <- Array.make m 0.;
+    ws.b_ptr <- Array.make (m + 1) 0
+  end;
+  ws
 
-(* ρ = B⁻ᵀ e_r — row r of the basis inverse; the dual-simplex pricing
-   row. *)
+(* The workspace's basis, taking over [lu] with an empty eta file. *)
+let install (ws : workspace) lu =
+  match ws.fac with
+  | Some fac ->
+    Basis.reset fac lu;
+    fac
+  | None ->
+    let fac = Basis.create lu in
+    ws.fac <- Some fac;
+    fac
+
+(* One solve's view of its workspace: the first [m] and [n_total]
+   entries of the workspace vectors are this LP's. *)
+type state = {
+  m : int;                    (* rows *)
+  n : int;                    (* structural variables *)
+  n_total : int;              (* structural + artificial variables *)
+  a : Numerics.Sparse.csc;    (* structural columns *)
+  art : float array;
+  rhs : float array;
+  lo : float array;
+  up : float array;
+  status : status array;
+  basis : int array;
+  x : float array;
+  cost : float array;
+  y : float array;
+  rho : float array;
+  w : float array;
+  xb : float array;
+  work : float array;
+  fac : Basis.t;
+  ws : workspace;
+}
+
+let state (ws : workspace) ~m ~n (a : Numerics.Sparse.csc) fac =
+  {
+    m; n; n_total = n + m; a; art = ws.art; rhs = ws.rhs; lo = ws.lo; up = ws.up;
+    status = ws.status; basis = ws.basis; x = ws.x; cost = ws.cost; y = ws.y;
+    rho = ws.rho; w = ws.w; xb = ws.xb; work = ws.work; fac; ws;
+  }
+
+(* Factor the basis matrix — column [basis.(r)] of [a], or artificial
+   unit column [art.(i)·e_i] for variable [n + i], in row [r] — gathered
+   into the workspace's compressed buffers.  Raises
+   [Numerics.Sparse_lu.Singular]. *)
+let factor_basis ws (a : Numerics.Sparse.csc) ~n ~m basis =
+  let nnz = ref 0 in
+  for r = 0 to m - 1 do
+    let j = basis.(r) in
+    nnz := !nnz + if j < n then a.col_ptr.(j + 1) - a.col_ptr.(j) else 1
+  done;
+  if Array.length ws.b_row < !nnz then begin
+    ws.b_row <- Array.make !nnz 0;
+    ws.b_val <- Array.make !nnz 0.
+  end;
+  let ptr = ws.b_ptr and rows = ws.b_row and vals = ws.b_val in
+  let p = ref 0 in
+  for r = 0 to m - 1 do
+    let j = basis.(r) in
+    if j < n then
+      for q = a.col_ptr.(j) to a.col_ptr.(j + 1) - 1 do
+        rows.(!p) <- a.row_idx.(q);
+        vals.(!p) <- a.values.(q);
+        incr p
+      done
+    else begin
+      rows.(!p) <- j - n;
+      vals.(!p) <- ws.art.(j - n);
+      incr p
+    end;
+    ptr.(r + 1) <- !p
+  done;
+  Numerics.Sparse_lu.factor
+    (Numerics.Sparse.csc_view ~rows:m ~cols:m ~col_ptr:ptr ~row_idx:rows ~values:vals)
+
+(* Simplex multipliers y = B⁻ᵀ c_B, into [st.y]. *)
+let multipliers st c =
+  let cb = st.work in
+  for r = 0 to st.m - 1 do
+    cb.(r) <- c.(st.basis.(r))
+  done;
+  Basis.btran_into st.fac cb st.y
+
+(* ρ = B⁻ᵀ e_r — row r of the basis inverse, the dual-simplex pricing
+   row — into [st.rho]. *)
 let btran_unit st r =
-  let c = Array.make st.m 0. in
-  c.(r) <- 1.;
-  Basis.btran st.fac c
+  let e = st.work in
+  Array.fill e 0 st.m 0.;
+  e.(r) <- 1.;
+  Basis.btran_into st.fac e st.rho
+
+(* w = B⁻¹ a_j, the entering column, into [st.w]: the column is
+   scattered onto zeros and solved. *)
+let ftran_column st j =
+  let v = st.work in
+  Array.fill v 0 st.m 0.;
+  (if j < st.n then begin
+     let a = st.a in
+     for q = a.col_ptr.(j) to a.col_ptr.(j + 1) - 1 do
+       let i = a.row_idx.(q) in
+       v.(i) <- v.(i) +. a.values.(q)
+     done
+   end
+   else
+     let i = j - st.n in
+     v.(i) <- v.(i) +. st.art.(i));
+  Basis.ftran_into st.fac v st.w
+
+(* Reduced cost c_j − yᵀa_j of variable [j] under the multipliers in
+   [st.y]. *)
+let[@inline] reduced_cost st c j =
+  let y = st.y in
+  if j < st.n then begin
+    let a = st.a in
+    let d = ref c.(j) in
+    for q = a.col_ptr.(j) to a.col_ptr.(j + 1) - 1 do
+      d := !d -. (y.(a.row_idx.(q)) *. a.values.(q))
+    done;
+    !d
+  end
+  else c.(j) -. (y.(j - st.n) *. st.art.(j - st.n))
 
 (* Recompute the values of the basic variables from the nonbasic ones:
    x_B = B⁻¹ (b − N x_N).  Pivots update x incrementally; this exact
    recomputation runs after every refactorization to wash out drift. *)
 let recompute_basics st =
-  let resid = Array.copy st.rhs in
+  let resid = st.work and x = st.x and a = st.a in
+  Array.blit st.rhs 0 resid 0 st.m;
   for j = 0 to st.n_total - 1 do
     match st.status.(j) with
     | Basic -> ()
     | At_lower | At_upper | Free_nb ->
-      let xj = st.x.(j) in
+      let xj = x.(j) in
       (* robustlint: allow R1 — exact-zero sparsity skip *)
-      if xj <> 0. then List.iter (fun (i, v) -> resid.(i) <- resid.(i) -. (v *. xj)) st.cols.(j)
+      if xj <> 0. then
+        if j < st.n then
+          for q = a.col_ptr.(j) to a.col_ptr.(j + 1) - 1 do
+            let i = a.row_idx.(q) in
+            resid.(i) <- resid.(i) -. (a.values.(q) *. xj)
+          done
+        else begin
+          let i = j - st.n in
+          resid.(i) <- resid.(i) -. (st.art.(i) *. xj)
+        end
   done;
-  let xb = Basis.ftran st.fac resid in
+  Basis.ftran_into st.fac resid st.xb;
   for r = 0 to st.m - 1 do
-    st.x.(st.basis.(r)) <- xb.(r)
+    x.(st.basis.(r)) <- st.xb.(r)
   done
 
 (* Rebuild the factorization from scratch: the numerical refresh, and
    the answer to a full eta file. *)
 let refactor st =
   Obs.Metrics.incr m_refactors;
-  timed_hist h_refactor_ns @@ fun () -> Basis.refactor st.fac (basis_columns st)
+  timed_hist h_refactor_ns @@ fun () ->
+  Basis.reset st.fac (factor_basis st.ws st.a ~n:st.n ~m:st.m st.basis)
 
-(* Reduced cost of variable [j] given simplex multipliers [y]. *)
-let reduced_cost st c y j =
-  let d = ref c.(j) in
-  List.iter (fun (i, v) -> d := !d -. (y.(i) *. v)) st.cols.(j);
-  !d
+(* Eligible reduced-cost magnitude of variable [j] under objective [c]
+   and the multipliers in [st.y]; fixed variables (lo = up) can never
+   move and score 0. *)
+let[@inline] violation st c j =
+  (* robustlint: allow R1 — fixed variables are pinned by exactly equal bounds *)
+  if st.lo.(j) = st.up.(j) then 0.
+  else
+    match st.status.(j) with
+    | Basic -> 0.
+    | At_lower ->
+      let d = reduced_cost st c j in
+      if d > tol_d then d else 0.
+    | At_upper ->
+      let d = reduced_cost st c j in
+      if d < -.tol_d then -.d else 0.
+    | Free_nb ->
+      let d = reduced_cost st c j in
+      let a = Float.abs d in
+      if a > tol_d then a else 0.
 
 (* One phase of the primal simplex loop with objective [c]
    (maximization).  Returns [`Optimal] or [`Unbounded].
@@ -155,6 +338,7 @@ let optimize ~pivots st c =
   let last_obj = ref neg_infinity in
   let result = ref None in
   let n_total = st.n_total in
+  let x = st.x and lo = st.lo and up = st.up and w = st.w in
   while !result = None do
     incr iter;
     if !iter > max_iter then failwith "Simplex.optimize: iteration limit exceeded";
@@ -162,40 +346,19 @@ let optimize ~pivots st c =
       refactor st;
       recompute_basics st
     end;
-    let y = multipliers st c in
-    (* Eligible reduced-cost magnitude of column [j]; fixed variables
-       (lo = up) can never move and are skipped. *)
-    let viol_of j =
-      (* robustlint: allow R1 — fixed variables are pinned by exactly equal bounds *)
-      if st.lo.(j) = st.up.(j) then 0.
-      else
-        match st.status.(j) with
-        | Basic -> 0.
-        | At_lower ->
-          let d = reduced_cost st c y j in
-          if d > tol_d then d else 0.
-        | At_upper ->
-          let d = reduced_cost st c y j in
-          if d < -.tol_d then -.d else 0.
-        | Free_nb ->
-          let d = reduced_cost st c y j in
-          let a = Float.abs d in
-          if a > tol_d then a else 0.
-    in
+    multipliers st c;
     let entering = ref (-1) in
-    if !bland_on then (
-      try
-        for j = 0 to n_total - 1 do
-          if viol_of j > 0. then begin
-            entering := j;
-            raise Exit
-          end
-        done
-      with Exit -> ())
+    if !bland_on then begin
+      let j = ref 0 in
+      while !entering < 0 && !j < n_total do
+        if violation st c !j > 0. then entering := !j;
+        incr j
+      done
+    end
     else begin
       let best = ref tol_d in
       for j = 0 to n_total - 1 do
-        let v = viol_of j in
+        let v = violation st c j in
         if v > !best then begin
           best := v;
           entering := j
@@ -205,7 +368,7 @@ let optimize ~pivots st c =
     if !entering < 0 then result := Some `Optimal
     else begin
       let j = !entering in
-      let dj = reduced_cost st c y j in
+      let dj = reduced_cost st c j in
       let dir =
         match st.status.(j) with
         | At_lower -> 1.
@@ -213,11 +376,10 @@ let optimize ~pivots st c =
         | Free_nb -> if dj > 0. then 1. else -1.
         | Basic -> assert false
       in
-      let w = Basis.ftran_col st.fac st.cols.(j) in
+      ftran_column st j;
       (* Ratio test: the entering variable moves by [dir * t], t >= 0. *)
       let t_flip =
-        if st.lo.(j) > neg_infinity && st.up.(j) < infinity then st.up.(j) -. st.lo.(j)
-        else infinity
+        if lo.(j) > neg_infinity && up.(j) < infinity then up.(j) -. lo.(j) else infinity
       in
       let t_best = ref t_flip in
       let leave_row = ref (-1) in
@@ -226,10 +388,10 @@ let optimize ~pivots st c =
         let delta = -.dir *. w.(r) in
         if Float.abs delta > tol_p then begin
           let k = st.basis.(r) in
-          let xk = st.x.(k) in
+          let xk = x.(k) in
           if delta > 0. then begin
-            if st.up.(k) < infinity then begin
-              let t = Float.max 0. ((st.up.(k) -. xk) /. delta) in
+            if up.(k) < infinity then begin
+              let t = Float.max 0. ((up.(k) -. xk) /. delta) in
               if t < !t_best -. 1e-12 || (t <= !t_best && !leave_row >= 0 && Float.abs w.(r) > Float.abs w.(!leave_row)) then begin
                 t_best := t;
                 leave_row := r;
@@ -237,8 +399,8 @@ let optimize ~pivots st c =
               end
             end
           end
-          else if st.lo.(k) > neg_infinity then begin
-            let t = Float.max 0. ((xk -. st.lo.(k)) /. -.delta) in
+          else if lo.(k) > neg_infinity then begin
+            let t = Float.max 0. ((xk -. lo.(k)) /. -.delta) in
             if t < !t_best -. 1e-12 || (t <= !t_best && !leave_row >= 0 && Float.abs w.(r) > Float.abs w.(!leave_row)) then begin
               t_best := t;
               leave_row := r;
@@ -260,12 +422,12 @@ let optimize ~pivots st c =
         if step <> 0. then
           for r = 0 to st.m - 1 do
             let k = st.basis.(r) in
-            st.x.(k) <- st.x.(k) -. (step *. w.(r))
+            x.(k) <- x.(k) -. (step *. w.(r))
           done;
         if !leave_row < 0 then begin
           (* Bound flip: the entering variable runs to its opposite bound;
              the basis is unchanged. *)
-          st.x.(j) <- (if dir > 0. then st.up.(j) else st.lo.(j));
+          x.(j) <- (if dir > 0. then up.(j) else lo.(j));
           st.status.(j) <- (if dir > 0. then At_upper else At_lower)
         end
         else begin
@@ -274,14 +436,14 @@ let optimize ~pivots st c =
           Basis.update st.fac ~row:r w;
           st.basis.(r) <- j;
           st.status.(j) <- Basic;
-          st.x.(j) <- st.x.(j) +. step;
+          x.(j) <- x.(j) +. step;
           st.status.(k) <- (if !leave_to_upper then At_upper else At_lower);
-          st.x.(k) <- (if !leave_to_upper then st.up.(k) else st.lo.(k))
+          x.(k) <- (if !leave_to_upper then up.(k) else lo.(k))
         end;
         (* Degenerate-streak bookkeeping for the Bland fallback. *)
         let obj = ref 0. in
-        for v = 0 to st.n_total - 1 do
-          obj := !obj +. (c.(v) *. st.x.(v))
+        for v = 0 to n_total - 1 do
+          obj := !obj +. (c.(v) *. x.(v))
         done;
         if !obj > !last_obj +. 1e-12 then begin
           last_obj := !obj;
@@ -299,6 +461,18 @@ let optimize ~pivots st c =
     end
   done;
   match !result with Some r -> r | None -> assert false
+
+(* ρ·a_q: entry [q] of the dual pricing row in [st.rho]. *)
+let[@inline] row_entry st q =
+  if q < st.n then begin
+    let a = st.a and rho = st.rho in
+    let acc = ref 0. in
+    for p = a.col_ptr.(q) to a.col_ptr.(q + 1) - 1 do
+      acc := !acc +. (rho.(a.row_idx.(p)) *. a.values.(p))
+    done;
+    !acc
+  end
+  else 0. +. (st.rho.(q - st.n) *. st.art.(q - st.n))
 
 (* Bounded-variable dual simplex (maximization), for warm starts whose
    basis is dual-feasible but primal-infeasible — the bounds-only
@@ -322,6 +496,7 @@ let optimize_dual ~pivots st c =
      certificate. *)
   let fresh = ref false in
   let result = ref None in
+  let x = st.x and lo = st.lo and up = st.up and w = st.w in
   while !result = None do
     incr iter;
     if !iter > max_iter then failwith "Simplex.optimize_dual: iteration limit exceeded";
@@ -335,11 +510,11 @@ let optimize_dual ~pivots st c =
     let worst = ref 0. in
     for i = 0 to st.m - 1 do
       let k = st.basis.(i) in
-      let xk = st.x.(k) in
+      let xk = x.(k) in
       let slack = tol_f *. (1. +. Float.abs xk) in
       let v =
-        if xk < st.lo.(k) -. slack then st.lo.(k) -. xk
-        else if xk > st.up.(k) +. slack then xk -. st.up.(k)
+        if xk < lo.(k) -. slack then lo.(k) -. xk
+        else if xk > up.(k) +. slack then xk -. up.(k)
         else 0.
       in
       if v > !worst then begin
@@ -351,9 +526,9 @@ let optimize_dual ~pivots st c =
     else begin
       let r = !leave in
       let k = st.basis.(r) in
-      let to_lower = st.x.(k) < st.lo.(k) in
-      let y = multipliers st c in
-      let rho = btran_unit st r in
+      let to_lower = x.(k) < lo.(k) in
+      multipliers st c;
+      btran_unit st r;
       (* With the leaving variable headed to its lower bound its basic
          value must rise, so the pivot row is used as-is; headed to the
          upper bound everything flips sign. *)
@@ -363,10 +538,8 @@ let optimize_dual ~pivots st c =
       let best_alpha = ref 0. in
       for q = 0 to st.n_total - 1 do
         (* robustlint: allow R1 — fixed variables are pinned by exactly equal bounds *)
-        if st.status.(q) <> Basic && st.lo.(q) <> st.up.(q) then begin
-          let a = ref 0. in
-          List.iter (fun (i, v) -> a := !a +. (rho.(i) *. v)) st.cols.(q);
-          let alpha = s *. !a in
+        if st.status.(q) <> Basic && lo.(q) <> up.(q) then begin
+          let alpha = s *. row_entry st q in
           let eligible =
             match st.status.(q) with
             | At_lower -> alpha < -.tol_p
@@ -380,7 +553,7 @@ let optimize_dual ~pivots st c =
             let ratio =
               match st.status.(q) with
               | Free_nb -> 0.
-              | _ -> Float.max 0. (reduced_cost st c y q /. alpha)
+              | _ -> Float.max 0. (reduced_cost st c q /. alpha)
             in
             let take =
               if !entering < 0 then true
@@ -410,13 +583,13 @@ let optimize_dual ~pivots st c =
           recompute_basics st;
           fresh := true
         end
-        else if !worst > 1e3 *. tol_f *. (1. +. Float.abs st.x.(k)) then
+        else if !worst > 1e3 *. tol_f *. (1. +. Float.abs x.(k)) then
           result := Some `Infeasible
         else result := Some `Dual_unbounded
       end
       else begin
         let j = !entering in
-        let w = Basis.ftran_col st.fac st.cols.(j) in
+        ftran_column st j;
         if Float.abs w.(r) <= tol_p then begin
           (* The pricing row and the ftran column disagree about the
              pivot magnitude — stale factors; refresh and retry. *)
@@ -425,8 +598,8 @@ let optimize_dual ~pivots st c =
           fresh := true
         end
         else begin
-          let bound = if to_lower then st.lo.(k) else st.up.(k) in
-          let t = (st.x.(k) -. bound) /. w.(r) in
+          let bound = if to_lower then lo.(k) else up.(k) in
+          let t = (x.(k) -. bound) /. w.(r) in
           incr pivots;
           Obs.Metrics.incr m_pivots;
           Obs.Metrics.incr m_dual_pivots;
@@ -434,15 +607,15 @@ let optimize_dual ~pivots st c =
           if t <> 0. then
             for i = 0 to st.m - 1 do
               let kb = st.basis.(i) in
-              st.x.(kb) <- st.x.(kb) -. (t *. w.(i))
+              x.(kb) <- x.(kb) -. (t *. w.(i))
             done;
-          st.x.(j) <- st.x.(j) +. t;
+          x.(j) <- x.(j) +. t;
           Basis.update st.fac ~row:r w;
           fresh := false;
           st.basis.(r) <- j;
           st.status.(j) <- Basic;
           st.status.(k) <- (if to_lower then At_lower else At_upper);
-          st.x.(k) <- bound;
+          x.(k) <- bound;
           (* Degenerate-streak bookkeeping: a stalled dual step switches
              the entering tie-break to Bland's smallest-index rule. *)
           if Float.abs t <= tol_degen then begin
@@ -465,29 +638,40 @@ let optimize_dual ~pivots st c =
 type basis = {
   b_status : status array;
   b_rows : int array;
-  b_lu : (column array * Numerics.Sparse_lu.t) option;
+  b_lu : (Numerics.Sparse.csc * Numerics.Sparse_lu.t) option;
 }
 
-(* Factor the columns basic in rows 0..m-1; [None] on a singular basis
+(* Factor the basis of rows 0..m-1; [None] on a singular basis
    matrix. *)
-let factor_basis cols =
-  match Basis.factor cols with
+let factor_opt ws a ~n ~m basis =
+  match factor_basis ws a ~n ~m basis with
   | exception Numerics.Sparse_lu.Singular -> None
-  | b -> Some b
+  | lu -> Some lu
 
-(* Columns with the same entries in the same order, values compared by
-   their bits: [Sparse_lu.factor] is a deterministic function of exactly
-   this, so equal columns have equal factorizations. *)
-let rec same_entries (a : column) (b : column) =
-  match (a, b) with
-  | [], [] -> true
-  | (i, v) :: a', (i', v') :: b' ->
-    Int.equal i i'
-    && Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v')
-    && same_entries a' b'
-  | _ -> false
-
-let same_columns a b = Array.for_all2 (fun x y -> x == y || same_entries x y) a b
+(* Whether columns [rows] of [a] and [b] hold the same entries in the
+   same order, values compared by their bits: [Sparse_lu.factor] is a
+   deterministic function of exactly this, so equal columns have equal
+   factorizations. *)
+let same_columns (a : Numerics.Sparse.csc) (b : Numerics.Sparse.csc) rows =
+  a == b
+  || Array.for_all
+       (fun j ->
+         let pa = a.col_ptr.(j) and pb = b.col_ptr.(j) in
+         let len = a.col_ptr.(j + 1) - pa in
+         len = b.col_ptr.(j + 1) - pb
+         &&
+         let same = ref true in
+         for q = 0 to len - 1 do
+           if
+             a.row_idx.(pa + q) <> b.row_idx.(pb + q)
+             || not
+                  (Int64.equal
+                     (Int64.bits_of_float a.values.(pa + q))
+                     (Int64.bits_of_float b.values.(pb + q)))
+           then same := false
+         done;
+         !same)
+       rows
 
 (* Reconstruct a full simplex state from a previously optimal basis:
    statuses for the structural variables plus the basic variable of each
@@ -502,9 +686,9 @@ let same_columns a b = Array.for_all2 (fun x y -> x == y || same_entries x y) a 
    spec and [Error `Singular] on a singular basis matrix; feasibility of
    the vertex is the caller's decision ({!primal_feasible},
    {!dual_feasible}). *)
-let warm_state spec basis =
+let warm_state (spec : spec) basis =
   let m = spec.n_rows in
-  let n = Array.length spec.cols in
+  let n = spec.cols.cs_cols in
   if Array.length basis.b_status <> n || Array.length basis.b_rows <> m then Error `Shape
   else begin
     let ok = ref true in
@@ -528,36 +712,37 @@ let warm_state spec basis =
     Array.iteri (fun j l -> if not (l <= spec.up.(j)) then ok := false) spec.lo;
     if (not !ok) || !basic_count <> m then Error `Shape
     else begin
-      let n_total = n + m in
-      let lo = Array.append (Array.copy spec.lo) (Array.make m 0.) in
-      let up = Array.append (Array.copy spec.up) (Array.make m 0.) in
-      let status = Array.make n_total At_lower in
-      let x = Array.make n_total 0. in
-      Array.blit basis.b_status 0 status 0 n;
+      let ws = workspace ~m ~n_total:(n + m) in
+      Array.blit spec.lo 0 ws.lo 0 n;
+      Array.blit spec.up 0 ws.up 0 n;
+      Array.blit basis.b_status 0 ws.status 0 n;
       for j = 0 to n - 1 do
-        match status.(j) with
-        | Basic | Free_nb -> ()
-        | At_lower -> x.(j) <- lo.(j)
-        | At_upper -> x.(j) <- up.(j)
+        ws.x.(j) <-
+          (match ws.status.(j) with
+          | Basic | Free_nb -> 0.
+          | At_lower -> ws.lo.(j)
+          | At_upper -> ws.up.(j))
       done;
-      let cols =
-        Array.append (Array.copy spec.cols) (Array.init m (fun i -> [ (i, 1.) ]))
-      in
-      let basic_cols = Array.map (fun j -> spec.cols.(j)) basis.b_rows in
-      let fac =
+      for i = 0 to m - 1 do
+        ws.lo.(n + i) <- 0.;
+        ws.up.(n + i) <- 0.;
+        ws.status.(n + i) <- At_lower;
+        ws.x.(n + i) <- 0.;
+        ws.art.(i) <- 1.
+      done;
+      Array.blit spec.rhs 0 ws.rhs 0 m;
+      Array.blit basis.b_rows 0 ws.basis 0 m;
+      let lu =
         match basis.b_lu with
-        | Some (cols, lu) when same_columns cols basic_cols ->
+        | Some (cols, lu) when same_columns cols spec.cols basis.b_rows ->
           Obs.Metrics.incr m_factor_reuses;
-          Some (Basis.of_lu lu)
-        | _ -> factor_basis basic_cols
+          Some lu
+        | _ -> factor_opt ws spec.cols ~n ~m ws.basis
       in
-      match fac with
+      match lu with
       | None -> Error `Singular
-      | Some fac ->
-        let st =
-          { m; n_total; cols; rhs = Array.copy spec.rhs; lo; up; status;
-            basis = Array.copy basis.b_rows; fac; x }
-        in
+      | Some lu ->
+        let st = state ws ~m ~n spec.cols (install ws lu) in
         recompute_basics st;
         Ok st
     end
@@ -580,12 +765,12 @@ let primal_feasible st =
    enter).  A dual-feasible basis lets {!optimize_dual} restore primal
    feasibility without a phase 1. *)
 let dual_feasible st c =
-  let y = multipliers st c in
+  multipliers st c;
   let ok = ref true in
   for j = 0 to st.n_total - 1 do
     (* robustlint: allow R1 — fixed variables are pinned by exactly equal bounds *)
     if st.status.(j) <> Basic && st.lo.(j) <> st.up.(j) then begin
-      let d = reduced_cost st c y j in
+      let d = reduced_cost st c j in
       let slack = tol_f *. (1. +. Float.abs c.(j)) in
       match st.status.(j) with
       | At_lower -> if d > slack then ok := false
@@ -596,17 +781,22 @@ let dual_feasible st c =
   done;
   !ok
 
-(* Extract the reusable part of a solved state: only structural-variable
-   bases survive (a basic artificial would not transfer).  The LU rides
-   along while it is the plain factorization of the basic columns. *)
-let basis_of st n =
-  if Array.exists (fun j -> j >= n) st.basis then None
+(* Extract the reusable part of a solved state, copied out of the
+   workspace: only structural-variable bases survive (a basic
+   artificial would not transfer).  The LU rides along while it is the
+   plain factorization of the basic columns of [st.a]. *)
+let basis_of st =
+  let structural = ref true in
+  for r = 0 to st.m - 1 do
+    if st.basis.(r) >= st.n then structural := false
+  done;
+  if not !structural then None
   else
     Some
       {
-        b_status = Array.sub st.status 0 n;
-        b_rows = Array.copy st.basis;
-        b_lu = Option.map (fun lu -> (basis_columns st, lu)) (Basis.fresh_lu st.fac);
+        b_status = Array.sub st.status 0 st.n;
+        b_rows = Array.sub st.basis 0 st.m;
+        b_lu = Option.map (fun lu -> (st.a, lu)) (Basis.fresh_lu st.fac);
       }
 
 let count_reject reason =
@@ -635,14 +825,22 @@ let polish st =
     | () -> recompute_basics st
     | exception Numerics.Sparse_lu.Singular -> ())
 
-let cold_solve spec ~pivots ~finish ~phase2 =
+(* The cost vector of phase 2: the spec's objective, 0 on the
+   artificials. *)
+let phase2_cost (spec : spec) st =
+  Array.blit spec.obj 0 st.cost 0 st.n;
+  Array.fill st.cost st.n st.m 0.;
+  st.cost
+
+let cold_solve (spec : spec) ~pivots ~finish ~phase2 =
   let m = spec.n_rows in
-  let n = Array.length spec.cols in
+  let a = spec.cols in
+  let n = a.cs_cols in
   let n_total = n + m in
-  let lo = Array.append (Array.copy spec.lo) (Array.make m 0.) in
-  let up = Array.append (Array.copy spec.up) (Array.make m infinity) in
-  let status = Array.make n_total At_lower in
-  let x = Array.make n_total 0. in
+  let ws = workspace ~m ~n_total in
+  let lo = ws.lo and up = ws.up and status = ws.status and x = ws.x in
+  Array.blit spec.lo 0 lo 0 n;
+  Array.blit spec.up 0 up 0 n;
   (* Start every structural variable at its bound nearest zero. *)
   for j = 0 to n - 1 do
     if not (lo.(j) <= up.(j)) then invalid_arg "Simplex.solve: empty variable bound";
@@ -668,29 +866,35 @@ let cold_solve spec ~pivots ~finish ~phase2 =
     end
   done;
   (* Residual determines the artificial columns' signs. *)
-  let resid = Array.copy spec.rhs in
+  let resid = ws.work in
+  Array.blit spec.rhs 0 resid 0 m;
   for j = 0 to n - 1 do
     (* robustlint: allow R1 — exact-zero sparsity skip while building the residual *)
     if x.(j) <> 0. then
-      List.iter (fun (i, v) -> resid.(i) <- resid.(i) -. (v *. x.(j))) spec.cols.(j)
+      for q = a.col_ptr.(j) to a.col_ptr.(j + 1) - 1 do
+        let i = a.row_idx.(q) in
+        resid.(i) <- resid.(i) -. (a.values.(q) *. x.(j))
+      done
   done;
-  let art_sign = Array.map (fun r -> if r >= 0. then 1. else -1.) resid in
-  let cols =
-    Array.append (Array.copy spec.cols) (Array.init m (fun i -> [ (i, art_sign.(i)) ]))
-  in
-  let basis = Array.init m (fun i -> n + i) in
-  let fac =
-    match factor_basis (Array.sub cols n m) with
-    | Some f -> f
+  for i = 0 to m - 1 do
+    ws.art.(i) <- (if resid.(i) >= 0. then 1. else -1.);
+    lo.(n + i) <- 0.;
+    up.(n + i) <- infinity;
+    status.(n + i) <- Basic;
+    x.(n + i) <- Float.abs resid.(i);
+    ws.basis.(i) <- n + i
+  done;
+  Array.blit spec.rhs 0 ws.rhs 0 m;
+  let lu =
+    match factor_opt ws a ~n ~m ws.basis with
+    | Some lu -> lu
     | None -> invalid_arg "Simplex.solve: artificial basis cannot be singular"
   in
-  for i = 0 to m - 1 do
-    status.(n + i) <- Basic;
-    x.(n + i) <- Float.abs resid.(i)
-  done;
-  let st = { m; n_total; cols; rhs = Array.copy spec.rhs; lo; up; status; basis; fac; x } in
+  let st = state ws ~m ~n a (install ws lu) in
   (* Phase 1: minimize the sum of artificials. *)
-  let c1 = Array.init n_total (fun j -> if j >= n then -1. else 0.) in
+  let c1 = st.cost in
+  Array.fill c1 0 n 0.;
+  Array.fill c1 n m (-1.);
   (match timed m_phase1_ns (fun () -> optimize ~pivots st c1) with
   | `Unbounded -> assert false (* phase-1 objective is bounded above by 0 *)
   | `Optimal -> ());
@@ -702,31 +906,32 @@ let cold_solve spec ~pivots ~finish ~phase2 =
   else begin
     (* Pin the artificials at zero for phase 2. *)
     for i = 0 to m - 1 do
-      st.up.(n + i) <- 0.;
-      if st.status.(n + i) <> Basic then begin
-        st.status.(n + i) <- At_lower;
-        st.x.(n + i) <- 0.
+      up.(n + i) <- 0.;
+      if status.(n + i) <> Basic then begin
+        status.(n + i) <- At_lower;
+        x.(n + i) <- 0.
       end
     done;
     finish st (phase2 st)
   end
 
-let validate spec =
+let validate (spec : spec) =
   let m = spec.n_rows in
-  let n = Array.length spec.cols in
+  let n = spec.cols.cs_cols in
+  if spec.cols.cs_rows <> m then invalid_arg "Simplex.solve: matrix rows differ from n_rows";
   if Array.length spec.rhs <> m then invalid_arg "Simplex.solve: rhs length mismatch";
   if not (Array.length spec.obj = n && Array.length spec.lo = n && Array.length spec.up = n)
   then invalid_arg "Simplex.solve: obj/lo/up length mismatch"
 
-let solve ?basis spec =
+let solve ?basis (spec : spec) =
   Obs.Metrics.incr m_solves;
   Obs.Span.with_span "simplex.solve" @@ fun () ->
   validate spec;
-  let n = Array.length spec.cols in
+  let n = spec.cols.cs_cols in
   let pivots = ref 0 in
   let finish st outcome =
     Obs.Metrics.observe h_pivots (float_of_int !pivots);
-    let carry = match outcome with Optimal _ -> basis_of st n | _ -> None in
+    let carry = match outcome with Optimal _ -> basis_of st | _ -> None in
     (outcome, carry)
   in
   let extract st =
@@ -737,9 +942,8 @@ let solve ?basis spec =
     done;
     Optimal { x = xs; objective = !objective }
   in
-  let full_obj st = Array.init st.n_total (fun j -> if j < n then spec.obj.(j) else 0.) in
   let phase2 st =
-    match timed m_phase2_ns (fun () -> optimize ~pivots st (full_obj st)) with
+    match timed m_phase2_ns (fun () -> optimize ~pivots st (phase2_cost spec st)) with
     | `Unbounded -> Unbounded
     | `Optimal ->
       polish st;
@@ -767,7 +971,7 @@ let solve ?basis spec =
       count_reject `Singular;
       cold ()
     | Ok st ->
-      let c2 = full_obj st in
+      let c2 = phase2_cost spec st in
       if dual_feasible st c2 then begin
         Obs.Metrics.incr m_warm_starts;
         Obs.Metrics.incr m_dual_solves;

@@ -8,12 +8,11 @@
     artificial variables, and a bounded-variable dual simplex for warm
     starts where only the bounds changed. *)
 
-type column = (int * float) list
-(** Sparse column: [(row index, coefficient)] pairs. *)
-
 type spec = {
   n_rows : int;
-  cols : column array;   (** one sparse column per variable *)
+  cols : Numerics.Sparse.csc;
+      (** the constraint matrix A, [n_rows] × one column per variable;
+          only read *)
   rhs : float array;     (** length [n_rows] *)
   obj : float array;     (** maximize [obj·x] *)
   lo : float array;      (** lower bounds, may be [neg_infinity] *)
@@ -31,10 +30,10 @@ type status = Basic | At_lower | At_upper | Free_nb
 type basis = private {
   b_status : status array;
   b_rows : int array;
-  b_lu : (column array * Numerics.Sparse_lu.t) option;
-      (** the LU of the basis matrix and the basic columns (in row
-          order) it was factored from; [None] when the solve ended on
-          eta-updated factors *)
+  b_lu : (Numerics.Sparse.csc * Numerics.Sparse_lu.t) option;
+      (** the LU of the basis matrix and the constraint matrix whose
+          columns [b_rows] it was factored from; [None] when the solve
+          ended on eta-updated factors *)
 }
 (** A restartable optimal basis: per-structural-variable statuses, the
     structural variable basic in each row, and the numerical state of
@@ -52,10 +51,18 @@ val solve : ?basis:basis -> spec -> outcome * basis option
     not transferable).  Each phase is bounded at 50 000 pivots;
     exceeding it on the cold path raises [Failure].
 
+    The solve works in one scratch workspace per domain, sized by the
+    largest LP the domain has solved, so it allocates its outcome, its
+    carried basis and the LUs it factors, and nothing per pivot.  The
+    outcome's [x] and the carried basis's arrays are fresh copies, so no
+    caller can reach the workspace.  Raises [Invalid_argument] before any work
+    when [cols] is not [n_rows] × the length of [obj], [lo] and [up], or
+    [rhs] is not [n_rows] long.
+
     Without [basis] the solve is the cold two-phase primal simplex.
     With [basis], the carried LU is reused when every basic column of
-    the new spec matches the one it was factored from (physically, or
-    entry by entry with bit-equal values) and the basis matrix is
+    the new spec matches the one it was factored from (the same matrix
+    physically, or entry by entry with bit-equal values) and the basis matrix is
     factored afresh otherwise; the basic values are recomputed, and the
     vertex takes one of three routes:
     - dual-feasible under the new objective — the invariant case when

@@ -54,13 +54,20 @@ let compress m =
   col_ptr.(m.c) <- !k;
   { cs_rows = m.r; cs_cols = m.c; col_ptr; row_idx; values }
 
-let csc_column c j =
-  if not (0 <= j && j < c.cs_cols) then invalid_arg "Numerics.Sparse.csc_column: out of range";
-  let acc = ref [] in
-  for k = c.col_ptr.(j + 1) - 1 downto c.col_ptr.(j) do
-    acc := (c.row_idx.(k), c.values.(k)) :: !acc
+let csc_view ~rows ~cols ~col_ptr ~row_idx ~values =
+  if rows < 0 || cols < 0 || Array.length col_ptr < cols + 1 || col_ptr.(0) <> 0 then
+    invalid_arg "Numerics.Sparse.csc_view: bad shape";
+  let len = min (Array.length row_idx) (Array.length values) in
+  for j = 0 to cols - 1 do
+    let a = col_ptr.(j) and b = col_ptr.(j + 1) in
+    if b < a || b > len then invalid_arg "Numerics.Sparse.csc_view: bad column pointer";
+    for k = a to b - 1 do
+      let i = row_idx.(k) in
+      if i < 0 || i >= rows || (k > a && i <= row_idx.(k - 1)) then
+        invalid_arg "Numerics.Sparse.csc_view: rows out of range or order"
+    done
   done;
-  !acc
+  { cs_rows = rows; cs_cols = cols; col_ptr; row_idx; values }
 
 let csc_mv c x =
   if Array.length x <> c.cs_cols then invalid_arg "Numerics.Sparse.csc_mv: vector length mismatch";
@@ -104,5 +111,4 @@ let csc_gram ~ridge c =
   for i = 0 to m - 1 do
     set g i i (get g i i +. ridge)
   done;
-  let cg = compress g in
-  Array.init m (csc_column cg)
+  compress g

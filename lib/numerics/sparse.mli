@@ -15,20 +15,39 @@ val set : t -> int -> int -> float -> unit
 
 (** {1 Compressed sparse columns}
 
-    An immutable snapshot with O(1) column slicing and allocation-free
-    column iteration — the form the LP and Jacobian kernels consume. *)
+    An immutable snapshot whose kernels walk flat arrays — the form the
+    LP, the LU and the flux projector consume.  The fields are readable
+    so those kernels can walk a column without a call per entry; only
+    this module builds one, so the row invariants below always hold. *)
 
-type csc
+type csc = private {
+  cs_rows : int;
+  cs_cols : int;
+  col_ptr : int array;
+      (** column [j] is entries [col_ptr.(j)] to [col_ptr.(j+1) - 1] *)
+  row_idx : int array;   (** strictly ascending within each column, in [0, cs_rows) *)
+  values : float array;
+}
+(** Treat the arrays as read-only. *)
 
 val compress : t -> csc
 
-val csc_column : csc -> int -> (int * float) list
+val csc_view :
+  rows:int -> cols:int -> col_ptr:int array -> row_idx:int array -> values:float array -> csc
+(** Compressed columns over caller-owned arrays, without copying them:
+    column [j] is entries [col_ptr.(j)] to [col_ptr.(j+1) - 1] of
+    [row_idx] and [values], which may be longer than that.  Raises
+    [Invalid_argument] unless [col_ptr] starts at 0 and never decreases
+    and every column's rows are in range and strictly ascending.  The
+    view shares the arrays, so hold it only while they stay unchanged:
+    it is meant for a scratch matrix handed straight to a kernel. *)
+
 val csc_mv : csc -> float array -> float array
 val csc_tmv : csc -> float array -> float array
 
-val csc_gram : ridge:float -> csc -> (int * float) list array
-(** [csc_gram ~ridge c] is [c·cᵀ + ridge·I] as sparse columns sorted
-    by row, the input {!Sparse_lu.factor} takes.
+val csc_gram : ridge:float -> csc -> csc
+(** [csc_gram ~ridge c] is [c·cᵀ + ridge·I], the input
+    {!Sparse_lu.factor} takes for the flux projector.
     Each entry is summed over the columns of [c] in ascending order, so
     it equals the dense row-by-row product bit for bit; exactly cancelled
     entries are dropped. *)

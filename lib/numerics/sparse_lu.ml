@@ -101,17 +101,6 @@ let rec reach ~pinv ~l_ptr ~(l : buf) ~marked ~stamp ~topo row top =
   end
   else top
 
-(* Copy column [col] into [a_row]/[a_val] from slot [q] on, counting
-   its rows into [row_count]. *)
-let rec fill ~n ~row_count ~a_row ~a_val q = function
-  | [] -> ()
-  | (i, v) :: rest ->
-    if i < 0 || i >= n then invalid_arg "Sparse_lu.factor: row out of range";
-    row_count.(i) <- row_count.(i) + 1;
-    a_row.(q) <- i;
-    a_val.(q) <- v;
-    fill ~n ~row_count ~a_row ~a_val (q + 1) rest
-
 (* Mark row [i] touched in round [k]; returns the new touched count. *)
 let touch ~tstamp ~touched ~k count i =
   if tstamp.(i) <> k then begin
@@ -121,20 +110,17 @@ let touch ~tstamp ~touched ~k count i =
   end
   else count
 
-let factor (cols : (int * float) list array) =
-  let n = Array.length cols in
+let factor (a : Sparse.csc) =
+  let n = a.cs_cols in
   if n = 0 then invalid_arg "Sparse_lu.factor: empty matrix";
-  (* The input as compressed columns; static row counts of the input
-     drive the Markowitz tie-break, column lengths the elimination
-     order. *)
-  let a_ptr = Array.make (n + 1) 0 in
-  for k = 0 to n - 1 do
-    a_ptr.(k + 1) <- a_ptr.(k) + List.length cols.(k)
-  done;
-  let a_row = Array.make a_ptr.(n) 0 and a_val = Array.make a_ptr.(n) 0. in
+  if a.cs_rows <> n then invalid_arg "Sparse_lu.factor: matrix not square";
+  (* The input's compressed columns, read in place; static row counts of
+     the input drive the Markowitz tie-break, column lengths the
+     elimination order. *)
+  let a_ptr = a.col_ptr and a_row = a.row_idx and a_val = a.values in
   let row_count = Array.make n 0 in
-  for k = 0 to n - 1 do
-    fill ~n ~row_count ~a_row ~a_val a_ptr.(k) cols.(k)
+  for q = 0 to a_ptr.(n) - 1 do
+    row_count.(a_row.(q)) <- row_count.(a_row.(q)) + 1
   done;
   (* Columns by increasing nnz, ties by index: a counting sort. *)
   let cord =
@@ -281,11 +267,13 @@ let dim f = f.n
 
 let nnz f = f.n + f.l_ptr.(f.n) + f.u_ptr.(f.n)
 
-(* Solve A x = b.  [b] is indexed by original row; the result is indexed
-   by original column (for a basis matrix: by basis position). *)
-let solve f b =
-  if Array.length b <> f.n then invalid_arg "Sparse_lu.solve: rhs length mismatch";
-  let w = Array.copy b in
+(* Solve A x = b into [x], consuming [b] as the working vector.  [b] is
+   indexed by original row; the result is indexed by original column
+   (for a basis matrix: by basis position). *)
+let solve_into f b x =
+  if Array.length b < f.n || Array.length x < f.n || b == x then
+    invalid_arg "Sparse_lu.solve_into: vector too short or shared";
+  let w = b in
   (* L y = P b, forward in position order; y_k lives at w.(prow.(k)). *)
   for k = 0 to f.n - 1 do
     let t = w.(f.prow.(k)) in
@@ -297,7 +285,6 @@ let solve f b =
       done
   done;
   (* U z = y, backward by column; scatter z into the answer as we go. *)
-  let x = Array.make f.n 0. in
   for k = f.n - 1 downto 0 do
     let z = w.(f.prow.(k)) /. f.u_diag.(k) in
     x.(f.cord.(k)) <- z;
@@ -307,33 +294,41 @@ let solve f b =
         let r = f.prow.(f.u_pos.(q)) in
         w.(r) <- w.(r) -. (f.u_val.(q) *. z)
       done
-  done;
+  done
+
+let solve f b =
+  if Array.length b <> f.n then invalid_arg "Sparse_lu.solve: rhs length mismatch";
+  let x = Array.make f.n 0. in
+  solve_into f (Array.copy b) x;
   x
 
-(* Solve Aᵀ y = c.  [c] is indexed by original column; the result is
-   indexed by original row. *)
-let solve_t f c =
-  if Array.length c <> f.n then invalid_arg "Sparse_lu.solve_t: rhs length mismatch";
+(* Solve Aᵀ y = c into [y], consuming [c].  [c] is indexed by original
+   column; the result is indexed by original row.  The intermediate v
+   (by position) is kept in [c] itself: v_k goes to the slot
+   [c.(cord.(k))], whose input the forward sweep has just read for the
+   last time, so every operation is the one a separate work vector
+   would see, in the same order. *)
+let solve_t_into f c y =
+  if Array.length c < f.n || Array.length y < f.n || c == y then
+    invalid_arg "Sparse_lu.solve_t_into: vector too short or shared";
+  let cord = f.cord in
   (* Uᵀ v = Qᵀ c, forward in position order. *)
-  let v = Array.make f.n 0. in
   for k = 0 to f.n - 1 do
-    let acc = ref c.(f.cord.(k)) in
+    let acc = ref c.(cord.(k)) in
     for q = f.u_ptr.(k) to f.u_ptr.(k + 1) - 1 do
-      acc := !acc -. (f.u_val.(q) *. v.(f.u_pos.(q)))
+      acc := !acc -. (f.u_val.(q) *. c.(cord.(f.u_pos.(q))))
     done;
-    v.(k) <- !acc /. f.u_diag.(k)
+    c.(cord.(k)) <- !acc /. f.u_diag.(k)
   done;
   (* Lᵀ w = v, backward in position order. *)
   for k = f.n - 1 downto 0 do
-    let acc = ref v.(k) in
+    let acc = ref c.(cord.(k)) in
     for q = f.l_ptr.(k) to f.l_ptr.(k + 1) - 1 do
-      acc := !acc -. (f.l_val.(q) *. v.(f.pinv.(f.l_row.(q))))
+      acc := !acc -. (f.l_val.(q) *. c.(cord.(f.pinv.(f.l_row.(q)))))
     done;
-    v.(k) <- !acc
+    c.(cord.(k)) <- !acc
   done;
   (* y = Pᵀ w. *)
-  let y = Array.make f.n 0. in
   for k = 0 to f.n - 1 do
-    y.(f.prow.(k)) <- v.(k)
-  done;
-  y
+    y.(f.prow.(k)) <- c.(cord.(k))
+  done

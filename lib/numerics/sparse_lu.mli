@@ -11,8 +11,8 @@
     L and U are stored as compressed columns in flat index/value
     arrays, and a [t] is never modified after {!factor} returns, so one
     factorization can be shared by any number of solves, bases and
-    domains.  Neither solve allocates beyond its result and one work
-    vector.
+    domains.  {!solve_into} and {!solve_t_into} allocate nothing: they
+    work in the caller's vectors.
 
     This is the factorization behind {!Lp.Basis} (revised simplex) and
     the flux projector of [Fba.Network]; it is generic numerics and
@@ -24,19 +24,28 @@ exception Singular
 (** No admissible pivot above the magnitude tolerance — the matrix is
     (numerically) rank-deficient. *)
 
-val factor : (int * float) list array -> t
-(** [factor cols] factors the square matrix whose [k]-th column is the
-    sparse [(row, value)] list [cols.(k)].  Raises {!Singular} on
-    rank deficiency, [Invalid_argument] on an empty matrix or a row
-    index out of range. *)
+val factor : Sparse.csc -> t
+(** [factor a] factors the square matrix [a].  Raises {!Singular} on
+    rank deficiency, [Invalid_argument] on an empty or non-square
+    matrix. *)
 
 val solve : t -> float array -> float array
 (** [solve f b] solves [A x = b]; [b] is indexed by row, the result by
-    column.  For a basis matrix this is the simplex {e ftran}. *)
+    column.  [b] is left as it was; the solve allocates its result and a
+    copy of [b]. *)
 
-val solve_t : t -> float array -> float array
-(** [solve_t f c] solves [Aᵀ y = c]; [c] is indexed by column, the
-    result by row.  For a basis matrix this is the simplex {e btran}. *)
+val solve_into : t -> float array -> float array -> unit
+(** [solve_into f b x] writes the solution of [A x = b] into the first
+    [dim f] entries of [x], using [b] as its working vector: [b] comes
+    back overwritten.  For a basis matrix this is the simplex {e ftran}.
+    The arithmetic is {!solve}'s, operation for operation.  Raises
+    [Invalid_argument] when either vector is shorter than [dim f] or
+    both are the same array. *)
+
+val solve_t_into : t -> float array -> float array -> unit
+(** [solve_t_into f c y] writes the solution of [Aᵀ y = c] ([c] indexed
+    by column, [y] by row) into [y], overwriting [c] the same way.  For
+    a basis matrix this is the simplex {e btran}. *)
 
 val dim : t -> int
 (** Order of the factored matrix. *)

@@ -158,7 +158,7 @@ let test_cache_size_validation () =
 let tiny_lp rhs =
   {
     Lp.Simplex.n_rows = 1;
-    cols = [| [ (0, 1.) ]; [ (0, 1.) ] |];
+    cols = Testkit.Sparse.of_columns ~rows:1 [| [ (0, 1.) ]; [ (0, 1.) ] |];
     rhs = [| rhs |];
     obj = [| 2.; 1. |];
     lo = [| 0.; 0. |];
@@ -196,7 +196,7 @@ let test_simplex_bad_basis_falls_back () =
   let bigger =
     {
       Lp.Simplex.n_rows = 1;
-      cols = [| [ (0, 1.) ]; [ (0, 1.) ]; [ (0, 1.) ] |];
+      cols = Testkit.Sparse.of_columns ~rows:1 [| [ (0, 1.) ]; [ (0, 1.) ]; [ (0, 1.) ] |];
       rhs = [| 1. |];
       obj = [| 2.; 1.; 0. |];
       lo = [| 0.; 0.; 0. |];

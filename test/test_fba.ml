@@ -92,14 +92,15 @@ let test_network_duplicate_name_rejected () =
 
 let test_network_columns_cache () =
   let net, _, conv, _ = toy_network () in
-  let cols = Fba.Network.columns net in
-  Alcotest.(check bool) "built once" true (Fba.Network.columns net == cols);
-  Alcotest.(check (list (pair int (float 0.)))) "column of S" [ (0, -1.); (1, 1.) ] cols.(conv);
+  let s = Fba.Network.matrix net in
+  Alcotest.(check bool) "built once" true (Fba.Network.matrix net == s);
+  Alcotest.(check (list (pair int (float 0.)))) "column of S" [ (0, -1.); (1, 1.) ]
+    (Testkit.Sparse.csc_column s conv);
   let r = Fba.Network.add_reaction net ~name:"B2A" ~stoich:[ (1, -1.); (0, 1.) ] ~lb:0. ~ub:1. in
-  let cols' = Fba.Network.columns net in
-  Alcotest.(check int) "rebuilt after add_reaction" 4 (Array.length cols');
+  let s' = Fba.Network.matrix net in
+  Alcotest.(check int) "rebuilt after add_reaction" 4 s'.Numerics.Sparse.cs_cols;
   Alcotest.(check (list (pair int (float 0.)))) "new column, sorted by row" [ (0, 1.); (1, -1.) ]
-    cols'.(r)
+    (Testkit.Sparse.csc_column s' r)
 
 (* {1 FBA} *)
 
@@ -547,6 +548,12 @@ let test_ecoli_growth_coupled_restores_on_raise () =
 
 (* {1 LP and sparse-LU bits} *)
 
+(* [Aᵀ y = c] through the in-place kernel; [c] is consumed. *)
+let solve_t lu c =
+  let y = Array.make (Array.length c) 0. in
+  Numerics.Sparse_lu.solve_t_into lu c y;
+  y
+
 (* The exact bits of the Geobacter LP campaign (ε-sweep, FVA, single and
    pair knockout screens, the EP-optimal flux vector) and of one
    [Sparse_lu] solve each way on the projector's S·Sᵀ + λI.  Every warm
@@ -589,7 +596,7 @@ let test_lp_bits () =
       ("pair knockouts", knockouts pairs);
       ("ep fluxes", Array.to_list (Fba.Analysis.fba ~t ~objective:ep).Fba.Analysis.fluxes);
       ("sparse_lu solve", Array.to_list (Numerics.Sparse_lu.solve lu (rhs ())));
-      ("sparse_lu solve_t", Array.to_list (Numerics.Sparse_lu.solve_t lu (rhs ())));
+      ("sparse_lu solve_t", Array.to_list (solve_t lu (rhs ())));
     ]
   in
   let fnv values = Printf.sprintf "%Lx" (Cache.Fnv.hash (Array.of_list values)) in

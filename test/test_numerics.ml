@@ -756,6 +756,14 @@ let random_sparse_cols rng n =
         (fun (a, _) (b, _) -> compare a b)
         ((diag_row.(j), 2. +. Numerics.Rng.uniform rng 0. 2.) :: extras))
 
+let factor cols = Numerics.Sparse_lu.factor (Testkit.Sparse.of_columns ~rows:(Array.length cols) cols)
+
+(* [Aᵀ y = c] through the in-place kernel, [c] left as it was. *)
+let solve_t f c =
+  let y = Array.make (Array.length c) 0. in
+  Numerics.Sparse_lu.solve_t_into f (Array.copy c) y;
+  y
+
 let dense_of_cols n cols =
   let d = Testkit.Matrix.zeros n n in
   Array.iteri (fun j col -> List.iter (fun (i, v) -> Testkit.Matrix.set d i j v) col) cols;
@@ -776,7 +784,8 @@ let test_csc_gram_matches_dense () =
     done;
     let ridge = Numerics.Rng.uniform rng 0. 1. in
     let gram = Numerics.Sparse.csc_gram ~ridge (Numerics.Sparse.compress s) in
-    Alcotest.(check int) "square" m (Array.length gram);
+    Alcotest.(check (pair int int)) "square" (m, m) (gram.cs_rows, gram.cs_cols);
+    let gram = Array.init m (Testkit.Sparse.csc_column gram) in
     let dense = Testkit.Sparse.to_dense ~rows:m ~cols:n s in
     let expected = Testkit.Matrix.matmul dense (Testkit.Matrix.transpose dense) in
     for i = 0 to m - 1 do
@@ -801,7 +810,7 @@ let test_sparse_lu_solve () =
   for _ = 1 to 25 do
     let n = 2 + Numerics.Rng.int rng 20 in
     let cols = random_sparse_cols rng n in
-    let f = Numerics.Sparse_lu.factor cols in
+    let f = factor cols in
     let dense = dense_of_cols n cols in
     let b = Array.init n (fun _ -> Numerics.Rng.uniform rng (-5.) 5.) in
     let x = Numerics.Sparse_lu.solve f b in
@@ -818,10 +827,10 @@ let test_sparse_lu_solve_t () =
   for _ = 1 to 25 do
     let n = 2 + Numerics.Rng.int rng 20 in
     let cols = random_sparse_cols rng n in
-    let f = Numerics.Sparse_lu.factor cols in
+    let f = factor cols in
     let dense = dense_of_cols n cols in
     let c = Array.init n (fun _ -> Numerics.Rng.uniform rng (-5.) 5.) in
-    let y = Numerics.Sparse_lu.solve_t f c in
+    let y = solve_t f c in
     (* Aᵀ y = c  ⇔  y·A_col_j = c_j *)
     let r = Testkit.Matrix.tmv dense y in
     Array.iteri
@@ -835,45 +844,55 @@ let test_sparse_lu_deterministic () =
   let rng = Numerics.Rng.create 99 in
   let cols = random_sparse_cols rng 15 in
   let b = Array.init 15 (fun i -> float_of_int (i - 7)) in
-  let x1 = Numerics.Sparse_lu.solve (Numerics.Sparse_lu.factor cols) b in
-  let x2 = Numerics.Sparse_lu.solve (Numerics.Sparse_lu.factor cols) b in
+  let x1 = Numerics.Sparse_lu.solve (factor cols) b in
+  let x2 = Numerics.Sparse_lu.solve (factor cols) b in
   if x1 <> x2 then Alcotest.fail "same input must factor and solve bit-identically"
 
-(* A solve allocates its result and one work vector and nothing per
-   entry: the budget is two float arrays of [n] words plus headers.  At
-   n = 200 both arrays are small enough for the minor heap, whose word
-   count is exact. *)
+(* [solve] allocates its result and one work vector and nothing per
+   entry: the budget is two float arrays of [n] words plus headers.  The
+   in-place kernels allocate nothing.  At n = 200 the arrays are small
+   enough for the minor heap, whose word count is exact. *)
 let test_sparse_lu_solve_allocation () =
   let n = 200 in
   let rng = Numerics.Rng.create 5150 in
-  let f = Numerics.Sparse_lu.factor (random_sparse_cols rng n) in
+  let f = factor (random_sparse_cols rng n) in
   let b = Array.init n (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
-  let words_per_call solve =
-    ignore (Sys.opaque_identity (solve f b));
+  let work = Array.copy b and out = Array.make n 0. in
+  let words_per_call run =
+    run ();
     let calls = 100 in
     let before = Gc.minor_words () in
     for _ = 1 to calls do
-      ignore (Sys.opaque_identity (solve f b))
+      run ()
     done;
     (Gc.minor_words () -. before) /. float_of_int calls
   in
-  let budget = float_of_int (2 * (n + 1)) in
+  let into solve () =
+    Array.blit b 0 work 0 n;
+    solve f work out
+  in
   List.iter
-    (fun (name, solve) ->
-      let words = words_per_call solve in
+    (fun (name, run, budget) ->
+      let words = words_per_call run in
       if words > budget then
         Alcotest.failf "%s allocates %.1f words per call, budget %.0f" name words budget)
-    [ ("solve", Numerics.Sparse_lu.solve); ("solve_t", Numerics.Sparse_lu.solve_t) ]
+    [
+      ( "solve",
+        (fun () -> ignore (Sys.opaque_identity (Numerics.Sparse_lu.solve f b))),
+        float_of_int (2 * (n + 1)) );
+      ("solve_into", into Numerics.Sparse_lu.solve_into, 0.);
+      ("solve_t_into", into Numerics.Sparse_lu.solve_t_into, 0.);
+    ]
 
 let test_sparse_lu_singular () =
   (* A column of zeros is rank deficient. *)
   let cols = [| [ (0, 1.) ]; []; [ (2, 1.) ] |] in
-  (match Numerics.Sparse_lu.factor cols with
+  (match factor cols with
   | exception Numerics.Sparse_lu.Singular -> ()
   | _ -> Alcotest.fail "singular matrix must raise");
   (* Duplicate columns likewise. *)
   let dup = [| [ (0, 1.); (1, 2.) ]; [ (0, 1.); (1, 2.) ]; [ (2, 1.) ] |] in
-  match Numerics.Sparse_lu.factor dup with
+  match factor dup with
   | exception Numerics.Sparse_lu.Singular -> ()
   | _ -> Alcotest.fail "duplicate columns must raise"
 

@@ -87,7 +87,9 @@ let solve p =
   let obj =
     Array.init n_total (fun j -> if j < p.n then sign *. p.obj.(j) else 0.)
   in
-  let spec = { Lp.Simplex.n_rows = m; cols; rhs; obj; lo; up } in
+  let spec =
+    { Lp.Simplex.n_rows = m; cols = Sparse.of_columns ~rows:m cols; rhs; obj; lo; up }
+  in
   match fst (Lp.Simplex.solve spec) with
   | Lp.Simplex.Infeasible -> Infeasible
   | Lp.Simplex.Unbounded -> Unbounded

@@ -4,6 +4,28 @@
 
 include Numerics.Sparse
 
+(* Column [j] of a compressed matrix as [(row, value)] pairs. *)
+let csc_column (c : csc) j =
+  List.init (c.col_ptr.(j + 1) - c.col_ptr.(j)) (fun k ->
+      let q = c.col_ptr.(j) + k in
+      (c.row_idx.(q), c.values.(q)))
+
+(* The compressed [rows] × [Array.length cols] matrix whose column [j]
+   holds the [(row, value)] pairs of [cols.(j)], in any order; the
+   values of a repeated row add up. *)
+let of_columns ~rows cols =
+  let m = create ~rows ~cols:(Array.length cols) in
+  Array.iteri
+    (fun j col ->
+      let sums = Hashtbl.create 8 in
+      List.iter
+        (fun (i, v) ->
+          Hashtbl.replace sums i (Option.value ~default:0. (Hashtbl.find_opt sums i) +. v))
+        col;
+      Hashtbl.iter (fun i v -> set m i j v) sums)
+    cols;
+  compress m
+
 let column m j = csc_column (compress m) j
 
 let get m i j = Option.value ~default:0. (List.assoc_opt i (column m j))
