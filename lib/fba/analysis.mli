@@ -9,9 +9,9 @@ val spec_of : t:Network.t -> obj:float array -> Lp.Simplex.spec
 (** The raw LP behind {!fba}: steady state [S·v = 0] with the network's
     bounds and a dense objective vector over reactions.  Its [cols] is
     the network's cached {!Network.matrix}, shared by every spec of the
-    same network (so warm starts between them reuse the carried LU).  Exposed so harnesses (the [bench-simplex]
-    legs in particular) can drive {!Lp.Simplex.solve} directly on the
-    same LP. *)
+    same network (so warm starts between them reuse the carried LU).
+    Exposed so harnesses (the [bench-simplex] legs in particular) can
+    drive {!Lp.Simplex.solve} directly on the same LP. *)
 
 val fba : t:Network.t -> objective:int -> solution
 (** Maximize the flux through reaction [objective] subject to [S·v = 0]
