@@ -111,6 +111,8 @@ let bench_fig4_violation =
         let v = Array.make 608 0.1 in
         fun () -> ignore (Fba.Network.violation g.Fba.Geobacter.net v)))
 
+(* [repair] works in place, so each run repairs a fresh copy of the
+   same vector. *)
 let bench_fig4_repair =
   Test.make ~name:"fig4/nullspace-repair"
     (Staged.stage
@@ -118,7 +120,24 @@ let bench_fig4_repair =
         let repair = Fba.Moo_problem.repair g in
         let rng = Numerics.Rng.create 11 in
         let v = Array.init 608 (fun _ -> Numerics.Rng.uniform rng (-10.) 10.) in
-        fun () -> ignore (repair v)))
+        fun () -> repair (Array.copy v)))
+
+(* One variation call, two children, on two repaired seeded parents. *)
+let bench_fig4_variation =
+  Test.make ~name:"fig4/flux-variation"
+    (Staged.stage
+       (let g = Lazy.force geobacter in
+        let repair = Fba.Moo_problem.repair g in
+        let vary = Fba.Moo_problem.flux_variation g () in
+        let rng = Numerics.Rng.create 11 in
+        let parent () =
+          let v = Array.init 608 (fun _ -> Numerics.Rng.uniform rng (-10.) 10.) in
+          repair v;
+          v
+        in
+        let p1 = parent () in
+        let p2 = parent () in
+        fun () -> ignore (Sys.opaque_identity (vary rng p1 p2))))
 
 (* The leaf kernel under fig1/leaf-steady-state, natural leaf at present
    Ci, low export: one rhs call; one 20-unit dopri5 window (what a
@@ -265,6 +284,7 @@ let run_micro_benchmarks () =
             bench_fig3_sweep;
             bench_fig4_violation;
             bench_fig4_repair;
+            bench_fig4_variation;
             bench_guard_overhead;
             bench_guard_overhead_bare;
             bench_pmo2_generation;

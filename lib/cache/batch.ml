@@ -10,6 +10,7 @@ let evaluate (type a) ?pool ?(memo : a Memo.t option) ~n ~key f : a array =
     let assign = Array.make n (-1) in
     let rep_index = ref [] in
     let rep_key = ref [] in
+    let rep_hash = ref [] in
     let n_reps = ref 0 in
     for i = 0 to n - 1 do
       let k = key i in
@@ -25,17 +26,21 @@ let evaluate (type a) ?pool ?(memo : a Memo.t option) ~n ~key f : a array =
         Hashtbl.replace table h ((k, r) :: bucket);
         rep_index := i :: !rep_index;
         rep_key := k :: !rep_key;
+        rep_hash := h :: !rep_hash;
         assign.(i) <- r
     done;
     let rep_index = Array.of_list (List.rev !rep_index) in
     let rep_key = Array.of_list (List.rev !rep_key) in
+    let rep_hash = Array.of_list (List.rev !rep_hash) in
     let n_reps = !n_reps in
     (* 2. Memo lookups, sequentially in representative order (fixed
-       recency-update order keeps eviction deterministic). *)
+       recency-update order keeps eviction deterministic), under the
+       hashes step 1 computed. *)
     let values : a option array = Array.make n_reps None in
     (match memo with
     | None -> ()
-    | Some memo -> Array.iteri (fun r k -> values.(r) <- Memo.find memo k) rep_key);
+    | Some memo ->
+      Array.iteri (fun r k -> values.(r) <- Memo.find memo ~hash:rep_hash.(r) k) rep_key);
     (* 3. Evaluate the misses.  Each is a pure function of its original
        batch index, so the pooled map equals the sequential one. *)
     let miss = ref [] in
@@ -55,7 +60,9 @@ let evaluate (type a) ?pool ?(memo : a Memo.t option) ~n ~key f : a array =
       (fun mi v ->
         let r = miss.(mi) in
         values.(r) <- Some v;
-        match memo with None -> () | Some memo -> Memo.add memo rep_key.(r) v)
+        match memo with
+        | None -> ()
+        | Some memo -> Memo.add memo ~hash:rep_hash.(r) rep_key.(r) v)
       results;
     (* 5. Scatter to the full batch. *)
     Array.init n (fun i ->

@@ -84,10 +84,9 @@ let push_front t nd =
   (match t.head with Some h -> h.n_prev <- Some nd | None -> t.tail <- Some nd);
   t.head <- Some nd
 
-let find t key =
+let find t ~hash key =
   with_lock t @@ fun () ->
-  let h = Fnv.hash key in
-  match List.find_opt (fun nd -> Fnv.equal nd.n_key key) (bucket t h) with
+  match List.find_opt (fun nd -> Fnv.equal nd.n_key key) (bucket t hash) with
   | Some nd ->
     t.c_hits <- t.c_hits + 1;
     Obs.Metrics.incr m_hits;
@@ -99,19 +98,18 @@ let find t key =
     Obs.Metrics.incr m_misses;
     None
 
-let add t key value =
+let add t ~hash key value =
   with_lock t @@ fun () ->
-  let h = Fnv.hash key in
-  match List.find_opt (fun nd -> Fnv.equal nd.n_key key) (bucket t h) with
+  match List.find_opt (fun nd -> Fnv.equal nd.n_key key) (bucket t hash) with
   | Some nd ->
     nd.n_value <- value;
     unlink t nd;
     push_front t nd
   | None ->
     let nd =
-      { n_key = Array.copy key; n_hash = h; n_value = value; n_prev = None; n_next = None }
+      { n_key = Array.copy key; n_hash = hash; n_value = value; n_prev = None; n_next = None }
     in
-    Hashtbl.replace t.table h (nd :: bucket t h);
+    Hashtbl.replace t.table hash (nd :: bucket t hash);
     push_front t nd;
     t.len <- t.len + 1;
     t.c_insertions <- t.c_insertions + 1;

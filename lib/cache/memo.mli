@@ -31,13 +31,19 @@ val create : capacity:int -> 'a t
 (** An empty memo holding at most [capacity] entries.  Raises
     [Invalid_argument] when [capacity < 1]. *)
 
-val find : 'a t -> float array -> 'a option
-(** Bit-exact lookup.  A hit refreshes the entry's recency. *)
+val find : 'a t -> hash:int64 -> float array -> 'a option
+(** [find t ~hash key] is a bit-exact lookup of [key], whose {!Fnv.hash}
+    the caller has already computed ({!Batch.evaluate} hashes each key
+    once for its dedup and passes that hash here).  A hit refreshes the
+    entry's recency.  [Fnv.equal] decides every hit, so a wrong [hash]
+    can only make the lookup miss. *)
 
-val add : 'a t -> float array -> 'a -> unit
-(** Insert (copying the key) as the most recent entry, evicting the
-    least recently used entry when full.  Re-adding an existing key
-    replaces its value and refreshes recency without evicting. *)
+val add : 'a t -> hash:int64 -> float array -> 'a -> unit
+(** [add t ~hash key v] inserts [key] (copied) under [hash], its
+    {!Fnv.hash}, as the most recent entry, evicting the least recently
+    used entry when full.  Re-adding an existing key replaces its value
+    and refreshes recency without evicting.  An entry filed under a
+    wrong hash is never found by a lookup with the right one. *)
 
 val clear : 'a t -> unit
 (** Drop every entry (the flush used on checkpoint restore).  Lifetime

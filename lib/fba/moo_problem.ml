@@ -1,14 +1,15 @@
-(* Bounds are read once, when the closure is built, like [problem]'s
-   box: the hot path then allocates nothing but the clipped copy. *)
-let clip_bounds (g : Geobacter.model) =
-  let bounds = Network.bounds g.net in
-  let lower = Array.map fst bounds and upper = Array.map snd bounds in
-  fun v -> Array.mapi (fun j vj -> Float.min upper.(j) (Float.max lower.(j) vj)) v
-
+(* The projector is factored and the bounds are read once, when the
+   closure is built, like [problem]'s box: each call then projects and
+   clips in place and allocates nothing. *)
 let repair (g : Geobacter.model) =
   let project = Network.projector g.net in
-  let clip = clip_bounds g in
-  fun v -> clip (project v)
+  let bounds = Network.bounds g.net in
+  let lower = Array.map fst bounds and upper = Array.map snd bounds in
+  fun v ->
+    project v;
+    for j = 0 to Array.length v - 1 do
+      v.(j) <- Float.min upper.(j) (Float.max lower.(j) v.(j))
+    done
 
 let relaxed_violation (g : Geobacter.model) ~eps v =
   Float.max 0. (Network.violation g.net v -. eps)
@@ -27,8 +28,7 @@ let problem ?(eps = 0.005) (g : Geobacter.model) =
 let sigma = 0.01
 
 let flux_variation (g : Geobacter.model) () =
-  let project = Network.projector g.net in
-  let clip = clip_bounds g in
+  let repair = repair g in
   let bounds = Network.bounds g.net in
   let n = Array.length bounds in
   let scale =
@@ -38,27 +38,33 @@ let flux_variation (g : Geobacter.model) () =
         sigma *. span)
       bounds
   in
+  let child rng p1 p2 =
+    (* Whole-arithmetic blend: steady-state flux sets are convex, so a
+       blend of two near-feasible parents stays near-feasible. *)
+    let t = Numerics.Rng.uniform rng (-0.1) 1.1 in
+    let c = Array.create_float n in
+    for i = 0 to n - 1 do
+      c.(i) <- (t *. p1.(i)) +. ((1. -. t) *. p2.(i))
+    done;
+    (* Sparse Gaussian perturbation: a handful of fluxes move. *)
+    let k = 1 + Numerics.Rng.int rng 4 in
+    for _ = 1 to k do
+      let j = Numerics.Rng.int rng n in
+      c.(j) <- c.(j) +. Numerics.Rng.gaussian ~sigma:scale.(j) rng
+    done;
+    (* A couple of project/clip rounds keep the residual violation small
+       enough for the epsilon-feasibility band. *)
+    for _ = 1 to 3 do
+      repair c
+    done;
+    c
+  in
   fun rng p1 p2 ->
-    let child () =
-      (* Whole-arithmetic blend: steady-state flux sets are convex, so a
-         blend of two near-feasible parents stays near-feasible. *)
-      let t = Numerics.Rng.uniform rng (-0.1) 1.1 in
-      let c = Array.init n (fun i -> (t *. p1.(i)) +. ((1. -. t) *. p2.(i))) in
-      (* Sparse Gaussian perturbation: a handful of fluxes move. *)
-      let k = 1 + Numerics.Rng.int rng 4 in
-      for _ = 1 to k do
-        let j = Numerics.Rng.int rng n in
-        c.(j) <- c.(j) +. Numerics.Rng.gaussian ~sigma:scale.(j) rng
-      done;
-      (* A couple of project/clip rounds keep the residual violation small
-         enough for the epsilon-feasibility band. *)
-      let c = ref c in
-      for _ = 1 to 3 do
-        c := clip (project !c)
-      done;
-      !c
-    in
-    (child (), child ())
+    (* The second child draws from [rng] first: the order the operator
+       has always used, which checkpoints and fronts record. *)
+    let c2 = child rng p1 p2 in
+    let c1 = child rng p1 p2 in
+    (c1, c2)
 
 let ep_of (s : Moo.Solution.t) = -.s.Moo.Solution.f.(0)
 let bp_of (s : Moo.Solution.t) = -.s.Moo.Solution.f.(1)

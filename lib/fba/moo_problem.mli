@@ -14,9 +14,10 @@ val problem : ?eps:float -> Geobacter.model -> Moo.Problem.t
     [0.005] (in [‖S·v‖₂] units — tight enough that the ε-band cannot
     materially distort the small biomass flux). *)
 
-val repair : Geobacter.model -> float array -> float array
+val repair : Geobacter.model -> float array -> unit
 (** Null-space projection ({!Network.projector}) followed by bound
-    clipping.  [repair g] factors the projector and reads the network's
+    clipping, in place: the call overwrites its argument and allocates
+    nothing.  [repair g] factors the projector and reads the network's
     bounds once; later {!Network.set_bounds} calls do not reach the
     returned function. *)
 
@@ -32,11 +33,11 @@ val flux_variation :
     (steady-state flux sets are convex, so blends preserve feasibility),
     Gaussian perturbation of a few fluxes (standard deviation 1 % of
     the flux's range, a range capped at 200), then three rounds of
-    null-space projection ({!Network.projector}) and bound clipping,
-    which keep the residual [‖S·v‖] inside the ε-band.  The projector
-    is factored and the bounds are read once, when [flux_variation g ()]
-    is applied; later {!Network.set_bounds} calls do not reach the
-    operator. *)
+    {!repair}, which keep the residual [‖S·v‖] inside the ε-band.  Each
+    child is blended, perturbed and repaired in its own fresh array;
+    the parents are only read.  The projector is factored and the
+    bounds are read once, when [flux_variation g ()] is applied; later
+    {!Network.set_bounds} calls do not reach the operator. *)
 
 val seeds : ?eps:float -> Geobacter.model -> levels:float list -> Moo.Solution.t list
 (** FBA-derived seed solutions: for each biomass level, the LP solution

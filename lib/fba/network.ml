@@ -71,8 +71,41 @@ let matrix net =
     net.cache <- Some s;
     s
 
+(* {1 The per-domain workspace}
+
+   [violation] and every projector work in one pair of vectors per
+   domain, sized by the largest network seen (grown when a larger one
+   arrives), so neither allocates per call.  Neither takes a callback,
+   so a domain never runs two of them at once; a projection leaves its
+   result in the caller's vector, never in the workspace. *)
+
+type workspace = {
+  mutable sv : float array;  (* S·v, then the solve's working vector *)
+  mutable y : float array;   (* (S·Sᵀ + λI)⁻¹·S·v *)
+}
+
+let workspace_key = Domain.DLS.new_key (fun () -> { sv = [||]; y = [||] })
+
+(* The calling domain's workspace, with room for [m] metabolites. *)
+let workspace m =
+  let ws = Domain.DLS.get workspace_key in
+  if Array.length ws.sv < m then begin
+    ws.sv <- Array.make m 0.;
+    ws.y <- Array.make m 0.
+  end;
+  ws
+
+(* ‖S·v‖₂: the squares summed from 0. in ascending row order, the
+   order of [Vec]'s dot product. *)
 let violation net v =
-  Numerics.Vec.norm2 (Numerics.Sparse.csc_mv (matrix net) v)
+  let s = matrix net in
+  let sv = (workspace s.cs_rows).sv in
+  Numerics.Sparse.csc_mv_into s v sv;
+  let acc = ref 0. in
+  for i = 0 to s.cs_rows - 1 do
+    acc := !acc +. (sv.(i) *. sv.(i))
+  done;
+  sqrt !acc
 
 (* Least-squares projection onto null(S): v' = v − Sᵀ (S Sᵀ + λI)⁻¹ S v.
    The small Tikhonov term λ keeps S Sᵀ invertible, because the decoy
@@ -84,6 +117,7 @@ let projector net =
   let s = matrix net in
   let lu = Numerics.Sparse_lu.factor (Numerics.Sparse.csc_gram ~ridge s) in
   fun v ->
-    let y = Numerics.Sparse_lu.solve lu (Numerics.Sparse.csc_mv s v) in
-    let correction = Numerics.Sparse.csc_tmv s y in
-    Array.mapi (fun j vj -> vj -. correction.(j)) v
+    let ws = workspace s.cs_rows in
+    Numerics.Sparse.csc_mv_into s v ws.sv;
+    Numerics.Sparse_lu.solve_into lu ws.sv ws.y;
+    Numerics.Sparse.csc_tmv_sub s ws.y v

@@ -32,12 +32,19 @@ val matrix : t -> Numerics.Sparse.csc
     physically equal matrices. *)
 
 val violation : t -> float array -> float
-(** [‖S·v‖₂] of a flux vector, from the cached S. *)
+(** [‖S·v‖₂] of a flux vector, from the cached S.  It allocates nothing:
+    [S·v] goes to the calling domain's workspace, which it shares with
+    {!projector}.  Raises [Invalid_argument] unless [v] has one entry
+    per reaction. *)
 
-val projector : t -> float array -> float array
+val projector : t -> float array -> unit
 (** [projector net] is the least-squares projection onto the null space
-    of S: [v ↦ v − Sᵀ(S·Sᵀ + 1e-9·I)⁻¹·S·v].  The ridge keeps [S·Sᵀ]
-    invertible when rows of S are dependent.  [S·Sᵀ] is built sparse and
-    factored once with {!Numerics.Sparse_lu} when the projector is built;
-    each call is then one sparse solve.  The projector keeps the S it was
-    built from, so a later [add_reaction] does not reach it. *)
+    of S, [v ↦ v − Sᵀ(S·Sᵀ + 1e-9·I)⁻¹·S·v], applied in place: the call
+    overwrites its argument.  The ridge keeps [S·Sᵀ] invertible when
+    rows of S are dependent.  [S·Sᵀ] is built sparse and factored once
+    with {!Numerics.Sparse_lu} when the projector is built; each call is
+    then one sparse solve in the calling domain's workspace and
+    allocates nothing, so one projector may run in several domains at
+    once.  The projector keeps the S it was built from, so a later
+    [add_reaction] does not reach it.  Raises [Invalid_argument] unless
+    the argument has one entry per reaction of that S. *)

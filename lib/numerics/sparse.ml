@@ -69,29 +69,33 @@ let csc_view ~rows ~cols ~col_ptr ~row_idx ~values =
   done;
   { cs_rows = rows; cs_cols = cols; col_ptr; row_idx; values }
 
-let csc_mv c x =
-  if Array.length x <> c.cs_cols then invalid_arg "Numerics.Sparse.csc_mv: vector length mismatch";
-  let out = Array.make c.cs_rows 0. in
+let csc_mv_into c x out =
+  if Array.length x <> c.cs_cols || Array.length out < c.cs_rows then
+    invalid_arg "Numerics.Sparse.csc_mv_into: vector length mismatch";
+  Array.fill out 0 c.cs_rows 0.;
   for j = 0 to c.cs_cols - 1 do
     let xj = x.(j) in
     (* robustlint: allow R1 — exact-zero sparsity skip *)
     if xj <> 0. then
       for k = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
-        out.(c.row_idx.(k)) <- out.(c.row_idx.(k)) +. (c.values.(k) *. xj)
+        let i = c.row_idx.(k) in
+        out.(i) <- out.(i) +. (c.values.(k) *. xj)
       done
-  done;
-  out
+  done
 
-let csc_tmv c x =
-  if Array.length x <> c.cs_rows then invalid_arg "Numerics.Sparse.csc_tmv: vector length mismatch";
+let csc_tmv_sub c y x =
+  if Array.length y < c.cs_rows || Array.length x <> c.cs_cols then
+    invalid_arg "Numerics.Sparse.csc_tmv_sub: vector length mismatch";
   (* Entries are stored row-sorted within each column, so each sum runs
-     in ascending row order and is reproducible across runs. *)
-  Array.init c.cs_cols (fun j ->
-      let acc = ref 0. in
-      for k = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
-        acc := !acc +. (c.values.(k) *. x.(c.row_idx.(k)))
-      done;
-      !acc)
+     in ascending row order and is reproducible across runs; it is
+     complete before it is taken from x.(j). *)
+  for j = 0 to c.cs_cols - 1 do
+    let acc = ref 0. in
+    for k = c.col_ptr.(j) to c.col_ptr.(j + 1) - 1 do
+      acc := !acc +. (c.values.(k) *. y.(c.row_idx.(k)))
+    done;
+    x.(j) <- x.(j) -. !acc
+  done
 
 let csc_gram ~ridge c =
   let m = c.cs_rows in

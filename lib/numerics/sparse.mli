@@ -42,8 +42,18 @@ val csc_view :
     view shares the arrays, so hold it only while they stay unchanged:
     it is meant for a scratch matrix handed straight to a kernel. *)
 
-val csc_mv : csc -> float array -> float array
-val csc_tmv : csc -> float array -> float array
+val csc_mv_into : csc -> float array -> float array -> unit
+(** [csc_mv_into c x out] writes [c·x] into the first [cs_rows] entries
+    of [out], overwriting them, and allocates nothing.  Raises
+    [Invalid_argument] unless [x] has [cs_cols] entries and [out] at
+    least [cs_rows]. *)
+
+val csc_tmv_sub : csc -> float array -> float array -> unit
+(** [csc_tmv_sub c y x] is [x ← x − cᵀ·y], reading the first [cs_rows]
+    entries of [y]: each entry of [cᵀ·y] is summed in full, in ascending
+    row order, before it is subtracted.  It allocates nothing.  Raises
+    [Invalid_argument] unless [x] has [cs_cols] entries and [y] at least
+    [cs_rows]. *)
 
 val csc_gram : ridge:float -> csc -> csc
 (** [csc_gram ~ridge c] is [c·cᵀ + ridge·I], the input

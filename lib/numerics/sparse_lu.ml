@@ -296,12 +296,6 @@ let solve_into f b x =
       done
   done
 
-let solve f b =
-  if Array.length b <> f.n then invalid_arg "Sparse_lu.solve: rhs length mismatch";
-  let x = Array.make f.n 0. in
-  solve_into f (Array.copy b) x;
-  x
-
 (* Solve Aᵀ y = c into [y], consuming [c].  [c] is indexed by original
    column; the result is indexed by original row.  The intermediate v
    (by position) is kept in [c] itself: v_k goes to the slot

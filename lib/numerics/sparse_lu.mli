@@ -29,16 +29,11 @@ val factor : Sparse.csc -> t
     rank deficiency, [Invalid_argument] on an empty or non-square
     matrix. *)
 
-val solve : t -> float array -> float array
-(** [solve f b] solves [A x = b]; [b] is indexed by row, the result by
-    column.  [b] is left as it was; the solve allocates its result and a
-    copy of [b]. *)
-
 val solve_into : t -> float array -> float array -> unit
 (** [solve_into f b x] writes the solution of [A x = b] into the first
     [dim f] entries of [x], using [b] as its working vector: [b] comes
-    back overwritten.  For a basis matrix this is the simplex {e ftran}.
-    The arithmetic is {!solve}'s, operation for operation.  Raises
+    back overwritten.  [b] is indexed by row, [x] by column.  For a
+    basis matrix this is the simplex {e ftran}.  Raises
     [Invalid_argument] when either vector is shorter than [dim f] or
     both are the same array. *)
 

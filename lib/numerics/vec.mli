@@ -7,7 +7,5 @@
 
 type t = float array
 
-val norm2 : t -> float
-
 val dist2 : t -> t -> float
 (** Euclidean distance. *)

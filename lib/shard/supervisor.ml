@@ -178,20 +178,26 @@ let spawn_raw ctx ~shard ~islands_idx ~incarnation =
           (String.concat ";" (List.map string_of_int islands_idx)));
     (pid, req_w, rep_r)
 
-(* Reap a worker: close our pipe ends first (so a live worker sees EOF
-   and leaves), then collect the exit status, escalating to SIGKILL if
-   it ignores the grace period.  Never leaves a zombie behind. *)
-let reap ?(grace = 2.0) w =
+(* Reaping a worker closes our pipe ends first (so a live worker sees
+   EOF and leaves), then collects the exit status, escalating to SIGKILL
+   if the worker outlives the grace period.  Never leaves a zombie
+   behind. *)
+let close_pipes w =
   w.w_alive <- false;
   (try Unix.close w.w_to with Unix.Unix_error _ -> ());
-  (try Unix.close w.w_from with Unix.Unix_error _ -> ());
-  let deadline = Unix.gettimeofday () +. grace in
-  let rec wait () =
+  (try Unix.close w.w_from with Unix.Unix_error _ -> ())
+
+(* A worker that saw EOF exits within a millisecond or so, so the poll
+   starts at 0.1 ms and doubles up to 5 ms; past a 2 s grace the worker
+   is killed. *)
+let await w =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec wait pause =
     match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
     | 0, _ ->
       if Unix.gettimeofday () < deadline then begin
-        Unix.sleepf 0.005;
-        wait ()
+        Unix.sleepf pause;
+        wait (Float.min 0.005 (2. *. pause))
       end
       else begin
         (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -200,7 +206,11 @@ let reap ?(grace = 2.0) w =
     | _ -> ()
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   in
-  wait ()
+  wait 0.0001
+
+let reap w =
+  close_pipes w;
+  await w
 
 let preempt ctx w ~reason =
   ctx.c_kills <- ctx.c_kills + 1;
@@ -257,8 +267,12 @@ let spawn_partition ctx ~shards =
     (partition ~n_islands ~shards);
   Obs.Metrics.set_gauge g_shards (float_of_int (Array.length ctx.workers))
 
+(* Close every live worker's pipes before waiting on any, so all of
+   them leave at once. *)
 let reap_all ctx =
-  Array.iter (fun w -> if w.w_alive then reap w) ctx.workers;
+  let live = List.filter (fun w -> w.w_alive) (Array.to_list ctx.workers) in
+  List.iter close_pipes live;
+  List.iter await live;
   ctx.workers <- [||]
 
 (* Exponential backoff, then respawn the shard in place (next

@@ -22,36 +22,55 @@ let test_fnv_hash_and_equal () =
 
 (* {1 Memo} *)
 
+(* The memo under the hash [Batch.evaluate] passes it. *)
+let find m k = Cache.Memo.find m ~hash:(Cache.Fnv.hash k) k
+let add m k v = Cache.Memo.add m ~hash:(Cache.Fnv.hash k) k v
+
 let test_memo_lru_eviction () =
   let m : int Cache.Memo.t = Cache.Memo.create ~capacity:2 in
   let k1 = [| 1. |] and k2 = [| 2. |] and k3 = [| 3. |] in
-  Cache.Memo.add m k1 1;
-  Cache.Memo.add m k2 2;
+  add m k1 1;
+  add m k2 2;
   (* Touch k1 so k2 becomes the least recently used... *)
-  Alcotest.(check (option int)) "hit k1" (Some 1) (Cache.Memo.find m k1);
+  Alcotest.(check (option int)) "hit k1" (Some 1) (find m k1);
   (* ...then overflow: k2 must be the victim, deterministically. *)
-  Cache.Memo.add m k3 3;
+  add m k3 3;
   let s = Cache.Memo.stats m in
   Alcotest.(check int) "one eviction" 1 s.Cache.Memo.evictions;
   Alcotest.(check int) "size" 2 s.Cache.Memo.size;
   (* Lookups last: a hit refreshes recency, and nothing is added after. *)
-  Alcotest.(check (option int)) "k2 evicted" None (Cache.Memo.find m k2);
-  Alcotest.(check (option int)) "k1 survives" (Some 1) (Cache.Memo.find m k1);
-  Alcotest.(check (option int)) "k3 present" (Some 3) (Cache.Memo.find m k3);
+  Alcotest.(check (option int)) "k2 evicted" None (find m k2);
+  Alcotest.(check (option int)) "k1 survives" (Some 1) (find m k1);
+  Alcotest.(check (option int)) "k3 present" (Some 3) (find m k3);
   Cache.Memo.clear m;
   Alcotest.(check int) "cleared" 0 (Cache.Memo.stats m).Cache.Memo.size;
   Alcotest.(check int) "counters survive clear" 1 (Cache.Memo.stats m).Cache.Memo.evictions
 
 let test_memo_replace_refreshes () =
   let m : int Cache.Memo.t = Cache.Memo.create ~capacity:2 in
-  Cache.Memo.add m [| 1. |] 1;
-  Cache.Memo.add m [| 2. |] 2;
+  add m [| 1. |] 1;
+  add m [| 2. |] 2;
   (* Re-adding key 1 refreshes it without evicting anyone. *)
-  Cache.Memo.add m [| 1. |] 10;
+  add m [| 1. |] 10;
   Alcotest.(check int) "no eviction" 0 (Cache.Memo.stats m).Cache.Memo.evictions;
-  Alcotest.(check (option int)) "value replaced" (Some 10) (Cache.Memo.find m [| 1. |]);
-  Cache.Memo.add m [| 3. |] 3;
-  Alcotest.(check (option int)) "2 was LRU after refresh" None (Cache.Memo.find m [| 2. |])
+  Alcotest.(check (option int)) "value replaced" (Some 10) (find m [| 1. |]);
+  add m [| 3. |] 3;
+  Alcotest.(check (option int)) "2 was LRU after refresh" None (find m [| 2. |])
+
+(* [Fnv.equal] decides every hit: a key looked up or filed under a hash
+   that is not its own is never confused with another key, it only
+   misses. *)
+let test_memo_wrong_hash_misses () =
+  let m : int Cache.Memo.t = Cache.Memo.create ~capacity:4 in
+  let k1 = [| 1. |] and k2 = [| 2. |] in
+  add m k1 1;
+  Alcotest.(check (option int)) "k2 under k1's hash" None
+    (Cache.Memo.find m ~hash:(Cache.Fnv.hash k1) k2);
+  Alcotest.(check (option int)) "k1 under k2's hash" None
+    (Cache.Memo.find m ~hash:(Cache.Fnv.hash k2) k1);
+  Cache.Memo.add m ~hash:(Cache.Fnv.hash k1) k2 2;
+  Alcotest.(check (option int)) "k2 filed under k1's hash" None (find m k2);
+  Alcotest.(check (option int)) "k1 intact" (Some 1) (find m k1)
 
 (* {1 Batch} *)
 
@@ -260,6 +279,7 @@ let () =
         [
           Alcotest.test_case "lru eviction" `Quick test_memo_lru_eviction;
           Alcotest.test_case "replace refreshes" `Quick test_memo_replace_refreshes;
+          Alcotest.test_case "wrong hash only misses" `Quick test_memo_wrong_hash_misses;
         ] );
       ( "batch",
         [

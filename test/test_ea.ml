@@ -399,7 +399,7 @@ let test_ga_elitism_preserves_best () =
   check_float ~tol:1e-9 "no regression" hist_max r.Ea.Ga.best_f
 
 let test_ga_deterministic () =
-  let f x = -.Numerics.Vec.norm2 x in
+  let f x = -.Testkit.Vec.norm2 x in
   let a = Ea.Ga.maximize ~generations:20 ~seed:5 ~lower:(Array.make 3 (-1.)) ~upper:(Array.make 3 1.) f in
   let b = Ea.Ga.maximize ~generations:20 ~seed:5 ~lower:(Array.make 3 (-1.)) ~upper:(Array.make 3 1.) f in
   check_float "same result" a.Ea.Ga.best_f b.Ea.Ga.best_f

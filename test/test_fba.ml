@@ -21,8 +21,10 @@ let test_sparse_mv () =
   Numerics.Sparse.set m 0 0 1.;
   Numerics.Sparse.set m 0 2 2.;
   Numerics.Sparse.set m 1 1 (-1.);
-  let y = Numerics.Sparse.csc_mv (Numerics.Sparse.compress m) [| 1.; 2.; 3. |] in
-  Alcotest.(check bool) "mv" true (Testkit.Vec.approx_equal y [| 7.; -2. |])
+  let y = Array.make 3 Float.nan in
+  Numerics.Sparse.csc_mv_into (Numerics.Sparse.compress m) [| 1.; 2.; 3. |] y;
+  Alcotest.(check bool) "mv" true (Testkit.Vec.approx_equal (Array.sub y 0 2) [| 7.; -2. |]);
+  Alcotest.(check bool) "entries past the rows untouched" true (Float.is_nan y.(2))
 
 let test_sparse_tmv_matches_dense () =
   let rng = Numerics.Rng.create 31 in
@@ -32,11 +34,12 @@ let test_sparse_tmv_matches_dense () =
       (Numerics.Rng.uniform rng (-2.) 2.)
   done;
   let x = Array.init 6 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
+  let v = Array.init 9 (fun _ -> Numerics.Rng.uniform rng (-1.) 1.) in
   let dense = Testkit.Sparse.to_dense ~rows:6 ~cols:9 m in
-  Alcotest.(check bool) "tmv = dense tmv" true
-    (Testkit.Vec.approx_equal ~tol:1e-10
-       (Numerics.Sparse.csc_tmv (Numerics.Sparse.compress m) x)
-       (Testkit.Matrix.tmv dense x))
+  let got = Array.copy v in
+  Numerics.Sparse.csc_tmv_sub (Numerics.Sparse.compress m) x got;
+  Alcotest.(check bool) "v - tmv = v - dense tmv" true
+    (Testkit.Vec.approx_equal ~tol:1e-10 got (Testkit.Vec.sub v (Testkit.Matrix.tmv dense x)))
 
 let test_sparse_column () =
   let m = Numerics.Sparse.create ~rows:4 ~cols:2 in
@@ -73,7 +76,14 @@ let test_network_build () =
 let test_network_violation () =
   let net, _, _, _ = toy_network () in
   check_float "balanced" 0. (Fba.Network.violation net [| 5.; 5.; 5. |]);
-  Alcotest.(check bool) "unbalanced" true (Fba.Network.violation net [| 5.; 0.; 0. |] > 0.)
+  Alcotest.(check bool) "unbalanced" true (Fba.Network.violation net [| 5.; 0.; 0. |] > 0.);
+  let project = Fba.Network.projector net in
+  List.iter
+    (fun (what, f) ->
+      match f [| 5.; 5. |] with
+      | () -> Alcotest.failf "%s took a vector of the wrong length" what
+      | exception Invalid_argument _ -> ())
+    [ ("violation", fun v -> ignore (Fba.Network.violation net v)); ("projector", project) ]
 
 let test_network_set_bounds () =
   let net, ex_a, _, _ = toy_network () in
@@ -239,7 +249,9 @@ let test_repair_reduces_violation () =
   let p = Fba.Moo_problem.problem g in
   let raw = Moo.Problem.random_solution p rng in
   let before = Fba.Network.violation g.Fba.Geobacter.net raw in
-  let after = Fba.Network.violation g.Fba.Geobacter.net (Fba.Moo_problem.repair g raw) in
+  let fixed = Array.copy raw in
+  Fba.Moo_problem.repair g fixed;
+  let after = Fba.Network.violation g.Fba.Geobacter.net fixed in
   Alcotest.(check bool)
     (Printf.sprintf "repair %.3g -> %.3g" before after)
     true (after < before /. 10.)
@@ -294,10 +306,41 @@ let random_flux net rng =
     (fun (lo, hi) -> Numerics.Rng.uniform rng (Float.max lo (-1000.)) (Float.min hi 1000.))
     (Fba.Network.bounds net)
 
+(* The projection of a copy of [v], and [repair g] on a copy. *)
+let projected net =
+  let project = Fba.Network.projector net in
+  fun v ->
+    let c = Array.copy v in
+    project c;
+    c
+
+let repaired g =
+  let repair = Fba.Moo_problem.repair g in
+  fun v ->
+    let c = Array.copy v in
+    repair c;
+    c
+
+(* 20 seeded flux vectors and 20 repaired parents built from them. *)
+let variation_inputs g =
+  let net = g.Fba.Geobacter.net in
+  let rng = Numerics.Rng.create 2011 in
+  let raw = Array.init 20 (fun _ -> random_flux net rng) in
+  (raw, Array.map (repaired g) raw)
+
+(* 40 children: [flux_variation] on consecutive parent pairs. *)
+let variation_children g parents ~rng =
+  let vary = Fba.Moo_problem.flux_variation g () in
+  let n = Array.length parents in
+  List.concat
+    (List.init n (fun k ->
+         let a, b = vary rng parents.(k) parents.((k + 1) mod n) in
+         [ a; b ]))
+
 let test_projector_matches_dense () =
   let g = Lazy.force model in
   let net = g.Fba.Geobacter.net in
-  let sparse = Fba.Network.projector net in
+  let sparse = projected net in
   let dense = dense_projector net in
   let rng = Numerics.Rng.create 101 in
   for k = 1 to 20 do
@@ -324,6 +367,113 @@ let test_violation_matches_hashtbl () =
     let old = Testkit.Sparse.residual_norm2 s v and now = Fba.Network.violation net v in
     if not (Float.equal old now) then Alcotest.failf "vector %d: violation %h vs Hashtbl %h" k now old
   done
+
+(* The exact bits of the Geobacter variation path: the projection of 20
+   seeded flux vectors, the violation of each before and after it, and
+   40 [flux_variation] children.  The hashes were recorded with the
+   allocating projector, [violation] and operator that the per-domain
+   workspace replaced, so a change that reorders any sum on this path
+   fails the matching section by name. *)
+let test_variation_bits () =
+  let g = Lazy.force model in
+  let net = g.Fba.Geobacter.net in
+  let raw, parents = variation_inputs g in
+  let proj = Array.map (projected net) raw in
+  let children = variation_children g parents ~rng:(Numerics.Rng.create 2012) in
+  let flat vs = List.concat_map Array.to_list vs in
+  let sections =
+    [
+      ("projection", flat (Array.to_list proj));
+      ("violation", List.map (Fba.Network.violation net) (Array.to_list raw @ Array.to_list proj));
+      ("variation children", flat children);
+    ]
+  in
+  let fnv values = Printf.sprintf "%Lx" (Cache.Fnv.hash (Array.of_list values)) in
+  Alcotest.(check (list (pair string (pair int string))))
+    "section value counts and FNV-1a of their bits"
+    [
+      ("projection", (12160, "dae37e4f7a1a2573"));
+      ("violation", (40, "dd56bc5600612201"));
+      ("variation children", (24320, "9cd7dd32dc7d5041"));
+    ]
+    (List.map (fun (name, values) -> (name, (List.length values, fnv values))) sections)
+
+(* Words allocated so far.  [Gc.minor_words] is exact; [Gc.counters]'
+   major words less its promoted ones are the words allocated straight
+   on the major heap, the current slice's included.  ([Gc.counters]'
+   own minor count lags the minor heap in use, and [Gc.quick_stat]
+   leaves out the current slice's major words.) *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words [run] allocates per call, after one warm-up call: the window's
+   count less that of an empty window, which the readings allocate. *)
+let words_per_call ?(calls = 50) run =
+  let window f =
+    let w0 = words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    words () -. w0
+  in
+  run ();
+  (window run -. window ignore) /. float_of_int calls
+
+(* After a warm-up call has sized the domain's workspace, the projector
+   and [violation] allocate nothing but [violation]'s boxed result, and
+   a [flux_variation] call its two children (609 words each), their
+   pair and the RNG's boxed draws: 1 418–1 421 words per call here,
+   against 6 193, 443 and 52 071 when the projector's vectors, S·v and
+   the blend were fresh arrays per call. *)
+let test_variation_allocation () =
+  let g = Lazy.force model in
+  let net = g.Fba.Geobacter.net in
+  let raw, parents = variation_inputs g in
+  let project = Fba.Network.projector net in
+  let vary = Fba.Moo_problem.flux_variation g () in
+  let rng = Numerics.Rng.create 5 in
+  let v = Array.copy raw.(0) in
+  List.iter
+    (fun (name, run, budget) ->
+      let w = words_per_call run in
+      if w > budget then Alcotest.failf "%s allocates %.1f words per call, budget %.0f" name w budget)
+    [
+      ("projector", (fun () -> project v), 0.);
+      ("violation", (fun () -> ignore (Sys.opaque_identity (Fba.Network.violation net v))), 2.);
+      ( "flux_variation",
+        (fun () -> ignore (Sys.opaque_identity (vary rng parents.(0) parents.(1)))),
+        1_500. );
+    ]
+
+(* One operator on one network, shared by two domains: each task draws
+   a pair of children from its own stream and takes the violation of
+   both, so projections and violations run in both domains at once.
+   The pooled results must equal the sequential ones bit for bit; a
+   workspace shared by the domains would mix their vectors. *)
+let test_variation_two_domains () =
+  let g = Lazy.force model in
+  let net = g.Fba.Geobacter.net in
+  let _, parents = variation_inputs g in
+  let vary = Fba.Moo_problem.flux_variation g () in
+  let n = Array.length parents in
+  let task k =
+    let a, b = vary (Numerics.Rng.stream ~seed:7 k) parents.(k mod n) parents.((k + 1) mod n) in
+    [| a; b; [| Fba.Network.violation net a; Fba.Network.violation net b |] |]
+  in
+  let tasks = 64 in
+  let sequential = Array.init tasks task in
+  let pool = Parallel.Pool.create ~domains:2 () in
+  let pooled =
+    Fun.protect
+      ~finally:(fun () -> Parallel.Pool.shutdown pool)
+      (fun () -> Parallel.Pool.parallel_map pool ~n:tasks task)
+  in
+  Array.iteri
+    (fun k expected ->
+      if not (Array.for_all2 Cache.Fnv.equal expected pooled.(k)) then
+        Alcotest.failf "task %d: the 2-domain pool's bits differ from the sequential run's" k)
+    sequential
 
 let test_initial_guess_violation_large () =
   let g = Lazy.force model in
@@ -548,6 +698,12 @@ let test_ecoli_growth_coupled_restores_on_raise () =
 
 (* {1 LP and sparse-LU bits} *)
 
+(* [A x = b] through the in-place kernel; [b] is consumed. *)
+let solve lu b =
+  let x = Array.make (Array.length b) 0. in
+  Numerics.Sparse_lu.solve_into lu b x;
+  x
+
 (* [Aᵀ y = c] through the in-place kernel; [c] is consumed. *)
 let solve_t lu c =
   let y = Array.make (Array.length c) 0. in
@@ -595,7 +751,7 @@ let test_lp_bits () =
       ("single knockouts", knockouts single);
       ("pair knockouts", knockouts pairs);
       ("ep fluxes", Array.to_list (Fba.Analysis.fba ~t ~objective:ep).Fba.Analysis.fluxes);
-      ("sparse_lu solve", Array.to_list (Numerics.Sparse_lu.solve lu (rhs ())));
+      ("sparse_lu solve", Array.to_list (solve lu (rhs ())));
       ("sparse_lu solve_t", Array.to_list (solve_t lu (rhs ())));
     ]
   in
@@ -663,6 +819,9 @@ let () =
         [
           Alcotest.test_case "sparse = dense reference" `Quick test_projector_matches_dense;
           Alcotest.test_case "violation = Hashtbl residual" `Quick test_violation_matches_hashtbl;
+          Alcotest.test_case "variation path bits" `Quick test_variation_bits;
+          Alcotest.test_case "allocation" `Quick test_variation_allocation;
+          Alcotest.test_case "2-domain pool = sequential" `Quick test_variation_two_domains;
         ] );
       ( "knockout",
         [

@@ -482,7 +482,8 @@ let test_eta_vs_refactor_property () =
         let rhs = Array.init m (fun _ -> Numerics.Rng.uniform rng (-2.) 2.) in
         let xe = Array.make m 0. in
         Lp.Basis.ftran_into eta (Array.copy rhs) xe;
-        let xr = Numerics.Sparse_lu.solve fresh rhs in
+        let xr = Array.make m 0. in
+        Numerics.Sparse_lu.solve_into fresh (Array.copy rhs) xr;
         Array.iteri (fun i v -> check_float ~tol:1e-6 "ftran eta vs fresh" v xe.(i)) xr;
         let cb = Array.init m (fun _ -> Numerics.Rng.uniform rng (-2.) 2.) in
         let ye = Array.make m 0. in

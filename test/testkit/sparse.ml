@@ -42,5 +42,15 @@ let to_dense ~rows ~cols m =
   done;
   d
 
+(* [m · x], summed column by column in ascending order as
+   [csc_mv_into] sums it. *)
+let mv m x =
+  let c = compress m in
+  let out = Array.make c.cs_rows 0. in
+  for j = 0 to c.cs_cols - 1 do
+    List.iter (fun (i, v) -> out.(i) <- out.(i) +. (v *. x.(j))) (csc_column c j)
+  done;
+  out
+
 (* [‖m · x‖₂]. *)
-let residual_norm2 m x = Vec.norm2 (csc_mv (compress m) x)
+let residual_norm2 m x = Vec.norm2 (mv m x)

@@ -33,6 +33,8 @@ let dot x y =
   done;
   !acc
 
+let norm2 x = sqrt (dot x x)
+
 let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0. x
 let norm1 x = Array.fold_left (fun m xi -> m +. Float.abs xi) 0. x
 
